@@ -23,6 +23,18 @@ import (
 // core.RunMerged), so the continuous batcher can feed them into the
 // result cache transparently.
 func RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[string]float64, error) {
+	return runMerged(ctx, cfgs, nil)
+}
+
+// RunMergedProfiled is the package-level RunMergedProfiled resolving the
+// network through the runner's model store — the merged exec the serve
+// layer hands its batcher, so merged forwards share models with the
+// runner's standalone executions.
+func (cr *CachedRunner) RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[string]float64, error) {
+	return runMerged(ctx, cfgs, cr.models)
+}
+
+func runMerged(ctx context.Context, cfgs []RunConfig, models *workloads.Store) ([]*Report, map[string]float64, error) {
 	// One merged batch is one runner execution: the runner.run fault site
 	// fires once, like a standalone run.
 	faultinject.Hit(faultinject.SiteRunner)
@@ -61,7 +73,7 @@ func RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[st
 	if err != nil {
 		return nil, nil, err
 	}
-	n, err := workloads.Build(base.Workload, base.Variant, base.PaperScale, 42)
+	n, err := models.Get(base.Workload, base.Variant, base.PaperScale)
 	if err != nil {
 		return nil, nil, err
 	}

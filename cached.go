@@ -16,14 +16,28 @@ import (
 // repeats from memory and coalesces concurrent identical requests into
 // a single underlying execution. Reports handed out by a CachedRunner
 // are shared — callers must not mutate them.
+//
+// Below the result cache sits the runner's model store: every eager
+// execution the runner performs (cache misses, eager sweep cells, the
+// batcher's merged forwards via the RunMergedProfiled method) resolves
+// its network through it, so a served model's weights are drawn once per
+// runner instead of once per run. Analytic executions never read a
+// weight and build privately, as the package-level Run does. The store
+// is the runner's own — it is created with the runner and collected
+// with it; nothing is shared between runners.
 type CachedRunner struct {
-	cache *resultcache.Cache
+	cache  *resultcache.Cache
+	models *workloads.Store
 }
 
 // NewCachedRunner builds a runner whose cache holds about
-// capacityBytes of reports (LRU-evicted beyond that).
+// capacityBytes of reports (LRU-evicted beyond that). Its model store
+// has the fixed workloads.StoreBudget.
 func NewCachedRunner(capacityBytes int64) *CachedRunner {
-	return &CachedRunner{cache: resultcache.New(capacityBytes)}
+	return &CachedRunner{
+		cache:  resultcache.New(capacityBytes),
+		models: workloads.NewStore(workloads.StoreBudget),
+	}
 }
 
 // cachedRun is a cache entry: the report plus the per-stage wall-clock
@@ -100,7 +114,7 @@ func (cr *CachedRunner) RunProfiledCtxVia(ctx context.Context, cfg RunConfig, vi
 }
 
 // ExecFn replaces the underlying computation of one cache-missing run:
-// instead of the default RunProfiledCtx, the cache entry comes from
+// instead of the runner's own execution, the cache entry comes from
 // exec's result. The continuous batcher rides this — a cache miss is
 // handed to the batcher, which may merge it with other pending misses
 // into one forward; the scattered per-request report then lands in the
@@ -134,7 +148,7 @@ func (cr *CachedRunner) do(ctx context.Context, cfg RunConfig, via func(ComputeF
 		// Eager executions are profiled unconditionally (the profiler is
 		// a pure observer), so every real run — sweeps included — feeds
 		// the per-stage latency histograms behind /metrics.
-		rep, stageMs, err := RunProfiledCtx(cctx, cfg)
+		rep, stageMs, err := runProfiled(cctx, cfg, cr.models)
 		if err != nil {
 			return nil, err
 		}
@@ -162,6 +176,11 @@ func (cr *CachedRunner) do(ctx context.Context, cfg RunConfig, via func(ComputeF
 // Stats snapshots the cache counters (hits, misses, executions,
 // coalesced requests, evictions, resident bytes).
 func (cr *CachedRunner) Stats() resultcache.Stats { return cr.cache.Stats() }
+
+// ModelStats snapshots the model store's counters: hits are eager
+// executions served by a resident model, executions are builds, bytes
+// the resident parameter footprint.
+func (cr *CachedRunner) ModelStats() resultcache.Stats { return cr.models.Stats() }
 
 // reportBytes estimates a report's resident size for the cache budget
 // by its JSON encoding — close enough for an LRU byte budget.
@@ -243,14 +262,3 @@ func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
 	}
 	return m
 }
-
-// defaultRunner backs the package-level cached entry point.
-var defaultRunner = NewCachedRunner(64 << 20)
-
-// RunCached profiles through a shared process-wide cache: repeated or
-// concurrent identical configs cost one execution. The returned Report
-// is shared and must not be mutated; use Run for a private copy.
-func RunCached(cfg RunConfig) (*Report, error) { return defaultRunner.Run(cfg) }
-
-// RunCacheStats snapshots the shared cache's counters.
-func RunCacheStats() resultcache.Stats { return defaultRunner.Stats() }

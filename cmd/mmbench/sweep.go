@@ -66,7 +66,7 @@ func cmdSweep(args []string) error {
 		pool = jobs.NewPool(*workers, 2*(*workers))
 		defer pool.Shutdown(context.Background())
 	}
-	t, err := mmbench.RunSweep(cfg, mmbench.RunCached, pool)
+	t, err := mmbench.RunSweep(cfg, nil, pool)
 	if err != nil {
 		return err
 	}

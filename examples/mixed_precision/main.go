@@ -80,7 +80,7 @@ func main() {
 		Precisions: policies,
 		Eager:      true,
 		Seed:       7,
-	}, mmbench.RunCached, nil)
+	}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

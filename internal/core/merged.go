@@ -186,7 +186,7 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (res []*
 				ref.Value.Data()[r0*elemsPerRow:r1*elemsPerRow])
 		}
 		results[i] = &RunResult{
-			Network: n, Trace: tr, Memory: mem, Latency: latency, Output: memberOut,
+			Trace: tr, Memory: mem, Latency: latency, Output: memberOut,
 			OutputErrMax: errMax, OutputErrMean: errMean, StageSeconds: stageSec,
 		}
 		lo += bs

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 

@@ -16,10 +16,19 @@ import (
 // pool and serve repeated configurations from a result cache: `repro
 // all` touches many overlapping (workload, variant, device, batch)
 // grids, and every analytic run is a pure function of that tuple.
+//
+// Two budgets, each covering what it says and nothing else: profCache
+// holds RunResults — traces plus fixed-size summaries, sized by
+// runResultBytes; a RunResult does not reference its network — and
+// profModels holds the networks, sized by ParamBytes, one per (workload,
+// variant) shared by that variant's whole device × batch grid. Together
+// they bound the drivers' resident memory at 128 MiB of results plus
+// workloads.StoreBudget of parameters.
 var (
 	profPoolOnce sync.Once
 	profPool     *jobs.Pool
 	profCache    = resultcache.New(128 << 20)
+	profModels   = workloads.NewStore(workloads.StoreBudget)
 )
 
 func pool() *jobs.Pool {
@@ -52,7 +61,11 @@ func (c profileCfg) key() string {
 func profileRun(workload, variant string, dev *device.Profile, batch int) (*RunResult, error) {
 	cfg := profileCfg{workload: workload, variant: variant, dev: dev, batch: batch}
 	v, err := profCache.Do(cfg.key(), func() (any, int64, error) {
-		r, err := BuildAndRun(workload, variant, true, RunOptions{Device: dev, BatchSize: batch})
+		n, err := profModels.Get(workload, variant, true)
+		if err != nil {
+			return nil, 0, err
+		}
+		r, err := Run(n, RunOptions{Device: dev, BatchSize: batch})
 		if err != nil {
 			return nil, 0, err
 		}

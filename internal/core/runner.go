@@ -80,9 +80,8 @@ func (o *RunOptions) defaults() {
 
 // RunResult is the outcome of one profiled inference.
 type RunResult struct {
-	Network *mmnet.Network
-	Trace   *trace.Trace
-	Memory  memprof.Profile
+	Trace  *trace.Trace
+	Memory memprof.Profile
 	// Latency is the modeled end-to-end wall time including the
 	// device's memory-capacity penalty.
 	Latency float64
@@ -232,7 +231,7 @@ func Run(n *mmnet.Network, opts RunOptions) (res *RunResult, err error) {
 	}
 
 	return &RunResult{
-		Network: n, Trace: tr, Memory: mem, Latency: latency, Output: out,
+		Trace: tr, Memory: mem, Latency: latency, Output: out,
 		OutputErrMax: errMax, OutputErrMean: errMean, StageSeconds: stageSec,
 	}, nil
 }
@@ -255,10 +254,11 @@ func outputError(got, ref *ops.Var) (errMax, errMean float64) {
 	return errMax, sum / float64(len(gd))
 }
 
-// BuildAndRun is a convenience wrapper: build a workload variant and
-// profile it.
+// BuildAndRun is a convenience wrapper: build a private copy of a
+// workload variant and profile it. Callers that run one model more than
+// once resolve it through a workloads.Store and call Run instead.
 func BuildAndRun(workload, variant string, profile bool, opts RunOptions) (*RunResult, error) {
-	n, err := workloads.Build(workload, variant, profile, 42)
+	n, err := workloads.Build(workload, variant, profile, workloads.WeightSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -6,16 +6,16 @@ func TestBranchWorkers(t *testing.T) {
 	cases := []struct {
 		total, branches, want int
 	}{
-		{8, 1, 8},   // single branch keeps the whole budget
-		{8, 2, 4},   // even split
-		{8, 3, 2},   // floor division
-		{8, 16, 1},  // more branches than workers clamps to 1
-		{1, 4, 1},   // serial parent stays serial per branch
-		{2, 2, 1},   // exact exhaustion
-		{16, 4, 4},  // larger budget
-		{3, 0, 3},   // degenerate branch counts keep the budget
-		{3, -1, 3},  // negative likewise
-		{0, 3, 1},   // nil/zero-worker parent still yields a valid engine
+		{8, 1, 8},  // single branch keeps the whole budget
+		{8, 2, 4},  // even split
+		{8, 3, 2},  // floor division
+		{8, 16, 1}, // more branches than workers clamps to 1
+		{1, 4, 1},  // serial parent stays serial per branch
+		{2, 2, 1},  // exact exhaustion
+		{16, 4, 4}, // larger budget
+		{3, 0, 3},  // degenerate branch counts keep the budget
+		{3, -1, 3}, // negative likewise
+		{0, 3, 1},  // nil/zero-worker parent still yields a valid engine
 	}
 	for _, tc := range cases {
 		if got := BranchWorkers(tc.total, tc.branches); got != tc.want {

@@ -20,7 +20,7 @@ type Clock interface {
 type realClock struct{}
 
 func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Since(t time.Time) time.Duration       { return time.Since(t) }
+func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // RealClock returns the wall clock.

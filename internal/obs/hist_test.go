@@ -137,9 +137,9 @@ func TestHistogramMergeEmpty(t *testing.T) {
 
 func TestHistogramUnderflowAndOverflow(t *testing.T) {
 	var h Histogram
-	h.Observe(0)       // underflow
-	h.Observe(-1)      // negative → underflow, still counted
-	h.Observe(1e9)     // beyond the last bucket → clamped into it
+	h.Observe(0)   // underflow
+	h.Observe(-1)  // negative → underflow, still counted
+	h.Observe(1e9) // beyond the last bucket → clamped into it
 	h.Observe(math.NaN())
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4 (no silent drops)", h.Count())

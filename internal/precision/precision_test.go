@@ -48,7 +48,7 @@ func TestF16BitsMatchesReference(t *testing.T) {
 	cases := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, 2, 65504, -65504,
 		65519.996, 65520, 65536, 1e38, -1e38,
-		6.103515625e-05,  // min normal f16
+		6.103515625e-05,       // min normal f16
 		6.097555160522461e-05, // just below min normal
 		5.960464477539063e-08, // min subnormal f16
 		2.980232238769531e-08, // half of min subnormal: ties to even → 0

@@ -24,6 +24,7 @@ import (
 //
 //	mmbench_requests_total, mmbench_encode_errors_total
 //	mmbench_cache_*            result-cache counters
+//	mmbench_model_store_*      the runner's model-store counters
 //	mmbench_batch_*            continuous cross-request batching counters
 //	mmbench_jobs               scheduler job counts by state
 //	mmbench_queue_depth        jobs waiting for a worker
@@ -57,6 +58,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("mmbench_cache_coalesced_total", "Requests coalesced into an in-flight execution.", float64(cs.Coalesced))
 	m.counter("mmbench_cache_evictions_total", "Cache entries evicted.", float64(cs.Evictions))
 	m.gauge("mmbench_cache_resident_bytes", "Bytes of cached reports resident.", float64(cs.Bytes))
+
+	ms := s.runner.ModelStats()
+	m.counter("mmbench_model_store_hits_total", "Eager executions served by an already-built network.", float64(ms.Hits))
+	m.counter("mmbench_model_store_builds_total", "Network builds the model store ran (weights drawn; failed attempts for unknown variants included).", float64(ms.Executions))
+	m.counter("mmbench_model_store_evictions_total", "Networks evicted under the model-store budget.", float64(ms.Evictions))
+	m.gauge("mmbench_model_store_resident_bytes", "Parameter bytes of networks resident in the model store.", float64(ms.Bytes))
 
 	if s.batcher != nil {
 		bst := s.batcher.Stats()

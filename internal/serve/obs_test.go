@@ -76,6 +76,27 @@ func TestStatsReportsPackActivity(t *testing.T) {
 	}
 }
 
+// Two requests that miss the result cache (different seeds) but name the
+// same model cost one build: the second resolves its network from the
+// runner's model store.
+func TestStatsReportsModelStore(t *testing.T) {
+	_, ts := newTestServer(t)
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2,"seed":1}`, nil)
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2,"seed":2}`, nil)
+
+	var st Stats
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.Cache.Executions != 2 {
+		t.Fatalf("result cache ran %d executions, want 2 distinct misses", st.Cache.Executions)
+	}
+	if st.Models.Executions != 1 || st.Models.Hits != 1 {
+		t.Errorf("model store builds=%d hits=%d, want 1 and 1", st.Models.Executions, st.Models.Hits)
+	}
+	if st.Models.Entries != 1 || st.Models.Bytes <= 0 || st.Models.Evictions != 0 {
+		t.Errorf("model store residency: %+v", st.Models)
+	}
+}
+
 func TestQueueWaitAppearsAfterSweep(t *testing.T) {
 	_, ts := newTestServer(t)
 	var sweep struct {
@@ -94,9 +115,11 @@ func TestQueueWaitAppearsAfterSweep(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t)
-	// Generate traffic first: an eager run (stage histograms) and a
-	// sweep (jobs, queue wait).
+	// Generate traffic first: two eager runs of one model (stage
+	// histograms, a model-store build and a hit) and a sweep (jobs, queue
+	// wait).
 	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2}`, nil)
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2,"seed":2}`, nil)
 	var sweep struct {
 		JobID string `json:"job_id"`
 	}
@@ -141,6 +164,13 @@ func TestMetricsExposition(t *testing.T) {
 		"mmbench_service_latency_seconds_count",
 		"mmbench_queue_wait_seconds_bucket",
 		"mmbench_stage_latency_seconds_bucket{stage=\"encoder\"",
+		// The second eager run names the first one's model, so it is a
+		// model-store hit, not a second build; the sweep's analytic cell
+		// builds privately and touches neither counter.
+		"mmbench_model_store_builds_total 1\n",
+		"mmbench_model_store_hits_total 1\n",
+		"mmbench_model_store_evictions_total 0\n",
+		"mmbench_model_store_resident_bytes",
 	}
 	for _, f := range families {
 		if !strings.Contains(text, f) {

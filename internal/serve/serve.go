@@ -153,6 +153,9 @@ func New(opts Options) *Server {
 			MaxBatch: opts.MaxBatch,
 			Window:   opts.BatchWindow,
 			Clock:    opts.Clock,
+			// Merged forwards resolve their network through the runner's
+			// model store, like the runner's standalone executions.
+			Run: s.runner.RunMergedProfiled,
 			// One merged batch costs one scheduler admission and one
 			// queue slot, exactly like a standalone execution.
 			Exec: func(ctx context.Context, deadline time.Time, est time.Duration, fn func(context.Context) error) error {
@@ -553,6 +556,10 @@ type Stats struct {
 	// ran; empty until the first eager run.
 	StageLatency map[string]obs.Summary `json:"stage_latency_ms,omitempty"`
 	Cache        CacheStats             `json:"cache"`
+	// Models reports the runner's model store: hits are eager executions
+	// served by an already-built network, executions are builds, bytes
+	// the resident parameter footprint.
+	Models resultcache.Stats `json:"models"`
 	// Batching reports the continuous cross-request batcher: merged-
 	// batch histogram, coalesce ratio, queue depth, and the per-stage
 	// latency percentiles observed under merged load.
@@ -734,6 +741,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			WaitMs: wait.SummaryMs(),
 		},
 		Cache:    CacheStats{Stats: cs, HitRate: cs.HitRate()},
+		Models:   s.runner.ModelStats(),
 		Batching: s.batchingStats(stageLat),
 		Engine: EngineStats{
 			Stats:       es,

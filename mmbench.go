@@ -167,7 +167,7 @@ type Report struct {
 
 // Run profiles one workload variant on one device.
 func Run(cfg RunConfig) (*Report, error) {
-	rep, _, err := runImpl(nil, cfg, nil)
+	rep, _, err := runImpl(nil, cfg, nil, nil)
 	return rep, err
 }
 
@@ -176,7 +176,7 @@ func Run(cfg RunConfig) (*Report, error) {
 // boundary, aborts the run at its next stage-boundary checkpoint, and
 // returns ctx.Err(). A background context behaves exactly like Run.
 func RunCtx(ctx context.Context, cfg RunConfig) (*Report, error) {
-	rep, _, err := runImpl(ctx, cfg, nil)
+	rep, _, err := runImpl(ctx, cfg, nil, nil)
 	return rep, err
 }
 
@@ -191,20 +191,33 @@ func RunProfiled(cfg RunConfig) (*Report, map[string]float64, error) {
 // RunProfiledCtx is RunProfiled under a cancellable context (see
 // RunCtx).
 func RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
+	return runProfiled(ctx, cfg, nil)
+}
+
+// runProfiled is RunProfiledCtx resolving an eager run's network through
+// models. Analytic runs read no weight — plan compile and replay need
+// shapes only — and keep building privately: the store's budget goes to
+// models whose kernels actually run (docs/ARCHITECTURE.md, "Model
+// store", says what a store for analytic cells has to wait for).
+func runProfiled(ctx context.Context, cfg RunConfig, models *workloads.Store) (*Report, map[string]float64, error) {
 	if !cfg.Eager {
-		return runImpl(ctx, cfg, nil)
+		return runImpl(ctx, cfg, nil, nil)
 	}
-	return runImpl(ctx, cfg, obs.NewProfiler())
+	return runImpl(ctx, cfg, obs.NewProfiler(), models)
 }
 
 // RunWithProfiler is Run recording into a caller-owned profiler, for
 // callers that also want the span-level profile (the CLI's Chrome trace
 // export). The caller seals the profiler with Finish after the run.
 func RunWithProfiler(cfg RunConfig, p *obs.Profiler) (*Report, map[string]float64, error) {
-	return runImpl(nil, cfg, p)
+	return runImpl(nil, cfg, p, nil)
 }
 
-func runImpl(ctx context.Context, cfg RunConfig, prof *obs.Profiler) (*Report, map[string]float64, error) {
+// runImpl is the one execution path under every Run* entry point. The
+// network comes from models — a CachedRunner's shared, frozen store — or,
+// for the store-less package-level entry points (models == nil), from a
+// private build that dies with the call.
+func runImpl(ctx context.Context, cfg RunConfig, prof *obs.Profiler, models *workloads.Store) (*Report, map[string]float64, error) {
 	// The runner.run injection site: a "panic" rule here simulates a
 	// workload whose kernels reliably crash (the quarantine trigger).
 	faultinject.Hit(faultinject.SiteRunner)
@@ -230,7 +243,11 @@ func runImpl(ctx context.Context, cfg RunConfig, prof *obs.Profiler) (*Report, m
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.BuildAndRun(cfg.Workload, cfg.Variant, cfg.PaperScale, core.RunOptions{
+	n, err := models.Get(cfg.Workload, cfg.Variant, cfg.PaperScale)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := core.Run(n, core.RunOptions{
 		Device:    dev,
 		BatchSize: cfg.BatchSize,
 		Eager:     cfg.Eager,
@@ -378,7 +395,9 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	if cfg.Variant == "" {
 		cfg.Variant = info.Fusions[0]
 	}
-	n, err := workloads.Build(cfg.Workload, cfg.Variant, false, 42)
+	// Training mutates parameters, so it always builds a private network
+	// and never sees a model store's shared, frozen one.
+	n, err := workloads.Build(cfg.Workload, cfg.Variant, false, workloads.WeightSeed)
 	if err != nil {
 		return nil, err
 	}

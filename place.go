@@ -89,7 +89,7 @@ func Place(cfg PlaceConfig) (*PlaceReport, error) {
 		}
 		cfg.Variant = info.Fusions[0]
 	}
-	n, err := workloads.Build(cfg.Workload, cfg.Variant, paper, 42)
+	n, err := workloads.Build(cfg.Workload, cfg.Variant, paper, workloads.WeightSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -40,13 +40,14 @@ type SweepConfig struct {
 // SweepJob expands a sweep into one closure per distinct configuration
 // plus an assembly step turning their Reports into the sweep table —
 // the pieces a jobs.Pool group submission needs. run executes a single
-// configuration (use RunCached, a CachedRunner's Run, or plain Run; nil
-// defaults to RunCached). Rows are emitted one per (device, batch) in
+// configuration (a CachedRunner's Run, or plain Run; nil defaults to a
+// fresh CachedRunner scoped to this sweep, so an eager grid builds its
+// model once). Rows are emitted one per (device, batch) in
 // grid order, so assembly is deterministic no matter how the closures
 // are scheduled.
 func SweepJob(cfg SweepConfig, run func(RunConfig) (*Report, error)) ([]jobs.Fn, func([]any) (any, error), error) {
 	if run == nil {
-		run = RunCached
+		run = NewCachedRunner(64 << 20).Run
 	}
 	if len(cfg.Devices) == 0 || len(cfg.Batches) == 0 {
 		return nil, nil, fmt.Errorf("mmbench: sweep needs at least one device and one batch size")
