@@ -30,9 +30,9 @@ type MemberSpec struct {
 // its own RunResult with its slice of the output. Per-member outputs are
 // bitwise identical to running each member alone — the engine's
 // shape-only deterministic chunking makes most operators batch-invariant
-// for free, and the handful with cross-batch numerics (int8 scale
-// calibration, BatchNorm statistics, Linear's rows-dependent kernel
-// crossover) execute per request segment, steered by ops.Ctx.Segments.
+// for free, and the two kinds with cross-batch numerics (per-tensor int8
+// scale calibrations, BatchNorm2D batch statistics) execute per request
+// segment, steered by ops.Ctx.Segments.
 //
 // Each member's Trace/Memory/Latency come from compiling the stage plan
 // at that member's own batch size — byte-identical to the member's

@@ -234,6 +234,76 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestRowCountInvariance pins the property merged cross-request batches
+// rely on: a dst row's bits depend only on that row of A (and on B), not
+// on how many other rows share the call or where the row sits in its
+// MR-row panel. Every tile is zero-padded to a full MR×NR block and each
+// dst element accumulates its whole K in one micro-kernel call, so rows
+// [lo,hi) of a 9-row product must equal the product of those rows alone,
+// bitwise, for every row range (which covers every m in 1..9 and every
+// prefix of each), odd K (the i8 pair padding), N around the NR tail,
+// every operand layout, all three kernels (I8 at fixed scales — the
+// calibration is the caller's) and 1 and 4 workers.
+func TestRowCountInvariance(t *testing.T) {
+	const m = 2*MR + 1
+	kernels := []struct {
+		name string
+		run  func(e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool)
+	}{
+		{"F32", func(e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
+			F32(e, dst, a, b, m, k, n, 0.5, aT, bT)
+		}},
+		{"F16", func(e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
+			F16(e, dst, a, b, m, k, n, 0.5, aT, bT)
+		}},
+		{"I8", func(e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
+			I8(e, dst, a, b, m, k, n, 0.5, 1.0/127, 1.0/127, aT, bT)
+		}},
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, workers := range []int{1, 4} {
+		e := engine.New(workers)
+		for _, k := range []int{7, 33} {
+			for _, n := range []int{1, NR - 1, NR, NR + 1, 2*NR + 1} {
+				a := randSlice(rng, m*k) // logical row-major A[m,k]
+				b := randSlice(rng, k*n)
+				dst0 := randSlice(rng, m*n)
+				for _, kern := range kernels {
+					for _, tr := range []struct{ aT, bT bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+						bin := b
+						if tr.bT {
+							bin = transpose(b, k, n)
+						}
+						// product runs the kernel over logical rows [lo,hi).
+						product := func(lo, hi int) []float32 {
+							ain := a[lo*k : hi*k]
+							if tr.aT {
+								ain = transpose(ain, hi-lo, k)
+							}
+							dst := append([]float32(nil), dst0[lo*n:hi*n]...)
+							kern.run(e, dst, ain, bin, hi-lo, k, n, tr.aT, tr.bT)
+							return dst
+						}
+						full := product(0, m)
+						for lo := 0; lo < m; lo++ {
+							for hi := lo + 1; hi <= m; hi++ {
+								got := product(lo, hi)
+								for i, v := range got {
+									if want := full[lo*n+i]; math.Float32bits(v) != math.Float32bits(want) {
+										t.Fatalf("%s k=%d n=%d aT=%v bT=%v workers=%d: rows [%d,%d) alone differ from the %d-row product at elem %d: %g vs %g",
+											kern.name, k, n, tr.aT, tr.bT, workers, lo, hi, m, i, v, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
 // TestPoisonPanelSafety runs every packed path under NaN poison-on-free:
 // a read of any pooled byte the pack step failed to overwrite surfaces
 // as NaN in the output.

@@ -11,7 +11,8 @@ import (
 
 // naiveMatMulNN is the pre-refactor single-threaded kernel, kept here as
 // the speedup baseline for BenchmarkEngineMatMul (the acceptance bar is
-// ≥3× on ≥4 cores with fewer allocs/op).
+// ≥3× on ≥4 cores with fewer allocs/op) and as the differential oracle
+// of TestCensusShapesMatchNaive.
 func naiveMatMulNN(dst, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
@@ -135,10 +136,12 @@ func benchVar(g *tensor.RNG, shape ...int) *Var {
 
 // BenchmarkMatMulShapes sweeps the f32 MatMul operator across square
 // shapes (64³ … 1024³) and the skinny shapes the model actually hits:
-// 128×64×512 (a projection-like tall-thin product) and 32×64×64 (the
-// attention score tile, Tq-tile × dh × Tk). Square shapes from 64³ up
-// ride the packed micro-kernel; the sweep pins the crossover behaviour
-// in BENCH_ops.json so pack-path regressions show per shape class.
+// 128×64×512 (a projection-like tall-thin product), 32×64×64 (the
+// attention score tile, Tq-tile × dh × Tk) and the census of head/gate
+// products with rows ≤ 8 (2×128×2 … 8×64×10), where one mostly-padding
+// MR×NR tile is the whole product and pack overhead dominates. Every
+// shape rides the packed micro-kernel; the sweep pins its cost per shape
+// class in BENCH_ops.json.
 func BenchmarkMatMulShapes(b *testing.B) {
 	shapes := []struct{ m, k, n int }{
 		{64, 64, 64},
@@ -148,6 +151,12 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		{1024, 1024, 1024},
 		{128, 64, 512},
 		{32, 64, 64},
+		{2, 128, 2},
+		{2, 128, 8},
+		{2, 12, 192},
+		{2, 2, 192},
+		{1, 192, 64},
+		{8, 64, 10},
 	}
 	for _, s := range shapes {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {

@@ -89,75 +89,41 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	kDim := ch * kh * kw
 	m := oh * ow
 	prec := c.prec
-	// Above the packed-core crossover, reduced-precision operands
-	// quantize inside the panel packing (gemm.I8/gemm.F16) — no pooled
-	// level copies, int32 accumulation for i8. Below it, the legacy
-	// emulation quantizes pooled copies and runs the f32 kernels.
-	packedLowp := prec != precision.F32 &&
-		int64(outC)*int64(kDim)*int64(m) >= packMinFlops
-	gemmW := wdta
-	var qw []float32
-	var xScale, wScale, swLegacy float32
-	// xScales carries per-sample activation scales when a merged
-	// cross-request i8 batch calibrates each request's segment separately
-	// (the weight scale is per-tensor over W and batch-independent, and
-	// the packed crossover above depends only on outC·kDim·m — no
-	// batch-shaped kernel selection here).
+	// Reduced-precision operands quantize inside the panel packing
+	// (gemm.I8/gemm.F16) — no pooled level copies, int32 accumulation for
+	// i8. The weight scale is per-tensor over W and batch-independent;
+	// xScales holds each sample's activation scale, calibrated over the
+	// whole input or, in a merged cross-request batch, over the sample's
+	// own request segment. (Each sample's im2col expansion is quantized
+	// with that calibration: col entries are copies of input entries plus
+	// zero padding, so the input's maxabs bounds the col's.)
+	var wScale float32
 	var xScales []float32
 	if prec != precision.F32 {
 		countLowp(prec)
-		if prec == precision.I8 {
-			// Each sample's im2col expansion is quantized with the input
-			// tensor's calibration (col entries are copies of input
-			// entries plus zero padding, so the input's maxabs bounds the
-			// col's).
-			if segs := c.segments(n); segs != nil {
-				xScales = make([]float32, n)
-				for _, s := range segs {
-					sc := precision.I8Scale(precision.MaxAbs(xd[s.lo*ch*h*wd : s.hi*ch*h*wd]))
-					for ni := s.lo; ni < s.hi; ni++ {
-						xScales[ni] = sc
-					}
-				}
-			} else {
-				xScale = precision.I8Scale(precision.MaxAbs(xd))
+	}
+	if prec == precision.I8 {
+		wScale = precision.I8Scale(precision.MaxAbs(wdta))
+		xScales = make([]float32, n)
+		c.eachI8Segment(n, func(lo, hi int) {
+			sc := precision.I8Scale(precision.MaxAbs(xd[lo*ch*h*wd : hi*ch*h*wd]))
+			for ni := lo; ni < hi; ni++ {
+				xScales[ni] = sc
 			}
-		}
-		if packedLowp {
-			if prec == precision.I8 {
-				wScale = precision.I8Scale(precision.MaxAbs(wdta))
-			}
-		} else {
-			qw, swLegacy = quantizeOperand(e, prec, wdta)
-			defer e.Put(qw)
-			gemmW = qw
-		}
+		})
 	}
 	col := e.GetUninit(kDim * m) // im2col writes every entry
 	defer e.Put(col)
 	for ni := 0; ni < n; ni++ {
 		im2col(e, col, xd[ni*ch*h*wd:(ni+1)*ch*h*wd], ch, h, wd, kh, kw, oh, ow, stride, pad)
 		oslice := od[ni*outC*m : (ni+1)*outC*m]
-		xs := xScale
-		if xScales != nil {
-			xs = xScales[ni]
-		}
-		switch {
-		case packedLowp && prec == precision.I8:
-			gemm.I8(e, oslice, wdta, col, outC, kDim, m, 1, wScale, xs, false, false)
-		case packedLowp:
+		switch prec {
+		case precision.I8:
+			gemm.I8(e, oslice, wdta, col, outC, kDim, m, 1, wScale, xScales[ni], false, false)
+		case precision.F16:
 			gemm.F16(e, oslice, wdta, col, outC, kDim, m, 1, false, false)
-		case prec == precision.F16:
-			roundSliceF16(e, col)
-			matmulNN(e, oslice, gemmW, col, outC, kDim, m)
-		case prec == precision.I8:
-			e.ParallelFor(len(col), elemGrain, func(lo, hi int) {
-				precision.QuantizeI8(col[lo:hi], col[lo:hi], xs)
-			})
-			matmulNN(e, oslice, gemmW, col, outC, kDim, m)
-			scaleSlice(e, oslice, xs*swLegacy)
 		default:
-			matmulNN(e, oslice, gemmW, col, outC, kDim, m)
+			matmulNN(e, oslice, wdta, col, outC, kDim, m, 1)
 		}
 	}
 	if bias != nil {

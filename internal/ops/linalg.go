@@ -9,171 +9,31 @@ import (
 	"mmbench/internal/precision"
 )
 
-// GEMM dispatch: products with at least packMinFlops multiply-adds run
-// the packed-panel register-blocked core (internal/gemm); smaller
-// products keep the legacy in-place row kernels below, whose fixed
-// overhead is lower than a pack/compute/unpack round trip. Both
-// thresholds are shape-only, so kernel selection — like chunking —
-// never depends on the machine or worker count, preserving bitwise
-// determinism. Each dst element is produced by exactly one tile with a
-// fixed ascending-l accumulation order on either path.
-const (
-	// matmulRowTile rows per parallel chunk: enough for the k-blocked
-	// inner kernel to reuse each b row across the tile.
-	matmulRowTile = 8
-	// matmulKBlock bounds the k panel so the tile's dst rows plus the
-	// active b rows stay cache-resident.
-	matmulKBlock = 1024
-	// minParallelFlops is the problem size below which engine dispatch
-	// costs more than it saves (a fixed shape-only threshold, so the
-	// serial/parallel choice never depends on the machine).
-	minParallelFlops = 1 << 15
-	// packMinFlops is the packed-core crossover. Measured single-threaded
-	// (Xeon 2.10GHz, AVX2 kernel): the packed core wins at every square
-	// shape from 16³ up — 2.7× at 16³ (1.3µs vs 3.5µs), 4.7× at 32³,
-	// 10.9× at 128³ — so the threshold exists only to keep genuinely tiny
-	// products (and the nil-engine per-batch edge, where panels cannot
-	// pool) on the cheap in-place kernels. 1<<14 puts 24³ and below on
-	// the legacy path and everything from 32³ up on the packed core.
-	packMinFlops = 1 << 14
-)
+// Every f32 product in this package is one call into the packed-panel
+// core (internal/gemm); the three helpers below only map the operand
+// layouts of a forward product (NN) and its two gradients (NT, TN) onto
+// gemm.F32's (m, k, n, aT, bT) convention. The core zero-pads every tile
+// to a full MR×NR block and accumulates each dst element over the whole
+// K in one micro-kernel call, so a row's result is independent of the
+// worker count and of how many other rows share the call.
 
-func serialIfSmall(e *engine.Engine, flops int64) *engine.Engine {
-	if flops < minParallelFlops {
-		return nil
-	}
-	return e
+// matmulNN computes dst[m,n] += alpha · a[m,k] · b[k,n].
+func matmulNN(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32) {
+	gemm.F32(e, dst, a, b, m, k, n, alpha, false, false)
 }
 
-// matmulNN computes dst[m,n] += a[m,k] · b[k,n] over flat row-major slices.
-func matmulNN(e *engine.Engine, dst, a, b []float32, m, k, n int) {
-	matmulNNAlpha(e, dst, a, b, m, k, n, 1)
+// matmulNT computes dst[m,k] += alpha · a[m,n] · b[k,n]ᵀ: b is the
+// [N,K]-stored right operand of an m×n×k product. Alpha is applied once
+// per finished dot product — the scale-after-accumulate order a separate
+// Scale pass would produce.
+func matmulNT(e *engine.Engine, dst, a, b []float32, m, n, k int, alpha float32) {
+	gemm.F32(e, dst, a, b, m, n, k, alpha, false, true)
 }
 
-// matmulNNAlpha computes dst[m,n] += alpha · a[m,k] · b[k,n]. The alpha
-// folds into the broadcast multiplier (one multiply per a element, not
-// per product term), so alpha == 1 is bitwise identical to matmulNN.
-func matmulNNAlpha(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32) {
-	flops := int64(m) * int64(k) * int64(n)
-	if flops >= packMinFlops {
-		gemm.F32(e, dst, a, b, m, k, n, alpha, false, false)
-		return
-	}
-	e = serialIfSmall(e, flops)
-	e.ParallelFor(m, matmulRowTile, func(i0, i1 int) {
-		for l0 := 0; l0 < k; l0 += matmulKBlock {
-			l1 := l0 + matmulKBlock
-			if l1 > k {
-				l1 = k
-			}
-			for i := i0; i < i1; i++ {
-				ar := a[i*k : (i+1)*k]
-				dr := dst[i*n : (i+1)*n]
-				for l := l0; l < l1; l++ {
-					av := ar[l] * alpha
-					if av == 0 {
-						continue
-					}
-					br := b[l*n : (l+1)*n]
-					for j, bv := range br {
-						dr[j] += av * bv
-					}
-				}
-			}
-		}
-	})
-}
-
-// matmulNT computes dst[m,k] += a[m,n] · b[k,n]ᵀ.
-func matmulNT(e *engine.Engine, dst, a, b []float32, m, n, k int) {
-	matmulNTAlpha(e, dst, a, b, m, n, k, 1)
-}
-
-// matmulNTAlpha computes dst[m,k] += alpha · a[m,n] · b[k,n]ᵀ. The alpha
-// is applied once per finished dot product — the same
-// scale-after-accumulate order a separate Scale pass would produce, so
-// folding the attention 1/√dh here changes no bits versus the old
-// MatMul→Scale composition.
-func matmulNTAlpha(e *engine.Engine, dst, a, b []float32, m, n, k int, alpha float32) {
-	flops := int64(m) * int64(n) * int64(k)
-	if flops >= packMinFlops {
-		// dst[m,k] += alpha·a[m,n]·b[k,n]ᵀ: b is the [N,K]-stored right
-		// operand of an m×n×k product.
-		gemm.F32(e, dst, a, b, m, n, k, alpha, false, true)
-		return
-	}
-	e = serialIfSmall(e, flops)
-	e.ParallelFor(m, matmulRowTile, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ar := a[i*n : (i+1)*n]
-			dr := dst[i*k : (i+1)*k]
-			j := 0
-			// Four output dots per pass share one streaming read of ar;
-			// each dot keeps its own serial accumulator, so the per-
-			// element sum order matches the naive kernel exactly.
-			for ; j+4 <= k; j += 4 {
-				b0 := b[j*n : (j+1)*n]
-				b1 := b[(j+1)*n : (j+2)*n]
-				b2 := b[(j+2)*n : (j+3)*n]
-				b3 := b[(j+3)*n : (j+4)*n]
-				var s0, s1, s2, s3 float32
-				for l := range ar {
-					al := ar[l]
-					s0 += al * b0[l]
-					s1 += al * b1[l]
-					s2 += al * b2[l]
-					s3 += al * b3[l]
-				}
-				dr[j] += alpha * s0
-				dr[j+1] += alpha * s1
-				dr[j+2] += alpha * s2
-				dr[j+3] += alpha * s3
-			}
-			for ; j < k; j++ {
-				br := b[j*n : (j+1)*n]
-				var s float32
-				for l := range ar {
-					s += ar[l] * br[l]
-				}
-				dr[j] += alpha * s
-			}
-		}
-	})
-}
-
-// matmulTN computes dst[k,n] += a[m,k]ᵀ · b[m,n], partitioned over the k
-// rows of dst; each row accumulates over l ascending, matching the
-// serial kernel's per-element order.
-func matmulTN(e *engine.Engine, dst, a, b []float32, m, k, n int) {
-	matmulTNAlpha(e, dst, a, b, m, k, n, 1)
-}
-
-// matmulTNAlpha computes dst[k,n] += alpha · a[m,k]ᵀ · b[m,n], with
-// alpha folded into the broadcast multiplier like matmulNNAlpha.
-func matmulTNAlpha(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32) {
-	flops := int64(m) * int64(k) * int64(n)
-	if flops >= packMinFlops {
-		// dst[k,n] += alpha·a[m,k]ᵀ·b[m,n]: a is the [K,M]-stored left
-		// operand of a k×m×n product.
-		gemm.F32(e, dst, a, b, k, m, n, alpha, true, false)
-		return
-	}
-	e = serialIfSmall(e, flops)
-	e.ParallelFor(k, matmulRowTile, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			dr := dst[i*n : (i+1)*n]
-			for l := 0; l < m; l++ {
-				av := a[l*k+i] * alpha
-				if av == 0 {
-					continue
-				}
-				br := b[l*n : (l+1)*n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
+// matmulTN computes dst[k,n] += alpha · a[m,k]ᵀ · b[m,n]: a is the
+// [K,M]-stored left operand of a k×m×n product.
+func matmulTN(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32) {
+	gemm.F32(e, dst, a, b, k, m, n, alpha, true, false)
 }
 
 // MatMul multiplies a[m,k] by b[k,n].
@@ -194,16 +54,16 @@ func (c *Ctx) MatMul(a, b *Var) *Var {
 	if p := c.prec; p != precision.F32 {
 		lowpMatmulNN(e, p, out.Value.Data(), a.Value.Data(), b.Value.Data(), m, k, n)
 	} else {
-		matmulNN(e, out.Value.Data(), a.Value.Data(), b.Value.Data(), m, k, n)
+		matmulNN(e, out.Value.Data(), a.Value.Data(), b.Value.Data(), m, k, n, 1)
 	}
 	if c.taping(a, b) {
 		c.tapeStep(out, func() {
 			g := out.Grad.Data()
 			if a.NeedGrad {
-				matmulNT(e, a.EnsureGrad().Data(), g, b.Value.Data(), m, n, k)
+				matmulNT(e, a.EnsureGrad().Data(), g, b.Value.Data(), m, n, k, 1)
 			}
 			if b.NeedGrad {
-				matmulTN(e, b.EnsureGrad().Data(), a.Value.Data(), g, m, k, n)
+				matmulTN(e, b.EnsureGrad().Data(), a.Value.Data(), g, m, k, n, 1)
 			}
 		})
 	}
@@ -234,28 +94,21 @@ func (c *Ctx) MatMulBatched(a, b *Var) *Var {
 		// merged batch quantizes and multiplies per request segment (the
 		// leading dim is B·H under split heads; segments() scales by H).
 		// f16 quantization is element-wise and needs no segmentation.
-		lowpSeg := func(blo, bhi int) {
-			countLowp(p)
+		countLowp(p)
+		c.eachI8Segment(bs, func(blo, bhi int) {
 			aseg, bseg, oseg := ad[blo*m*k:bhi*m*k], bd[blo*k*n:bhi*k*n], od[blo*m*n:bhi*m*n]
 			qa, sa := quantizeOperand(e, p, aseg)
 			defer e.Put(qa)
 			qb, sb := quantizeOperand(e, p, bseg)
 			defer e.Put(qb)
 			batchMatmul(e, bhi-blo, func(inner *engine.Engine, i int) {
-				matmulNN(inner, oseg[i*m*n:(i+1)*m*n], qa[i*m*k:(i+1)*m*k], qb[i*k*n:(i+1)*k*n], m, k, n)
+				matmulNN(inner, oseg[i*m*n:(i+1)*m*n], qa[i*m*k:(i+1)*m*k], qb[i*k*n:(i+1)*k*n], m, k, n, 1)
 			})
 			finishLowp(e, p, oseg, sa*sb)
-		}
-		if segs := c.i8Segments(bs); segs != nil {
-			for _, s := range segs {
-				lowpSeg(s.lo, s.hi)
-			}
-		} else {
-			lowpSeg(0, bs)
-		}
+		})
 	} else {
 		batchMatmul(e, bs, func(inner *engine.Engine, i int) {
-			matmulNN(inner, od[i*m*n:(i+1)*m*n], ad[i*m*k:(i+1)*m*k], bd[i*k*n:(i+1)*k*n], m, k, n)
+			matmulNN(inner, od[i*m*n:(i+1)*m*n], ad[i*m*k:(i+1)*m*k], bd[i*k*n:(i+1)*k*n], m, k, n, 1)
 		})
 	}
 	if c.taping(a, b) {
@@ -271,10 +124,10 @@ func (c *Ctx) MatMulBatched(a, b *Var) *Var {
 			batchMatmul(e, bs, func(inner *engine.Engine, i int) {
 				gi := g[i*m*n : (i+1)*m*n]
 				if agd != nil {
-					matmulNT(inner, agd[i*m*k:(i+1)*m*k], gi, bd[i*k*n:(i+1)*k*n], m, n, k)
+					matmulNT(inner, agd[i*m*k:(i+1)*m*k], gi, bd[i*k*n:(i+1)*k*n], m, n, k, 1)
 				}
 				if bgd != nil {
-					matmulTN(inner, bgd[i*k*n:(i+1)*k*n], ad[i*m*k:(i+1)*m*k], gi, m, k, n)
+					matmulTN(inner, bgd[i*k*n:(i+1)*k*n], ad[i*m*k:(i+1)*m*k], gi, m, k, n, 1)
 				}
 			})
 		})
@@ -307,8 +160,8 @@ func (c *Ctx) MatMulBatchedNT(a, b *Var, alpha float32) *Var {
 	if p := c.prec; p != precision.F32 {
 		// Same per-segment rule as MatMulBatched: i8 scales are per-tensor,
 		// so merged batches calibrate per request segment.
-		lowpSeg := func(blo, bhi int) {
-			countLowp(p)
+		countLowp(p)
+		c.eachI8Segment(bs, func(blo, bhi int) {
 			oseg := od[blo*m*n : bhi*m*n]
 			qa, sa := quantizeOperand(e, p, ad[blo*m*d:bhi*m*d])
 			defer e.Put(qa)
@@ -319,22 +172,15 @@ func (c *Ctx) MatMulBatchedNT(a, b *Var, alpha float32) *Var {
 			// GEMM (for f16 sa·sb is 1 and alpha is unchanged).
 			alphaQ := alpha * sa * sb
 			batchMatmul(e, bhi-blo, func(inner *engine.Engine, i int) {
-				matmulNTAlpha(inner, oseg[i*m*n:(i+1)*m*n], qa[i*m*d:(i+1)*m*d], qb[i*n*d:(i+1)*n*d], m, d, n, alphaQ)
+				matmulNT(inner, oseg[i*m*n:(i+1)*m*n], qa[i*m*d:(i+1)*m*d], qb[i*n*d:(i+1)*n*d], m, d, n, alphaQ)
 			})
 			if p == precision.F16 {
 				roundSliceF16(e, oseg)
 			}
-		}
-		if segs := c.i8Segments(bs); segs != nil {
-			for _, s := range segs {
-				lowpSeg(s.lo, s.hi)
-			}
-		} else {
-			lowpSeg(0, bs)
-		}
+		})
 	} else {
 		batchMatmul(e, bs, func(inner *engine.Engine, i int) {
-			matmulNTAlpha(inner, od[i*m*n:(i+1)*m*n], ad[i*m*d:(i+1)*m*d], bd[i*n*d:(i+1)*n*d], m, d, n, alpha)
+			matmulNT(inner, od[i*m*n:(i+1)*m*n], ad[i*m*d:(i+1)*m*d], bd[i*n*d:(i+1)*n*d], m, d, n, alpha)
 		})
 	}
 	if c.taping(a, b) {
@@ -350,10 +196,10 @@ func (c *Ctx) MatMulBatchedNT(a, b *Var, alpha float32) *Var {
 			batchMatmul(e, bs, func(inner *engine.Engine, i int) {
 				gi := g[i*m*n : (i+1)*m*n]
 				if agd != nil {
-					matmulNNAlpha(inner, agd[i*m*d:(i+1)*m*d], gi, bd[i*n*d:(i+1)*n*d], m, n, d, alpha)
+					matmulNN(inner, agd[i*m*d:(i+1)*m*d], gi, bd[i*n*d:(i+1)*n*d], m, n, d, alpha)
 				}
 				if bgd != nil {
-					matmulTNAlpha(inner, bgd[i*n*d:(i+1)*n*d], gi, ad[i*m*d:(i+1)*m*d], m, n, d, alpha)
+					matmulTN(inner, bgd[i*n*d:(i+1)*n*d], gi, ad[i*m*d:(i+1)*m*d], m, n, d, alpha)
 				}
 			})
 		})
@@ -410,62 +256,33 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	}
 
 	e := c.engine()
-	od := out.Value.Data()
-	// A merged cross-request batch runs the GEMM per request segment: both
-	// the packed-core crossover and the i8 activation scale depend on rows,
-	// so a rows-merged call could pick a different kernel (packed FMA core
-	// vs legacy mul+add) or a different calibration than each request run
-	// alone. Per-segment execution — at every precision, f32 included —
-	// keeps each request's slice bitwise identical to its standalone run.
+	od, xd, wd := out.Value.Data(), x.Value.Data(), w.Value.Data()
+	// Weights and activations are stored at the stage precision, quantized
+	// inside the panel packing; the bias joins in the wide accumulator
+	// (for f16 the sum is re-stored through the grid exactly once, after
+	// the bias, like Conv2D; for i8 the dequantized output stays f32 —
+	// both the usual hardware arrangement). A row's product does not
+	// depend on how many rows share the call, so a merged cross-request
+	// batch runs one GEMM; only the i8 activation scale is a per-tensor,
+	// hence cross-request, statistic and calibrates per request segment.
 	// The weight scale is per-tensor over W and batch-independent.
-	segs := c.segments(rows)
-	xdAll, wd := x.Value.Data(), w.Value.Data()
-	gemmSeg := func(lo, hi int) {
-		rs := hi - lo
-		oseg := od[lo*outDim : hi*outDim]
-		xd := xdAll[lo*in : hi*in]
-		if p := c.prec; p != precision.F32 {
-			// Weights and activations are stored at the reduced precision;
-			// the bias joins in the wide accumulator (for f16 the sum is
-			// re-stored through the grid exactly once, after the bias, like
-			// Conv2D; for i8 the dequantized output stays f32 — both the
-			// usual hardware arrangement). Above the packed crossover the
-			// operands quantize inside the panel packing (int32 accumulation
-			// for i8); below it, pooled emulation copies.
-			countLowp(p)
-			if int64(rs)*int64(in)*int64(outDim) >= packMinFlops {
-				if p == precision.I8 {
-					sx := precision.I8Scale(precision.MaxAbs(xd))
-					sw := precision.I8Scale(precision.MaxAbs(wd))
-					gemm.I8(e, oseg, xd, wd, rs, in, outDim, 1, sx, sw, false, false)
-				} else {
-					gemm.F16(e, oseg, xd, wd, rs, in, outDim, 1, false, false)
-					if bias == nil {
-						roundSliceF16(e, oseg)
-					}
-				}
-			} else {
-				qx, sx := quantizeOperand(e, p, xd)
-				defer e.Put(qx)
-				qw, sw := quantizeOperand(e, p, wd)
-				defer e.Put(qw)
-				matmulNN(e, oseg, qx, qw, rs, in, outDim)
-				if p == precision.I8 {
-					scaleSlice(e, oseg, sx*sw)
-				} else if bias == nil {
-					roundSliceF16(e, oseg)
-				}
-			}
-		} else {
-			matmulNN(e, oseg, xd, wd, rs, in, outDim)
+	switch p := c.prec; p {
+	case precision.F16:
+		countLowp(p)
+		gemm.F16(e, od, xd, wd, rows, in, outDim, 1, false, false)
+		if bias == nil {
+			roundSliceF16(e, od)
 		}
-	}
-	if segs == nil {
-		gemmSeg(0, rows)
-	} else {
-		for _, s := range segs {
-			gemmSeg(s.lo, s.hi)
-		}
+	case precision.I8:
+		countLowp(p)
+		sw := precision.I8Scale(precision.MaxAbs(wd))
+		c.eachI8Segment(rows, func(lo, hi int) {
+			xs := xd[lo*in : hi*in]
+			sx := precision.I8Scale(precision.MaxAbs(xs))
+			gemm.I8(e, od[lo*outDim:hi*outDim], xs, wd, hi-lo, in, outDim, 1, sx, sw, false, false)
+		})
+	default:
+		matmulNN(e, od, xd, wd, rows, in, outDim, 1)
 	}
 	if bias != nil {
 		bd := bias.Value.Data()
@@ -485,21 +302,14 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 		c.tapeStep(out, func() {
 			g := out.Grad.Data()
 			if x.NeedGrad {
-				// dX mirrors the forward segmentation: the matmulNT packed
-				// crossover also depends on rows, so a merged batch takes it
-				// per segment. dW and db stay merged-batch reductions —
-				// parameter grads are inherently cross-request sums.
-				xg := x.EnsureGrad().Data()
-				if segs == nil {
-					matmulNT(e, xg, g, w.Value.Data(), rows, outDim, in)
-				} else {
-					for _, s := range segs {
-						matmulNT(e, xg[s.lo*in:s.hi*in], g[s.lo*outDim:s.hi*outDim], w.Value.Data(), s.hi-s.lo, outDim, in)
-					}
-				}
+				// Backward runs in f32 and dX is row-local, so a merged
+				// batch needs no segmentation here. dW and db are merged-
+				// batch reductions — parameter grads are inherently
+				// cross-request sums.
+				matmulNT(e, x.EnsureGrad().Data(), g, wd, rows, outDim, in, 1)
 			}
 			if w.NeedGrad {
-				matmulTN(e, w.EnsureGrad().Data(), x.Value.Data(), g, rows, in, outDim)
+				matmulTN(e, w.EnsureGrad().Data(), xd, g, rows, in, outDim, 1)
 			}
 			if bias != nil && bias.NeedGrad {
 				// Column sum across every row: partition over columns so

@@ -8,33 +8,37 @@ import (
 	"mmbench/internal/precision"
 )
 
-// Emulated low-precision execution of the GEMM-family hot kernels.
+// Low-precision execution of the GEMM-family hot kernels.
 //
-// When a stage's precision policy selects f16 or i8, the matmul NN/NT
-// kernels, the conv2d im2col GEMM and the fused attention kernel run an
-// emulation of reduced-precision hardware: operands are stored in the
-// low-precision grid (float16 round-to-nearest-even, or symmetric
+// When a stage's precision policy selects f16 or i8, operands are stored
+// in the low-precision grid (float16 round-to-nearest-even, or symmetric
 // per-tensor int8 levels with a calibrated maxabs/127 scale), products
-// accumulate in float32 (standing in for the fp32/int32 accumulators of
-// real tensor datapaths), and results are dequantized (i8) or re-stored
-// through the grid (f16). Quantized operand copies are drawn from the
-// engine's buffer pool and returned before the operator exits, exactly
-// like im2col and attention scratch.
+// accumulate wide, and results are dequantized (i8) or re-stored through
+// the grid (f16). Two arrangements exist, one per operator family:
+//
+//   - MatMul, Linear and Conv2D hand their f32 operands to gemm.F16 /
+//     gemm.I8, which quantize inside the panel packing (no level copies;
+//     int32 accumulation for i8) at every shape.
+//   - MatMulBatched, MatMulBatchedNT and the fused attention kernel
+//     calibrate once over the whole [B,·,·] stack, so they quantize
+//     pooled operand copies (quantizeOperand / quantizeInto) and run the
+//     f32 kernels on the levels. For int8 the levels are small integers
+//     in float32 slices: products are ≤ 127·127 and float32 holds
+//     integers exactly up to 2²⁴, so the f32 accumulation produces the
+//     sums an int8×int8→int32 MAC array would for any realistic
+//     reduction depth, and one multiply by scaleA·scaleB after
+//     accumulation dequantizes — the scale-after-accumulate order real
+//     int8 GEMMs use. The copies are drawn from the engine's buffer pool
+//     and returned before the operator exits, like im2col and attention
+//     scratch.
 //
 // Determinism: quantization is element-wise and the scale calibration
-// is an order-independent max reduction, so the emulated kernels keep
-// the engine's bitwise-determinism contract — results are identical at
-// any worker count. Autograd backward always runs in float32 against
-// the full-precision inputs (master weights), the standard
-// mixed-precision training arrangement: the tape sees the quantized
-// forward outputs but computes straight-through gradients.
-//
-// For int8, quantization levels are stored as small integers in float32
-// slices: integer products are ≤ 127·127 and float32 holds integers
-// exactly up to 2²⁴, so the f32 GEMM accumulates the same sums an
-// int8×int8→int32 MAC array would for any realistic reduction depth,
-// and one multiply by scaleA·scaleB after accumulation dequantizes —
-// the scale-after-accumulate order real int8 GEMMs use.
+// is an order-independent max reduction, so every low-precision kernel
+// keeps the engine's bitwise-determinism contract — results are
+// identical at any worker count. Autograd backward always runs in
+// float32 against the full-precision inputs (master weights), the
+// standard mixed-precision training arrangement: the tape sees the
+// quantized forward outputs but computes straight-through gradients.
 
 // precActivity counts low-precision kernel work for /v1/stats.
 var precActivity struct {
@@ -104,21 +108,6 @@ func quantizeOperand(e *engine.Engine, prec precision.Type, src []float32) ([]fl
 	return q, scale
 }
 
-// scaleSlice multiplies dst by s in place on the engine — the
-// dequantization step after an int8 accumulation. s == 1 is skipped so
-// a unit scale (zero tensors) stays bit-identical.
-func scaleSlice(e *engine.Engine, dst []float32, s float32) {
-	if s == 1 {
-		return
-	}
-	e.ParallelFor(len(dst), elemGrain, func(lo, hi int) {
-		d := dst[lo:hi]
-		for i := range d {
-			d[i] *= s
-		}
-	})
-}
-
 // roundSliceF16 re-stores dst through the float16 grid in place on the
 // engine — the output-storage step of an f16 kernel.
 func roundSliceF16(e *engine.Engine, dst []float32) {
@@ -127,45 +116,41 @@ func roundSliceF16(e *engine.Engine, dst []float32) {
 	})
 }
 
-// finishLowp converts a low-precision GEMM's f32 accumulator output to
-// its stored form: i8 dequantizes by the combined operand scale (dst
-// must hold raw accumulated level products, i.e. it started zeroed);
-// f16 rounds the result into the f16 grid.
+// finishLowp converts an emulated low-precision GEMM's f32 accumulator
+// output to its stored form: i8 dequantizes by the combined operand
+// scale (dst must hold raw accumulated level products, i.e. it started
+// zeroed; a unit scale — zero tensors — is skipped and stays
+// bit-identical); f16 rounds the result into the f16 grid.
 func finishLowp(e *engine.Engine, prec precision.Type, dst []float32, scale float32) {
-	if prec == precision.I8 {
-		scaleSlice(e, dst, scale)
-	} else {
+	if prec == precision.F16 {
 		roundSliceF16(e, dst)
+		return
 	}
+	if scale == 1 {
+		return
+	}
+	e.ParallelFor(len(dst), elemGrain, func(lo, hi int) {
+		d := dst[lo:hi]
+		for i := range d {
+			d[i] *= scale
+		}
+	})
 }
 
 // lowpMatmulNN computes dst[m,n] = a[m,k]·b[k,n] with operands stored
-// at prec and wide accumulation. dst must start zeroed.
-//
-// Above the packed-core crossover the real reduced-precision kernels
-// run: int8 quantizes straight into packed panels and accumulates in
-// int32 (gemm.I8 — no float-level emulation copies), f16 rounds into
-// packed panels with f32 accumulation (gemm.F16). Below it, the legacy
-// emulation quantizes pooled operand copies and runs the f32 kernels;
-// both arrangements calibrate with the same order-independent maxabs
-// reduction and dequantize after accumulation.
+// at prec and wide accumulation: int8 quantizes straight into packed
+// panels and accumulates in int32 (gemm.I8, calibrated with the
+// order-independent maxabs reduction, dequantized after accumulation),
+// f16 rounds into packed panels with f32 accumulation (gemm.F16) and
+// re-stores the result through the grid. dst must start zeroed.
 func lowpMatmulNN(e *engine.Engine, prec precision.Type, dst, a, b []float32, m, k, n int) {
 	countLowp(prec)
-	if int64(m)*int64(k)*int64(n) >= packMinFlops {
-		if prec == precision.I8 {
-			sa := precision.I8Scale(precision.MaxAbs(a))
-			sb := precision.I8Scale(precision.MaxAbs(b))
-			gemm.I8(e, dst, a, b, m, k, n, 1, sa, sb, false, false)
-		} else {
-			gemm.F16(e, dst, a, b, m, k, n, 1, false, false)
-			roundSliceF16(e, dst)
-		}
+	if prec == precision.I8 {
+		sa := precision.I8Scale(precision.MaxAbs(a))
+		sb := precision.I8Scale(precision.MaxAbs(b))
+		gemm.I8(e, dst, a, b, m, k, n, 1, sa, sb, false, false)
 		return
 	}
-	qa, sa := quantizeOperand(e, prec, a)
-	defer e.Put(qa)
-	qb, sb := quantizeOperand(e, prec, b)
-	defer e.Put(qb)
-	matmulNN(e, dst, qa, qb, m, k, n)
-	finishLowp(e, prec, dst, sa*sb)
+	gemm.F16(e, dst, a, b, m, k, n, 1, false, false)
+	roundSliceF16(e, dst)
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // lowpCtx returns an inference context whose head stage runs at p, with
-// the head stage entered — every GEMM-family operator call runs the
-// emulated low-precision kernels.
+// the head stage entered — every GEMM-family operator call runs its
+// low-precision kernel.
 func lowpCtx(e *engine.Engine, p precision.Type) *Ctx {
 	c := &Ctx{Eng: e, Precision: precision.Policy{Head: p}}
 	c.EnterStage("head", "")
@@ -34,8 +34,8 @@ func maxAbsDiff(a, b []float32) (diff, scale float64) {
 	return diff, scale
 }
 
-// lowpKernels enumerates the operators with emulated low-precision
-// variants, each returning its flattened eager output.
+// lowpKernels enumerates the operators with low-precision variants,
+// each returning its flattened eager output.
 var lowpKernels = []struct {
 	name string
 	run  func(c *Ctx, g *tensor.RNG) []float32
@@ -67,8 +67,8 @@ var lowpKernels = []struct {
 }
 
 // Low-precision outputs must differ from the f32 reference (the grid is
-// coarser, so a bit-identical result would mean the emulation never
-// engaged) while staying inside the documented error bounds: the f16
+// coarser, so a bit-identical result would mean the reduced precision
+// never engaged) while staying inside the documented error bounds: the f16
 // grid has 2⁻¹¹ relative steps, the i8 grid 1/127-of-maxabs steps, and
 // the GEMM reductions accumulate those operand errors in f32.
 func TestLowpKernelErrorBounds(t *testing.T) {
@@ -93,7 +93,7 @@ func TestLowpKernelErrorBounds(t *testing.T) {
 	}
 }
 
-// Every emulated kernel must stay bitwise deterministic across worker
+// Every low-precision kernel must stay bitwise deterministic across worker
 // counts: quantization is element-wise, scale calibration is an
 // order-independent max, and the underlying GEMMs keep their fixed
 // accumulation order.
@@ -157,32 +157,44 @@ func TestLowpPooledScratchPoisonSafe(t *testing.T) {
 	}
 }
 
+// The kernel counters tick once per operator call — a merged batch that
+// calibrates per request segment is still one kernel — and the quant-
+// scratch counter moves only for the operators that quantize pooled
+// operand copies (the batched matmuls and fused attention); MatMul and
+// Linear quantize inside the panel packing, counted by the pack stats.
 func TestPrecisionStatsCount(t *testing.T) {
 	before := PrecisionStats()
 	packBefore := gemm.PackStats()
 	e := engine.New(1)
 	defer e.Close()
 	g := tensor.NewRNG(3)
-	// lowpKernels[0] (MatMul 48×40×32) sits above the packed-core
-	// crossover: operands quantize inside the panel packing, counted by
-	// the pack-panel stats. lowpKernels[1] (Linear 24×40×16) sits below
-	// it and draws pooled emulation copies, counted by QuantScratchBytes.
-	lowpKernels[0].run(lowpCtx(e, precision.F16), g)
+	lowpKernels[0].run(lowpCtx(e, precision.F16), g) // MatMul
 	lowpKernels[0].run(lowpCtx(e, precision.I8), g)
-	lowpKernels[1].run(lowpCtx(e, precision.I8), g)
-	after := PrecisionStats()
+	merged := lowpCtx(e, precision.I8)
+	merged.Segments = []int{8, 16}
+	lowpKernels[1].run(merged, g) // Linear, 24 rows as a two-request batch
+	packed := PrecisionStats()
 	packAfter := gemm.PackStats()
-	if after.F16Kernels != before.F16Kernels+1 {
-		t.Errorf("f16 kernel count %d -> %d, want +1", before.F16Kernels, after.F16Kernels)
+	if packed.F16Kernels != before.F16Kernels+1 {
+		t.Errorf("f16 kernel count %d -> %d, want +1", before.F16Kernels, packed.F16Kernels)
 	}
-	if after.I8Kernels != before.I8Kernels+2 {
-		t.Errorf("i8 kernel count %d -> %d, want +2", before.I8Kernels, after.I8Kernels)
+	if packed.I8Kernels != before.I8Kernels+2 {
+		t.Errorf("i8 kernel count %d -> %d, want +2 (merged Linear counts once)", before.I8Kernels, packed.I8Kernels)
 	}
 	if packAfter.PanelBytes <= packBefore.PanelBytes {
 		t.Errorf("pack-panel bytes did not grow: %d -> %d", packBefore.PanelBytes, packAfter.PanelBytes)
 	}
-	if after.QuantScratchBytes <= before.QuantScratchBytes {
-		t.Errorf("quant scratch bytes did not grow: %d -> %d", before.QuantScratchBytes, after.QuantScratchBytes)
+	if packed.QuantScratchBytes != before.QuantScratchBytes {
+		t.Errorf("MatMul/Linear drew quant scratch: %d -> %d", before.QuantScratchBytes, packed.QuantScratchBytes)
+	}
+
+	lowpKernels[2].run(lowpCtx(e, precision.I8), g) // MatMulBatched [6,12,20]×[6,20,8]
+	after := PrecisionStats()
+	if after.I8Kernels != packed.I8Kernels+1 {
+		t.Errorf("i8 kernel count %d -> %d, want +1", packed.I8Kernels, after.I8Kernels)
+	}
+	if want := packed.QuantScratchBytes + (6*12*20+6*20*8)*4; after.QuantScratchBytes != want {
+		t.Errorf("quant scratch bytes %d -> %d, want %d", packed.QuantScratchBytes, after.QuantScratchBytes, want)
 	}
 }
 

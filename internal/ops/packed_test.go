@@ -12,14 +12,13 @@ import (
 )
 
 // These tests pin the packed GEMM micro-kernel at the operator level:
-// every shape sits above packMinFlops, so MatMul forward rides the
-// packed NN variant, its backward rides NT and TN, and the batched
-// operator rides the packed core per slice. Each test guards engagement
-// through the pack-panel counters — a crossover change that silently
-// dropped these shapes back to the legacy path would fail loudly.
+// MatMul forward rides the packed NN variant, its backward rides NT and
+// TN, and the batched operator rides the packed core per slice. Each
+// test guards engagement through the pack-panel counters — a change that
+// silently routed these products around internal/gemm would fail loudly.
 
-// packedForwardBackward runs MatMul + MatMulBatched above the crossover
-// with a scalar loss, returning outputs and parameter gradients.
+// packedForwardBackward runs MatMul + MatMulBatched with a scalar loss,
+// returning outputs and parameter gradients.
 func packedForwardBackward(t *testing.T, e *engine.Engine) ([]float32, [][]float32) {
 	t.Helper()
 	g := tensor.NewRNG(7)
@@ -57,7 +56,7 @@ func TestPackedKernelsWorkerDeterminism(t *testing.T) {
 	refOut, refGrads := packedForwardBackward(t, e)
 	e.Close()
 	if now := gemm.PackStats().PanelCheckouts; now == packs {
-		t.Fatal("no pack panels drawn — shapes fell below the packed-core crossover")
+		t.Fatal("no pack panels drawn — MatMul did not reach the packed core")
 	}
 	for _, workers := range workerCounts[1:] {
 		e := engine.New(workers)
@@ -177,4 +176,58 @@ func TestPackedF32PoisonSafe(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCensusShapesMatchNaive is the differential check for the skinny
+// products the nine workloads actually issue that are too small to have
+// exercised the packed core before it became the only GEMM (head and
+// gate Linears with rows ≤ 8, and the 8×64×10-class training head with
+// its NT/TN gradients). Each runs as NN, NT and TN against the naive
+// row kernel. The comparison is 1e-5 relative, not bitwise: the packed
+// micro-kernel fuses each multiply-add (one rounding per step) where the
+// oracle rounds the multiply and the add separately, so the last bits
+// legitimately differ.
+func TestCensusShapesMatchNaive(t *testing.T) {
+	e := engine.New(4)
+	defer e.Close()
+	g := tensor.NewRNG(33)
+	for _, s := range [][3]int{{2, 128, 2}, {2, 128, 8}, {2, 12, 192}, {2, 2, 192}, {1, 192, 64}, {8, 64, 10}} {
+		m, k, n := s[0], s[1], s[2]
+		a := randParam(g, m, k).Value.Data()
+		b := randParam(g, k, n).Value.Data()
+		gr := randParam(g, m, n).Value.Data() // upstream gradient of a·b
+		check := func(kind string, got, want []float32) {
+			t.Helper()
+			if diff, scale := maxAbsDiff(got, want); diff/scale > 1e-5 {
+				t.Errorf("%s %dx%dx%d: max error %g (relative %g) vs naive oracle", kind, m, k, n, diff, diff/scale)
+			}
+		}
+
+		got, want := make([]float32, m*n), make([]float32, m*n)
+		matmulNN(e, got, a, b, m, k, n, 1)
+		naiveMatMulNN(want, a, b, m, k, n)
+		check("NN", got, want)
+
+		got, want = make([]float32, m*k), make([]float32, m*k) // dA = g·bᵀ
+		matmulNT(e, got, gr, b, m, n, k, 1)
+		naiveMatMulNN(want, gr, transposed(b, k, n), m, n, k)
+		check("NT", got, want)
+
+		got, want = make([]float32, k*n), make([]float32, k*n) // dB = aᵀ·g
+		matmulTN(e, got, a, gr, m, k, n, 1)
+		naiveMatMulNN(want, transposed(a, m, k), gr, k, m, n)
+		check("TN", got, want)
+	}
+}
+
+// transposed returns the [cols,rows] layout of a row-major [rows,cols]
+// matrix.
+func transposed(x []float32, rows, cols int) []float32 {
+	out := make([]float32, len(x))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			out[j*rows+i] = x[i*cols+j]
+		}
+	}
+	return out
 }

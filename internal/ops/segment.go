@@ -52,3 +52,17 @@ func (c *Ctx) i8Segments(dim0 int) []segment {
 	}
 	return c.segments(dim0)
 }
+
+// eachI8Segment runs fn once per request segment of a merged int8 batch,
+// or once over the whole [0, dim0) span when i8Segments says the tensor
+// needs no segmentation.
+func (c *Ctx) eachI8Segment(dim0 int, fn func(lo, hi int)) {
+	segs := c.i8Segments(dim0)
+	if segs == nil {
+		fn(0, dim0)
+		return
+	}
+	for _, s := range segs {
+		fn(s.lo, s.hi)
+	}
+}

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,11 +13,10 @@ import (
 
 // Merged cross-request execution (Ctx.Segments) must give every request
 // the exact bits it would get standalone. These tests exercise each
-// operator with cross-batch numerics — Linear (rows-dependent kernel
-// crossover + i8 scales), the batched matmuls and fused attention (i8
-// scales), Conv2D (i8 activation scale) and BatchNorm2D (batch
-// statistics) — comparing a merged two-request forward slice-for-slice
-// against the standalone runs. Where it matters, an engagement guard
+// operator with cross-batch numerics — Linear, the batched matmuls and
+// fused attention (i8 scales), Conv2D (i8 activation scale) and
+// BatchNorm2D (batch statistics) — comparing a merged multi-request
+// forward slice-for-slice against the standalone runs. Where it matters, an engagement guard
 // shows the *unsegmented* merged run differs, proving the test has
 // teeth (and that segmentation is load-bearing, not vacuous).
 
@@ -47,85 +47,89 @@ func sliceEq(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-func concatVars(a, b *Var) *Var {
-	sa, sb := a.Value.Shape(), b.Value.Shape()
-	shape := append([]int{sa[0] + sb[0]}, sa[1:]...)
+// concatVars concatenates same-trailing-shape vars along the leading dim.
+func concatVars(vs ...*Var) *Var {
+	shape := append([]int(nil), vs[0].Value.Shape()...)
+	shape[0] = 0
+	for _, v := range vs {
+		shape[0] += v.Value.Dim(0)
+	}
 	m := autograd.NewVar(tensor.New(shape...))
-	n := copy(m.Value.Data(), a.Value.Data())
-	copy(m.Value.Data()[n:], b.Value.Data())
+	n := 0
+	for _, v := range vs {
+		n += copy(m.Value.Data()[n:], v.Value.Data())
+	}
 	return m
 }
 
-// Linear: rows crosses the packed-GEMM flops threshold when two requests
-// merge (3·64·32 and 5·64·32 are both below 2¹⁴; 8·64·32 is at it), so
-// an unsegmented merged call would pick the packed FMA core while each
-// standalone run takes the legacy kernel — different bits. Segmented
-// execution must match standalone bitwise at every precision, for both
-// the forward output and the input gradient.
+// Linear: the packed GEMM core gives a row the same bits however many
+// rows share the call, so at f32 and f16 a merged batch runs ONE
+// unsegmented GEMM and every request's slice — forward output and input
+// gradient — must still equal its standalone run bitwise. The request
+// sizes straddle the MR=4 row-panel tail both ways (a request that ends
+// mid-panel, one that starts mid-panel). At i8 the activation scale is
+// per-tensor, so the forward calibrates per segment: segmented must match
+// standalone, and the unsegmented run must NOT (the guard that shows the
+// i8 segmentation is load-bearing). dX is an f32 product at every
+// precision and never segments.
 func TestLinearSegmentedBitwise(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		e := engine.New(workers)
-		testLinearSegmentedBitwise(t, e)
+		for _, sizes := range [][]int{{3, 5}, {1, 2, 3, 5}} {
+			testLinearSegmentedBitwise(t, e, sizes)
+		}
+		e.Close()
 	}
 }
 
-func testLinearSegmentedBitwise(t *testing.T, e *engine.Engine) {
+func testLinearSegmentedBitwise(t *testing.T, e *engine.Engine, sizes []int) {
+	const in, outDim = 64, 32
+	w := segVar([]int{in, outDim}, 0.5, 2)
+	bias := segVar([]int{outDim}, 0.1, 3)
+	// run executes Linear forward + backward (all-ones upstream gradient)
+	// and returns the output and dX.
+	run := func(p precision.Type, segs []int, x *Var) (out, dx []float32) {
+		x.NeedGrad = true
+		x.Grad = nil
+		c := segCtx(e, p, segs)
+		c.Tape = autograd.NewTape()
+		o := c.Linear(x, w, bias)
+		o.Grad = tensor.New(o.Value.Shape()...)
+		for i := range o.Grad.Data() {
+			o.Grad.Data()[i] = 1
+		}
+		c.Tape.Replay()
+		return o.Value.Data(), x.Grad.Data()
+	}
 	for _, p := range []precision.Type{precision.F32, precision.F16, precision.I8} {
-		x1 := segVar([]int{3, 64}, 1, 0)
-		x2 := segVar([]int{5, 64}, 3, 1) // different magnitude → different i8 scale
-		w := segVar([]int{64, 32}, 0.5, 2)
-		bias := segVar([]int{32}, 0.1, 3)
-		x1.NeedGrad, x2.NeedGrad = true, true
-
-		run := func(c *Ctx, x *Var) *Var {
-			out := c.Linear(x, w, bias)
-			if c.Tape != nil {
-				g := out.Grad
-				if g == nil {
-					out.Grad = tensor.New(out.Value.Shape()...)
-					g = out.Grad
-				}
-				gd := g.Data()
-				for i := range gd {
-					gd[i] = 1
-				}
-				c.Tape.Replay()
+		xs := make([]*Var, len(sizes))
+		for i, rows := range sizes {
+			// Different magnitudes → different standalone i8 scales.
+			xs[i] = segVar([]int{rows, in}, float64(1+2*i), float64(i))
+		}
+		xm := concatVars(xs...)
+		merged := map[string][]int{"segmented": sizes}
+		if p != precision.I8 {
+			merged["unsegmented"] = nil
+		}
+		for mode, segs := range merged {
+			om, dxm := run(p, segs, xm)
+			lo := 0
+			for i, rows := range sizes {
+				o, dx := run(p, nil, xs[i])
+				name := fmt.Sprintf("linear/%v/%s/%v[%d]", p, mode, sizes, i)
+				sliceEq(t, name+"/out", om[lo*outDim:(lo+rows)*outDim], o)
+				sliceEq(t, name+"/dx", dxm[lo*in:(lo+rows)*in], dx)
+				lo += rows
 			}
-			return out
 		}
-
-		c1 := segCtx(e, p, nil)
-		c1.Tape = autograd.NewTape()
-		o1 := run(c1, x1)
-		c2 := segCtx(e, p, nil)
-		c2.Tape = autograd.NewTape()
-		o2 := run(c2, x2)
-
-		xm := concatVars(x1, x2)
-		xm.NeedGrad = true
-		cm := segCtx(e, p, []int{3, 5})
-		cm.Tape = autograd.NewTape()
-		om := run(cm, xm)
-
-		name := "linear/" + p.String()
-		sliceEq(t, name+"/out[0]", om.Value.Data()[:3*32], o1.Value.Data())
-		sliceEq(t, name+"/out[1]", om.Value.Data()[3*32:], o2.Value.Data())
-		sliceEq(t, name+"/dx[0]", xm.Grad.Data()[:3*64], x1.Grad.Data())
-		sliceEq(t, name+"/dx[1]", xm.Grad.Data()[3*64:], x2.Grad.Data())
-
-		// Engagement guard: the unsegmented merged run crosses the packed
-		// threshold and must NOT match (otherwise segmentation proves
-		// nothing here). Guarded for f32 (FMA packed core vs legacy
-		// mul+add) and i8 (shared scale); the two f16 kernels happen to
-		// agree bitwise at shapes this small, so f16 rides on the
-		// identity assertions above.
-		if p == precision.F16 {
-			continue
-		}
-		cu := segCtx(e, p, nil)
-		ou := cu.Linear(xm, w, bias)
-		if eqPrefix(ou.Value.Data()[:3*32], o1.Value.Data()) {
-			t.Errorf("%s: unsegmented merged Linear matched standalone — guard is vacuous", name)
+		if p == precision.I8 {
+			ou, dxu := run(p, nil, xm)
+			o, dx := run(p, nil, xs[0])
+			if eqPrefix(ou, o) {
+				t.Errorf("linear/i8/%v: unsegmented merged Linear matched standalone — guard is vacuous", sizes)
+			}
+			sliceEq(t, fmt.Sprintf("linear/i8/unsegmented/%v/dx", sizes), dxu[:len(dx)], dx)
 		}
 	}
 }
@@ -195,16 +199,16 @@ func TestAttentionSegmentedI8(t *testing.T) {
 	}
 }
 
-// Conv2D at i8: the activation scale calibrates per request segment, on
-// both sides of the packed-core crossover.
+// Conv2D at i8: the activation scale calibrates per request segment, at
+// a single-row-panel GEMM (outC = MR) and a multi-panel one.
 func TestConv2DSegmentedI8(t *testing.T) {
 	e := engine.New(2)
 	for _, tc := range []struct {
 		name string
-		outC int // 32 puts outC·kDim·m ≥ 2¹⁴ (packed); 4 stays legacy
+		outC int
 	}{
-		{"legacy", 4},
-		{"packed", 32},
+		{"small", 4},
+		{"large", 32},
 	} {
 		x1 := segVar([]int{2, 1, 10, 10}, 1, 0)
 		x2 := segVar([]int{3, 1, 10, 10}, 6, 1)

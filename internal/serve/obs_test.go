@@ -56,9 +56,8 @@ func TestStatsStageLatencyAndQueue(t *testing.T) {
 	}
 }
 
-// An eager run's GEMMs ride the packed micro-kernel (the model's conv
-// and linear shapes sit above the pack crossover), so the stats must
-// report panel traffic and the selected kernel implementation.
+// Every GEMM of an eager run rides the packed micro-kernel, so the stats
+// must report panel traffic and the selected kernel implementation.
 func TestStatsReportsPackActivity(t *testing.T) {
 	_, ts := newTestServer(t)
 	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2}`, nil)
