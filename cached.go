@@ -42,8 +42,8 @@ func NewCachedRunner(capacityBytes int64) *CachedRunner {
 
 // cachedRun is a cache entry: the report plus the per-stage wall-clock
 // milliseconds measured when the entry was produced (nil for analytic
-// runs). Caching them together keeps Run and RunProfiled on one cache
-// key — profiling is a pure observer, so it never forks entries.
+// runs). Caching them together keeps profiled and unprofiled callers on
+// one cache key — profiling is a pure observer, so it never forks entries.
 type cachedRun struct {
 	rep     *Report
 	stageMs map[string]float64
@@ -51,11 +51,7 @@ type cachedRun struct {
 
 // Run is the cached equivalent of the package-level Run.
 func (cr *CachedRunner) Run(cfg RunConfig) (*Report, error) {
-	v, err := cr.do(nil, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return v.rep, nil
+	return cr.RunCtx(nil, cfg)
 }
 
 // RunCtx is Run under a cancellable context. A cancelled execution
@@ -63,70 +59,39 @@ func (cr *CachedRunner) Run(cfg RunConfig) (*Report, error) {
 // cancelled request, and concurrent requests coalesced onto it retry
 // with their own context instead of inheriting the error.
 func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, error) {
-	v, err := cr.do(ctx, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return v.rep, nil
+	rep, _, err := cr.RunProfiledCtxThrough(ctx, cfg, cr.Execute)
+	return rep, err
 }
 
-// RunProfiled is the cached equivalent of the package-level
-// RunProfiled. Cache hits return the stage latencies measured when the
-// entry was executed; only real executions observe into the
-// process-wide stage histograms, so hits never skew the distributions.
-func (cr *CachedRunner) RunProfiled(cfg RunConfig) (*Report, map[string]float64, error) {
-	v, err := cr.do(nil, cfg, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.rep, v.stageMs, nil
+// Execute is the runner's own uncached execution of cfg: the
+// package-level RunProfiledCtx resolving eager networks through the
+// runner's model store. Eager executions are profiled unconditionally
+// (the profiler is a pure observer), so every real run — sweeps included
+// — feeds the per-stage latency histograms behind /metrics. It is the
+// ExecFn behind Run and RunCtx, and what an execution wrapper (the serve
+// layer's scheduler admission) reschedules.
+func (cr *CachedRunner) Execute(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
+	return runProfiled(ctx, cfg, cr.models)
 }
 
-// RunProfiledCtx is RunProfiled under a cancellable context (see
-// RunCtx).
-func (cr *CachedRunner) RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
-	v, err := cr.do(ctx, cfg, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.rep, v.stageMs, nil
-}
-
-// ComputeFn is one real (cache-missing) profile execution, run under
-// ctx. It is the unit an execution wrapper (RunProfiledCtxVia) may
-// reschedule; the returned value is the opaque cache entry.
-type ComputeFn func(ctx context.Context) (any, error)
-
-// RunProfiledCtxVia is RunProfiledCtx with an execution wrapper: via
-// receives the real computation and decides how (and whether) to run
-// it — the serve layer routes it through scheduler admission control.
-// Cache hits and coalesced waiters never invoke via, so repeated or
-// concurrent identical requests cost one admission and one execution
-// no matter how many clients ask. via must either return compute's
-// result unchanged or an error; errors (including shed admissions) are
-// never cached and never shared with coalesced waiters.
-func (cr *CachedRunner) RunProfiledCtxVia(ctx context.Context, cfg RunConfig, via func(compute ComputeFn) (any, error)) (*Report, map[string]float64, error) {
-	v, err := cr.do(ctx, cfg, via)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.rep, v.stageMs, nil
-}
-
-// ExecFn replaces the underlying computation of one cache-missing run:
-// instead of the runner's own execution, the cache entry comes from
-// exec's result. The continuous batcher rides this — a cache miss is
-// handed to the batcher, which may merge it with other pending misses
-// into one forward; the scattered per-request report then lands in the
-// cache exactly as a standalone execution's would (the bitwise-identity
-// contract makes the two indistinguishable).
+// ExecFn is the computation of one cache-missing run; the cache entry
+// comes from its result. The runner's own is Execute. The serve layer
+// substitutes a wrapper that routes Execute through scheduler admission,
+// or hands the miss to the continuous batcher, which may merge it with
+// other pending misses into one forward; the scattered per-request report
+// then lands in the cache exactly as a standalone execution's would (the
+// bitwise-identity contract makes the two indistinguishable).
 type ExecFn func(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error)
 
-// RunProfiledCtxThrough is RunProfiledCtx with the computation replaced
-// by exec on cache miss. Cache hits and coalesced identical requests
-// never invoke exec, so the layering is: identical configs coalesce in
-// the cache ABOVE the batcher, and distinct-but-compatible configs merge
-// in the batcher BELOW it. Errors are never cached.
+// RunProfiledCtxThrough returns cfg's report and measured per-stage
+// milliseconds from the cache, computing them with exec on a miss. Cache
+// hits and coalesced identical requests never invoke exec — repeated or
+// concurrent identical requests cost one admission and one execution no
+// matter how many clients ask — so the layering is: identical configs
+// coalesce in the cache ABOVE the batcher, and distinct-but-compatible
+// configs merge in the batcher BELOW it. Hits return the stage latencies
+// measured when the entry was executed. Errors (including shed
+// admissions) are never cached and never shared with coalesced waiters.
 func (cr *CachedRunner) RunProfiledCtxThrough(ctx context.Context, cfg RunConfig, exec ExecFn) (*Report, map[string]float64, error) {
 	v, err := cr.cache.Do(cfg.cacheKey(), func() (any, int64, error) {
 		rep, stageMs, err := exec(ctx, cfg)
@@ -141,36 +106,6 @@ func (cr *CachedRunner) RunProfiledCtxThrough(ctx context.Context, cfg RunConfig
 	}
 	cv := v.(*cachedRun)
 	return cv.rep, cv.stageMs, nil
-}
-
-func (cr *CachedRunner) do(ctx context.Context, cfg RunConfig, via func(ComputeFn) (any, error)) (*cachedRun, error) {
-	compute := func(cctx context.Context) (any, error) {
-		// Eager executions are profiled unconditionally (the profiler is
-		// a pure observer), so every real run — sweeps included — feeds
-		// the per-stage latency histograms behind /metrics.
-		rep, stageMs, err := runProfiled(cctx, cfg, cr.models)
-		if err != nil {
-			return nil, err
-		}
-		return &cachedRun{rep: rep, stageMs: stageMs}, nil
-	}
-	v, err := cr.cache.Do(cfg.cacheKey(), func() (any, int64, error) {
-		var v any
-		var err error
-		if via != nil {
-			v, err = via(compute)
-		} else {
-			v, err = compute(ctx)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return v, reportBytes(v.(*cachedRun).rep), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*cachedRun), nil
 }
 
 // Stats snapshots the cache counters (hits, misses, executions,

@@ -26,7 +26,6 @@ import (
 	"mmbench"
 	"mmbench/internal/engine"
 	"mmbench/internal/obs"
-	"mmbench/internal/ops"
 	"mmbench/internal/precision"
 	"mmbench/internal/report"
 )
@@ -108,20 +107,6 @@ func computeWorkersFlag(fs *flag.FlagSet) *int {
 		"compute-engine workers for eager kernels (0 = auto: GOMAXPROCS split across job workers)")
 }
 
-// unfusedAttentionFlag registers the -unfused-attention flag shared by
-// every command that executes attention layers.
-func unfusedAttentionFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("unfused-attention", false,
-		"use the unfused reference attention composition instead of the fused streaming-softmax kernel (slower, materializes the score matrix)")
-}
-
-// branchParallelFlag registers the -branch-parallel flag shared by
-// every command that runs multi-modal networks.
-func branchParallelFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("branch-parallel", true,
-		"run per-modality encoder branches concurrently (bitwise identical to the sequential reference; the engine worker budget is split across branches)")
-}
-
 // precisionFlag registers the -precision flag shared by every command
 // that executes (or models) network stages.
 func precisionFlag(fs *flag.FlagSet) *string {
@@ -165,18 +150,6 @@ func configureCompute(computeWorkers, jobWorkers int) {
 	engine.SetDefaultWorkers(computeWorkerBudget(computeWorkers, jobWorkers))
 }
 
-// configureAttention sets the process-wide attention-path default from
-// the -unfused-attention flag.
-func configureAttention(unfused bool) {
-	ops.SetDefaultUnfusedAttention(unfused)
-}
-
-// configureBranches sets the process-wide branch-schedule default from
-// the -branch-parallel flag.
-func configureBranches(parallel bool) {
-	ops.SetDefaultSequentialBranches(!parallel)
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	workload := fs.String("workload", "avmnist", "workload name (see list)")
@@ -187,8 +160,6 @@ func cmdRun(args []string) error {
 	eager := fs.Bool("eager", false, "execute real numerics instead of the analytic abstraction")
 	format := fs.String("format", "text", "output format: text, csv or json")
 	computeWorkers := computeWorkersFlag(fs)
-	unfusedAttn := unfusedAttentionFlag(fs)
-	branchPar := branchParallelFlag(fs)
 	precPolicy := precisionFlag(fs)
 	seed := fs.Int64("seed", 0, "eager-mode data seed (0 = suite default)")
 	traceOut := traceOutFlag(fs)
@@ -202,8 +173,6 @@ func cmdRun(args []string) error {
 		return fmt.Errorf("-trace-out requires -eager: analytic runs execute no kernels to time")
 	}
 	configureCompute(*computeWorkers, 1)
-	configureAttention(*unfusedAttn)
-	configureBranches(*branchPar)
 	cfg := mmbench.RunConfig{
 		Workload:   *workload,
 		Variant:    *variant,
@@ -331,8 +300,6 @@ func cmdTrain(args []string) error {
 	lr := fs.Float64("lr", 0, "learning rate (0 = suite default)")
 	seed := fs.Int64("seed", 1, "data seed")
 	computeWorkers := computeWorkersFlag(fs)
-	unfusedAttn := unfusedAttentionFlag(fs)
-	branchPar := branchParallelFlag(fs)
 	precPolicy := precisionFlag(fs)
 	traceOut := traceOutFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -342,8 +309,6 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	configureCompute(*computeWorkers, 1)
-	configureAttention(*unfusedAttn)
-	configureBranches(*branchPar)
 	var prof *obs.Profiler
 	if *traceOut != "" {
 		prof = obs.NewProfiler()

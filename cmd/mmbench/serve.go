@@ -23,8 +23,6 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", runtime.NumCPU(), "scheduler worker count")
 	cacheMB := fs.Int("cache-mb", 64, "result cache budget in MiB")
 	computeWorkers := computeWorkersFlag(fs)
-	unfusedAttn := unfusedAttentionFlag(fs)
-	branchPar := branchParallelFlag(fs)
 	precPolicy := precisionFlag(fs)
 	pprofFlag := fs.Bool("pprof", false,
 		"mount net/http/pprof under /debug/pprof/ (CPU/heap/goroutine profiles; off by default)")
@@ -46,12 +44,10 @@ func cmdServe(args []string) error {
 	if err := validatePrecision(*precPolicy); err != nil {
 		return err
 	}
-	configureAttention(*unfusedAttn)
-	configureBranches(*branchPar)
 	// Job workers and kernel workers share one CPU budget: with W
 	// scheduler workers the auto setting gives each eager run
-	// GOMAXPROCS/W compute workers (split further across encoder
-	// branches when -branch-parallel is on).
+	// GOMAXPROCS/W compute workers (split further across the run's
+	// encoder branches).
 	configureCompute(*computeWorkers, *workers)
 
 	if *faults != "" {

@@ -33,8 +33,6 @@ func cmdSweep(args []string) error {
 	eager := fs.Bool("eager", false, "execute real numerics (measures the precision error column instead of leaving it modeled)")
 	seed := fs.Int64("seed", 0, "eager-mode data seed (0 = suite default)")
 	computeWorkers := computeWorkersFlag(fs)
-	unfusedAttn := unfusedAttentionFlag(fs)
-	branchPar := branchParallelFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,8 +41,6 @@ func cmdSweep(args []string) error {
 		return err
 	}
 	configureCompute(*computeWorkers, *workers)
-	configureAttention(*unfusedAttn)
-	configureBranches(*branchPar)
 
 	batchList, err := parseInts(*batches)
 	if err != nil {

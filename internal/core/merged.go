@@ -108,7 +108,6 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (res []*
 
 	c := &ops.Ctx{
 		Eng:                opts.Engine,
-		UnfusedAttention:   opts.UnfusedAttention,
 		SequentialBranches: opts.SequentialBranches,
 		Precision:          opts.Precision,
 		Segments:           segs,
@@ -127,7 +126,6 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (res []*
 	if !opts.Precision.AllF32() {
 		ref = n.Forward(&ops.Ctx{
 			Eng:                opts.Engine,
-			UnfusedAttention:   opts.UnfusedAttention,
 			SequentialBranches: opts.SequentialBranches,
 			Segments:           segs,
 		}, merged)
@@ -163,7 +161,6 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (res []*
 				BatchSize:          bs,
 				Precision:          opts.Precision,
 				Engine:             opts.Engine,
-				UnfusedAttention:   opts.UnfusedAttention,
 				SequentialBranches: opts.SequentialBranches,
 			})
 			if err != nil {

@@ -36,17 +36,13 @@ type RunOptions struct {
 	// (worker count from -compute-workers). Results are identical at any
 	// worker count, so the engine never participates in cache keys.
 	Engine *engine.Engine
-	// UnfusedAttention forces the unfused reference attention
-	// composition instead of the fused streaming-softmax kernel
-	// (default: the process-wide -unfused-attention setting).
-	UnfusedAttention bool
-	// SequentialBranches forces the sequential encoder-branch loop
-	// instead of the modality-parallel branch executor (default: the
-	// process-wide -branch-parallel setting). Either way the run is
-	// bitwise identical, so the toggle never participates in cache keys.
+	// SequentialBranches selects the reference branch schedule (see
+	// ops.Ctx.SequentialBranches) for the run's forwards. The run is
+	// bitwise identical either way — the invariant the determinism tests
+	// assert through this field — so it never participates in cache keys.
 	SequentialBranches bool
 	// Precision is the per-stage storage-precision policy (the
-	// -precision flag). Unlike the toggles above it changes results —
+	// -precision flag). Unlike the schedule above it changes results —
 	// eager outputs numerically, analytic traces through the
 	// precision-scaled kernel costs — so it must participate in cache
 	// keys. The zero policy is all-float32 and leaves the run
@@ -166,7 +162,6 @@ func Run(n *mmnet.Network, opts RunOptions) (res *RunResult, err error) {
 		c := &ops.Ctx{
 			Rec:                builder,
 			Eng:                opts.Engine,
-			UnfusedAttention:   opts.UnfusedAttention,
 			SequentialBranches: opts.SequentialBranches,
 			Precision:          opts.Precision,
 		}
@@ -183,7 +178,6 @@ func Run(n *mmnet.Network, opts RunOptions) (res *RunResult, err error) {
 		if !opts.Precision.AllF32() {
 			ref := n.Forward(&ops.Ctx{
 				Eng:                opts.Engine,
-				UnfusedAttention:   opts.UnfusedAttention,
 				SequentialBranches: opts.SequentialBranches,
 			}, batch)
 			errMax, errMean = outputError(out, ref)
@@ -205,7 +199,6 @@ func Run(n *mmnet.Network, opts RunOptions) (res *RunResult, err error) {
 			BatchSize:          opts.BatchSize,
 			Precision:          opts.Precision,
 			Engine:             opts.Engine,
-			UnfusedAttention:   opts.UnfusedAttention,
 			SequentialBranches: opts.SequentialBranches,
 		})
 		if err != nil {

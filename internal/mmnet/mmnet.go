@@ -154,12 +154,14 @@ type Barrierer interface {
 // output (logits, regression values or mask logits).
 //
 // The per-modality encoder branches are independent until the fusion
-// join, so by default they execute concurrently — one goroutine per
+// join, so they execute concurrently — one goroutine per
 // branch, each with an isolated tape, recorder shard, RNG stream and
 // engine worker budget — and join deterministically in fixed modality
 // order (see branch.go). Outputs, gradients and recorded traces are
-// bitwise identical to the sequential reference loop, selected by
-// Ctx.SequentialBranches or the -branch-parallel=false flag.
+// bitwise identical to the sequential reference loop, which runs when
+// the input cannot fork (a single branch, or a tape whose branches share
+// parameters) or when Ctx.SequentialBranches asks for the reference
+// schedule.
 //
 // When a recorder is attached, Forward also models the synchronization
 // behaviour the paper characterizes: the fusion stage waits on every

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmbench/internal/autograd"
+	"mmbench/internal/engine"
 	"mmbench/internal/ops"
 	"mmbench/internal/tensor"
 )
@@ -232,6 +233,75 @@ func TestLSTMGradientsFlow(t *testing.T) {
 	for i, p := range l.Params() {
 		if p.Grad == nil || p.Grad.MaxAbs() == 0 {
 			t.Fatalf("lstm param %d has no gradient", i)
+		}
+	}
+}
+
+// referenceAttend is the split-heads composition Attend must match: the
+// same WQ/WK/WV/WO projections around SplitHeads → NT scores with the
+// 1/√dh scale → softmax → probability·V → MergeHeads, materializing the
+// full score matrix.
+func referenceAttend(m *MultiHeadAttention, c *ops.Ctx, q, kv *ops.Var) *ops.Var {
+	scale := float32(1 / math.Sqrt(float64(m.Dim/m.Heads)))
+	qh := c.SplitHeads(m.WQ.Forward(c, q), m.Heads)
+	kh := c.SplitHeads(m.WK.Forward(c, kv), m.Heads)
+	vh := c.SplitHeads(m.WV.Forward(c, kv), m.Heads)
+	attn := c.Softmax(c.MatMulBatchedNT(qh, kh, scale))
+	return m.WO.Forward(c, c.MergeHeads(c.MatMulBatched(attn, vh), m.Heads))
+}
+
+// TestAttendMatchesReferenceComposition pins Attend's projection wiring
+// and 1/√dh scale: the same weights through the reference composition
+// give the same output (1e-5) and the same gradient for every parameter
+// and both inputs (1e-4), for self- and cross-attention, at 1 and 4
+// engine workers.
+func TestAttendMatchesReferenceComposition(t *testing.T) {
+	const dim, heads, batch, tq = 24, 3, 2, 7
+	// run rebuilds the block and inputs from one seed, so both paths see
+	// identical weights and fresh (unaccumulated) gradients.
+	run := func(workers, tk int, reference bool) (out []float32, grads [][]float32) {
+		g := tensor.NewRNG(41)
+		m := NewMultiHeadAttention(g, dim, heads)
+		q := concrete(g, batch, tq, dim)
+		q.NeedGrad = true
+		kv := q // self-attention
+		if tk != tq {
+			kv = concrete(g, batch, tk, dim)
+			kv.NeedGrad = true
+		}
+		tape := autograd.NewTape()
+		c := &ops.Ctx{Tape: tape, Eng: engine.New(workers)}
+		var y *ops.Var
+		if reference {
+			y = referenceAttend(m, c, q, kv)
+		} else {
+			y = m.Attend(c, q, kv)
+		}
+		tape.Backward(c.MeanAll(c.Mul(y, y)))
+		for _, p := range append(m.Params(), q, kv) {
+			if p.Grad == nil || p.Grad.MaxAbs() == 0 {
+				t.Fatalf("workers=%d tk=%d reference=%v: a parameter received no gradient", workers, tk, reference)
+			}
+			grads = append(grads, append([]float32(nil), p.Grad.Data()...))
+		}
+		return append([]float32(nil), y.Value.Data()...), grads
+	}
+	for _, tk := range []int{tq, 11} { // self, then cross with Tq ≠ Tk
+		for _, workers := range []int{1, 4} {
+			got, gotGrads := run(workers, tk, false)
+			want, wantGrads := run(workers, tk, true)
+			for i := range want {
+				if d := math.Abs(float64(got[i] - want[i])); d > 1e-5 {
+					t.Fatalf("workers=%d tk=%d: output elem %d: Attend %g vs reference %g", workers, tk, i, got[i], want[i])
+				}
+			}
+			for p := range wantGrads {
+				for i := range wantGrads[p] {
+					if d := math.Abs(float64(gotGrads[p][i] - wantGrads[p][i])); d > 1e-4 {
+						t.Fatalf("workers=%d tk=%d: grad %d elem %d: Attend %g vs reference %g", workers, tk, p, i, gotGrads[p][i], wantGrads[p][i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -37,26 +37,6 @@ const (
 	attnKTile = 64
 )
 
-// unfusedAttentionDefault is the process-wide attention-path toggle,
-// set from the -unfused-attention CLI flag (mirrors
-// engine.SetDefaultWorkers). False — the fused kernel — is the default.
-var unfusedAttentionDefault atomic.Bool
-
-// SetDefaultUnfusedAttention switches the process default between the
-// fused attention kernel (false) and the unfused reference composition
-// (true). Meant for process start-up (CLI flag parsing).
-func SetDefaultUnfusedAttention(on bool) { unfusedAttentionDefault.Store(on) }
-
-// DefaultUnfusedAttention reports the process-wide toggle.
-func DefaultUnfusedAttention() bool { return unfusedAttentionDefault.Load() }
-
-// FusedAttention reports whether this context should take the fused
-// attention path: neither the context override nor the process default
-// asks for the unfused reference.
-func (c *Ctx) FusedAttention() bool {
-	return !c.UnfusedAttention && !unfusedAttentionDefault.Load()
-}
-
 // attnActivity counts fused-attention work for /v1/stats: operator
 // invocations and the scratch the kernel checks out from the engine's
 // buffer pool (the memory that replaced the materialized score matrix).

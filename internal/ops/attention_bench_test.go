@@ -74,44 +74,40 @@ func newTransformerLayerBench(g *tensor.RNG) *transformerLayerBench {
 	}
 }
 
-func (l *transformerLayerBench) forward(c *Ctx, x *Var) *Var {
+// forward runs the layer with attend as its attention: the kernel
+// ((*Ctx).Attention) or the test oracle (unfusedAttention).
+func (l *transformerLayerBench) forward(c *Ctx, x *Var, attend func(c *Ctx, q, k, v *Var, heads int, scale float32) *Var) *Var {
 	scale := float32(1 / math.Sqrt(float64(attnBenchD/attnBenchHeads)))
 	qp := c.Linear(x, l.wq, nil)
 	kp := c.Linear(x, l.wk, nil)
 	vp := c.Linear(x, l.wv, nil)
-	var att *Var
-	if c.FusedAttention() {
-		att = c.Attention(qp, kp, vp, attnBenchHeads, scale)
-	} else {
-		att = unfusedAttention(c, qp, kp, vp, attnBenchHeads, scale)
-	}
-	att = c.Linear(att, l.wo, nil)
+	att := c.Linear(attend(c, qp, kp, vp, attnBenchHeads, scale), l.wo, nil)
 	x = c.LayerNorm(c.Add(x, att), l.g1, l.b1, 1e-5)
 	ff := c.Linear(c.GELU(c.Linear(x, l.w1, nil)), l.w2, nil)
 	return c.LayerNorm(c.Add(x, ff), l.g2, l.b2, 1e-5)
 }
 
 // BenchmarkTransformerLayer is one encoder layer on the fused attention
-// path (the default), the end-to-end number the acceptance criterion
-// compares against BenchmarkTransformerLayerUnfused.
+// kernel, the end-to-end number to compare against
+// BenchmarkTransformerLayerUnfused.
 func BenchmarkTransformerLayer(b *testing.B) {
 	g := tensor.NewRNG(62)
 	l := newTransformerLayerBench(g)
 	x := benchVar(g, attnBenchB, attnBenchT, attnBenchD)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.forward(Infer(), x)
+		l.forward(Infer(), x, (*Ctx).Attention)
 	}
 }
 
 // BenchmarkTransformerLayerUnfused is the same layer on the unfused
-// reference attention path.
+// reference composition (the test oracle).
 func BenchmarkTransformerLayerUnfused(b *testing.B) {
 	g := tensor.NewRNG(62)
 	l := newTransformerLayerBench(g)
 	x := benchVar(g, attnBenchB, attnBenchT, attnBenchD)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.forward(&Ctx{UnfusedAttention: true}, x)
+		l.forward(Infer(), x, unfusedAttention)
 	}
 }

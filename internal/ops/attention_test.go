@@ -321,23 +321,3 @@ func TestTransposeLast2DeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestCtxAttentionToggle checks the Ctx override and the process
-// default both steer FusedAttention.
-func TestCtxAttentionToggle(t *testing.T) {
-	if !Infer().FusedAttention() {
-		t.Fatal("fused attention must be the default")
-	}
-	if (&Ctx{UnfusedAttention: true}).FusedAttention() {
-		t.Fatal("Ctx.UnfusedAttention override ignored")
-	}
-	SetDefaultUnfusedAttention(true)
-	if Infer().FusedAttention() {
-		SetDefaultUnfusedAttention(false)
-		t.Fatal("process default ignored")
-	}
-	SetDefaultUnfusedAttention(false)
-	if DefaultUnfusedAttention() {
-		t.Fatal("process default did not reset")
-	}
-}

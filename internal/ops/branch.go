@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"sync/atomic"
-
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
 	"mmbench/internal/tensor"
@@ -15,30 +13,14 @@ import (
 // a forked Ctx whose tape, recorder, RNG and engine are isolated from
 // the parent, so the concurrently-running operators never share mutable
 // state; the executor merges the per-branch artifacts deterministically
-// at the modality-sync join. The toggle mirrors the attention-path
-// toggle: a process-wide default set from the -branch-parallel CLI flag
-// plus a per-context override.
+// at the modality-sync join. Ctx.SequentialBranches selects the
+// reference schedule instead — the same branches, one after another.
 
-// sequentialBranchesDefault is the process-wide branch-execution toggle,
-// set from the -branch-parallel CLI flag (mirrors
-// SetDefaultUnfusedAttention). False — modality-parallel branches — is
-// the default; outputs are bitwise identical either way.
-var sequentialBranchesDefault atomic.Bool
-
-// SetDefaultSequentialBranches switches the process default between
-// modality-parallel branch execution (false) and the sequential
-// reference loop (true). Meant for process start-up (CLI flag parsing).
-func SetDefaultSequentialBranches(on bool) { sequentialBranchesDefault.Store(on) }
-
-// DefaultSequentialBranches reports the process-wide toggle.
-func DefaultSequentialBranches() bool { return sequentialBranchesDefault.Load() }
-
-// ParallelBranches reports whether this context should run encoder
-// branches concurrently: neither the context override nor the process
-// default asks for the sequential reference loop.
-func (c *Ctx) ParallelBranches() bool {
-	return !c.SequentialBranches && !sequentialBranchesDefault.Load()
-}
+// ParallelBranches reports whether this context asks for concurrent
+// encoder branches (the executor still falls back to the sequential loop
+// for inputs that cannot fork: one branch, or a tape with shared
+// parameters).
+func (c *Ctx) ParallelBranches() bool { return !c.SequentialBranches }
 
 // Engine returns the compute engine this context's kernels execute on
 // (the process default when Eng is nil). The branch executor splits
@@ -46,7 +28,7 @@ func (c *Ctx) ParallelBranches() bool {
 func (c *Ctx) Engine() *engine.Engine { return c.engine() }
 
 // ForkBranch returns a child context for one concurrently-executing
-// encoder branch: training mode and operator toggles are inherited,
+// encoder branch: training mode and the precision policy are inherited,
 // while the tape, recorder, RNG and engine are replaced with the
 // branch-isolated instances supplied by the executor. Passing the
 // parent's own tape/recorder/engine is valid for the sequential

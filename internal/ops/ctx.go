@@ -48,16 +48,12 @@ type Ctx struct {
 	// engine.Default() (worker count from -compute-workers, default
 	// GOMAXPROCS). Results are bitwise identical at any worker count.
 	Eng *engine.Engine
-	// UnfusedAttention forces the unfused reference attention
-	// composition for this context, overriding the process default (the
-	// -unfused-attention flag; see FusedAttention). The fused and
-	// unfused paths agree within 1e-5, not bitwise.
-	UnfusedAttention bool
-	// SequentialBranches forces the sequential encoder-branch loop for
-	// this context, overriding the process default (the -branch-parallel
-	// flag; see ParallelBranches). Branch-parallel and sequential
-	// execution are bitwise identical, so this is a scheduling choice,
-	// never a numerics one.
+	// SequentialBranches selects the reference branch schedule: encoder
+	// branches run one after another on the caller's goroutine instead of
+	// concurrently. The two schedules are bitwise identical, so this is
+	// what the branch-schedule determinism tests and the sequential
+	// forward measurement compare against — a scheduling choice, never a
+	// numerics one.
 	SequentialBranches bool
 	// Precision is the per-stage storage-precision policy (the
 	// -precision flag). The network assembly layer activates the right

@@ -153,8 +153,9 @@ type Options struct {
 	// Engine is consulted for abort checkpoints during the abstract
 	// forward (cancellable compiles); nil uses the process default.
 	Engine *engine.Engine
-	// UnfusedAttention and SequentialBranches mirror core.RunOptions.
-	UnfusedAttention   bool
+	// SequentialBranches mirrors core.RunOptions: the reference branch
+	// schedule for the abstract forward (the captured plan is identical
+	// either way).
 	SequentialBranches bool
 }
 
@@ -239,7 +240,6 @@ func Compile(n *mmnet.Network, opts Options) (*Plan, error) {
 	c := &ops.Ctx{
 		Rec:                cap,
 		Eng:                opts.Engine,
-		UnfusedAttention:   opts.UnfusedAttention,
 		SequentialBranches: opts.SequentialBranches,
 		Precision:          opts.Precision,
 	}

@@ -158,16 +158,7 @@ func New(opts Options) *Server {
 			Run: s.runner.RunMergedProfiled,
 			// One merged batch costs one scheduler admission and one
 			// queue slot, exactly like a standalone execution.
-			Exec: func(ctx context.Context, deadline time.Time, est time.Duration, fn func(context.Context) error) error {
-				job, err := s.pool.SubmitCtx(ctx,
-					jobs.SubmitOptions{Deadline: deadline, EstCost: est},
-					func(jctx context.Context) (any, error) { return nil, fn(jctx) })
-				if err != nil {
-					return err
-				}
-				<-job.Done()
-				return job.Snapshot().Err
-			},
+			Exec: s.admit,
 			// A panicking merged forward counts ONE quarantine strike per
 			// distinct member config — not one per waiter, which would let
 			// a single crash of a wide batch quarantine a config instantly.
@@ -354,35 +345,27 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// clients cost one admission and one run.
 	begin := s.clock.Now()
 	var executed bool
-	var rep *mmbench.Report
-	var stageMs map[string]float64
 	// Eager cache misses route through the continuous batcher: pending
 	// compatible requests (same workload/variant/device/precision,
 	// differing only in batch size and seed) merge into one forward, and
 	// the scattered per-request report is bitwise identical to a
 	// standalone run — so the cache entry it lands in is too.
+	// Everything else is one pool job around the runner's own execution.
 	batched := s.batcher != nil && cfg.Eager
-	if batched {
-		rep, stageMs, err = s.runner.RunProfiledCtxThrough(r.Context(), cfg,
-			func(ctx context.Context, cfg mmbench.RunConfig) (*mmbench.Report, map[string]float64, error) {
-				executed = true
-				return s.batcher.Do(ctx, cfg, deadline, s.est.estimate(fp))
+	rep, stageMs, err := s.runner.RunProfiledCtxThrough(r.Context(), cfg,
+		func(ctx context.Context, cfg mmbench.RunConfig) (rep *mmbench.Report, stageMs map[string]float64, err error) {
+			executed = true
+			est := s.est.estimate(fp)
+			if batched {
+				return s.batcher.Do(ctx, cfg, deadline, est)
+			}
+			err = s.admit(ctx, deadline, est, func(jctx context.Context) error {
+				var runErr error
+				rep, stageMs, runErr = s.runner.Execute(jctx, cfg)
+				return runErr
 			})
-	} else {
-		rep, stageMs, err = s.runner.RunProfiledCtxVia(r.Context(), cfg,
-			func(compute mmbench.ComputeFn) (any, error) {
-				executed = true
-				job, err := s.pool.SubmitCtx(r.Context(),
-					jobs.SubmitOptions{Deadline: deadline, EstCost: s.est.estimate(fp)},
-					func(ctx context.Context) (any, error) { return compute(ctx) })
-				if err != nil {
-					return nil, err
-				}
-				<-job.Done()
-				snap := job.Snapshot()
-				return snap.Result, snap.Err
-			})
-	}
+			return rep, stageMs, err
+		})
 	if err != nil {
 		var pe *jobs.PanicError
 		switch {
@@ -426,6 +409,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		body["stage_latency_ms"] = stageMs
 	}
 	s.writeJSON(w, r, http.StatusOK, body)
+}
+
+// admit runs fn as one pool job under scheduler admission (deadline- and
+// cost-aware) and waits for it: a standalone execution and a merged
+// batch each cost exactly one admission and one queue slot.
+func (s *Server) admit(ctx context.Context, deadline time.Time, est time.Duration, fn func(context.Context) error) error {
+	job, err := s.pool.SubmitCtx(ctx,
+		jobs.SubmitOptions{Deadline: deadline, EstCost: est},
+		func(jctx context.Context) (any, error) { return nil, fn(jctx) })
+	if err != nil {
+		return err
+	}
+	<-job.Done()
+	return job.Snapshot().Err
 }
 
 // quarRun wraps the cached runner for sweep cells: a quarantined config
@@ -567,11 +564,14 @@ type Stats struct {
 	Jobs     map[string]int `json:"jobs"`
 	// Queue reports scheduler queue pressure: current depth plus
 	// queue-wait percentiles (submission to worker pickup).
-	Queue     QueueStats     `json:"queue"`
-	Engine    EngineStats    `json:"engine"`
-	Attention AttentionStats `json:"attention"`
-	Branches  BranchStats    `json:"branches"`
-	Precision PrecisionStats `json:"precision"`
+	Queue  QueueStats  `json:"queue"`
+	Engine EngineStats `json:"engine"`
+	// Attention reports the fused attention kernel's call count and
+	// scratch-pool activity (the pooled tiles that replaced the
+	// materialized score matrix).
+	Attention ops.AttentionActivity `json:"attention"`
+	Branches  BranchStats           `json:"branches"`
+	Precision PrecisionStats        `json:"precision"`
 	// Resilience reports load shedding, cancellation, panic recovery and
 	// quarantine — the overload-resilience counters.
 	Resilience ResilienceStats `json:"resilience"`
@@ -658,16 +658,6 @@ type PackStats struct {
 	Kernel  string  `json:"kernel"`
 }
 
-// AttentionStats reports the attention-path toggle and the fused
-// kernel's scratch-pool activity (the pooled tiles that replaced the
-// materialized score matrix) — see cmd/mmbench serve's
-// -unfused-attention flag.
-type AttentionStats struct {
-	// Fused is the process default attention path.
-	Fused bool `json:"fused"`
-	ops.AttentionActivity
-}
-
 // PrecisionStats reports mixed-precision execution: the server's
 // default policy (requests may override per call) and the process-wide
 // low-precision kernel counters — see cmd/mmbench serve's -precision
@@ -679,14 +669,12 @@ type PrecisionStats struct {
 	ops.PrecisionActivity
 }
 
-// BranchStats reports the modality-parallel branch executor: the
-// process default toggle, forward/backward join counters, and the
-// engine activity of the branch sub-engines (whose worker budget is
-// split from the main -compute-workers budget) — see cmd/mmbench
-// serve's -branch-parallel flag.
+// BranchStats reports the modality-parallel branch executor:
+// forward/backward join counters (sequential forwards are the
+// single-branch and shared-parameter fallbacks), and the engine activity
+// of the branch sub-engines (whose worker budget is split from the main
+// -compute-workers budget).
 type BranchStats struct {
-	// Parallel is the process default branch schedule.
-	Parallel bool `json:"parallel"`
 	mmnet.BranchActivity
 	// Engine is the branch-only subset of the top-level engine block:
 	// work executed on the branch sub-engines.
@@ -752,12 +740,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Kernel:       gemm.KernelName(),
 			},
 		},
-		Attention: AttentionStats{
-			Fused:             !ops.DefaultUnfusedAttention(),
-			AttentionActivity: ops.AttentionStats(),
-		},
+		Attention: ops.AttentionStats(),
 		Branches: BranchStats{
-			Parallel:       !ops.DefaultSequentialBranches(),
 			BranchActivity: mmnet.BranchStats(),
 			Engine:         engine.BranchEngineStats(),
 		},

@@ -359,16 +359,13 @@ func TestStatsReportsEngine(t *testing.T) {
 
 // TestStatsReportsAttention drives an eager run through a workload with
 // a transformer encoder (mosei's small flavour) and checks /v1/stats
-// reports the fused-attention toggle plus the kernel's scratch-pool
-// activity.
+// reports the fused kernel's call count and scratch-pool activity — and
+// no "fused" constant, now that there is no other attention path.
 func TestStatsReportsAttention(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var before Stats
 	getJSON(t, ts.URL+"/v1/stats", &before)
-	if !before.Attention.Fused {
-		t.Fatal("fused attention must be the default toggle state")
-	}
 
 	resp := postJSON(t, ts.URL+"/v1/run",
 		`{"workload":"mosei","batch":4,"paper_scale":false,"eager":true}`, nil)
@@ -394,24 +391,24 @@ func TestStatsReportsAttention(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats JSON missing attention block: %v", raw)
 	}
-	for _, field := range []string{"fused", "fused_calls", "scratch_checkouts", "scratch_bytes"} {
+	for _, field := range []string{"fused_calls", "scratch_checkouts", "scratch_bytes"} {
 		if _, ok := attn[field]; !ok {
 			t.Fatalf("attention stats JSON missing %q: %v", field, attn)
 		}
 	}
+	if _, ok := attn["fused"]; ok {
+		t.Fatalf("attention stats JSON still reports the removed toggle: %v", attn)
+	}
 }
 
 // TestStatsReportsBranches drives an eager multi-modal run and checks
-// /v1/stats reports the branch-executor toggle, join counters and the
-// branch sub-engines' activity.
+// /v1/stats reports the branch executor's join counters and the branch
+// sub-engines' activity — and no "parallel" constant.
 func TestStatsReportsBranches(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var before Stats
 	getJSON(t, ts.URL+"/v1/stats", &before)
-	if !before.Branches.Parallel {
-		t.Fatal("branch-parallel must be the default toggle state")
-	}
 
 	resp := postJSON(t, ts.URL+"/v1/run",
 		`{"workload":"mosei","batch":4,"paper_scale":false,"eager":true,"seed":3}`, nil)
@@ -451,11 +448,14 @@ func TestStatsReportsBranches(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats JSON missing branches block: %v", raw)
 	}
-	for _, field := range []string{"parallel", "parallel_forwards", "sequential_forwards",
+	for _, field := range []string{"parallel_forwards", "sequential_forwards",
 		"branches_launched", "max_branches", "parallel_backwards", "engine"} {
 		if _, ok := br[field]; !ok {
 			t.Fatalf("branch stats JSON missing %q: %v", field, br)
 		}
+	}
+	if _, ok := br["parallel"]; ok {
+		t.Fatalf("branch stats JSON still reports the removed toggle: %v", br)
 	}
 }
 

@@ -108,16 +108,6 @@ type Config struct {
 	// process default. Training results are identical at any worker
 	// count (dropout masks are drawn on the coordinating goroutine).
 	Engine *engine.Engine
-	// UnfusedAttention forces the unfused reference attention
-	// composition instead of the fused streaming-softmax kernel
-	// (default: the process-wide -unfused-attention setting).
-	UnfusedAttention bool
-	// SequentialBranches forces the sequential encoder-branch loop
-	// instead of the modality-parallel branch executor (default: the
-	// process-wide -branch-parallel setting). Training results are
-	// bitwise identical either way: dropout streams are per-branch in
-	// both paths, and branch backward segments are disjoint.
-	SequentialBranches bool
 	// Precision is the per-stage storage-precision policy. Forward
 	// GEMM-family kernels run at the stage's assigned precision;
 	// gradients and optimizer state stay float32 against the
@@ -173,10 +163,8 @@ func Fit(n *mmnet.Network, cfg Config) Result {
 			tape := autograd.NewTape()
 			c := &ops.Ctx{
 				Tape: tape, Training: true, RNG: rng, Eng: cfg.Engine,
-				UnfusedAttention:   cfg.UnfusedAttention,
-				SequentialBranches: cfg.SequentialBranches,
-				Precision:          cfg.Precision,
-				Prof:               cfg.Profiler.Root(),
+				Precision: cfg.Precision,
+				Prof:      cfg.Profiler.Root(),
 			}
 			out := n.Forward(c, b)
 			loss := n.Loss(c, out, b)
@@ -195,27 +183,20 @@ func Fit(n *mmnet.Network, cfg Config) Result {
 }
 
 // Evaluate measures the task metric over nBatches fresh batches on the
-// default compute engine, attention path and branch schedule.
+// default compute engine at float32.
 func Evaluate(n *mmnet.Network, rng *tensor.RNG, nBatches, batchSize int) Result {
 	return EvaluateWith(n, Config{}, rng, nBatches, batchSize)
 }
 
 // EvaluateWith is Evaluate under an explicit execution configuration:
-// cfg's Engine (nil = default), UnfusedAttention, SequentialBranches
-// and Precision select the compute engine, attention path, branch
-// schedule and storage-precision policy, so an A/B evaluation does not
-// need the process-wide toggles. The schedule fields of cfg (epochs,
+// cfg's Engine (nil = default) and Precision select the compute engine
+// and storage-precision policy. The schedule fields of cfg (epochs,
 // steps, LR) are ignored.
 func EvaluateWith(n *mmnet.Network, cfg Config, rng *tensor.RNG, nBatches, batchSize int) Result {
 	var metric float64
 	for i := 0; i < nBatches; i++ {
 		b := n.Gen.Batch(rng.Split(int64(i)), batchSize)
-		out := n.Forward(&ops.Ctx{
-			Eng:                cfg.Engine,
-			UnfusedAttention:   cfg.UnfusedAttention,
-			SequentialBranches: cfg.SequentialBranches,
-			Precision:          cfg.Precision,
-		}, b)
+		out := n.Forward(&ops.Ctx{Eng: cfg.Engine, Precision: cfg.Precision}, b)
 		metric += BatchMetric(n.Task, out, b)
 	}
 	return Result{Metric: metric / float64(nBatches)}

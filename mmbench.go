@@ -171,25 +171,13 @@ func Run(cfg RunConfig) (*Report, error) {
 	return rep, err
 }
 
-// RunCtx is Run under a cancellable context: cancellation (or a
-// deadline) stops the eager engine's chunk dispatch within one chunk
-// boundary, aborts the run at its next stage-boundary checkpoint, and
-// returns ctx.Err(). A background context behaves exactly like Run.
-func RunCtx(ctx context.Context, cfg RunConfig) (*Report, error) {
-	rep, _, err := runImpl(ctx, cfg, nil, nil)
-	return rep, err
-}
-
-// RunProfiled is Run with eager wall-clock profiling: alongside the
-// (byte-identical) report it returns the measured per-stage latency in
-// milliseconds. Analytic runs execute no kernels, so their stage map is
-// nil.
-func RunProfiled(cfg RunConfig) (*Report, map[string]float64, error) {
-	return RunProfiledCtx(nil, cfg)
-}
-
-// RunProfiledCtx is RunProfiled under a cancellable context (see
-// RunCtx).
+// RunProfiledCtx is Run with eager wall-clock profiling, under a
+// cancellable context: alongside the (byte-identical) report it returns
+// the measured per-stage latency in milliseconds. Analytic runs execute
+// no kernels, so their stage map is nil. Cancellation (or a deadline)
+// stops the eager engine's chunk dispatch within one chunk boundary,
+// aborts the run at its next stage-boundary checkpoint, and returns
+// ctx.Err(); a nil or background context behaves exactly like Run.
 func RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
 	return runProfiled(ctx, cfg, nil)
 }

@@ -210,6 +210,35 @@ func TestModelStoreBehaviour(t *testing.T) {
 				}
 			},
 		},
+		{
+			// With one attention kernel and no process-wide toggles, a
+			// report is a function of RunConfig alone (everything that
+			// changes it is in canonicalFields): whichever entry point
+			// produces an attention workload's report — cache miss, cache
+			// hit, a single-member merged forward — it equals the
+			// package-level Run's byte for byte.
+			name:   "every entry point reports what Run reports",
+			budget: workloads.StoreBudget,
+			check: func(t *testing.T, cr *CachedRunner) {
+				analytic := RunConfig{Workload: "mosei", PaperScale: true, BatchSize: 8}
+				for _, pass := range []string{"miss", "hit"} {
+					rep, err := cr.Run(analytic)
+					if err != nil {
+						t.Fatalf("%s: %v", pass, err)
+					}
+					wantStandalone(t, analytic, rep)
+				}
+				if rs := cr.Stats(); rs.Executions != 1 || rs.Hits != 1 {
+					t.Fatalf("result cache after a miss and a hit: %+v", rs)
+				}
+				eager := RunConfig{Workload: "mosei", PaperScale: true, Eager: true, BatchSize: 2, Seed: 5}
+				reps, _, err := cr.RunMergedProfiled(context.Background(), []RunConfig{eager})
+				if err != nil {
+					t.Fatalf("RunMergedProfiled: %v", err)
+				}
+				wantStandalone(t, eager, reps[0])
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { tc.check(t, runnerWithModelBudget(tc.budget)) })

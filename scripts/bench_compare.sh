@@ -4,9 +4,11 @@
 #
 # Usage: scripts/bench_compare.sh BASELINE.json CANDIDATE.json
 #
-# Prints a per-benchmark table of ns/op ratios (candidate / baseline)
-# and exits nonzero when any benchmark present in both files regressed
-# by more than THRESHOLD percent (default 10). Benchmarks present in
+# Prints each file's git_sha stamp (a "-dirty" suffix means the file was
+# generated on an uncommitted tree), then a per-benchmark table of ns/op
+# ratios (candidate / baseline), and exits nonzero when any benchmark
+# present in both files regressed by more than THRESHOLD percent
+# (default 10). Benchmarks present in
 # only one file are listed but never fail the comparison — renames and
 # new benchmarks are not regressions.
 #
@@ -40,6 +42,12 @@ extract() {
 		printf("%s %s\n", name, line)
 	}' "$1"
 }
+
+stamp() {
+	awk -F'"' '/"git_sha": / { print $4; exit }' "$1"
+}
+printf 'baseline  %s @ %s\n' "$base" "$(stamp "$base")"
+printf 'candidate %s @ %s\n\n' "$cand" "$(stamp "$cand")"
 
 extract "$base" > /tmp/bench_base.$$
 extract "$cand" > /tmp/bench_cand.$$

@@ -15,10 +15,20 @@
 # Benchmark wall times are machine-dependent; the baseline is meant for
 # relative comparisons on one machine (e.g. CI runners of the same
 # class), not absolute thresholds.
+#
+# "git_sha" names the tree that was measured: HEAD, with "-dirty"
+# appended when the working tree had uncommitted changes at the start of
+# the run — a baseline generated before its kernels were committed must
+# not claim the parent's sha.
 set -eu
 
 out="${1:-BENCH_ops.json}"
 cd "$(dirname "$0")/.."
+
+sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+	sha="$sha-dirty"
+fi
 
 raw="$(go test -run '^$' -bench . -benchmem -benchtime "${BENCHTIME:-1s}" \
 	./internal/ops ./internal/engine ./internal/mmnet)"
@@ -27,7 +37,7 @@ raw="$(go test -run '^$' -bench . -benchmem -benchtime "${BENCHTIME:-1s}" \
 	printf '{\n'
 	printf '  "generated_by": "scripts/bench_ops.sh",\n'
 	printf '  "generated_at": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-	printf '  "git_sha": "%s",\n' "$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+	printf '  "git_sha": "%s",\n' "$sha"
 	printf '  "go": "%s",\n' "$(go env GOVERSION)"
 	printf '  "gomaxprocs": %s,\n' "${GOMAXPROCS:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)}"
 	printf '  "cpus": %s,\n' "$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
