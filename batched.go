@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"mmbench/internal/core"
-	"mmbench/internal/device"
 	"mmbench/internal/faultinject"
 	"mmbench/internal/obs"
-	"mmbench/internal/precision"
 	"mmbench/internal/workloads"
 )
 
@@ -19,9 +17,9 @@ import (
 //
 // Compatibility means equal BatchFingerprint: same workload, variant,
 // device, scale flavour and precision policy, all eager. Per-request
-// reports are bitwise identical to running each config alone (see
-// core.RunMerged), so the continuous batcher can feed them into the
-// result cache transparently.
+// reports are bitwise identical to running each config alone — which is
+// this same execution with one member (see core.RunMerged) — so the
+// continuous batcher can feed them into the result cache transparently.
 func RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[string]float64, error) {
 	return runMerged(ctx, cfgs, nil)
 }
@@ -41,39 +39,16 @@ func runMerged(ctx context.Context, cfgs []RunConfig, models *workloads.Store) (
 	if len(cfgs) == 0 {
 		return nil, nil, fmt.Errorf("mmbench: RunMergedProfiled needs at least one config")
 	}
-	base := cfgs[0]
-	if base.Workload == "" {
-		return nil, nil, fmt.Errorf("mmbench: RunConfig.Workload is required")
-	}
-	if !base.Eager {
+	if !cfgs[0].Eager {
 		return nil, nil, fmt.Errorf("mmbench: RunMergedProfiled requires eager configs")
 	}
-	bfp := base.BatchFingerprint()
+	bfp := cfgs[0].BatchFingerprint()
 	for _, cfg := range cfgs[1:] {
 		if !cfg.Eager || cfg.BatchFingerprint() != bfp {
 			return nil, nil, fmt.Errorf("mmbench: RunMergedProfiled configs are not batch-compatible")
 		}
 	}
-	if base.Variant == "" {
-		info, err := workloads.Get(base.Workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		base.Variant = info.Fusions[0]
-	}
-	devName := base.Device
-	if devName == "" {
-		devName = "2080ti"
-	}
-	dev, err := device.ByName(devName)
-	if err != nil {
-		return nil, nil, err
-	}
-	pol, err := precision.ParsePolicy(base.Precision)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := models.Get(base.Workload, base.Variant, base.PaperScale)
+	_, n, opts, err := resolve(cfgs[0], models)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -83,22 +58,14 @@ func runMerged(ctx context.Context, cfgs []RunConfig, models *workloads.Store) (
 	}
 	// Merged forwards are profiled unconditionally, like every eager
 	// execution through the cached runner.
-	prof := obs.NewProfiler()
-	results, err := core.RunMerged(n, core.RunOptions{
-		Device:    dev,
-		Eager:     true,
-		Precision: pol,
-		Profiler:  prof,
-		Ctx:       ctx,
-	}, members)
+	opts.Eager, opts.Profiler, opts.Ctx = true, obs.NewProfiler(), ctx
+	results, err := core.RunMerged(n, opts, members)
 	if err != nil {
 		return nil, nil, err
 	}
 	reps := make([]*Report, len(cfgs))
 	for i, res := range results {
-		cfg := cfgs[i]
-		cfg.Variant = base.Variant
-		reps[i] = buildReport(cfg, devName, pol, res)
+		reps[i] = buildReport(cfgs[i].withDefaults(), opts.Precision, res)
 	}
 	return reps, stageMillis(results[0].StageSeconds), nil
 }

@@ -18,10 +18,12 @@ import (
 // are shared — callers must not mutate them.
 //
 // Below the result cache sits the runner's model store: every eager
-// execution the runner performs (cache misses, eager sweep cells, the
-// batcher's merged forwards via the RunMergedProfiled method) resolves
-// its network through it, so a served model's weights are drawn once per
-// runner instead of once per run. Analytic executions never read a
+// execution the runner performs (cache misses and eager sweep cells via
+// Execute, the batcher's merged forwards via the RunMergedProfiled
+// method — below the runner both are core.RunMerged, a standalone
+// execution being a batch of one member) resolves its network through
+// it, so a served model's weights are drawn once per runner instead of
+// once per run. Analytic executions never read a
 // weight and build privately, as the package-level Run does. The store
 // is the runner's own — it is created with the runner and collected
 // with it; nothing is shared between runners.
@@ -65,11 +67,13 @@ func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, err
 
 // Execute is the runner's own uncached execution of cfg: the
 // package-level RunProfiledCtx resolving eager networks through the
-// runner's model store. Eager executions are profiled unconditionally
-// (the profiler is a pure observer), so every real run — sweeps included
-// — feeds the per-stage latency histograms behind /metrics. It is the
-// ExecFn behind Run and RunCtx, and what an execution wrapper (the serve
-// layer's scheduler admission) reschedules.
+// runner's model store. An eager execution is the one-config case of
+// RunMergedProfiled's merged forward, so the two agree by construction.
+// Eager executions are profiled unconditionally (the profiler is a pure
+// observer), so every real run — sweeps included — feeds the per-stage
+// latency histograms behind /metrics. It is the ExecFn behind Run and
+// RunCtx, and what an execution wrapper (the serve layer's scheduler
+// admission) reschedules.
 func (cr *CachedRunner) Execute(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
 	return runProfiled(ctx, cfg, cr.models)
 }
@@ -156,18 +160,7 @@ func (cfg RunConfig) BatchFingerprint() string {
 }
 
 func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
-	norm := cfg
-	if norm.Device == "" {
-		norm.Device = "2080ti"
-	}
-	if norm.BatchSize <= 0 {
-		norm.BatchSize = 32
-	}
-	if norm.Variant == "" {
-		if info, err := workloads.Get(norm.Workload); err == nil {
-			norm.Variant = info.Fusions[0]
-		}
-	}
+	norm := cfg.withDefaults()
 	if !norm.Eager {
 		norm.Seed = 0
 	} else if norm.Seed == 0 {

@@ -38,7 +38,9 @@ type RunFn func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Repor
 // ExecFn wraps the merged execution — the serve layer routes it through
 // scheduler admission so a merged batch costs exactly one queue slot
 // (and one deadline/cost admission check), like a standalone run.
-// Admission errors (shed, queue full) are returned without fn running.
+// Admission errors (shed, queue full) are returned without fn running;
+// a panic in fn is Exec's to recover, into a *jobs.PanicError (the pool
+// does, and counts it).
 type ExecFn func(ctx context.Context, deadline time.Time, estCost time.Duration, fn func(context.Context) error) error
 
 // Options configure a Batcher.
@@ -284,13 +286,16 @@ func (b *Batcher) execute(batch []*waiter) {
 	var reps []*mmbench.Report
 	var stageMs map[string]float64
 	run := func(ctx context.Context) (err error) {
-		// Recover here (not only in the pool) so the inline path and the
-		// Exec path fail waiters identically, with a jobs.PanicError.
-		defer func() {
-			if r := recover(); r != nil {
-				err = &jobs.PanicError{Value: r, Stack: string(debug.Stack())}
-			}
-		}()
+		// One recover per path: under Exec the pool recovers a panicking
+		// forward into a jobs.PanicError and counts it; inline nothing
+		// else would, so fail the waiters with the same error here.
+		if b.opts.Exec == nil {
+			defer func() {
+				if r := recover(); r != nil {
+					err = &jobs.PanicError{Value: r, Stack: string(debug.Stack())}
+				}
+			}()
+		}
 		faultinject.Hit(faultinject.SiteBatchMerge)
 		reps, stageMs, err = b.opts.Run(ctx, cfgs)
 		return err

@@ -5,7 +5,6 @@ package core
 
 import (
 	"context"
-
 	"math"
 
 	"mmbench/internal/device"
@@ -16,7 +15,6 @@ import (
 	"mmbench/internal/ops"
 	"mmbench/internal/plan"
 	"mmbench/internal/precision"
-	"mmbench/internal/tensor"
 	"mmbench/internal/trace"
 	"mmbench/internal/workloads"
 )
@@ -49,9 +47,11 @@ type RunOptions struct {
 	// bit-identical to a build with no mixed-precision support.
 	Precision precision.Policy
 	// Profiler, when non-nil on an eager run, records wall-clock kernel
-	// and stage spans. It is a pure observer (results and traces stay
-	// bitwise identical, so it never participates in cache keys) and is
-	// ignored on analytic runs, which execute no kernels to time.
+	// and stage spans of the (merged) forward — the forward's only
+	// observer, since the modeled trace comes from the stage plan. It is
+	// a pure observer (results and traces stay bitwise identical, so it
+	// never participates in cache keys) and is ignored on analytic runs,
+	// which execute no kernels to time.
 	Profiler *obs.Profiler
 	// Ctx, when non-nil and cancellable, makes the run cooperative: its
 	// cancellation (or deadline) stops the engine's chunk dispatch within
@@ -100,151 +100,122 @@ type RunResult struct {
 // Run profiles one inference of the network: host-side loading and
 // preprocessing per modality, host→device transfers, the three network
 // stages in per-modality streams with a fusion join, and the final
-// device→host copy.
-func Run(n *mmnet.Network, opts RunOptions) (res *RunResult, err error) {
-	opts.defaults()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-
-	// Cancellable runs derive a per-run engine handle carrying a Cancel
-	// flag; a watcher goroutine translates context cancellation into one
-	// flag signal. The recover below classifies checkpoint aborts
-	// (engine.AbortReason) back into ordinary errors — any other panic
-	// re-raises untouched.
-	var cancelFlag *engine.Cancel
-	if ctx := opts.Ctx; ctx != nil && ctx.Done() != nil {
-		// An already-dead context never starts the run; relying on the
-		// watcher goroutine for this would race the forward on fast runs.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cancelFlag = engine.NewCancel()
-		eng := opts.Engine
-		if eng == nil {
-			eng = engine.Default()
-		}
-		opts.Engine = eng.WithCancel(cancelFlag)
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				cancelFlag.Signal(ctx.Err())
-			case <-stop:
-			}
-		}()
-		defer func() {
-			if r := recover(); r != nil {
-				reason, ok := engine.AbortReason(r)
-				if !ok {
-					panic(r)
-				}
-				res, err = nil, reason
-			}
-		}()
-	}
-
-	builder := trace.NewBuilder(opts.Device, n.Modalities)
-
-	var out *ops.Var
-	var errMax, errMean float64
-	profiled := false
+// device→host copy. An eager run is a merged run of one member (see
+// RunMerged); an analytic run executes no kernels and is the modeled
+// side alone.
+func Run(n *mmnet.Network, opts RunOptions) (_ *RunResult, err error) {
 	if opts.Eager {
-		// Eager runs walk the plan's event schedule live: the prologue
-		// and epilogue come from the plan package (the same emission the
-		// compiler captures), and the forward drives the builder while
-		// executing real numerics.
-		if err := plan.Prologue(builder, n, opts.BatchSize); err != nil {
-			return nil, err
-		}
-		batch := n.Gen.Batch(tensor.NewRNG(opts.Seed), opts.BatchSize)
-		c := &ops.Ctx{
-			Rec:                builder,
-			Eng:                opts.Engine,
-			SequentialBranches: opts.SequentialBranches,
-			Precision:          opts.Precision,
-		}
-		if opts.Profiler != nil {
-			c.Prof = opts.Profiler.Root()
-			profiled = true
-		}
-		out = n.Forward(c, batch)
-
-		// Under a low-precision policy an eager run also executes the f32
-		// reference forward (unrecorded, so the trace prices only the
-		// policy run) and reports the output error against it — the
-		// accuracy-delta axis of a mixed-precision sweep.
-		if !opts.Precision.AllF32() {
-			ref := n.Forward(&ops.Ctx{
-				Eng:                opts.Engine,
-				SequentialBranches: opts.SequentialBranches,
-			}, batch)
-			errMax, errMean = outputError(out, ref)
-		}
-
-		// Final abort checkpoint: a cancellation that fired after the last
-		// stage boundary left garbage in the outputs (skipped chunks), so the
-		// run must not be reported as a result.
-		if cancelFlag.Cancelled() {
-			return nil, cancelFlag.Reason()
-		}
-		plan.Epilogue(builder, out.Value.Bytes())
-	} else {
-		// Analytic runs compile the network into an explicit stage plan —
-		// the captured event sequence of one abstract forward — and replay
-		// it into the trace builder. The replayed trace is byte-identical
-		// to driving the builder live.
-		p, err := plan.Compile(n, plan.Options{
-			BatchSize:          opts.BatchSize,
-			Precision:          opts.Precision,
-			Engine:             opts.Engine,
-			SequentialBranches: opts.SequentialBranches,
-		})
+		results, err := RunMerged(n, opts, []MemberSpec{{BatchSize: opts.BatchSize, Seed: opts.Seed}})
 		if err != nil {
 			return nil, err
 		}
-		if cancelFlag.Cancelled() {
-			return nil, cancelFlag.Reason()
+		return results[0], nil
+	}
+	cancel, end, err := begin(n, &opts)
+	if err != nil {
+		return nil, err
+	}
+	defer end(&err)
+	r, err := model(n, opts, opts.BatchSize)
+	if err != nil {
+		return nil, err
+	}
+	// Abort checkpoint: a cancellation that landed during the compile's
+	// abstract forward must not be reported as a result.
+	if cancel.Cancelled() {
+		return nil, cancel.Reason()
+	}
+	return r, nil
+}
+
+// begin is the shared front of every execution: option defaults,
+// network validation and, for a cancellable opts.Ctx, the cancellation
+// wiring. The run gets a per-run engine handle carrying the returned
+// Cancel flag (nil for an uncancellable run), and a watcher goroutine
+// translates context cancellation into one flag signal. The caller
+// defers end with its named error result: end stops the watcher and
+// classifies checkpoint aborts (engine.AbortReason) back into ordinary
+// errors — any other panic re-raises untouched.
+func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(*error), err error) {
+	opts.defaults()
+	if err := n.Validate(); err != nil {
+		return nil, nil, err
+	}
+	ctx := opts.Ctx
+	if ctx == nil || ctx.Done() == nil {
+		return nil, func(*error) {}, nil
+	}
+	// An already-dead context never starts the run; relying on the
+	// watcher goroutine for this would race the forward on fast runs.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	cancel = engine.NewCancel()
+	eng := opts.Engine
+	if eng == nil {
+		eng = engine.Default()
+	}
+	opts.Engine = eng.WithCancel(cancel)
+	stop := make(chan struct{})
+	go func() {
+		select {
+		case <-ctx.Done():
+			cancel.Signal(ctx.Err())
+		case <-stop:
 		}
-		p.Replay(builder)
-		out = p.Output
-	}
-
-	tr := builder.Finish()
-	mem := memprof.Measure(n, tr, opts.BatchSize)
-	latency := tr.Wall * opts.Device.CapacityPenalty(mem.AllocatorDemand())
-
-	var stageSec map[string]float64
-	if profiled {
-		stageSec = opts.Profiler.StageWall()
-		// Feed the process-wide per-stage histograms here — on real
-		// executions only, so cache hits never double-observe.
-		obs.ObserveStageLatencies(stageSec)
-	}
-
-	return &RunResult{
-		Trace: tr, Memory: mem, Latency: latency, Output: out,
-		OutputErrMax: errMax, OutputErrMean: errMean, StageSeconds: stageSec,
+	}()
+	return cancel, func(err *error) {
+		close(stop)
+		if r := recover(); r != nil {
+			reason, ok := engine.AbortReason(r)
+			if !ok {
+				panic(r)
+			}
+			*err = reason
+		}
 	}, nil
 }
 
-// outputError compares a low-precision output tensor against the f32
-// reference element-wise.
-func outputError(got, ref *ops.Var) (errMax, errMean float64) {
-	gd, rd := got.Value.Data(), ref.Value.Data()
-	if len(gd) != len(rd) || len(gd) == 0 {
+// model is the modeled side of a report at one batch size — the trace,
+// the memory profile and the capacity-penalised latency — from compiling
+// the network into its stage plan (the captured event sequence of one
+// abstract forward) and replaying it into a trace builder. Output is the
+// abstract forward's (nil shapes).
+func model(n *mmnet.Network, opts RunOptions, batchSize int) (*RunResult, error) {
+	p, err := plan.Compile(n, plan.Options{
+		BatchSize:          batchSize,
+		Precision:          opts.Precision,
+		Engine:             opts.Engine,
+		SequentialBranches: opts.SequentialBranches,
+	})
+	if err != nil {
+		return nil, err
+	}
+	builder := trace.NewBuilder(opts.Device, n.Modalities)
+	p.Replay(builder)
+	tr := builder.Finish()
+	mem := memprof.Measure(n, tr, batchSize)
+	return &RunResult{
+		Trace: tr, Memory: mem, Output: p.Output,
+		Latency: tr.Wall * opts.Device.CapacityPenalty(mem.AllocatorDemand()),
+	}, nil
+}
+
+// outputError compares a low-precision output against the f32 reference
+// element-wise.
+func outputError(got, ref []float32) (errMax, errMean float64) {
+	if len(got) != len(ref) || len(got) == 0 {
 		return 0, 0
 	}
 	var sum float64
-	for i := range gd {
-		e := math.Abs(float64(gd[i]) - float64(rd[i]))
+	for i := range got {
+		e := math.Abs(float64(got[i]) - float64(ref[i]))
 		if e > errMax {
 			errMax = e
 		}
 		sum += e
 	}
-	return errMax, sum / float64(len(gd))
+	return errMax, sum / float64(len(got))
 }
 
 // BuildAndRun is a convenience wrapper: build a private copy of a

@@ -350,11 +350,6 @@ type Attention struct {
 	tokens int
 }
 
-// NewAttention builds the attention fusion with default configuration.
-func NewAttention(g *tensor.RNG, inDims []int, outDim int) *Attention {
-	return NewAttentionCfg(g, inDims, outDim, DefaultConfig())
-}
-
 // NewAttentionCfg builds the attention fusion.
 func NewAttentionCfg(g *tensor.RNG, inDims []int, outDim int, cfg Config) *Attention {
 	d := cfg.Dim
@@ -493,11 +488,6 @@ type LateLSTM struct {
 	dim    int
 	mDim   int
 	tokens int
-}
-
-// NewLateLSTM builds the late-fusion LSTM with default configuration.
-func NewLateLSTM(g *tensor.RNG, inDims []int, outDim int) *LateLSTM {
-	return NewLateLSTMCfg(g, inDims, outDim, DefaultConfig())
 }
 
 // NewLateLSTMCfg builds the late-fusion LSTM.

@@ -164,11 +164,6 @@ func MaxPool(window int) Module {
 	return &Stateless{Name: "maxpool", F: func(c *ops.Ctx, x *ops.Var) *ops.Var { return c.MaxPool2D(x, window) }}
 }
 
-// AvgPool returns an average-pooling module.
-func AvgPool(window int) Module {
-	return &Stateless{Name: "avgpool", F: func(c *ops.Ctx, x *ops.Var) *ops.Var { return c.AvgPool2D(x, window) }}
-}
-
 // GlobalAvgPool returns a spatial global-average-pooling module.
 func GlobalAvgPool() Module {
 	return &Stateless{Name: "gap", F: func(c *ops.Ctx, x *ops.Var) *ops.Var { return c.GlobalAvgPool2D(x) }}

@@ -51,9 +51,6 @@ func (s *Span) TrackName() string {
 	return "main"
 }
 
-// DurSeconds returns the span length in seconds.
-func (s *Span) DurSeconds() float64 { return (s.End - s.Start).Seconds() }
-
 // maxSpans bounds the spans a profiler retains (kernel and engine spans
 // are budgeted separately). Beyond it, spans are counted as dropped —
 // never silently truncated — and the Chrome exporter reports the drop.

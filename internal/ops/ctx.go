@@ -84,7 +84,9 @@ type Ctx struct {
 	// the batch dimension: engine chunking is bitwise-invariant, and the
 	// one GEMM core (internal/gemm) gives a row the same bits however
 	// many rows share the call, so f32 and f16 products need no
-	// segmentation. Empty means a single request, the usual case.
+	// segmentation. One entry is a single request — a standalone eager
+	// run is a merged run of one member — and takes the unsegmented path,
+	// as does an empty slice (training, plan compiles).
 	Segments []int
 }
 
@@ -156,12 +158,6 @@ func (c *Ctx) emitP(s kernels.Spec) {
 		s.Bits = c.prec.Bits()
 	}
 	c.emit(s)
-}
-
-func (c *Ctx) emitHost(name string, flops, bytes int64, nOps int) {
-	if c.Rec != nil {
-		c.Rec.Host(name, flops, bytes, nOps)
-	}
 }
 
 // taping reports whether backward steps should be recorded for an operator

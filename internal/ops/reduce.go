@@ -68,7 +68,3 @@ func (c *Ctx) MeanAxis1(x *Var) *Var {
 	}
 	return out
 }
-
-// SumPair returns a + b (alias for Add) — the paper's "Sum" fusion
-// operator.
-func (c *Ctx) SumPair(a, b *Var) *Var { return c.Add(a, b) }

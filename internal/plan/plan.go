@@ -7,10 +7,10 @@
 //
 // The plan is a capture of the exact recorder call sequence the network
 // emits — compiling and replaying a plan into a trace.Builder produces
-// a byte-identical trace to driving the builder live — so core.Run's
-// analytic path is Compile + Replay, and fleet placement (internal/
-// place) prices the same nodes on heterogeneous devices without ever
-// re-walking the network.
+// a byte-identical trace to driving the builder live — so every
+// report's modeled side, analytic or eager, is Compile + Replay, and
+// fleet placement (internal/place) prices the same nodes on
+// heterogeneous devices without ever re-walking the network.
 package plan
 
 import (
@@ -181,8 +181,9 @@ type Plan struct {
 
 // Prologue emits the input-pipeline events of a run into rec: the
 // shared batch setup, then per modality the load+preprocess host
-// segment and the h2d transfer. core.Run emits exactly this before the
-// forward in both eager and analytic mode.
+// segment and the h2d transfer. Compile emits exactly this before the
+// abstract forward; it stays exported for the callers that drive a
+// recorder live, the benchmark's layer walk and this package's tests.
 func Prologue(rec Recorder, n *mmnet.Network, batchSize int) error {
 	// Per-batch framework setup (data loader iteration, batch assembly)
 	// is shared across modalities — uni- and multi-modal variants pay it
@@ -379,18 +380,6 @@ func (p *Plan) NodeByKey(key string) *Node {
 		}
 	}
 	return nil
-}
-
-// EncoderNodes returns the node IDs of the encoder tier in modality
-// order.
-func (p *Plan) EncoderNodes() []int {
-	var ids []int
-	for i := range p.Nodes {
-		if p.Nodes[i].Stage == mmnet.StageEncoder {
-			ids = append(ids, i)
-		}
-	}
-	return ids
 }
 
 // EventCount returns the captured event count (tests use it to confirm

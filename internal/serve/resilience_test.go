@@ -113,52 +113,68 @@ func TestInvalidDeadlineHeaderRejected(t *testing.T) {
 // TestQuarantineAfterRepeatedPanics: a config whose runs panic
 // repeatedly is served 500 (run panicked) until the threshold, then
 // 422 with the stored panic summary — even after the fault is gone —
-// while other configs keep working.
+// while other configs keep working. Every execution path recovers and
+// counts its panics the same way: the analytic pool job, the batcher's
+// merged forward (the default for eager misses) and the unbatched eager
+// pool job.
 func TestQuarantineAfterRepeatedPanics(t *testing.T) {
-	withFaults(t, "runner.run=panic")
-	s := New(Options{Workers: 2, CacheBytes: 32 << 20, QuarantineThreshold: 3})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close(context.Background())
-	})
+	for _, tc := range []struct {
+		name     string
+		body     string
+		maxBatch int
+	}{
+		{"analytic", `{"workload":"mmimdb","batch":8}`, 0},
+		{"eager_batched", `{"workload":"avmnist","eager":true,"batch":2}`, 0},
+		{"eager_unbatched", `{"workload":"avmnist","eager":true,"batch":2}`, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withFaults(t, "runner.run=panic")
+			s := New(Options{Workers: 2, CacheBytes: 32 << 20, QuarantineThreshold: 3, MaxBatch: tc.maxBatch})
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() {
+				ts.Close()
+				s.Close(context.Background())
+			})
 
-	body := `{"workload":"mmimdb","batch":8}`
-	for i := 0; i < 3; i++ {
-		resp, raw := post(t, ts.URL+"/v1/run", body, nil)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("panic run %d: status %d, want 500 (%s)", i, resp.StatusCode, raw)
-		}
-		if !strings.Contains(raw, "panicked") {
-			t.Fatalf("panic run %d: body %q does not name the panic", i, raw)
-		}
-	}
+			body := tc.body
+			for i := 0; i < 3; i++ {
+				resp, raw := post(t, ts.URL+"/v1/run", body, nil)
+				if resp.StatusCode != http.StatusInternalServerError {
+					t.Fatalf("panic run %d: status %d, want 500 (%s)", i, resp.StatusCode, raw)
+				}
+				if !strings.Contains(raw, "panicked") {
+					t.Fatalf("panic run %d: body %q does not name the panic", i, raw)
+				}
+			}
 
-	// The config is quarantined now: the fault can disappear (a healthy
-	// binary would still crash on this config — the model is
-	// deterministic) and requests still fail fast with the summary.
-	faultinject.Configure("")
-	resp, raw := post(t, ts.URL+"/v1/run", body, nil)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("quarantined: status %d, want 422 (%s)", resp.StatusCode, raw)
-	}
-	if !strings.Contains(raw, "quarantined") || !strings.Contains(raw, "faultinject") {
-		t.Fatalf("422 body %q missing quarantine reason / stored panic summary", raw)
-	}
+			// The config is quarantined now: the fault can disappear (a healthy
+			// binary would still crash on this config — the model is
+			// deterministic) and requests still fail fast with the summary.
+			faultinject.Configure("")
+			resp, raw := post(t, ts.URL+"/v1/run", body, nil)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("quarantined: status %d, want 422 (%s)", resp.StatusCode, raw)
+			}
+			if !strings.Contains(raw, "quarantined") || !strings.Contains(raw, "faultinject") {
+				t.Fatalf("422 body %q missing quarantine reason / stored panic summary", raw)
+			}
 
-	// A different config (different fingerprint) is unaffected.
-	resp, raw = post(t, ts.URL+"/v1/run", `{"workload":"avmnist","batch":8}`, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy config after quarantine: status %d (%s)", resp.StatusCode, raw)
-	}
+			// A different config (different fingerprint) is unaffected.
+			resp, raw = post(t, ts.URL+"/v1/run", `{"workload":"avmnist","batch":8}`, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthy config after quarantine: status %d (%s)", resp.StatusCode, raw)
+			}
 
-	var stats Stats
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.Resilience.QuarantinedConfigs != 1 {
-		t.Fatalf("quarantined_configs = %d, want 1", stats.Resilience.QuarantinedConfigs)
-	}
-	if stats.Resilience.PanicsRecovered < 3 {
-		t.Fatalf("panics_recovered = %d, want >= 3", stats.Resilience.PanicsRecovered)
+			var stats Stats
+			getJSON(t, ts.URL+"/v1/stats", &stats)
+			if stats.Resilience.QuarantinedConfigs != 1 {
+				t.Fatalf("quarantined_configs = %d, want 1", stats.Resilience.QuarantinedConfigs)
+			}
+			// Three injected panics, three 500s, then the 422 never ran.
+			if stats.Resilience.PanicsRecovered != 3 {
+				t.Fatalf("panics_recovered = %d, want 3", stats.Resilience.PanicsRecovered)
+			}
+		})
 	}
 }
 
@@ -179,10 +195,13 @@ func TestOversizedBodyRejected413(t *testing.T) {
 // resilience counter families, the pool-outstanding gauge, and — with
 // injection enabled — per-site firing counts.
 func TestMetricsExposeResilience(t *testing.T) {
-	withFaults(t, "jobs.admit=fail")
+	withFaults(t, "jobs.admit=fail/every=2,runner.run=panic")
 	_, ts := newTestServer(t)
 
-	// Trip the injected admission failure once so counters are nonzero.
+	// Trip one injected panic in a merged forward (admitted: first hit of
+	// jobs.admit) and the injected admission failure once (second hit), so
+	// counters are nonzero.
+	post(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2}`, nil)
 	post(t, ts.URL+"/v1/run", `{"workload":"mmimdb"}`, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -211,6 +230,9 @@ func TestMetricsExposeResilience(t *testing.T) {
 	}
 	if !strings.Contains(text, `mmbench_faults_injected_total{site="jobs.admit"} 1`) {
 		t.Fatal("/metrics does not report the injected admission failure firing")
+	}
+	if !strings.Contains(text, "mmbench_resilience_panics_recovered_total 1\n") {
+		t.Fatal("/metrics does not count the panic recovered from the merged forward")
 	}
 }
 

@@ -209,45 +209,58 @@ func runImpl(ctx context.Context, cfg RunConfig, prof *obs.Profiler, models *wor
 	// The runner.run injection site: a "panic" rule here simulates a
 	// workload whose kernels reliably crash (the quarantine trigger).
 	faultinject.Hit(faultinject.SiteRunner)
-	if cfg.Workload == "" {
-		return nil, nil, fmt.Errorf("mmbench: RunConfig.Workload is required")
+	cfg, n, opts, err := resolve(cfg, models)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.BatchSize, opts.Eager, opts.Seed = cfg.BatchSize, cfg.Eager, cfg.Seed
+	opts.Profiler, opts.Ctx = prof, ctx
+	res, err := core.Run(n, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return buildReport(cfg, opts.Precision, res), stageMillis(res.StageSeconds), nil
+}
+
+// withDefaults resolves the defaults a RunConfig leaves open — variant
+// (the workload's first fusion method), device and batch size — so the
+// executions, the reports and the cache keys all read one definition.
+// Only an unknown workload leaves the variant empty.
+func (cfg RunConfig) withDefaults() RunConfig {
+	if cfg.Device == "" {
+		cfg.Device = "2080ti"
+	}
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = 32 // core.RunOptions' default
 	}
 	if cfg.Variant == "" {
-		info, err := workloads.Get(cfg.Workload)
-		if err != nil {
-			return nil, nil, err
+		if info, err := workloads.Get(cfg.Workload); err == nil {
+			cfg.Variant = info.Fusions[0]
 		}
-		cfg.Variant = info.Fusions[0]
 	}
-	devName := cfg.Device
-	if devName == "" {
-		devName = "2080ti"
+	return cfg
+}
+
+// resolve is the front of every execution, standalone or merged: cfg
+// with its defaults applied, its network (through models, see runImpl)
+// and the run options its device and precision policy parse to.
+func resolve(cfg RunConfig, models *workloads.Store) (_ RunConfig, n *mmnet.Network, opts core.RunOptions, err error) {
+	if cfg.Workload == "" {
+		return cfg, nil, opts, fmt.Errorf("mmbench: RunConfig.Workload is required")
 	}
-	dev, err := device.ByName(devName)
-	if err != nil {
-		return nil, nil, err
+	cfg = cfg.withDefaults()
+	if cfg.Variant == "" {
+		_, err = workloads.Get(cfg.Workload)
+		return cfg, nil, opts, err
 	}
-	pol, err := precision.ParsePolicy(cfg.Precision)
-	if err != nil {
-		return nil, nil, err
+	if opts.Device, err = device.ByName(cfg.Device); err != nil {
+		return cfg, nil, opts, err
 	}
-	n, err := models.Get(cfg.Workload, cfg.Variant, cfg.PaperScale)
-	if err != nil {
-		return nil, nil, err
+	if opts.Precision, err = precision.ParsePolicy(cfg.Precision); err != nil {
+		return cfg, nil, opts, err
 	}
-	res, err := core.Run(n, core.RunOptions{
-		Device:    dev,
-		BatchSize: cfg.BatchSize,
-		Eager:     cfg.Eager,
-		Seed:      cfg.Seed,
-		Precision: pol,
-		Profiler:  prof,
-		Ctx:       ctx,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return buildReport(cfg, devName, pol, res), stageMillis(res.StageSeconds), nil
+	n, err = models.Get(cfg.Workload, cfg.Variant, cfg.PaperScale)
+	return cfg, n, opts, err
 }
 
 // stageMillis converts the runner's per-stage seconds to the
@@ -263,7 +276,8 @@ func stageMillis(sec map[string]float64) map[string]float64 {
 	return ms
 }
 
-func buildReport(cfg RunConfig, devName string, pol precision.Policy, res *core.RunResult) *Report {
+// buildReport renders a run of cfg (defaults resolved) as its Report.
+func buildReport(cfg RunConfig, pol precision.Policy, res *core.RunResult) *Report {
 	tr := res.Trace
 	var polName string
 	if !pol.AllF32() {
@@ -274,8 +288,8 @@ func buildReport(cfg RunConfig, devName string, pol precision.Policy, res *core.
 	r := &Report{
 		Workload:        cfg.Workload,
 		Variant:         cfg.Variant,
-		Device:          devName,
-		Batch:           batchOf(cfg),
+		Device:          cfg.Device,
+		Batch:           cfg.BatchSize,
 		Precision:       polName,
 		OutputErrMax:    res.OutputErrMax,
 		OutputErrMean:   res.OutputErrMean,
@@ -317,13 +331,6 @@ func buildReport(cfg RunConfig, devName string, pol precision.Policy, res *core.
 		r.StallShares[device.StallReason(i).String()] = s
 	}
 	return r
-}
-
-func batchOf(cfg RunConfig) int {
-	if cfg.BatchSize > 0 {
-		return cfg.BatchSize
-	}
-	return 32
 }
 
 // String renders a human-readable report summary.

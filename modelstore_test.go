@@ -237,6 +237,32 @@ func TestModelStoreBehaviour(t *testing.T) {
 					t.Fatalf("RunMergedProfiled: %v", err)
 				}
 				wantStandalone(t, eager, reps[0])
+
+				// A report has no mode field and its modeled side is the
+				// same Compile + Replay in both modes: an eager report IS
+				// the analytic one, plus the measured output error under a
+				// low-precision policy.
+				for _, workload := range []string{"mosei", "avmnist"} {
+					for _, prec := range []string{"", "i8"} {
+						cfg := RunConfig{Workload: workload, PaperScale: true, BatchSize: 2, Precision: prec}
+						want, err := cr.Run(cfg)
+						if err != nil {
+							t.Fatalf("analytic %+v: %v", cfg, err)
+						}
+						cfg.Eager = true
+						rep, err := cr.Run(cfg)
+						if err != nil {
+							t.Fatalf("eager %+v: %v", cfg, err)
+						}
+						got := *rep
+						if prec != "" {
+							got.OutputErrMax, got.OutputErrMean = 0, 0
+						}
+						if got, want := reportJSON(t, &got), reportJSON(t, want); !bytes.Equal(got, want) {
+							t.Errorf("eager report for %+v differs from the analytic one:\n got %s\nwant %s", cfg, got, want)
+						}
+					}
+				}
 			},
 		},
 	}
