@@ -118,8 +118,9 @@ func (cr *CachedRunner) Stats() resultcache.Stats { return cr.cache.Stats() }
 
 // ModelStats snapshots the model store's counters: hits are eager
 // executions served by a resident model, executions are builds, bytes
-// the resident parameter footprint.
-func (cr *CachedRunner) ModelStats() resultcache.Stats { return cr.models.Stats() }
+// the resident footprint (parameters plus the GEMM panels the models
+// keep, the latter also reported alone as packed bytes).
+func (cr *CachedRunner) ModelStats() workloads.StoreStats { return cr.models.Stats() }
 
 // reportBytes estimates a report's resident size for the cache budget
 // by its JSON encoding — close enough for an LRU byte budget.

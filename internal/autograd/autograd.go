@@ -11,6 +11,7 @@ package autograd
 import (
 	"fmt"
 
+	"mmbench/internal/gemm"
 	"mmbench/internal/tensor"
 )
 
@@ -24,6 +25,12 @@ type Var struct {
 	// NeedGrad marks Vars that participate in backward: parameters, and
 	// any Var computed from one.
 	NeedGrad bool
+	// Frozen, when non-nil, marks a parameter of a shared, read-only
+	// network (one a workloads.Store handed out): nothing may write its
+	// Value or Grad, a taped operator that would refuses it, and untaped
+	// products against it keep their packed GEMM panels here. Parameters
+	// of a privately built network never have one.
+	Frozen *gemm.PackedB
 }
 
 // NewVar wraps a tensor as a non-parameter Var.

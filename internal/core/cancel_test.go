@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mmbench/internal/engine"
 	"mmbench/internal/faultinject"
+	"mmbench/internal/mmnet"
+	"mmbench/internal/workloads"
 )
 
 // TestRunCtxCancelledBeforeStart: a context cancelled before the run
@@ -121,5 +125,122 @@ func TestRunUncancelledContextBitwiseIdentical(t *testing.T) {
 		if string(tr) != string(refTrace) {
 			t.Fatalf("workers=%d: trace diverged from context-free run", workers)
 		}
+	}
+}
+
+// packedBytes sums the GEMM panels a network's parameters keep — the
+// holders' own count, independent of what a store was told.
+func packedBytes(n *mmnet.Network) int64 {
+	var total int64
+	for _, p := range n.Params() {
+		total += p.Frozen.Bytes()
+	}
+	return total
+}
+
+// storeNet resolves a fresh frozen network — one whose weights have kept
+// no panels yet — and the private twin its outputs must match.
+func storeNet(t *testing.T, workload, variant string) (frozen, private *mmnet.Network) {
+	t.Helper()
+	frozen, err := workloads.NewStore(workloads.StoreBudget).Get(workload, variant, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err = workloads.Build(workload, variant, false, workloads.WeightSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frozen, private
+}
+
+func wantPrivateBits(t *testing.T, what string, frozen, private *mmnet.Network, opts RunOptions) {
+	t.Helper()
+	got, err := Run(frozen, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, err := Run(private, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Output.Value.Data(), want.Output.Value.Data()
+	for i := range w {
+		if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+			t.Fatalf("%s: output[%d] = %g, a private network gives %g", what, i, g[i], w[i])
+		}
+	}
+}
+
+// TestCancelledFirstUseLeavesNoPanels cancels the first-ever eager run
+// of a store network mid-forward, with the same harness as above. Until
+// the next stage boundary that forward keeps calling Linear on an engine
+// whose chunks are now no-ops, so every weight it reaches "packs"
+// nothing into its buffer: a panel published from there would corrupt
+// every later request. The cancelled run must leave nothing behind it —
+// the same network, run again uncancelled, gives a private network's
+// bits.
+func TestCancelledFirstUseLeavesNoPanels(t *testing.T) {
+	for _, m := range []struct{ workload, variant string }{{"avmnist", "concat"}, {"mosei", "transformer"}} {
+		frozen, private := storeNet(t, m.workload, m.variant)
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := faultinject.Configure("engine.chunk=delay:1ms/every=4"); err != nil {
+			t.Fatal(err)
+		}
+		var spans atomic.Int64
+		engine.SetTaskObserver(func(id int64, w int, s, e time.Time) {
+			if spans.Add(1) == 3 {
+				cancel()
+			}
+		})
+		e := engine.New(4)
+		_, err := Run(frozen, RunOptions{Eager: true, BatchSize: 16, Engine: e, Ctx: ctx})
+		engine.SetTaskObserver(nil)
+		faultinject.Configure("")
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err %v, want context.Canceled", frozen.Name, err)
+		}
+		wantPrivateBits(t, frozen.Name+" after a cancelled first use", frozen, private, RunOptions{Eager: true, BatchSize: 16, Engine: e})
+		if packedBytes(frozen) == 0 {
+			t.Errorf("%s: the uncancelled run kept no panels", frozen.Name)
+		}
+		e.Close()
+	}
+}
+
+// TestPanickedFirstUseLeavesNoPanels injects a kernel panic into the
+// first-ever eager run of a store network at chunk positions spread over
+// the whole forward (one worker and sequential branches, so the n-th
+// engine chunk is the same chunk every time — pack chunks included). The
+// faulted run panics as it always has; whatever it had packed or was
+// packing, the next run of the same network gives a private network's
+// bits and the pool is whole again.
+func TestPanickedFirstUseLeavesNoPanels(t *testing.T) {
+	defer faultinject.Configure("")
+	e := engine.New(1)
+	defer e.Close()
+	opts := RunOptions{Eager: true, BatchSize: 2, Engine: e, SequentialBranches: true}
+	panicked := 0
+	for every := 1; every <= 90; every += 2 {
+		frozen, private := storeNet(t, "mosei", "transformer")
+		if err := faultinject.Configure(fmt.Sprintf("engine.chunk=panic/every=%d", every)); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() != nil {
+					panicked++
+				}
+			}()
+			_, _ = Run(frozen, opts)
+		}()
+		faultinject.Configure("")
+		wantPrivateBits(t, fmt.Sprintf("%s after a panic at chunk %d", frozen.Name, every), frozen, private, opts)
+		if out := e.Stats().PoolOutstanding; out != 0 {
+			t.Fatalf("panic at chunk %d: %d pooled buffers never returned", every, out)
+		}
+	}
+	if panicked < 40 {
+		t.Fatalf("only %d injected panics fired: the forward has fewer chunks than the sweep assumes", panicked)
 	}
 }

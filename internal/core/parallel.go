@@ -20,10 +20,11 @@ import (
 // Two budgets, each covering what it says and nothing else: profCache
 // holds RunResults — traces plus fixed-size summaries, sized by
 // runResultBytes; a RunResult does not reference its network — and
-// profModels holds the networks, sized by ParamBytes, one per (workload,
-// variant) shared by that variant's whole device × batch grid. Together
-// they bound the drivers' resident memory at 128 MiB of results plus
-// workloads.StoreBudget of parameters.
+// profModels holds the networks, sized by ParamBytes (the drivers run
+// analytically, so no weight is ever multiplied and no GEMM panel kept
+// or charged), one per (workload, variant) shared by that variant's
+// whole device × batch grid. Together they bound the drivers' resident
+// memory at 128 MiB of results plus workloads.StoreBudget of parameters.
 var (
 	profPoolOnce sync.Once
 	profPool     *jobs.Pool

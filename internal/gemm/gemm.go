@@ -7,14 +7,24 @@
 //
 // A call computes dst[M,N] += alpha · A[M,K]·B[K,N] (either operand may
 // be stored transposed — the pack step absorbs the transpose, so NN, NT
-// and TN all run the same inner kernel). Operands are repacked once per
-// invocation into pooled engine scratch:
+// and TN all run the same inner kernel). Operands are repacked into
+// panels:
 //
 //	A row panels    ap[(ip·K + l)·MR + r] = A[ip·MR+r][l]   (l-major)
 //	B column panels bp[(jp·K + l)·NR + c] = B[l][jp·NR+c]
 //
 // so the micro-kernel streams both panels with unit stride. Edge panels
 // are zero-padded to full MR×NR width; padded lanes never reach dst.
+//
+// Every product is "get B panels, then multiply against them". F32, F16
+// and I8 pack both operands once per invocation into pooled engine
+// scratch. A PackedB — the holder a frozen network's weight carries —
+// packs B with the same routine into memory it keeps, once per
+// precision, and hands it to the same multiply routine (mulF32, mulF16,
+// mulI8: each the only driver of its micro-kernel), so kept and per-call
+// panels give the same bits; A is packed per call either way. Kept
+// panels are reachable only through their holder: this package has no
+// cache of its own.
 //
 // # Micro-kernel
 //
@@ -76,7 +86,10 @@ var packActivity struct {
 	poolHits  atomic.Int64
 }
 
-// PackActivity is a snapshot of pack-panel pool counters.
+// PackActivity is a snapshot of pack-panel pool counters: the per-call
+// panels only. The panels a PackedB keeps are heap memory, packed once,
+// and are not counted here (their owner reports them — the model store's
+// packed bytes).
 type PackActivity struct {
 	// PanelCheckouts counts pooled panel buffers drawn (A and B panels
 	// across every packed kernel invocation).
@@ -158,18 +171,31 @@ func F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	nip, njp := (m+MR-1)/MR, (n+NR-1)/NR
-	ap := panelF32(e, nip*k*MR)
-	defer e.Put(ap)
-	bp := panelF32(e, njp*k*NR)
+	bp := panelF32(e, panelsB(n)*k*NR)
 	defer e.Put(bp)
-	packAF32(e, ap, a, m, k, aT)
 	packBF32(e, bp, b, k, n, bT)
-	computeF32(e, dst, ap, bp, m, k, n, nip, njp, alpha)
+	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false)
 }
 
-// computeF32 walks packed f32 panels, one A row panel per work unit.
-func computeF32(e *engine.Engine, dst, ap, bp []float32, m, k, n, nip, njp int, alpha float32) {
+// panelsA and panelsB count the MR-row panels of an m-row A and the
+// NR-column panels of an n-column B.
+func panelsA(m int) int { return (m + MR - 1) / MR }
+func panelsB(n int) int { return (n + NR - 1) / NR }
+
+// mulF32 multiplies A against finished f32 B panels: it packs A into
+// pooled scratch (through the float16 grid when f16A — the F16 fallback
+// layout) and walks the micro-kernel, one A row panel per work unit. It
+// is the only driver of kernF32; the per-call entry points and the kept
+// panels of a PackedB differ only in where bp came from.
+func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool) {
+	nip, njp := panelsA(m), panelsB(n)
+	ap := panelF32(e, nip*k*MR)
+	defer e.Put(ap)
+	if f16A {
+		packAF16(e, ap, a, m, k, aT)
+	} else {
+		packAF32(e, ap, a, m, k, aT)
+	}
 	e.ParallelFor(nip, 1, func(lo, hi int) {
 		var tile [MR * NR]float32
 		for ip := lo; ip < hi; ip++ {
@@ -191,32 +217,38 @@ func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	nip, njp := (m+MR-1)/MR, (n+NR-1)/NR
-	ap := panelF32(e, nip*k*MR)
-	defer e.Put(ap)
-	packAF16(e, ap, a, m, k, aT)
 	if asmF16 {
 		// Half-width B panels: raw float16 bits, converted in-kernel by
 		// vcvtph2ps (exact, so numerically identical to the f32 layout).
-		bp := panelU16(e, njp*k*NR)
+		bp := panelU16(e, panelsB(n)*k*NR)
 		defer e.PutU16(bp)
 		packBU16(e, bp, b, k, n, bT)
-		e.ParallelFor(nip, 1, func(lo, hi int) {
-			var tile [MR * NR]float32
-			for ip := lo; ip < hi; ip++ {
-				app := ap[ip*k*MR : (ip+1)*k*MR]
-				for jp := 0; jp < njp; jp++ {
-					kernF16Asm(&app[0], &bp[jp*k*NR], &tile[0], int64(k))
-					addTileF32(dst, &tile, ip*MR, jp*NR, m, n, alpha)
-				}
-			}
-		})
+		mulF16(e, dst, a, bp, m, k, n, alpha, aT)
 	} else {
-		bp := panelF32(e, njp*k*NR)
+		bp := panelF32(e, panelsB(n)*k*NR)
 		defer e.Put(bp)
 		packBF16F32(e, bp, b, k, n, bT)
-		computeF32(e, dst, ap, bp, m, k, n, nip, njp, alpha)
+		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true)
 	}
+}
+
+// mulF16 multiplies A, rounded to the float16 grid while packing,
+// against finished half-width B panels — the only driver of kernF16Asm.
+func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool) {
+	nip, njp := panelsA(m), panelsB(n)
+	ap := panelF32(e, nip*k*MR)
+	defer e.Put(ap)
+	packAF16(e, ap, a, m, k, aT)
+	e.ParallelFor(nip, 1, func(lo, hi int) {
+		var tile [MR * NR]float32
+		for ip := lo; ip < hi; ip++ {
+			app := ap[ip*k*MR : (ip+1)*k*MR]
+			for jp := 0; jp < njp; jp++ {
+				kernF16Asm(&app[0], &bp[jp*k*NR], &tile[0], int64(k))
+				addTileF32(dst, &tile, ip*MR, jp*NR, m, n, alpha)
+			}
+		}
+	})
 }
 
 // I8 computes dst[m,n] += alpha·sa·sb · (Qa·Qb) where Qa, Qb are the
@@ -233,14 +265,24 @@ func I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float3
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	kp := (k + 1) / 2 // int16 pair count; odd K pads a zero level (exact)
-	nip, njp := (m+MR-1)/MR, (n+NR-1)/NR
+	bp := panelI8(e, panelsB(n)*pairsI8(k)*2*NR)
+	defer e.PutI8(bp)
+	packBI8(e, bp, b, k, n, sb, bT)
+	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT)
+}
+
+// pairsI8 is the int16 pair count of a K-long int8 dot; odd K pads a
+// zero level (exact).
+func pairsI8(k int) int { return (k + 1) / 2 }
+
+// mulI8 quantizes and packs A at scale sa and multiplies it against
+// finished int8 B panels quantized at sb — the only driver of kernI8.
+func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa, sb float32, aT bool) {
+	kp := pairsI8(k)
+	nip, njp := panelsA(m), panelsB(n)
 	ap := panelI16(e, nip*kp*2*MR)
 	defer e.PutI16(ap)
-	bp := panelI8(e, njp*kp*2*NR)
-	defer e.PutI8(bp)
 	packAI16(e, ap, a, m, k, sa, aT)
-	packBI8(e, bp, b, k, n, sb, bT)
 	deq := alpha * sa * sb
 	e.ParallelFor(nip, 1, func(lo, hi int) {
 		var tile [MR * NR]int32

@@ -12,6 +12,7 @@ import (
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
 	"mmbench/internal/fusion"
+	"mmbench/internal/gemm"
 	"mmbench/internal/models"
 	"mmbench/internal/ops"
 )
@@ -244,6 +245,19 @@ func (n *Network) ParamBytes() int64 {
 		total += p.Value.Bytes()
 	}
 	return total
+}
+
+// Freeze marks the network as shared and read-only by giving every
+// parameter an empty packed-panel holder (autograd.Var.Frozen): from
+// then on a taped forward over it panics, and untaped Linear products
+// pack each weight once per precision instead of once per call,
+// reporting every panel set they keep to built. It must run before the
+// network is shared — its one caller is workloads.Store.Get, on the
+// network it is about to publish.
+func (n *Network) Freeze(built func(bytes int64)) {
+	for _, p := range n.Params() {
+		p.Frozen = gemm.NewPackedB(built)
+	}
 }
 
 // NumModalities returns the encoder branch count.

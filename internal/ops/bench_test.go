@@ -6,6 +6,8 @@ import (
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
+	"mmbench/internal/gemm"
+	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 )
 
@@ -249,3 +251,50 @@ func BenchmarkOuterFusion(b *testing.B) {
 		Infer().OuterFusion(x, y)
 	}
 }
+
+// linearShapes are the Linear products the served models issue: mosei's
+// LSTM steps at batch 2 (2×128×512 recurrent, 2×35×512 and 2×74×512
+// input projections), its transformer FFN at b2·T50 (100×256×512 and
+// 100×512×256), the head-sized census shape 2×128×2, and the recurrent
+// step again under the two reduced precisions.
+var linearShapes = []struct {
+	rows, in, out int
+	prec          precision.Type
+}{
+	{2, 128, 512, precision.F32},
+	{2, 35, 512, precision.F32},
+	{2, 74, 512, precision.F32},
+	{100, 256, 512, precision.F32},
+	{100, 512, 256, precision.F32},
+	{2, 128, 2, precision.F32},
+	{2, 128, 512, precision.F16},
+	{2, 128, 512, precision.I8},
+}
+
+func benchLinear(b *testing.B, frozen bool) {
+	for _, s := range linearShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d_%s", s.rows, s.in, s.out, s.prec), func(b *testing.B) {
+			g := tensor.NewRNG(41)
+			x := benchVar(g, s.rows, s.in)
+			w, bias := benchVar(g, s.in, s.out), benchVar(g, s.out)
+			if frozen {
+				w.Frozen = gemm.NewPackedB(nil)
+			}
+			c := lowpCtx(nil, s.prec)
+			c.Linear(x, w, bias) // first use packs the frozen weight
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Linear(x, w, bias)
+			}
+		})
+	}
+}
+
+// BenchmarkLinearFrozen is Linear over a frozen store network's weight:
+// the B panels (and the i8 weight scale) are kept, so a call packs only
+// its activations.
+func BenchmarkLinearFrozen(b *testing.B) { benchLinear(b, true) }
+
+// BenchmarkLinearPerCall is its twin over a private network's weight,
+// which re-packs W on every call.
+func BenchmarkLinearPerCall(b *testing.B) { benchLinear(b, false) }

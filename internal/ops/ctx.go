@@ -161,10 +161,19 @@ func (c *Ctx) emitP(s kernels.Spec) {
 }
 
 // taping reports whether backward steps should be recorded for an operator
-// whose inputs include the given vars.
+// whose inputs include the given vars. A frozen parameter under a tape
+// is a bug in the caller — its backward would write gradients into (and
+// an optimizer then train) weights every concurrent inference shares,
+// against panels packed from the old values — so it panics here, in the
+// one place every operator asks.
 func (c *Ctx) taping(vs ...*Var) bool {
 	if c.Tape == nil {
 		return false
+	}
+	for _, v := range vs {
+		if v.Frozen != nil && v.NeedGrad {
+			panic("ops: frozen store network used under a tape: Build a private network")
+		}
 	}
 	for _, v := range vs {
 		if v.Value.Abstract() {

@@ -229,6 +229,13 @@ func batchMatmul(e *engine.Engine, bs int, fn func(inner *engine.Engine, i int))
 // Linear applies x·W + bias. x may be rank 2 [batch, in] or rank 3
 // [batch, time, in] (flattened internally); W is [in, out]; bias is [out]
 // and may be nil.
+//
+// Linear is the one product whose B operand is a weight. When the weight
+// belongs to a frozen store network (w.Frozen) and no tape is attached,
+// the product runs against the panels the weight keeps — packed once per
+// precision by the routine the per-call path runs, so the bits are the
+// same — and at i8 against its kept scale. Any other weight (a private
+// workloads.Build network: training, Run, Place) packs per call.
 func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	assertRank(w, 2, "Linear")
 	in, outDim := w.Value.Dim(0), w.Value.Dim(1)
@@ -266,23 +273,27 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	// batch runs one GEMM; only the i8 activation scale is a per-tensor,
 	// hence cross-request, statistic and calibrates per request segment.
 	// The weight scale is per-tensor over W and batch-independent.
+	var kept *gemm.PackedB // nil packs per call
+	if c.Tape == nil {
+		kept = w.Frozen
+	}
 	switch p := c.prec; p {
 	case precision.F16:
 		countLowp(p)
-		gemm.F16(e, od, xd, wd, rows, in, outDim, 1, false, false)
+		kept.F16(e, od, xd, wd, rows, in, outDim, 1, false, false)
 		if bias == nil {
 			roundSliceF16(e, od)
 		}
 	case precision.I8:
 		countLowp(p)
-		sw := precision.I8Scale(precision.MaxAbs(wd))
+		sw := kept.I8Scale(wd)
 		c.eachI8Segment(rows, func(lo, hi int) {
 			xs := xd[lo*in : hi*in]
 			sx := precision.I8Scale(precision.MaxAbs(xs))
-			gemm.I8(e, od[lo*outDim:hi*outDim], xs, wd, hi-lo, in, outDim, 1, sx, sw, false, false)
+			kept.I8(e, od[lo*outDim:hi*outDim], xs, wd, hi-lo, in, outDim, 1, sx, sw, false, false)
 		})
 	default:
-		matmulNN(e, od, xd, wd, rows, in, outDim, 1)
+		kept.F32(e, od, xd, wd, rows, in, outDim, 1, false, false)
 	}
 	if bias != nil {
 		bd := bias.Value.Data()

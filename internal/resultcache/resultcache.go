@@ -71,6 +71,10 @@ type Stats struct {
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
 	Capacity int64 `json:"capacity_bytes"`
+	// Grown is the part of Bytes that resident entries acquired through
+	// Grow after they were inserted. It is not serialized: an owner whose
+	// values grow reports it under the name of what they grow by.
+	Grown int64 `json:"-"`
 }
 
 // HitRate is the fraction of lookups served from cache.
@@ -85,7 +89,8 @@ func (s Stats) HitRate() float64 {
 type entry struct {
 	key   string
 	value any
-	bytes int64
+	bytes int64 // current cost, grown included
+	grown int64
 }
 
 // call is one in-flight computation other callers can join. ok flips
@@ -105,6 +110,7 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
+	grown    int64
 	ll       *list.List // front = most recently used; values are *entry
 	items    map[string]*list.Element
 	inflight map[string]*call
@@ -214,12 +220,19 @@ func (c *Cache) add(key string, value any, bytes int64) {
 		// defensive: replace in place.
 		old := el.Value.(*entry)
 		c.bytes += bytes - old.bytes
-		old.value, old.bytes = value, bytes
+		c.grown -= old.grown
+		old.value, old.bytes, old.grown = value, bytes, 0
 		c.ll.MoveToFront(el)
 	} else {
 		c.items[key] = c.ll.PushFront(&entry{key: key, value: value, bytes: bytes})
 		c.bytes += bytes
 	}
+	c.evict()
+}
+
+// evict drops least recently used entries until the cache is within its
+// budget. Caller holds mu.
+func (c *Cache) evict() {
 	for c.bytes > c.capacity {
 		back := c.ll.Back()
 		if back == nil {
@@ -229,8 +242,37 @@ func (c *Cache) add(key string, value any, bytes int64) {
 		c.ll.Remove(back)
 		delete(c.items, e.key)
 		c.bytes -= e.bytes
+		c.grown -= e.grown
 		c.stats.Evictions++
 	}
+}
+
+// Grow adds delta bytes to the cost of key's entry, for a value that
+// acquires memory after it was inserted (a model packing its weights on
+// first use), and then evicts least recently used entries while the
+// cache is over budget. Growing counts as a use, so the neighbours go
+// first; an entry that has outgrown the whole budget goes last, as Do
+// would not have cached it. It is a no-op unless the entry still holds
+// value (a pointer, compared by identity): a value that was evicted, or
+// evicted and recomputed as another instance, stays alive and uncharged
+// until its last user drops it.
+func (c *Cache) Grow(key string, value any, delta int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if e.value != value {
+		return
+	}
+	e.bytes += delta
+	e.grown += delta
+	c.bytes += delta
+	c.grown += delta
+	c.ll.MoveToFront(el)
+	c.evict()
 }
 
 // Len returns the number of cached entries.
@@ -247,6 +289,7 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	s.Bytes = c.bytes
+	s.Grown = c.grown
 	s.Capacity = c.capacity
 	return s
 }

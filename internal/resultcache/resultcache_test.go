@@ -200,6 +200,52 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// Grow charges memory a value acquired after insertion: the grown entry
+// counts as used, its least recently used neighbours are evicted first,
+// an entry that outgrows the whole budget goes too, and a value that is
+// no longer the resident one is never charged.
+func TestGrowChargesAndEvicts(t *testing.T) {
+	c := New(100)
+	vals := map[string]*int{"a": new(int), "b": new(int), "c": new(int)}
+	put := func(k string, size int64) {
+		c.Do(k, func() (any, int64, error) { return vals[k], size, nil })
+	}
+	want := func(step string, bytes, grown int64, evictions uint64, resident ...string) {
+		t.Helper()
+		s := c.Stats()
+		if s.Bytes != bytes || s.Grown != grown || s.Evictions != evictions || s.Entries != len(resident) {
+			t.Fatalf("%s: %+v, want bytes %d grown %d evictions %d entries %v", step, s, bytes, grown, evictions, resident)
+		}
+		for _, k := range resident {
+			if _, ok := c.items[k]; !ok {
+				t.Fatalf("%s: %s is not resident", step, k)
+			}
+		}
+	}
+	put("a", 30)
+	put("b", 30)
+	put("c", 30)
+	c.Grow("a", vals["a"], 5)
+	want("within budget", 95, 5, 0, "a", "b", "c")
+
+	// a is the oldest insertion but growing used it: b goes first.
+	c.Grow("a", vals["a"], 10)
+	want("grown past the budget", 75, 15, 1, "a", "c")
+
+	// A stale instance under a live key, and an evicted key, are no-ops.
+	c.Grow("a", new(int), 50)
+	c.Grow("b", vals["b"], 50)
+	want("stale and evicted growers", 75, 15, 1, "a", "c")
+
+	// Evicting a grown entry takes its growth out of the figure.
+	c.Grow("c", vals["c"], 60)
+	want("a evicted by c's growth", 90, 60, 2, "c")
+
+	// Alone and over the whole budget: not cacheable, as in Do.
+	c.Grow("c", vals["c"], 20)
+	want("outgrew the budget", 0, 0, 3)
+}
+
 func TestOversizeValueNotCached(t *testing.T) {
 	c := New(10)
 	calls := 0

@@ -63,7 +63,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("mmbench_model_store_hits_total", "Eager executions served by an already-built network.", float64(ms.Hits))
 	m.counter("mmbench_model_store_builds_total", "Network builds the model store ran (weights drawn; failed attempts for unknown variants included).", float64(ms.Executions))
 	m.counter("mmbench_model_store_evictions_total", "Networks evicted under the model-store budget.", float64(ms.Evictions))
-	m.gauge("mmbench_model_store_resident_bytes", "Parameter bytes of networks resident in the model store.", float64(ms.Bytes))
+	m.gauge("mmbench_model_store_resident_bytes", "Bytes of networks resident in the model store: parameters plus kept GEMM panels.", float64(ms.Bytes))
+	m.gauge("mmbench_model_store_packed_bytes", "GEMM weight panels kept by resident networks, all precisions (part of resident bytes).", float64(ms.PackedBytes))
 
 	if s.batcher != nil {
 		bst := s.batcher.Stats()

@@ -5,8 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mmbench"
+	"mmbench/internal/gemm"
 )
 
 func TestRunResponseIncludesStageLatency(t *testing.T) {
@@ -96,6 +100,80 @@ func TestStatsReportsModelStore(t *testing.T) {
 	}
 }
 
+// metricValues reads every unlabeled sample of a /metrics page.
+func metricValues(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
+				vals[f[0]] = v
+			}
+		}
+	}
+	return vals
+}
+
+// A served model packs its Linear weights on the first eager request and
+// never again: the second request (another seed, so a result-cache miss)
+// adds nothing to the store's packed bytes, and the per-call panel
+// traffic it draws — activations only — is under a tenth of what the
+// same request re-packs on a private network. engine.pack counts pooled
+// per-call panels only, so the kept panels show in the models block, not
+// there. /v1/stats and /metrics report the same figures.
+func TestStatsReportsKeptPanels(t *testing.T) {
+	_, ts := newTestServer(t)
+	snapshot := func() Stats {
+		var st Stats
+		getJSON(t, ts.URL+"/v1/stats", &st)
+		metrics := metricValues(t, ts.URL)
+		for name, want := range map[string]int64{
+			"mmbench_model_store_packed_bytes":   st.Models.PackedBytes,
+			"mmbench_model_store_resident_bytes": st.Models.Bytes,
+			"mmbench_engine_pack_bytes_total":    st.Engine.Pack.PanelBytes,
+		} {
+			if got, ok := metrics[name]; !ok || got != float64(want) {
+				t.Errorf("/metrics %s = %v (present %v), /v1/stats says %d", name, got, ok, want)
+			}
+		}
+		return st
+	}
+	s0 := snapshot()
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"mosei","eager":true,"batch":2,"seed":1}`, nil)
+	s1 := snapshot()
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"mosei","eager":true,"batch":2,"seed":2}`, nil)
+	s2 := snapshot()
+
+	if s0.Models.PackedBytes != 0 || s1.Models.PackedBytes <= 0 {
+		t.Fatalf("packed_bytes %d before and %d after the first eager request, want 0 then > 0", s0.Models.PackedBytes, s1.Models.PackedBytes)
+	}
+	if s1.Models.Bytes <= s1.Models.PackedBytes {
+		t.Errorf("resident bytes %d do not include parameters on top of %d packed bytes", s1.Models.Bytes, s1.Models.PackedBytes)
+	}
+	if s2.Models.PackedBytes != s1.Models.PackedBytes || s2.Models.Bytes != s1.Models.Bytes {
+		t.Errorf("the second request changed the model footprint: %+v → %+v", s1.Models, s2.Models)
+	}
+
+	before := gemm.PackStats().PanelBytes
+	if _, err := mmbench.Run(mmbench.RunConfig{Workload: "mosei", PaperScale: true, Eager: true, BatchSize: 2, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	perCall := gemm.PackStats().PanelBytes - before
+	second := s2.Engine.Pack.PanelBytes - s1.Engine.Pack.PanelBytes
+	if second <= 0 || second*10 >= perCall {
+		t.Errorf("second request drew %d panel bytes; a private network draws %d for the same request, want under a tenth", second, perCall)
+	}
+}
+
 func TestQueueWaitAppearsAfterSweep(t *testing.T) {
 	_, ts := newTestServer(t)
 	var sweep struct {
@@ -170,6 +248,7 @@ func TestMetricsExposition(t *testing.T) {
 		"mmbench_model_store_hits_total 1\n",
 		"mmbench_model_store_evictions_total 0\n",
 		"mmbench_model_store_resident_bytes",
+		"mmbench_model_store_packed_bytes",
 	}
 	for _, f := range families {
 		if !strings.Contains(text, f) {

@@ -31,6 +31,7 @@ import (
 	"mmbench/internal/ops"
 	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
+	"mmbench/internal/workloads"
 )
 
 // Options configure the server.
@@ -555,8 +556,9 @@ type Stats struct {
 	Cache        CacheStats             `json:"cache"`
 	// Models reports the runner's model store: hits are eager executions
 	// served by an already-built network, executions are builds, bytes
-	// the resident parameter footprint.
-	Models resultcache.Stats `json:"models"`
+	// the resident footprint — parameters plus packed_bytes, the GEMM
+	// panels resident models keep.
+	Models workloads.StoreStats `json:"models"`
 	// Batching reports the continuous cross-request batcher: merged-
 	// batch histogram, coalesce ratio, queue depth, and the per-stage
 	// latency percentiles observed under merged load.

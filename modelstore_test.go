@@ -6,11 +6,16 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 
+	"mmbench/internal/core"
+	"mmbench/internal/engine"
 	"mmbench/internal/mmnet"
+	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
 	"mmbench/internal/workloads"
 )
@@ -69,8 +74,69 @@ func paramBytes(t *testing.T, workload, variant string, paper bool) int64 {
 	return n.ParamBytes()
 }
 
+// eagerOutputs runs members as one core.RunMerged forward over n and
+// returns each member's output elements and measured output error.
+func eagerOutputs(t *testing.T, n *mmnet.Network, e *engine.Engine, pol precision.Policy, members []core.MemberSpec) (outs [][]float32, errMax []float64) {
+	t.Helper()
+	results, err := core.RunMerged(n, core.RunOptions{Eager: true, Engine: e, Precision: pol}, members)
+	if err != nil {
+		t.Fatalf("%s: %v", n.Name, err)
+	}
+	for _, r := range results {
+		outs = append(outs, r.Output.Value.Data())
+		errMax = append(errMax, r.OutputErrMax)
+	}
+	return outs, errMax
+}
+
+// packedBytes sums the GEMM panels a network's parameters keep — the
+// holders' own count, independent of what a store was told.
+func packedBytes(n *mmnet.Network) int64 {
+	var total int64
+	for _, p := range n.Params() {
+		total += p.Frozen.Bytes()
+	}
+	return total
+}
+
+// uniformPolicy runs every stage at p.
+func uniformPolicy(p precision.Type) precision.Policy {
+	return precision.Policy{Encoder: p, Fusion: p, Head: p}
+}
+
+func wantSameBits(t *testing.T, what string, got, want [][]float32) {
+	t.Helper()
+	for m := range want {
+		if len(got[m]) != len(want[m]) {
+			t.Fatalf("%s: member %d has %d outputs, want %d", what, m, len(got[m]), len(want[m]))
+		}
+		for i, v := range got[m] {
+			if math.Float32bits(v) != math.Float32bits(want[m][i]) {
+				t.Fatalf("%s: member %d output[%d] = %g, want %g (bitwise)", what, m, i, v, want[m][i])
+			}
+		}
+	}
+}
+
+// f32Panels is the size of one set of f32 panels for a model: what a
+// store holds after a single eager f32 request, with nothing racing.
+func f32Panels(t *testing.T, workload, variant string, paper bool) int64 {
+	t.Helper()
+	st := workloads.NewStore(workloads.StoreBudget)
+	n, err := st.Get(workload, variant, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eagerOutputs(t, n, nil, precision.Policy{}, []core.MemberSpec{{BatchSize: 1}})
+	if got := st.Stats().PackedBytes; got == 0 || got != packedBytes(n) {
+		t.Fatalf("%s: store counts %d packed bytes, the network holds %d", n.Name, got, packedBytes(n))
+	}
+	return packedBytes(n)
+}
+
 func TestModelStoreBehaviour(t *testing.T) {
 	avmnist := paramBytes(t, "avmnist", "concat", true)
+	avmnistPanels := f32Panels(t, "avmnist", "concat", true)
 	cases := []struct {
 		name   string
 		budget int64
@@ -101,14 +167,141 @@ func TestModelStoreBehaviour(t *testing.T) {
 					t.Fatalf("result cache ran %d executions, want %d distinct misses", rs.Executions, callers)
 				}
 				ms := cr.ModelStats()
-				if ms.Executions != 1 || ms.Entries != 1 || ms.Bytes != avmnist {
-					t.Fatalf("model store after %d first requests: %+v, want one %d-byte build", callers, ms, avmnist)
+				if ms.Executions != 1 || ms.Entries != 1 || ms.Bytes != avmnist+avmnistPanels || ms.PackedBytes != avmnistPanels {
+					t.Fatalf("model store after %d first requests: %+v, want one %d-byte build keeping one %d-byte set of panels", callers, ms, avmnist, avmnistPanels)
 				}
 				if ms.Hits+ms.Coalesced != callers-1 {
 					t.Errorf("hits %d + coalesced %d != %d", ms.Hits, ms.Coalesced, callers-1)
 				}
 				for _, i := range []int{0, callers - 1} {
 					wantStandalone(t, RunConfig{Workload: "avmnist", PaperScale: true, Eager: true, BatchSize: 2, Seed: int64(i + 1)}, reps[i])
+				}
+			},
+		},
+		{
+			// The first eager forwards of one store network race to pack
+			// each weight: every racer's output has the bits a private
+			// network gives, and exactly one set of panels is kept and
+			// charged.
+			name:   "racing first eager requests keep one set of panels",
+			budget: workloads.StoreBudget,
+			check: func(t *testing.T, cr *CachedRunner) {
+				const callers = 32
+				members := []core.MemberSpec{{BatchSize: 2, Seed: 3}}
+				private, err := workloads.Build("avmnist", "concat", true, workloads.WeightSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := eagerOutputs(t, private, nil, precision.Policy{}, members)
+				n, err := cr.models.Get("avmnist", "concat", true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs := make([][][]float32, callers)
+				var wg sync.WaitGroup
+				for i := range outs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						results, err := core.RunMerged(n, core.RunOptions{Eager: true}, members)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						outs[i] = [][]float32{results[0].Output.Value.Data()}
+					}(i)
+				}
+				wg.Wait()
+				if t.Failed() {
+					return
+				}
+				for i, out := range outs {
+					wantSameBits(t, "racer "+strconv.Itoa(i), out, want)
+				}
+				if ms := cr.ModelStats(); ms.PackedBytes != avmnistPanels || packedBytes(n) != avmnistPanels || ms.Bytes != avmnist+avmnistPanels {
+					t.Fatalf("after %d racing first uses: store %+v, network holds %d; want one %d-byte set of panels", callers, ms, packedBytes(n), avmnistPanels)
+				}
+			},
+		},
+		{
+			// Only a store freezes: a private network packs per call under
+			// every precision and never acquires a holder, let alone panels.
+			name:   "a Build network never keeps panels",
+			budget: workloads.StoreBudget,
+			check: func(t *testing.T, _ *CachedRunner) {
+				n, err := workloads.Build("mosei", "transformer", false, workloads.WeightSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+					eagerOutputs(t, n, nil, uniformPolicy(p), []core.MemberSpec{{BatchSize: 2}})
+				}
+				for i, p := range n.Params() {
+					if p.Frozen != nil {
+						t.Fatalf("%s: parameter %d of a private network is frozen", n.Name, i)
+					}
+				}
+				if packedBytes(n) != 0 {
+					t.Fatalf("%s: a private network keeps %d bytes of panels", n.Name, packedBytes(n))
+				}
+			},
+		},
+		{
+			// An analytic owner (core.profModels, the experiment drivers)
+			// resolves through a store but never multiplies: it is charged
+			// parameters only, exactly as before panels existed.
+			name:   "analytic executions through a store build no panel",
+			budget: workloads.StoreBudget,
+			check: func(t *testing.T, cr *CachedRunner) {
+				n, err := cr.models.Get("avmnist", "concat", true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pol := range []precision.Policy{{}, uniformPolicy(precision.I8)} {
+					if _, err := core.Run(n, core.RunOptions{BatchSize: 8, Precision: pol}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ms := cr.ModelStats(); ms.PackedBytes != 0 || ms.Bytes != n.ParamBytes() || packedBytes(n) != 0 {
+					t.Fatalf("after analytic runs: store %+v, network holds %d packed bytes; want %d parameter bytes only", ms, packedBytes(n), n.ParamBytes())
+				}
+			},
+		},
+		{
+			// The budget holds either model fully packed, and both models'
+			// parameters, but not both with their panels. mosei is served
+			// first; avmnist's panels then grow its entry past the budget,
+			// which evicts mosei — the least recently used OTHER model —
+			// and the packed-bytes figure falls back to avmnist's alone.
+			name:   "growing past the budget evicts the least recently used other model",
+			budget: paramBytes(t, "mosei", "transformer", false) + f32Panels(t, "mosei", "transformer", false) + avmnist + avmnistPanels - 1,
+			check: func(t *testing.T, cr *CachedRunner) {
+				moseiPanels := f32Panels(t, "mosei", "transformer", false)
+				first := RunConfig{Workload: "mosei", Variant: "transformer", Eager: true, BatchSize: 2}
+				second := RunConfig{Workload: "avmnist", PaperScale: true, Eager: true, BatchSize: 2}
+				rep, err := cr.Run(first)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantStandalone(t, first, rep)
+				if ms := cr.ModelStats(); ms.Entries != 1 || ms.PackedBytes != moseiPanels {
+					t.Fatalf("after mosei: %+v, want its %d packed bytes", ms, moseiPanels)
+				}
+				rep, err = cr.Run(second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantStandalone(t, second, rep)
+				ms := cr.ModelStats()
+				if ms.Evictions != 1 || ms.Entries != 1 || ms.PackedBytes != avmnistPanels || ms.Bytes != avmnist+avmnistPanels {
+					t.Fatalf("after avmnist grew past the budget: %+v, want mosei evicted and %d+%d bytes resident", ms, avmnist, avmnistPanels)
+				}
+				// mosei was evicted, not avmnist: asking for avmnist again is a hit.
+				if _, err := cr.models.Get("avmnist", "concat", true); err != nil {
+					t.Fatal(err)
+				}
+				if after := cr.ModelStats(); after.Hits != ms.Hits+1 || after.Executions != ms.Executions {
+					t.Fatalf("avmnist was not the survivor: %+v → %+v", ms, after)
 				}
 			},
 		},
@@ -378,6 +571,55 @@ func TestSharedNetworksStayFrozen(t *testing.T) {
 		}
 		if got := paramDigest(n); got != before[i] {
 			t.Errorf("%s: parameters changed under inference: %x → %x", n.Name, before[i][:6], got[:6])
+		}
+	}
+
+	// Reports carry no output at f32, so the bits are compared directly:
+	// a store network — frozen, multiplying against the panels it keeps —
+	// gives every member of a core.RunMerged forward the outputs (and the
+	// measured output error) a private, per-call-packing network gives
+	// it, on the forward that packs the panels and on the one that reuses
+	// them, and packing writes no parameter.
+	memberSets := [][]core.MemberSpec{
+		{{BatchSize: 2, Seed: 7}},
+		{{BatchSize: 1, Seed: 8}, {BatchSize: 3, Seed: 9}, {BatchSize: 2, Seed: 10}},
+	}
+	for i, m := range models {
+		private, err := workloads.Build(m.workload, m.variant, m.paper, workloads.WeightSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+			for _, members := range memberSets {
+				want, wantErr := eagerOutputs(t, private, nil, uniformPolicy(p), members)
+				for _, workers := range []int{1, 4, 16} {
+					e := engine.New(workers)
+					n, err := workloads.NewStore(workloads.StoreBudget).Get(m.workload, m.variant, m.paper)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for use := 1; use <= 2; use++ {
+						what := fmt.Sprintf("%s %s members=%d workers=%d use %d", n.Name, p, len(members), workers, use)
+						got, gotErr := eagerOutputs(t, n, e, uniformPolicy(p), members)
+						wantSameBits(t, what, got, want)
+						for k := range wantErr {
+							if gotErr[k] != wantErr[k] {
+								t.Errorf("%s: member %d OutputErrMax %g, want %g", what, k, gotErr[k], wantErr[k])
+							}
+						}
+					}
+					e.Close()
+					if packedBytes(n) == 0 {
+						t.Errorf("%s at %s: the store network kept no panels", n.Name, p)
+					}
+					if paramDigest(n) != before[i] {
+						t.Errorf("%s at %s: packing changed the parameters", n.Name, p)
+					}
+				}
+			}
+		}
+		if packedBytes(private) != 0 {
+			t.Errorf("%s: the private network kept panels", private.Name)
 		}
 	}
 }

@@ -10,8 +10,11 @@
 # (BenchmarkMatMulI8, BenchmarkAttentionF16), which tracks the
 # quantize/dequantize overhead of the emulated low-precision kernels
 # against their f32 baselines (BenchmarkEngineMatMul,
-# BenchmarkAttentionFused), and the BenchmarkMatMulShapes sweep, which
-# pins the packed GEMM micro-kernel across square and skinny shapes.
+# BenchmarkAttentionFused), the BenchmarkMatMulShapes sweep, which
+# pins the packed GEMM micro-kernel across square and skinny shapes, and
+# the BenchmarkLinearFrozen / BenchmarkLinearPerCall pair, which prices
+# Linear over a frozen network's kept weight panels against the per-call
+# pack of a private network at the shapes the served models issue.
 # Benchmark wall times are machine-dependent; the baseline is meant for
 # relative comparisons on one machine (e.g. CI runners of the same
 # class), not absolute thresholds.
