@@ -1,3 +1,5 @@
+//go:build !noasm
+
 // CPU feature probes for the kernel dispatch in kernel_amd64.go.
 
 #include "textflag.h"

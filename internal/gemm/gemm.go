@@ -21,10 +21,14 @@
 // scratch. A PackedB — the holder a frozen network's weight carries —
 // packs B with the same routine into memory it keeps, once per
 // precision, and hands it to the same multiply routine (mulF32, mulF16,
-// mulI8: each the only driver of its micro-kernel), so kept and per-call
-// panels give the same bits; A is packed per call either way. Kept
-// panels are reachable only through their holder: this package has no
-// cache of its own.
+// mulI8), so kept and per-call panels give the same bits; A is packed per
+// call either way. Kept panels are reachable only through their holder:
+// this package has no cache of its own. Each micro-kernel has one driver:
+// mulF16 and mulI8 for theirs, and for the f32 kernel MulPanels — the
+// serial tile-level entry mulF32 runs per engine chunk, which a caller
+// with its own work partition (fused attention: one unit per batch·head
+// and query tile) drives directly over panels it packed into its own
+// scratch with PackA, PackB and PackBT.
 //
 // # Micro-kernel
 //
@@ -182,29 +186,44 @@ func F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 func panelsA(m int) int { return (m + MR - 1) / MR }
 func panelsB(n int) int { return (n + NR - 1) / NR }
 
+// LenA and LenB are the element counts of the panels PackA fills for an
+// m×k A and PackB/PackBT fill for a k×n B.
+func LenA(m, k int) int { return panelsA(m) * k * MR }
+func LenB(k, n int) int { return panelsB(n) * k * NR }
+
+// MulPanels computes dst[m,n] += alpha · A·B from finished f32 panels on
+// the calling goroutine: ap holds the row panels of an m×k A, bp the
+// column panels of a k×n B (k ≥ 1), and dst's rows are ldd ≥ n elements
+// apart. It is the only driver of kernF32 — mulF32 runs it per engine
+// chunk — and the tile-level entry for callers that partition their own
+// work over panels they packed themselves (PackA, PackB, PackBT): it
+// draws no scratch and counts nothing in PackStats.
+func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha float32) {
+	var tile [MR * NR]float32
+	for ip := 0; ip*MR < m; ip++ {
+		app := ap[ip*k*MR : (ip+1)*k*MR]
+		for jp := 0; jp*NR < n; jp++ {
+			kernF32(app, bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
+			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha)
+		}
+	}
+}
+
 // mulF32 multiplies A against finished f32 B panels: it packs A into
 // pooled scratch (through the float16 grid when f16A — the F16 fallback
-// layout) and walks the micro-kernel, one A row panel per work unit. It
-// is the only driver of kernF32; the per-call entry points and the kept
-// panels of a PackedB differ only in where bp came from.
+// layout) and runs MulPanels, one A row panel per work unit. The per-call
+// entry points and the kept panels of a PackedB differ only in where bp
+// came from.
 func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool) {
-	nip, njp := panelsA(m), panelsB(n)
-	ap := panelF32(e, nip*k*MR)
+	ap := panelF32(e, LenA(m, k))
 	defer e.Put(ap)
 	if f16A {
 		packAF16(e, ap, a, m, k, aT)
 	} else {
 		packAF32(e, ap, a, m, k, aT)
 	}
-	e.ParallelFor(nip, 1, func(lo, hi int) {
-		var tile [MR * NR]float32
-		for ip := lo; ip < hi; ip++ {
-			app := ap[ip*k*MR : (ip+1)*k*MR]
-			for jp := 0; jp < njp; jp++ {
-				kernF32(app, bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
-				addTileF32(dst, &tile, ip*MR, jp*NR, m, n, alpha)
-			}
-		}
+	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
+		MulPanels(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
 	})
 }
 
@@ -245,7 +264,7 @@ func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha 
 			app := ap[ip*k*MR : (ip+1)*k*MR]
 			for jp := 0; jp < njp; jp++ {
 				kernF16Asm(&app[0], &bp[jp*k*NR], &tile[0], int64(k))
-				addTileF32(dst, &tile, ip*MR, jp*NR, m, n, alpha)
+				addTileF32(dst, n, &tile, ip*MR, jp*NR, m, n, alpha)
 			}
 		}
 	})
@@ -296,20 +315,26 @@ func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa
 	})
 }
 
-// addTileF32 accumulates the valid region of a full MR×NR tile into dst:
-// dst[i0+r][j0+c] += alpha·tile[r][c]. Multiplying by alpha == 1 is a
-// bitwise identity, so the common unscaled call pays one multiply and no
-// branch.
-func addTileF32(dst []float32, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32) {
-	rows, cols := m-i0, n-j0
-	if rows > MR {
-		rows = MR
-	}
-	if cols > NR {
-		cols = NR
-	}
+// addTileF32 accumulates the valid region of a full MR×NR tile into dst,
+// whose rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c].
+// Multiplying by alpha == 1 is a bitwise identity, so the common unscaled
+// call pays one multiply and no branch.
+func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32) {
+	rows, cols := min(MR, m-i0), min(NR, n-j0)
 	for r := 0; r < rows; r++ {
-		dr := dst[(i0+r)*n+j0 : (i0+r)*n+j0+cols]
+		if cols == NR {
+			// Interior tile: fixed-size rows need no bounds checks, and four
+			// independent updates per step keep the adder busy.
+			dr, tr := (*[NR]float32)(dst[(i0+r)*ldd+j0:]), (*[NR]float32)(tile[r*NR:])
+			for c := 0; c < NR; c += 4 {
+				dr[c] += alpha * tr[c]
+				dr[c+1] += alpha * tr[c+1]
+				dr[c+2] += alpha * tr[c+2]
+				dr[c+3] += alpha * tr[c+3]
+			}
+			continue
+		}
+		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
 		tr := tile[r*NR : r*NR+cols]
 		for c, v := range tr {
 			dr[c] += alpha * v

@@ -383,6 +383,69 @@ func TestGenericKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestTileLevelEntryMatchesF32 drives the serial tile-level entry (PackA,
+// PackB, PackBT, MulPanels) over strided views — the operand blocks sit
+// inside wider, NaN-filled arrays, as head slices sit inside [B,T,D]
+// projections, and dst rows are wider than n — and requires the bits F32
+// gives the same product from contiguous copies: same panels, same driver.
+// Panel scratch starts NaN-filled too, so an element the pack routines
+// left unwritten, or a read outside the block, surfaces in dst. It must
+// not move the pack counters (caller-owned scratch is not pool traffic).
+func TestTileLevelEntryMatchesF32(t *testing.T) {
+	e := engine.New(2)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(9))
+	nan := float32(math.NaN())
+	// embed copies a rows×cols block into a NaN-filled array whose rows are
+	// ld apart, starting off elements in.
+	embed := func(x []float32, rows, cols, ld, off int) []float32 {
+		out := make([]float32, off+rows*ld)
+		for i := range out {
+			out[i] = nan
+		}
+		for r := 0; r < rows; r++ {
+			copy(out[off+r*ld:off+r*ld+cols], x[r*cols:(r+1)*cols])
+		}
+		return out
+	}
+	poisoned := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = nan
+		}
+		return s
+	}
+	before := PackStats()
+	for _, sh := range testShapes {
+		for _, bT := range []bool{false, true} {
+			a, b := randSlice(rng, sh.m*sh.k), randSlice(rng, sh.k*sh.n)
+			want := randSlice(rng, sh.m*sh.n)
+			got := embed(want, sh.m, sh.n, sh.n+5, 2)
+			ap, bp := poisoned(LenA(sh.m, sh.k)), poisoned(LenB(sh.k, sh.n))
+			PackA(ap, embed(a, sh.m, sh.k, sh.k+3, 1)[1:], sh.m, sh.k, sh.k+3)
+			if bT {
+				PackBT(bp, embed(b, sh.n, sh.k, sh.k+7, 4)[4:], sh.k, sh.n, sh.k+7)
+			} else {
+				PackB(bp, embed(b, sh.k, sh.n, sh.n+2, 3)[3:], sh.k, sh.n, sh.n+2)
+			}
+			MulPanels(got[2:], sh.n+5, ap, bp, sh.m, sh.k, sh.n, 0.5)
+			F32(e, want, a, b, sh.m, sh.k, sh.n, 0.5, false, bT)
+			for i := 0; i < sh.m; i++ {
+				for j := 0; j < sh.n; j++ {
+					if g, w := got[2+i*(sh.n+5)+j], want[i*sh.n+j]; math.Float32bits(g) != math.Float32bits(w) {
+						t.Fatalf("%dx%dx%d bT=%v: dst[%d][%d] = %g from the tile-level entry, %g from F32", sh.m, sh.k, sh.n, bT, i, j, g, w)
+					}
+				}
+			}
+		}
+	}
+	after := PackStats()
+	// F32 itself draws two panels per call; the tile-level calls none.
+	if calls := int64(2 * len(testShapes)); after.PanelCheckouts-before.PanelCheckouts != 2*calls {
+		t.Errorf("pack checkouts moved by %d over %d F32 calls, want %d", after.PanelCheckouts-before.PanelCheckouts, calls, 2*calls)
+	}
+}
+
 func TestPackStatsCount(t *testing.T) {
 	e := engine.New(1)
 	defer e.Close()

@@ -1,3 +1,5 @@
+//go:build !noasm
+
 // AVX2+FMA micro-kernels over packed panels. Register plan shared by all
 // three kernels:
 //

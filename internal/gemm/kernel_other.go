@@ -1,9 +1,11 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package gemm
 
-// No assembly micro-kernels outside amd64: the generic kernels carry the
-// same panel layout and accumulation order.
+// No assembly micro-kernels outside amd64, or on amd64 under the noasm
+// build tag (which exists so tests can run the portable kernels where CI
+// runs): the generic kernels carry the same panel layout and accumulation
+// order.
 const (
 	asmKernels = false
 	asmF16     = false

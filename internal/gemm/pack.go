@@ -23,85 +23,136 @@ func packPanelGrain(elemsPer int) int {
 	return g
 }
 
+// PackA packs an m×k row-major block of a, whose rows are lda ≥ k
+// elements apart, into row panels ap[(ip*k+l)*MR+r] = a[(ip*MR+r)*lda+l],
+// zero-padding rows past m. It runs on the calling goroutine and fills
+// all LenA(m, k) elements, for callers that partition their own work and
+// own their scratch (fused attention packs head slices straight out of
+// the strided [B,T,D] projections); packAF32 is the same routine per
+// engine chunk.
+func PackA(ap, a []float32, m, k, lda int) {
+	for ip := 0; ip*MR < m; ip++ {
+		p := ap[ip*k*MR : (ip+1)*k*MR]
+		i0 := ip * MR
+		rows := min(MR, m-i0)
+		// a[i*lda + l]: interleave the panel's rows l-major — a full
+		// panel's four rows together, so every step writes one 16-byte run.
+		if rows == MR {
+			a0 := a[i0*lda : i0*lda+k]
+			a1 := a[(i0+1)*lda:][:len(a0)]
+			a2 := a[(i0+2)*lda:][:len(a0)]
+			a3 := a[(i0+3)*lda:][:len(a0)]
+			for l, v := range a0 {
+				q := (*[MR]float32)(p[l*MR:])
+				q[0], q[1], q[2], q[3] = v, a1[l], a2[l], a3[l]
+			}
+			continue
+		}
+		for r := 0; r < rows; r++ {
+			ar := a[(i0+r)*lda : (i0+r)*lda+k]
+			for l, v := range ar {
+				p[l*MR+r] = v
+			}
+		}
+		for r := rows; r < MR; r++ {
+			for l := 0; l < k; l++ {
+				p[l*MR+r] = 0
+			}
+		}
+	}
+}
+
 // packAF32 packs A[m,k] (or its transpose when aT: a stored [k,m]) into
 // row panels ap[(ip*k+l)*MR+r] = A[ip*MR+r][l], zero-padding rows past m.
 func packAF32(e *engine.Engine, ap, a []float32, m, k int, aT bool) {
-	nip := (m + MR - 1) / MR
-	e.ParallelFor(nip, packPanelGrain(k*MR), func(lo, hi int) {
+	e.ParallelFor(panelsA(m), packPanelGrain(k*MR), func(lo, hi int) {
+		if !aT {
+			PackA(ap[lo*k*MR:hi*k*MR], a[lo*MR*k:], min(m, hi*MR)-lo*MR, k, k)
+			return
+		}
 		for ip := lo; ip < hi; ip++ {
 			p := ap[ip*k*MR : (ip+1)*k*MR]
 			i0 := ip * MR
-			rows := m - i0
-			if rows > MR {
-				rows = MR
-			}
-			if aT {
-				// a[l*m + i]: walk l-major, gathering the panel's rows.
-				for l := 0; l < k; l++ {
-					al := a[l*m+i0 : l*m+i0+rows]
-					pl := p[l*MR : l*MR+MR]
-					for r := 0; r < rows; r++ {
-						pl[r] = al[r]
-					}
-					for r := rows; r < MR; r++ {
-						pl[r] = 0
-					}
-				}
-			} else {
-				// a[i*k + l]: interleave the panel's rows l-major.
+			rows := min(MR, m-i0)
+			// a[l*m + i]: walk l-major, gathering the panel's rows.
+			for l := 0; l < k; l++ {
+				al := a[l*m+i0 : l*m+i0+rows]
+				pl := p[l*MR : l*MR+MR]
 				for r := 0; r < rows; r++ {
-					ar := a[(i0+r)*k : (i0+r)*k+k]
-					for l, v := range ar {
-						p[l*MR+r] = v
-					}
+					pl[r] = al[r]
 				}
 				for r := rows; r < MR; r++ {
-					for l := 0; l < k; l++ {
-						p[l*MR+r] = 0
-					}
+					pl[r] = 0
 				}
 			}
 		}
 	})
 }
 
+// PackB packs a k×n row-major block of b, whose rows are ldb ≥ n elements
+// apart, into column panels bp[(jp*k+l)*NR+c] = b[l*ldb+jp*NR+c],
+// zero-padding columns past n: PackA's serial, caller-owned counterpart
+// for the B operand, filling all LenB(k, n) elements.
+func PackB(bp, b []float32, k, n, ldb int) {
+	for jp := 0; jp*NR < n; jp++ {
+		p := bp[jp*k*NR : (jp+1)*k*NR]
+		j0 := jp * NR
+		cols := min(NR, n-j0)
+		// Panel rows are contiguous operand slices.
+		for l := 0; l < k; l++ {
+			pl := p[l*NR : l*NR+NR]
+			copy(pl, b[l*ldb+j0:l*ldb+j0+cols])
+			for c := cols; c < NR; c++ {
+				pl[c] = 0
+			}
+		}
+	}
+}
+
+// PackBT is PackB for a B stored transposed: b holds n rows of k elements,
+// ldb ≥ k apart, and bp[(jp*k+l)*NR+c] = b[(jp*NR+c)*ldb+l].
+func PackBT(bp, b []float32, k, n, ldb int) {
+	for jp := 0; jp*NR < n; jp++ {
+		p := bp[jp*k*NR : (jp+1)*k*NR]
+		j0 := jp * NR
+		cols := min(NR, n-j0)
+		// Each panel column is a contiguous operand row; four columns at
+		// a time turn the stride-NR scatter into 16-byte runs.
+		c := 0
+		for ; c+4 <= cols; c += 4 {
+			b0 := b[(j0+c)*ldb : (j0+c)*ldb+k]
+			b1 := b[(j0+c+1)*ldb:][:len(b0)]
+			b2 := b[(j0+c+2)*ldb:][:len(b0)]
+			b3 := b[(j0+c+3)*ldb:][:len(b0)]
+			for l, v := range b0 {
+				q := (*[4]float32)(p[l*NR+c:])
+				q[0], q[1], q[2], q[3] = v, b1[l], b2[l], b3[l]
+			}
+		}
+		for ; c < cols; c++ {
+			bc := b[(j0+c)*ldb : (j0+c)*ldb+k]
+			for l, v := range bc {
+				p[l*NR+c] = v
+			}
+		}
+		for c := cols; c < NR; c++ {
+			for l := 0; l < k; l++ {
+				p[l*NR+c] = 0
+			}
+		}
+	}
+}
+
 // packBF32 packs B[k,n] (or its transpose when bT: b stored [n,k]) into
 // column panels bp[(jp*k+l)*NR+c] = B[l][jp*NR+c], zero-padding columns
 // past n.
 func packBF32(e *engine.Engine, bp, b []float32, k, n int, bT bool) {
-	njp := (n + NR - 1) / NR
-	e.ParallelFor(njp, packPanelGrain(k*NR), func(lo, hi int) {
-		for jp := lo; jp < hi; jp++ {
-			p := bp[jp*k*NR : (jp+1)*k*NR]
-			j0 := jp * NR
-			cols := n - j0
-			if cols > NR {
-				cols = NR
-			}
-			if bT {
-				// b[j*k + l]: each panel column is a contiguous operand row.
-				for c := 0; c < cols; c++ {
-					bc := b[(j0+c)*k : (j0+c)*k+k]
-					for l, v := range bc {
-						p[l*NR+c] = v
-					}
-				}
-				for c := cols; c < NR; c++ {
-					for l := 0; l < k; l++ {
-						p[l*NR+c] = 0
-					}
-				}
-			} else {
-				// b[l*n + j]: panel rows are contiguous operand slices.
-				for l := 0; l < k; l++ {
-					bl := b[l*n+j0 : l*n+j0+cols]
-					pl := p[l*NR : l*NR+NR]
-					copy(pl, bl)
-					for c := cols; c < NR; c++ {
-						pl[c] = 0
-					}
-				}
-			}
+	e.ParallelFor(panelsB(n), packPanelGrain(k*NR), func(lo, hi int) {
+		p, cols := bp[lo*k*NR:hi*k*NR], min(n, hi*NR)-lo*NR
+		if bT {
+			PackBT(p, b[lo*NR*k:], k, cols, k)
+		} else {
+			PackB(p, b[lo*NR:], k, cols, n)
 		}
 	})
 }

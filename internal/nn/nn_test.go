@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mmbench/internal/attnref"
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
 	"mmbench/internal/ops"
@@ -237,17 +238,13 @@ func TestLSTMGradientsFlow(t *testing.T) {
 	}
 }
 
-// referenceAttend is the split-heads composition Attend must match: the
-// same WQ/WK/WV/WO projections around SplitHeads → NT scores with the
-// 1/√dh scale → softmax → probability·V → MergeHeads, materializing the
-// full score matrix.
+// referenceAttend is what Attend must match: the same WQ/WK/WV/WO
+// projections around the naive float64 attention oracle with the 1/√dh
+// scale, which materializes the full score matrix.
 func referenceAttend(m *MultiHeadAttention, c *ops.Ctx, q, kv *ops.Var) *ops.Var {
 	scale := float32(1 / math.Sqrt(float64(m.Dim/m.Heads)))
-	qh := c.SplitHeads(m.WQ.Forward(c, q), m.Heads)
-	kh := c.SplitHeads(m.WK.Forward(c, kv), m.Heads)
-	vh := c.SplitHeads(m.WV.Forward(c, kv), m.Heads)
-	attn := c.Softmax(c.MatMulBatchedNT(qh, kh, scale))
-	return m.WO.Forward(c, c.MergeHeads(c.MatMulBatched(attn, vh), m.Heads))
+	attn := attnref.Attention(c.Tape, m.WQ.Forward(c, q), m.WK.Forward(c, kv), m.WV.Forward(c, kv), m.Heads, scale)
+	return m.WO.Forward(c, attn)
 }
 
 // TestAttendMatchesReferenceComposition pins Attend's projection wiring

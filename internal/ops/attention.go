@@ -6,28 +6,36 @@ import (
 	"sync/atomic"
 
 	"mmbench/internal/engine"
+	"mmbench/internal/gemm"
 	"mmbench/internal/kernels"
 	"mmbench/internal/precision"
 )
 
 // Fused scaled-dot-product attention.
 //
-// The unfused composition (SplitHeads ×3 → TransposeLast2 → MatMul →
-// Scale → Softmax → MatMul → MergeHeads) materializes the full
+// Composed from separate operators, attention materializes the full
 // [B·H,Tq,Tk] score matrix plus seven more intermediates — the worst
 // memory-traffic offender in the transformer encoders that dominate
 // MMBench's multi-modal pipelines. Ctx.Attention computes the same
-// function in one pass per (batch·head, query-tile): a transpose-free NT
-// score tile, a streaming softmax over key tiles, and the softmax·V
-// product accumulated tile by tile. Scores only ever exist as a pooled
-// attnQTile×attnKTile tile; heads are addressed by stride directly in
-// the [B,T,D] projections, so the split/merge copies disappear too.
+// function in one pass per (batch·head, query-tile) work unit, with both
+// products — S = scale·Q·Kᵀ and O = P·V — on internal/gemm's packed
+// micro-kernel. Each batch·head's Kᵀ and V are packed once into B panels,
+// straight out of the strided [B,T,D] projections (heads are slices of
+// the last dimension, so no split/merge copy exists). A unit then packs
+// its ≤ attnQTile query rows into A panels and walks the key tiles: the
+// micro-kernel fills a pooled attnQTile×attnKTile score tile (the only
+// place scores ever exist), a row-wise float32 streaming softmax turns it
+// into probabilities written in A-panel layout, and the micro-kernel
+// accumulates P·V into the unit's pooled accumulator. All of it is pooled
+// attention scratch (AttentionStats), not GEMM operand panels
+// (gemm.PackStats), and none of it is heap memory.
 //
 // Determinism: work is partitioned with shape-only chunking (one unit
 // per (batch·head, query-tile) forward, per batch·head backward); every
-// output element is produced by exactly one unit with a fixed tile and
-// accumulation order, so results are bitwise identical at any worker
-// count.
+// score and accumulator update is one micro-kernel chain of fixed depth
+// over panels packed from that batch·head alone, in a fixed tile order,
+// so results are bitwise identical at any worker count and for a request
+// alone or inside a merged batch.
 const (
 	// attnQTile is the number of query rows a streaming-softmax unit
 	// owns; the per-row max/denominator state lives on its stack.
@@ -74,16 +82,16 @@ func attnScratch(sc *engine.Scratch, n int) []float32 {
 	return sc.GetUninit(n)
 }
 
-// Fast float32 e^x for the streaming softmax (arguments are ≤ 0 after
-// the running-max shift; magnitudes below e^-87.34 — subnormal
-// probabilities — flush to 0). This is the CPU analogue of the hardware
-// exp GPU attention kernels lean on: e^x = 2ⁿ · 2^(i/64) · e^r with the
-// 2^(i/64) factors from a 64-entry table and e^r from a degree-2
-// polynomial on |r| ≤ ln2/128 — a far shorter dependency chain than a
-// full-range polynomial. Range reduction subtracts a two-constant ln2/64
-// split, so the result carries ~2e-7 relative error: pure float32
-// arithmetic, deterministic everywhere, and well inside the fused
-// path's 1e-5 agreement with the unfused float64 softmax.
+// Fast float32 e^x, written for the streaming softmax (whose arguments
+// are ≤ 0 after the running-max shift) and shared by the tanh, sigmoid and
+// GELU kernels. This is the CPU analogue of the hardware exp GPU attention
+// kernels lean on: e^x = 2ⁿ · 2^(i/64) · e^r with the 2^(i/64) factors
+// from a 64-entry table and e^r from a degree-2 polynomial on
+// |r| ≤ ln2/128 — a far shorter dependency chain than a full-range
+// polynomial. Range reduction subtracts a two-constant ln2/64 split, so
+// the result carries ~2e-7 relative error: pure float32 arithmetic,
+// deterministic everywhere, and well inside the fused path's agreement
+// with a float64 softmax.
 const (
 	// expLog2e64 is 64·log2(e): one multiply yields x in 1/64-octave units.
 	expLog2e64 = 64 * 1.44269504088896341
@@ -91,18 +99,19 @@ const (
 	// are exact 2⁻⁶ shifts of the classic cephes ln2 split).
 	expC1 = 0.693359375 / 64
 	expC2 = -2.12194440e-4 / 64
-	// expMagic is 1.5·2²³: adding it to a float32 in (-2²², 0] lands in
-	// a binade whose ulp is 1, so the sum's mantissa holds the nearest
-	// integer; subtracting it back yields round(64·x·log2e) without any
-	// float64 round trip.
+	// expMagic is 1.5·2²³: adding it to a float32 of magnitude below 2²²
+	// lands in a binade whose ulp is 1, so the sum's mantissa holds the
+	// nearest integer; subtracting it back yields round(64·x·log2e)
+	// without any float64 round trip.
 	expMagic = 12582912.0
 	// expMin is where e^x falls below the smallest normal float32.
 	expMin = -87.33654
 )
 
 // exp2Bits[i] is the float32 bit pattern of 2^(i/64). Adding n<<23
-// (two's-complement, n ∈ [-126, 0]) rescales an entry by 2ⁿ directly in
-// exponent bits; the result stays normal for every x ≥ expMin.
+// (two's-complement, n ∈ [-126, 126]) rescales an entry by 2ⁿ directly in
+// exponent bits; the result is a normal number for every x in
+// [expMin, 88].
 var exp2Bits = func() (t [64]uint32) {
 	for i := range t {
 		t[i] = math.Float32bits(float32(math.Exp2(float64(i) / 64)))
@@ -112,6 +121,14 @@ var exp2Bits = func() (t [64]uint32) {
 
 // expf32 computes one fast exponential. The body is small enough for
 // the inliner, so the hot loops call it per element at no cost.
+//
+// Precondition: x ≤ 88. Past that the rescaled exponent field overflows
+// into the sign bit and the result is garbage, not +Inf — every caller
+// bounds its argument from above (softmax by the running max, tanh by
+// −2|x| ≤ 0, sigmoid and GELU by min(·, 87)). Below expMin, where e^x
+// leaves the normal range, the result is flushed to 0 (a probability
+// under 1.2e-38 contributes nothing, and subnormal products would stall
+// the FMA units); that test is the function's only branch. NaN gives NaN.
 func expf32(x float32) float32 {
 	if x < expMin {
 		return 0
@@ -135,9 +152,9 @@ func expRowScale(row []float32, m, scale float32) {
 // scoreTile fills st[i*w+j] = scale · q_(i0+i) · k_(j0+j) for a
 // rows×w tile, reading head-h slices directly out of the [T,D]-strided
 // projections (qoff/koff are the flat offsets of row 0's head slice).
-// Four output dots per pass share one streaming read of the query row
-// (the matmulNTAlpha inner kernel on strided head slices), with each
-// dot keeping its own serial accumulator.
+// Four output dots per pass share one streaming read of the query row,
+// each dot keeping its own serial accumulator. Only the backward's
+// recomputation uses it; the forward's scores come from the micro-kernel.
 func scoreTile(st, qd, kd []float32, qoff, koff, rows, w, i0, j0, d, dh int, scale float32) {
 	for i := 0; i < rows; i++ {
 		qrow := qd[qoff+(i0+i)*d : qoff+(i0+i)*d+dh]
@@ -177,12 +194,18 @@ func scoreTile(st, qd, kd []float32, qoff, koff, rows, w, i0, j0, d, dh int, sca
 
 // Attention computes fused multi-head scaled-dot-product attention:
 // out[B,Tq,D] = softmax(scale · Q·Kᵀ) · V per head, with q [B,Tq,D] and
-// k, v [B,Tk,D] still in merged-head layout (heads are strided slices,
-// so no SplitHeads/MergeHeads copies are needed). The full score matrix
-// is never materialized; peak scratch is one pooled score tile and one
-// accumulator per worker. The backward pass is a single tape step that
-// recomputes score tiles from pooled scratch instead of taping the
-// probabilities (the standard memory/compute trade).
+// k, v [B,Tk,D] still in merged-head layout. One forward serves taped and
+// untaped calls; a taped call also saves each query row's final max and
+// inverse denominator, from which the backward (a single tape step)
+// recomputes score tiles instead of taping the probabilities.
+//
+// Numerics: float32 except the float64 softmax denominators. Each score
+// and each P·V partial sum is one fused-multiply-add chain on amd64 (the
+// portable kernel rounds multiply and add separately), so outputs agree
+// with a float64 evaluation to ~5e-7 of the largest output, not bitwise
+// with the scalar loops of earlier releases. Under f16/i8 the kernel reads
+// pooled low-precision copies of q, k, v with the scales folded into the
+// score scale and the output store.
 func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	assertRank(q, 3, "Attention")
 	assertRank(k, 3, "Attention")
@@ -267,12 +290,34 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 		rowMax = make([]float32, bh*tq)
 		rowInvL = make([]float32, bh*tq)
 	}
+	// Every query tile of a batch·head multiplies against the same keys
+	// and values, so their B panels are packed once per batch·head, before
+	// the tiles run: Kᵀ as one [dh × Tk] operand (a key tile is attnKTile/NR
+	// whole panels of it), V as one [w × dh] operand per key tile — the
+	// reduction depth of a tile's P·V product is the tile's own width.
+	kLen, vRow := gemm.LenB(dh, tk), gemm.LenB(1, dh)
+	kvLen := kLen + tk*vRow
+	shared := e.NewScratch()
+	defer shared.Release()
+	kv := attnScratch(shared, bh*kvLen)
+	e.ParallelFor(bh, 1, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			koff := u/heads*tk*d + u%heads*dh
+			gemm.PackBT(kv[u*kvLen:], kd[koff:], dh, tk, d)
+			vp := kv[u*kvLen+kLen:]
+			for j0 := 0; j0 < tk; j0 += attnKTile {
+				gemm.PackB(vp[j0*vRow:], vd[koff+j0*d:], min(attnKTile, tk-j0), dh, d)
+			}
+		}
+	})
 	negInf := float32(math.Inf(-1))
 	nqt := (tq + attnQTile - 1) / attnQTile
 	e.ParallelFor(bh*nqt, 1, func(lo, hi int) {
 		sc := e.NewScratch()
 		defer sc.Release()
+		qa := attnScratch(sc, gemm.LenA(attnQTile, dh))
 		st := attnScratch(sc, attnQTile*attnKTile)
+		pa := attnScratch(sc, gemm.LenA(attnQTile, attnKTile))
 		acc := attnScratch(sc, attnQTile*dh)
 		// Per-row streaming-softmax state: running max and (float64)
 		// running denominator, fixed-size on the stack.
@@ -283,53 +328,55 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			i0 := (u % nqt) * attnQTile
 			rows := min(attnQTile, tq-i0)
 			qoff := bi*tq*d + h*dh
-			koff := bi*tk*d + h*dh
+			kp := kv[(u/nqt)*kvLen:]
+			vp := kp[kLen:]
 			sScale, oScale := scoreScale, outScale
 			if scoreScales != nil {
 				sScale, oScale = scoreScales[bi], outScales[bi]
 			}
+			gemm.PackA(qa, qd[qoff+i0*d:], rows, dh, d)
 			for i := 0; i < rows; i++ {
 				mbuf[i], lbuf[i] = negInf, 0
 			}
-			for x := range acc[:rows*dh] {
-				acc[x] = 0
-			}
-			// Fixed ascending key-tile order; each row's max, denominator
-			// and accumulator update serially, so the result is a pure
-			// function of the inputs.
+			clear(acc[:rows*dh])
+			// Fixed ascending key-tile order; every score and every
+			// accumulator update is one micro-kernel chain over a fixed
+			// depth, and each row's max and denominator update serially,
+			// so the result is a pure function of this batch·head's inputs.
 			for j0 := 0; j0 < tk; j0 += attnKTile {
 				w := min(attnKTile, tk-j0)
-				scoreTile(st, qd, kd, qoff, koff, rows, w, i0, j0, d, dh, sScale)
+				// S = scale·Q·Kᵀ for this tile, scale applied once per
+				// finished dot (MulPanels accumulates, hence the clear).
+				clear(st[:rows*attnKTile])
+				gemm.MulPanels(st, attnKTile, qa, kp[j0*dh:], rows, dh, w, sScale)
 				for i := 0; i < rows; i++ {
-					srow := st[i*w : (i+1)*w]
+					srow := st[i*attnKTile : i*attnKTile+w]
 					m := mbuf[i]
 					for _, s := range srow {
 						if s > m {
 							m = s
 						}
 					}
-					accRow := acc[i*dh : (i+1)*dh]
 					if m > mbuf[i] {
 						// The max moved: rescale previous contributions.
 						if lbuf[i] != 0 {
 							al := expf32(mbuf[i] - m)
 							lbuf[i] *= float64(al)
+							accRow := acc[i*dh : (i+1)*dh]
 							for x := range accRow {
 								accRow[x] *= al
 							}
 						}
 						mbuf[i] = m
 					}
-					// One merged pass exponentiates the scores (the
-					// expf32 body inlined per element; a call per score
-					// would dominate) and folds the probabilities into
-					// the denominator and the V accumulator. Four key
-					// rows share one pass over the accumulator, cutting
-					// its load/store traffic 4× and feeding the FPU four
-					// independent product chains. The denominator adds
-					// each quad's float32 sum (error ~1e-7 relative, well
-					// inside the fused-vs-unfused tolerance) to the
-					// float64 running total.
+					// One pass exponentiates the scores (the expf32 body
+					// inlined per element; a call per score would dominate)
+					// straight into row i of P's A panels — pa[(i/MR·w +
+					// j)·MR + i%MR] — so the probabilities never exist in
+					// any other layout. The denominator adds each quad's
+					// float32 sum (error ~1e-7 relative) to the float64
+					// running total.
+					prow := pa[i/gemm.MR*w*gemm.MR+i%gemm.MR:]
 					l := lbuf[i]
 					j := 0
 					for ; j+4 <= w; j += 4 {
@@ -338,29 +385,27 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 						p2 := expf32(srow[j+2] - m)
 						p3 := expf32(srow[j+3] - m)
 						l += float64(p0 + p1 + p2 + p3)
-						vbase := koff + (j0+j)*d
-						v0 := vd[vbase : vbase+dh]
-						v1 := vd[vbase+d : vbase+d+dh][:len(v0)]
-						v2 := vd[vbase+2*d : vbase+2*d+dh][:len(v0)]
-						v3 := vd[vbase+3*d : vbase+3*d+dh][:len(v0)]
-						ar := accRow[:len(v0)]
-						for x, vx := range v0 {
-							ar[x] += p0*vx + p1*v1[x] + p2*v2[x] + p3*v3[x]
-						}
+						pq := prow[j*gemm.MR : j*gemm.MR+3*gemm.MR+1]
+						pq[0], pq[gemm.MR], pq[2*gemm.MR], pq[3*gemm.MR] = p0, p1, p2, p3
 					}
 					for ; j < w; j++ {
 						p := expf32(srow[j] - m)
-						if p == 0 {
-							continue
-						}
 						l += float64(p)
-						vrow := vd[koff+(j0+j)*d : koff+(j0+j)*d+dh]
-						for x, vx := range vrow {
-							accRow[x] += p * vx
-						}
+						prow[j*gemm.MR] = p
 					}
 					lbuf[i] = l
 				}
+				// Rows past the tile's edge in the last A panel multiply
+				// into tile lanes nobody stores; zero them so the panel is
+				// fully written (the pool's NaN-poison mode).
+				for i := rows; i%gemm.MR != 0; i++ {
+					prow := pa[i/gemm.MR*w*gemm.MR+i%gemm.MR:]
+					for j := 0; j < w; j++ {
+						prow[j*gemm.MR] = 0
+					}
+				}
+				// O += P·V over this tile's w keys.
+				gemm.MulPanels(acc, dh, pa, vp[j0*vRow:], rows, w, dh, 1)
 			}
 			for i := 0; i < rows; i++ {
 				inv := float32(1 / lbuf[i])

@@ -9,9 +9,9 @@ import (
 
 // Attention benchmark shape: a long-sequence, narrow-model encoder
 // layer where attention (not the projections) dominates — the regime
-// the fusion targets. The unfused path materializes two [B·H,T,T]
-// score-sized tensors (128 MiB total here) per call; the fused path's
-// scores never leave a pooled 32×64 tile.
+// the fusion targets. Materialized, the [B·H,T,T] scores and
+// probabilities would be 128 MiB here; the fused kernel's never leave a
+// pooled 32×64 tile.
 const (
 	attnBenchB     = 1
 	attnBenchT     = 2048
@@ -30,22 +30,12 @@ func attnBenchInputs(seed int64) (q, k, v *Var, scale float32) {
 }
 
 // BenchmarkAttentionFused is the fused streaming-softmax kernel on the
-// default engine. Compare against BenchmarkAttentionUnfused.
+// default engine.
 func BenchmarkAttentionFused(b *testing.B) {
 	q, k, v, scale := attnBenchInputs(61)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Infer().Attention(q, k, v, attnBenchHeads, scale)
-	}
-}
-
-// BenchmarkAttentionUnfused is the reference composition (split heads,
-// NT scores with folded scale, softmax, probability·V, merge heads).
-func BenchmarkAttentionUnfused(b *testing.B) {
-	q, k, v, scale := attnBenchInputs(61)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		unfusedAttention(Infer(), q, k, v, attnBenchHeads, scale)
 	}
 }
 
@@ -74,40 +64,26 @@ func newTransformerLayerBench(g *tensor.RNG) *transformerLayerBench {
 	}
 }
 
-// forward runs the layer with attend as its attention: the kernel
-// ((*Ctx).Attention) or the test oracle (unfusedAttention).
-func (l *transformerLayerBench) forward(c *Ctx, x *Var, attend func(c *Ctx, q, k, v *Var, heads int, scale float32) *Var) *Var {
+// forward runs the layer on the fused attention kernel.
+func (l *transformerLayerBench) forward(c *Ctx, x *Var) *Var {
 	scale := float32(1 / math.Sqrt(float64(attnBenchD/attnBenchHeads)))
 	qp := c.Linear(x, l.wq, nil)
 	kp := c.Linear(x, l.wk, nil)
 	vp := c.Linear(x, l.wv, nil)
-	att := c.Linear(attend(c, qp, kp, vp, attnBenchHeads, scale), l.wo, nil)
+	att := c.Linear(c.Attention(qp, kp, vp, attnBenchHeads, scale), l.wo, nil)
 	x = c.LayerNorm(c.Add(x, att), l.g1, l.b1, 1e-5)
 	ff := c.Linear(c.GELU(c.Linear(x, l.w1, nil)), l.w2, nil)
 	return c.LayerNorm(c.Add(x, ff), l.g2, l.b2, 1e-5)
 }
 
 // BenchmarkTransformerLayer is one encoder layer on the fused attention
-// kernel, the end-to-end number to compare against
-// BenchmarkTransformerLayerUnfused.
+// kernel.
 func BenchmarkTransformerLayer(b *testing.B) {
 	g := tensor.NewRNG(62)
 	l := newTransformerLayerBench(g)
 	x := benchVar(g, attnBenchB, attnBenchT, attnBenchD)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.forward(Infer(), x, (*Ctx).Attention)
-	}
-}
-
-// BenchmarkTransformerLayerUnfused is the same layer on the unfused
-// reference composition (the test oracle).
-func BenchmarkTransformerLayerUnfused(b *testing.B) {
-	g := tensor.NewRNG(62)
-	l := newTransformerLayerBench(g)
-	x := benchVar(g, attnBenchB, attnBenchT, attnBenchD)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.forward(Infer(), x, unfusedAttention)
+		l.forward(Infer(), x)
 	}
 }

@@ -1,23 +1,23 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"mmbench/internal/attnref"
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
+	"mmbench/internal/gemm"
+	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 )
 
-// unfusedAttention is the reference composition the fused kernel must
-// match: split heads, NT score product with folded scale, softmax,
-// probability·V product, merge heads.
+// unfusedAttention is the reference the fused kernel must match: the
+// naive float64 oracle (whole score matrix, row softmax, probability·V),
+// taped on c's tape when it has one.
 func unfusedAttention(c *Ctx, q, k, v *Var, heads int, scale float32) *Var {
-	qh := c.SplitHeads(q, heads)
-	kh := c.SplitHeads(k, heads)
-	vh := c.SplitHeads(v, heads)
-	attn := c.Softmax(c.MatMulBatchedNT(qh, kh, scale))
-	return c.MergeHeads(c.MatMulBatched(attn, vh), heads)
+	return attnref.Attention(c.Tape, q, k, v, heads, scale)
 }
 
 // attnCase builds a fresh q/k/v triple for the given shape.
@@ -28,7 +28,9 @@ func attnCase(seed int64, b, tq, tk, d int) (q, k, v *Var) {
 
 func TestExpf32MatchesMathExp(t *testing.T) {
 	worst := 0.0
-	for x := float32(0); x > -90; x -= 0.0137 {
+	// The whole documented domain: up to 88 (sigmoid and GELU pass
+	// positive arguments) and down past the flush at expMin.
+	for x := float32(88); x > -90; x -= 0.0137 {
 		got := float64(expf32(x))
 		want := math.Exp(float64(x))
 		// Below the smallest normal float32 the kernel flushes to zero
@@ -50,8 +52,14 @@ func TestExpf32MatchesMathExp(t *testing.T) {
 	if expf32(-100) != 0 {
 		t.Fatalf("expf32(-100) = %g, want 0", expf32(-100))
 	}
+	if expf32(float32(math.Inf(-1))) != 0 {
+		t.Fatalf("expf32(-Inf) = %g, want 0", expf32(float32(math.Inf(-1))))
+	}
 	if expf32(0) != 1 {
 		t.Fatalf("expf32(0) = %g, want 1", expf32(0))
+	}
+	if got := expf32(float32(math.NaN())); got == got {
+		t.Fatalf("expf32(NaN) = %g, want NaN", got)
 	}
 }
 
@@ -260,64 +268,87 @@ func TestAttentionAbstract(t *testing.T) {
 	}
 }
 
-// TestMatMulBatchedNT pins the transpose-free product against the
-// explicit TransposeLast2 composition, bitwise (the folded alpha must
-// reproduce scale-after-dot exactly).
-func TestMatMulBatchedNT(t *testing.T) {
-	g := tensor.NewRNG(12)
-	a := randParam(g, 3, 4, 6)
-	b := randParam(g, 3, 5, 6)
-	nt := Infer().MatMulBatchedNT(a, b, 0.25)
-	c := Infer()
-	ref := c.Scale(c.MatMulBatched(a, c.TransposeLast2(b)), 0.25)
-	if !tensor.SameShape(nt.Value, ref.Value) {
-		t.Fatalf("NT shape %v vs ref %v", nt.Value.Shape(), ref.Value.Shape())
-	}
-	nd, rd := nt.Value.Data(), ref.Value.Data()
-	for i := range nd {
-		if nd[i] != rd[i] {
-			t.Fatalf("elem %d: NT %g vs transpose composition %g", i, nd[i], rd[i])
+// awkwardAttentionShapes pairs every sequence length around the tile
+// (32/64) and panel (4/16) edges, as Tq and as Tk with Tq ≠ Tk, with every
+// head width and head counts 1–8, plus the two served self-attention
+// shapes.
+func awkwardAttentionShapes() (shapes []attnShape) {
+	ts := []int{1, 31, 32, 33, 50, 63, 64, 65, 197}
+	dhs := []int{8, 16, 24, 32, 64}
+	for i, tq := range ts {
+		for _, k := range []int{1, 4} {
+			shapes = append(shapes, attnShape{tq, ts[(i+k)%len(ts)], dhs[(i+k)%len(dhs)], 1 + (3*i+k)%8})
 		}
 	}
+	return append(shapes, attnShape{50, 50, 32, 8}, attnShape{197, 197, 64, 4})
 }
 
-func TestGradMatMulBatchedNT(t *testing.T) {
-	g := tensor.NewRNG(13)
-	a := randParam(g, 2, 3, 4)
-	b := randParam(g, 2, 5, 4)
-	gradCheck(t, "bmm_nt", []*Var{a, b}, func(c *Ctx) *Var {
-		return c.MeanAll(c.MatMulBatchedNT(a, b, 0.5))
-	})
+type attnShape struct{ tq, tk, dh, heads int }
+
+// TestAttentionMatchesOracleAtAwkwardShapes is the differential test of
+// the packed forward: against the naive float64 oracle within 2e-6 at f32
+// and half the documented low-precision bounds at f16 (1e-2) and i8 (1e-1,
+// relative to the largest output); bitwise equal at 1, 4 and 16 workers;
+// and bitwise equal for a request alone and as the middle member of a
+// three-request merged batch (i8 calibrating per segment).
+func TestAttentionMatchesOracleAtAwkwardShapes(t *testing.T) {
+	engines := make([]*engine.Engine, len(workerCounts))
+	for i, w := range workerCounts {
+		engines[i] = engine.New(w)
+		defer engines[i].Close()
+	}
+	bounds := map[precision.Type]float64{precision.F32: 2e-6, precision.F16: 5e-3, precision.I8: 5e-2}
+	worst := map[precision.Type]float64{}
+	for si, s := range awkwardAttentionShapes() {
+		d := s.dh * s.heads
+		scale := float32(1 / math.Sqrt(float64(s.dh)))
+		member := func(b int, amp, phase float64) (q, k, v *Var) {
+			return segVar([]int{b, s.tq, d}, amp, phase), segVar([]int{b, s.tk, d}, amp, phase+1), segVar([]int{b, s.tk, d}, amp, phase+2)
+		}
+		q, k, v := member(2, 1, float64(si))
+		want := attnref.Attention(nil, q, k, v, s.heads, scale).Value.Data()
+		for prec, bound := range bounds {
+			name := fmt.Sprintf("tq%d_tk%d_dh%d_h%d/%v", s.tq, s.tk, s.dh, s.heads, prec)
+			alone := segCtx(engines[0], prec, nil).Attention(q, k, v, s.heads, scale).Value.Data()
+			diff, largest := maxAbsDiff(alone, want)
+			if diff > bound*math.Max(largest, 1) {
+				t.Errorf("%s: max error %g vs the float64 oracle exceeds %g", name, diff, bound)
+			}
+			worst[prec] = math.Max(worst[prec], diff/math.Max(largest, 1))
+			for i, e := range engines[1:] {
+				sliceEq(t, fmt.Sprintf("%s/workers=%d", name, workerCounts[i+1]), segCtx(e, prec, nil).Attention(q, k, v, s.heads, scale).Value.Data(), alone)
+			}
+			q0, k0, v0 := member(1, 3, 0.5)
+			q2, k2, v2 := member(3, 0.25, 0.25)
+			merged := segCtx(engines[1], prec, []int{1, 2, 3}).Attention(concatVars(q0, q, q2), concatVars(k0, k, k2), concatVars(v0, v, v2), s.heads, scale).Value.Data()
+			sliceEq(t, name+"/merged", merged[s.tq*d:3*s.tq*d], alone)
+		}
+	}
+	t.Logf("worst error vs the oracle: f32 %.2g, f16 %.2g, i8 %.2g", worst[precision.F32], worst[precision.F16], worst[precision.I8])
 }
 
-// TestTransposeLast2DeterministicAcrossWorkers covers the newly
-// parallelized transpose forward and backward.
-func TestTransposeLast2DeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]float32, []float32) {
-		e := engine.New(workers)
-		defer e.Close()
-		g := tensor.NewRNG(7)
-		x := randParam(g, 3, 37, 23)
-		tape := autograd.NewTape()
-		c := &Ctx{Tape: tape, Eng: e}
-		tr := c.TransposeLast2(x)
-		loss := c.MeanAll(c.Mul(tr, tr))
-		tape.Backward(loss)
-		return append([]float32(nil), tr.Value.Data()...),
-			append([]float32(nil), x.Grad.Data()...)
+// TestAttentionDrawsNoGemmPanels pins the pack accounting: attention's
+// tile panels are attention scratch (AttentionStats), never per-call GEMM
+// operand panels (gemm.PackStats, which the served models' kept-panel
+// budget is read from) — at any precision, taped or not.
+func TestAttentionDrawsNoGemmPanels(t *testing.T) {
+	e := engine.New(2)
+	defer e.Close()
+	q, k, v := attnCase(7, 2, 50, 50, 64)
+	packs, attn := gemm.PackStats(), AttentionStats()
+	for _, prec := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+		segCtx(e, prec, nil).Attention(q, k, v, 4, 0.25)
 	}
-	refOut, refGrad := run(workerCounts[0])
-	for _, workers := range workerCounts[1:] {
-		out, grad := run(workers)
-		for i := range out {
-			if out[i] != refOut[i] {
-				t.Fatalf("workers=%d: transpose elem %d differs", workers, i)
-			}
-		}
-		for i := range grad {
-			if grad[i] != refGrad[i] {
-				t.Fatalf("workers=%d: transpose grad elem %d differs", workers, i)
-			}
-		}
+	tape := autograd.NewTape()
+	c := &Ctx{Tape: tape, Eng: e}
+	tape.Backward(c.MeanAll(c.Attention(q, k, v, 4, 0.25)))
+	if now := gemm.PackStats(); now != packs {
+		t.Errorf("attention moved the GEMM pack counters: %+v -> %+v", packs, now)
+	}
+	if now := AttentionStats(); now.FusedCalls != attn.FusedCalls+4 || now.ScratchBytes <= attn.ScratchBytes {
+		t.Errorf("attention scratch counters: %+v -> %+v, want 4 more calls and more bytes", attn, now)
+	}
+	if out := e.Stats().PoolOutstanding; out != 0 {
+		t.Errorf("%d pooled buffers outstanding after attention", out)
 	}
 }

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mmbench/internal/autograd"
@@ -298,3 +299,43 @@ func BenchmarkLinearFrozen(b *testing.B) { benchLinear(b, true) }
 // BenchmarkLinearPerCall is its twin over a private network's weight,
 // which re-packs W on every call.
 func BenchmarkLinearPerCall(b *testing.B) { benchLinear(b, false) }
+
+// BenchmarkAttention is the fused attention kernel at the shapes the
+// served transformers issue: mosei's encoder layers at batch 2
+// (B2·T50·D256·H8), a wider, longer layer (B2·T128·D512·H8) and one
+// ViT-length sequence (B1·T197·D256·H4).
+func BenchmarkAttention(b *testing.B) {
+	for _, s := range []struct{ b, t, d, heads int }{
+		{2, 50, 256, 8},
+		{2, 128, 512, 8},
+		{1, 197, 256, 4},
+	} {
+		b.Run(fmt.Sprintf("B%d_T%d_D%d_H%d", s.b, s.t, s.d, s.heads), func(b *testing.B) {
+			g := tensor.NewRNG(61)
+			q, k, v := benchVar(g, s.b, s.t, s.d), benchVar(g, s.b, s.t, s.d), benchVar(g, s.b, s.t, s.d)
+			scale := float32(1 / math.Sqrt(float64(s.d/s.heads)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Infer().Attention(q, k, v, s.heads, scale)
+			}
+		})
+	}
+}
+
+// benchActivation prices one element-wise activation at the mosei FFN's
+// hidden shape (B2·T50 rows × 512) over inputs uniform on [-4, 4): both
+// signs, linear and saturated regions.
+func benchActivation(b *testing.B, f func(*Ctx, *Var) *Var) {
+	t := tensor.New(100, 512)
+	tensor.NewRNG(63).Uniform(t, -4, 4)
+	x := autograd.NewVar(t)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f(Infer(), x)
+	}
+}
+
+func BenchmarkActivationReLU(b *testing.B)    { benchActivation(b, (*Ctx).ReLU) }
+func BenchmarkActivationSigmoid(b *testing.B) { benchActivation(b, (*Ctx).Sigmoid) }
+func BenchmarkActivationTanh(b *testing.B)    { benchActivation(b, (*Ctx).Tanh) }
+func BenchmarkActivationGELU(b *testing.B)    { benchActivation(b, (*Ctx).GELU) }

@@ -260,11 +260,25 @@ func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 	}
 	e := c.engine()
 	xd, od := x.Value.Data(), out.Value.Data()
-	taping := c.taping(x)
-	var argmax []int32
-	if taping {
-		argmax = make([]int32, len(od))
+	if !c.taping(x) {
+		// Nothing will ask where a maximum came from: skip the argmax and
+		// fold one input row at a time into the output row.
+		e.ParallelFor(n*ch, rowGrain(oh*ow), func(nc0, nc1 int) {
+			for nc := nc0; nc < nc1; nc++ {
+				for oy := 0; oy < oh; oy++ {
+					orow := od[(nc*oh+oy)*ow : (nc*oh+oy+1)*ow]
+					for i := range orow {
+						orow[i] = float32(math.Inf(-1))
+					}
+					for ky := 0; ky < window; ky++ {
+						maxPoolRow(orow, xd[(nc*h+oy*window+ky)*w:], window)
+					}
+				}
+			}
+		})
+		return out
 	}
+	argmax := make([]int32, len(od))
 	e.ParallelFor(n*ch, rowGrain(oh*ow), func(nc0, nc1 int) {
 		for nc := nc0; nc < nc1; nc++ {
 			for oy := 0; oy < oh; oy++ {
@@ -282,23 +296,38 @@ func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 					}
 					o := (nc*oh+oy)*ow + ox
 					od[o] = best
-					if taping {
-						argmax[o] = int32(bestIdx)
-					}
+					argmax[o] = int32(bestIdx)
 				}
 			}
 		}
 	})
-	if taping {
-		c.tapeStep(out, func() {
-			g := out.Grad.Data()
-			xg := x.EnsureGrad().Data()
-			for i, idx := range argmax {
-				xg[idx] += g[i]
-			}
-		})
-	}
+	c.tapeStep(out, func() {
+		g := out.Grad.Data()
+		xg := x.EnsureGrad().Data()
+		for i, idx := range argmax {
+			xg[idx] += g[i]
+		}
+	})
 	return out
+}
+
+// maxPoolRow folds one input row into a pooled output row: orow[ox]
+// becomes the maximum of itself and the window columns
+// row[ox·window : (ox+1)·window]. The running maximum is carried as bits
+// and replaced under the taped loop's own test, x > best, which the
+// compiler turns into a conditional move — no branch on the data, and the
+// taped loop's result for every input: first of equal maxima (so a −0/+0
+// tie keeps its order), NaNs skipped.
+func maxPoolRow(orow, row []float32, window int) {
+	for ox := range orow {
+		best := math.Float32bits(orow[ox])
+		for _, x := range row[ox*window : (ox+1)*window] {
+			if xb := math.Float32bits(x); x > math.Float32frombits(best) {
+				best = xb
+			}
+		}
+		orow[ox] = math.Float32frombits(best)
+	}
 }
 
 // AvgPool2D applies average pooling with a square window and stride equal

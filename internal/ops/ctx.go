@@ -76,11 +76,10 @@ type Ctx struct {
 	// merged cross-request batch: Segments[i] is request i's sample
 	// count, concatenated in order along the leading (batch) dimension.
 	// Exactly two kinds of kernel have numerics that cross the batch
-	// dimension — the per-tensor int8 scale calibrations (Linear, Conv2D,
-	// MatMulBatched, MatMulBatchedNT and fused Attention at i8) and
-	// BatchNorm2D's batch statistics — and they execute per segment, so
-	// every request's output slice is bitwise identical to the same
-	// request run alone. Every other operator is sample- or row-local in
+	// dimension — the per-tensor int8 scale calibrations (Linear, Conv2D
+	// and fused Attention at i8) and BatchNorm2D's batch statistics — and
+	// they execute per segment, so every request's output slice is
+	// bitwise identical to the same request run alone. Every other operator is sample- or row-local in
 	// the batch dimension: engine chunking is bitwise-invariant, and the
 	// one GEMM core (internal/gemm) gives a row the same bits however
 	// many rows share the call, so f32 and f16 products need no

@@ -106,9 +106,10 @@ func (c *Ctx) Scale(a *Var, alpha float32) *Var {
 	return out
 }
 
-// unary applies an element-wise function with derivative expressed in terms
-// of input x and output y.
-func (c *Ctx) unary(a *Var, spec kernels.Spec, f func(x float32) float32, df func(x, y float32) float32) *Var {
+// unary applies an element-wise activation: fwd is a slice kernel run once
+// per engine chunk (dst and src have equal length), df its derivative in
+// terms of input x and output y.
+func (c *Ctx) unary(a *Var, spec kernels.Spec, fwd func(dst, src []float32), df func(x, y float32) float32) *Var {
 	c.emit(spec)
 	out := c.out(a.Value.Shape(), a)
 	if out.Value.Abstract() {
@@ -118,9 +119,7 @@ func (c *Ctx) unary(a *Var, spec kernels.Spec, f func(x float32) float32, df fun
 	n := a.Value.Size()
 	ad, od := a.Value.Data(), out.Value.Data()
 	e.ParallelFor(n, elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = f(ad[i])
-		}
+		fwd(od[lo:hi], ad[lo:hi])
 	})
 	if c.taping(a) {
 		c.tapeStep(out, func() {
@@ -136,15 +135,74 @@ func (c *Ctx) unary(a *Var, spec kernels.Spec, f func(x float32) float32, df fun
 	return out
 }
 
+// Activation kernels. Each forward is a loop over a float32 slice with no
+// call per element, no float64 and no branch on the data: signs are read
+// and restored as bits, range limits are min, and every transcendental is
+// one expf32 (whose underflow flush is the only conditional left, false
+// for every argument short of the function's saturation edge). Against the
+// float64 functions they replace the absolute error is ≤ 2.5e-7 for tanh
+// and sigmoid and ≤ 1e-6·max(1,|x|) for GELU; near zero that absolute
+// bound is all tanh promises (tanh of a subnormal is ±0). tanh is exactly
+// odd and −0 keeps its sign through tanh and GELU. At the ends: tanh(±Inf)
+// = ±1, sigmoid(+Inf) = 1, and sigmoid bottoms out at 1/(1+e^87) ≈ 1.6e-38
+// for every x ≤ −87 (−Inf included) where float64 went on through the
+// subnormals to 0 — so GELU(−Inf) is −Inf, not the formula's 0·∞. NaN
+// gives NaN, except in ReLU, a pure sign test, where a NaN with the sign
+// bit set is negative.
+const signBit = 1 << 31
+
+// sigmoidOf returns 1/(1+e^(−x)). e^(−x) overflows float32 just past
+// x = −88, so −x is held at 87; the quotient keeps its relative accuracy
+// in both tails (nothing is subtracted from 1).
+func sigmoidOf(x float32) float32 {
+	return 1 / (1 + expf32(min(-x, 87)))
+}
+
+// geluArg returns z(x) = 2·√(2/π)·(x + 0.044715·x³), the argument whose
+// sigmoid is GELU's gate: 0.5·(1 + tanh(z/2)) = 1/(1+e^(−z)). z has x's
+// sign and overflows to ±Inf, never to NaN.
+func geluArg(x float32) float32 {
+	const k2 = 2 * 0.7978845608028654
+	return x * (k2 + k2*0.044715*x*x)
+}
+
+func reluSlice(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		// x with every bit cleared when its sign bit is set: max(x, 0).
+		b := math.Float32bits(x)
+		dst[i] = math.Float32frombits(b &^ uint32(int32(b)>>31))
+	}
+}
+
+func sigmoidSlice(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = sigmoidOf(x)
+	}
+}
+
+// tanhSlice computes tanh(x) = sign(x)·(1−e)/(1+e) with e = e^(−2|x|):
+// the quotient lies in [0, 1] and x's sign bit is copied onto it.
+func tanhSlice(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		b := math.Float32bits(x)
+		e := expf32(-2 * math.Float32frombits(b&^signBit))
+		dst[i] = math.Float32frombits(math.Float32bits((1-e)/(1+e)) | b&signBit)
+	}
+}
+
+func geluSlice(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = x * sigmoidOf(geluArg(x))
+	}
+}
+
 // ReLU applies max(0, x).
 func (c *Ctx) ReLU(a *Var) *Var {
-	return c.unary(a, kernels.ReluSpec("relu", a.Value.Size()),
-		func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		},
+	return c.unary(a, kernels.ReluSpec("relu", a.Value.Size()), reluSlice,
 		func(x, _ float32) float32 {
 			if x > 0 {
 				return 1
@@ -156,35 +214,31 @@ func (c *Ctx) ReLU(a *Var) *Var {
 // Sigmoid applies 1/(1+e^-x).
 func (c *Ctx) Sigmoid(a *Var) *Var {
 	spec := kernels.ElewiseSpec("sigmoid", a.Value.Size(), 1, 4)
-	return c.unary(a, spec,
-		func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) },
+	return c.unary(a, spec, sigmoidSlice,
 		func(_, y float32) float32 { return y * (1 - y) })
 }
 
 // Tanh applies the hyperbolic tangent.
 func (c *Ctx) Tanh(a *Var) *Var {
 	spec := kernels.ElewiseSpec("tanh", a.Value.Size(), 1, 4)
-	return c.unary(a, spec,
-		func(x float32) float32 { return float32(math.Tanh(float64(x))) },
+	return c.unary(a, spec, tanhSlice,
 		func(_, y float32) float32 { return 1 - y*y })
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit.
+// GELU applies the tanh-approximated Gaussian error linear unit,
+// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), evaluated as x·s with the
+// gate s = sigmoidOf(geluArg(x)) — the same function, without the
+// cancellation of 1 + tanh in the negative tail. The derivative
+// s + x·s·(1−s)·z′(x) is built from the same gate, so forward and
+// backward agree by construction.
 func (c *Ctx) GELU(a *Var) *Var {
-	const k = 0.7978845608028654 // sqrt(2/pi)
 	spec := kernels.ElewiseSpec("gelu", a.Value.Size(), 1, 8)
 	spec.Class = kernels.Relu // the paper buckets activations under Relu
-	return c.unary(a, spec,
-		func(x float32) float32 {
-			xf := float64(x)
-			return float32(0.5 * xf * (1 + math.Tanh(k*(xf+0.044715*xf*xf*xf))))
-		},
+	return c.unary(a, spec, geluSlice,
 		func(x, _ float32) float32 {
-			xf := float64(x)
-			inner := k * (xf + 0.044715*xf*xf*xf)
-			th := math.Tanh(inner)
-			dInner := k * (1 + 3*0.044715*xf*xf)
-			return float32(0.5*(1+th) + 0.5*xf*(1-th*th)*dInner)
+			const k2 = 2 * 0.7978845608028654
+			s := sigmoidOf(geluArg(x))
+			return s + x*s*(1-s)*(k2+3*k2*0.044715*x*x)
 		})
 }
 

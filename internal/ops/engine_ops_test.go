@@ -14,8 +14,8 @@ import (
 var workerCounts = []int{1, 4, 16}
 
 // forwardBackward runs a network exercising every rewritten kernel
-// (matmul, batched matmul, conv, pooling, softmax, layernorm,
-// elementwise, reductions, heads, embedding, outer fusion) on the given
+// (matmul, attention, conv, pooling, softmax, layernorm, elementwise,
+// reductions, embedding, outer fusion) on the given
 // engine and returns the flattened output plus every parameter gradient.
 func forwardBackward(t *testing.T, e *engine.Engine) ([]float32, [][]float32) {
 	t.Helper()
@@ -38,7 +38,7 @@ func forwardBackward(t *testing.T, e *engine.Engine) ([]float32, [][]float32) {
 	h := c.GELU(c.Linear(feat, w1, nil))                     // [2,6]
 	hn := c.LayerNorm(h, gamma, beta, 1e-5)                  // [2,6]
 	emb := c.Embedding(table, [][]int{{0, 2, 4}, {1, 3, 0}}) // [2,3,6]
-	att := c.MatMulBatched(emb, qk)                          // [2,3,6]
+	att := c.Attention(emb, qk, qk, 2, 0.5)                  // [2,3,6]
 	seq := c.MeanAxis1(c.Softmax(att))                       // [2,6]
 	fusedIn := c.Mul(c.Add(hn, seq), hn)
 	fused := c.OuterFusion(fusedIn, seq) // [2,49]

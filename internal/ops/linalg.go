@@ -70,162 +70,6 @@ func (c *Ctx) MatMul(a, b *Var) *Var {
 	return out
 }
 
-// MatMulBatched multiplies a[B,m,k] by b[B,k,n] batch-wise. Batches are
-// independent, so the engine partitions over the batch dimension when it
-// is wide enough and otherwise parallelizes inside each product; both
-// paths compute the same sums in the same order.
-func (c *Ctx) MatMulBatched(a, b *Var) *Var {
-	assertRank(a, 3, "MatMulBatched")
-	assertRank(b, 3, "MatMulBatched")
-	bs, m, k := a.Value.Dim(0), a.Value.Dim(1), a.Value.Dim(2)
-	if b.Value.Dim(0) != bs || b.Value.Dim(1) != k {
-		panic(fmt.Sprintf("ops: MatMulBatched shapes %v × %v", a.Value.Shape(), b.Value.Shape()))
-	}
-	n := b.Value.Dim(2)
-	c.emitP(kernels.GemmSpec(fmt.Sprintf("bgemm_%dx%dx%dx%d", bs, m, k, n), bs*m, k, n))
-	out := c.out([]int{bs, m, n}, a, b)
-	if out.Value.Abstract() {
-		return out
-	}
-	e := c.engine()
-	ad, bd, od := a.Value.Data(), b.Value.Data(), out.Value.Data()
-	if p := c.prec; p != precision.F32 {
-		// At i8 the per-tensor operand scales are cross-request state, so a
-		// merged batch quantizes and multiplies per request segment (the
-		// leading dim is B·H under split heads; segments() scales by H).
-		// f16 quantization is element-wise and needs no segmentation.
-		countLowp(p)
-		c.eachI8Segment(bs, func(blo, bhi int) {
-			aseg, bseg, oseg := ad[blo*m*k:bhi*m*k], bd[blo*k*n:bhi*k*n], od[blo*m*n:bhi*m*n]
-			qa, sa := quantizeOperand(e, p, aseg)
-			defer e.Put(qa)
-			qb, sb := quantizeOperand(e, p, bseg)
-			defer e.Put(qb)
-			batchMatmul(e, bhi-blo, func(inner *engine.Engine, i int) {
-				matmulNN(inner, oseg[i*m*n:(i+1)*m*n], qa[i*m*k:(i+1)*m*k], qb[i*k*n:(i+1)*k*n], m, k, n, 1)
-			})
-			finishLowp(e, p, oseg, sa*sb)
-		})
-	} else {
-		batchMatmul(e, bs, func(inner *engine.Engine, i int) {
-			matmulNN(inner, od[i*m*n:(i+1)*m*n], ad[i*m*k:(i+1)*m*k], bd[i*k*n:(i+1)*k*n], m, k, n, 1)
-		})
-	}
-	if c.taping(a, b) {
-		c.tapeStep(out, func() {
-			g := out.Grad.Data()
-			var agd, bgd []float32
-			if a.NeedGrad {
-				agd = a.EnsureGrad().Data()
-			}
-			if b.NeedGrad {
-				bgd = b.EnsureGrad().Data()
-			}
-			batchMatmul(e, bs, func(inner *engine.Engine, i int) {
-				gi := g[i*m*n : (i+1)*m*n]
-				if agd != nil {
-					matmulNT(inner, agd[i*m*k:(i+1)*m*k], gi, bd[i*k*n:(i+1)*k*n], m, n, k, 1)
-				}
-				if bgd != nil {
-					matmulTN(inner, bgd[i*k*n:(i+1)*k*n], ad[i*m*k:(i+1)*m*k], gi, m, k, n, 1)
-				}
-			})
-		})
-	}
-	return out
-}
-
-// MatMulBatchedNT multiplies a[B,m,d] by b[B,n,d] transposed on its last
-// two dims, scaled by alpha: out[B,m,n] = alpha · a · bᵀ. It is the
-// attention score product Q·Kᵀ/√dh without the materialized transpose
-// copy or the extra Scale tensor: the second operand is read in its
-// natural row-major layout (each dot streams two contiguous d-rows) and
-// alpha is applied once per finished dot, bitwise identical to the old
-// MatMulBatched(a, TransposeLast2(b)) → Scale composition.
-func (c *Ctx) MatMulBatchedNT(a, b *Var, alpha float32) *Var {
-	assertRank(a, 3, "MatMulBatchedNT")
-	assertRank(b, 3, "MatMulBatchedNT")
-	bs, m, d := a.Value.Dim(0), a.Value.Dim(1), a.Value.Dim(2)
-	if b.Value.Dim(0) != bs || b.Value.Dim(2) != d {
-		panic(fmt.Sprintf("ops: MatMulBatchedNT shapes %v × %vᵀ", a.Value.Shape(), b.Value.Shape()))
-	}
-	n := b.Value.Dim(1)
-	c.emitP(kernels.GemmSpec(fmt.Sprintf("bgemm_nt_%dx%dx%dx%d", bs, m, d, n), bs*m, d, n))
-	out := c.out([]int{bs, m, n}, a, b)
-	if out.Value.Abstract() {
-		return out
-	}
-	e := c.engine()
-	ad, bd, od := a.Value.Data(), b.Value.Data(), out.Value.Data()
-	if p := c.prec; p != precision.F32 {
-		// Same per-segment rule as MatMulBatched: i8 scales are per-tensor,
-		// so merged batches calibrate per request segment.
-		countLowp(p)
-		c.eachI8Segment(bs, func(blo, bhi int) {
-			oseg := od[blo*m*n : bhi*m*n]
-			qa, sa := quantizeOperand(e, p, ad[blo*m*d:bhi*m*d])
-			defer e.Put(qa)
-			qb, sb := quantizeOperand(e, p, bd[blo*n*d:bhi*n*d])
-			defer e.Put(qb)
-			// For i8 the operand scales fold into alpha, applied once per
-			// finished dot — the scale-after-accumulate order of an int8
-			// GEMM (for f16 sa·sb is 1 and alpha is unchanged).
-			alphaQ := alpha * sa * sb
-			batchMatmul(e, bhi-blo, func(inner *engine.Engine, i int) {
-				matmulNT(inner, oseg[i*m*n:(i+1)*m*n], qa[i*m*d:(i+1)*m*d], qb[i*n*d:(i+1)*n*d], m, d, n, alphaQ)
-			})
-			if p == precision.F16 {
-				roundSliceF16(e, oseg)
-			}
-		})
-	} else {
-		batchMatmul(e, bs, func(inner *engine.Engine, i int) {
-			matmulNT(inner, od[i*m*n:(i+1)*m*n], ad[i*m*d:(i+1)*m*d], bd[i*n*d:(i+1)*n*d], m, d, n, alpha)
-		})
-	}
-	if c.taping(a, b) {
-		c.tapeStep(out, func() {
-			g := out.Grad.Data()
-			var agd, bgd []float32
-			if a.NeedGrad {
-				agd = a.EnsureGrad().Data()
-			}
-			if b.NeedGrad {
-				bgd = b.EnsureGrad().Data()
-			}
-			batchMatmul(e, bs, func(inner *engine.Engine, i int) {
-				gi := g[i*m*n : (i+1)*m*n]
-				if agd != nil {
-					matmulNN(inner, agd[i*m*d:(i+1)*m*d], gi, bd[i*n*d:(i+1)*n*d], m, n, d, alpha)
-				}
-				if bgd != nil {
-					matmulTN(inner, bgd[i*n*d:(i+1)*n*d], gi, ad[i*m*d:(i+1)*m*d], m, n, d, alpha)
-				}
-			})
-		})
-	}
-	return out
-}
-
-// batchMatmul runs fn(i) for every batch index. Wide batches partition
-// across the engine with serial inner products; narrow batches run the
-// outer loop serially and let each product parallelize internally. The
-// choice depends only on bs, and fn's math is chunk-invariant, so both
-// paths give bitwise-identical results.
-func batchMatmul(e *engine.Engine, bs int, fn func(inner *engine.Engine, i int)) {
-	if bs >= 4 {
-		e.ParallelFor(bs, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fn(nil, i)
-			}
-		})
-		return
-	}
-	for i := 0; i < bs; i++ {
-		fn(e, i)
-	}
-}
-
 // Linear applies x·W + bias. x may be rank 2 [batch, in] or rank 3
 // [batch, time, in] (flattened internally); W is [in, out]; bias is [out]
 // and may be nil.

@@ -19,18 +19,17 @@ import (
 //   - MatMul, Linear and Conv2D hand their f32 operands to gemm.F16 /
 //     gemm.I8, which quantize inside the panel packing (no level copies;
 //     int32 accumulation for i8) at every shape.
-//   - MatMulBatched, MatMulBatchedNT and the fused attention kernel
-//     calibrate once over the whole [B,·,·] stack, so they quantize
-//     pooled operand copies (quantizeOperand / quantizeInto) and run the
-//     f32 kernels on the levels. For int8 the levels are small integers
-//     in float32 slices: products are ≤ 127·127 and float32 holds
-//     integers exactly up to 2²⁴, so the f32 accumulation produces the
-//     sums an int8×int8→int32 MAC array would for any realistic
-//     reduction depth, and one multiply by scaleA·scaleB after
-//     accumulation dequantizes — the scale-after-accumulate order real
-//     int8 GEMMs use. The copies are drawn from the engine's buffer pool
-//     and returned before the operator exits, like im2col and attention
-//     scratch.
+//   - The fused attention kernel calibrates once over each whole
+//     [B,T,D] projection, so it quantizes pooled operand copies
+//     (quantizeOperand / quantizeInto) and packs its f32 panels from the
+//     levels. For int8 the levels are small integers in float32 slices:
+//     products are ≤ 127·127 and float32 holds integers exactly up to
+//     2²⁴, so the f32 score accumulation produces the sums an
+//     int8×int8→int32 MAC array would for any realistic head width, and
+//     one multiply by scaleQ·scaleK after accumulation dequantizes — the
+//     scale-after-accumulate order real int8 GEMMs use. The copies are
+//     drawn from the engine's buffer pool and returned before the
+//     operator exits, like im2col and attention scratch.
 //
 // Determinism: quantization is element-wise and the scale calibration
 // is an order-independent max reduction, so every low-precision kernel
@@ -113,27 +112,6 @@ func quantizeOperand(e *engine.Engine, prec precision.Type, src []float32) ([]fl
 func roundSliceF16(e *engine.Engine, dst []float32) {
 	e.ParallelFor(len(dst), elemGrain, func(lo, hi int) {
 		precision.RoundF16Slice(dst[lo:hi], dst[lo:hi])
-	})
-}
-
-// finishLowp converts an emulated low-precision GEMM's f32 accumulator
-// output to its stored form: i8 dequantizes by the combined operand
-// scale (dst must hold raw accumulated level products, i.e. it started
-// zeroed; a unit scale — zero tensors — is skipped and stays
-// bit-identical); f16 rounds the result into the f16 grid.
-func finishLowp(e *engine.Engine, prec precision.Type, dst []float32, scale float32) {
-	if prec == precision.F16 {
-		roundSliceF16(e, dst)
-		return
-	}
-	if scale == 1 {
-		return
-	}
-	e.ParallelFor(len(dst), elemGrain, func(lo, hi int) {
-		d := dst[lo:hi]
-		for i := range d {
-			d[i] *= scale
-		}
 	})
 }
 

@@ -48,14 +48,6 @@ var lowpKernels = []struct {
 		x, w, b := randParam(g, 24, 40), randParam(g, 40, 16), randParam(g, 16)
 		return c.Linear(x, w, b).Value.Data()
 	}},
-	{"MatMulBatched", func(c *Ctx, g *tensor.RNG) []float32 {
-		a, b := randParam(g, 6, 12, 20), randParam(g, 6, 20, 8)
-		return c.MatMulBatched(a, b).Value.Data()
-	}},
-	{"MatMulBatchedNT", func(c *Ctx, g *tensor.RNG) []float32 {
-		a, b := randParam(g, 6, 12, 20), randParam(g, 6, 8, 20)
-		return c.MatMulBatchedNT(a, b, 0.25).Value.Data()
-	}},
 	{"Conv2D", func(c *Ctx, g *tensor.RNG) []float32 {
 		x, w, b := randParam(g, 2, 3, 12, 12), randParam(g, 4, 3, 3, 3), randParam(g, 4)
 		return c.Conv2D(x, w, b, 1, 1).Value.Data()
@@ -159,9 +151,9 @@ func TestLowpPooledScratchPoisonSafe(t *testing.T) {
 
 // The kernel counters tick once per operator call — a merged batch that
 // calibrates per request segment is still one kernel — and the quant-
-// scratch counter moves only for the operators that quantize pooled
-// operand copies (the batched matmuls and fused attention); MatMul and
-// Linear quantize inside the panel packing, counted by the pack stats.
+// scratch counter moves only for the operator that quantizes pooled
+// operand copies (fused attention); MatMul and Linear quantize inside the
+// panel packing, counted by the pack stats.
 func TestPrecisionStatsCount(t *testing.T) {
 	before := PrecisionStats()
 	packBefore := gemm.PackStats()
@@ -188,12 +180,12 @@ func TestPrecisionStatsCount(t *testing.T) {
 		t.Errorf("MatMul/Linear drew quant scratch: %d -> %d", before.QuantScratchBytes, packed.QuantScratchBytes)
 	}
 
-	lowpKernels[2].run(lowpCtx(e, precision.I8), g) // MatMulBatched [6,12,20]×[6,20,8]
+	lowpKernels[3].run(lowpCtx(e, precision.I8), g) // Attention q [2,9,16], k and v [2,13,16]
 	after := PrecisionStats()
 	if after.I8Kernels != packed.I8Kernels+1 {
 		t.Errorf("i8 kernel count %d -> %d, want +1", packed.I8Kernels, after.I8Kernels)
 	}
-	if want := packed.QuantScratchBytes + (6*12*20+6*20*8)*4; after.QuantScratchBytes != want {
+	if want := packed.QuantScratchBytes + (2*9*16+2*2*13*16)*4; after.QuantScratchBytes != want {
 		t.Errorf("quant scratch bytes %d -> %d, want %d", packed.QuantScratchBytes, after.QuantScratchBytes, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mmbench/internal/autograd"
+	"mmbench/internal/engine"
 	"mmbench/internal/kernels"
 	"mmbench/internal/tensor"
 )
@@ -79,6 +80,37 @@ func TestMaxPoolForward(t *testing.T) {
 	out := Infer().MaxPool2D(x, 2)
 	if out.Value.At(0, 0, 0, 0) != 5 {
 		t.Fatalf("maxpool = %v", out.Value.Data())
+	}
+}
+
+// TestMaxPoolUntapedMatchesTaped holds the untaped fast path (no argmax,
+// row-wise conditional-move maxima) to the taped loop bitwise, over windows
+// 2 and 3, odd heights and widths (trailing rows and columns dropped) and
+// inputs salted with the values where two notions of "max" part ways: ±0
+// ties in both orders, −Inf, and NaN (skipped by both).
+func TestMaxPoolUntapedMatchesTaped(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	salt := []float32{0, negZero, negZero, 0, float32(math.Inf(-1)), float32(math.NaN()), float32(math.Inf(1))}
+	for _, tc := range []struct{ n, ch, h, w, window int }{
+		{2, 3, 8, 8, 2}, {1, 2, 9, 7, 2}, {2, 1, 7, 11, 3}, {1, 3, 9, 9, 3}, {1, 1, 2, 2, 2}, {1, 2, 5, 3, 3},
+	} {
+		x := tensor.New(tc.n, tc.ch, tc.h, tc.w)
+		tensor.NewRNG(int64(tc.h*tc.w)).Uniform(x, -1, 1)
+		for i, d := 0, x.Data(); i < len(d); i += 3 {
+			d[i] = salt[(i/3)%len(salt)]
+		}
+		for _, workers := range []int{1, 4} {
+			e := engine.New(workers)
+			untaped := (&Ctx{Eng: e}).MaxPool2D(autograd.NewVar(x), tc.window)
+			taped := (&Ctx{Eng: e, Tape: autograd.NewTape()}).MaxPool2D(autograd.Param(x), tc.window)
+			e.Close()
+			for i, want := range taped.Value.Data() {
+				if got := untaped.Value.Data()[i]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%+v workers=%d: out[%d] = %g (bits %#x) untaped, %g (bits %#x) taped",
+						tc, workers, i, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+		}
 	}
 }
 
@@ -221,14 +253,6 @@ func TestSliceForward(t *testing.T) {
 		if out.Value.Data()[i] != w {
 			t.Fatalf("slice[%d] = %v, want %v", i, out.Value.Data()[i], w)
 		}
-	}
-}
-
-func TestTransposeLast2(t *testing.T) {
-	x := autograd.NewVar(tensor.Of([]int{2, 3}, 1, 2, 3, 4, 5, 6))
-	out := Infer().TransposeLast2(x)
-	if out.Value.At(0, 1) != 4 || out.Value.At(2, 0) != 3 {
-		t.Fatalf("transpose = %v", out.Value.Data())
 	}
 }
 

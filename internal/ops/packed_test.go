@@ -13,30 +13,25 @@ import (
 
 // These tests pin the packed GEMM micro-kernel at the operator level:
 // MatMul forward rides the packed NN variant, its backward rides NT and
-// TN, and the batched operator rides the packed core per slice. Each
-// test guards engagement through the pack-panel counters — a change that
-// silently routed these products around internal/gemm would fail loudly.
+// TN. Each test guards engagement through the pack-panel counters — a
+// change that silently routed these products around internal/gemm would
+// fail loudly.
 
-// packedForwardBackward runs MatMul + MatMulBatched with a scalar loss,
-// returning outputs and parameter gradients.
+// packedForwardBackward runs MatMul with a scalar loss, returning outputs
+// and parameter gradients.
 func packedForwardBackward(t *testing.T, e *engine.Engine) ([]float32, [][]float32) {
 	t.Helper()
 	g := tensor.NewRNG(7)
 	a := randParam(g, 48, 40)
 	b := randParam(g, 40, 48)
-	ba := randParam(g, 3, 32, 40)
-	bb := randParam(g, 3, 40, 32)
-	params := []*Var{a, b, ba, bb}
+	params := []*Var{a, b}
 
 	tape := autograd.NewTape()
 	c := &Ctx{Tape: tape, Eng: e}
-	mm := c.MatMul(a, b)           // packed NN; backward packed NT + TN
-	bmm := c.MatMulBatched(ba, bb) // packed NN per batch slice
-	loss := c.Add(c.MeanAll(mm), c.MeanAll(bmm))
-	tape.Backward(loss)
+	mm := c.MatMul(a, b) // packed NN; backward packed NT + TN
+	tape.Backward(c.MeanAll(mm))
 
 	out := append([]float32(nil), mm.Value.Data()...)
-	out = append(out, bmm.Value.Data()...)
 	grads := make([][]float32, len(params))
 	for i, p := range params {
 		if p.Grad == nil {
@@ -48,8 +43,7 @@ func packedForwardBackward(t *testing.T, e *engine.Engine) ([]float32, [][]float
 }
 
 // TestPackedKernelsWorkerDeterminism requires bitwise-identical outputs
-// and gradients from the packed NN/NT/TN and batched kernels at 1, 4
-// and 16 workers.
+// and gradients from the packed NN/NT/TN kernels at 1, 4 and 16 workers.
 func TestPackedKernelsWorkerDeterminism(t *testing.T) {
 	packs := gemm.PackStats().PanelCheckouts
 	e := engine.New(workerCounts[0])

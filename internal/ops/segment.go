@@ -12,8 +12,7 @@ type segment struct{ lo, hi int }
 // more segments) and dim0 is an exact per-sample multiple of the total
 // sample count. The multiple k = dim0/total handles tensors whose
 // leading dimension is batch-major but scaled, e.g. [B·T, D] rows in
-// Linear or [B·H, T, d] batched-matmul stacks; weights and other
-// non-batch tensors essentially never divide evenly and fall through to
+// Linear; weights and other non-batch tensors essentially never divide evenly and fall through to
 // the unsegmented path, which is correct because their values carry no
 // cross-request state.
 func (c *Ctx) segments(dim0 int) []segment {

@@ -13,8 +13,8 @@ import (
 
 // Merged cross-request execution (Ctx.Segments) must give every request
 // the exact bits it would get standalone. These tests exercise each
-// operator with cross-batch numerics — Linear, the batched matmuls and
-// fused attention (i8 scales), Conv2D (i8 activation scale) and
+// operator with cross-batch numerics — Linear and fused attention (i8
+// scales), Conv2D (i8 activation scale) and
 // BatchNorm2D (batch statistics) — comparing a merged multi-request
 // forward slice-for-slice against the standalone runs. Where it matters, an engagement guard
 // shows the *unsegmented* merged run differs, proving the test has
@@ -132,41 +132,6 @@ func testLinearSegmentedBitwise(t *testing.T, e *engine.Engine, sizes []int) {
 			sliceEq(t, fmt.Sprintf("linear/i8/unsegmented/%v/dx", sizes), dxu[:len(dx)], dx)
 		}
 	}
-}
-
-// Batched matmuls at i8: per-tensor operand scales are cross-request
-// state, so the merged run must calibrate per segment.
-func TestMatMulBatchedSegmentedI8(t *testing.T) {
-	e := engine.New(2)
-	a1, b1 := segVar([]int{2, 8, 16}, 1, 0), segVar([]int{2, 16, 8}, 1, 1)
-	a2, b2 := segVar([]int{3, 8, 16}, 4, 2), segVar([]int{3, 16, 8}, 4, 3)
-
-	o1 := segCtx(e, precision.I8, nil).MatMulBatched(a1, b1)
-	o2 := segCtx(e, precision.I8, nil).MatMulBatched(a2, b2)
-	om := segCtx(e, precision.I8, []int{2, 3}).MatMulBatched(concatVars(a1, a2), concatVars(b1, b2))
-	sliceEq(t, "bgemm/out[0]", om.Value.Data()[:2*8*8], o1.Value.Data())
-	sliceEq(t, "bgemm/out[1]", om.Value.Data()[2*8*8:], o2.Value.Data())
-
-	on1 := segCtx(e, precision.I8, nil).MatMulBatchedNT(a1, b1T(b1), 0.25)
-	on2 := segCtx(e, precision.I8, nil).MatMulBatchedNT(a2, b1T(b2), 0.25)
-	onm := segCtx(e, precision.I8, []int{2, 3}).MatMulBatchedNT(concatVars(a1, a2), concatVars(b1T(b1), b1T(b2)), 0.25)
-	sliceEq(t, "bgemm_nt/out[0]", onm.Value.Data()[:2*8*8], on1.Value.Data())
-	sliceEq(t, "bgemm_nt/out[1]", onm.Value.Data()[2*8*8:], on2.Value.Data())
-
-	// Guard: without segments the shared scale changes the i8 grid.
-	ou := segCtx(e, precision.I8, nil).MatMulBatched(concatVars(a1, a2), concatVars(b1, b2))
-	if eqPrefix(ou.Value.Data(), o1.Value.Data()) {
-		t.Error("unsegmented merged i8 bgemm matched standalone — guard is vacuous")
-	}
-}
-
-// b1T reinterprets [B,k,n] data as the [B,n,k] operand MatMulBatchedNT
-// expects (values don't matter for the bitwise comparison, shapes do).
-func b1T(v *Var) *Var {
-	s := v.Value.Shape()
-	out := autograd.NewVar(tensor.New(s[0], s[2], s[1]))
-	copy(out.Value.Data(), v.Value.Data())
-	return out
 }
 
 func eqPrefix(got, want []float32) bool {

@@ -166,59 +166,6 @@ func (c *Ctx) Slice(x *Var, axis, start, end int) *Var {
 	return out
 }
 
-// TransposeLast2 swaps the last two dimensions (used for attention Kᵀ).
-func (c *Ctx) TransposeLast2(x *Var) *Var {
-	s := x.Value.Shape()
-	if len(s) < 2 {
-		panic(fmt.Sprintf("ops: TransposeLast2 needs rank ≥ 2, got %v", s))
-	}
-	a, b := s[len(s)-2], s[len(s)-1]
-	outShape := make([]int, len(s))
-	copy(outShape, s)
-	outShape[len(s)-2], outShape[len(s)-1] = b, a
-	batch := x.Value.Size() / (a * b)
-
-	c.emit(kernels.CopySpec("transpose", x.Value.Size()))
-	out := c.out(outShape, x)
-	if out.Value.Abstract() {
-		return out
-	}
-	// Partition over output rows: each row od[.., j, :] is written by
-	// exactly one chunk (gathering a strided column of x), so results
-	// are bitwise identical at any worker count.
-	e := c.engine()
-	xd, od := x.Value.Data(), out.Value.Data()
-	e.ParallelFor(batch*b, rowGrain(a), func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			bi, j := r/b, r%b
-			xo := bi * a * b
-			orow := od[xo+j*a : xo+(j+1)*a]
-			for i := range orow {
-				orow[i] = xd[xo+i*b+j]
-			}
-		}
-	})
-	if c.taping(x) {
-		c.tapeStep(out, func() {
-			g := out.Grad.Data()
-			xg := x.EnsureGrad().Data()
-			// Backward partitions over input rows instead, keeping each
-			// xg row owned by one chunk.
-			e.ParallelFor(batch*a, rowGrain(b), func(r0, r1 int) {
-				for r := r0; r < r1; r++ {
-					bi, i := r/a, r%a
-					xo := bi * a * b
-					xrow := xg[xo+i*b : xo+(i+1)*b]
-					for j := range xrow {
-						xrow[j] += g[xo+j*a+i]
-					}
-				}
-			})
-		})
-	}
-	return out
-}
-
 // Constant wraps a tensor that never requires gradients.
 func Constant(t *tensor.Tensor) *Var { return autograd.NewVar(t) }
 

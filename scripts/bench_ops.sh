@@ -11,10 +11,13 @@
 # quantize/dequantize overhead of the emulated low-precision kernels
 # against their f32 baselines (BenchmarkEngineMatMul,
 # BenchmarkAttentionFused), the BenchmarkMatMulShapes sweep, which
-# pins the packed GEMM micro-kernel across square and skinny shapes, and
-# the BenchmarkLinearFrozen / BenchmarkLinearPerCall pair, which prices
+# pins the packed GEMM micro-kernel across square and skinny shapes, the
+# BenchmarkLinearFrozen / BenchmarkLinearPerCall pair, which prices
 # Linear over a frozen network's kept weight panels against the per-call
-# pack of a private network at the shapes the served models issue.
+# pack of a private network at the shapes the served models issue, and
+# the non-GEMM half of a served forward: BenchmarkAttention at the served
+# attention shapes and BenchmarkActivation{ReLU,Sigmoid,Tanh,GELU} at the
+# mosei FFN's hidden shape.
 # Benchmark wall times are machine-dependent; the baseline is meant for
 # relative comparisons on one machine (e.g. CI runners of the same
 # class), not absolute thresholds.
