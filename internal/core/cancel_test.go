@@ -176,9 +176,10 @@ func wantPrivateBits(t *testing.T, what string, frozen, private *mmnet.Network, 
 // the next stage boundary that forward keeps calling Linear on an engine
 // whose chunks are now no-ops, so every weight it reaches "packs"
 // nothing into its buffer: a panel published from there would corrupt
-// every later request. The cancelled run must leave nothing behind it —
-// the same network, run again uncancelled, gives a private network's
-// bits.
+// every later request. (avmnist's encoders are conv stacks, whose work
+// units each hold pooled panel scratch when the flag goes up.) The
+// cancelled run must leave nothing behind it — no buffer outstanding, and
+// the same network, run again uncancelled, gives a private network's bits.
 func TestCancelledFirstUseLeavesNoPanels(t *testing.T) {
 	for _, m := range []struct{ workload, variant string }{{"avmnist", "concat"}, {"mosei", "transformer"}} {
 		frozen, private := storeNet(t, m.workload, m.variant)
@@ -200,6 +201,9 @@ func TestCancelledFirstUseLeavesNoPanels(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err %v, want context.Canceled", frozen.Name, err)
 		}
+		if out := e.Stats().PoolOutstanding; out != 0 {
+			t.Fatalf("%s: the cancelled run never returned %d pooled buffers", frozen.Name, out)
+		}
 		wantPrivateBits(t, frozen.Name+" after a cancelled first use", frozen, private, RunOptions{Eager: true, BatchSize: 16, Engine: e})
 		if packedBytes(frozen) == 0 {
 			t.Errorf("%s: the uncancelled run kept no panels", frozen.Name)
@@ -211,7 +215,9 @@ func TestCancelledFirstUseLeavesNoPanels(t *testing.T) {
 // TestPanickedFirstUseLeavesNoPanels injects a kernel panic into the
 // first-ever eager run of a store network at chunk positions spread over
 // the whole forward (one worker and sequential branches, so the n-th
-// engine chunk is the same chunk every time — pack chunks included). The
+// engine chunk is the same chunk every time — pack chunks included), for a
+// transformer model and a convolutional one (whose chunks are weight packs
+// and whole sample × pixel-block sweeps holding gathered panels). The
 // faulted run panics as it always has; whatever it had packed or was
 // packing, the next run of the same network gives a private network's
 // bits and the pool is whole again.
@@ -220,27 +226,32 @@ func TestPanickedFirstUseLeavesNoPanels(t *testing.T) {
 	e := engine.New(1)
 	defer e.Close()
 	opts := RunOptions{Eager: true, BatchSize: 2, Engine: e, SequentialBranches: true}
-	panicked := 0
-	for every := 1; every <= 90; every += 2 {
-		frozen, private := storeNet(t, "mosei", "transformer")
-		if err := faultinject.Configure(fmt.Sprintf("engine.chunk=panic/every=%d", every)); err != nil {
-			t.Fatal(err)
-		}
-		func() {
-			defer func() {
-				if recover() != nil {
-					panicked++
-				}
+	for _, m := range []struct {
+		workload, variant string
+		chunks            int // the sweep's reach; the forward has more
+	}{{"mosei", "transformer", 90}, {"avmnist", "concat", 30}} {
+		panicked := 0
+		for every := 1; every <= m.chunks; every += 2 {
+			frozen, private := storeNet(t, m.workload, m.variant)
+			if err := faultinject.Configure(fmt.Sprintf("engine.chunk=panic/every=%d", every)); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() != nil {
+						panicked++
+					}
+				}()
+				_, _ = Run(frozen, opts)
 			}()
-			_, _ = Run(frozen, opts)
-		}()
-		faultinject.Configure("")
-		wantPrivateBits(t, fmt.Sprintf("%s after a panic at chunk %d", frozen.Name, every), frozen, private, opts)
-		if out := e.Stats().PoolOutstanding; out != 0 {
-			t.Fatalf("panic at chunk %d: %d pooled buffers never returned", every, out)
+			faultinject.Configure("")
+			if out := e.Stats().PoolOutstanding; out != 0 {
+				t.Fatalf("%s, panic at chunk %d: %d pooled buffers never returned", frozen.Name, every, out)
+			}
+			wantPrivateBits(t, fmt.Sprintf("%s after a panic at chunk %d", frozen.Name, every), frozen, private, opts)
 		}
-	}
-	if panicked < 40 {
-		t.Fatalf("only %d injected panics fired: the forward has fewer chunks than the sweep assumes", panicked)
+		if want := (m.chunks + 1) / 2; panicked < want {
+			t.Fatalf("%s: only %d of %d injected panics fired: the forward has fewer chunks than the sweep assumes", m.workload, panicked, want)
+		}
 	}
 }

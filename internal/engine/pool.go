@@ -7,9 +7,9 @@ import (
 )
 
 // Buffer-pool sizing. Requests are rounded up to a power-of-two bucket;
-// anything above maxBucket elements bypasses the pool (a single paper-
-// scale im2col plane can be tens of MB — caching those would pin memory
-// for rare shapes).
+// anything above maxBucket elements bypasses the pool (the panels of one
+// paper-scale GEMM operand can be tens of MB — caching those would pin
+// memory for rare shapes).
 const (
 	minBucket    = 1 << 8  // 256 floats (1 KiB)
 	maxBucket    = 1 << 22 // 4 Mi floats (16 MiB)
@@ -114,7 +114,7 @@ func (e *Engine) Get(n int) []float32 {
 }
 
 // GetUninit is Get without the zero fill, for callers that overwrite
-// every element before reading any (im2col columns, row-wise softmax
+// every element before reading any (GEMM panels, row-wise softmax
 // scratch). Under SetDebug poisoning, a violation of that contract
 // surfaces as NaNs in results instead of silently reading zeros.
 func (e *Engine) GetUninit(n int) []float32 {

@@ -23,12 +23,14 @@
 // precision, and hands it to the same multiply routine (mulF32, mulF16,
 // mulI8), so kept and per-call panels give the same bits; A is packed per
 // call either way. Kept panels are reachable only through their holder:
-// this package has no cache of its own. Each micro-kernel has one driver:
-// mulF16 and mulI8 for theirs, and for the f32 kernel MulPanels — the
-// serial tile-level entry mulF32 runs per engine chunk, which a caller
-// with its own work partition (fused attention: one unit per batch·head
-// and query tile) drives directly over panels it packed into its own
-// scratch with PackA, PackB and PackBT.
+// this package has no cache of its own. Each micro-kernel has one serial
+// tile-level driver — MulPanels, mulPanelsF16, mulPanelsI8 — which its
+// multiply routine runs per engine chunk and which a caller with its own
+// work partition drives directly over panels it packed itself: fused
+// attention (one unit per batch·head and query tile, MulPanels over
+// PackA/PackB/PackBT panels in its own scratch) and the convolutions
+// below (ConvF32/F16/I8: one unit per sample and block of output pixels,
+// whose B panels PackBConv gathers straight out of the image).
 //
 // # Micro-kernel
 //
@@ -46,9 +48,10 @@
 // Every dst element is produced by exactly one micro-kernel invocation
 // that accumulates its K products in ascending-l order into a single
 // register accumulator, then stores dst += alpha·acc (scale after
-// accumulate). Work is partitioned over A row panels with shape-only
-// chunking, so results are bitwise identical at any engine worker count
-// and under any branch schedule — the engine's determinism contract.
+// accumulate). Work is partitioned over A row panels (a convolution's
+// over samples and B-panel blocks) with shape-only chunking, so results
+// are bitwise identical at any engine worker count and under any branch
+// schedule — the engine's determinism contract.
 //
 // # Reduced precision
 //
@@ -68,6 +71,7 @@ import (
 	"sync/atomic"
 
 	"mmbench/internal/engine"
+	"mmbench/internal/precision"
 )
 
 const (
@@ -196,8 +200,8 @@ func LenB(k, n int) int { return panelsB(n) * k * NR }
 // column panels of a k×n B (k ≥ 1), and dst's rows are ldd ≥ n elements
 // apart. It is the only driver of kernF32 — mulF32 runs it per engine
 // chunk — and the tile-level entry for callers that partition their own
-// work over panels they packed themselves (PackA, PackB, PackBT): it
-// draws no scratch and counts nothing in PackStats.
+// work over panels they packed themselves (PackA, PackB, PackBT,
+// PackBConv): it draws no scratch and counts nothing in PackStats.
 func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha float32) {
 	var tile [MR * NR]float32
 	for ip := 0; ip*MR < m; ip++ {
@@ -252,22 +256,29 @@ func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 }
 
 // mulF16 multiplies A, rounded to the float16 grid while packing,
-// against finished half-width B panels — the only driver of kernF16Asm.
+// against finished half-width B panels: mulPanelsF16, one A row panel per
+// work unit.
 func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool) {
-	nip, njp := panelsA(m), panelsB(n)
-	ap := panelF32(e, nip*k*MR)
+	ap := panelF32(e, LenA(m, k))
 	defer e.Put(ap)
 	packAF16(e, ap, a, m, k, aT)
-	e.ParallelFor(nip, 1, func(lo, hi int) {
-		var tile [MR * NR]float32
-		for ip := lo; ip < hi; ip++ {
-			app := ap[ip*k*MR : (ip+1)*k*MR]
-			for jp := 0; jp < njp; jp++ {
-				kernF16Asm(&app[0], &bp[jp*k*NR], &tile[0], int64(k))
-				addTileF32(dst, n, &tile, ip*MR, jp*NR, m, n, alpha)
-			}
-		}
+	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
+		mulPanelsF16(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
 	})
+}
+
+// mulPanelsF16 is MulPanels for half-width B panels (raw float16 bits;
+// ap holds f32 values already on the float16 grid) — the only driver of
+// kernF16Asm.
+func mulPanelsF16(dst []float32, ldd int, ap []float32, bp []uint16, m, k, n int, alpha float32) {
+	var tile [MR * NR]float32
+	for ip := 0; ip*MR < m; ip++ {
+		app := ap[ip*k*MR : (ip+1)*k*MR]
+		for jp := 0; jp*NR < n; jp++ {
+			kernF16Asm(&app[0], &bp[jp*k*NR], &tile[0], int64(k))
+			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha)
+		}
+	}
 }
 
 // I8 computes dst[m,n] += alpha·sa·sb · (Qa·Qb) where Qa, Qb are the
@@ -295,23 +306,115 @@ func I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float3
 func pairsI8(k int) int { return (k + 1) / 2 }
 
 // mulI8 quantizes and packs A at scale sa and multiplies it against
-// finished int8 B panels quantized at sb — the only driver of kernI8.
+// finished int8 B panels quantized at sb: mulPanelsI8, one A row panel per
+// work unit.
 func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa, sb float32, aT bool) {
 	kp := pairsI8(k)
-	nip, njp := panelsA(m), panelsB(n)
-	ap := panelI16(e, nip*kp*2*MR)
+	ap := panelI16(e, panelsA(m)*kp*2*MR)
 	defer e.PutI16(ap)
 	packAI16(e, ap, a, m, k, sa, aT)
 	deq := alpha * sa * sb
-	e.ParallelFor(nip, 1, func(lo, hi int) {
-		var tile [MR * NR]int32
-		for ip := lo; ip < hi; ip++ {
-			app := ap[ip*kp*2*MR : (ip+1)*kp*2*MR]
-			for jp := 0; jp < njp; jp++ {
-				kernI8(app, bp[jp*kp*2*NR:(jp+1)*kp*2*NR], &tile, kp)
-				addTileI32(dst, &tile, ip*MR, jp*NR, m, n, deq)
-			}
+	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
+		mulPanelsI8(dst[lo*MR*n:], n, ap[lo*kp*2*MR:hi*kp*2*MR], bp, min(m, hi*MR)-lo*MR, kp, n, deq)
+	})
+}
+
+// mulPanelsI8 is MulPanels for quantized panels of kp K-pairs each:
+// dst[m,n] += deq · (Qa·Qb), accumulated exactly in int32 and dequantized
+// at the tile store — the only driver of kernI8.
+func mulPanelsI8(dst []float32, ldd int, ap []int16, bp []int8, m, kp, n int, deq float32) {
+	var tile [MR * NR]int32
+	for ip := 0; ip*MR < m; ip++ {
+		app := ap[ip*kp*2*MR : (ip+1)*kp*2*MR]
+		for jp := 0; jp*NR < n; jp++ {
+			kernI8(app, bp[jp*kp*2*NR:(jp+1)*kp*2*NR], &tile, kp)
+			addTileI32(dst, ldd, &tile, ip*MR, jp*NR, m, n, deq)
 		}
+	}
+}
+
+// Convolution as an implicit GEMM. Per sample, dst[outC, OH·OW] +=
+// W[outC, K] · patches[K, OH·OW], and the patch matrix is never stored:
+// the weights are packed into A panels once per call, and each work unit —
+// one sample's block of convBlockPanels(K) B panels, consecutive output
+// pixels — gathers its panels out of the image into pooled scratch
+// (PackBConv), converts them in place to the precision's B layout, and
+// multiplies every A panel against them while they are cache-resident.
+// Same panels, same micro-kernel, same K order as a GEMM over the stored
+// patch matrix, so each output element has that GEMM's bits, at any worker
+// count and whichever samples share the call.
+
+// convBlockPanels is the number of B panels one convolution work unit
+// gathers and multiplies: as many as fit ≈256 KiB as float32, at least 1,
+// at most 8. A function of the shape alone, like every work partition.
+func convBlockPanels(k int) int { return max(1, min(8, (256<<10)/(k*NR*4))) }
+
+// convUnits runs mul once per (sample, B-panel block) work unit of an
+// n-sample convolution over x [n,C,H,W]: bp holds the f32 panels of
+// sample ni's cols output pixels starting at j0. The scratch behind bp is
+// the unit's own, drawn and returned inside it.
+func convUnits(e *engine.Engine, x []float32, n int, g ConvShape, mul func(bp []float32, ni, j0, cols int)) {
+	k, m, img := g.K(), g.OH*g.OW, g.C*g.H*g.W
+	block := convBlockPanels(k) * NR
+	blocks := (m + block - 1) / block
+	unit := func(u int) {
+		ni, j0 := u/blocks, u%blocks*block
+		cols := min(block, m-j0)
+		bp := panelF32(e, LenB(k, cols))
+		defer e.Put(bp)
+		PackBConv(bp, x[ni*img:(ni+1)*img], g, j0, cols)
+		mul(bp, ni, j0, cols)
+	}
+	e.ParallelFor(n*blocks, 1, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			unit(u)
+		}
+	})
+}
+
+// ConvF32 computes dst[n,outC,OH,OW] += conv(x[n,C,H,W], w[outC,C,KH,KW])
+// in float32.
+func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
+	k, m := g.K(), g.OH*g.OW
+	ap := panelF32(e, LenA(outC, k))
+	defer e.Put(ap)
+	packAF32(e, ap, w, outC, k, false)
+	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
+		MulPanels(dst[ni*outC*m+j0:], m, ap, bp, outC, k, cols, 1)
+	})
+}
+
+// ConvF16 is ConvF32 with both operands rounded to the float16 grid as
+// they are packed (F16's arrangement: f32 accumulation, the caller owns
+// the output store).
+func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
+	k, m := g.K(), g.OH*g.OW
+	ap := panelF32(e, LenA(outC, k))
+	defer e.Put(ap)
+	packAF16(e, ap, w, outC, k, false)
+	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
+		d := dst[ni*outC*m+j0:]
+		if asmF16 {
+			mulPanelsF16(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1)
+		} else {
+			precision.RoundF16Slice(bp, bp)
+			MulPanels(d, m, ap, bp, outC, k, cols, 1)
+		}
+	})
+}
+
+// ConvI8 is ConvF32 over int8 levels (I8's arrangement): the weights are
+// quantized at sw once, sample ni's patches at sx[ni] — a merged batch
+// carries one activation scale per request segment — and each tile is
+// dequantized by sw·sx[ni] at its store.
+func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw float32, sx []float32) {
+	k, m := g.K(), g.OH*g.OW
+	kp := pairsI8(k)
+	ap := panelI16(e, panelsA(outC)*kp*2*MR)
+	defer e.PutI16(ap)
+	packAI16(e, ap, w, outC, k, sw, false)
+	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
+		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, i8PairsInPlace(bp, k, 1/sx[ni]), outC, kp, cols, sw*sx[ni])
 	})
 }
 
@@ -342,18 +445,12 @@ func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int
 	}
 }
 
-// addTileI32 dequantizes and accumulates an int32 tile:
-// dst[i0+r][j0+c] += deq·float32(tile[r][c]).
-func addTileI32(dst []float32, tile *[MR * NR]int32, i0, j0, m, n int, deq float32) {
-	rows, cols := m-i0, n-j0
-	if rows > MR {
-		rows = MR
-	}
-	if cols > NR {
-		cols = NR
-	}
+// addTileI32 dequantizes and accumulates an int32 tile into dst, whose
+// rows are ldd elements apart: dst[i0+r][j0+c] += deq·float32(tile[r][c]).
+func addTileI32(dst []float32, ldd int, tile *[MR * NR]int32, i0, j0, m, n int, deq float32) {
+	rows, cols := min(MR, m-i0), min(NR, n-j0)
 	for r := 0; r < rows; r++ {
-		dr := dst[(i0+r)*n+j0 : (i0+r)*n+j0+cols]
+		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
 		tr := tile[r*NR : r*NR+cols]
 		for c, v := range tr {
 			dr[c] += deq * float32(v)

@@ -3,6 +3,7 @@ package gemm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mmbench/internal/engine"
@@ -508,4 +509,78 @@ func BenchmarkPackedF16_512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		F16(e, dst, a, bb, d, d, d, 1, false, false)
 	}
+}
+
+// TestPackBConvMatchesStoredPatchMatrix builds a sample's patch matrix by
+// definition, packs it with the stored-operand routines, and requires the
+// same panels — every element, padding included — from the gather and its
+// in-place low-precision conversions, for windows of columns that start
+// and end mid-row and mid-panel. Scratch starts NaN-filled, so an element
+// the gather skips fails the comparison.
+func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range []ConvShape{
+		{C: 2, H: 9, W: 23, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 3, H: 11, W: 7, KH: 5, KW: 5, Stride: 2, Pad: 2},
+		{C: 1, H: 6, W: 40, KH: 1, KW: 1, Stride: 1, Pad: 0},
+		{C: 2, H: 8, W: 19, KH: 1, KW: 1, Stride: 3, Pad: 2},
+		{C: 1, H: 5, W: 30, KH: 4, KW: 7, Stride: 3, Pad: 3},
+	} {
+		g.OH, g.OW = (g.H+2*g.Pad-g.KH)/g.Stride+1, (g.W+2*g.Pad-g.KW)/g.Stride+1
+		k, m := g.K(), g.OH*g.OW
+		img := randSlice(rng, g.C*g.H*g.W)
+		patches := make([]float32, k*m)
+		for l := 0; l < k; l++ {
+			ci, ky, kx := l/(g.KH*g.KW), l/g.KW%g.KH, l%g.KW
+			for j := 0; j < m; j++ {
+				iy, ix := j/g.OW*g.Stride+ky-g.Pad, j%g.OW*g.Stride+kx-g.Pad
+				if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
+					patches[l*m+j] = img[(ci*g.H+iy)*g.W+ix]
+				}
+			}
+		}
+		sb := precision.I8Scale(precision.MaxAbs(img))
+		for _, win := range [][2]int{{0, m}, {0, 1}, {5, 16}, {16, 17}, {m - 33, 33}, {m / 2, 15}} {
+			j0, n := win[0], win[1]
+			if j0 < 0 || j0+n > m {
+				continue
+			}
+			want := make([]float32, LenB(k, n))
+			PackB(want, patches[j0:], k, n, m)
+			wantU16 := make([]uint16, LenB(k, n))
+			packBU16(nil, wantU16, sliceCols(patches, k, m, j0, n), k, n, false)
+			wantI8 := make([]int8, panelsB(n)*pairsI8(k)*2*NR)
+			packBI8(nil, wantI8, sliceCols(patches, k, m, j0, n), k, n, sb, false)
+
+			gather := func() []float32 {
+				bp := make([]float32, LenB(k, n))
+				for i := range bp {
+					bp[i] = float32(math.NaN())
+				}
+				PackBConv(bp, img, g, j0, n)
+				return bp
+			}
+			got := gather()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%+v cols [%d,%d): panel[%d] = %g, PackB of the patch matrix gives %g", g, j0, j0+n, i, got[i], want[i])
+				}
+			}
+			if gotU16 := f16BitsInPlace(gather()); !slices.Equal(gotU16, wantU16) {
+				t.Fatalf("%+v cols [%d,%d): in-place f16 panels differ from packBU16's", g, j0, j0+n)
+			}
+			if gotI8 := i8PairsInPlace(gather(), k, 1/sb); !slices.Equal(gotI8, wantI8) {
+				t.Fatalf("%+v cols [%d,%d): in-place i8 panels differ from packBI8's", g, j0, j0+n)
+			}
+		}
+	}
+}
+
+// sliceCols copies columns [j0, j0+n) of a k×m row-major matrix.
+func sliceCols(x []float32, k, m, j0, n int) []float32 {
+	out := make([]float32, k*n)
+	for l := 0; l < k; l++ {
+		copy(out[l*n:(l+1)*n], x[l*m+j0:])
+	}
+	return out
 }

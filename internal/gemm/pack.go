@@ -1,6 +1,8 @@
 package gemm
 
 import (
+	"unsafe"
+
 	"mmbench/internal/engine"
 	"mmbench/internal/precision"
 )
@@ -138,6 +140,105 @@ func PackBT(bp, b []float32, k, n, ldb int) {
 		for c := cols; c < NR; c++ {
 			for l := 0; l < k; l++ {
 				p[l*NR+c] = 0
+			}
+		}
+	}
+}
+
+// ConvShape is the geometry of a 2-D convolution over one [C,H,W] sample:
+// a KH×KW window moved Stride apart over the image zero-padded by Pad on
+// every side, giving an OH×OW output plane. As a GEMM the sample is the B
+// operand [K, OH·OW] whose column j = oy·OW+ox holds output pixel
+// (oy, ox)'s patch, row l = (c·KH+ky)·KW+kx being
+// image[c][oy·Stride+ky−Pad][ox·Stride+kx−Pad], or 0 outside the image.
+// That matrix is never stored: PackBConv gathers its panels directly.
+type ConvShape struct {
+	C, H, W     int
+	KH, KW      int
+	Stride, Pad int
+	OH, OW      int
+}
+
+// K is the reduction depth of the convolution's GEMM: C·KH·KW.
+func (g ConvShape) K() int { return g.C * g.KH * g.KW }
+
+// PackBConv is PackB for the patch matrix of one sample img [C,H,W]: it
+// packs columns [j0, j0+n) — n consecutive output pixels, which may span
+// output rows — into column panels bp[(jp*K+l)*NR+c], filling all
+// LenB(g.K(), n) elements (image border and columns past n with zeros). A
+// 1×1 stride-1 unpadded window's patch matrix is the image itself, and
+// that case is a plain PackB.
+func PackBConv(bp, img []float32, g ConvShape, j0, n int) {
+	k := g.K()
+	if g.KH == 1 && g.KW == 1 && g.Stride == 1 && g.Pad == 0 {
+		PackB(bp, img[j0:], k, n, g.H*g.W)
+		return
+	}
+	for jp := 0; jp*NR < n; jp++ {
+		p := bp[jp*k*NR : (jp+1)*k*NR]
+		cols := min(NR, n-jp*NR)
+		// A panel's pixels are one run per output row they touch.
+		for c0 := 0; c0 < cols; {
+			j := j0 + jp*NR + c0
+			oy, ox := j/g.OW, j%g.OW
+			run := min(cols-c0, g.OW-ox)
+			packPatchRun(p[c0:], img, g, oy, ox, run)
+			c0 += run
+		}
+		if cols < NR {
+			for l := 0; l < k; l++ {
+				clear(p[l*NR+cols : (l+1)*NR])
+			}
+		}
+	}
+}
+
+// packPatchRun writes the patches of run consecutive pixels of output row
+// oy, starting at column ox, into panel columns p[l*NR : l*NR+run] for
+// every l. Each (c, ky, kx) reads one image row at a fixed offset, so a
+// run is zeros where the window hangs over the border and otherwise a
+// contiguous (stride 1) or strided slice of that row.
+func packPatchRun(p, img []float32, g ConvShape, oy, ox, run int) {
+	l := 0
+	for ci := 0; ci < g.C; ci++ {
+		for ky := 0; ky < g.KH; ky++ {
+			iy := oy*g.Stride + ky - g.Pad
+			if iy < 0 || iy >= g.H {
+				for kx := 0; kx < g.KW; kx++ {
+					clear(p[l*NR : l*NR+run])
+					l++
+				}
+				continue
+			}
+			row := img[(ci*g.H+iy)*g.W : (ci*g.H+iy+1)*g.W]
+			for kx := 0; kx < g.KW; kx++ {
+				dst := p[l*NR : l*NR+run]
+				l++
+				// ix is dst[c]'s image column; [lo, hi) are the c inside
+				// the image.
+				ix := ox*g.Stride + kx - g.Pad
+				if g.Stride == 1 && run == NR && ix >= 0 && ix+NR <= g.W {
+					// A whole panel row inside the image: one fixed-size
+					// copy, no call.
+					*(*[NR]float32)(dst) = *(*[NR]float32)(row[ix:])
+					continue
+				}
+				lo, hi := 0, run
+				if ix < 0 {
+					lo = min(run, (-ix+g.Stride-1)/g.Stride)
+				}
+				if last := ix + (run-1)*g.Stride; last >= g.W {
+					hi = max(lo, run-(last-g.W)/g.Stride-1)
+				}
+				clear(dst[:lo])
+				if g.Stride > 1 {
+					for c := lo; c < hi; c++ {
+						dst[c] = row[ix+c*g.Stride]
+					}
+				} else if lo < hi {
+					copy(dst[lo:hi], row[ix+lo:])
+				}
+				clear(dst[hi:])
 			}
 		}
 	}
@@ -360,4 +461,45 @@ func packBI8(e *engine.Engine, bp []int8, b []float32, k, n int, sb float32, bT 
 			}
 		}
 	})
+}
+
+// f16BitsInPlace converts finished f32 B panels to the raw-float16-bits
+// layout packBU16 produces — same indexing, half the bytes — inside the
+// memory they occupy, and returns that view. Element i's two bytes land in
+// float i/2, which the ascending walk has already read.
+func f16BitsInPlace(bp []float32) []uint16 {
+	up := unsafe.Slice((*uint16)(unsafe.Pointer(&bp[0])), len(bp))
+	for i, v := range bp {
+		up[i] = precision.F16Bits(v)
+	}
+	return up
+}
+
+// i8PairsInPlace converts finished f32 B panels of depth k to the
+// int8 K-pair layout packBI8 produces at scale 1/inv, inside the memory
+// they occupy, and returns that view. A pair group is assembled on the
+// stack before it is stored: group 0 of panel 0 overlaps the two float
+// rows it is read from; every later group lands in floats already read.
+func i8PairsInPlace(bp []float32, k int, inv float32) []int8 {
+	kp := pairsI8(k)
+	ip := unsafe.Slice((*int8)(unsafe.Pointer(&bp[0])), len(bp)*4)
+	njp := len(bp) / (k * NR)
+	var zero [NR]float32 // odd K pairs the last row with zero levels
+	for jp := 0; jp < njp; jp++ {
+		src := bp[jp*k*NR : (jp+1)*k*NR]
+		dst := ip[jp*kp*2*NR : (jp+1)*kp*2*NR]
+		var q [2 * NR]int8
+		for l2 := 0; l2 < kp; l2++ {
+			b0, b1 := (*[NR]float32)(src[2*l2*NR:]), &zero
+			if 2*l2+1 < k {
+				b1 = (*[NR]float32)(src[(2*l2+1)*NR:])
+			}
+			for c := 0; c < NR; c++ {
+				q[c*2] = precision.I8Level(b0[c], inv)
+				q[c*2+1] = precision.I8Level(b1[c], inv)
+			}
+			copy(dst[l2*2*NR:], q[:])
+		}
+	}
+	return ip[:njp*kp*2*NR]
 }

@@ -184,13 +184,45 @@ func BenchmarkMatMul128(b *testing.B) {
 	}
 }
 
+// convShapes are the convolutions the served models issue at their bench
+// batch sizes — avmnist's first layer (K = 25, six filters) and the 3×3
+// stacks of vnt, push and medseg — plus one stride-2 ResNet stage and one
+// paper-scale layer no benchmark workload serves, and the 16-channel 64²
+// layer again under the two reduced precisions.
+var convShapes = []struct {
+	n, c, h, w, outC, k, stride, pad int
+	prec                             precision.Type
+}{
+	{32, 1, 28, 28, 6, 5, 1, 0, precision.F32},
+	{2, 16, 64, 64, 32, 3, 1, 1, precision.F32},
+	{2, 32, 32, 32, 64, 3, 1, 1, precision.F32},
+	{2, 3, 128, 128, 16, 3, 1, 1, precision.F32},
+	{1, 64, 16, 16, 128, 3, 1, 1, precision.F32},
+	{2, 64, 56, 56, 128, 3, 2, 1, precision.F32},
+	{2, 64, 112, 112, 128, 3, 1, 1, precision.F32},
+	{2, 16, 64, 64, 32, 3, 1, 1, precision.F16},
+	{2, 16, 64, 64, 32, 3, 1, 1, precision.I8},
+}
+
+// BenchmarkConv2D sweeps the Conv2D forward over convShapes on the
+// default engine, reporting the achieved GFLOP/s (2·K multiply-adds per
+// output element) beside ns/op.
 func BenchmarkConv2D(b *testing.B) {
-	g := tensor.NewRNG(2)
-	x := benchVar(g, 8, 16, 28, 28)
-	w := benchVar(g, 32, 16, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Infer().Conv2D(x, w, nil, 1, 1)
+	for _, s := range convShapes {
+		name := fmt.Sprintf("%dx%dx%dx%d_o%d_k%d_s%d_p%d_%s", s.n, s.c, s.h, s.w, s.outC, s.k, s.stride, s.pad, s.prec)
+		b.Run(name, func(b *testing.B) {
+			g := tensor.NewRNG(2)
+			x := benchVar(g, s.n, s.c, s.h, s.w)
+			w := benchVar(g, s.outC, s.c, s.k, s.k)
+			c := lowpCtx(nil, s.prec)
+			oh, ow := convOut(s.h, s.k, s.stride, s.pad), convOut(s.w, s.k, s.stride, s.pad)
+			flops := 2 * float64(s.n*s.outC*oh*ow) * float64(s.c*s.k*s.k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Conv2D(x, w, nil, s.stride, s.pad)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

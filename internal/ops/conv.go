@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mmbench/internal/engine"
 	"mmbench/internal/gemm"
 	"mmbench/internal/kernels"
 	"mmbench/internal/precision"
@@ -19,46 +18,13 @@ func convOut(in, kernel, stride, pad int) int {
 	return out
 }
 
-// im2col expands one sample xd [C,H,W] into col [C·KH·KW, OH·OW] so the
-// convolution becomes a GEMM. Every entry is written (padding becomes
-// 0), so a pooled buffer can be reused across samples without clearing.
-// Rows are independent: the engine partitions over channels.
-func im2col(e *engine.Engine, col, xd []float32, ch, h, w, kh, kw, oh, ow, stride, pad int) {
-	m := oh * ow
-	e.ParallelFor(ch, 1, func(c0, c1 int) {
-		for ci := c0; ci < c1; ci++ {
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					crow := col[((ci*kh+ky)*kw+kx)*m : ((ci*kh+ky)*kw+kx+1)*m]
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*stride + ky - pad
-						dst := crow[oy*ow : (oy+1)*ow]
-						if iy < 0 || iy >= h {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						src := xd[(ci*h+iy)*w : (ci*h+iy+1)*w]
-						for ox := range dst {
-							ix := ox*stride + kx - pad
-							if ix < 0 || ix >= w {
-								dst[ox] = 0
-							} else {
-								dst[ox] = src[ix]
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 // Conv2D applies a 2-D convolution. x is [N,C,H,W]; w is [OutC,C,KH,KW];
-// bias is [OutC] and may be nil. The forward pass lowers each sample to
-// im2col + GEMM on the compute engine, drawing the column scratch from
-// the engine's buffer pool (the buffer never outlives the call).
+// bias is [OutC] and may be nil. The forward is an implicit GEMM on the
+// compute engine (gemm.ConvF32/F16/I8): the weights are packed once per
+// call and every (sample, block of output pixels) work unit gathers its
+// image patches straight into GEMM panels in pooled scratch it returns
+// before it ends — no [C·KH·KW, OH·OW] column matrix is ever stored. The
+// backward is direct loops over the full-precision inputs.
 func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	assertRank(x, 4, "Conv2D")
 	assertRank(w, 4, "Conv2D weight")
@@ -86,45 +52,31 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 
 	e := c.engine()
 	xd, wdta, od := x.Value.Data(), w.Value.Data(), out.Value.Data()
-	kDim := ch * kh * kw
 	m := oh * ow
-	prec := c.prec
-	// Reduced-precision operands quantize inside the panel packing
-	// (gemm.I8/gemm.F16) — no pooled level copies, int32 accumulation for
-	// i8. The weight scale is per-tensor over W and batch-independent;
-	// xScales holds each sample's activation scale, calibrated over the
-	// whole input or, in a merged cross-request batch, over the sample's
-	// own request segment. (Each sample's im2col expansion is quantized
-	// with that calibration: col entries are copies of input entries plus
-	// zero padding, so the input's maxabs bounds the col's.)
-	var wScale float32
-	var xScales []float32
-	if prec != precision.F32 {
+	g := gemm.ConvShape{C: ch, H: h, W: wd, KH: kh, KW: kw, Stride: stride, Pad: pad, OH: oh, OW: ow}
+	// Reduced-precision operands quantize as they are packed — no level
+	// copies, int32 accumulation for i8. The weight scale is per-tensor
+	// over W and batch-independent; each sample's activation scale is
+	// calibrated over the whole input or, in a merged cross-request batch,
+	// over the sample's own request segment. (Patch entries are copies of
+	// input entries plus zero padding, so the input's maxabs bounds them.)
+	switch prec := c.prec; prec {
+	case precision.I8:
 		countLowp(prec)
-	}
-	if prec == precision.I8 {
-		wScale = precision.I8Scale(precision.MaxAbs(wdta))
-		xScales = make([]float32, n)
+		wScale := precision.I8Scale(precision.MaxAbs(wdta))
+		xScales := make([]float32, n)
 		c.eachI8Segment(n, func(lo, hi int) {
 			sc := precision.I8Scale(precision.MaxAbs(xd[lo*ch*h*wd : hi*ch*h*wd]))
 			for ni := lo; ni < hi; ni++ {
 				xScales[ni] = sc
 			}
 		})
-	}
-	col := e.GetUninit(kDim * m) // im2col writes every entry
-	defer e.Put(col)
-	for ni := 0; ni < n; ni++ {
-		im2col(e, col, xd[ni*ch*h*wd:(ni+1)*ch*h*wd], ch, h, wd, kh, kw, oh, ow, stride, pad)
-		oslice := od[ni*outC*m : (ni+1)*outC*m]
-		switch prec {
-		case precision.I8:
-			gemm.I8(e, oslice, wdta, col, outC, kDim, m, 1, wScale, xScales[ni], false, false)
-		case precision.F16:
-			gemm.F16(e, oslice, wdta, col, outC, kDim, m, 1, false, false)
-		default:
-			matmulNN(e, oslice, wdta, col, outC, kDim, m, 1)
-		}
+		gemm.ConvI8(e, od, wdta, xd, n, outC, g, wScale, xScales)
+	case precision.F16:
+		countLowp(prec)
+		gemm.ConvF16(e, od, wdta, xd, n, outC, g)
+	default:
+		gemm.ConvF32(e, od, wdta, xd, n, outC, g)
 	}
 	if bias != nil {
 		bd := bias.Value.Data()
@@ -138,7 +90,7 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 			}
 		})
 	}
-	if prec == precision.F16 {
+	if c.prec == precision.F16 {
 		// Output feature maps are stored at f16 (the bias joined in the
 		// f32 accumulator).
 		roundSliceF16(e, od)

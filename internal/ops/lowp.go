@@ -17,8 +17,9 @@ import (
 // the grid (f16). Two arrangements exist, one per operator family:
 //
 //   - MatMul, Linear and Conv2D hand their f32 operands to gemm.F16 /
-//     gemm.I8, which quantize inside the panel packing (no level copies;
-//     int32 accumulation for i8) at every shape.
+//     gemm.I8 (Conv2D: gemm.ConvF16 / gemm.ConvI8), which quantize inside
+//     the panel packing (no level copies; int32 accumulation for i8) at
+//     every shape.
 //   - The fused attention kernel calibrates once over each whole
 //     [B,T,D] projection, so it quantizes pooled operand copies
 //     (quantizeOperand / quantizeInto) and packs its f32 panels from the
@@ -29,7 +30,7 @@ import (
 //     one multiply by scaleQ·scaleK after accumulation dequantizes — the
 //     scale-after-accumulate order real int8 GEMMs use. The copies are
 //     drawn from the engine's buffer pool and returned before the
-//     operator exits, like im2col and attention scratch.
+//     operator exits, like GEMM panels and attention scratch.
 //
 // Determinism: quantization is element-wise and the scale calibration
 // is an order-independent max reduction, so every low-precision kernel
