@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strconv"
 
+	"mmbench/internal/data"
 	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
 	"mmbench/internal/workloads"
@@ -165,7 +166,7 @@ func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
 	if !norm.Eager {
 		norm.Seed = 0
 	} else if norm.Seed == 0 {
-		norm.Seed = 1 // core.RunOptions defaults the eager seed to 1
+		norm.Seed = data.DefaultSeed
 	}
 	m := map[string]string{
 		"workload": norm.Workload,

@@ -104,7 +104,7 @@ func cmdDevices() error {
 // command that executes eager kernels.
 func computeWorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("compute-workers", 0,
-		"compute-engine workers for eager kernels (0 = auto: GOMAXPROCS split across job workers)")
+		"compute-engine workers per eager run, shared by its kernels and, above 1, its overlapping encoder branches (0 = auto: GOMAXPROCS split across job workers)")
 }
 
 // precisionFlag registers the -precision flag shared by every command

@@ -46,8 +46,8 @@ func cmdServe(args []string) error {
 	}
 	// Job workers and kernel workers share one CPU budget: with W
 	// scheduler workers the auto setting gives each eager run
-	// GOMAXPROCS/W compute workers (split further across the run's
-	// encoder branches).
+	// GOMAXPROCS/W compute workers. Above one, the run's encoder
+	// branches overlap on them; at one they run one after another.
 	configureCompute(*computeWorkers, *workers)
 
 	if *faults != "" {

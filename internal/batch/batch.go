@@ -21,9 +21,11 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mmbench"
+	"mmbench/internal/data"
 	"mmbench/internal/faultinject"
 	"mmbench/internal/jobs"
 	"mmbench/internal/obs"
@@ -83,12 +85,14 @@ type waiter struct {
 	err     error
 }
 
-// queue holds one batch fingerprint's pending waiters. active means a
-// batching loop goroutine currently owns the fingerprint; Do starts one
-// on the idle→pending transition.
+// queue holds one batch fingerprint's pending waiters. It is in
+// Batcher.queues exactly while a batching loop goroutine owns the
+// fingerprint: Do creates the entry and starts the loop, seal deletes
+// the entry when the loop finds it drained. The fingerprint carries
+// client-supplied strings, so an entry per fingerprint ever seen would
+// grow without bound.
 type queue struct {
 	pending []*waiter
-	active  bool
 }
 
 // Batcher merges compatible concurrent eager requests into shared
@@ -139,7 +143,7 @@ func (b *Batcher) Do(ctx context.Context, cfg mmbench.RunConfig, deadline time.T
 	}
 	samples := cfg.BatchSize
 	if samples <= 0 {
-		samples = 32 // RunConfig's default batch size
+		samples = data.DefaultBatchSize
 	}
 	w := &waiter{
 		cfg:      cfg,
@@ -155,12 +159,9 @@ func (b *Batcher) Do(ctx context.Context, cfg mmbench.RunConfig, deadline time.T
 	if q == nil {
 		q = &queue{}
 		b.queues[fp] = q
-	}
-	q.pending = append(q.pending, w)
-	if !q.active {
-		q.active = true
 		go b.loop(fp)
 	}
+	q.pending = append(q.pending, w)
 	b.mu.Unlock()
 
 	select {
@@ -213,9 +214,9 @@ func (b *Batcher) loop(fp string) {
 // seal takes the next merged batch off the queue in FIFO order: at
 // least one waiter, then more while the summed sample count stays
 // within MaxBatch. Waiters whose context died in the queue are dropped.
-// A nil return means the queue drained — the loop's ownership (active)
-// has been released under the same lock, so no request can slip in
-// unowned.
+// A nil return means the queue drained — the loop's ownership has been
+// released and the queue's map entry deleted under the same lock, so no
+// request can slip in unowned (the next Do re-creates the entry).
 func (b *Batcher) seal(fp string) []*waiter {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -229,7 +230,7 @@ func (b *Batcher) seal(fp string) []*waiter {
 	}
 	q.pending = live
 	if len(q.pending) == 0 {
-		q.active = false
+		delete(b.queues, fp)
 		return nil
 	}
 	n := 1
@@ -358,7 +359,7 @@ func memberFingerprints(batch []*waiter) []string {
 // died — as long as one waiter still wants the result, the forward
 // keeps running (cancelling one request in a merged batch must not
 // poison the rest). A member that cannot cancel (Done() == nil) pins
-// the merge uncancellable. stop releases the watcher goroutines.
+// the merge uncancellable. stop unregisters the members' callbacks.
 func mergedContext(batch []*waiter) (context.Context, func()) {
 	for _, w := range batch {
 		if w.ctx.Done() == nil {
@@ -366,27 +367,21 @@ func mergedContext(batch []*waiter) (context.Context, func()) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	stopCh := make(chan struct{})
-	var mu sync.Mutex
-	remaining := len(batch)
-	for _, w := range batch {
-		go func(done <-chan struct{}) {
-			select {
-			case <-done:
-				mu.Lock()
-				remaining--
-				last := remaining == 0
-				mu.Unlock()
-				if last {
-					cancel()
-				}
-			case <-stopCh:
+	var remaining atomic.Int64
+	remaining.Store(int64(len(batch)))
+	stops := make([]func() bool, len(batch))
+	for i, w := range batch {
+		stops[i] = context.AfterFunc(w.ctx, func() {
+			if remaining.Add(-1) == 0 {
+				cancel()
 			}
-		}(w.ctx.Done())
+		})
 	}
 	return ctx, func() {
 		cancel()
-		close(stopCh)
+		for _, stop := range stops {
+			stop()
+		}
 	}
 }
 

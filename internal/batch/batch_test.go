@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -469,4 +470,101 @@ func TestMergedDeadlineAndCost(t *testing.T) {
 	}
 	<-ch1
 	<-ch2
+}
+
+// queueCount reads the fingerprint map's size under the batcher's lock.
+func queueCount(b *Batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.queues)
+}
+
+// TestDrainedQueuesAreForgotten pins the unbounded-state fix: the batch
+// fingerprint carries the request's raw workload/variant/device strings,
+// so a client posting distinct garbage must not leave one map entry per
+// string behind — a fingerprint's queue exists only while a loop owns it.
+func TestDrainedQueuesAreForgotten(t *testing.T) {
+	failed := errors.New("unknown workload")
+	b := New(Options{
+		Window: time.Microsecond,
+		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+			return nil, nil, failed
+		},
+	})
+	const distinct = 1000
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, 16) // a few in flight at once, not a thousand goroutines
+	for i := 0; i < distinct; i++ {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			cfg := mmbench.RunConfig{Workload: "no-such-workload-" + strconv.Itoa(i), Eager: true}
+			if _, _, err := b.Do(context.Background(), cfg, time.Time{}, 0); !errors.Is(err, failed) {
+				t.Errorf("request %d: err %v, want the run's failure", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	// A loop forgets its queue on the seal after the one that woke its
+	// waiters, so the last few may still be on their way out.
+	waitUntil(t, "every drained queue to be deleted", func() bool { return queueCount(b) == 0 })
+	if st := b.Stats(); st.MergedBatches != distinct || st.QueueDepth != 0 {
+		t.Fatalf("stats after %d distinct fingerprints: %+v", distinct, st)
+	}
+}
+
+// TestArrivalsDuringExecutionMergeIntoReseal: requests that land while a
+// batch of their fingerprint executes join that fingerprint's live queue
+// and run as one merged batch on the loop's immediate re-seal; only then
+// is the queue forgotten.
+func TestArrivalsDuringExecutionMergeIntoReseal(t *testing.T) {
+	clock := obs.NewFakeClock(time.Unix(0, 0))
+	release := make(chan struct{})
+	running := make(chan struct{}, 1)
+	var mu sync.Mutex
+	var calls [][]mmbench.RunConfig
+	b := New(Options{
+		Window: time.Millisecond,
+		Clock:  clock,
+		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+			mu.Lock()
+			calls = append(calls, cfgs)
+			first := len(calls) == 1
+			mu.Unlock()
+			if first {
+				running <- struct{}{}
+				<-release
+			}
+			return stubReports(cfgs), nil, nil
+		},
+	})
+	r1 := goDo(b, context.Background(), cfgFor(1, 4))
+	waitUntil(t, "one pending + parked loop", func() bool {
+		return b.Stats().QueueDepth == 1 && clock.Timers() == 1
+	})
+	clock.Advance(time.Millisecond)
+	<-running // the first batch is sealed and executing
+	r2 := goDo(b, context.Background(), cfgFor(2, 4))
+	r3 := goDo(b, context.Background(), cfgFor(3, 4))
+	waitUntil(t, "two arrivals queued behind the execution", func() bool { return b.Stats().QueueDepth == 2 })
+	if n := queueCount(b); n != 1 {
+		t.Fatalf("%d fingerprint queues while one executes with backlog, want 1", n)
+	}
+	close(release)
+	for i, r := range []chan doResult{r1, r2, r3} {
+		if res := <-r; res.err != nil || res.rep.LatencySeconds != float64(i+1) {
+			t.Fatalf("request %d: %+v, err %v", i+1, res.rep, res.err)
+		}
+	}
+	mu.Lock()
+	if len(calls) != 2 || len(calls[0]) != 1 || len(calls[1]) != 2 {
+		t.Fatalf("want executions of 1 then 2 merged configs, got %v", calls)
+	}
+	mu.Unlock()
+	if clock.Timers() != 0 {
+		t.Fatal("the re-seal must not wait a second window")
+	}
+	waitUntil(t, "the drained queue to be deleted", func() bool { return queueCount(b) == 0 })
 }

@@ -14,9 +14,11 @@ import (
 
 // MemberSpec describes one request of a merged cross-request batch.
 type MemberSpec struct {
-	// BatchSize is the request's own sample count (defaults to 32).
+	// BatchSize is the request's own sample count (defaults to
+	// data.DefaultBatchSize).
 	BatchSize int
-	// Seed drives the request's data generation (defaults to 1).
+	// Seed drives the request's data generation (defaults to
+	// data.DefaultSeed).
 	Seed int64
 }
 
@@ -58,11 +60,11 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 	for i, m := range members {
 		bs := m.BatchSize
 		if bs <= 0 {
-			bs = 32
+			bs = data.DefaultBatchSize
 		}
 		seed := m.Seed
 		if seed == 0 {
-			seed = 1
+			seed = data.DefaultSeed
 		}
 		segs[i] = bs
 		total += bs

@@ -7,6 +7,7 @@ import (
 	"context"
 	"math"
 
+	"mmbench/internal/data"
 	"mmbench/internal/device"
 	"mmbench/internal/engine"
 	"mmbench/internal/memprof"
@@ -23,21 +24,24 @@ import (
 type RunOptions struct {
 	// Device is the hardware profile; defaults to the RTX 2080 Ti server.
 	Device *device.Profile
-	// BatchSize defaults to 32.
+	// BatchSize defaults to data.DefaultBatchSize.
 	BatchSize int
 	// Eager executes real numerics instead of the dataset-free analytic
 	// abstraction (slower; required only when outputs matter).
 	Eager bool
-	// Seed drives data generation in eager mode.
+	// Seed drives data generation in eager mode; defaults to
+	// data.DefaultSeed.
 	Seed int64
 	// Engine runs the eager kernels; nil uses the process default
 	// (worker count from -compute-workers). Results are identical at any
 	// worker count, so the engine never participates in cache keys.
 	Engine *engine.Engine
 	// SequentialBranches selects the reference branch schedule (see
-	// ops.Ctx.SequentialBranches) for the run's forwards. The run is
-	// bitwise identical either way — the invariant the determinism tests
-	// assert through this field — so it never participates in cache keys.
+	// ops.Ctx.SequentialBranches) for the run's eager forwards; the
+	// modeled side's compile records its forward and so has one schedule.
+	// The run is bitwise identical either way — the invariant the
+	// determinism tests assert through this field — so it never
+	// participates in cache keys.
 	SequentialBranches bool
 	// Precision is the per-stage storage-precision policy (the
 	// -precision flag). Unlike the schedule above it changes results —
@@ -67,10 +71,10 @@ func (o *RunOptions) defaults() {
 		o.Device = device.RTX2080Ti()
 	}
 	if o.BatchSize <= 0 {
-		o.BatchSize = 32
+		o.BatchSize = data.DefaultBatchSize
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = data.DefaultSeed
 	}
 }
 
@@ -131,11 +135,11 @@ func Run(n *mmnet.Network, opts RunOptions) (_ *RunResult, err error) {
 // begin is the shared front of every execution: option defaults,
 // network validation and, for a cancellable opts.Ctx, the cancellation
 // wiring. The run gets a per-run engine handle carrying the returned
-// Cancel flag (nil for an uncancellable run), and a watcher goroutine
+// Cancel flag (nil for an uncancellable run), and a context.AfterFunc
 // translates context cancellation into one flag signal. The caller
-// defers end with its named error result: end stops the watcher and
-// classifies checkpoint aborts (engine.AbortReason) back into ordinary
-// errors — any other panic re-raises untouched.
+// defers end with its named error result: end unregisters the callback
+// and classifies checkpoint aborts (engine.AbortReason) back into
+// ordinary errors — any other panic re-raises untouched.
 func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(*error), err error) {
 	opts.defaults()
 	if err := n.Validate(); err != nil {
@@ -146,7 +150,7 @@ func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(
 		return nil, func(*error) {}, nil
 	}
 	// An already-dead context never starts the run; relying on the
-	// watcher goroutine for this would race the forward on fast runs.
+	// callback for this would race the forward on fast runs.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -156,16 +160,9 @@ func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(
 		eng = engine.Default()
 	}
 	opts.Engine = eng.WithCancel(cancel)
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cancel.Signal(ctx.Err())
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { cancel.Signal(ctx.Err()) })
 	return cancel, func(err *error) {
-		close(stop)
+		stop()
 		if r := recover(); r != nil {
 			reason, ok := engine.AbortReason(r)
 			if !ok {
@@ -182,12 +179,7 @@ func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(
 // abstract forward) and replaying it into a trace builder. Output is the
 // abstract forward's (nil shapes).
 func model(n *mmnet.Network, opts RunOptions, batchSize int) (*RunResult, error) {
-	p, err := plan.Compile(n, plan.Options{
-		BatchSize:          batchSize,
-		Precision:          opts.Precision,
-		Engine:             opts.Engine,
-		SequentialBranches: opts.SequentialBranches,
-	})
+	p, err := plan.Compile(n, plan.Options{BatchSize: batchSize, Precision: opts.Precision, Engine: opts.Engine})
 	if err != nil {
 		return nil, err
 	}

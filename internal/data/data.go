@@ -90,6 +90,19 @@ func (m ModalitySpec) ElemsPerSample() int {
 	return n
 }
 
+// The shape of a run that leaves it open: every layer that resolves a
+// request's batch size or eager data seed — RunConfig and its cache
+// keys, core.RunOptions, merged-batch members, the batcher's sample
+// budget, plan.Compile — reads these two.
+const (
+	// DefaultBatchSize is the sample count of a run whose batch size is
+	// unset (zero or negative).
+	DefaultBatchSize = 32
+	// DefaultSeed seeds an eager run's data generation when its seed is
+	// unset (zero).
+	DefaultSeed = 1
+)
+
 // Batch is one batch of multi-modal samples.
 type Batch struct {
 	Size   int

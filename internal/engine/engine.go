@@ -12,6 +12,15 @@
 // workers, and identical to a serial run. gradcheck, trace emission and
 // the result cache's canonical keys all rely on this.
 //
+// Ownership: a run has one engine. Every kernel of a forward — the
+// encoder branches too, whether they run one after another or overlap
+// on spare workers (see internal/mmnet) — goes through the run's own
+// handle, so that engine's Stats count all of the run's work, its pool
+// holds all of the run's scratch, its Cancel flag stops all of it and
+// Close ends it. Concurrent branches share the workers the way nested
+// ParallelFor calls do: each caller drains its own job and idle workers
+// help whichever job woke them.
+//
 // Cancellation contract: an Engine value is a cheap handle around the
 // shared worker/pool state, and WithCancel derives a handle that carries
 // a per-run Cancel flag. Once the flag is signalled, ParallelFor stops
@@ -90,7 +99,6 @@ func New(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	st := &state{workers: workers, id: engineSeq.Add(1)}
-	st.pool.init()
 	if workers > 1 {
 		// Buffered so ParallelFor's wake-up sends never block even when
 		// every worker is busy; stale pointers drain as no-ops.
@@ -336,6 +344,11 @@ func Default() *Engine {
 	}
 	return defaultEngine
 }
+
+// TotalStats snapshots the counters of the engine served work runs on —
+// the default engine's: a run executes every kernel, encoder branches
+// included, on one engine, and a served run's is the default.
+func TotalStats() Stats { return Default().Stats() }
 
 // SetDefaultWorkers reconfigures the default engine's worker count (0
 // restores GOMAXPROCS). It is meant for process start-up (CLI flag

@@ -21,7 +21,9 @@ const (
 	maxPoolBytes = 64 << 20
 )
 
-// bufPool is a size-bucketed free list of float32 scratch buffers.
+// bufPool is a size-bucketed free list of float32 scratch buffers, one
+// per engine: every goroutine of a run — concurrent encoder branches
+// included — draws its scratch here, under mu.
 //
 // Ownership rules: Get hands out a buffer that the caller owns until it
 // calls Put; after Put the slice must not be touched again. Pooled
@@ -33,10 +35,6 @@ type bufPool struct {
 	mu       sync.Mutex
 	buckets  [numBuckets][][]float32
 	retained int64 // idle bytes currently held across all buckets
-	// budget bounds retained; the default is maxPoolBytes, and branch
-	// sub-engines get a slice of it so a family of cached engines
-	// cannot multiply the process's idle-scratch retention.
-	budget int64
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -46,25 +44,6 @@ type bufPool struct {
 	// sides). A quiescent engine must read 0 — the leak invariant the
 	// chaos suite asserts under fault injection.
 	outstanding atomic.Int64
-}
-
-func (p *bufPool) init() { p.budget = maxPoolBytes }
-
-// setBudget bounds the pool's idle retention, evicting the newest
-// retained buffers (largest buckets first) until under the new budget.
-func (e *Engine) setPoolBudget(budget int64) {
-	p := &e.st.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.budget = budget
-	for idx := numBuckets - 1; idx >= 0 && p.retained > budget; idx-- {
-		for len(p.buckets[idx]) > 0 && p.retained > budget {
-			last := len(p.buckets[idx]) - 1
-			p.retained -= int64(cap(p.buckets[idx][last])) * 4
-			p.buckets[idx][last] = nil
-			p.buckets[idx] = p.buckets[idx][:last]
-		}
-	}
 }
 
 // debugPoison, when enabled, fills buffers with NaN on Put so any
@@ -175,7 +154,7 @@ func (e *Engine) Put(buf []float32) {
 	}
 	pool.mu.Lock()
 	if len(pool.buckets[idx]) < maxPerBucket &&
-		pool.retained+int64(cap(buf))*4 <= pool.budget {
+		pool.retained+int64(cap(buf))*4 <= maxPoolBytes {
 		pool.buckets[idx] = append(pool.buckets[idx], buf)
 		pool.retained += int64(cap(buf)) * 4
 	}

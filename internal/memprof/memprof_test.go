@@ -82,23 +82,3 @@ func TestMB(t *testing.T) {
 		t.Errorf("MB(1MiB) = %f", MB(1<<20))
 	}
 }
-
-// TestMeasureBranchScheduleInvariant pins the memory decomposition
-// against the branch executor: the concurrent shard merge must hand
-// Measure the exact kernel set sequential execution records, so the
-// Figure 13 decomposition is identical under either schedule.
-func TestMeasureBranchScheduleInvariant(t *testing.T) {
-	n, err := workloads.Build("mosei", "concat", true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(sequential bool) Profile {
-		b := trace.NewBuilder(device.RTX2080Ti(), n.Modalities)
-		c := &ops.Ctx{Rec: b, SequentialBranches: sequential}
-		n.Forward(c, n.Gen.AbstractBatch(16))
-		return Measure(n, b.Finish(), 16)
-	}
-	if seq, par := measure(true), measure(false); seq != par {
-		t.Fatalf("decomposition differs by schedule: sequential %+v, parallel %+v", seq, par)
-	}
-}

@@ -1,11 +1,13 @@
-// Modality-parallel branch executor.
+// Encoder-branch executor.
 //
 // MMBench's central observation is that end-to-end multi-modal networks
 // are staged: per-modality encoder branches are mutually independent
 // and only join at the modality-sync barrier before fusion. The
-// executor exploits that structure — one goroutine per encoder branch —
-// while keeping every observable artifact bitwise identical to the
-// sequential reference loop:
+// executor overlaps them — one goroutine per branch, at most Workers()
+// computing at once, all on the run's own engine — where there is math
+// to overlap and a spare worker to overlap it on, and runs them one
+// after another everywhere else (encodeBranches holds the rule). The
+// two schedules are bitwise identical:
 //
 //   - Values: eager kernels are deterministic at any engine worker
 //     count, and branches share no tensors, so per-branch outputs are
@@ -14,20 +16,15 @@
 //     tape; the main tape gets one join step (appended before any
 //     fusion step) that replays the branch segments concurrently during
 //     Backward. Branch segments touch disjoint parameter/activation
-//     sets — enforced by a one-time shared-parameter check — so
+//     sets — enforced by a per-call shared-parameter check — so
 //     concurrent replay accumulates exactly the sequential gradients.
-//   - Traces: each branch records kernels and host segments into a
-//     trace.Shard; shards replay into the real recorder in fixed
-//     modality order at the join, reproducing the sequential event
-//     sequence (and thus the priced timeline) exactly.
 //   - RNG: dropout streams are per-branch, split from the step RNG in
-//     modality order on the coordinating goroutine. Both the parallel
-//     and the sequential path use the same split, so the two stay
-//     bitwise identical in training mode too.
+//     modality order on the coordinating goroutine. Both schedules use
+//     the same split, so the two stay bitwise identical in training
+//     mode too.
 //
-// The engine worker budget is split across active branches
-// (engine.ForBranches), so scheduler × branch × kernel parallelism
-// stays within the one -compute-workers budget.
+// A recorder (ops.Ctx.Rec) only ever sees the sequential loop, so its
+// event sequence has one order by construction.
 
 package mmnet
 
@@ -37,12 +34,10 @@ import (
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
-	"mmbench/internal/engine"
 	"mmbench/internal/models"
 	"mmbench/internal/obs"
 	"mmbench/internal/ops"
 	"mmbench/internal/tensor"
-	"mmbench/internal/trace"
 )
 
 // branchSeedBase labels the per-branch RNG splits so branch streams
@@ -50,14 +45,19 @@ import (
 const branchSeedBase = 0x6d6d6272616e << 4 // "mmbran"
 
 // encodeBranches runs every encoder branch and returns the per-modality
-// features, parallel when eligible and sequential otherwise. Untaped
-// forwards (inference, profiling) only ever read parameters, so they
-// are always eligible; taped forwards additionally require the branches
-// to share no parameters, re-checked per call because Encoders is an
-// exported field callers may rewire between runs.
+// features. It is the one place a schedule is chosen, from what it can
+// observe: the branches fork only when there is more than one of them,
+// the context does not ask for the reference loop, no recorder is
+// attached (a recorded forward is a walk over shapes — plan.Compile's —
+// with no math to overlap, and a recorder is single-goroutine), the
+// engine has a worker to spare (at one worker the concurrency cap would
+// admit one branch at a time: the sequential loop plus goroutines), and,
+// when taped, the branches share no parameter — re-checked per call
+// because Encoders is an exported field callers may rewire between
+// runs. Otherwise the branches run one after another.
 func (n *Network) encodeBranches(c *ops.Ctx, b *data.Batch) []*ops.Var {
-	if len(n.Encoders) > 1 && c.ParallelBranches() &&
-		(c.Tape == nil || n.branchesIndependent()) {
+	if len(n.Encoders) > 1 && !c.SequentialBranches && c.Rec == nil &&
+		c.Engine().Workers() > 1 && (c.Tape == nil || n.branchesIndependent()) {
 		return n.encodeParallel(c, b)
 	}
 	return n.encodeSequential(c, b)
@@ -67,11 +67,8 @@ func (n *Network) encodeBranches(c *ops.Ctx, b *data.Batch) []*ops.Var {
 // in modality order on the calling goroutine. Both execution paths use
 // this same derivation, which is what keeps them bitwise identical:
 // parallel branches cannot interleave draws on a shared stream, so the
-// sequential path must not share one either. (This redefines the
-// multi-branch training dropout streams relative to the pre-executor
-// code, which drew them from the parent stream in sequence — a one-time
-// break documented in the README.) Single-branch networks never run in
-// parallel, so they keep drawing from the parent stream unchanged.
+// sequential path must not share one either. Single-branch networks
+// never fork, so they draw from the parent stream.
 func (n *Network) branchRNGs(c *ops.Ctx) []*tensor.RNG {
 	if c.RNG == nil || !c.Training || len(n.Encoders) < 2 {
 		return nil
@@ -93,14 +90,15 @@ func (n *Network) encodeSequential(c *ops.Ctx, b *data.Batch) []*ops.Var {
 		setScope(c, StageEncoder, n.Modalities[i])
 		bc := c
 		if rngs != nil {
-			bc = c.ForkBranch(c.Tape, c.Rec, rngs[i], c.Eng)
+			bc = c.ForkBranch(c.Tape, rngs[i])
 		}
 		feats[i] = enc.Encode(bc, n.inputFor(b, n.Modalities[i]))
 	}
 	return feats
 }
 
-// encodeParallel runs one goroutine per encoder branch and joins
+// encodeParallel runs one goroutine per encoder branch, every branch on
+// the context's own engine handle (cancel flag included), and joins
 // deterministically in fixed modality order.
 func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	nb := len(n.Encoders)
@@ -108,24 +106,18 @@ func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	branchActivity.branchesLaunched.Add(int64(nb))
 	maxAtomic(&branchActivity.maxBranches, int64(nb))
 
-	engines := engine.ForBranches(c.Engine(), nb)
 	rngs := n.branchRNGs(c)
+	if rngs == nil {
+		rngs = make([]*tensor.RNG, nb) // no dropout: branches get no stream
+	}
 	// Inputs are assembled on the coordinator: batch map reads and Var
 	// wrapping stay single-goroutine, in modality order.
 	inputs := make([]models.Input, nb)
 	for i, m := range n.Modalities {
 		inputs[i] = n.inputFor(b, m)
 	}
-	var shards []*trace.Shard
-	if c.Rec != nil {
-		shards = make([]*trace.Shard, nb)
-		for i := range shards {
-			shards[i] = &trace.Shard{}
-		}
-	}
-	// Profiler shards follow the same pattern as trace shards: one
-	// single-goroutine recorder per branch, merged at the join in
-	// modality order. Forked on the coordinator, in modality order.
+	// A profiler shard is single-goroutine: one per branch, forked on
+	// the coordinator and merged at the join, both in modality order.
 	var pshards []*obs.Shard
 	if c.Prof != nil {
 		pshards = make([]*obs.Shard, nb)
@@ -133,37 +125,22 @@ func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 			pshards[i] = c.Prof.Fork()
 		}
 	}
-	var tapes []*autograd.Tape
+	tapes := make([]*autograd.Tape, nb) // nil entries on an untaped forward
 	if c.Tape != nil {
-		tapes = make([]*autograd.Tape, nb)
 		for i := range tapes {
 			tapes[i] = autograd.NewTape()
 		}
 	}
 
-	// Bound how many branches compute at once by the engine worker
-	// budget: with W workers and B branches, min(B, W) branches run
-	// concurrently on engines of max(1, W/B) workers each, so branch ×
-	// kernel parallelism never exceeds the -compute-workers budget even
-	// when branches outnumber workers (a 1-worker budget degrades to one
-	// branch at a time — same results, no oversubscription).
+	// At most Workers() branches compute at once. They share the
+	// engine's workers the way nested ParallelFor calls do: a branch
+	// goroutine drains its own kernels' chunks and the Workers()-1 pool
+	// workers help whichever kernel woke them.
 	maxConc := c.Engine().Workers()
 
 	feats := make([]*ops.Var, nb)
 	firstPanic, panicVal := runLimited(nb, maxConc, func(i int) {
-		var rec ops.Recorder
-		if shards != nil {
-			rec = shards[i]
-		}
-		var tape *autograd.Tape
-		if tapes != nil {
-			tape = tapes[i]
-		}
-		var rng *tensor.RNG
-		if rngs != nil {
-			rng = rngs[i]
-		}
-		bc := c.ForkBranch(tape, rec, rng, engines[i])
+		bc := c.ForkBranch(tapes[i], rngs[i])
 		if pshards != nil {
 			// ForkBranch copies the parent context, so the branch would
 			// otherwise share the coordinator's (single-goroutine) shard.
@@ -179,21 +156,14 @@ func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	// Deterministic join, panic-equivalent to the sequential loop: the
 	// branches a sequential run would have touched before the first
 	// panic — every earlier branch plus the panicking branch's partial
-	// events — are merged; later branches (which sequential execution
-	// would never have started) are dropped.
+	// spans and steps — are merged; later branches (which sequential
+	// execution would never have started) are dropped.
 	joined := nb
 	if firstPanic >= 0 {
 		joined = firstPanic + 1
 	}
-	// Trace shards replay in fixed modality order, reproducing the
-	// sequential recorder event sequence exactly.
-	if c.Rec != nil {
-		for _, s := range shards[:joined] {
-			s.Replay(c.Rec)
-		}
-	}
-	// Profiler shards merge the same way: fixed modality order, so the
-	// profiler's span list is deterministic for a given schedule.
+	// Profiler shards merge in fixed modality order, so the profiler's
+	// span list is deterministic for a given schedule.
 	for _, s := range pshards[:min(joined, len(pshards))] {
 		s.Merge()
 	}
@@ -201,8 +171,8 @@ func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	// It is appended before fusion records anything, so Backward reaches
 	// it after the fusion steps have seeded every branch's feature
 	// gradient; the segments touch disjoint variables and replay
-	// concurrently on their branch engines.
-	if tapes != nil && tapedSteps(tapes[:joined]) > 0 {
+	// concurrently, on the engine their forward ran on.
+	if c.Tape != nil && tapedSteps(tapes[:joined]) > 0 {
 		join := tapes[:joined]
 		c.Tape.Append(func() {
 			branchActivity.parallelBackwards.Add(1)
@@ -229,17 +199,11 @@ func tapedSteps(tapes []*autograd.Tape) int {
 	return total
 }
 
-// runLimited runs fn(0..n-1) on n goroutines with at most maxConc
+// runLimited runs fn(0..n-1) on n goroutines with at most maxConc (≥ 1)
 // executing fn at once (the worker-budget bound shared by branch
 // forward and backward replay), waits for all of them, and returns the
 // index and value of the lowest-indexed panic (-1, nil if none).
 func runLimited(n, maxConc int, fn func(i int)) (int, any) {
-	if maxConc < 1 {
-		maxConc = 1
-	}
-	if maxConc > n {
-		maxConc = n
-	}
 	slots := make(chan struct{}, maxConc)
 	panics := make([]any, n)
 	var wg sync.WaitGroup
@@ -306,8 +270,8 @@ var branchActivity struct {
 // BranchActivity is a snapshot of branch-executor counters.
 type BranchActivity struct {
 	// ParallelForwards counts Forward calls that ran their encoder
-	// branches concurrently; SequentialForwards counts the reference
-	// loop (single-branch networks included).
+	// branches concurrently; SequentialForwards counts the sequential
+	// loop — every forward encodeBranches did not fork.
 	ParallelForwards   int64 `json:"parallel_forwards"`
 	SequentialForwards int64 `json:"sequential_forwards"`
 	// BranchesLaunched is the total branch goroutines started;

@@ -1,11 +1,11 @@
 package mmnet_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
-	"mmbench/internal/device"
 	"mmbench/internal/engine"
 	"mmbench/internal/fusion"
 	"mmbench/internal/gemm"
@@ -13,7 +13,6 @@ import (
 	"mmbench/internal/models"
 	"mmbench/internal/ops"
 	"mmbench/internal/tensor"
-	"mmbench/internal/trace"
 	"mmbench/internal/train"
 	"mmbench/internal/workloads"
 )
@@ -137,48 +136,6 @@ func TestBranchParallelTrainingBitwise(t *testing.T) {
 	}
 }
 
-// TestBranchParallelTraceDeterminism profiles the same analytic forward
-// under both schedules and requires the priced timelines — kernel
-// events with (stage, modality, stream) attribution, host segments and
-// the modeled wall clock — to match exactly after the concurrent merge.
-func TestBranchParallelTraceDeterminism(t *testing.T) {
-	for _, tc := range branchCases {
-		t.Run(tc.name, func(t *testing.T) {
-			n, err := workloads.Build(tc.workload, tc.variant, true, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := n.Gen.AbstractBatch(4)
-			run := func(sequential bool) *trace.Trace {
-				builder := trace.NewBuilder(device.RTX2080Ti(), n.Modalities)
-				n.Forward(&ops.Ctx{Rec: builder, SequentialBranches: sequential}, b)
-				return builder.Finish()
-			}
-			want, got := run(true), run(false)
-			if got.Wall != want.Wall {
-				t.Fatalf("wall %v != sequential %v", got.Wall, want.Wall)
-			}
-			if len(got.Kernels) != len(want.Kernels) {
-				t.Fatalf("%d kernels, want %d", len(got.Kernels), len(want.Kernels))
-			}
-			for i := range got.Kernels {
-				if got.Kernels[i] != want.Kernels[i] {
-					t.Fatalf("kernel %d differs:\n got %+v\nwant %+v",
-						i, got.Kernels[i], want.Kernels[i])
-				}
-			}
-			if len(got.Hosts) != len(want.Hosts) {
-				t.Fatalf("%d host events, want %d", len(got.Hosts), len(want.Hosts))
-			}
-			for i := range got.Hosts {
-				if got.Hosts[i] != want.Hosts[i] {
-					t.Fatalf("host %d differs: %+v vs %+v", i, got.Hosts[i], want.Hosts[i])
-				}
-			}
-		})
-	}
-}
-
 // panicEncoder wraps an Encoder and panics during Encode.
 type panicEncoder struct{ models.Encoder }
 
@@ -237,9 +194,13 @@ func TestBranchStatsCounts(t *testing.T) {
 	before := mmnet.BranchStats()
 	n := buildNet(t) // avmnist/concat: 2 branches
 	b := n.Gen.Batch(tensor.NewRNG(2), 2)
+	// Branches fork only on an engine with a worker to spare; pin one so
+	// the test does not depend on the machine's core count.
+	eng := engine.New(4)
+	defer eng.Close()
 
 	tape := autograd.NewTape()
-	c := &ops.Ctx{Tape: tape}
+	c := &ops.Ctx{Tape: tape, Eng: eng}
 	out := n.Forward(c, b)
 	loss := n.Loss(c, out, b)
 	tape.Backward(loss)
@@ -269,35 +230,15 @@ func TestBranchStatsCounts(t *testing.T) {
 // set), which must force the sequential fallback: parallel backward
 // replay would race on the shared gradient tensors.
 func TestSharedParamsFallBackToSequential(t *testing.T) {
-	g := tensor.NewRNG(3)
-	enc := models.NewMLPEncoder(g.Split(1), 8, 16)
-	specs := []data.ModalitySpec{
-		{Name: "m0", Kind: data.Dense, Shape: []int{8}, RawBytes: 32},
-		{Name: "m1", Kind: data.Dense, Shape: []int{8}, RawBytes: 32},
-	}
-	gen := data.NewGenerator("shared", specs, data.Classify, 2, 3)
-	fus, err := fusion.New("concat", g.Split(2), []int{16, 16}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := &mmnet.Network{
-		Name:       "shared/test",
-		Modalities: []string{"m0", "m1"},
-		Encoders:   []models.Encoder{enc, enc}, // same instance twice
-		Fusion:     fus,
-		Head:       models.NewClassifierHead(g.Split(3), 16, 16, 2),
-		Task:       data.Classify,
-		Gen:        gen,
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b := gen.Batch(tensor.NewRNG(4), 2)
+	n := mlpNet(t, 2, true)
+	b := n.Gen.Batch(tensor.NewRNG(4), 2)
+	eng := engine.New(4)
+	defer eng.Close()
 
 	// Untaped forwards only read parameters, so sharing is harmless and
 	// the parallel path stays eligible.
 	before := mmnet.BranchStats()
-	n.Forward(&ops.Ctx{}, b)
+	n.Forward(&ops.Ctx{Eng: eng}, b)
 	after := mmnet.BranchStats()
 	if after.ParallelForwards <= before.ParallelForwards {
 		t.Fatal("untaped shared-parameter forward should still run in parallel")
@@ -308,7 +249,7 @@ func TestSharedParamsFallBackToSequential(t *testing.T) {
 	// call, so rewiring Encoders after a previous Forward is seen.
 	before = mmnet.BranchStats()
 	tape := autograd.NewTape()
-	c := &ops.Ctx{Tape: tape}
+	c := &ops.Ctx{Tape: tape, Eng: eng}
 	out := n.Forward(c, b)
 	loss := n.Loss(c, out, b)
 	tape.Backward(loss)
@@ -325,4 +266,152 @@ func TestSharedParamsFallBackToSequential(t *testing.T) {
 		}
 	}
 	t.Fatal("no gradients reached the shared encoder")
+}
+
+// mlpNet builds a network of `encoders` dense modalities, each encoded
+// by an MLP — one shared instance (and thus one parameter set) when
+// shared, else one instance per branch.
+func mlpNet(t *testing.T, encoders int, shared bool) *mmnet.Network {
+	t.Helper()
+	g := tensor.NewRNG(3)
+	n := &mmnet.Network{
+		Name: fmt.Sprintf("mlp%d/shared=%v", encoders, shared),
+		Task: data.Classify,
+	}
+	var specs []data.ModalitySpec
+	dims := make([]int, encoders)
+	sharedEnc := models.NewMLPEncoder(g.Split(1), 8, 16)
+	for i := range dims {
+		name := fmt.Sprintf("m%d", i)
+		specs = append(specs, data.ModalitySpec{Name: name, Kind: data.Dense, Shape: []int{8}, RawBytes: 32})
+		n.Modalities = append(n.Modalities, name)
+		enc := sharedEnc
+		if !shared {
+			enc = models.NewMLPEncoder(g.Split(10+int64(i)), 8, 16)
+		}
+		n.Encoders = append(n.Encoders, enc)
+		dims[i] = 16
+	}
+	n.Gen = data.NewGenerator("mlp", specs, data.Classify, 2, 3)
+	fus, err := fusion.New("concat", g.Split(2), dims, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Fusion = fus
+	n.Head = models.NewClassifierHead(g.Split(3), 16, 16, 2)
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestBranchScheduleRule pins the one place a schedule is chosen: the
+// encoder branches fork exactly when the network has more than one
+// encoder, no recorder is attached, the engine has more than one worker
+// and a taped forward's branches share no parameter. An abstract batch
+// is not a condition. Whichever loop runs, the output is bitwise the
+// SequentialBranches run's.
+func TestBranchScheduleRule(t *testing.T) {
+	type tapeMode int
+	const (
+		noTape tapeMode = iota
+		tapedIndependent
+		tapedShared
+	)
+	tapeNames := map[tapeMode]string{noTape: "untaped", tapedIndependent: "taped", tapedShared: "taped-shared"}
+	for _, encoders := range []int{1, 3} {
+		for _, recorded := range []bool{true, false} {
+			for _, abstract := range []bool{true, false} {
+				for _, workers := range []int{1, 4} {
+					for _, mode := range []tapeMode{noTape, tapedIndependent, tapedShared} {
+						wantFork := encoders > 1 && !recorded && workers > 1 && mode != tapedShared
+						name := fmt.Sprintf("enc=%d/rec=%v/abstract=%v/w=%d/%s", encoders, recorded, abstract, workers, tapeNames[mode])
+						t.Run(name, func(t *testing.T) {
+							n := mlpNet(t, encoders, mode == tapedShared)
+							b := n.Gen.Batch(tensor.NewRNG(4), 2)
+							if abstract {
+								b = n.Gen.AbstractBatch(2)
+							}
+							eng := engine.New(workers)
+							defer eng.Close()
+							// run reports the output and how many forwards each
+							// schedule counted.
+							run := func(sequential bool) (out *ops.Var, parallel, sequentials int64) {
+								c := &ops.Ctx{Eng: eng, SequentialBranches: sequential}
+								if recorded {
+									c.Rec = &scopeRecorder{}
+								}
+								if mode != noTape {
+									c.Tape = autograd.NewTape()
+								}
+								before := mmnet.BranchStats()
+								out = n.Forward(c, b)
+								after := mmnet.BranchStats()
+								return out, after.ParallelForwards - before.ParallelForwards,
+									after.SequentialForwards - before.SequentialForwards
+							}
+							want, par, seq := run(true)
+							if par != 0 || seq != 1 {
+								t.Fatalf("SequentialBranches run counted %d parallel, %d sequential forwards", par, seq)
+							}
+							var wantPar int64
+							if wantFork {
+								wantPar = 1
+							}
+							got, par, seq := run(false)
+							if par != wantPar || seq != 1-wantPar {
+								t.Fatalf("counted %d parallel, %d sequential forwards, want %d and %d", par, seq, wantPar, 1-wantPar)
+							}
+							if !tensor.SameShape(got.Value, want.Value) {
+								t.Fatalf("output shape %v, sequential %v", got.Value.Shape(), want.Value.Shape())
+							}
+							if abstract {
+								return
+							}
+							gd, wd := got.Value.Data(), want.Value.Data()
+							for i := range wd {
+								if gd[i] != wd[i] {
+									t.Fatalf("output[%d] = %v, sequential run %v", i, gd[i], wd[i])
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBranchKernelsRunOnTheRunsEngine pins ownership: a forward's
+// encoder branches, forked or not, execute on the context's own engine.
+// That engine counts the same chunks under either schedule and gets all
+// its scratch back, and the process default engine sees nothing.
+func TestBranchKernelsRunOnTheRunsEngine(t *testing.T) {
+	n, err := workloads.Build("mosei", "concat", false, 7) // three modalities
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := n.Gen.Batch(tensor.NewRNG(11), 4)
+	defBefore := engine.Default().Stats()
+	tasks := func(sequential bool) int64 {
+		eng := engine.New(4)
+		defer eng.Close()
+		before := mmnet.BranchStats()
+		n.Forward(&ops.Ctx{Eng: eng, SequentialBranches: sequential}, b)
+		if forked := mmnet.BranchStats().ParallelForwards > before.ParallelForwards; forked == sequential {
+			t.Fatalf("sequential=%v but forked=%v", sequential, forked)
+		}
+		s := eng.Stats()
+		if s.PoolOutstanding != 0 {
+			t.Fatalf("sequential=%v: %d pooled buffers not returned to the run's engine", sequential, s.PoolOutstanding)
+		}
+		return s.Tasks
+	}
+	seq, par := tasks(true), tasks(false)
+	if seq == 0 || par != seq {
+		t.Fatalf("run's engine executed %d chunks with forked branches, %d with the sequential loop: encoder kernels ran elsewhere", par, seq)
+	}
+	if def := engine.Default().Stats(); def != defBefore {
+		t.Fatalf("default engine moved during a run on its own engine: %+v -> %+v", defBefore, def)
+	}
 }

@@ -155,14 +155,14 @@ type Barrierer interface {
 // output (logits, regression values or mask logits).
 //
 // The per-modality encoder branches are independent until the fusion
-// join, so they execute concurrently — one goroutine per
-// branch, each with an isolated tape, recorder shard, RNG stream and
-// engine worker budget — and join deterministically in fixed modality
-// order (see branch.go). Outputs, gradients and recorded traces are
-// bitwise identical to the sequential reference loop, which runs when
-// the input cannot fork (a single branch, or a tape whose branches share
-// parameters) or when Ctx.SequentialBranches asks for the reference
-// schedule.
+// join. Where there is math to overlap and a spare worker to overlap it
+// on — more than one branch, no recorder, an engine with more than one
+// worker, Ctx.SequentialBranches unset and, when taped, no parameter
+// shared between branches — they run concurrently: one goroutine per
+// branch on the context's own engine, each with an isolated tape,
+// dropout stream and profiler shard, joined in fixed modality order
+// (see branch.go). Everywhere else they run one after another. Outputs
+// and gradients are bitwise identical under either schedule.
 //
 // When a recorder is attached, Forward also models the synchronization
 // behaviour the paper characterizes: the fusion stage waits on every
@@ -177,8 +177,7 @@ func (n *Network) Forward(c *ops.Ctx, b *data.Batch) *ops.Var {
 	defer setScope(c, "", "")
 	nodes := n.StageNodes()
 	// The encoder prefix of the node list is mutually independent, so it
-	// runs through the branch executor (concurrent by default, with
-	// deterministic fixed-order join).
+	// runs through the branch executor.
 	feats := n.encodeBranches(c, b)
 	var fused, out *ops.Var
 	for _, node := range nodes[len(n.Encoders):] {

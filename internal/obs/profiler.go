@@ -59,8 +59,7 @@ const maxSpans = 1 << 18
 // Profiler collects wall-clock spans for one profiled run (or one
 // training session). It hands out Shards — single-goroutine span
 // recorders — and merges them deterministically: the branch executor
-// merges per-branch shards in fixed modality order at the join,
-// mirroring how trace.Shard replays into the trace builder.
+// merges per-branch shards in fixed modality order at the join.
 //
 // The profiler is a pure observer. It never touches tensor data, tapes
 // or scheduling, so numeric results with a profiler attached are

@@ -44,16 +44,18 @@ type Ctx struct {
 	RNG *tensor.RNG
 	// Training toggles train-time behaviour (dropout active).
 	Training bool
-	// Eng executes the eager kernels' hot loops. When nil, operators use
+	// Eng executes the eager kernels' hot loops — every kernel of the
+	// forward, encoder branches included. When nil, operators use
 	// engine.Default() (worker count from -compute-workers, default
 	// GOMAXPROCS). Results are bitwise identical at any worker count.
 	Eng *engine.Engine
-	// SequentialBranches selects the reference branch schedule: encoder
-	// branches run one after another on the caller's goroutine instead of
-	// concurrently. The two schedules are bitwise identical, so this is
-	// what the branch-schedule determinism tests and the sequential
-	// forward measurement compare against — a scheduling choice, never a
-	// numerics one.
+	// SequentialBranches asks for the reference branch schedule: encoder
+	// branches run one after another on the caller's goroutine even
+	// where they would otherwise overlap (no recorder, an engine with
+	// more than one worker). The two schedules are bitwise identical, so
+	// this is what the branch-schedule determinism tests and the
+	// sequential forward measurement compare against — a scheduling
+	// choice, never a numerics one.
 	SequentialBranches bool
 	// Precision is the per-stage storage-precision policy (the
 	// -precision flag). The network assembly layer activates the right

@@ -58,8 +58,9 @@ type event struct {
 // capture buffers every recorder call the prologue, the network forward
 // and the epilogue emit, in the exact order a live trace.Builder would
 // have received them. It implements ops.Recorder, mmnet.Scoper and
-// mmnet.Barrierer, so the branch executor's shard replay forwards scope
-// events to it like to any scope-aware recorder.
+// mmnet.Barrierer, and is written by one goroutine: a forward with a
+// recorder walks its encoder branches one after another, so a compile
+// has one schedule.
 type capture struct {
 	events []event
 }
@@ -144,19 +145,16 @@ type Edge struct {
 }
 
 // Options configure plan compilation. The zero value compiles the
-// default configuration (batch 32, all-f32, process-default engine).
+// default configuration (data.DefaultBatchSize samples, all-f32,
+// process-default engine).
 type Options struct {
-	// BatchSize defaults to 32 (core.RunOptions' default).
+	// BatchSize defaults to data.DefaultBatchSize.
 	BatchSize int
 	// Precision stamps per-stage storage bits onto the captured specs.
 	Precision precision.Policy
 	// Engine is consulted for abort checkpoints during the abstract
 	// forward (cancellable compiles); nil uses the process default.
 	Engine *engine.Engine
-	// SequentialBranches mirrors core.RunOptions: the reference branch
-	// schedule for the abstract forward (the captured plan is identical
-	// either way).
-	SequentialBranches bool
 }
 
 // Plan is a compiled stage plan: the node DAG plus the full captured
@@ -228,7 +226,7 @@ func Epilogue(rec Recorder, outBytes int64) {
 // Replay into a trace.Builder reproduces the analytic trace exactly.
 func Compile(n *mmnet.Network, opts Options) (*Plan, error) {
 	if opts.BatchSize <= 0 {
-		opts.BatchSize = 32
+		opts.BatchSize = data.DefaultBatchSize
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -238,12 +236,7 @@ func Compile(n *mmnet.Network, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	batch := n.Gen.AbstractBatch(opts.BatchSize)
-	c := &ops.Ctx{
-		Rec:                cap,
-		Eng:                opts.Engine,
-		SequentialBranches: opts.SequentialBranches,
-		Precision:          opts.Precision,
-	}
+	c := &ops.Ctx{Rec: cap, Eng: opts.Engine, Precision: opts.Precision}
 	out := n.Forward(c, batch)
 	Epilogue(cap, out.Value.Bytes())
 

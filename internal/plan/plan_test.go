@@ -67,7 +67,7 @@ func TestReplayMatchesDirectDrive(t *testing.T) {
 					eng := engine.New(workers)
 					want := traceJSON(t, directTrace(t, n, dev, batch, eng, sequential))
 
-					p, err := Compile(n, Options{BatchSize: batch, Engine: eng, SequentialBranches: sequential})
+					p, err := Compile(n, Options{BatchSize: batch, Engine: eng})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,35 +79,6 @@ func TestReplayMatchesDirectDrive(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestCompileDeterministicAcrossSchedules: the captured event sequence
-// must not depend on the branch schedule or worker count — shard replay
-// serializes branch events into modality order either way.
-func TestCompileDeterministicAcrossSchedules(t *testing.T) {
-	n := buildNet(t, "mosei", "concat")
-	ref, err := Compile(n, Options{BatchSize: 8, Engine: engine.New(1), SequentialBranches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := device.JetsonOrin()
-	b := trace.NewBuilder(dev, n.Modalities)
-	ref.Replay(b)
-	want := traceJSON(t, b.Finish())
-	for _, workers := range []int{4, 16} {
-		p, err := Compile(n, Options{BatchSize: 8, Engine: engine.New(workers)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.EventCount() != ref.EventCount() {
-			t.Fatalf("workers=%d captured %d events, sequential reference %d", workers, p.EventCount(), ref.EventCount())
-		}
-		b := trace.NewBuilder(dev, n.Modalities)
-		p.Replay(b)
-		if got := traceJSON(t, b.Finish()); string(got) != string(want) {
-			t.Errorf("workers=%d parallel-compile trace differs from sequential reference", workers)
 		}
 	}
 }

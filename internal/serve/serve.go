@@ -572,8 +572,14 @@ type Stats struct {
 	// scratch-pool activity (the pooled tiles that replaced the
 	// materialized score matrix).
 	Attention ops.AttentionActivity `json:"attention"`
-	Branches  BranchStats           `json:"branches"`
-	Precision PrecisionStats        `json:"precision"`
+	// Branches counts how forwards ran their encoder branches:
+	// concurrently (parallel_forwards, with the goroutines launched and
+	// the backward joins replayed) or one after another
+	// (sequential_forwards — single-encoder networks, recorded forwards,
+	// and every forward on a one-worker engine). Counters only: branch
+	// kernels run on the run's engine and are in the engine block.
+	Branches  mmnet.BranchActivity `json:"branches"`
+	Precision PrecisionStats       `json:"precision"`
 	// Resilience reports load shedding, cancellation, panic recovery and
 	// quarantine — the overload-resilience counters.
 	Resilience ResilienceStats `json:"resilience"`
@@ -638,11 +644,10 @@ type CacheStats struct {
 }
 
 // EngineStats extends the compute-engine counters (eager-kernel tasks
-// executed, buffer-pool traffic) with the derived pool hit rate. The
-// counters cover the default engine plus every branch sub-engine, so
-// kernels executed inside parallel encoder branches are included. Jobs
-// and compute share one parallelism budget — see cmd/mmbench serve's
-// -compute-workers flag.
+// executed, buffer-pool traffic) with the derived pool hit rate. They
+// are the default engine's counters, which is every kernel a served
+// request runs, encoder branches included. Jobs and compute share one
+// parallelism budget — see cmd/mmbench serve's -compute-workers flag.
 type EngineStats struct {
 	engine.Stats
 	PoolHitRate float64 `json:"pool_hit_rate"`
@@ -669,18 +674,6 @@ type PrecisionStats struct {
 	// when unset).
 	Default string `json:"default"`
 	ops.PrecisionActivity
-}
-
-// BranchStats reports the modality-parallel branch executor:
-// forward/backward join counters (sequential forwards are the
-// single-branch and shared-parameter fallbacks), and the engine activity
-// of the branch sub-engines (whose worker budget is split from the main
-// -compute-workers budget).
-type BranchStats struct {
-	mmnet.BranchActivity
-	// Engine is the branch-only subset of the top-level engine block:
-	// work executed on the branch sub-engines.
-	Engine engine.Stats `json:"engine"`
 }
 
 // canonicalDefaultPrecision renders the server's default policy in
@@ -743,10 +736,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			},
 		},
 		Attention: ops.AttentionStats(),
-		Branches: BranchStats{
-			BranchActivity: mmnet.BranchStats(),
-			Engine:         engine.BranchEngineStats(),
-		},
+		Branches:  mmnet.BranchStats(),
 		Precision: PrecisionStats{
 			Default:           s.canonicalDefaultPrecision(),
 			PrecisionActivity: ops.PrecisionStats(),

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"mmbench/internal/core"
+	"mmbench/internal/data"
 	"mmbench/internal/device"
 	"mmbench/internal/faultinject"
 	"mmbench/internal/fusion"
@@ -93,7 +94,7 @@ type RunConfig struct {
 	Variant  string
 	// Device is "2080ti", "nano" or "orin" (default "2080ti").
 	Device string
-	// BatchSize defaults to 32.
+	// BatchSize defaults to 32 (data.DefaultBatchSize).
 	BatchSize int
 	// PaperScale selects the paper-scale profile flavour (default) as
 	// opposed to the small trainable flavour.
@@ -231,7 +232,7 @@ func (cfg RunConfig) withDefaults() RunConfig {
 		cfg.Device = "2080ti"
 	}
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32 // core.RunOptions' default
+		cfg.BatchSize = data.DefaultBatchSize
 	}
 	if cfg.Variant == "" {
 		if info, err := workloads.Get(cfg.Workload); err == nil {

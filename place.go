@@ -3,6 +3,7 @@ package mmbench
 import (
 	"fmt"
 
+	"mmbench/internal/data"
 	"mmbench/internal/device"
 	"mmbench/internal/place"
 	"mmbench/internal/plan"
@@ -95,7 +96,7 @@ func Place(cfg PlaceConfig) (*PlaceReport, error) {
 	}
 	batch := cfg.Batch
 	if batch <= 0 {
-		batch = 32
+		batch = data.DefaultBatchSize
 	}
 	var precs []precision.Type
 	for _, s := range cfg.Precisions {
