@@ -27,9 +27,12 @@ func RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[st
 // RunMergedProfiled is the package-level RunMergedProfiled resolving the
 // network through the runner's model store — the merged exec the serve
 // layer hands its batcher, so merged forwards share models with the
-// runner's standalone executions.
+// runner's standalone executions. Each merged forward is one sample of
+// the runner's StageLatencies.
 func (cr *CachedRunner) RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[string]float64, error) {
-	return runMerged(ctx, cfgs, cr.models)
+	reps, stageMs, err := runMerged(ctx, cfgs, cr.models)
+	cr.observeStages(stageMs)
+	return reps, stageMs, err
 }
 
 func runMerged(ctx context.Context, cfgs []RunConfig, models *workloads.Store) ([]*Report, map[string]float64, error) {

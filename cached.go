@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"strconv"
+	"sync"
 
 	"mmbench/internal/data"
+	"mmbench/internal/obs"
 	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
 	"mmbench/internal/workloads"
@@ -27,10 +29,14 @@ import (
 // once per run. Analytic executions never read a
 // weight and build privately, as the package-level Run does. The store
 // is the runner's own — it is created with the runner and collected
-// with it; nothing is shared between runners.
+// with it; nothing is shared between runners. So are the per-stage
+// latency histograms its eager executions feed (StageLatencies).
 type CachedRunner struct {
 	cache  *resultcache.Cache
 	models *workloads.Store
+
+	stagesMu sync.Mutex
+	stages   map[string]*obs.Histogram // wall seconds, keyed by stage
 }
 
 // NewCachedRunner builds a runner whose cache holds about
@@ -71,12 +77,51 @@ func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, err
 // runner's model store. An eager execution is the one-config case of
 // RunMergedProfiled's merged forward, so the two agree by construction.
 // Eager executions are profiled unconditionally (the profiler is a pure
-// observer), so every real run — sweeps included — feeds the per-stage
-// latency histograms behind /metrics. It is the ExecFn behind Run and
-// RunCtx, and what an execution wrapper (the serve layer's scheduler
-// admission) reschedules.
+// observer), so every real run — sweeps included — feeds the runner's
+// per-stage latency histograms. It is the ExecFn behind Run and RunCtx,
+// and what an execution wrapper (the serve layer's scheduler admission)
+// reschedules.
 func (cr *CachedRunner) Execute(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
-	return runProfiled(ctx, cfg, cr.models)
+	rep, stageMs, err := runProfiled(ctx, cfg, cr.models)
+	cr.observeStages(stageMs)
+	return rep, stageMs, err
+}
+
+// observeStages records one execution's per-stage wall milliseconds. An
+// analytic or failed execution has no stage map and returns before
+// taking the lock.
+func (cr *CachedRunner) observeStages(stageMs map[string]float64) {
+	if stageMs == nil {
+		return
+	}
+	cr.stagesMu.Lock()
+	defer cr.stagesMu.Unlock()
+	if cr.stages == nil {
+		cr.stages = make(map[string]*obs.Histogram)
+	}
+	for stage, ms := range stageMs {
+		h := cr.stages[stage]
+		if h == nil {
+			h = new(obs.Histogram)
+			cr.stages[stage] = h
+		}
+		h.Observe(ms / 1e3)
+	}
+}
+
+// StageLatencies snapshots the wall-time histograms (seconds), keyed by
+// stage, of every eager execution this runner performed: one sample per
+// Execute and per merged forward of RunMergedProfiled, however many
+// members it carried; cache hits never count. The map and its histograms
+// are copies, safe to read without further locking.
+func (cr *CachedRunner) StageLatencies() map[string]obs.Histogram {
+	cr.stagesMu.Lock()
+	defer cr.stagesMu.Unlock()
+	out := make(map[string]obs.Histogram, len(cr.stages))
+	for stage, h := range cr.stages {
+		out[stage] = *h
+	}
+	return out
 }
 
 // ExecFn is the computation of one cache-missing run; the cache entry

@@ -1,6 +1,7 @@
 package mmbench
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -155,5 +156,41 @@ func TestCachedRunnerErrorsPropagate(t *testing.T) {
 	s := cr.Stats()
 	if s.Entries != 0 {
 		t.Fatalf("error cached: %+v", s)
+	}
+}
+
+// The runner's stage histograms count executions, not requests: a merged
+// forward of two members is one sample, a standalone eager miss one more,
+// a cache hit or an analytic execution none. A snapshot is a copy that
+// later executions do not move.
+func TestCachedRunnerStageLatencies(t *testing.T) {
+	cr := NewCachedRunner(16 << 20)
+	encoder := func() uint64 {
+		h := cr.StageLatencies()["encoder"]
+		return h.Count()
+	}
+	eager := RunConfig{Workload: "avmnist", Eager: true, BatchSize: 2, Seed: 1}
+	other := eager
+	other.Seed = 2
+	if _, _, err := cr.RunMergedProfiled(context.Background(), []RunConfig{eager, other}); err != nil {
+		t.Fatal(err)
+	}
+	if n := encoder(); n != 1 {
+		t.Fatalf("%d encoder samples after one merged forward of two members, want 1", n)
+	}
+	snap := cr.StageLatencies()
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, err := cr.Run(eager); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cr.Run(RunConfig{Workload: "avmnist", BatchSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := encoder(); n != 2 {
+		t.Fatalf("%d encoder samples, want 2: the eager miss adds one, its hit and the analytic run none", n)
+	}
+	if h := snap["encoder"]; h.Count() != 1 {
+		t.Fatalf("an earlier snapshot moved to %d samples: it aliases the runner", h.Count())
 	}
 }

@@ -22,17 +22,31 @@ func defaultFusion(workload string) (string, error) {
 	return info.Fusions[0], nil
 }
 
+// defaultRuns profiles every workload's default fusion at batch 32 on
+// the server, the grid behind Figs 6–8: rs[i] is workloads.Names()[i].
+func defaultRuns() ([]*RunResult, error) {
+	var grid []profileCfg
+	for _, name := range workloads.Names() {
+		fus, err := defaultFusion(name)
+		if err != nil {
+			return nil, err
+		}
+		grid = append(grid, profileCfg{name, fus, device.RTX2080Ti(), 32})
+	}
+	return profileGrid(grid)
+}
+
 // Fig6 reproduces per-stage execution time: encoders dominate except under
 // complex (transformer) fusion.
 func Fig6() ([]*report.Table, error) {
-	runs, err := allProfileRuns(32)
+	rs, err := defaultRuns()
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Figure 6: execution time of the three stages (batch 32, 2080ti, ms)",
 		"Workload", "Encoder", "Fusion", "Head", "Enc/Total")
-	for _, name := range workloads.Names() {
-		st := metrics.StageTimes(runs[name].Trace)
+	for i, name := range workloads.Names() {
+		st := metrics.StageTimes(rs[i].Trace)
 		total := st["encoder"] + st["fusion"] + st["head"]
 		t.AddRow(name, report.Ms(st["encoder"]), report.Ms(st["fusion"]), report.Ms(st["head"]),
 			report.Pct(st["encoder"]/math.Max(total, 1e-12)))
@@ -43,14 +57,14 @@ func Fig6() ([]*report.Table, error) {
 // Fig7 reproduces per-stage resource usage (DRAM utilization, achieved
 // occupancy, load/store efficiency, IPC).
 func Fig7() ([]*report.Table, error) {
-	runs, err := allProfileRuns(32)
+	rs, err := defaultRuns()
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Figure 7: resource usage of the three stages (batch 32, 2080ti)",
 		"Workload", "Stage", "DRAM_UTI", "GPU_OCU", "GLD_EFF", "GST_EFF", "IPC")
-	for _, name := range workloads.Names() {
-		res := metrics.StageResources(runs[name].Trace)
+	for i, name := range workloads.Names() {
+		res := metrics.StageResources(rs[i].Trace)
 		for _, stage := range sortedStages(res) {
 			r := res[stage]
 			t.AddRow(name, stage, report.F(r.DRAMUtil), report.F(r.Occupancy),
@@ -62,7 +76,7 @@ func Fig7() ([]*report.Table, error) {
 
 // Fig8 reproduces the kernel-class breakdown per stage.
 func Fig8() ([]*report.Table, error) {
-	runs, err := allProfileRuns(32)
+	rs, err := defaultRuns()
 	if err != nil {
 		return nil, err
 	}
@@ -71,8 +85,8 @@ func Fig8() ([]*report.Table, error) {
 		cols = append(cols, c.String())
 	}
 	t := report.NewTable("Figure 8: kernel class breakdown per stage (share of kernel time)", cols...)
-	for _, name := range workloads.Names() {
-		shares := metrics.ClassShares(runs[name].Trace)
+	for i, name := range workloads.Names() {
+		shares := metrics.ClassShares(rs[i].Trace)
 		for _, stage := range sortedStages(shares) {
 			row := []string{name, stage}
 			for _, c := range kernels.Classes() {
@@ -89,24 +103,15 @@ func Fig8() ([]*report.Table, error) {
 // pooling both lower to Reduce kernels), and the Elewise kernel across
 // fusion methods.
 func Fig9() ([]*report.Table, error) {
-	grid := []profileCfg{
+	rs, err := profileGrid([]profileCfg{
 		{"avmnist", "attention", device.RTX2080Ti(), 32},
 		{"avmnist", "concat", device.RTX2080Ti(), 32},
 		{"avmnist", "tensor", device.RTX2080Ti(), 32},
-	}
-	prefetch(grid)
-	attn, err := profileRun(grid[0].workload, grid[0].variant, grid[0].dev, grid[0].batch)
+	})
 	if err != nil {
 		return nil, err
 	}
-	concat, err := profileRun(grid[1].workload, grid[1].variant, grid[1].dev, grid[1].batch)
-	if err != nil {
-		return nil, err
-	}
-	tensorRun, err := profileRun(grid[2].workload, grid[2].variant, grid[2].dev, grid[2].batch)
-	if err != nil {
-		return nil, err
-	}
+	attn, concat, tensorRun := rs[0], rs[1], rs[2]
 
 	a := report.NewTable("Figure 9a: Reduce hotspot kernel across stages (AV-MNIST attention, normalized to fusion)",
 		"Metric", "encoder", "fusion", "head")
@@ -158,13 +163,12 @@ func Fig10() ([]*report.Table, error) {
 		}
 		grid = append(grid, profileCfg{name, fus, device.RTX2080Ti(), 32})
 	}
-	prefetch(grid)
-	for _, c := range grid {
-		r, err := profileRun(c.workload, c.variant, c.dev, c.batch)
-		if err != nil {
-			return nil, err
-		}
-		mt := metrics.ModalityTimes(r.Trace)
+	rs, err := profileGrid(grid)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range grid {
+		mt := metrics.ModalityTimes(rs[i].Trace)
 		minT := math.Inf(1)
 		for _, v := range mt {
 			if v < minT {
@@ -195,18 +199,13 @@ func Fig11() ([]*report.Table, error) {
 			profileCfg{name, "uni:" + info.Major, device.RTX2080Ti(), 32},
 			profileCfg{name, info.Fusions[0], device.RTX2080Ti(), 32})
 	}
-	prefetch(grid)
+	rs, err := profileGrid(grid)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < len(grid); i += 2 {
-		uni, err := profileRun(grid[i].workload, grid[i].variant, grid[i].dev, grid[i].batch)
-		if err != nil {
-			return nil, err
-		}
-		multi, err := profileRun(grid[i+1].workload, grid[i+1].variant, grid[i+1].dev, grid[i+1].batch)
-		if err != nil {
-			return nil, err
-		}
-		us := metrics.HostShare(uni.Trace)
-		ms := metrics.HostShare(multi.Trace)
+		us := metrics.HostShare(rs[i].Trace)
+		ms := metrics.HostShare(rs[i+1].Trace)
 		t.AddRow(grid[i].workload, "uni", report.Pct(us), report.Pct(1-us))
 		t.AddRow(grid[i].workload, "multi", report.Pct(ms), report.Pct(1-ms))
 	}
@@ -226,29 +225,24 @@ func Fig12() ([]*report.Table, error) {
 		"Variant", "Batch", "0-10us", "10-50us", "50-100us", ">100us")
 	times := report.NewTable("Figure 12b: GPU time and inference time for 10000 tasks",
 		"Variant", "Batch", "GPU time (s)", "Inference time (s)")
-	type cell struct {
-		label string
-		cfg   profileCfg
-	}
-	var cells []cell
+	var labels []string
 	var grid []profileCfg
 	for _, k := range kinds {
 		for _, b := range []int{40, 400} {
-			c := profileCfg{"avmnist", k.variant, device.RTX2080Ti(), b}
-			cells = append(cells, cell{k.label, c})
-			grid = append(grid, c)
+			labels = append(labels, k.label)
+			grid = append(grid, profileCfg{"avmnist", k.variant, device.RTX2080Ti(), b})
 		}
 	}
-	prefetch(grid)
-	for _, c := range cells {
-		r, err := profileRun(c.cfg.workload, c.cfg.variant, c.cfg.dev, c.cfg.batch)
-		if err != nil {
-			return nil, err
-		}
+	rs, err := profileGrid(grid)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range grid {
+		r := rs[i]
 		h := metrics.KernelSizeHistogram(r.Trace)
-		hist.AddRow(c.label, fmt.Sprint(c.cfg.batch), report.Pct(h[0]), report.Pct(h[1]), report.Pct(h[2]), report.Pct(h[3]))
-		nBatches := float64((tasks + c.cfg.batch - 1) / c.cfg.batch)
-		times.AddRow(c.label, fmt.Sprint(c.cfg.batch),
+		hist.AddRow(labels[i], fmt.Sprint(c.batch), report.Pct(h[0]), report.Pct(h[1]), report.Pct(h[2]), report.Pct(h[3]))
+		nBatches := float64((tasks + c.batch - 1) / c.batch)
+		times.AddRow(labels[i], fmt.Sprint(c.batch),
 			report.F(r.Trace.GPUBusy()*nBatches), report.F(r.Latency*nBatches))
 	}
 	return []*report.Table{hist, times}, nil
@@ -258,27 +252,21 @@ func Fig12() ([]*report.Table, error) {
 func Fig13() ([]*report.Table, error) {
 	t := report.NewTable("Figure 13: peak memory (MB) for model, dataset and intermediates (AV-MNIST, 2080ti)",
 		"Variant", "Batch", "Model", "Dataset", "Intermediate", "Intermediate share")
-	type cell struct {
-		label string
-		cfg   profileCfg
-	}
-	var cells []cell
+	var labels []string
 	var grid []profileCfg
 	for _, k := range []struct{ label, variant string }{{"uni", "uni:image"}, {"multi", "concat"}} {
 		for _, b := range []int{20, 40, 100, 200, 400} {
-			c := profileCfg{"avmnist", k.variant, device.RTX2080Ti(), b}
-			cells = append(cells, cell{k.label, c})
-			grid = append(grid, c)
+			labels = append(labels, k.label)
+			grid = append(grid, profileCfg{"avmnist", k.variant, device.RTX2080Ti(), b})
 		}
 	}
-	prefetch(grid)
-	for _, c := range cells {
-		r, err := profileRun(c.cfg.workload, c.cfg.variant, c.cfg.dev, c.cfg.batch)
-		if err != nil {
-			return nil, err
-		}
-		m := r.Memory
-		t.AddRow(c.label, fmt.Sprint(c.cfg.batch),
+	rs, err := profileGrid(grid)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range grid {
+		m := rs[i].Memory
+		t.AddRow(labels[i], fmt.Sprint(c.batch),
 			report.F(memprof.MB(m.ModelBytes)), report.F(memprof.MB(m.DatasetBytes)),
 			report.F(memprof.MB(m.IntermediateBytes)),
 			report.Pct(float64(m.IntermediateBytes)/float64(m.Total())))
@@ -306,19 +294,14 @@ func Fig14() ([]*report.Table, error) {
 				profileCfg{"avmnist", "concat", dev, b})
 		}
 	}
-	prefetch(grid)
+	rs, err := profileGrid(grid)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < len(grid); i += 2 {
-		uni, err := profileRun(grid[i].workload, grid[i].variant, grid[i].dev, grid[i].batch)
-		if err != nil {
-			return nil, err
-		}
-		multi, err := profileRun(grid[i+1].workload, grid[i+1].variant, grid[i+1].dev, grid[i+1].batch)
-		if err != nil {
-			return nil, err
-		}
 		nBatches := float64((tasks + grid[i].batch - 1) / grid[i].batch)
-		ut := uni.Latency * nBatches
-		mt := multi.Latency * nBatches
+		ut := rs[i].Latency * nBatches
+		mt := rs[i+1].Latency * nBatches
 		t.AddRow(grid[i].dev.Name, fmt.Sprint(grid[i].batch), report.F(ut), report.F(mt), report.F(mt/ut))
 	}
 	t.Note = "Nano latency stops improving (and worsens) at large batch as memory capacity is exhausted."
@@ -330,9 +313,9 @@ func Fig15() ([]*report.Table, error) {
 	variants := []struct{ label, variant string }{
 		{"uni0 (audio)", "uni:audio"},
 		{"uni1 (image)", "uni:image"},
-		{"slfs (multi)", "concat"},
+		{"slfs (multi)", "concat"}, // last: the stage rows and 15c read it
 	}
-	var tables []*report.Table
+	// grid holds the variants per device, nano first.
 	var devs []*device.Profile
 	var grid []profileCfg
 	for _, devName := range []string{"nano", "2080ti"} {
@@ -345,25 +328,22 @@ func Fig15() ([]*report.Table, error) {
 			grid = append(grid, profileCfg{"avmnist", v.variant, dev, 32})
 		}
 	}
-	prefetch(grid)
-	for _, dev := range devs {
-		devName := dev.Name
+	rs, err := profileGrid(grid)
+	if err != nil {
+		return nil, err
+	}
+	var tables []*report.Table
+	for d, dev := range devs {
 		cols := []string{"Row"}
 		for i := 0; i < device.NumStalls; i++ {
 			cols = append(cols, device.StallReason(i).String())
 		}
-		t := report.NewTable(fmt.Sprintf("Figure 15: stall breakdown on %s (AV-MNIST, batch 32)", devName), cols...)
-		var multiTrace *trace.Trace
-		for _, v := range variants {
-			r, err := profileRun("avmnist", v.variant, dev, 32)
-			if err != nil {
-				return nil, err
-			}
-			if v.variant == "concat" {
-				multiTrace = r.Trace
-			}
-			addStallRow(t, v.label, metrics.StallBreakdown(r.Trace, nil))
+		t := report.NewTable(fmt.Sprintf("Figure 15: stall breakdown on %s (AV-MNIST, batch 32)", dev.Name), cols...)
+		runs := rs[d*len(variants) : (d+1)*len(variants)]
+		for i, v := range variants {
+			addStallRow(t, v.label, metrics.StallBreakdown(runs[i].Trace, nil))
 		}
+		multiTrace := runs[len(variants)-1].Trace
 		for _, stage := range []string{"encoder", "fusion", "head"} {
 			st := stage
 			addStallRow(t, st, metrics.StallBreakdown(multiTrace, func(k trace.KernelEvent) bool { return k.Stage == st }))
@@ -371,15 +351,11 @@ func Fig15() ([]*report.Table, error) {
 		tables = append(tables, t)
 	}
 
-	// 15c: computation and memory usage per stage on the Nano.
-	dev, _ := device.ByName("nano")
-	r, err := profileRun("avmnist", "concat", dev, 32)
-	if err != nil {
-		return nil, err
-	}
+	// 15c: computation and memory usage per stage on the Nano, from the
+	// grid's nano/concat cell.
 	c := report.NewTable("Figure 15c: computation and memory usage on Jetson Nano (AV-MNIST)",
 		"Stage", "DRAM_UTI", "GPU_OCU", "GLD_EFF", "GST_EFF", "IPC")
-	res := metrics.StageResources(r.Trace)
+	res := metrics.StageResources(rs[len(variants)-1].Trace)
 	for _, stage := range sortedStages(res) {
 		u := res[stage]
 		c.AddRow(stage, report.F(u.DRAMUtil), report.F(u.Occupancy), report.F(u.GldEff), report.F(u.GstEff), report.F(u.IPC))

@@ -7,7 +7,6 @@ import (
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
 	"mmbench/internal/mmnet"
-	"mmbench/internal/obs"
 	"mmbench/internal/ops"
 	"mmbench/internal/tensor"
 )
@@ -105,13 +104,7 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 		return nil, cancel.Reason()
 	}
 
-	var stageSec map[string]float64
-	if opts.Profiler != nil {
-		stageSec = opts.Profiler.StageWall()
-		// Feed the process-wide per-stage histograms here — on real
-		// executions only, so cache hits never double-observe.
-		obs.ObserveStageLatencies(stageSec)
-	}
+	stageSec := opts.Profiler.StageWall() // nil when unprofiled
 
 	outShape := out.Value.Shape()
 	if len(outShape) == 0 || outShape[0]%total != 0 {

@@ -1,133 +1,51 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"strconv"
-	"sync"
 
 	"mmbench/internal/device"
 	"mmbench/internal/jobs"
-	"mmbench/internal/resultcache"
-	"mmbench/internal/workloads"
 )
 
-// The experiment drivers fan profiling work out through a shared worker
-// pool and serve repeated configurations from a result cache: `repro
-// all` touches many overlapping (workload, variant, device, batch)
-// grids, and every analytic run is a pure function of that tuple.
-//
-// Two budgets, each covering what it says and nothing else: profCache
-// holds RunResults — traces plus fixed-size summaries, sized by
-// runResultBytes; a RunResult does not reference its network — and
-// profModels holds the networks, sized by ParamBytes (the drivers run
-// analytically, so no weight is ever multiplied and no GEMM panel kept
-// or charged), one per (workload, variant) shared by that variant's
-// whole device × batch grid. Together they bound the drivers' resident
-// memory at 128 MiB of results plus workloads.StoreBudget of parameters.
-var (
-	profPoolOnce sync.Once
-	profPool     *jobs.Pool
-	profCache    = resultcache.New(128 << 20)
-	profModels   = workloads.NewStore(workloads.StoreBudget)
-)
-
-func pool() *jobs.Pool {
-	profPoolOnce.Do(func() {
-		workers := runtime.GOMAXPROCS(0)
-		profPool = jobs.NewPool(workers, 4*workers)
-	})
-	return profPool
-}
-
-// profileCfg identifies one analytic profile run.
+// profileCfg identifies one analytic profile run: a workload's
+// paper-scale variant on a device at a batch size.
 type profileCfg struct {
 	workload, variant string
 	dev               *device.Profile
 	batch             int
 }
 
-func (c profileCfg) key() string {
-	return resultcache.Key(map[string]string{
-		"workload": c.workload,
-		"variant":  c.variant,
-		"device":   c.dev.Name,
-		"batch":    strconv.Itoa(c.batch),
-	})
-}
-
-// profileRun runs a workload's paper-scale variant in analytic mode,
-// deduplicated through the cache. The returned RunResult is shared
-// between callers and must be treated as read-only.
-func profileRun(workload, variant string, dev *device.Profile, batch int) (*RunResult, error) {
-	cfg := profileCfg{workload: workload, variant: variant, dev: dev, batch: batch}
-	v, err := profCache.Do(cfg.key(), func() (any, int64, error) {
-		n, err := profModels.Get(workload, variant, true)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, err := Run(n, RunOptions{Device: dev, BatchSize: batch})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, runResultBytes(r), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*RunResult), nil
-}
-
-// runResultBytes roughly sizes a RunResult for the cache budget; the
-// kernel trace dominates.
-func runResultBytes(r *RunResult) int64 {
-	return int64(len(r.Trace.Kernels))*256 + 8192
-}
-
-// prefetch warms the profile cache asynchronously: the configurations
-// are submitted through the worker pool, and the drivers' subsequent
-// profileRun calls either hit the cache or coalesce with the in-flight
-// pool execution via singleflight. It is purely a performance hint —
-// errors (and any config drift between hint and driver) surface
-// through the drivers' own profileRun calls, which stay the single
-// source of truth for results, ordering and error handling.
-func prefetch(cfgs []profileCfg) {
-	fns := make([]jobs.Fn, len(cfgs))
-	for i, c := range cfgs {
-		c := c
+// profileGrid profiles every cell of a figure's grid in analytic mode,
+// each as its own BuildAndRun, on a worker pool the call creates and
+// shuts down before returning. Results come back in grid order; a failing
+// cell fails the grid with its index, after every other cell finished.
+// Nothing outlives the call: each cell builds a private network, and the
+// only grids that repeat a (workload, variant) pair are avmnist's, whose
+// builds cost a few milliseconds.
+func profileGrid(grid []profileCfg) ([]*RunResult, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(grid))
+	p := jobs.NewPool(workers, workers)
+	// Shutdown under a context that never expires cannot fail.
+	defer p.Shutdown(context.Background())
+	fns := make([]jobs.Fn, len(grid))
+	for i, c := range grid {
 		fns[i] = func() (any, error) {
-			return profileRun(c.workload, c.variant, c.dev, c.batch)
-		}
-	}
-	pool().SubmitGroup(fns)
-}
-
-// allProfileRuns profiles every workload's default fusion on the server,
-// in parallel.
-func allProfileRuns(batch int) (map[string]*RunResult, error) {
-	names := workloads.Names()
-	fns := make([]jobs.Fn, len(names))
-	for i, name := range names {
-		fus, err := defaultFusion(name)
-		if err != nil {
-			return nil, err
-		}
-		name, fus := name, fus
-		fns[i] = func() (any, error) {
-			r, err := profileRun(name, fus, device.RTX2080Ti(), batch)
+			r, err := BuildAndRun(c.workload, c.variant, true, RunOptions{Device: c.dev, BatchSize: c.batch})
 			if err != nil {
-				return nil, fmt.Errorf("profiling %s/%s: %w", name, fus, err)
+				return nil, fmt.Errorf("profiling %s/%s on %s at batch %d: %w", c.workload, c.variant, c.dev.Name, c.batch, err)
 			}
 			return r, nil
 		}
 	}
-	results, err := pool().Map(fns)
+	out, err := p.Map(fns)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*RunResult, len(names))
-	for i, name := range names {
-		out[name] = results[i].(*RunResult)
+	rs := make([]*RunResult, len(out))
+	for i, v := range out {
+		rs[i] = v.(*RunResult)
 	}
-	return out, nil
+	return rs, nil
 }

@@ -1,29 +1,69 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mmbench/internal/device"
 )
 
-// A variant's device × batch grid misses the result cache cell by cell
-// but resolves one shared network: at most one build (none if an
-// earlier test already touched the variant), every other cell a hit.
-func TestProfileRunGridSharesOneNetwork(t *testing.T) {
-	before := profModels.Stats()
-	cells := 0
-	for _, dev := range []*device.Profile{device.RTX2080Ti(), device.JetsonNano()} {
-		for _, batch := range []int{3, 5} { // sizes no experiment driver uses
-			if _, err := profileRun("avmnist", "glu", dev, batch); err != nil {
-				t.Fatal(err)
-			}
-			cells++
+// poolFrames counts stack frames of package jobs across every live
+// goroutine: nonzero means a worker or group goroutine is still running.
+func poolFrames() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "mmbench/internal/jobs.")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// profileGrid returns every cell in grid order, each bitwise the result
+// of a standalone BuildAndRun of that cell, and a failing cell fails the
+// grid by its index once every cell has finished. Either way the call
+// leaves none of its pool's goroutines running.
+func TestProfileGridMatchesStandaloneRuns(t *testing.T) {
+	grid := []profileCfg{
+		{"avmnist", "glu", device.RTX2080Ti(), 3},
+		{"push", "transformer", device.JetsonNano(), 5},
+		{"avmnist", "glu", device.JetsonOrin(), 3},
+		{"avmnist", "uni:image", device.JetsonNano(), 7},
+	}
+	rs, err := profileGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := poolFrames(); n != 0 {
+		t.Fatalf("%d jobs frames still running after profileGrid returned", n)
+	}
+	if len(rs) != len(grid) {
+		t.Fatalf("got %d results for %d cells", len(rs), len(grid))
+	}
+	for i, c := range grid {
+		want, err := BuildAndRun(c.workload, c.variant, true, RunOptions{Device: c.dev, BatchSize: c.batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rs[i]
+		if !reflect.DeepEqual(got.Trace, want.Trace) ||
+			math.Float64bits(got.Latency) != math.Float64bits(want.Latency) ||
+			got.Memory != want.Memory {
+			t.Errorf("cell %d (%s/%s on %s, batch %d) differs from its standalone run",
+				i, c.workload, c.variant, c.dev.Name, c.batch)
 		}
 	}
-	after := profModels.Stats()
-	builds := after.Executions - before.Executions
-	hits := after.Hits - before.Hits
-	if builds > 1 || builds+hits != uint64(cells) {
-		t.Fatalf("%d cells cost %d builds and %d store hits, want ≤1 build and the rest hits", cells, builds, hits)
+
+	bad := []profileCfg{grid[0], {"avmnist", "no-such-variant", device.RTX2080Ti(), 32}, grid[1]}
+	if _, err := profileGrid(bad); err == nil ||
+		!strings.Contains(err.Error(), "job 2/3") || !strings.Contains(err.Error(), "no-such-variant") {
+		t.Fatalf("grid with an unknown variant at index 1: err = %v, want it named as job 2/3", err)
+	}
+	if n := poolFrames(); n != 0 {
+		t.Fatalf("%d jobs frames still running after a failed profileGrid returned", n)
 	}
 }

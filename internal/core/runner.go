@@ -210,9 +210,11 @@ func outputError(got, ref []float32) (errMax, errMean float64) {
 	return errMax, sum / float64(len(got))
 }
 
-// BuildAndRun is a convenience wrapper: build a private copy of a
-// workload variant and profile it. Callers that run one model more than
-// once resolve it through a workloads.Store and call Run instead.
+// BuildAndRun builds a private copy of a workload variant and profiles
+// it; the network dies with the call. It is one cell of an experiment
+// driver's grid (profileGrid). Callers that run one model many times —
+// a CachedRunner's eager executions — resolve it through their own
+// workloads.Store and call Run instead.
 func BuildAndRun(workload, variant string, profile bool, opts RunOptions) (*RunResult, error) {
 	n, err := workloads.Build(workload, variant, profile, workloads.WeightSeed)
 	if err != nil {

@@ -204,7 +204,9 @@ type Resilience struct {
 // Pool is a fixed-size worker pool with a bounded submission queue.
 type Pool struct {
 	queue chan task
-	wg    sync.WaitGroup
+	// wg counts the workers and every running group goroutine, so
+	// Shutdown returns only once nothing the pool started is running.
+	wg sync.WaitGroup
 	// subWG counts in-flight submissions so Shutdown only closes the
 	// queue channel once no sender can still touch it.
 	subWG sync.WaitGroup
@@ -477,9 +479,14 @@ func (p *Pool) SubmitGroupThen(fns []Fn, then func([]any) (any, error)) (*Job, e
 	if err != nil {
 		return nil, err
 	}
+	// Shutdown waits for the group goroutine like a worker. Adding to wg
+	// before releasing the submission slot orders the Add before
+	// Shutdown's wg.Wait, which starts only once every slot is released.
+	p.wg.Add(1)
 	p.subWG.Done() // the parent never touches the queue
 	parent.setRunning()
 	go func() {
+		defer p.wg.Done()
 		defer p.retire(parent)
 		children := make([]*Job, len(fns))
 		for i, fn := range fns {
@@ -565,11 +572,11 @@ func (p *Pool) Counts() Counts {
 }
 
 // Shutdown stops accepting new jobs, sheds every job still waiting in
-// the queue with ErrShutdown, and waits for the in-flight runs to
-// drain, or until the context is cancelled. Shed jobs reach a terminal
-// StatusShed state (their waiters unblock with the error) — they are
-// dropped, not run, so shutdown latency is bounded by one in-flight job
-// per worker. It is safe to call more than once.
+// the queue with ErrShutdown, and waits for the in-flight runs and
+// group parents to drain, or until the context is cancelled. Shed jobs
+// reach a terminal StatusShed state (their waiters unblock with the
+// error) — they are dropped, not run, so shutdown latency is bounded by
+// one in-flight job per worker. It is safe to call more than once.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	if p.closed {

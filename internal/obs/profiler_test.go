@@ -203,26 +203,3 @@ func TestSpanCapCountsDropped(t *testing.T) {
 		t.Fatal("truncated trace does not report dropped_spans")
 	}
 }
-
-func TestStageLatencyRegistry(t *testing.T) {
-	ObserveStageLatencies(map[string]float64{"encoder": 0.010, "fusion": 0.002})
-	ObserveStageLatency("encoder", 0.012)
-	got := StageLatencies()
-	enc, fus := got["encoder"], got["fusion"]
-	if enc.Count() < 2 || fus.Count() < 1 {
-		t.Fatalf("registry lost observations: %v", got)
-	}
-	// The snapshot is a copy: observing into it must not touch the registry.
-	before := enc.Count()
-	enc.Observe(1)
-	snap := StageLatencies()["encoder"]
-	if snap.Count() != before {
-		t.Fatal("snapshot aliases the registry")
-	}
-	names := StageNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("StageNames not sorted: %v", names)
-		}
-	}
-}

@@ -37,7 +37,7 @@ import (
 //	mmbench_faults_injected_total     fault-injection firings, {site}
 //	mmbench_service_latency_seconds   /v1/run latency histogram
 //	mmbench_queue_wait_seconds        scheduler queue-wait histogram
-//	mmbench_stage_latency_seconds     per-stage eager wall time, {stage}
+//	mmbench_stage_latency_seconds     per-stage eager wall time of the runner, {stage}
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.countRequest()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -94,6 +94,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.labeled("mmbench_jobs", `state="running"`, float64(counts.Running))
 	m.labeled("mmbench_jobs", `state="done"`, float64(counts.Done))
 	m.labeled("mmbench_jobs", `state="failed"`, float64(counts.Failed))
+	m.labeled("mmbench_jobs", `state="shed"`, float64(counts.Shed))
 	m.gauge("mmbench_queue_depth", "Jobs waiting in the scheduler queue.", float64(s.pool.QueueDepth()))
 
 	es := engine.TotalStats()
@@ -159,7 +160,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.histogram("mmbench_service_latency_seconds", "POST /v1/run service latency.", "", s.serviceLatency())
 	m.histogram("mmbench_queue_wait_seconds", "Scheduler queue wait, submission to worker pickup.", "", s.pool.QueueWait())
 
-	stages := obs.StageLatencies()
+	stages := s.runner.StageLatencies()
 	names := make([]string, 0, len(stages))
 	for stage := range stages {
 		names = append(names, stage)

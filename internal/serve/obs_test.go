@@ -60,6 +60,54 @@ func TestStatsStageLatencyAndQueue(t *testing.T) {
 	}
 }
 
+// Stage histograms belong to the server's runner: one eager request to
+// server A is exactly one encoder sample there, and server B in the same
+// process reports no stage latency on either surface.
+func TestStageLatencyIsPerServer(t *testing.T) {
+	_, a := newTestServer(t)
+	_, b := newTestServer(t)
+	postJSON(t, a.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2}`, nil)
+
+	var sa Stats
+	getJSON(t, a.URL+"/v1/stats", &sa)
+	if n := sa.StageLatency["encoder"].Samples; n != 1 {
+		t.Errorf("server A: %d encoder samples after one eager request, want 1", n)
+	}
+	var sb map[string]any
+	getJSON(t, b.URL+"/v1/stats", &sb)
+	if lat, ok := sb["stage_latency_ms"]; ok {
+		t.Errorf("server B reports stage_latency_ms %v without running anything", lat)
+	}
+	for name := range metricValues(t, b.URL) {
+		if strings.HasPrefix(name, "mmbench_stage_latency_seconds") {
+			t.Errorf("server B exposes %s without running anything", name)
+			break
+		}
+	}
+}
+
+// Every key of the /v1/stats jobs block is a mmbench_jobs{state=…}
+// sample of /metrics with the same value.
+func TestMetricsJobsMatchStats(t *testing.T) {
+	_, ts := newTestServer(t)
+	var sweep struct {
+		JobID string `json:"job_id"`
+	}
+	postJSON(t, ts.URL+"/v1/sweep",
+		`{"workload":"avmnist","devices":["2080ti"],"batches":[1,2]}`, &sweep)
+	waitForJob(t, ts.URL, sweep.JobID)
+
+	var st Stats
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	vals := metricValues(t, ts.URL)
+	for state, n := range st.Jobs {
+		name := `mmbench_jobs{state="` + state + `"}`
+		if got, ok := vals[name]; !ok || got != float64(n) {
+			t.Errorf("/metrics %s = %v (present %v), /v1/stats jobs.%s = %d", name, got, ok, state, n)
+		}
+	}
+}
+
 // Every GEMM of an eager run rides the packed micro-kernel, so the stats
 // must report panel traffic and the selected kernel implementation.
 func TestStatsReportsPackActivity(t *testing.T) {

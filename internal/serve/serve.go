@@ -550,8 +550,9 @@ type Stats struct {
 	EncodeErrors  uint64       `json:"encode_errors"`
 	Latency       LatencyStats `json:"service_latency_ms"`
 	// StageLatency reports measured per-stage wall-clock percentiles
-	// (milliseconds) over every profiled eager execution the process
-	// ran; empty until the first eager run.
+	// (milliseconds) over the eager executions of this server's runner —
+	// one sample per merged forward, none for a cache hit; empty until
+	// the first eager run.
 	StageLatency map[string]obs.Summary `json:"stage_latency_ms,omitempty"`
 	Cache        CacheStats             `json:"cache"`
 	// Models reports the runner's model store: hits are eager executions
@@ -560,8 +561,7 @@ type Stats struct {
 	// panels resident models keep.
 	Models workloads.StoreStats `json:"models"`
 	// Batching reports the continuous cross-request batcher: merged-
-	// batch histogram, coalesce ratio, queue depth, and the per-stage
-	// latency percentiles observed under merged load.
+	// batch histogram, coalesce ratio and queue depth.
 	Batching BatchingStats  `json:"batching"`
 	Jobs     map[string]int `json:"jobs"`
 	// Queue reports scheduler queue pressure: current depth plus
@@ -616,14 +616,9 @@ type BatchingStats struct {
 	MaxBatch int     `json:"max_batch"`
 	WindowMs float64 `json:"window_ms"`
 	batch.Stats
-	// StageLatency repeats the process-wide per-stage percentiles
-	// (milliseconds) for reading batching effect under load: merged
-	// forwards observe each stage ONCE per batch, so heavier coalescing
-	// shows up as fewer, larger stage samples.
-	StageLatency map[string]obs.Summary `json:"stage_latency_ms,omitempty"`
 }
 
-func (s *Server) batchingStats(stageLat map[string]obs.Summary) BatchingStats {
+func (s *Server) batchingStats() BatchingStats {
 	bs := BatchingStats{
 		MaxBatch: s.maxBatch,
 		WindowMs: float64(s.window) / float64(time.Millisecond),
@@ -633,7 +628,6 @@ func (s *Server) batchingStats(stageLat map[string]obs.Summary) BatchingStats {
 	}
 	bs.Enabled = true
 	bs.Stats = s.batcher.Stats()
-	bs.StageLatency = stageLat
 	return bs
 }
 
@@ -696,7 +690,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	latHist := s.serviceLatency()
 	lat := latHist.SummaryMs()
 	var stageLat map[string]obs.Summary
-	if stages := obs.StageLatencies(); len(stages) > 0 {
+	if stages := s.runner.StageLatencies(); len(stages) > 0 {
 		stageLat = make(map[string]obs.Summary, len(stages))
 		for stage, h := range stages {
 			stageLat[stage] = h.SummaryMs()
@@ -725,7 +719,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Cache:    CacheStats{Stats: cs, HitRate: cs.HitRate()},
 		Models:   s.runner.ModelStats(),
-		Batching: s.batchingStats(stageLat),
+		Batching: s.batchingStats(),
 		Engine: EngineStats{
 			Stats:       es,
 			PoolHitRate: es.HitRate(),

@@ -27,8 +27,7 @@ const StoreBudget = 512 << 20
 // hands the same instance to every caller: a byte-budgeted LRU with
 // singleflight, so N concurrent first requests for one model cost one
 // Build. A store lives and dies with its owner (a CachedRunner, for its
-// eager executions; the experiment drivers) — there is deliberately no
-// process-wide instance.
+// eager executions) — there is deliberately no process-wide instance.
 //
 // A nil *Store is valid and builds privately on every Get, which is how
 // the store-less entry points (mmbench.Run and friends) share the code

@@ -247,9 +247,9 @@ func TestModelStoreBehaviour(t *testing.T) {
 			},
 		},
 		{
-			// An analytic owner (core.profModels, the experiment drivers)
-			// resolves through a store but never multiplies: it is charged
-			// parameters only, exactly as before panels existed.
+			// Analytic executions resolved through a store never
+			// multiply: the store is charged parameters only, exactly as
+			// before panels existed.
 			name:   "analytic executions through a store build no panel",
 			budget: workloads.StoreBudget,
 			check: func(t *testing.T, cr *CachedRunner) {
