@@ -191,7 +191,7 @@ func cmdRun(args []string) error {
 		return renderReport(rep, *format)
 	}
 	prof := obs.NewProfiler()
-	prof.CaptureEngineTasks()
+	prof.CaptureEngineTasks(engine.Default())
 	rep, stageMs, err := mmbench.RunWithProfiler(cfg, prof)
 	if err != nil {
 		prof.Finish()
@@ -312,7 +312,7 @@ func cmdTrain(args []string) error {
 	var prof *obs.Profiler
 	if *traceOut != "" {
 		prof = obs.NewProfiler()
-		prof.CaptureEngineTasks()
+		prof.CaptureEngineTasks(engine.Default())
 	}
 	res, err := mmbench.Train(mmbench.TrainConfig{
 		Workload:  *workload,

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"mmbench/internal/device"
-	"mmbench/internal/mmnet"
+	"mmbench/internal/engine"
 	"mmbench/internal/ops"
 	"mmbench/internal/tensor"
 	"mmbench/internal/train"
@@ -118,12 +118,12 @@ func TestEvaluateReusesCascadeForwards(t *testing.T) {
 		}
 	}
 
-	before := mmnet.BranchStats()
+	before := engine.Default().Stats().Branches
 	res, err := Evaluate(c, device.RTX2080Ti(), tensor.NewRNG(777), nBatches, batchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := mmnet.BranchStats()
+	after := engine.Default().Stats().Branches
 
 	if want := float64(correctCascade) / float64(total); res.CascadeAccuracy != want {
 		t.Errorf("cascade accuracy %v != naive recomputation %v", res.CascadeAccuracy, want)

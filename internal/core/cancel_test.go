@@ -56,16 +56,14 @@ func TestRunMidRunCancellationStopsObserverSpans(t *testing.T) {
 	}
 	defer faultinject.Configure("")
 
+	e := engine.New(4)
+	defer e.Close()
 	var spans atomic.Int64
-	engine.SetTaskObserver(func(id int64, w int, s, e time.Time) {
+	e.SetTaskObserver(func(id int64, w int, s, e time.Time) {
 		if spans.Add(1) == 3 {
 			cancel()
 		}
 	})
-	defer engine.SetTaskObserver(nil)
-
-	e := engine.New(4)
-	defer e.Close()
 	_, err := BuildAndRun("avmnist", "concat", false, RunOptions{
 		Eager: true, BatchSize: 16, Engine: e, Ctx: ctx,
 	})
@@ -187,15 +185,15 @@ func TestCancelledFirstUseLeavesNoPanels(t *testing.T) {
 		if err := faultinject.Configure("engine.chunk=delay:1ms/every=4"); err != nil {
 			t.Fatal(err)
 		}
+		e := engine.New(4)
 		var spans atomic.Int64
-		engine.SetTaskObserver(func(id int64, w int, s, e time.Time) {
+		e.SetTaskObserver(func(id int64, w int, s, e time.Time) {
 			if spans.Add(1) == 3 {
 				cancel()
 			}
 		})
-		e := engine.New(4)
 		_, err := Run(frozen, RunOptions{Eager: true, BatchSize: 16, Engine: e, Ctx: ctx})
-		engine.SetTaskObserver(nil)
+		e.SetTaskObserver(nil)
 		faultinject.Configure("")
 		cancel()
 		if !errors.Is(err, context.Canceled) {

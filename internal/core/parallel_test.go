@@ -6,20 +6,30 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mmbench/internal/device"
 )
 
 // poolFrames counts stack frames of package jobs across every live
 // goroutine: nonzero means a worker or group goroutine is still running.
+// A goroutine that has signalled its pool's WaitGroup — so Shutdown may
+// already have returned — still shows its frames until it returns, so
+// the count is retaken for up to a second before it is believed.
 func poolFrames() int {
+	deadline := time.Now().Add(time.Second)
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "mmbench/internal/jobs.")
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
 		}
-		buf = make([]byte, 2*len(buf))
+		frames := strings.Count(string(buf[:n]), "mmbench/internal/jobs.")
+		if frames == 0 || time.Now().After(deadline) {
+			return frames
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -15,13 +15,11 @@ import (
 // signalled, so the executed count is bounded by the goroutines that
 // could have claimed a chunk before the signal (workers + submitter).
 func TestCancelStopsAtChunkBoundary(t *testing.T) {
-	var spans atomic.Int64
-	SetTaskObserver(func(id int64, w int, s, e time.Time) { spans.Add(1) })
-	defer SetTaskObserver(nil)
-
 	const workers, chunks = 4, 64
 	e := New(workers)
 	defer e.Close()
+	var spans atomic.Int64
+	e.SetTaskObserver(func(id int64, w int, s, e time.Time) { spans.Add(1) })
 	cancel := NewCancel()
 	h := e.WithCancel(cancel)
 
@@ -49,17 +47,16 @@ func TestCancelStopsAtChunkBoundary(t *testing.T) {
 	}
 
 	// Every later invocation through the cancelled handle is a no-op.
-	ran := false
-	h.ParallelFor(16, 1, func(lo, hi int) { ran = true })
-	if ran {
+	var ran atomic.Bool
+	h.ParallelFor(16, 1, func(lo, hi int) { ran.Store(true) })
+	if ran.Load() {
 		t.Fatal("ParallelFor ran its body on a cancelled handle")
 	}
 
 	// The derived handle shares state with the parent: the parent stays
 	// un-cancelled and fully usable.
-	ran = false
-	e.ParallelFor(4, 1, func(lo, hi int) { ran = true })
-	if !ran {
+	e.ParallelFor(4, 1, func(lo, hi int) { ran.Store(true) })
+	if !ran.Load() {
 		t.Fatal("parent engine affected by a derived handle's cancellation")
 	}
 }

@@ -15,11 +15,13 @@
 // Ownership: a run has one engine. Every kernel of a forward — the
 // encoder branches too, whether they run one after another or overlap
 // on spare workers (see internal/mmnet) — goes through the run's own
-// handle, so that engine's Stats count all of the run's work, its pool
-// holds all of the run's scratch, its Cancel flag stops all of it and
-// Close ends it. Concurrent branches share the workers the way nested
-// ParallelFor calls do: each caller drains its own job and idle workers
-// help whichever job woke them.
+// handle, so that engine's Stats count all of the run's work (its chunks
+// and pool traffic, and the panels, attention scratch, reduced-precision
+// kernels and branch schedules of its kernels: activity.go), its pool
+// holds all of the run's scratch, its task observer sees all of its
+// chunks, its Cancel flag stops all of it and Close ends it. Concurrent
+// branches share the workers the way nested ParallelFor calls do: each
+// caller drains its own job and idle workers help whichever job woke them.
 //
 // Cancellation contract: an Engine value is a cheap handle around the
 // shared worker/pool state, and WithCancel derives a handle that carries
@@ -52,8 +54,8 @@ type Engine struct {
 	cancel *Cancel
 }
 
-// state is the shared, process-lived part of an engine: the worker pool,
-// the buffer pool and the activity counters. Every handle derived from
+// state is the shared part of an engine: the worker pool, the buffer
+// pool, the counters and the task observer. Every handle derived from
 // one New call points at the same state.
 type state struct {
 	workers   int
@@ -64,10 +66,14 @@ type state struct {
 	tasks atomic.Int64 // chunks executed (serial fast path counts 1)
 
 	pool bufPool
+	act  activity
 
 	// id identifies the engine in task-observer spans (trace export
 	// names worker tracks "engine<id>:w<k>").
 	id int64
+	// observer is the installed task observer (nil when tracing is off),
+	// loaded once per job per worker.
+	observer atomic.Pointer[TaskObserver]
 }
 
 // engineSeq hands out engine ids.
@@ -166,7 +172,7 @@ func (st *state) workerLoop(worker int) {
 // Chunks skipped because the job's run was cancelled are not reported:
 // the observer sees the span stream cut off at the cancellation point.
 func (st *state) drainWorker(j *job, worker int) {
-	obs := loadTaskObserver()
+	obs := st.observer.Load()
 	if obs == nil {
 		st.drain(j)
 		return
@@ -178,7 +184,7 @@ func (st *state) drainWorker(j *job, worker int) {
 		}
 		start := time.Now()
 		if st.runChunk(j, int(i)) {
-			obs(st.id, worker, start, time.Now())
+			(*obs)(st.id, worker, start, time.Now())
 		}
 	}
 }
@@ -300,6 +306,12 @@ type Stats struct {
 	// anything else is a leak (the chaos suite asserts this under fault
 	// injection).
 	PoolOutstanding int64 `json:"pool_outstanding"`
+	// The kernel activity of the work the engine ran. Each is a block of
+	// its own in /v1/stats, so none is part of this one's JSON.
+	Pack      PackActivity      `json:"-"`
+	Attention AttentionActivity `json:"-"`
+	Precision PrecisionActivity `json:"-"`
+	Branches  BranchActivity    `json:"-"`
 }
 
 // HitRate returns the pool hit fraction (0 when idle).
@@ -316,7 +328,7 @@ func (e *Engine) Stats() Stats {
 	if e == nil || e.st == nil {
 		return Stats{Workers: 1}
 	}
-	st := e.st
+	st, a := e.st, &e.st.act
 	return Stats{
 		Workers:         st.workers,
 		Calls:           st.calls.Load(),
@@ -325,6 +337,28 @@ func (e *Engine) Stats() Stats {
 		PoolMisses:      st.pool.misses.Load(),
 		BytesReused:     st.pool.bytesReused.Load(),
 		PoolOutstanding: st.pool.outstanding.Load(),
+		Pack: PackActivity{
+			PanelCheckouts: a.panelCheckouts.Load(),
+			PanelBytes:     a.panelBytes.Load(),
+			PanelPoolHits:  a.panelPoolHits.Load(),
+		},
+		Attention: AttentionActivity{
+			FusedCalls:       a.attnCalls.Load(),
+			ScratchCheckouts: a.attnCheckouts.Load(),
+			ScratchBytes:     a.attnBytes.Load(),
+		},
+		Precision: PrecisionActivity{
+			F16Kernels:        a.f16Kernels.Load(),
+			I8Kernels:         a.i8Kernels.Load(),
+			QuantScratchBytes: a.quantBytes.Load(),
+		},
+		Branches: BranchActivity{
+			ParallelForwards:   a.parallelForwards.Load(),
+			SequentialForwards: a.sequentialForwards.Load(),
+			BranchesLaunched:   a.branchesLaunched.Load(),
+			MaxBranches:        a.maxBranches.Load(),
+			ParallelBackwards:  a.parallelBackwards.Load(),
+		},
 	}
 }
 

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelForCoversRangeOnce(t *testing.T) {
@@ -179,6 +181,38 @@ func TestNilEngineIsSerial(t *testing.T) {
 	e.Put(b)
 	if e.Workers() != 1 || e.Stats().Workers != 1 {
 		t.Fatal("nil engine should report 1 worker")
+	}
+}
+
+// TestTaskObserverIsPerEngine: each engine's observer sees the worker
+// chunks of that engine — through any of its handles — and none of
+// another engine's, though both run at once.
+func TestTaskObserverIsPerEngine(t *testing.T) {
+	engines := []*Engine{New(4), New(4)}
+	seen := make([]atomic.Int64, len(engines))
+	for i, e := range engines {
+		defer e.Close()
+		e.SetTaskObserver(func(id int64, w int, start, end time.Time) {
+			if id != e.ID() {
+				t.Errorf("engine %d's observer saw a chunk of engine %d", e.ID(), id)
+			}
+			seen[i].Add(1)
+		})
+	}
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Slow chunks so the helpers claim some of them.
+			e.WithCancel(NewCancel()).ParallelFor(64, 1, func(lo, hi int) { time.Sleep(time.Millisecond) })
+		}()
+	}
+	wg.Wait()
+	for i := range engines {
+		if seen[i].Load() == 0 {
+			t.Errorf("engine %d's observer saw none of its helpers' chunks", engines[i].ID())
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // TaskObserver receives one completed chunk execution from a dedicated
 // engine worker goroutine: the owning engine's id, the worker's index
@@ -16,26 +13,18 @@ import (
 // the engine.
 type TaskObserver func(engineID int64, worker int, start, end time.Time)
 
-// taskObs holds the process-wide observer (nil when tracing is off).
-// Loaded once per job per worker, so the steady-state cost with no
-// observer installed is one atomic load per drained job.
-var taskObs atomic.Pointer[TaskObserver]
-
-// SetTaskObserver installs fn as the process-wide engine task observer;
-// nil uninstalls it. Only one run at a time may capture engine tasks —
-// the CLI trace-export path — because the hook is global.
-func SetTaskObserver(fn TaskObserver) {
-	if fn == nil {
-		taskObs.Store(nil)
+// SetTaskObserver installs fn as this engine's task observer — every
+// handle derived from one New call shares it, and no other engine's
+// chunks reach it; nil uninstalls it. A nil engine has no workers and
+// nothing to observe.
+func (e *Engine) SetTaskObserver(fn TaskObserver) {
+	if e == nil || e.st == nil {
 		return
 	}
-	taskObs.Store(&fn)
-}
-
-func loadTaskObserver() TaskObserver {
-	p := taskObs.Load()
-	if p == nil {
-		return nil
+	var obs *TaskObserver
+	if fn != nil {
+		obs = new(TaskObserver)
+		*obs = fn
 	}
-	return *p
+	e.st.observer.Store(obs)
 }

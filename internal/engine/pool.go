@@ -97,15 +97,13 @@ func (e *Engine) Get(n int) []float32 {
 // scratch). Under SetDebug poisoning, a violation of that contract
 // surfaces as NaNs in results instead of silently reading zeros.
 func (e *Engine) GetUninit(n int) []float32 {
-	buf, _ := e.GetUninitInfo(n)
+	buf, _ := e.get(n)
 	return buf
 }
 
-// GetUninitInfo is GetUninit plus whether the request was satisfied from
-// the pool's free list (a pool hit) — callers that keep their own
-// activity counters (the GEMM pack-panel stats) use it to report hit
-// rates without re-deriving them from global pool deltas.
-func (e *Engine) GetUninitInfo(n int) ([]float32, bool) {
+// get is GetUninit plus whether the pool's free list served the request
+// (a pool hit, which the panel counters report).
+func (e *Engine) get(n int) ([]float32, bool) {
 	if e == nil || e.st == nil {
 		return make([]float32, n), false
 	}

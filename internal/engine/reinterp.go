@@ -6,7 +6,8 @@ import "unsafe"
 // int8 (quantized B panels), int16 (widened quantized A panels) and
 // uint16 (float16-grid B panels). Each Get reinterprets one pooled
 // float32 buffer in place — no second pool, no copy — so the retention
-// budget, poison mode and hit counters all keep covering panel scratch.
+// budget, poison mode and hit counters all keep covering panel scratch,
+// and each checkout counts in Stats().Pack at its panel's byte size.
 //
 // Ownership rules match Get/Put: the caller owns the returned slice
 // until the matching Put*, and must pass back exactly the slice a Get*
@@ -15,17 +16,17 @@ import "unsafe"
 // power of two ≥ 256 floats, so the byte capacity is always divisible
 // by the element size of every view.
 
-// GetUninitI8 returns an uninitialized pooled slice of n int8 (plus
-// whether it was a pool hit). Return it with PutI8.
-func (e *Engine) GetUninitI8(n int) ([]int8, bool) {
-	buf, hit := e.GetUninitInfo((n + 3) / 4)
+// GetPanelI8 returns an uninitialized pooled panel of n int8. Return it
+// with PutI8.
+func (e *Engine) GetPanelI8(n int) []int8 {
+	buf := e.panel((n+3)/4, int64(n))
 	if n == 0 {
-		return nil, hit
+		return nil
 	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&buf[0])), cap(buf)*4)[:n], hit
+	return unsafe.Slice((*int8)(unsafe.Pointer(&buf[0])), cap(buf)*4)[:n]
 }
 
-// PutI8 returns a GetUninitI8 slice to the pool.
+// PutI8 returns a GetPanelI8 slice to the pool.
 func (e *Engine) PutI8(buf []int8) {
 	if e == nil || buf == nil {
 		return
@@ -33,17 +34,17 @@ func (e *Engine) PutI8(buf []int8) {
 	e.Put(unsafe.Slice((*float32)(unsafe.Pointer(&buf[0])), cap(buf)/4))
 }
 
-// GetUninitI16 returns an uninitialized pooled slice of n int16 (plus
-// whether it was a pool hit). Return it with PutI16.
-func (e *Engine) GetUninitI16(n int) ([]int16, bool) {
-	buf, hit := e.GetUninitInfo((n + 1) / 2)
+// GetPanelI16 returns an uninitialized pooled panel of n int16. Return
+// it with PutI16.
+func (e *Engine) GetPanelI16(n int) []int16 {
+	buf := e.panel((n+1)/2, int64(n)*2)
 	if n == 0 {
-		return nil, hit
+		return nil
 	}
-	return unsafe.Slice((*int16)(unsafe.Pointer(&buf[0])), cap(buf)*2)[:n], hit
+	return unsafe.Slice((*int16)(unsafe.Pointer(&buf[0])), cap(buf)*2)[:n]
 }
 
-// PutI16 returns a GetUninitI16 slice to the pool.
+// PutI16 returns a GetPanelI16 slice to the pool.
 func (e *Engine) PutI16(buf []int16) {
 	if e == nil || buf == nil {
 		return
@@ -51,17 +52,17 @@ func (e *Engine) PutI16(buf []int16) {
 	e.Put(unsafe.Slice((*float32)(unsafe.Pointer(&buf[0])), cap(buf)/2))
 }
 
-// GetUninitU16 returns an uninitialized pooled slice of n uint16 (plus
-// whether it was a pool hit). Return it with PutU16.
-func (e *Engine) GetUninitU16(n int) ([]uint16, bool) {
-	buf, hit := e.GetUninitInfo((n + 1) / 2)
+// GetPanelU16 returns an uninitialized pooled panel of n uint16. Return
+// it with PutU16.
+func (e *Engine) GetPanelU16(n int) []uint16 {
+	buf := e.panel((n+1)/2, int64(n)*2)
 	if n == 0 {
-		return nil, hit
+		return nil
 	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&buf[0])), cap(buf)*2)[:n], hit
+	return unsafe.Slice((*uint16)(unsafe.Pointer(&buf[0])), cap(buf)*2)[:n]
 }
 
-// PutU16 returns a GetUninitU16 slice to the pool.
+// PutU16 returns a GetPanelU16 slice to the pool.
 func (e *Engine) PutU16(buf []uint16) {
 	if e == nil || buf == nil {
 		return

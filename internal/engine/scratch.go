@@ -1,10 +1,11 @@
 package engine
 
 // Scratch is a checkout of several pooled buffers that are released
-// together. Kernels whose parallel chunks each need a family of nested
-// scratch buffers (e.g. the fused attention kernel's score tile plus
-// accumulator) check them out through one Scratch and return them all
-// with a single Release, instead of pairing every Get with its own Put.
+// together. The fused attention kernel — a Scratch's one user, so every
+// checkout counts as attention scratch in Stats().Attention — draws each
+// parallel chunk's family of tiles (score tile, panels, accumulator)
+// through one Scratch and returns them all with a single Release, instead
+// of pairing every Get with its own Put.
 //
 // A Scratch is owned by one goroutine; the underlying pool is shared
 // and locked, so concurrent chunks may each hold their own Scratch.
@@ -26,17 +27,14 @@ func (e *Engine) NewScratch() *Scratch {
 	return s
 }
 
-// Get returns a zeroed scratch slice of length n, tracked for Release.
-func (s *Scratch) Get(n int) []float32 {
-	buf := s.e.Get(n)
-	s.bufs = append(s.bufs, buf)
-	return buf
-}
-
 // GetUninit returns an uninitialized scratch slice of length n, tracked
 // for Release. The caller must overwrite every element before reading
 // any (see Engine.GetUninit).
 func (s *Scratch) GetUninit(n int) []float32 {
+	if a := s.e.act(); a != nil {
+		a.attnCheckouts.Add(1)
+		a.attnBytes.Add(int64(n) * 4)
+	}
 	buf := s.e.GetUninit(n)
 	s.bufs = append(s.bufs, buf)
 	return buf

@@ -68,8 +68,6 @@
 package gemm
 
 import (
-	"sync/atomic"
-
 	"mmbench/internal/engine"
 	"mmbench/internal/precision"
 )
@@ -86,77 +84,13 @@ const (
 	packGrain = 8192
 )
 
-// packActivity counts pack-panel pool traffic for /v1/stats and
-// /metrics (the GEMM analogue of the fused-attention scratch counters).
-var packActivity struct {
-	checkouts atomic.Int64
-	bytes     atomic.Int64
-	poolHits  atomic.Int64
-}
+// PackActivity is the engine's count of the per-call panels this core
+// draws through its panel getters (engine.GetPanel and the typed views).
+type PackActivity = engine.PackActivity
 
-// PackActivity is a snapshot of pack-panel pool counters: the per-call
-// panels only. The panels a PackedB keeps are heap memory, packed once,
-// and are not counted here (their owner reports them — the model store's
-// packed bytes).
-type PackActivity struct {
-	// PanelCheckouts counts pooled panel buffers drawn (A and B panels
-	// across every packed kernel invocation).
-	PanelCheckouts int64 `json:"panel_checkouts"`
-	// PanelBytes is the total bytes of panel scratch drawn.
-	PanelBytes int64 `json:"panel_bytes"`
-	// PanelPoolHits counts checkouts satisfied from the engine pool's
-	// free list (the rest allocated fresh).
-	PanelPoolHits int64 `json:"panel_pool_hits"`
-}
-
-// HitRate returns the fraction of panel checkouts served from the pool.
-func (a PackActivity) HitRate() float64 {
-	if a.PanelCheckouts == 0 {
-		return 0
-	}
-	return float64(a.PanelPoolHits) / float64(a.PanelCheckouts)
-}
-
-// PackStats snapshots the process-wide pack-panel counters.
-func PackStats() PackActivity {
-	return PackActivity{
-		PanelCheckouts: packActivity.checkouts.Load(),
-		PanelBytes:     packActivity.bytes.Load(),
-		PanelPoolHits:  packActivity.poolHits.Load(),
-	}
-}
-
-func countPanel(bytes int64, hit bool) {
-	packActivity.checkouts.Add(1)
-	packActivity.bytes.Add(bytes)
-	if hit {
-		packActivity.poolHits.Add(1)
-	}
-}
-
-func panelF32(e *engine.Engine, n int) []float32 {
-	buf, hit := e.GetUninitInfo(n)
-	countPanel(int64(n)*4, hit)
-	return buf
-}
-
-func panelU16(e *engine.Engine, n int) []uint16 {
-	buf, hit := e.GetUninitU16(n)
-	countPanel(int64(n)*2, hit)
-	return buf
-}
-
-func panelI16(e *engine.Engine, n int) []int16 {
-	buf, hit := e.GetUninitI16(n)
-	countPanel(int64(n)*2, hit)
-	return buf
-}
-
-func panelI8(e *engine.Engine, n int) []int8 {
-	buf, hit := e.GetUninitI8(n)
-	countPanel(int64(n), hit)
-	return buf
-}
+// PackStats reads the default engine's pack-panel counters: the panels
+// of every run that does not bring its own engine — every served run.
+func PackStats() PackActivity { return engine.TotalStats().Pack }
 
 // KernelName reports which micro-kernel implementation this process
 // runs: "avx2-fma+vnni" (assembly, int8 path fused by vpdpwssd),
@@ -179,7 +113,7 @@ func F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	bp := panelF32(e, panelsB(n)*k*NR)
+	bp := e.GetPanel(panelsB(n) * k * NR)
 	defer e.Put(bp)
 	packBF32(e, bp, b, k, n, bT)
 	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false)
@@ -201,7 +135,7 @@ func LenB(k, n int) int { return panelsB(n) * k * NR }
 // apart. It is the only driver of kernF32 — mulF32 runs it per engine
 // chunk — and the tile-level entry for callers that partition their own
 // work over panels they packed themselves (PackA, PackB, PackBT,
-// PackBConv): it draws no scratch and counts nothing in PackStats.
+// PackBConv): it draws no scratch and counts nothing.
 func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha float32) {
 	var tile [MR * NR]float32
 	for ip := 0; ip*MR < m; ip++ {
@@ -219,7 +153,7 @@ func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha floa
 // entry points and the kept panels of a PackedB differ only in where bp
 // came from.
 func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool) {
-	ap := panelF32(e, LenA(m, k))
+	ap := e.GetPanel(LenA(m, k))
 	defer e.Put(ap)
 	if f16A {
 		packAF16(e, ap, a, m, k, aT)
@@ -243,12 +177,12 @@ func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 	if asmF16 {
 		// Half-width B panels: raw float16 bits, converted in-kernel by
 		// vcvtph2ps (exact, so numerically identical to the f32 layout).
-		bp := panelU16(e, panelsB(n)*k*NR)
+		bp := e.GetPanelU16(panelsB(n) * k * NR)
 		defer e.PutU16(bp)
 		packBU16(e, bp, b, k, n, bT)
 		mulF16(e, dst, a, bp, m, k, n, alpha, aT)
 	} else {
-		bp := panelF32(e, panelsB(n)*k*NR)
+		bp := e.GetPanel(panelsB(n) * k * NR)
 		defer e.Put(bp)
 		packBF16F32(e, bp, b, k, n, bT)
 		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true)
@@ -259,7 +193,7 @@ func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 // against finished half-width B panels: mulPanelsF16, one A row panel per
 // work unit.
 func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool) {
-	ap := panelF32(e, LenA(m, k))
+	ap := e.GetPanel(LenA(m, k))
 	defer e.Put(ap)
 	packAF16(e, ap, a, m, k, aT)
 	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
@@ -295,7 +229,7 @@ func I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float3
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	bp := panelI8(e, panelsB(n)*pairsI8(k)*2*NR)
+	bp := e.GetPanelI8(panelsB(n) * pairsI8(k) * 2 * NR)
 	defer e.PutI8(bp)
 	packBI8(e, bp, b, k, n, sb, bT)
 	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT)
@@ -310,7 +244,7 @@ func pairsI8(k int) int { return (k + 1) / 2 }
 // work unit.
 func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa, sb float32, aT bool) {
 	kp := pairsI8(k)
-	ap := panelI16(e, panelsA(m)*kp*2*MR)
+	ap := e.GetPanelI16(panelsA(m) * kp * 2 * MR)
 	defer e.PutI16(ap)
 	packAI16(e, ap, a, m, k, sa, aT)
 	deq := alpha * sa * sb
@@ -360,7 +294,7 @@ func convUnits(e *engine.Engine, x []float32, n int, g ConvShape, mul func(bp []
 	unit := func(u int) {
 		ni, j0 := u/blocks, u%blocks*block
 		cols := min(block, m-j0)
-		bp := panelF32(e, LenB(k, cols))
+		bp := e.GetPanel(LenB(k, cols))
 		defer e.Put(bp)
 		PackBConv(bp, x[ni*img:(ni+1)*img], g, j0, cols)
 		mul(bp, ni, j0, cols)
@@ -376,7 +310,7 @@ func convUnits(e *engine.Engine, x []float32, n int, g ConvShape, mul func(bp []
 // in float32.
 func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 	k, m := g.K(), g.OH*g.OW
-	ap := panelF32(e, LenA(outC, k))
+	ap := e.GetPanel(LenA(outC, k))
 	defer e.Put(ap)
 	packAF32(e, ap, w, outC, k, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
@@ -389,7 +323,7 @@ func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 // the output store).
 func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 	k, m := g.K(), g.OH*g.OW
-	ap := panelF32(e, LenA(outC, k))
+	ap := e.GetPanel(LenA(outC, k))
 	defer e.Put(ap)
 	packAF16(e, ap, w, outC, k, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
@@ -410,7 +344,7 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw float32, sx []float32) {
 	k, m := g.K(), g.OH*g.OW
 	kp := pairsI8(k)
-	ap := panelI16(e, panelsA(outC)*kp*2*MR)
+	ap := e.GetPanelI16(panelsA(outC) * kp * 2 * MR)
 	defer e.PutI16(ap)
 	packAI16(e, ap, w, outC, k, sw, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {

@@ -416,7 +416,7 @@ func TestTileLevelEntryMatchesF32(t *testing.T) {
 		}
 		return s
 	}
-	before := PackStats()
+	before := e.Stats().Pack
 	for _, sh := range testShapes {
 		for _, bT := range []bool{false, true} {
 			a, b := randSlice(rng, sh.m*sh.k), randSlice(rng, sh.k*sh.n)
@@ -440,7 +440,7 @@ func TestTileLevelEntryMatchesF32(t *testing.T) {
 			}
 		}
 	}
-	after := PackStats()
+	after := e.Stats().Pack
 	// F32 itself draws two panels per call; the tile-level calls none.
 	if calls := int64(2 * len(testShapes)); after.PanelCheckouts-before.PanelCheckouts != 2*calls {
 		t.Errorf("pack checkouts moved by %d over %d F32 calls, want %d", after.PanelCheckouts-before.PanelCheckouts, calls, 2*calls)
@@ -450,17 +450,18 @@ func TestTileLevelEntryMatchesF32(t *testing.T) {
 func TestPackStatsCount(t *testing.T) {
 	e := engine.New(1)
 	defer e.Close()
-	before := PackStats()
+	defBefore := PackStats()
 	dst := make([]float32, 8*8)
 	a := make([]float32, 8*8)
 	b := make([]float32, 8*8)
 	F32(e, dst, a, b, 8, 8, 8, 1, false, false)
-	after := PackStats()
-	if after.PanelCheckouts < before.PanelCheckouts+2 {
-		t.Fatalf("panel checkouts did not advance: %+v -> %+v", before, after)
+	// One B and one A panel set, each of one full panel of K = 8 rows.
+	want := PackActivity{PanelCheckouts: 2, PanelBytes: int64(LenB(8, 8)+LenA(8, 8)) * 4}
+	if got := e.Stats().Pack; got != want {
+		t.Fatalf("engine pack counters %+v after one F32 call, want %+v", got, want)
 	}
-	if after.PanelBytes <= before.PanelBytes {
-		t.Fatalf("panel bytes did not advance: %+v -> %+v", before, after)
+	if def := PackStats(); def != defBefore {
+		t.Fatalf("a call on a private engine moved the default engine's pack counters: %+v -> %+v", defBefore, def)
 	}
 }
 

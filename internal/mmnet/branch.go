@@ -30,7 +30,6 @@ package mmnet
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
@@ -83,7 +82,7 @@ func (n *Network) branchRNGs(c *ops.Ctx) []*tensor.RNG {
 // encodeSequential is the reference branch loop: one encoder after
 // another on the caller's goroutine, tape and recorder.
 func (n *Network) encodeSequential(c *ops.Ctx, b *data.Batch) []*ops.Var {
-	branchActivity.sequentialForwards.Add(1)
+	c.Engine().CountBranchForward(0)
 	rngs := n.branchRNGs(c)
 	feats := make([]*ops.Var, len(n.Encoders))
 	for i, enc := range n.Encoders {
@@ -102,9 +101,8 @@ func (n *Network) encodeSequential(c *ops.Ctx, b *data.Batch) []*ops.Var {
 // deterministically in fixed modality order.
 func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	nb := len(n.Encoders)
-	branchActivity.parallelForwards.Add(1)
-	branchActivity.branchesLaunched.Add(int64(nb))
-	maxAtomic(&branchActivity.maxBranches, int64(nb))
+	e := c.Engine()
+	e.CountBranchForward(nb)
 
 	rngs := n.branchRNGs(c)
 	if rngs == nil {
@@ -136,7 +134,7 @@ func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	// engine's workers the way nested ParallelFor calls do: a branch
 	// goroutine drains its own kernels' chunks and the Workers()-1 pool
 	// workers help whichever kernel woke them.
-	maxConc := c.Engine().Workers()
+	maxConc := e.Workers()
 
 	feats := make([]*ops.Var, nb)
 	firstPanic, panicVal := runLimited(nb, maxConc, func(i int) {
@@ -175,7 +173,7 @@ func (n *Network) encodeParallel(c *ops.Ctx, b *data.Batch) []*ops.Var {
 	if c.Tape != nil && tapedSteps(tapes[:joined]) > 0 {
 		join := tapes[:joined]
 		c.Tape.Append(func() {
-			branchActivity.parallelBackwards.Add(1)
+			e.CountBranchBackward()
 			if _, p := runLimited(len(join), maxConc, func(i int) { join[i].Replay() }); p != nil {
 				panic(p)
 			}
@@ -246,49 +244,4 @@ func (n *Network) branchesIndependent() bool {
 		}
 	}
 	return true
-}
-
-// maxAtomic raises a monotone atomic maximum.
-func maxAtomic(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// branchActivity counts executor work for /v1/stats.
-var branchActivity struct {
-	parallelForwards   atomic.Int64
-	sequentialForwards atomic.Int64
-	branchesLaunched   atomic.Int64
-	maxBranches        atomic.Int64
-	parallelBackwards  atomic.Int64
-}
-
-// BranchActivity is a snapshot of branch-executor counters.
-type BranchActivity struct {
-	// ParallelForwards counts Forward calls that ran their encoder
-	// branches concurrently; SequentialForwards counts the sequential
-	// loop — every forward encodeBranches did not fork.
-	ParallelForwards   int64 `json:"parallel_forwards"`
-	SequentialForwards int64 `json:"sequential_forwards"`
-	// BranchesLaunched is the total branch goroutines started;
-	// MaxBranches is the widest join seen.
-	BranchesLaunched int64 `json:"branches_launched"`
-	MaxBranches      int64 `json:"max_branches"`
-	// ParallelBackwards counts join steps replayed during Backward.
-	ParallelBackwards int64 `json:"parallel_backwards"`
-}
-
-// BranchStats snapshots the process-wide branch-executor counters.
-func BranchStats() BranchActivity {
-	return BranchActivity{
-		ParallelForwards:   branchActivity.parallelForwards.Load(),
-		SequentialForwards: branchActivity.sequentialForwards.Load(),
-		BranchesLaunched:   branchActivity.branchesLaunched.Load(),
-		MaxBranches:        branchActivity.maxBranches.Load(),
-		ParallelBackwards:  branchActivity.parallelBackwards.Load(),
-	}
 }

@@ -8,10 +8,10 @@ import (
 	"mmbench/internal/data"
 	"mmbench/internal/engine"
 	"mmbench/internal/fusion"
-	"mmbench/internal/gemm"
 	"mmbench/internal/mmnet"
 	"mmbench/internal/models"
 	"mmbench/internal/ops"
+	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 	"mmbench/internal/train"
 	"mmbench/internal/workloads"
@@ -54,14 +54,14 @@ func TestBranchParallelForwardBitwise(t *testing.T) {
 			// The packed GEMM core must engage under both schedules —
 			// otherwise this test would pass without covering the packed
 			// kernels' determinism contract.
-			packs := gemm.PackStats().PanelCheckouts
-			seq := n.Forward(&ops.Ctx{SequentialBranches: true}, b)
-			if now := gemm.PackStats().PanelCheckouts; now == packs {
+			packs := eng.Stats().Pack.PanelCheckouts
+			seq := n.Forward(&ops.Ctx{Eng: eng, SequentialBranches: true}, b)
+			if now := eng.Stats().Pack.PanelCheckouts; now == packs {
 				t.Fatal("sequential forward drew no pack panels — packed GEMM core not exercised")
 			}
-			packs = gemm.PackStats().PanelCheckouts
+			packs = eng.Stats().Pack.PanelCheckouts
 			par := n.Forward(&ops.Ctx{Eng: eng}, b)
-			if now := gemm.PackStats().PanelCheckouts; now == packs {
+			if now := eng.Stats().Pack.PanelCheckouts; now == packs {
 				t.Fatal("parallel forward drew no pack panels — packed GEMM core not exercised")
 			}
 			sd, pd := seq.Value.Data(), par.Value.Data()
@@ -191,7 +191,6 @@ func TestForwardScopeResetOnPanic(t *testing.T) {
 // TestBranchStatsCounts checks the executor counters move and a
 // taped parallel forward records a backward join.
 func TestBranchStatsCounts(t *testing.T) {
-	before := mmnet.BranchStats()
 	n := buildNet(t) // avmnist/concat: 2 branches
 	b := n.Gen.Batch(tensor.NewRNG(2), 2)
 	// Branches fork only on an engine with a worker to spare; pin one so
@@ -205,23 +204,14 @@ func TestBranchStatsCounts(t *testing.T) {
 	loss := n.Loss(c, out, b)
 	tape.Backward(loss)
 
-	n.Forward(&ops.Ctx{SequentialBranches: true}, b)
+	n.Forward(&ops.Ctx{Eng: eng, SequentialBranches: true}, b)
 
-	after := mmnet.BranchStats()
-	if after.ParallelForwards <= before.ParallelForwards {
-		t.Fatal("parallel forward not counted")
+	want := engine.BranchActivity{
+		ParallelForwards: 1, SequentialForwards: 1,
+		BranchesLaunched: 2, MaxBranches: 2, ParallelBackwards: 1,
 	}
-	if after.BranchesLaunched < before.BranchesLaunched+2 {
-		t.Fatal("branch launches not counted")
-	}
-	if after.MaxBranches < 2 {
-		t.Fatalf("max branches %d, want >= 2", after.MaxBranches)
-	}
-	if after.ParallelBackwards <= before.ParallelBackwards {
-		t.Fatal("parallel backward join not counted")
-	}
-	if after.SequentialForwards <= before.SequentialForwards {
-		t.Fatal("sequential forward not counted")
+	if got := eng.Stats().Branches; got != want {
+		t.Fatalf("branch counters %+v, want %+v", got, want)
 	}
 }
 
@@ -237,9 +227,9 @@ func TestSharedParamsFallBackToSequential(t *testing.T) {
 
 	// Untaped forwards only read parameters, so sharing is harmless and
 	// the parallel path stays eligible.
-	before := mmnet.BranchStats()
+	before := eng.Stats().Branches
 	n.Forward(&ops.Ctx{Eng: eng}, b)
-	after := mmnet.BranchStats()
+	after := eng.Stats().Branches
 	if after.ParallelForwards <= before.ParallelForwards {
 		t.Fatal("untaped shared-parameter forward should still run in parallel")
 	}
@@ -247,13 +237,13 @@ func TestSharedParamsFallBackToSequential(t *testing.T) {
 	// A taped forward must fall back: concurrent branch backward replay
 	// would race on the shared gradient tensors. The check runs per
 	// call, so rewiring Encoders after a previous Forward is seen.
-	before = mmnet.BranchStats()
+	before = eng.Stats().Branches
 	tape := autograd.NewTape()
 	c := &ops.Ctx{Tape: tape, Eng: eng}
 	out := n.Forward(c, b)
 	loss := n.Loss(c, out, b)
 	tape.Backward(loss)
-	after = mmnet.BranchStats()
+	after = eng.Stats().Branches
 	if after.ParallelForwards != before.ParallelForwards {
 		t.Fatal("taped shared-parameter branches must not run in parallel")
 	}
@@ -344,9 +334,9 @@ func TestBranchScheduleRule(t *testing.T) {
 								if mode != noTape {
 									c.Tape = autograd.NewTape()
 								}
-								before := mmnet.BranchStats()
+								before := eng.Stats().Branches
 								out = n.Forward(c, b)
-								after := mmnet.BranchStats()
+								after := eng.Stats().Branches
 								return out, after.ParallelForwards - before.ParallelForwards,
 									after.SequentialForwards - before.SequentialForwards
 							}
@@ -396,12 +386,11 @@ func TestBranchKernelsRunOnTheRunsEngine(t *testing.T) {
 	tasks := func(sequential bool) int64 {
 		eng := engine.New(4)
 		defer eng.Close()
-		before := mmnet.BranchStats()
 		n.Forward(&ops.Ctx{Eng: eng, SequentialBranches: sequential}, b)
-		if forked := mmnet.BranchStats().ParallelForwards > before.ParallelForwards; forked == sequential {
+		s := eng.Stats()
+		if forked := s.Branches.ParallelForwards > 0; forked == sequential {
 			t.Fatalf("sequential=%v but forked=%v", sequential, forked)
 		}
-		s := eng.Stats()
 		if s.PoolOutstanding != 0 {
 			t.Fatalf("sequential=%v: %d pooled buffers not returned to the run's engine", sequential, s.PoolOutstanding)
 		}
@@ -413,5 +402,44 @@ func TestBranchKernelsRunOnTheRunsEngine(t *testing.T) {
 	}
 	if def := engine.Default().Stats(); def != defBefore {
 		t.Fatalf("default engine moved during a run on its own engine: %+v -> %+v", defBefore, def)
+	}
+}
+
+// TestForwardActivityBelongsToTheRunsEngine pins counter ownership: an
+// eager mosei forward on a private engine moves that engine's pack,
+// attention and branch counters — and, under an i8 policy, its precision
+// counters — while the default engine's Stats do not move at all.
+func TestForwardActivityBelongsToTheRunsEngine(t *testing.T) {
+	n, err := workloads.Build("mosei", "concat", false, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := n.Gen.Batch(tensor.NewRNG(11), 2)
+	for _, policy := range []string{"f32", "i8"} {
+		pol, err := precision.ParsePolicy(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defBefore := engine.Default().Stats()
+		eng := engine.New(4)
+		n.Forward(&ops.Ctx{Eng: eng, Precision: pol}, b)
+		s := eng.Stats()
+		eng.Close()
+		if s.Pack.PanelCheckouts == 0 || s.Pack.PanelBytes == 0 {
+			t.Errorf("%s: the run's engine counted no pack panels: %+v", policy, s.Pack)
+		}
+		if s.Attention.FusedCalls == 0 || s.Attention.ScratchBytes == 0 {
+			t.Errorf("%s: the run's engine counted no attention: %+v", policy, s.Attention)
+		}
+		if s.Branches.ParallelForwards != 1 || s.Branches.BranchesLaunched != 3 {
+			t.Errorf("%s: the run's engine counted branches %+v, want one forward of 3", policy, s.Branches)
+		}
+		lowp := s.Precision.I8Kernels > 0 && s.Precision.QuantScratchBytes > 0
+		if lowp != (policy == "i8") || s.Precision.F16Kernels != 0 {
+			t.Errorf("%s: the run's engine counted precision %+v", policy, s.Precision)
+		}
+		if def := engine.Default().Stats(); def != defBefore {
+			t.Errorf("%s: the default engine moved during a run on its own engine: %+v -> %+v", policy, defBefore, def)
+		}
 	}
 }

@@ -76,10 +76,9 @@ type Profiler struct {
 
 	root *Shard
 
-	// capturing marks an installed engine task observer (CLI trace
-	// export only — the observer is process-global, so concurrent runs
-	// must not both install one).
-	capturing bool
+	// captured is the engine whose task observer this profiler is (nil
+	// when not capturing engine tasks).
+	captured *engine.Engine
 }
 
 // NewProfiler starts a profiler; its epoch (span time zero) is now.
@@ -179,9 +178,7 @@ func (p *Profiler) Finish() *Profile {
 		return nil
 	}
 	stage := p.StageWall() // also merges root
-	if p.capturing {
-		p.StopEngineCapture()
-	}
+	p.StopEngineCapture()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return &Profile{
@@ -192,17 +189,17 @@ func (p *Profiler) Finish() *Profile {
 	}
 }
 
-// CaptureEngineTasks installs this profiler as the process-wide engine
-// task observer: every chunk a dedicated engine worker executes is
-// recorded as a span on an "engine<id>:w<k>" track. The observer is
-// global, so only one run at a time may capture (the CLI trace export
-// path); Finish or StopEngineCapture uninstalls it.
-func (p *Profiler) CaptureEngineTasks() {
-	p.capturing = true
+// CaptureEngineTasks installs this profiler as e's task observer: every
+// chunk one of e's dedicated workers executes is recorded as a span on an
+// "engine<id>:w<k>" track. The profiled run must execute on e, and no
+// other profiler may capture e at the same time; Finish or
+// StopEngineCapture uninstalls it.
+func (p *Profiler) CaptureEngineTasks(e *engine.Engine) {
+	p.captured = e
 	p.mu.Lock()
 	epoch := p.epoch
 	p.mu.Unlock()
-	engine.SetTaskObserver(func(engineID int64, worker int, start, end time.Time) {
+	e.SetTaskObserver(func(engineID int64, worker int, start, end time.Time) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		if len(p.engineSpans) >= maxSpans {
@@ -219,10 +216,10 @@ func (p *Profiler) CaptureEngineTasks() {
 	})
 }
 
-// StopEngineCapture uninstalls the engine task observer.
+// StopEngineCapture uninstalls the engine task observer, if any.
 func (p *Profiler) StopEngineCapture() {
-	engine.SetTaskObserver(nil)
-	p.capturing = false
+	p.captured.SetTaskObserver(nil)
+	p.captured = nil
 }
 
 // Shard records spans for one goroutine — the coordinator (root) or one

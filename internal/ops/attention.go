@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mmbench/internal/engine"
 	"mmbench/internal/gemm"
@@ -27,8 +26,9 @@ import (
 // place scores ever exist), a row-wise float32 streaming softmax turns it
 // into probabilities written in A-panel layout, and the micro-kernel
 // accumulates P·V into the unit's pooled accumulator. All of it is pooled
-// attention scratch (AttentionStats), not GEMM operand panels
-// (gemm.PackStats), and none of it is heap memory.
+// attention scratch (engine Scratch, counted in the engine's Attention
+// block), not GEMM operand panels (its Pack block), and none of it is heap
+// memory.
 //
 // Determinism: work is partitioned with shape-only chunking (one unit
 // per (batch·head, query-tile) forward, per batch·head backward); every
@@ -44,43 +44,6 @@ const (
 	// attnQTile×attnKTile pooled tile.
 	attnKTile = 64
 )
-
-// attnActivity counts fused-attention work for /v1/stats: operator
-// invocations and the scratch the kernel checks out from the engine's
-// buffer pool (the memory that replaced the materialized score matrix).
-var attnActivity struct {
-	fusedCalls       atomic.Int64
-	scratchCheckouts atomic.Int64
-	scratchBytes     atomic.Int64
-}
-
-// AttentionActivity is a snapshot of fused-attention counters.
-type AttentionActivity struct {
-	// FusedCalls is the number of fused Ctx.Attention executions
-	// (eager forwards; analytic spec-only calls are not counted).
-	FusedCalls int64 `json:"fused_calls"`
-	// ScratchCheckouts / ScratchBytes measure pooled attention scratch
-	// drawn for score tiles, accumulators and backward recomputation.
-	ScratchCheckouts int64 `json:"scratch_checkouts"`
-	ScratchBytes     int64 `json:"scratch_bytes"`
-}
-
-// AttentionStats snapshots the process-wide fused-attention counters.
-func AttentionStats() AttentionActivity {
-	return AttentionActivity{
-		FusedCalls:       attnActivity.fusedCalls.Load(),
-		ScratchCheckouts: attnActivity.scratchCheckouts.Load(),
-		ScratchBytes:     attnActivity.scratchBytes.Load(),
-	}
-}
-
-// attnScratch draws pooled attention scratch through a Scratch checkout,
-// counting it for AttentionStats.
-func attnScratch(sc *engine.Scratch, n int) []float32 {
-	attnActivity.scratchCheckouts.Add(1)
-	attnActivity.scratchBytes.Add(int64(n) * 4)
-	return sc.GetUninit(n)
-}
 
 // Fast float32 e^x, written for the streaming softmax (whose arguments
 // are ≤ 0 after the running-max shift) and shared by the tanh, sigmoid and
@@ -225,8 +188,8 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	if out.Value.Abstract() {
 		return out
 	}
-	attnActivity.fusedCalls.Add(1)
 	e := c.engine()
+	e.CountAttention()
 	qd, kd, vd, od := q.Value.Data(), k.Value.Data(), v.Value.Data(), out.Value.Data()
 	// Mixed precision: the kernel reads pooled low-precision copies of
 	// the projections while score tiles, the streaming softmax and the
@@ -247,17 +210,16 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			// Per-segment quantization: each request's q/k/v slices get the
 			// same per-tensor scales they would standalone, so the i8 grids
 			// — and therefore every output bit — match the unbatched run.
-			lowQ = e.GetUninit(len(qd))
+			lowQ = e.GetQuant(len(qd))
 			defer e.Put(lowQ)
-			lowK = e.GetUninit(len(kd))
+			lowK = e.GetQuant(len(kd))
 			defer e.Put(lowK)
-			lowV = e.GetUninit(len(vd))
+			lowV = e.GetQuant(len(vd))
 			defer e.Put(lowV)
-			precActivity.quantBytes.Add(int64(len(qd)+len(kd)+len(vd)) * 4)
 			scoreScales = make([]float32, b)
 			outScales = make([]float32, b)
 			for _, s := range segs {
-				countLowp(prec)
+				e.CountLowp(prec)
 				sq := quantizeInto(e, prec, lowQ[s.lo*tq*d:s.hi*tq*d], qd[s.lo*tq*d:s.hi*tq*d])
 				sk := quantizeInto(e, prec, lowK[s.lo*tk*d:s.hi*tk*d], kd[s.lo*tk*d:s.hi*tk*d])
 				sv := quantizeInto(e, prec, lowV[s.lo*tk*d:s.hi*tk*d], vd[s.lo*tk*d:s.hi*tk*d])
@@ -268,7 +230,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			}
 			qd, kd, vd = lowQ, lowK, lowV
 		} else {
-			countLowp(prec)
+			e.CountLowp(prec)
 			var sq, sk, sv float32
 			lowQ, sq = quantizeOperand(e, prec, qd)
 			defer e.Put(lowQ)
@@ -299,7 +261,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	kvLen := kLen + tk*vRow
 	shared := e.NewScratch()
 	defer shared.Release()
-	kv := attnScratch(shared, bh*kvLen)
+	kv := shared.GetUninit(bh * kvLen)
 	e.ParallelFor(bh, 1, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			koff := u/heads*tk*d + u%heads*dh
@@ -315,10 +277,10 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	e.ParallelFor(bh*nqt, 1, func(lo, hi int) {
 		sc := e.NewScratch()
 		defer sc.Release()
-		qa := attnScratch(sc, gemm.LenA(attnQTile, dh))
-		st := attnScratch(sc, attnQTile*attnKTile)
-		pa := attnScratch(sc, gemm.LenA(attnQTile, attnKTile))
-		acc := attnScratch(sc, attnQTile*dh)
+		qa := sc.GetUninit(gemm.LenA(attnQTile, dh))
+		st := sc.GetUninit(attnQTile * attnKTile)
+		pa := sc.GetUninit(gemm.LenA(attnQTile, attnKTile))
+		acc := sc.GetUninit(attnQTile * dh)
 		// Per-row streaming-softmax state: running max and (float64)
 		// running denominator, fixed-size on the stack.
 		var mbuf [attnQTile]float32
@@ -468,8 +430,8 @@ func (c *Ctx) attentionBackward(e *engine.Engine, q, k, v, out *Var, rowMax, row
 	e.ParallelFor(b*heads, 1, func(lo, hi int) {
 		sc := e.NewScratch()
 		defer sc.Release()
-		st := attnScratch(sc, attnQTile*attnKTile)
-		dsum := attnScratch(sc, tq)
+		st := sc.GetUninit(attnQTile * attnKTile)
+		dsum := sc.GetUninit(tq)
 		for u := lo; u < hi; u++ {
 			bi, h := u/heads, u%heads
 			qoff := bi*tq*d + h*dh

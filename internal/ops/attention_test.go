@@ -8,7 +8,6 @@ import (
 	"mmbench/internal/attnref"
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
-	"mmbench/internal/gemm"
 	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 )
@@ -217,7 +216,6 @@ func TestAttentionPooledScratchPoisonSafe(t *testing.T) {
 	defer engine.SetDebug(false)
 	e := engine.New(4)
 	defer e.Close()
-	before := AttentionStats()
 	for rep := 0; rep < 3; rep++ {
 		q, k, v := attnCase(int64(90+rep), 2, attnQTile+1, attnKTile+2, 8)
 		tape := autograd.NewTape()
@@ -236,9 +234,8 @@ func TestAttentionPooledScratchPoisonSafe(t *testing.T) {
 			}
 		}
 	}
-	after := AttentionStats()
-	if after.FusedCalls <= before.FusedCalls || after.ScratchCheckouts <= before.ScratchCheckouts || after.ScratchBytes <= before.ScratchBytes {
-		t.Fatalf("attention activity counters did not advance: before %+v after %+v", before, after)
+	if got := e.Stats().Attention; got.FusedCalls != 3 || got.ScratchCheckouts == 0 || got.ScratchBytes == 0 {
+		t.Fatalf("attention activity counters %+v, want 3 fused calls and their scratch", got)
 	}
 }
 
@@ -328,27 +325,27 @@ func TestAttentionMatchesOracleAtAwkwardShapes(t *testing.T) {
 }
 
 // TestAttentionDrawsNoGemmPanels pins the pack accounting: attention's
-// tile panels are attention scratch (AttentionStats), never per-call GEMM
-// operand panels (gemm.PackStats, which the served models' kept-panel
-// budget is read from) — at any precision, taped or not.
+// tile panels are attention scratch (the engine's Attention block), never
+// per-call GEMM operand panels (its Pack block, which the served models'
+// kept-panel budget is read from) — at any precision, taped or not.
 func TestAttentionDrawsNoGemmPanels(t *testing.T) {
 	e := engine.New(2)
 	defer e.Close()
 	q, k, v := attnCase(7, 2, 50, 50, 64)
-	packs, attn := gemm.PackStats(), AttentionStats()
 	for _, prec := range []precision.Type{precision.F32, precision.F16, precision.I8} {
 		segCtx(e, prec, nil).Attention(q, k, v, 4, 0.25)
 	}
 	tape := autograd.NewTape()
 	c := &Ctx{Tape: tape, Eng: e}
 	tape.Backward(c.MeanAll(c.Attention(q, k, v, 4, 0.25)))
-	if now := gemm.PackStats(); now != packs {
-		t.Errorf("attention moved the GEMM pack counters: %+v -> %+v", packs, now)
+	s := e.Stats()
+	if s.Pack != (engine.PackActivity{}) {
+		t.Errorf("attention moved the GEMM pack counters: %+v", s.Pack)
 	}
-	if now := AttentionStats(); now.FusedCalls != attn.FusedCalls+4 || now.ScratchBytes <= attn.ScratchBytes {
-		t.Errorf("attention scratch counters: %+v -> %+v, want 4 more calls and more bytes", attn, now)
+	if s.Attention.FusedCalls != 4 || s.Attention.ScratchBytes == 0 {
+		t.Errorf("attention scratch counters %+v, want 4 calls and their bytes", s.Attention)
 	}
-	if out := e.Stats().PoolOutstanding; out != 0 {
+	if out := s.PoolOutstanding; out != 0 {
 		t.Errorf("%d pooled buffers outstanding after attention", out)
 	}
 }

@@ -62,7 +62,7 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	// input entries plus zero padding, so the input's maxabs bounds them.)
 	switch prec := c.prec; prec {
 	case precision.I8:
-		countLowp(prec)
+		e.CountLowp(prec)
 		wScale := precision.I8Scale(precision.MaxAbs(wdta))
 		xScales := make([]float32, n)
 		c.eachI8Segment(n, func(lo, hi int) {
@@ -73,7 +73,7 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 		})
 		gemm.ConvI8(e, od, wdta, xd, n, outC, g, wScale, xScales)
 	case precision.F16:
-		countLowp(prec)
+		e.CountLowp(prec)
 		gemm.ConvF16(e, od, wdta, xd, n, outC, g)
 	default:
 		gemm.ConvF32(e, od, wdta, xd, n, outC, g)

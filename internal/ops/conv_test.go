@@ -242,13 +242,12 @@ func TestConv2DPackAccounting(t *testing.T) {
 	const units, k = 3 * 4, 27
 	for _, workers := range []int{1, 4} {
 		e := engine.New(workers)
-		before := gemm.PackStats()
 		(&Ctx{Eng: e}).Conv2D(x, w, nil, 1, 1)
-		after := gemm.PackStats()
-		if got := after.PanelCheckouts - before.PanelCheckouts; got != 1+units {
+		packs := e.Stats().Pack
+		if got := packs.PanelCheckouts; got != 1+units {
 			t.Errorf("%d workers: %d panel checkouts, want %d (weights + one per work unit)", workers, got, 1+units)
 		}
-		if got, want := after.PanelBytes-before.PanelBytes, int64(gemm.LenA(6, k)+3*gemm.LenB(k, 400))*4; got != want {
+		if got, want := packs.PanelBytes, int64(gemm.LenA(6, k)+3*gemm.LenB(k, 400))*4; got != want {
 			t.Errorf("%d workers: %d panel bytes, want %d", workers, got, want)
 		}
 		if out := e.Stats().PoolOutstanding; out != 0 {

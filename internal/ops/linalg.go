@@ -123,13 +123,13 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	}
 	switch p := c.prec; p {
 	case precision.F16:
-		countLowp(p)
+		e.CountLowp(p)
 		kept.F16(e, od, xd, wd, rows, in, outDim, 1, false, false)
 		if bias == nil {
 			roundSliceF16(e, od)
 		}
 	case precision.I8:
-		countLowp(p)
+		e.CountLowp(p)
 		sw := kept.I8Scale(wd)
 		c.eachI8Segment(rows, func(lo, hi int) {
 			xs := xd[lo*in : hi*in]

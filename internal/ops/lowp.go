@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"sync/atomic"
-
 	"mmbench/internal/engine"
 	"mmbench/internal/gemm"
 	"mmbench/internal/precision"
@@ -40,42 +38,6 @@ import (
 // standard mixed-precision training arrangement: the tape sees the
 // quantized forward outputs but computes straight-through gradients.
 
-// precActivity counts low-precision kernel work for /v1/stats.
-var precActivity struct {
-	f16Kernels atomic.Int64
-	i8Kernels  atomic.Int64
-	quantBytes atomic.Int64
-}
-
-// PrecisionActivity is a snapshot of low-precision execution counters.
-type PrecisionActivity struct {
-	// F16Kernels / I8Kernels count eager GEMM-family kernel executions
-	// that ran at the reduced precision (analytic spec-only calls are
-	// not counted).
-	F16Kernels int64 `json:"f16_kernels"`
-	I8Kernels  int64 `json:"i8_kernels"`
-	// QuantScratchBytes is the pooled scratch drawn for quantized
-	// operand copies.
-	QuantScratchBytes int64 `json:"quant_scratch_bytes"`
-}
-
-// PrecisionStats snapshots the process-wide low-precision counters.
-func PrecisionStats() PrecisionActivity {
-	return PrecisionActivity{
-		F16Kernels:        precActivity.f16Kernels.Load(),
-		I8Kernels:         precActivity.i8Kernels.Load(),
-		QuantScratchBytes: precActivity.quantBytes.Load(),
-	}
-}
-
-func countLowp(prec precision.Type) {
-	if prec == precision.F16 {
-		precActivity.f16Kernels.Add(1)
-	} else {
-		precActivity.i8Kernels.Add(1)
-	}
-}
-
 // quantizeInto stores the prec-grid image of src into dst on the engine
 // and returns the dequantization scale (1 for f16, whose grid values
 // are real numbers already). dst and src may alias for in-place
@@ -102,8 +64,7 @@ func quantizeInto(e *engine.Engine, prec precision.Type, dst, src []float32) flo
 // grid. The caller owns the returned buffer and must e.Put it before
 // the operator returns (backward closures never see it).
 func quantizeOperand(e *engine.Engine, prec precision.Type, src []float32) ([]float32, float32) {
-	q := e.GetUninit(len(src))
-	precActivity.quantBytes.Add(int64(len(src)) * 4)
+	q := e.GetQuant(len(src))
 	scale := quantizeInto(e, prec, q, src)
 	return q, scale
 }
@@ -123,7 +84,7 @@ func roundSliceF16(e *engine.Engine, dst []float32) {
 // f16 rounds into packed panels with f32 accumulation (gemm.F16) and
 // re-stores the result through the grid. dst must start zeroed.
 func lowpMatmulNN(e *engine.Engine, prec precision.Type, dst, a, b []float32, m, k, n int) {
-	countLowp(prec)
+	e.CountLowp(prec)
 	if prec == precision.I8 {
 		sa := precision.I8Scale(precision.MaxAbs(a))
 		sb := precision.I8Scale(precision.MaxAbs(b))

@@ -6,7 +6,6 @@ import (
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
-	"mmbench/internal/gemm"
 	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 )
@@ -155,8 +154,6 @@ func TestLowpPooledScratchPoisonSafe(t *testing.T) {
 // operand copies (fused attention); MatMul and Linear quantize inside the
 // panel packing, counted by the pack stats.
 func TestPrecisionStatsCount(t *testing.T) {
-	before := PrecisionStats()
-	packBefore := gemm.PackStats()
 	e := engine.New(1)
 	defer e.Close()
 	g := tensor.NewRNG(3)
@@ -165,23 +162,23 @@ func TestPrecisionStatsCount(t *testing.T) {
 	merged := lowpCtx(e, precision.I8)
 	merged.Segments = []int{8, 16}
 	lowpKernels[1].run(merged, g) // Linear, 24 rows as a two-request batch
-	packed := PrecisionStats()
-	packAfter := gemm.PackStats()
-	if packed.F16Kernels != before.F16Kernels+1 {
-		t.Errorf("f16 kernel count %d -> %d, want +1", before.F16Kernels, packed.F16Kernels)
+	s := e.Stats()
+	packed := s.Precision
+	if packed.F16Kernels != 1 {
+		t.Errorf("f16 kernel count %d, want 1", packed.F16Kernels)
 	}
-	if packed.I8Kernels != before.I8Kernels+2 {
-		t.Errorf("i8 kernel count %d -> %d, want +2 (merged Linear counts once)", before.I8Kernels, packed.I8Kernels)
+	if packed.I8Kernels != 2 {
+		t.Errorf("i8 kernel count %d, want 2 (merged Linear counts once)", packed.I8Kernels)
 	}
-	if packAfter.PanelBytes <= packBefore.PanelBytes {
-		t.Errorf("pack-panel bytes did not grow: %d -> %d", packBefore.PanelBytes, packAfter.PanelBytes)
+	if s.Pack.PanelBytes == 0 {
+		t.Error("no pack-panel bytes drawn")
 	}
-	if packed.QuantScratchBytes != before.QuantScratchBytes {
-		t.Errorf("MatMul/Linear drew quant scratch: %d -> %d", before.QuantScratchBytes, packed.QuantScratchBytes)
+	if packed.QuantScratchBytes != 0 {
+		t.Errorf("MatMul/Linear drew %d bytes of quant scratch", packed.QuantScratchBytes)
 	}
 
 	lowpKernels[3].run(lowpCtx(e, precision.I8), g) // Attention q [2,9,16], k and v [2,13,16]
-	after := PrecisionStats()
+	after := e.Stats().Precision
 	if after.I8Kernels != packed.I8Kernels+1 {
 		t.Errorf("i8 kernel count %d -> %d, want +1", packed.I8Kernels, after.I8Kernels)
 	}

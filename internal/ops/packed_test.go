@@ -6,7 +6,6 @@ import (
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
-	"mmbench/internal/gemm"
 	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 )
@@ -45,11 +44,10 @@ func packedForwardBackward(t *testing.T, e *engine.Engine) ([]float32, [][]float
 // TestPackedKernelsWorkerDeterminism requires bitwise-identical outputs
 // and gradients from the packed NN/NT/TN kernels at 1, 4 and 16 workers.
 func TestPackedKernelsWorkerDeterminism(t *testing.T) {
-	packs := gemm.PackStats().PanelCheckouts
 	e := engine.New(workerCounts[0])
 	refOut, refGrads := packedForwardBackward(t, e)
 	e.Close()
-	if now := gemm.PackStats().PanelCheckouts; now == packs {
+	if e.Stats().Pack.PanelCheckouts == 0 {
 		t.Fatal("no pack panels drawn — MatMul did not reach the packed core")
 	}
 	for _, workers := range workerCounts[1:] {
@@ -129,9 +127,9 @@ func TestPackedLowpLargeShapeErrorBounds(t *testing.T) {
 	b := randParam(g, 80, 64)
 	ref := (&Ctx{Eng: e}).MatMul(a, b).Value.Data()
 	for prec, bound := range bounds {
-		packs := gemm.PackStats().PanelCheckouts
+		packs := e.Stats().Pack.PanelCheckouts
 		got := lowpCtx(e, prec).MatMul(a, b).Value.Data()
-		if now := gemm.PackStats().PanelCheckouts; now == packs {
+		if now := e.Stats().Pack.PanelCheckouts; now == packs {
 			t.Fatalf("%v: no pack panels drawn — packed low-precision path did not engage", prec)
 		}
 		diff, scale := maxAbsDiff(got, ref)

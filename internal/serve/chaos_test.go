@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,28 @@ import (
 
 	"mmbench/internal/engine"
 )
+
+// checkGoroutinesReturn takes the goroutine count now — once the default
+// engine, whose workers live for the process, exists — and registers a
+// cleanup that runs after every cleanup registered later (the server's
+// Close and ts.Close): it closes the client's idle connections and fails
+// unless the count is back at that baseline within 5 s.
+func checkGoroutinesReturn(t *testing.T) {
+	t.Helper()
+	engine.Default()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines 5 s after shutdown, %d before the server started:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
 
 // TestChaosServerSurvivesSustainedFaultInjection is the fault-injection
 // acceptance test: with panics, admission failures and queue stalls
@@ -31,6 +54,7 @@ func TestChaosServerSurvivesSustainedFaultInjection(t *testing.T) {
 	// fail it loudly instead of passing silently.
 	engine.SetDebug(true)
 	t.Cleanup(func() { engine.SetDebug(false) })
+	checkGoroutinesReturn(t)
 	// Two pool workers: each eager job fans out onto the shared compute
 	// engine anyway, and bounding the pool keeps the -race schedule from
 	// oversubscribing the machine (the suite is CI's chaos smoke step).
@@ -143,6 +167,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	// still QUEUED when Shutdown lands (the batcher would merge the
 	// burst into one job and leave nothing to shed).
 	withFaults(t, "jobs.dequeue=delay:50ms")
+	checkGoroutinesReturn(t)
 	s := New(Options{Workers: 2, CacheBytes: 32 << 20, MaxBatch: -1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close() })

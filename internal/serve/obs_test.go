@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -86,26 +87,126 @@ func TestStageLatencyIsPerServer(t *testing.T) {
 	}
 }
 
-// Every key of the /v1/stats jobs block is a mmbench_jobs{state=…}
-// sample of /metrics with the same value.
-func TestMetricsJobsMatchStats(t *testing.T) {
-	_, ts := newTestServer(t)
+// statsOnly lists the numeric /v1/stats leaves no /metrics series
+// reports: the derived hit rates and throughput, the percentile summaries
+// of histograms /metrics exports whole, and the batching config echo
+// (batching.enabled, a bool, decides whether the batch families render).
+// An entry ending in "." covers every leaf under it.
+var statsOnly = []string{
+	"throughput_rps", "cache.hit_rate", "engine.pool_hit_rate", "engine.pack.hit_rate",
+	"service_latency_ms.", "stage_latency_ms.", "queue.wait_ms.",
+	"batching.max_batch", "batching.window_ms",
+}
+
+func isStatsOnly(path string) bool {
+	for _, e := range statsOnly {
+		if path == e || strings.HasSuffix(e, ".") && strings.HasPrefix(path, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// jsonTree encodes v and decodes it back as a generic JSON tree.
+func jsonTree(t *testing.T, v any) any {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tree any
+	if err := json.Unmarshal(raw, &tree); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// walkNumbers calls fn on every numeric leaf of a JSON tree with its
+// dotted path, storing fn's result in the leaf's place.
+func walkNumbers(path string, v any, fn func(path string, leaf float64) float64) any {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, c := range x {
+			p := k
+			if path != "" {
+				p = path + "." + k
+			}
+			x[k] = walkNumbers(p, c, fn)
+		}
+	case float64:
+		return fn(path, x)
+	}
+	return v
+}
+
+// renderMetrics renders st through writeMetrics and parses its samples.
+func renderMetrics(t *testing.T, st Stats) map[string]float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := writeMetrics(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	return parseSamples(buf.String())
+}
+
+// TestMetricsMatchStats: every numeric /v1/stats leaf outside statsOnly
+// is a /metrics series with the same value, both surfaces rendered from
+// one stats() snapshot. Which series reports which leaf is found, not
+// listed: every leaf gets a distinct marker value, the marked snapshot is
+// decoded back into a Stats and rendered, and the series carrying a
+// leaf's marker is that leaf's series.
+func TestMetricsMatchStats(t *testing.T) {
+	// Injection on (a rule that never fires in this test) so the
+	// faults_injected block exists.
+	withFaults(t, "batch.merge=delay:1ms/every=1000")
+	s, ts := newTestServer(t)
+	// Traffic that fills every map-valued block: eager runs of one model
+	// (batch sizes, a model-store build and hit), a placement (chosen
+	// devices) and a sweep (jobs).
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2,"seed":1}`, nil)
+	postJSON(t, ts.URL+"/v1/run", `{"workload":"avmnist","eager":true,"batch":2,"seed":2}`, nil)
+	postJSON(t, ts.URL+"/v1/place", `{"workload":"avmnist"}`, nil)
 	var sweep struct {
 		JobID string `json:"job_id"`
 	}
-	postJSON(t, ts.URL+"/v1/sweep",
-		`{"workload":"avmnist","devices":["2080ti"],"batches":[1,2]}`, &sweep)
+	postJSON(t, ts.URL+"/v1/sweep", `{"workload":"avmnist","devices":["2080ti"],"batches":[1,2]}`, &sweep)
 	waitForJob(t, ts.URL, sweep.JobID)
 
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	vals := metricValues(t, ts.URL)
-	for state, n := range st.Jobs {
-		name := `mmbench_jobs{state="` + state + `"}`
-		if got, ok := vals[name]; !ok || got != float64(n) {
-			t.Errorf("/metrics %s = %v (present %v), /v1/stats jobs.%s = %d", name, got, ok, state, n)
-		}
+	st := s.stats()
+	if len(st.Batching.BatchSizes) == 0 || len(st.Resilience.FaultsInjected) == 0 || len(st.Fleet.ChosenDevices) == 0 {
+		t.Fatalf("the test traffic left a map-valued block empty: %+v", st)
 	}
+	marks := map[string]float64{}
+	marked := walkNumbers("", jsonTree(t, st), func(path string, leaf float64) float64 {
+		if isStatsOnly(path) {
+			return leaf
+		}
+		marks[path] = float64(1e6 + len(marks))
+		return marks[path]
+	})
+	raw, err := json.Marshal(marked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var markedStats Stats
+	if err := json.Unmarshal(raw, &markedStats); err != nil {
+		t.Fatal(err)
+	}
+	seriesOf := map[float64]string{}
+	for name, v := range renderMetrics(t, markedStats) {
+		seriesOf[v] = name
+	}
+	got := renderMetrics(t, st)
+	walkNumbers("", jsonTree(t, st), func(path string, want float64) float64 {
+		if mark, ok := marks[path]; ok {
+			if name, ok := seriesOf[mark]; !ok {
+				t.Errorf("/v1/stats %s = %v has no /metrics series", path, want)
+			} else if got[name] != want {
+				t.Errorf("/metrics %s = %v, /v1/stats %s = %v", name, got[name], path, want)
+			}
+		}
+		return want
+	})
 }
 
 // Every GEMM of an eager run rides the packed micro-kernel, so the stats
@@ -148,7 +249,7 @@ func TestStatsReportsModelStore(t *testing.T) {
 	}
 }
 
-// metricValues reads every unlabeled sample of a /metrics page.
+// metricValues reads every sample of a /metrics page.
 func metricValues(t *testing.T, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -160,8 +261,14 @@ func metricValues(t *testing.T, url string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return parseSamples(string(raw))
+}
+
+// parseSamples maps each sample of a /metrics page, labels included in
+// the name, to its value.
+func parseSamples(text string) map[string]float64 {
 	vals := map[string]float64{}
-	for _, line := range strings.Split(string(raw), "\n") {
+	for _, line := range strings.Split(text, "\n") {
 		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
 			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
 				vals[f[0]] = v

@@ -26,9 +26,7 @@ import (
 	"mmbench/internal/engine"
 	"mmbench/internal/gemm"
 	"mmbench/internal/jobs"
-	"mmbench/internal/mmnet"
 	"mmbench/internal/obs"
-	"mmbench/internal/ops"
 	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
 	"mmbench/internal/workloads"
@@ -250,13 +248,6 @@ func (s *Server) recordLatency(d time.Duration) {
 	s.mu.Lock()
 	s.latHist.Observe(d.Seconds())
 	s.mu.Unlock()
-}
-
-// serviceLatency snapshots the /v1/run latency histogram.
-func (s *Server) serviceLatency() obs.Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latHist
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -542,7 +533,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
-// Stats is the GET /v1/stats body.
+// Stats is the GET /v1/stats body, and what GET /metrics renders:
+// Server.stats is the one place either surface reads a source, so every
+// series is its /v1/stats field at the same instant.
 type Stats struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Requests      uint64       `json:"requests"`
@@ -571,21 +564,24 @@ type Stats struct {
 	// Attention reports the fused attention kernel's call count and
 	// scratch-pool activity (the pooled tiles that replaced the
 	// materialized score matrix).
-	Attention ops.AttentionActivity `json:"attention"`
+	Attention engine.AttentionActivity `json:"attention"`
 	// Branches counts how forwards ran their encoder branches:
 	// concurrently (parallel_forwards, with the goroutines launched and
 	// the backward joins replayed) or one after another
 	// (sequential_forwards — single-encoder networks, recorded forwards,
-	// and every forward on a one-worker engine). Counters only: branch
-	// kernels run on the run's engine and are in the engine block.
-	Branches  mmnet.BranchActivity `json:"branches"`
-	Precision PrecisionStats       `json:"precision"`
+	// and every forward on a one-worker engine).
+	Branches  engine.BranchActivity `json:"branches"`
+	Precision PrecisionStats        `json:"precision"`
 	// Resilience reports load shedding, cancellation, panic recovery and
 	// quarantine — the overload-resilience counters.
 	Resilience ResilienceStats `json:"resilience"`
 	// Fleet reports placement-planner activity: /v1/place requests and
 	// the chosen-device histogram across best placements.
 	Fleet FleetStats `json:"fleet"`
+
+	// The histograms behind the percentile summaries, for /metrics.
+	latency, queueWait obs.Histogram
+	stages             map[string]obs.Histogram
 }
 
 // LatencyStats are streaming percentiles over every /v1/run since
@@ -640,8 +636,10 @@ type CacheStats struct {
 // EngineStats extends the compute-engine counters (eager-kernel tasks
 // executed, buffer-pool traffic) with the derived pool hit rate. They
 // are the default engine's counters, which is every kernel a served
-// request runs, encoder branches included. Jobs and compute share one
-// parallelism budget — see cmd/mmbench serve's -compute-workers flag.
+// request runs, encoder branches included; the pack counters below and
+// the attention, branches and precision blocks are the rest of that
+// engine's Stats. Jobs and compute share one parallelism budget — see
+// cmd/mmbench serve's -compute-workers flag.
 type EngineStats struct {
 	engine.Stats
 	PoolHitRate float64 `json:"pool_hit_rate"`
@@ -654,20 +652,20 @@ type EngineStats struct {
 // core (internal/gemm) with the derived hit rate and the active
 // micro-kernel name ("avx2-fma+vnni", "avx2-fma" or "generic").
 type PackStats struct {
-	gemm.PackActivity
+	engine.PackActivity
 	HitRate float64 `json:"hit_rate"`
 	Kernel  string  `json:"kernel"`
 }
 
 // PrecisionStats reports mixed-precision execution: the server's
-// default policy (requests may override per call) and the process-wide
+// default policy (requests may override per call) and the engine's
 // low-precision kernel counters — see cmd/mmbench serve's -precision
 // flag and the RunRequest precision field.
 type PrecisionStats struct {
 	// Default is the canonical form of the server-wide policy ("f32"
 	// when unset).
 	Default string `json:"default"`
-	ops.PrecisionActivity
+	engine.PrecisionActivity
 }
 
 // canonicalDefaultPrecision renders the server's default policy in
@@ -683,14 +681,19 @@ func (s *Server) canonicalDefaultPrecision() string {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.countRequest()
+	s.writeJSON(w, r, http.StatusOK, s.stats())
+}
+
+// stats snapshots every counter the server reports.
+func (s *Server) stats() Stats {
 	uptime := time.Since(s.start).Seconds()
 	s.mu.Lock()
-	requests := s.requests
+	requests, latency := s.requests, s.latHist
 	s.mu.Unlock()
-	latHist := s.serviceLatency()
-	lat := latHist.SummaryMs()
+	lat := latency.SummaryMs()
+	stages := s.runner.StageLatencies()
 	var stageLat map[string]obs.Summary
-	if stages := s.runner.StageLatencies(); len(stages) > 0 {
+	if len(stages) > 0 {
 		stageLat = make(map[string]obs.Summary, len(stages))
 		for stage, h := range stages {
 			stageLat[stage] = h.SummaryMs()
@@ -699,9 +702,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	wait := s.pool.QueueWait()
 	cs := s.runner.Stats()
 	es := engine.TotalStats()
-	packs := gemm.PackStats()
 	counts := s.pool.Counts()
-	s.writeJSON(w, r, http.StatusOK, Stats{
+	return Stats{
 		UptimeSeconds: uptime,
 		Requests:      requests,
 		ThroughputRPS: float64(requests) / uptime,
@@ -724,16 +726,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Stats:       es,
 			PoolHitRate: es.HitRate(),
 			Pack: PackStats{
-				PackActivity: packs,
-				HitRate:      packs.HitRate(),
+				PackActivity: es.Pack,
+				HitRate:      es.Pack.HitRate(),
 				Kernel:       gemm.KernelName(),
 			},
 		},
-		Attention: ops.AttentionStats(),
-		Branches:  mmnet.BranchStats(),
+		Attention: es.Attention,
+		Branches:  es.Branches,
 		Precision: PrecisionStats{
 			Default:           s.canonicalDefaultPrecision(),
-			PrecisionActivity: ops.PrecisionStats(),
+			PrecisionActivity: es.Precision,
 		},
 		Resilience: s.resilienceStats(),
 		Fleet:      s.fleetStats(),
@@ -744,5 +746,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"failed":  counts.Failed,
 			"shed":    counts.Shed,
 		},
-	})
+		latency:   latency,
+		queueWait: wait,
+		stages:    stages,
+	}
 }
