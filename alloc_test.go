@@ -1,0 +1,195 @@
+package mmbench
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"mmbench/internal/core"
+	"mmbench/internal/device"
+	"mmbench/internal/precision"
+	"mmbench/internal/trace"
+)
+
+// TestEagerRunAllocations pins what a warm served eager request costs the
+// heap: its answer, not its forward. A mosei b2 paper-scale run through a
+// CachedRunner draws its untaped intermediates from a run-scoped arena on
+// the engine pool and reuses the modeled side its store network keeps, so
+// the median TotalAlloc delta stays under 4 MB (it was ≈ 13 MB when every
+// intermediate was a fresh tensor and every request recompiled the plan).
+func TestEagerRunAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale eager runs")
+	}
+	cr := NewCachedRunner(16 << 20)
+	cfg := RunConfig{Workload: "mosei", PaperScale: true, Eager: true, BatchSize: 2}
+	run := func(seed int64) {
+		t.Helper()
+		cfg.Seed = seed
+		if _, err := cr.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: the model build, its kept panels, the memoised modeled side
+	// and the engine pool's free lists.
+	for seed := int64(1); seed <= 3; seed++ {
+		run(seed)
+	}
+	const samples = 7
+	deltas := make([]float64, samples)
+	var m0, m1 runtime.MemStats
+	for i := range deltas {
+		runtime.ReadMemStats(&m0)
+		run(int64(100 + i))
+		runtime.ReadMemStats(&m1)
+		deltas[i] = float64(m1.TotalAlloc-m0.TotalAlloc) / 1e6
+	}
+	slices.Sort(deltas)
+	if med := deltas[samples/2]; med > 4 {
+		t.Errorf("warm mosei b2 eager run allocates %.2f MB (median of %v), want ≤ 4 MB", med, deltas)
+	} else {
+		t.Logf("warm mosei b2 eager run: median %.2f MB of %v", med, deltas)
+	}
+}
+
+// footprint is what one eager request leaves a fresh store holding for
+// the model: parameters, panels and one template.
+func footprint(t *testing.T, cfg RunConfig) int64 {
+	t.Helper()
+	cr := NewCachedRunner(16 << 20)
+	if _, err := cr.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return cr.ModelStats().Bytes
+}
+
+// TestModeledSideMemo pins the memo of a frozen network's modeled side:
+// a repeated (batch size, device, policy) reuses the template — the same
+// *trace.Trace, whichever fresh device.ByName pointer the request carries,
+// and one template however many first requests race for it — while a
+// different batch, device or policy compiles its own; the store charges
+// each template once, and evicting the model drops its templates and
+// their bytes. Reports stay those of a store-less Run throughout.
+func TestModeledSideMemo(t *testing.T) {
+	cr := NewCachedRunner(16 << 20)
+	n, err := cr.models.Get("avmnist", "concat", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(dev string, prec string, batch int, seed int64) *trace.Trace {
+		t.Helper()
+		d, err := device.ByName(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := precision.ParsePolicy(prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := core.RunMerged(n, core.RunOptions{Eager: true, Device: d, Precision: pol},
+			[]core.MemberSpec{{BatchSize: batch, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results[0].Trace
+	}
+	wantMemo := func(step string, hits, misses uint64, templates ...*trace.Trace) {
+		t.Helper()
+		ms := cr.ModelStats()
+		var bytes int64
+		for _, tr := range templates {
+			bytes += tr.Bytes()
+		}
+		if ms.MemoHits != hits || ms.MemoMisses != misses || ms.MemoBytes != bytes || ms.Bytes != n.ParamBytes()+ms.PackedBytes+bytes {
+			t.Fatalf("%s: %+v, want %d hits, %d misses and %d template bytes charged", step, ms, hits, misses, bytes)
+		}
+	}
+
+	base := run("2080ti", "", 2, 1)
+	wantMemo("first request", 0, 1, base)
+	if again := run("2080ti", "", 2, 2); again != base {
+		t.Fatal("a repeated batch, device and policy compiled a second template")
+	}
+	wantMemo("repeat", 1, 1, base)
+	nano := run("nano", "", 2, 3)
+	f16 := run("2080ti", "f16", 2, 4)
+	b3 := run("2080ti", "", 3, 5)
+	for _, tr := range []*trace.Trace{nano, f16, b3} {
+		if tr == base {
+			t.Fatal("a different device, policy or batch size reused the template")
+		}
+	}
+	wantMemo("three new keys", 1, 4, base, nano, f16, b3)
+
+	// Racing first lookups of a new key: every racer reads the kept
+	// template and it is charged once.
+	const racers = 8
+	traces := make([]*trace.Trace, racers)
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := core.Run(n, core.RunOptions{BatchSize: 5})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			traces[i] = r.Trace
+		}(i)
+	}
+	wg.Wait()
+	for _, tr := range traces {
+		if tr != traces[0] {
+			t.Fatal("racing first lookups returned different templates")
+		}
+	}
+	if ms := cr.ModelStats(); ms.MemoHits+ms.MemoMisses != 5+racers || ms.MemoBytes != base.Bytes()+nano.Bytes()+f16.Bytes()+b3.Bytes()+traces[0].Bytes() {
+		t.Fatalf("after %d racers: %+v", racers, ms)
+	}
+	for _, cfg := range []RunConfig{
+		{Workload: "avmnist", PaperScale: true, Eager: true, BatchSize: 2, Seed: 9},
+		{Workload: "avmnist", PaperScale: true, Eager: true, BatchSize: 2, Device: "nano", Precision: "f16", Seed: 9},
+	} {
+		rep, err := cr.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStandalone(t, cfg, rep)
+	}
+
+	// Eviction: a budget that holds either model, not both.
+	avmnist := RunConfig{Workload: "avmnist", PaperScale: true, Eager: true, BatchSize: 2}
+	mosei := RunConfig{Workload: "mosei", Variant: "transformer", Eager: true, BatchSize: 2}
+	moseiBytes := footprint(t, mosei)
+	small := runnerWithModelBudget(max(footprint(t, avmnist), moseiBytes) + 1)
+	if _, err := small.Run(avmnist); err != nil {
+		t.Fatal(err)
+	}
+	first, err := small.models.Get("avmnist", "concat", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := small.Run(mosei); err != nil {
+		t.Fatal(err)
+	}
+	ms := small.ModelStats()
+	moseiNet, err := small.models.Get("mosei", "transformer", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, memo := moseiNet.KeptBytes(); ms.Evictions != 1 || ms.Entries != 1 || ms.Bytes != moseiBytes || ms.MemoBytes != memo || ms.MemoMisses != 2 {
+		t.Fatalf("after mosei evicted avmnist: %+v, want only mosei's %d bytes, %d of them its template", ms, moseiBytes, memo)
+	}
+	if again, err := small.models.Get("avmnist", "concat", true); err != nil || again == first {
+		t.Fatalf("avmnist was not evicted (err %v)", err)
+	}
+	avmnist.Seed = 7
+	if _, err := small.Run(avmnist); err != nil {
+		t.Fatal(err)
+	}
+	if ms := small.ModelStats(); ms.MemoMisses != 3 {
+		t.Fatalf("the rebuilt avmnist reused an evicted template: %+v", ms)
+	}
+}

@@ -40,6 +40,12 @@ type MemberSpec struct {
 // cost the batch paid, which is exactly what serving-side percentiles
 // should see. Cancellation is one flag for the whole forward — a merged
 // batch aborts or survives as a unit.
+//
+// The forwards allocate their answer, not their intermediates: every
+// untaped operator result comes from one arena on the run's engine (see
+// ops.Ctx.Arena), released when RunMerged returns — by which time each
+// member's Output is a copy of its rows (sliceLeading) and the output
+// errors are computed, so nothing the caller holds points into it.
 func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*RunResult, err error) {
 	if len(members) == 0 {
 		return nil, errors.New("core: RunMerged needs at least one member")
@@ -51,6 +57,12 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 	if err != nil {
 		return nil, err
 	}
+	// Deferred before end, so it runs after it: on every way out —
+	// success, error, cancel or panic — the arena is released after end
+	// has recovered, when ParallelFor and the branch executor have joined
+	// every goroutine that could still write to it.
+	arena := opts.Engine.NewArena()
+	defer arena.Release()
 	defer end(&err)
 
 	segs := make([]int, len(members))
@@ -79,6 +91,7 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 		SequentialBranches: opts.SequentialBranches,
 		Precision:          opts.Precision,
 		Segments:           segs,
+		Arena:              arena,
 	}
 	if opts.Profiler != nil {
 		c.Prof = opts.Profiler.Root()
@@ -95,6 +108,7 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 			Eng:                opts.Engine,
 			SequentialBranches: opts.SequentialBranches,
 			Segments:           segs,
+			Arena:              arena,
 		}, merged)
 	}
 	// Final abort checkpoint: a cancellation that fired after the last
@@ -142,7 +156,8 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 }
 
 // sliceLeading copies rows [r0, r1) of a tensor's leading dimension into
-// a fresh Var with the trailing dims preserved.
+// a fresh Var with the trailing dims preserved — heap memory, so the
+// member's output outlives the run's arena.
 func sliceLeading(v *ops.Var, r0, r1, elemsPerRow int, shape []int) *ops.Var {
 	memberShape := append([]int{r1 - r0}, shape[1:]...)
 	t := tensor.New(memberShape...)

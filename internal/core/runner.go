@@ -32,9 +32,10 @@ type RunOptions struct {
 	// Seed drives data generation in eager mode; defaults to
 	// data.DefaultSeed.
 	Seed int64
-	// Engine runs the eager kernels; nil uses the process default
-	// (worker count from -compute-workers). Results are identical at any
-	// worker count, so the engine never participates in cache keys.
+	// Engine runs the eager kernels and holds the run's arena; nil uses
+	// the process default (worker count from -compute-workers). Results
+	// are identical at any worker count, so the engine never participates
+	// in cache keys.
 	Engine *engine.Engine
 	// SequentialBranches selects the reference branch schedule (see
 	// ops.Ctx.SequentialBranches) for the run's eager forwards; the
@@ -75,6 +76,9 @@ func (o *RunOptions) defaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = data.DefaultSeed
+	}
+	if o.Engine == nil {
+		o.Engine = engine.Default()
 	}
 }
 
@@ -120,7 +124,7 @@ func Run(n *mmnet.Network, opts RunOptions) (_ *RunResult, err error) {
 		return nil, err
 	}
 	defer end(&err)
-	r, err := model(n, opts, opts.BatchSize)
+	m, err := model(n, opts, opts.BatchSize)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +133,8 @@ func Run(n *mmnet.Network, opts RunOptions) (_ *RunResult, err error) {
 	if cancel.Cancelled() {
 		return nil, cancel.Reason()
 	}
-	return r, nil
+	r := *m // a frozen network's template is shared
+	return &r, nil
 }
 
 // begin is the shared front of every execution: option defaults,
@@ -155,11 +160,7 @@ func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(
 		return nil, nil, err
 	}
 	cancel = engine.NewCancel()
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.Default()
-	}
-	opts.Engine = eng.WithCancel(cancel)
+	opts.Engine = opts.Engine.WithCancel(cancel)
 	stop := context.AfterFunc(ctx, func() { cancel.Signal(ctx.Err()) })
 	return cancel, func(err *error) {
 		stop()
@@ -173,12 +174,40 @@ func begin(n *mmnet.Network, opts *RunOptions) (cancel *engine.Cancel, end func(
 	}, nil
 }
 
+// modelKey is everything the modeled side of a network's report depends
+// on. The device is keyed by value: device.ByName returns a fresh profile
+// on every call.
+type modelKey struct {
+	batch  int
+	device device.Profile
+	policy string
+}
+
 // model is the modeled side of a report at one batch size — the trace,
 // the memory profile and the capacity-penalised latency — from compiling
 // the network into its stage plan (the captured event sequence of one
 // abstract forward) and replaying it into a trace builder. Output is the
-// abstract forward's (nil shapes).
+// abstract forward's (nil shapes). Nothing in it reads a request's data,
+// so a frozen network computes it once per (batch size, device, policy)
+// and keeps it (mmnet.Network.Memo): the result is a read-only template
+// that callers copy before filling in their own fields.
 func model(n *mmnet.Network, opts RunOptions, batchSize int) (*RunResult, error) {
+	key := modelKey{batch: batchSize, device: *opts.Device, policy: opts.Precision.String()}
+	v, err := n.Memo(key, func() (any, int64, error) {
+		r, err := compileModel(n, opts, batchSize)
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, r.Trace.Bytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*RunResult), nil
+}
+
+// compileModel computes model's template.
+func compileModel(n *mmnet.Network, opts RunOptions, batchSize int) (*RunResult, error) {
 	p, err := plan.Compile(n, plan.Options{BatchSize: batchSize, Precision: opts.Precision, Engine: opts.Engine})
 	if err != nil {
 		return nil, err

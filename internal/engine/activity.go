@@ -11,7 +11,8 @@ import (
 // they ran on — panel and scratch checkouts through that engine's counted
 // getters, everything else through one Count method per event — so a
 // run's engine, and nothing else, holds the whole record of its work.
-// Stats snapshots the four blocks next to the engine's own counters.
+// Stats snapshots the four blocks next to the engine's own counters (and
+// the run-scoped arenas' block, arena.go).
 
 // PackActivity counts the packed GEMM core's per-call panels: the pooled
 // buffers drawn through GetPanel and the typed GetPanel* views. The
@@ -84,6 +85,8 @@ type activity struct {
 	f16Kernels, i8Kernels, quantBytes         atomic.Int64
 
 	parallelForwards, sequentialForwards, branchesLaunched, maxBranches, parallelBackwards atomic.Int64
+
+	arena arenaCounters
 }
 
 // act returns the handle's activity counters, nil for a nil engine (whose
@@ -155,9 +158,14 @@ func (e *Engine) CountBranchForward(forked int) {
 	}
 	a.parallelForwards.Add(1)
 	a.branchesLaunched.Add(int64(forked))
+	storeMax(&a.maxBranches, int64(forked))
+}
+
+// storeMax raises v to x if x is larger.
+func storeMax(v *atomic.Int64, x int64) {
 	for {
-		cur := a.maxBranches.Load()
-		if int64(forked) <= cur || a.maxBranches.CompareAndSwap(cur, int64(forked)) {
+		cur := v.Load()
+		if x <= cur || v.CompareAndSwap(cur, x) {
 			return
 		}
 	}

@@ -18,7 +18,8 @@
 // handle, so that engine's Stats count all of the run's work (its chunks
 // and pool traffic, and the panels, attention scratch, reduced-precision
 // kernels and branch schedules of its kernels: activity.go), its pool
-// holds all of the run's scratch, its task observer sees all of its
+// holds all of the run's scratch (and, through the run's Arena, an eager
+// run's intermediates), its task observer sees all of its
 // chunks, its Cancel flag stops all of it and Close ends it. Concurrent
 // branches share the workers the way nested ParallelFor calls do: each
 // caller drains its own job and idle workers help whichever job woke them.
@@ -306,6 +307,9 @@ type Stats struct {
 	// anything else is a leak (the chaos suite asserts this under fault
 	// injection).
 	PoolOutstanding int64 `json:"pool_outstanding"`
+	// Arena counts the run-scoped arenas that served eager runs'
+	// intermediates from this pool (arena.go).
+	Arena ArenaActivity `json:"arena"`
 	// The kernel activity of the work the engine ran. Each is a block of
 	// its own in /v1/stats, so none is part of this one's JSON.
 	Pack      PackActivity      `json:"-"`
@@ -337,6 +341,13 @@ func (e *Engine) Stats() Stats {
 		PoolMisses:      st.pool.misses.Load(),
 		BytesReused:     st.pool.bytesReused.Load(),
 		PoolOutstanding: st.pool.outstanding.Load(),
+		Arena: ArenaActivity{
+			Runs:           a.arena.runs.Load(),
+			BytesServed:    a.arena.bytes.Load(),
+			HighWaterBytes: a.arena.highWater.Load(),
+			Oversize:       a.arena.oversize.Load(),
+			HeapFallbacks:  a.arena.heap.Load(),
+		},
 		Pack: PackActivity{
 			PanelCheckouts: a.panelCheckouts.Load(),
 			PanelBytes:     a.panelBytes.Load(),

@@ -26,11 +26,12 @@ const (
 // included — draws its scratch here, under mu.
 //
 // Ownership rules: Get hands out a buffer that the caller owns until it
-// calls Put; after Put the slice must not be touched again. Pooled
-// buffers must never be wrapped in a tensor.FromSlice that escapes the
-// operator call (tensors own their storage forever — see the README's
-// "Execution engine" section). Operator scratch that a backward closure
-// captures is allocated normally, not pooled.
+// calls Put; after Put the slice must not be touched again. A pooled
+// buffer wrapped in a tensor.FromSlice must not escape the operator call,
+// except through an Arena, whose owner releases it only once the run is
+// done with every tensor it served (see the README's "Execution engine"
+// section). Operator scratch that a backward closure captures is
+// allocated normally, not pooled.
 type bufPool struct {
 	mu       sync.Mutex
 	buckets  [numBuckets][][]float32

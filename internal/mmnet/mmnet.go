@@ -8,6 +8,7 @@ package mmnet
 
 import (
 	"fmt"
+	"sync"
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
@@ -98,6 +99,9 @@ type Network struct {
 	Task       data.Task
 	// Gen generates this network's data (shapes and planted structure).
 	Gen *data.Generator
+
+	// frozen is set by Freeze; nil on a private network.
+	frozen *frozen
 }
 
 // Validate reports whether the network is structurally consistent.
@@ -248,15 +252,85 @@ func (n *Network) ParamBytes() int64 {
 
 // Freeze marks the network as shared and read-only by giving every
 // parameter an empty packed-panel holder (autograd.Var.Frozen): from
-// then on a taped forward over it panics, and untaped Linear products
-// pack each weight once per precision instead of once per call,
-// reporting every panel set they keep to built. It must run before the
-// network is shared — its one caller is workloads.Store.Get, on the
-// network it is about to publish.
-func (n *Network) Freeze(built func(bytes int64)) {
+// then on a taped forward over it panics, untaped Linear products pack
+// each weight once per precision instead of once per call, and Memo
+// keeps what it computes. Every panel set and memoised value the network
+// keeps is reported to keep as it appears; every Memo lookup is reported
+// to lookup. It must run before the network is shared — its one caller
+// is workloads.Store.Get, on the network it is about to publish.
+func (n *Network) Freeze(keep func(bytes int64), lookup func(hit bool)) {
 	for _, p := range n.Params() {
-		p.Frozen = gemm.NewPackedB(built)
+		p.Frozen = gemm.NewPackedB(keep)
 	}
+	n.frozen = &frozen{keep: keep, lookup: lookup, memo: make(map[any]memoEntry)}
+}
+
+// frozen is what a frozen network keeps beside its weights' panels: the
+// values Memo computed, and where to report them.
+type frozen struct {
+	keep   func(bytes int64)
+	lookup func(hit bool)
+
+	mu   sync.Mutex
+	memo map[any]memoEntry
+}
+
+type memoEntry struct {
+	value any
+	bytes int64
+}
+
+// Memo returns the value a frozen network keeps under key, computing it
+// on the first lookup and keeping it for as long as the network lives.
+// compute must be a pure function of the network and key, returning the
+// value's resident bytes; the value is shared by every later caller,
+// which may only read it. A failed (or panicking) compute keeps nothing.
+// Racing first lookups may each compute; the first kept is returned to
+// all of them. A private network keeps nothing: Memo computes on every
+// call.
+func (n *Network) Memo(key any, compute func() (value any, bytes int64, err error)) (any, error) {
+	f := n.frozen
+	if f == nil {
+		v, _, err := compute()
+		return v, err
+	}
+	f.mu.Lock()
+	e, hit := f.memo[key]
+	f.mu.Unlock()
+	f.lookup(hit)
+	if hit {
+		return e.value, nil
+	}
+	v, bytes, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	if e, raced := f.memo[key]; raced {
+		f.mu.Unlock()
+		return e.value, nil
+	}
+	f.memo[key] = memoEntry{v, bytes}
+	f.mu.Unlock()
+	f.keep(bytes)
+	return v, nil
+}
+
+// KeptBytes returns what a frozen network keeps beyond its parameters:
+// the GEMM panels its weights packed and the values Memo holds (both 0 on
+// a private network).
+func (n *Network) KeptBytes() (panels, memo int64) {
+	for _, p := range n.Params() {
+		panels += p.Frozen.Bytes()
+	}
+	if f := n.frozen; f != nil {
+		f.mu.Lock()
+		for _, e := range f.memo {
+			memo += e.bytes
+		}
+		f.mu.Unlock()
+	}
+	return panels, memo
 }
 
 // NumModalities returns the encoder branch count.

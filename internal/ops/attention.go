@@ -184,7 +184,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	dh := d / heads
 	bh := b * heads
 	c.emitP(kernels.AttentionSpec(fmt.Sprintf("attention_%dx%dx%dx%d", bh, tq, tk, dh), bh, tq, tk, dh, attnQTile, attnKTile))
-	out := c.out([]int{b, tq, d}, q, k, v)
+	out := c.outUninit([]int{b, tq, d}, q, k, v)
 	if out.Value.Abstract() {
 		return out
 	}

@@ -206,7 +206,7 @@ func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 		panic(fmt.Sprintf("ops: MaxPool2D window %d too large for %dx%d", window, h, w))
 	}
 	c.emit(kernels.PoolingSpec(fmt.Sprintf("maxpool_%d", window), n*ch*oh*ow, window))
-	out := c.out([]int{n, ch, oh, ow}, x)
+	out := c.outUninit([]int{n, ch, oh, ow}, x)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -292,7 +292,7 @@ func (c *Ctx) AvgPool2D(x *Var, window int) *Var {
 		panic(fmt.Sprintf("ops: AvgPool2D window %d too large for %dx%d", window, h, w))
 	}
 	c.emit(kernels.PoolingSpec(fmt.Sprintf("avgpool_%d", window), n*ch*oh*ow, window))
-	out := c.out([]int{n, ch, oh, ow}, x)
+	out := c.outUninit([]int{n, ch, oh, ow}, x)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -344,7 +344,7 @@ func (c *Ctx) GlobalAvgPool2D(x *Var) *Var {
 	assertRank(x, 4, "GlobalAvgPool2D")
 	n, ch, h, w := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
 	c.emit(kernels.ReduceSpec("global_avg_pool", n*ch*h*w, n*ch))
-	out := c.out([]int{n, ch}, x)
+	out := c.outUninit([]int{n, ch}, x)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -384,7 +384,7 @@ func (c *Ctx) Upsample2D(x *Var) *Var {
 	assertRank(x, 4, "Upsample2D")
 	n, ch, h, w := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
 	c.emit(kernels.CopySpec("upsample2x", n*ch*h*w*4))
-	out := c.out([]int{n, ch, 2 * h, 2 * w}, x)
+	out := c.outUninit([]int{n, ch, 2 * h, 2 * w}, x)
 	if out.Value.Abstract() {
 		return out
 	}

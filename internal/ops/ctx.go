@@ -89,6 +89,14 @@ type Ctx struct {
 	// run is a merged run of one member — and takes the unsegmented path,
 	// as does an empty slice (training, plan compiles).
 	Segments []int
+	// Arena, when non-nil on an untaped context, supplies every concrete
+	// operator result: the run's intermediates are carved out of slabs of
+	// the engine pool and all released together by the arena's owner
+	// (core.RunMerged, after copying out the rows it returns). A result
+	// must therefore not outlive the run. Taped contexts ignore it — a
+	// tape's closures keep their activations for the backward — as do
+	// abstract results, which have no storage.
+	Arena *engine.Arena
 }
 
 // Infer returns a minimal inference context with no tape or recorder.
@@ -198,14 +206,32 @@ func anyAbstract(vs ...*Var) bool {
 	return false
 }
 
-// out builds the result Var for an operator: abstract if any input is
-// abstract, and marked NeedGrad if gradients will flow.
-func (c *Ctx) out(shape []int, inputs ...*Var) *Var {
+// out builds the zero-filled result Var for an operator: abstract if any
+// input is abstract, drawn from the context's Arena when it has one and
+// no tape, and marked NeedGrad if gradients will flow.
+func (c *Ctx) out(shape []int, inputs ...*Var) *Var { return c.result(shape, true, inputs) }
+
+// outUninit is out for an operator that overwrites every element of its
+// result before reading any: an arena result then skips the zero fill
+// (under engine.SetDebug a missed element reads as a NaN from the
+// poisoned slab). Without an arena it is out.
+func (c *Ctx) outUninit(shape []int, inputs ...*Var) *Var { return c.result(shape, false, inputs) }
+
+func (c *Ctx) result(shape []int, zero bool, inputs []*Var) *Var {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
 	var t *tensor.Tensor
-	if anyAbstract(inputs...) {
+	switch {
+	case anyAbstract(inputs...):
 		t = tensor.NewAbstract(shape...)
-	} else {
-		t = tensor.New(shape...)
+	case c.Arena == nil || c.Tape != nil || n <= 0:
+		t = tensor.New(shape...) // n <= 0: New names the bad dimension
+	case zero:
+		t = tensor.FromSlice(c.Arena.Alloc(n), shape...)
+	default:
+		t = tensor.FromSlice(c.Arena.AllocUninit(n), shape...)
 	}
 	v := autograd.NewVar(t)
 	if c.taping(inputs...) {

@@ -19,7 +19,7 @@ func (c *Ctx) Add(a, b *Var) *Var {
 	assertSameShape(a, b, "Add")
 	n := a.Value.Size()
 	c.emit(kernels.ElewiseSpec("add", n, 2, 1))
-	out := c.out(a.Value.Shape(), a, b)
+	out := c.outUninit(a.Value.Shape(), a, b)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -48,7 +48,7 @@ func (c *Ctx) Mul(a, b *Var) *Var {
 	assertSameShape(a, b, "Mul")
 	n := a.Value.Size()
 	c.emit(kernels.ElewiseSpec("mul", n, 2, 1))
-	out := c.out(a.Value.Shape(), a, b)
+	out := c.outUninit(a.Value.Shape(), a, b)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -87,7 +87,7 @@ func (c *Ctx) Mul(a, b *Var) *Var {
 func (c *Ctx) Scale(a *Var, alpha float32) *Var {
 	n := a.Value.Size()
 	c.emit(kernels.ElewiseSpec("scale", n, 1, 1))
-	out := c.out(a.Value.Shape(), a)
+	out := c.outUninit(a.Value.Shape(), a)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -111,7 +111,7 @@ func (c *Ctx) Scale(a *Var, alpha float32) *Var {
 // terms of input x and output y.
 func (c *Ctx) unary(a *Var, spec kernels.Spec, fwd func(dst, src []float32), df func(x, y float32) float32) *Var {
 	c.emit(spec)
-	out := c.out(a.Value.Shape(), a)
+	out := c.outUninit(a.Value.Shape(), a)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -301,7 +301,7 @@ func (c *Ctx) AddRows(x, p *Var) *Var {
 		panic(fmt.Sprintf("ops: AddRows pos %v for input %v", p.Value.Shape(), x.Value.Shape()))
 	}
 	c.emit(kernels.ElewiseSpec("add_rows", b*t*d, 2, 1))
-	out := c.out([]int{b, t, d}, x, p)
+	out := c.outUninit([]int{b, t, d}, x, p)
 	if out.Value.Abstract() {
 		return out
 	}

@@ -19,7 +19,7 @@ func (c *Ctx) Embedding(table *Var, ids [][]int) *Var {
 	}
 	t := len(ids[0])
 	c.emit(kernels.EmbeddingSpec("embedding", b*t, d))
-	out := c.out([]int{b, t, d}, table)
+	out := c.outUninit([]int{b, t, d}, table)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -76,7 +76,7 @@ func (c *Ctx) OuterFusion(x, y *Var) *Var {
 	dx, dy := x.Value.Dim(1), y.Value.Dim(1)
 	px, py := dx+1, dy+1
 	c.emit(kernels.GemmSpec(fmt.Sprintf("outer_fusion_%dx%d", px, py), b*px, 1, py))
-	out := c.out([]int{b, px * py}, x, y)
+	out := c.outUninit([]int{b, px * py}, x, y)
 	if out.Value.Abstract() {
 		return out
 	}

@@ -20,7 +20,7 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 	}
 	rows := x.Value.Size() / d
 	c.emit(kernels.BNormSpec("layer_norm", rows*d))
-	out := c.out(xs, x, gamma, beta)
+	out := c.outUninit(xs, x, gamma, beta)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -133,7 +133,7 @@ func (c *Ctx) BatchNorm2D(x, gamma, beta *Var, eps float32) *Var {
 	if c.taping(x, gamma, beta) {
 		panic("ops: BatchNorm2D does not support backward; use LayerNorm or norm-free encoders in trainable variants")
 	}
-	out := c.out([]int{n, ch, h, w}, x, gamma, beta)
+	out := c.outUninit([]int{n, ch, h, w}, x, gamma, beta)
 	if out.Value.Abstract() {
 		return out
 	}

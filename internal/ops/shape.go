@@ -76,7 +76,7 @@ func (c *Ctx) Concat(axis int, vs ...*Var) *Var {
 	}
 	c.emit(kernels.CopySpec("concat", n))
 
-	out := c.out(outShape, vs...)
+	out := c.outUninit(outShape, vs...)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -140,7 +140,7 @@ func (c *Ctx) Slice(x *Var, axis, start, end int) *Var {
 	}
 	c.emit(kernels.CopySpec("slice", n))
 
-	out := c.out(outShape, x)
+	out := c.outUninit(outShape, x)
 	if out.Value.Abstract() {
 		return out
 	}

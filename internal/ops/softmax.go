@@ -15,7 +15,7 @@ func (c *Ctx) Softmax(x *Var) *Var {
 	d := s[len(s)-1]
 	rows := x.Value.Size() / d
 	c.emit(kernels.SoftmaxSpec("softmax", rows, d))
-	out := c.out(s, x)
+	out := c.outUninit(s, x)
 	if out.Value.Abstract() {
 		return out
 	}

@@ -71,10 +71,6 @@ type Stats struct {
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
 	Capacity int64 `json:"capacity_bytes"`
-	// Grown is the part of Bytes that resident entries acquired through
-	// Grow after they were inserted. It is not serialized: an owner whose
-	// values grow reports it under the name of what they grow by.
-	Grown int64 `json:"-"`
 }
 
 // HitRate is the fraction of lookups served from cache.
@@ -89,8 +85,7 @@ func (s Stats) HitRate() float64 {
 type entry struct {
 	key   string
 	value any
-	bytes int64 // current cost, grown included
-	grown int64
+	bytes int64 // current cost, growth included
 }
 
 // call is one in-flight computation other callers can join. ok flips
@@ -110,7 +105,6 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
-	grown    int64
 	ll       *list.List // front = most recently used; values are *entry
 	items    map[string]*list.Element
 	inflight map[string]*call
@@ -220,8 +214,7 @@ func (c *Cache) add(key string, value any, bytes int64) {
 		// defensive: replace in place.
 		old := el.Value.(*entry)
 		c.bytes += bytes - old.bytes
-		c.grown -= old.grown
-		old.value, old.bytes, old.grown = value, bytes, 0
+		old.value, old.bytes = value, bytes
 		c.ll.MoveToFront(el)
 	} else {
 		c.items[key] = c.ll.PushFront(&entry{key: key, value: value, bytes: bytes})
@@ -242,7 +235,6 @@ func (c *Cache) evict() {
 		c.ll.Remove(back)
 		delete(c.items, e.key)
 		c.bytes -= e.bytes
-		c.grown -= e.grown
 		c.stats.Evictions++
 	}
 }
@@ -268,11 +260,21 @@ func (c *Cache) Grow(key string, value any, delta int64) {
 		return
 	}
 	e.bytes += delta
-	e.grown += delta
 	c.bytes += delta
-	c.grown += delta
 	c.ll.MoveToFront(el)
 	c.evict()
+}
+
+// Values returns the resident values, most recently used first, for an
+// owner that reports on what its values hold.
+func (c *Cache) Values() []any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]any, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry).value)
+	}
+	return out
 }
 
 // Len returns the number of cached entries.
@@ -289,7 +291,6 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	s.Bytes = c.bytes
-	s.Grown = c.grown
 	s.Capacity = c.capacity
 	return s
 }

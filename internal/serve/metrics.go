@@ -25,7 +25,7 @@ import (
 //	mmbench_batch_*            continuous cross-request batching counters
 //	mmbench_jobs               scheduler job counts by state
 //	mmbench_queue_depth        jobs waiting for a worker
-//	mmbench_engine_*           compute-engine, buffer-pool and pack-panel counters
+//	mmbench_engine_*           compute-engine, buffer-pool, run-arena and pack-panel counters
 //	mmbench_attention_*        fused-attention scratch-pool counters
 //	mmbench_branches_*         branch-executor counters
 //	mmbench_precision_*        low-precision kernel counters
@@ -72,6 +72,9 @@ func writeMetrics(w io.Writer, st Stats) error {
 	m.counter("mmbench_model_store_evictions_total", "Networks evicted under the model-store budget.", float64(ms.Evictions))
 	m.gauge("mmbench_model_store_resident_bytes", "Bytes of networks resident in the model store: parameters plus kept GEMM panels.", float64(ms.Bytes))
 	m.gauge("mmbench_model_store_packed_bytes", "GEMM weight panels kept by resident networks, all precisions (part of resident bytes).", float64(ms.PackedBytes))
+	m.counter("mmbench_model_store_memo_hits_total", "Eager and analytic runs that reused a network's memoised modeled side.", float64(ms.MemoHits))
+	m.counter("mmbench_model_store_memo_misses_total", "Runs that compiled and replayed a network's plan for a new batch size, device and policy.", float64(ms.MemoMisses))
+	m.gauge("mmbench_model_store_memo_bytes", "Modeled-side templates kept by resident networks (part of resident bytes).", float64(ms.MemoBytes))
 	m.gauge("mmbench_model_store_entries", "Networks resident in the model store.", float64(ms.Entries))
 	m.gauge("mmbench_model_store_capacity_bytes", "Model-store byte budget.", float64(ms.Capacity))
 
@@ -96,6 +99,11 @@ func writeMetrics(w io.Writer, st Stats) error {
 	m.counter("mmbench_engine_pool_misses_total", "Buffer-pool misses.", float64(es.PoolMisses))
 	m.counter("mmbench_engine_pool_reused_bytes_total", "Bytes served from the buffer pool.", float64(es.BytesReused))
 	m.gauge("mmbench_engine_pool_outstanding", "Pooled buffers checked out and not yet returned (nonzero at rest is a leak).", float64(es.PoolOutstanding))
+	m.counter("mmbench_engine_arena_runs_total", "Eager runs whose intermediates came from a run-scoped arena.", float64(es.Arena.Runs))
+	m.counter("mmbench_engine_arena_bytes_total", "Intermediate tensor bytes served by run-scoped arenas.", float64(es.Arena.BytesServed))
+	m.gauge("mmbench_engine_arena_high_water_bytes", "Most intermediate bytes one run's arena served (the measured intermediates).", float64(es.Arena.HighWaterBytes))
+	m.counter("mmbench_engine_arena_oversize_total", "Arena tensors larger than a slab, given a pooled buffer of their own.", float64(es.Arena.Oversize))
+	m.counter("mmbench_engine_arena_heap_fallbacks_total", "Arena tensors allocated from the heap (beyond the largest pool bucket or the arena's pool budget).", float64(es.Arena.HeapFallbacks))
 	m.counter("mmbench_engine_pack_checkouts_total", "Packed-GEMM panel buffers drawn.", float64(es.Pack.PanelCheckouts))
 	m.counter("mmbench_engine_pack_bytes_total", "Packed-GEMM panel scratch bytes drawn.", float64(es.Pack.PanelBytes))
 	m.counter("mmbench_engine_pack_pool_hits_total", "Packed-GEMM panel checkouts served from the pool.", float64(es.Pack.PanelPoolHits))

@@ -551,7 +551,8 @@ type Stats struct {
 	// Models reports the runner's model store: hits are eager executions
 	// served by an already-built network, executions are builds, bytes
 	// the resident footprint — parameters plus packed_bytes, the GEMM
-	// panels resident models keep.
+	// panels resident models keep, plus memo_bytes, their memoised
+	// modeled-side templates (memo_hits/memo_misses count the reuse).
 	Models workloads.StoreStats `json:"models"`
 	// Batching reports the continuous cross-request batcher: merged-
 	// batch histogram, coalesce ratio and queue depth.
@@ -634,7 +635,8 @@ type CacheStats struct {
 }
 
 // EngineStats extends the compute-engine counters (eager-kernel tasks
-// executed, buffer-pool traffic) with the derived pool hit rate. They
+// executed, buffer-pool traffic, the run-scoped arenas of eager runs)
+// with the derived pool hit rate. They
 // are the default engine's counters, which is every kernel a served
 // request runs, encoder branches included; the pack counters below and
 // the attention, branches and precision blocks are the rest of that

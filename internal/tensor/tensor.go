@@ -2,8 +2,10 @@
 // numeric component of MMBench: the operator library, the neural network
 // modules, the synthetic data generators and the training loop.
 //
-// Tensors are row-major and always own their backing storage. A tensor may
-// be "abstract": it carries a shape but no data. Abstract tensors flow
+// Tensors are row-major. A FromSlice tensor shares the slice it wraps —
+// an eager run's operator results wrap slices of the run's arena (see
+// ops.Ctx.Arena) and are valid only until the run releases it; every
+// other tensor owns its backing storage. A tensor may be "abstract": it carries a shape but no data. Abstract tensors flow
 // through the analytic execution mode, where only shapes and kernel costs
 // matter and the floating-point math is skipped (MMBench's dataset-free
 // computation abstraction).

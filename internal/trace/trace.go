@@ -9,6 +9,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"mmbench/internal/device"
 	"mmbench/internal/kernels"
@@ -265,6 +266,22 @@ func (b *Builder) Finish() *Trace {
 		HostBusy:        b.hostBusy,
 		TransferSeconds: b.xferTotal,
 	}
+}
+
+// Bytes estimates the trace's resident footprint: its event arrays and
+// the names their events carry — what a kept trace costs its owner's
+// memory budget.
+func (t *Trace) Bytes() int64 {
+	b := int64(cap(t.Kernels))*int64(unsafe.Sizeof(KernelEvent{})) +
+		int64(cap(t.Hosts))*int64(unsafe.Sizeof(HostEvent{})) +
+		int64(cap(t.Transfers))*int64(unsafe.Sizeof(TransferEvent{}))
+	for _, k := range t.Kernels {
+		b += int64(len(k.Spec.Name))
+	}
+	for _, h := range t.Hosts {
+		b += int64(len(h.Name))
+	}
+	return b
 }
 
 // String summarizes the trace.

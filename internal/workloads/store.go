@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"mmbench/internal/mmnet"
 	"mmbench/internal/resultcache"
@@ -34,6 +35,8 @@ const StoreBudget = 512 << 20
 // path of the cached ones.
 type Store struct {
 	cache *resultcache.Cache
+	// memoHits and memoMisses count the resident networks' Memo lookups.
+	memoHits, memoMisses atomic.Uint64
 }
 
 // NewStore builds a store holding about budgetBytes of parameters;
@@ -57,11 +60,13 @@ func NewStore(budgetBytes int64) *Store {
 //
 // Because its weights can never change, a frozen network packs each
 // Linear weight's GEMM panels once per precision, on the first eager
-// forward that multiplies by it, and keeps them for as long as it lives.
-// Each panel set is charged to the model's entry as it appears (the
-// entry grows; least recently used neighbours are evicted if that
-// overruns the budget), so analytic callers, which never multiply, are
-// charged parameters only. A nil store's private networks are not
+// forward that multiplies by it, and keeps them for as long as it lives;
+// likewise the modeled side of a report (core's memoised Compile +
+// Replay template, one per batch size, device and precision policy).
+// Each panel set and template is charged to the model's entry as it
+// appears (the entry grows; least recently used neighbours are evicted if
+// that overruns the budget), so a model that never multiplies is charged
+// parameters and templates only. A nil store's private networks are not
 // frozen and keep nothing.
 func (s *Store) Get(name, variant string, profile bool) (*mmnet.Network, error) {
 	if s == nil {
@@ -77,7 +82,7 @@ func (s *Store) Get(name, variant string, profile bool) (*mmnet.Network, error) 
 		if err != nil {
 			return nil, 0, err
 		}
-		n.Freeze(func(bytes int64) { s.cache.Grow(key, n, bytes) })
+		n.Freeze(func(bytes int64) { s.cache.Grow(key, n, bytes) }, s.countMemo)
 		return n, n.ParamBytes(), nil
 	})
 	if err != nil {
@@ -86,18 +91,42 @@ func (s *Store) Get(name, variant string, profile bool) (*mmnet.Network, error) 
 	return v.(*mmnet.Network), nil
 }
 
+func (s *Store) countMemo(hit bool) {
+	if hit {
+		s.memoHits.Add(1)
+	} else {
+		s.memoMisses.Add(1)
+	}
+}
+
 // StoreStats are a store's counters: Hits are lookups served by a
 // resident model, Executions are builds, Bytes the resident footprint —
-// parameters plus kept panels.
+// parameters plus kept panels and memoised templates.
 type StoreStats struct {
 	resultcache.Stats
 	// PackedBytes is the part of Bytes that is GEMM panels kept by
 	// resident models, all precisions.
 	PackedBytes int64 `json:"packed_bytes"`
+	// MemoHits and MemoMisses count the lookups of the models' memoised
+	// modeled sides: a miss compiles and replays the plan, a hit reuses
+	// the template. MemoBytes is the part of Bytes that is templates kept
+	// by resident models.
+	MemoHits   uint64 `json:"memo_hits"`
+	MemoMisses uint64 `json:"memo_misses"`
+	MemoBytes  int64  `json:"memo_bytes"`
 }
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() StoreStats {
-	st := s.cache.Stats()
-	return StoreStats{Stats: st, PackedBytes: st.Grown}
+	st := StoreStats{
+		Stats:      s.cache.Stats(),
+		MemoHits:   s.memoHits.Load(),
+		MemoMisses: s.memoMisses.Load(),
+	}
+	for _, v := range s.cache.Values() {
+		panels, memo := v.(*mmnet.Network).KeptBytes()
+		st.PackedBytes += panels
+		st.MemoBytes += memo
+	}
+	return st
 }

@@ -307,8 +307,9 @@ func buildReport(cfg RunConfig, pol precision.Policy, res *core.RunResult) *Repo
 			Intermediate: float64(res.Memory.IntermediateBytes) / (1 << 20),
 		},
 	}
+	stages := metrics.StageResources(tr)
 	for _, stage := range mmnet.Stages() {
-		res := metrics.StageResources(tr)[stage]
+		res := stages[stage]
 		r.Stages = append(r.Stages, StageStat{
 			Stage: stage, Seconds: res.Seconds,
 			DRAMUtil: res.DRAMUtil, Occupancy: res.Occupancy,

@@ -167,8 +167,8 @@ func TestModelStoreBehaviour(t *testing.T) {
 					t.Fatalf("result cache ran %d executions, want %d distinct misses", rs.Executions, callers)
 				}
 				ms := cr.ModelStats()
-				if ms.Executions != 1 || ms.Entries != 1 || ms.Bytes != avmnist+avmnistPanels || ms.PackedBytes != avmnistPanels {
-					t.Fatalf("model store after %d first requests: %+v, want one %d-byte build keeping one %d-byte set of panels", callers, ms, avmnist, avmnistPanels)
+				if ms.Executions != 1 || ms.Entries != 1 || ms.Bytes != avmnist+avmnistPanels+ms.MemoBytes || ms.PackedBytes != avmnistPanels || ms.MemoBytes <= 0 {
+					t.Fatalf("model store after %d first requests: %+v, want one %d-byte build keeping one %d-byte set of panels and one template", callers, ms, avmnist, avmnistPanels)
 				}
 				if ms.Hits+ms.Coalesced != callers-1 {
 					t.Errorf("hits %d + coalesced %d != %d", ms.Hits, ms.Coalesced, callers-1)
@@ -218,7 +218,7 @@ func TestModelStoreBehaviour(t *testing.T) {
 				for i, out := range outs {
 					wantSameBits(t, "racer "+strconv.Itoa(i), out, want)
 				}
-				if ms := cr.ModelStats(); ms.PackedBytes != avmnistPanels || packedBytes(n) != avmnistPanels || ms.Bytes != avmnist+avmnistPanels {
+				if ms := cr.ModelStats(); ms.PackedBytes != avmnistPanels || packedBytes(n) != avmnistPanels || ms.Bytes != avmnist+avmnistPanels+ms.MemoBytes {
 					t.Fatalf("after %d racing first uses: store %+v, network holds %d; want one %d-byte set of panels", callers, ms, packedBytes(n), avmnistPanels)
 				}
 			},
@@ -248,8 +248,8 @@ func TestModelStoreBehaviour(t *testing.T) {
 		},
 		{
 			// Analytic executions resolved through a store never
-			// multiply: the store is charged parameters only, exactly as
-			// before panels existed.
+			// multiply: the store is charged parameters and the two
+			// modeled-side templates, no panel.
 			name:   "analytic executions through a store build no panel",
 			budget: workloads.StoreBudget,
 			check: func(t *testing.T, cr *CachedRunner) {
@@ -262,8 +262,8 @@ func TestModelStoreBehaviour(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if ms := cr.ModelStats(); ms.PackedBytes != 0 || ms.Bytes != n.ParamBytes() || packedBytes(n) != 0 {
-					t.Fatalf("after analytic runs: store %+v, network holds %d packed bytes; want %d parameter bytes only", ms, packedBytes(n), n.ParamBytes())
+				if ms := cr.ModelStats(); ms.PackedBytes != 0 || ms.MemoMisses != 2 || ms.Bytes != n.ParamBytes()+ms.MemoBytes || packedBytes(n) != 0 {
+					t.Fatalf("after analytic runs: store %+v, network holds %d packed bytes; want %d parameter bytes and two templates", ms, packedBytes(n), n.ParamBytes())
 				}
 			},
 		},
@@ -293,7 +293,7 @@ func TestModelStoreBehaviour(t *testing.T) {
 				}
 				wantStandalone(t, second, rep)
 				ms := cr.ModelStats()
-				if ms.Evictions != 1 || ms.Entries != 1 || ms.PackedBytes != avmnistPanels || ms.Bytes != avmnist+avmnistPanels {
+				if ms.Evictions != 1 || ms.Entries != 1 || ms.PackedBytes != avmnistPanels || ms.Bytes != avmnist+avmnistPanels+ms.MemoBytes {
 					t.Fatalf("after avmnist grew past the budget: %+v, want mosei evicted and %d+%d bytes resident", ms, avmnist, avmnistPanels)
 				}
 				// mosei was evicted, not avmnist: asking for avmnist again is a hit.
