@@ -1,8 +1,11 @@
 package mmbench
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -40,8 +43,8 @@ type CachedRunner struct {
 }
 
 // NewCachedRunner builds a runner whose cache holds about
-// capacityBytes of reports (LRU-evicted beyond that). Its model store
-// has the fixed workloads.StoreBudget.
+// capacityBytes of encoded responses (RunEntry.Body; LRU-evicted beyond
+// that). Its model store has the fixed workloads.StoreBudget.
 func NewCachedRunner(capacityBytes int64) *CachedRunner {
 	return &CachedRunner{
 		cache:  resultcache.New(capacityBytes),
@@ -49,13 +52,43 @@ func NewCachedRunner(capacityBytes int64) *CachedRunner {
 	}
 }
 
-// cachedRun is a cache entry: the report plus the per-stage wall-clock
-// milliseconds measured when the entry was produced (nil for analytic
-// runs). Caching them together keeps profiled and unprofiled callers on
-// one cache key — profiling is a pure observer, so it never forks entries.
-type cachedRun struct {
-	rep     *Report
-	stageMs map[string]float64
+// RunResponse is the answer to one run: the POST /v1/run body of the
+// serve layer. StageLatencyMs is the measured per-stage wall time, eager
+// runs only; it is kept outside the report, which stays byte-identical
+// with profiling on or off.
+type RunResponse struct {
+	Report         *Report            `json:"report"`
+	StageLatencyMs map[string]float64 `json:"stage_latency_ms,omitempty"`
+}
+
+// RunEntry is a result-cache entry: the response plus its encoding, made
+// once when the entry is produced, so serving the entry again writes
+// bytes instead of encoding a report. Caching the stage latencies with
+// the report keeps profiled and unprofiled callers on one cache key —
+// profiling is a pure observer, so it never forks entries. Entries are
+// shared: callers must not mutate them.
+type RunEntry struct {
+	RunResponse
+	// Body is RunResponse as indented JSON (two-space indent, trailing
+	// newline); its length is the entry's charge against the cache budget.
+	Body []byte
+}
+
+// ErrUnencodable marks an execution whose response has no JSON encoding
+// (a NaN or infinite float in the report). It is an execution failure:
+// the entry is never cached, and the next identical request executes
+// again.
+var ErrUnencodable = errors.New("mmbench: run response is not encodable as JSON")
+
+// newRunEntry encodes resp into the entry that serves it.
+func newRunEntry(resp RunResponse) (*RunEntry, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(resp); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnencodable, err)
+	}
+	return &RunEntry{RunResponse: resp, Body: buf.Bytes()}, nil
 }
 
 // Run is the cached equivalent of the package-level Run.
@@ -141,21 +174,40 @@ type ExecFn func(ctx context.Context, cfg RunConfig) (*Report, map[string]float6
 // coalesce in the cache ABOVE the batcher, and distinct-but-compatible
 // configs merge in the batcher BELOW it. Hits return the stage latencies
 // measured when the entry was executed. Errors (including shed
-// admissions) are never cached and never shared with coalesced waiters.
+// admissions and ErrUnencodable) are never cached and never shared with
+// coalesced waiters.
 func (cr *CachedRunner) RunProfiledCtxThrough(ctx context.Context, cfg RunConfig, exec ExecFn) (*Report, map[string]float64, error) {
-	v, err := cr.cache.Do(cfg.cacheKey(), func() (any, int64, error) {
+	e, err := cr.entry(ctx, cfg.cacheKey(), cfg, exec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.Report, e.StageLatencyMs, nil
+}
+
+// EntryThrough is RunProfiledCtxThrough for a config canonicalised once
+// by the caller (see RunConfig.Keyed), returning the whole cache entry:
+// a hit is a lookup, and its Body is ready to write.
+func (cr *CachedRunner) EntryThrough(ctx context.Context, kc KeyedConfig, exec ExecFn) (*RunEntry, error) {
+	return cr.entry(ctx, kc.key, kc.RunConfig, exec)
+}
+
+// entry looks key up, producing the entry from exec(cfg) on a miss.
+func (cr *CachedRunner) entry(ctx context.Context, key string, cfg RunConfig, exec ExecFn) (*RunEntry, error) {
+	v, err := cr.cache.Do(key, func() (any, int64, error) {
 		rep, stageMs, err := exec(ctx, cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		cv := &cachedRun{rep: rep, stageMs: stageMs}
-		return cv, reportBytes(rep), nil
+		e, err := newRunEntry(RunResponse{Report: rep, StageLatencyMs: stageMs})
+		if err != nil {
+			return nil, 0, err
+		}
+		return e, int64(len(e.Body)), nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cv := v.(*cachedRun)
-	return cv.rep, cv.stageMs, nil
+	return v.(*RunEntry), nil
 }
 
 // Stats snapshots the cache counters (hits, misses, executions,
@@ -168,21 +220,34 @@ func (cr *CachedRunner) Stats() resultcache.Stats { return cr.cache.Stats() }
 // keep, the latter also reported alone as packed bytes).
 func (cr *CachedRunner) ModelStats() workloads.StoreStats { return cr.models.Stats() }
 
-// reportBytes estimates a report's resident size for the cache budget
-// by its JSON encoding — close enough for an LRU byte budget.
-func reportBytes(r *Report) int64 {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return 1 << 10
-	}
-	return int64(len(b))
+// KeyedConfig is a RunConfig with its canonical identity — the result
+// cache key and the Fingerprint — derived by one canonicalisation pass,
+// for a caller that needs both (the serve layer quarantines by
+// fingerprint, then looks the key up). Build one with RunConfig.Keyed.
+type KeyedConfig struct {
+	RunConfig
+	key, fingerprint string
 }
+
+// Keyed canonicalises cfg once into its cache key and fingerprint.
+func (cfg RunConfig) Keyed() KeyedConfig {
+	m, seed := cfg.canonicalFields()
+	fp := resultcache.Key(m)
+	m["seed"] = seed
+	return KeyedConfig{RunConfig: cfg, key: resultcache.Key(m), fingerprint: fp}
+}
+
+// Fingerprint is RunConfig.Fingerprint, read from the canonicalisation
+// that built kc.
+func (kc KeyedConfig) Fingerprint() string { return kc.fingerprint }
 
 // cacheKey canonicalizes the config: defaults are resolved first so
 // that, e.g., an empty Device and an explicit "2080ti" share one cache
 // entry, and the seed is ignored unless eager mode actually uses it.
 func (cfg RunConfig) cacheKey() string {
-	return resultcache.Key(cfg.canonicalFields(true))
+	m, seed := cfg.canonicalFields()
+	m["seed"] = seed
+	return resultcache.Key(m)
 }
 
 // Fingerprint canonicalizes the config's workload identity — the cache
@@ -190,7 +255,8 @@ func (cfg RunConfig) cacheKey() string {
 // quarantine) groups every run of one workload configuration together
 // regardless of which data seed happened to trigger the fault.
 func (cfg RunConfig) Fingerprint() string {
-	return resultcache.Key(cfg.canonicalFields(false))
+	m, _ := cfg.canonicalFields()
+	return resultcache.Key(m)
 }
 
 // BatchFingerprint canonicalizes the config's *batchable* identity: the
@@ -201,12 +267,14 @@ func (cfg RunConfig) Fingerprint() string {
 // only the data (seed) and the sample count differ, which is exactly
 // what RunMergedProfiled concatenates over.
 func (cfg RunConfig) BatchFingerprint() string {
-	m := cfg.canonicalFields(false)
+	m, _ := cfg.canonicalFields()
 	delete(m, "batch")
 	return resultcache.Key(m)
 }
 
-func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
+// canonicalFields returns the fingerprint's fields and, apart, the
+// canonical seed the cache key adds to them.
+func (cfg RunConfig) canonicalFields() (fields map[string]string, seed string) {
 	norm := cfg.withDefaults()
 	if !norm.Eager {
 		norm.Seed = 0
@@ -221,9 +289,6 @@ func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
 		"paper":    strconv.FormatBool(norm.PaperScale),
 		"eager":    strconv.FormatBool(norm.Eager),
 	}
-	if includeSeed {
-		m["seed"] = strconv.FormatInt(norm.Seed, 10)
-	}
 	// Precision changes results (numerics in eager mode, modeled kernel
 	// costs in analytic mode), so non-trivial policies key the cache by
 	// their canonical form. All spellings of all-f32 — empty, "f32", or
@@ -235,5 +300,5 @@ func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
 		// them a unique key so the error is not cached under f32.
 		m["precision"] = "invalid:" + norm.Precision
 	}
-	return m
+	return m, strconv.FormatInt(norm.Seed, 10)
 }

@@ -1,7 +1,11 @@
 package mmbench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -156,6 +160,85 @@ func TestCachedRunnerErrorsPropagate(t *testing.T) {
 	s := cr.Stats()
 	if s.Entries != 0 {
 		t.Fatalf("error cached: %+v", s)
+	}
+}
+
+// A report with no JSON encoding (NaN is not a JSON number) is an
+// execution error: it is returned, nothing is cached, and the next
+// identical call executes again.
+func TestCachedRunnerUnencodableReportNotCached(t *testing.T) {
+	cr := NewCachedRunner(1 << 20)
+	cfg := RunConfig{Workload: "avmnist"}
+	execs := 0
+	nan := func(context.Context, RunConfig) (*Report, map[string]float64, error) {
+		execs++
+		return &Report{Workload: "avmnist", CPUShare: math.NaN()}, nil, nil
+	}
+	for i := 1; i <= 2; i++ {
+		_, _, err := cr.RunProfiledCtxThrough(context.Background(), cfg, nan)
+		if !errors.Is(err, ErrUnencodable) {
+			t.Fatalf("call %d: err %v, want ErrUnencodable", i, err)
+		}
+		if execs != i {
+			t.Fatalf("call %d: %d executions, want %d", i, execs, i)
+		}
+		if s := cr.Stats(); s.Entries != 0 || s.Bytes != 0 {
+			t.Fatalf("call %d: unencodable report cached: %+v", i, s)
+		}
+	}
+}
+
+// Keyed derives, in one pass, exactly the key and fingerprint strings
+// the one-string methods return — and those are the strings every
+// existing cache entry and quarantine record was keyed by.
+func TestKeyedMatchesKeyAndFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		cfg     RunConfig
+		key, fp string
+	}{
+		{RunConfig{Workload: "avmnist"},
+			"batch=32;device=2080ti;eager=false;paper=false;seed=0;variant=concat;workload=avmnist",
+			"batch=32;device=2080ti;eager=false;paper=false;variant=concat;workload=avmnist"},
+		{RunConfig{Workload: "mosei", Eager: true, BatchSize: 2, Seed: 9, Precision: "fusion=f16, head=i8"},
+			`batch=2;device=2080ti;eager=true;paper=false;precision=fusion\=f16,head\=i8;seed=9;variant=concat;workload=mosei`,
+			`batch=2;device=2080ti;eager=true;paper=false;precision=fusion\=f16,head\=i8;variant=concat;workload=mosei`},
+		{RunConfig{Workload: "nope", Precision: "bogus"},
+			"batch=32;device=2080ti;eager=false;paper=false;precision=invalid:bogus;seed=0;variant=;workload=nope",
+			"batch=32;device=2080ti;eager=false;paper=false;precision=invalid:bogus;variant=;workload=nope"},
+	} {
+		kc := tc.cfg.Keyed()
+		if kc.key != tc.key || tc.cfg.cacheKey() != tc.key {
+			t.Errorf("%+v: Keyed key %q, cacheKey %q, want %q", tc.cfg, kc.key, tc.cfg.cacheKey(), tc.key)
+		}
+		if kc.Fingerprint() != tc.fp || tc.cfg.Fingerprint() != tc.fp {
+			t.Errorf("%+v: Keyed fingerprint %q, Fingerprint %q, want %q",
+				tc.cfg, kc.Fingerprint(), tc.cfg.Fingerprint(), tc.fp)
+		}
+	}
+}
+
+// An entry is charged its encoded body, which is exactly the indented
+// JSON of its RunResponse with a trailing newline.
+func TestRunEntryBody(t *testing.T) {
+	cr := NewCachedRunner(1 << 20)
+	stage := map[string]float64{"encoder": 1.5}
+	before := cr.Stats().Bytes
+	e, err := cr.EntryThrough(context.Background(), RunConfig{Workload: "avmnist"}.Keyed(),
+		func(context.Context, RunConfig) (*Report, map[string]float64, error) {
+			return &Report{Workload: "avmnist"}, stage, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(RunResponse{Report: e.Report, StageLatencyMs: stage}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(e.Body, want) {
+		t.Fatalf("entry body\n%s\nwant\n%s", e.Body, want)
+	}
+	if got := cr.Stats().Bytes - before; got != int64(len(e.Body)) {
+		t.Fatalf("entry charged %d bytes, want its body length %d", got, len(e.Body))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -100,8 +101,8 @@ type Server struct {
 	latHist obs.Histogram
 
 	// encodeErrors counts response-encoding failures (client gone,
-	// truncated write, unencodable value) so they are observable in
-	// /v1/stats instead of silently dropped.
+	// truncated write, unencodable value — a /v1/run report among them)
+	// so they are observable in /v1/stats instead of silently dropped.
 	encodeErrors atomic.Uint64
 
 	// fleetMu guards the placement counters: /v1/place requests served
@@ -216,11 +217,22 @@ func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, status int, fo
 	s.writeJSON(w, r, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode parses a bounded JSON request body, rejecting unknown fields.
+// maxBodyBytes bounds a request body; a longer one is refused with 413.
+const maxBodyBytes = 1 << 20
+
+// decode parses a bounded JSON request body, rejecting unknown fields
+// and anything but whitespace after the one JSON value — reading to the
+// end also lets the size limit see trailing bytes.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
 		return err
 	}
 	return nil
@@ -318,7 +330,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeErr(w, r, "run", err)
 		return
 	}
-	cfg := req.config(s.defaultPrecision)
+	// One canonicalisation serves the quarantine's fingerprint and the
+	// cache's key.
+	cfg := req.config(s.defaultPrecision).Keyed()
 	fp := cfg.Fingerprint()
 	if summary, bad := s.quar.blocked(fp); bad {
 		s.writeErr(w, r, http.StatusUnprocessableEntity,
@@ -344,7 +358,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// standalone run — so the cache entry it lands in is too.
 	// Everything else is one pool job around the runner's own execution.
 	batched := s.batcher != nil && cfg.Eager
-	rep, stageMs, err := s.runner.RunProfiledCtxThrough(r.Context(), cfg,
+	e, err := s.runner.EntryThrough(r.Context(), cfg,
 		func(ctx context.Context, cfg mmbench.RunConfig) (rep *mmbench.Report, stageMs map[string]float64, err error) {
 			executed = true
 			est := s.est.estimate(fp)
@@ -372,6 +386,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				s.quar.recordPanic(fp, fmt.Sprintf("%v", pe.Value))
 			}
 			s.writeErr(w, r, http.StatusInternalServerError, "run panicked: %v", pe.Value)
+		case errors.Is(err, mmbench.ErrUnencodable):
+			// The run finished but its report has no JSON form (a NaN or
+			// infinite float). Nothing was cached, so the next identical
+			// request executes again.
+			s.encodeErrors.Add(1)
+			log.Printf("serve: encoding %s %s response: %v", r.Method, r.URL.Path, err)
+			s.writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		case errors.Is(err, jobs.ErrDeadline), errors.Is(err, jobs.ErrWontFinish),
 			errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShutdown),
 			errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -391,16 +412,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if executed {
 		// Calibrate the cost estimator on real executions only: a cache
 		// hit's wall time says nothing about the run's compute cost.
-		s.est.observe(fp, rep.LatencySeconds, wall)
+		s.est.observe(fp, e.Report.LatencySeconds, wall)
 	}
-	body := map[string]any{"report": rep}
-	if len(stageMs) > 0 {
-		// Measured per-stage wall time, eager runs only. Kept outside
-		// the report object, which stays byte-identical with profiling
-		// on or off.
-		body["stage_latency_ms"] = stageMs
+	// The body (a mmbench.RunResponse) was encoded once, when the entry
+	// was produced; a hit or a miss alike only writes it.
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(e.Body); err != nil {
+		s.encodeErrors.Add(1)
+		log.Printf("serve: writing %s %s response: %v", r.Method, r.URL.Path, err)
 	}
-	s.writeJSON(w, r, http.StatusOK, body)
 }
 
 // admit runs fn as one pool job under scheduler admission (deadline- and

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -352,6 +353,14 @@ func TestModelStoreBehaviour(t *testing.T) {
 					done <- rep
 				}()
 				<-resident
+				// Let the long run resolve avmnist (its store hit) before the
+				// second model goes in. Had that insert come first, the long
+				// run would rebuild avmnist, and a rebuilt avmnist plus its
+				// memoised modeled side outgrows this budget, leaving nothing
+				// resident: a scheduling-dependent failure under CPU load.
+				for cr.ModelStats().Hits == 0 && len(done) == 0 {
+					runtime.Gosched()
+				}
 				rep, err := cr.Run(other)
 				if err != nil {
 					t.Fatal(err)
