@@ -15,9 +15,12 @@ import (
 // TestEagerRunAllocations pins what a warm served eager request costs the
 // heap: its answer, not its forward. A mosei b2 paper-scale run through a
 // CachedRunner draws its untaped intermediates from a run-scoped arena on
-// the engine pool and reuses the modeled side its store network keeps, so
-// the median TotalAlloc delta stays under 4 MB (it was ≈ 13 MB when every
-// intermediate was a fresh tensor and every request recompiled the plan).
+// the engine pool, reuses the modeled side its store network keeps and
+// times its stages at the forward's boundaries, so the median TotalAlloc
+// delta stays under 1 MB (≈ 0.44 MB on amd64). It was ≈ 13 MB when every
+// intermediate was a fresh tensor and every request recompiled the plan,
+// and ≈ 1.26 MB while every served run recorded one profiler span per
+// kernel: a per-kernel recorder on the served path fails this bound.
 func TestEagerRunAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale eager runs")
@@ -46,8 +49,8 @@ func TestEagerRunAllocations(t *testing.T) {
 		deltas[i] = float64(m1.TotalAlloc-m0.TotalAlloc) / 1e6
 	}
 	slices.Sort(deltas)
-	if med := deltas[samples/2]; med > 4 {
-		t.Errorf("warm mosei b2 eager run allocates %.2f MB (median of %v), want ≤ 4 MB", med, deltas)
+	if med := deltas[samples/2]; med > 1 {
+		t.Errorf("warm mosei b2 eager run allocates %.2f MB (median of %v), want ≤ 1 MB", med, deltas)
 	} else {
 		t.Logf("warm mosei b2 eager run: median %.2f MB of %v", med, deltas)
 	}

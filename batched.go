@@ -6,7 +6,6 @@ import (
 
 	"mmbench/internal/core"
 	"mmbench/internal/faultinject"
-	"mmbench/internal/obs"
 	"mmbench/internal/workloads"
 )
 
@@ -59,9 +58,7 @@ func runMerged(ctx context.Context, cfgs []RunConfig, models *workloads.Store) (
 	for i, cfg := range cfgs {
 		members[i] = core.MemberSpec{BatchSize: cfg.BatchSize, Seed: cfg.Seed}
 	}
-	// Merged forwards are profiled unconditionally, like every eager
-	// execution through the cached runner.
-	opts.Eager, opts.Profiler, opts.Ctx = true, obs.NewProfiler(), ctx
+	opts.Eager, opts.Ctx = true, ctx
 	results, err := core.RunMerged(n, opts, members)
 	if err != nil {
 		return nil, nil, err

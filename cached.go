@@ -54,8 +54,8 @@ func NewCachedRunner(capacityBytes int64) *CachedRunner {
 
 // RunResponse is the answer to one run: the POST /v1/run body of the
 // serve layer. StageLatencyMs is the measured per-stage wall time, eager
-// runs only; it is kept outside the report, which stays byte-identical
-// with profiling on or off.
+// runs only; it is kept outside the report, whose bytes never depend on
+// a clock.
 type RunResponse struct {
 	Report         *Report            `json:"report"`
 	StageLatencyMs map[string]float64 `json:"stage_latency_ms,omitempty"`
@@ -63,10 +63,10 @@ type RunResponse struct {
 
 // RunEntry is a result-cache entry: the response plus its encoding, made
 // once when the entry is produced, so serving the entry again writes
-// bytes instead of encoding a report. Caching the stage latencies with
-// the report keeps profiled and unprofiled callers on one cache key —
-// profiling is a pure observer, so it never forks entries. Entries are
-// shared: callers must not mutate them.
+// bytes instead of encoding a report. The stage latencies cached with
+// the report are those of the execution that produced the entry; a hit
+// returns them as measured then. Entries are shared: callers must not
+// mutate them.
 type RunEntry struct {
 	RunResponse
 	// Body is RunResponse as indented JSON (two-space indent, trailing
@@ -109,9 +109,9 @@ func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, err
 // package-level RunProfiledCtx resolving eager networks through the
 // runner's model store. An eager execution is the one-config case of
 // RunMergedProfiled's merged forward, so the two agree by construction.
-// Eager executions are profiled unconditionally (the profiler is a pure
-// observer), so every real run — sweeps included — feeds the runner's
-// per-stage latency histograms. It is the ExecFn behind Run and RunCtx,
+// Every eager execution returns the stage walls its forward timed, so
+// every real run — sweeps included — feeds the runner's per-stage
+// latency histograms. It is the ExecFn behind Run and RunCtx,
 // and what an execution wrapper (the serve layer's scheduler admission)
 // reschedules.
 func (cr *CachedRunner) Execute(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {

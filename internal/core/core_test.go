@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mmbench/internal/device"
 	"mmbench/internal/metrics"
+	"mmbench/internal/report"
 	"mmbench/internal/workloads"
 )
 
@@ -146,9 +151,31 @@ func TestNanoCapacityInversion(t *testing.T) {
 	}
 }
 
+// reportDigests are the sha256 digests of the analytic experiments' text
+// renderings — `mmbench repro <id> | sha256sum` (Quick changes only the
+// trained figures). A change that moves one changed a report; regenerate
+// the digest only when that is the change's intent.
+var reportDigests = map[string]string{
+	"table1": "4cf819628b137c78e43787d1f6f00fbfa909cabb86928107903b94e2db572a14",
+	"table3": "c2db3cdd0604d7e7f3f292a88647aa29f3fdbb74b7453c495671a712acfdaf41",
+	"fig6":   "38f4b8f2ce7094224e64e168f194d4c3563e59461b479fa4b7fef5e5f1f16657",
+	"fig7":   "8ce0de11fdd72252cbfbe5ba4a8f1d7b663cc47117aa88810d9d31abccc6d623",
+	"fig8":   "6063f120b690f23fec6ec29d13611a5902881a49127f4e340997376a78c69fe3",
+	"fig9":   "6b70660969aedc1062b5f909160cf02d5938737d4695b50d13787cfa77c9b287",
+	"fig10":  "77adab23e5d2e9eb22544011c6831c7da1cc9df52098714167da409f490b4b31",
+	"fig11":  "7d3cac91649d732e5f5b97b8bd1ee195c73ff277ad45f56f8774341f6173c5e2",
+	"fig12":  "26c66fe25e74ba00757e55291f8a07796df39c90a45c3db7d19225cdbf09e276",
+	"fig13":  "ffc88a48145532663c0463b54d3b67ddb8cf187225912e7f8192f6be7745df41",
+	"fig14":  "15e6007dcad36b6ca230b45ed406496f9304169d80e88367820a8e2b0ecb23aa",
+	"fig15":  "01bf1ae9ecb1d71091fb221500b6164fbfbe65347f0afdc50333463d554337a8",
+}
+
 func TestExperimentIDsAllRunnable(t *testing.T) {
 	// Every analytic experiment must run (training ones covered by the
-	// quick smoke below).
+	// quick smoke below) and render byte-identically to its pinned digest.
+	// The digests are amd64's: elsewhere the compiler may fuse a
+	// multiply-add and move a last bit of a modeled number.
+	pinned := runtime.GOARCH == "amd64"
 	for _, id := range []string{"table1", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"} {
 		tables, err := RunExperiment(id, ExpConfig{Quick: true})
 		if err != nil {
@@ -161,6 +188,16 @@ func TestExperimentIDsAllRunnable(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Errorf("%s: table %q has no rows", id, tab.Title)
 			}
+		}
+		if !pinned {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := report.Render(&buf, "text", tables...); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != reportDigests[id] {
+			t.Errorf("%s renders to sha256 %s, pinned %s", id, got, reportDigests[id])
 		}
 	}
 }

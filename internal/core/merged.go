@@ -35,11 +35,11 @@ type MemberSpec struct {
 // The forward drives no recorder: each member's Trace/Memory/Latency is
 // the modeled side at that member's own batch size (see model), the same
 // numbers an analytic Run of that size reports. Members of equal size
-// share one Trace. StageSeconds (when profiling) is the measured wall of
-// the merged forward, shared by every member: it is the real wall-clock
-// cost the batch paid, which is exactly what serving-side percentiles
-// should see. Cancellation is one flag for the whole forward — a merged
-// batch aborts or survives as a unit.
+// share one Trace. StageSeconds is the measured stage wall of the merged
+// forward (see ops.Ctx.Walls), shared by every member: it is the real
+// wall-clock cost the batch paid, which is exactly what serving-side
+// percentiles should see. Cancellation is one flag for the whole forward
+// — a merged batch aborts or survives as a unit.
 //
 // The forwards allocate their answer, not their intermediates: every
 // untaped operator result comes from one arena on the run's engine (see
@@ -92,6 +92,7 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 		Precision:          opts.Precision,
 		Segments:           segs,
 		Arena:              arena,
+		Walls:              make(map[string]float64, 3),
 	}
 	if opts.Profiler != nil {
 		c.Prof = opts.Profiler.Root()
@@ -117,8 +118,6 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 	if cancel.Cancelled() {
 		return nil, cancel.Reason()
 	}
-
-	stageSec := opts.Profiler.StageWall() // nil when unprofiled
 
 	outShape := out.Value.Shape()
 	if len(outShape) == 0 || outShape[0]%total != 0 {
@@ -148,7 +147,7 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 				out.Value.Data()[r0*elemsPerRow:r1*elemsPerRow],
 				ref.Value.Data()[r0*elemsPerRow:r1*elemsPerRow])
 		}
-		r.StageSeconds = stageSec
+		r.StageSeconds = c.Walls
 		results[i] = &r
 		lo += bs
 	}

@@ -3,36 +3,58 @@ package core
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"mmbench/internal/engine"
 	"mmbench/internal/obs"
+	"mmbench/internal/workloads"
 )
 
 // TestProfilerIsPureObserver is the observability layer's central
 // invariant: attaching a profiler changes nothing observable about a
-// run — output tensor bits, recorded trace, memory profile — at any
-// worker count, under either branch schedule.
+// run — output tensor bits, recorded trace, memory profile, which stage
+// walls it reports — at any worker count, under either branch schedule.
+// The stage walls need no profiler: an unprofiled eager run times
+// encoder, fusion and head at the forward's stage boundaries, so each is
+// positive and together they fit inside the RunMerged call.
 func TestProfilerIsPureObserver(t *testing.T) {
+	stages := []string{"encoder", "fusion", "head"}
 	for _, workers := range []int{1, 4, 16} {
 		for _, sequential := range []bool{false, true} {
 			name := map[bool]string{false: "parallel", true: "sequential"}[sequential]
 			t.Run(name+"/"+itoa(workers), func(t *testing.T) {
-				run := func(prof *obs.Profiler) *RunResult {
+				run := func(prof *obs.Profiler) (*RunResult, time.Duration) {
 					eng := engine.New(workers)
 					defer eng.Close()
-					res, err := BuildAndRun("avmnist", "concat", false, RunOptions{
-						Eager: true, BatchSize: 4, Engine: eng,
-						SequentialBranches: sequential,
-						Profiler:           prof,
-					})
+					n, err := workloads.Build("avmnist", "concat", false, workloads.WeightSeed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res
+					start := time.Now()
+					results, err := RunMerged(n, RunOptions{
+						Eager: true, Engine: eng,
+						SequentialBranches: sequential,
+						Profiler:           prof,
+					}, []MemberSpec{{BatchSize: 4}})
+					wall := time.Since(start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return results[0], wall
 				}
-				plain := run(nil)
+				plain, wall := run(nil)
+				var sum float64
+				for _, stage := range stages {
+					if plain.StageSeconds[stage] <= 0 {
+						t.Errorf("unprofiled stage %q wall = %v, want > 0", stage, plain.StageSeconds[stage])
+					}
+					sum += plain.StageSeconds[stage]
+				}
+				if len(plain.StageSeconds) != len(stages) || sum > wall.Seconds() {
+					t.Errorf("unprofiled stage walls %v (sum %v s) exceed the %v RunMerged call", plain.StageSeconds, sum, wall)
+				}
 				prof := obs.NewProfiler()
-				profiled := run(prof)
+				profiled, _ := run(prof)
 
 				// Outputs bitwise identical.
 				pd, qd := plain.Output.Value.Data(), profiled.Output.Value.Data()
@@ -60,13 +82,13 @@ func TestProfilerIsPureObserver(t *testing.T) {
 					t.Fatal("profiled latency/memory differ")
 				}
 
-				// And the profiled run actually measured something.
-				if profiled.StageSeconds == nil {
-					t.Fatal("profiled run returned no stage times")
+				// The same stage keys, and the profiler recorded spans.
+				if len(profiled.StageSeconds) != len(stages) {
+					t.Fatalf("profiled stage walls %v, want the keys %v", profiled.StageSeconds, stages)
 				}
-				for _, stage := range []string{"encoder", "fusion", "head"} {
+				for _, stage := range stages {
 					if profiled.StageSeconds[stage] <= 0 {
-						t.Errorf("stage %q wall = %v, want > 0", stage, profiled.StageSeconds[stage])
+						t.Errorf("profiled stage %q wall = %v, want > 0", stage, profiled.StageSeconds[stage])
 					}
 				}
 				pr := prof.Finish()

@@ -52,11 +52,11 @@ type RunOptions struct {
 	// bit-identical to a build with no mixed-precision support.
 	Precision precision.Policy
 	// Profiler, when non-nil on an eager run, records wall-clock kernel
-	// and stage spans of the (merged) forward — the forward's only
-	// observer, since the modeled trace comes from the stage plan. It is
-	// a pure observer (results and traces stay bitwise identical, so it
-	// never participates in cache keys) and is ignored on analytic runs,
-	// which execute no kernels to time.
+	// and stage spans of the (merged) forward for trace export; stage
+	// walls need none (RunResult.StageSeconds). It is a pure observer
+	// (results and traces stay bitwise identical, so it never
+	// participates in cache keys) and is ignored on analytic runs, which
+	// execute no kernels to time.
 	Profiler *obs.Profiler
 	// Ctx, when non-nil and cancellable, makes the run cooperative: its
 	// cancellation (or deadline) stops the engine's chunk dispatch within
@@ -98,10 +98,11 @@ type RunResult struct {
 	// runs have no numerics to compare).
 	OutputErrMax  float64
 	OutputErrMean float64
-	// StageSeconds is the measured per-stage wall-clock time of the
-	// eager forward (profiled runs only; nil otherwise). It lives beside
-	// the report fields, never inside them, so profiled and unprofiled
-	// reports marshal byte-identically.
+	// StageSeconds is the measured encoder, fusion and head wall-clock
+	// time of the eager forward, taken at its stage boundaries (see
+	// ops.Ctx.Walls); nil on analytic runs. It lives beside the report
+	// fields, never inside them, so reports marshal byte-identically
+	// whatever the clock read.
 	StageSeconds map[string]float64
 }
 

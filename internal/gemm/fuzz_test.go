@@ -1,0 +1,115 @@
+package gemm
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"mmbench/internal/engine"
+	"mmbench/internal/precision"
+)
+
+// fuzzRel is the documented per-kernel relative error of the reduced
+// precisions on unit-scale data (README, "Mixed precision"): the error
+// of an f16 or i8 product, measured against the scale of its largest
+// possible dot, k·max|A|·max|B|. F32 carries no quantization error.
+var fuzzRel = [3]float64{0, 1e-2, 1e-1}
+
+// FuzzGEMM is the differential check of the packed GEMM core over shapes
+// up to 70 in each dimension — odd tails around MR = 4 and NR = 16 — both
+// operand layouts, three precisions and 1 or 4 workers. Each product
+// dst += alpha·A·B must:
+//
+//   - lie within the precision's bound of a float64 naive loop: the f32
+//     accumulation bound γ(k+2)·(|dst| + |alpha|·Σ|a||b|) (with a 2×
+//     margin), plus fuzzRel·|alpha|·k·max|A|·max|B| for f16 and i8;
+//   - for f16 and i8, also equal their exact oracles bit for bit: F32
+//     over f16-rounded operands, and the int8 integer dot dequantized
+//     at the store;
+//   - be bitwise identical at the other worker count;
+//   - be bitwise identical through a PackedB holder, on the call that
+//     packs its panels and on one that reuses them.
+//
+// Inputs are drawn from seed, so a failing corpus entry replays exactly.
+// The seed corpus is testdata/fuzz/FuzzGEMM; dimensions map 1 + x%70.
+func FuzzGEMM(f *testing.F) {
+	engines := [2]*engine.Engine{engine.New(1), engine.New(4)}
+	f.Cleanup(func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	})
+	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT, bT bool, prec, wide, alphab uint8, seed int64) {
+		m, k, n := 1+int(mb)%70, 1+int(kb)%70, 1+int(nb)%70
+		p := int(prec) % 3
+		alpha := [3]float32{1, 0.5, -1.5}[alphab%3]
+		rng := rand.New(rand.NewSource(seed))
+		a, b, dst0 := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m*n)
+		ain, bin := a, b
+		if aT {
+			ain = transpose(a, m, k)
+		}
+		if bT {
+			bin = transpose(b, k, n)
+		}
+		sa, sb := precision.I8Scale(precision.MaxAbs(a)), precision.I8Scale(precision.MaxAbs(b))
+		// run computes the product per call (h == nil) or through h.
+		run := func(e *engine.Engine, h *PackedB) []float32 {
+			dst := append([]float32(nil), dst0...)
+			switch p {
+			case 0:
+				h.F32(e, dst, ain, bin, m, k, n, alpha, aT, bT)
+			case 1:
+				h.F16(e, dst, ain, bin, m, k, n, alpha, aT, bT)
+			default:
+				h.I8(e, dst, ain, bin, m, k, n, alpha, sa, sb, aT, bT)
+			}
+			return dst
+		}
+		name := [3]string{"F32", "F16", "I8"}[p]
+		w := int(wide) % 2
+		got := run(engines[w], nil)
+
+		maxA, maxB := float64(precision.MaxAbs(a)), float64(precision.MaxAbs(b))
+		quant := fuzzRel[p] * math.Abs(float64(alpha)) * float64(k) * maxA * maxB
+		gamma := float64(k+2) * 0x1p-23
+		invA, invB, deq := 1/sa, 1/sb, alpha*sa*sb
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var dot, abs float64
+				var acc int32
+				for l := 0; l < k; l++ {
+					x := float64(a[i*k+l]) * float64(b[l*n+j])
+					dot += x
+					abs += math.Abs(x)
+					acc += int32(precision.I8Level(a[i*k+l], invA)) * int32(precision.I8Level(b[l*n+j], invB))
+				}
+				want := float64(dst0[i*n+j]) + float64(alpha)*dot
+				tol := quant + gamma*(math.Abs(float64(dst0[i*n+j]))+math.Abs(float64(alpha))*abs)
+				if d := math.Abs(float64(got[i*n+j]) - want); d > tol {
+					t.Fatalf("%s %dx%dx%d aT=%v bT=%v alpha=%v: dst[%d][%d] = %g, naive %g (|Δ| %g > %g)",
+						name, m, k, n, aT, bT, alpha, i, j, got[i*n+j], want, d, tol)
+				}
+				// The bound cannot see one int8 level; the integer dot can.
+				if exact := dst0[i*n+j] + deq*float32(acc); p == 2 && got[i*n+j] != exact {
+					t.Fatalf("I8 %dx%dx%d aT=%v bT=%v: dst[%d][%d] = %g, exact int8 dot %g",
+						m, k, n, aT, bT, i, j, got[i*n+j], exact)
+				}
+			}
+		}
+		if p == 1 {
+			// F16 is F32 over operands rounded to the float16 grid, bit for bit.
+			ar, br := make([]float32, len(ain)), make([]float32, len(bin))
+			precision.RoundF16Slice(ar, ain)
+			precision.RoundF16Slice(br, bin)
+			rounded := append([]float32(nil), dst0...)
+			F32(engines[w], rounded, ar, br, m, k, n, alpha, aT, bT)
+			wantBits(t, "F16 against F32 over f16-rounded operands", got, rounded)
+		}
+
+		wantBits(t, name+" at the other worker count", run(engines[1-w], nil), got)
+		h := NewPackedB(nil)
+		wantBits(t, name+" packing a holder", run(engines[w], h), got)
+		wantBits(t, name+" from the holder's kept panels", run(engines[w], h), got)
+	})
+}

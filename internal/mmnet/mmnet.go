@@ -9,6 +9,7 @@ package mmnet
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/data"
@@ -174,15 +175,20 @@ type Barrierer interface {
 // representation passes through a host-side gather (data synchronization —
 // the intermediate-data operations that inflate CPU+Runtime time for
 // multi-modal networks).
+//
+// When c.Walls is set, Forward times its own stage walk into it: one
+// clock read at the start and one after each stage, on this goroutine.
 func (n *Network) Forward(c *ops.Ctx, b *data.Batch) *ops.Var {
 	// Reset the recorder scope even if an encoder (or fusion/head op)
 	// panics: a recovered benchmark run must not attribute later kernels
 	// to this network's last (stage, modality) scope.
 	defer setScope(c, "", "")
 	nodes := n.StageNodes()
+	t := time.Now()
 	// The encoder prefix of the node list is mutually independent, so it
 	// runs through the branch executor.
 	feats := n.encodeBranches(c, b)
+	lap(c, StageEncoder, &t)
 	var fused, out *ops.Var
 	for _, node := range nodes[len(n.Encoders):] {
 		switch node.Stage {
@@ -203,6 +209,7 @@ func (n *Network) Forward(c *ops.Ctx, b *data.Batch) *ops.Var {
 				}
 			}
 			fused = n.Fusion.Fuse(c, feats)
+			lap(c, StageFusion, &t)
 		case StageHead:
 			setScope(c, StageHead, "")
 			if c.Rec != nil {
@@ -211,9 +218,21 @@ func (n *Network) Forward(c *ops.Ctx, b *data.Batch) *ops.Var {
 				c.Rec.Host("stage_handoff", 0, fused.Value.Bytes(), 1)
 			}
 			out = n.Head.Forward(c, fused)
+			lap(c, StageHead, &t)
 		}
 	}
 	return out
+}
+
+// lap writes the wall since *t as stage's entry of c.Walls (when set) and
+// restarts *t, so consecutive laps tile the forward without a gap.
+func lap(c *ops.Ctx, stage string, t *time.Time) {
+	if c.Walls == nil {
+		return
+	}
+	now := time.Now()
+	c.Walls[stage] = now.Sub(*t).Seconds()
+	*t = now
 }
 
 // Loss computes the task loss for a forward output.

@@ -1,8 +1,8 @@
 // Package obs is MMBench's wall-clock observability layer: a streaming
 // log-bucketed latency histogram, an eager-execution span profiler
-// hooked into the operator layer's kernel emission and stage scopes,
-// and exporters (Chrome trace-event JSON, Prometheus text exposition,
-// per-stage percentile tables) for the measurements.
+// hooked into the operator layer's kernel emission and stage scopes (for
+// trace export), and exporters (Chrome trace-event JSON, Prometheus text
+// exposition, per-stage percentile tables) for the measurements.
 //
 // Everything in this package is a pure observer: attaching a profiler
 // or observing a histogram never changes numeric results, recorded

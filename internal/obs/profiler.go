@@ -57,9 +57,11 @@ func (s *Span) TrackName() string {
 const maxSpans = 1 << 18
 
 // Profiler collects wall-clock spans for one profiled run (or one
-// training session). It hands out Shards — single-goroutine span
-// recorders — and merges them deterministically: the branch executor
-// merges per-branch shards in fixed modality order at the join.
+// training session) for trace export — per-stage walls are timed by the
+// forward itself, not derived from spans. It hands out Shards —
+// single-goroutine span recorders — and merges them deterministically:
+// the branch executor merges per-branch shards in fixed modality order
+// at the join.
 //
 // The profiler is a pure observer. It never touches tensor data, tapes
 // or scheduling, so numeric results with a profiler attached are
@@ -110,50 +112,6 @@ func (p *Profiler) Fork() *Shard {
 	return &Shard{p: p}
 }
 
-// StageWall computes, from every span merged so far (the root shard is
-// merged implicitly; call it from the root's goroutine), the wall-clock
-// seconds each stage occupied: latest span end minus earliest span
-// start per stage. With parallel encoder branches the encoder stage
-// spans overlap across tracks, so wall time — not the per-span sum — is
-// the per-stage latency a request experiences.
-func (p *Profiler) StageWall() map[string]float64 {
-	if p == nil {
-		return nil
-	}
-	p.root.End()
-	p.root.Merge()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type window struct {
-		lo, hi time.Duration
-		seen   bool
-	}
-	wins := make(map[string]*window)
-	for i := range p.spans {
-		s := &p.spans[i]
-		if s.Stage == "" {
-			continue
-		}
-		w := wins[s.Stage]
-		if w == nil {
-			w = &window{}
-			wins[s.Stage] = w
-		}
-		if !w.seen || s.Start < w.lo {
-			w.lo = s.Start
-		}
-		if !w.seen || s.End > w.hi {
-			w.hi = s.End
-		}
-		w.seen = true
-	}
-	out := make(map[string]float64, len(wins))
-	for stage, w := range wins {
-		out[stage] = (w.hi - w.lo).Seconds()
-	}
-	return out
-}
-
 // Profile is a sealed profiling result.
 type Profile struct {
 	// Spans are the kernel/region spans in merge order; EngineSpans are
@@ -161,8 +119,6 @@ type Profile struct {
 	// CaptureEngineTasks was on).
 	Spans       []Span
 	EngineSpans []Span
-	// StageSeconds is the per-stage wall time (see StageWall).
-	StageSeconds map[string]float64
 	// Dropped counts spans discarded beyond the retention budget; the
 	// Chrome exporter surfaces it so a truncated trace is never mistaken
 	// for a complete one.
@@ -177,15 +133,14 @@ func (p *Profiler) Finish() *Profile {
 	if p == nil {
 		return nil
 	}
-	stage := p.StageWall() // also merges root
+	p.root.Merge() // closes the root's pending span first
 	p.StopEngineCapture()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return &Profile{
-		Spans:        p.spans,
-		EngineSpans:  p.engineSpans,
-		StageSeconds: stage,
-		Dropped:      p.dropped + p.engDropped,
+		Spans:       p.spans,
+		EngineSpans: p.engineSpans,
+		Dropped:     p.dropped + p.engDropped,
 	}
 }
 

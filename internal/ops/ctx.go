@@ -70,10 +70,17 @@ type Ctx struct {
 	// math always run in full precision.
 	prec precision.Type
 	// Prof, when non-nil, receives wall-clock spans for every emitted
-	// kernel and stage change (eager profiling mode). It is a pure
-	// observer: results are bitwise identical with or without it. Each
-	// concurrently-executing branch context must carry its own shard.
+	// kernel and stage change, for trace export (the CLI's -trace-out). It
+	// is a pure observer: results are bitwise identical with or without
+	// it. Each concurrently-executing branch context must carry its own
+	// shard.
 	Prof *obs.Shard
+	// Walls, when non-nil, is an output sink: mmnet's Network.Forward
+	// writes the encoder, fusion and head wall seconds into it, read on
+	// the coordinating goroutine at the stage boundaries it walks, so the
+	// three sum to the forward's wall. Nothing reads it to make a decision;
+	// branch forks copy it and never write it.
+	Walls map[string]float64
 	// Segments, when it has two or more entries, marks this forward as a
 	// merged cross-request batch: Segments[i] is request i's sample
 	// count, concatenated in order along the leading (batch) dimension.

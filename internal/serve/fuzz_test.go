@@ -26,27 +26,11 @@ import (
 func FuzzRunRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req RunRequest
-		wellFormed := len(body) <= maxBodyBytes && json.Valid(body) && strictDecode(body, &req) == nil
-		known := slices.ContainsFunc(mmbench.Workloads(), func(w mmbench.Workload) bool { return w.Name == req.Workload })
-		if wellFormed && known && (req.PaperScale == nil || *req.PaperScale || req.Batch > 32) {
+		valid := decodes(body, &req) && known(req.Workload)
+		if valid && (req.PaperScale == nil || *req.PaperScale || req.Batch > 32) {
 			t.Skip("executes a paper-scale or wide run")
 		}
-
-		s := New(Options{Workers: 1})
-		defer s.Close(context.Background())
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
-
-		if !json.Valid(rec.Body.Bytes()) {
-			t.Fatalf("status %d with a body that is not JSON: %q", rec.Code, rec.Body)
-		}
-		if (!wellFormed || !known) && rec.Code/100 != 4 {
-			t.Fatalf("status %d, want 4xx (well-formed %v, known workload %v): %s",
-				rec.Code, wellFormed, known, rec.Body)
-		}
-		if n := len(s.quar.entries); n != 0 {
-			t.Fatalf("status %d recorded quarantine strikes for %d fingerprints", rec.Code, n)
-		}
+		s, rec := fuzzPost(t, "/v1/run", body, valid, nil)
 		want := 0
 		if rec.Code == http.StatusOK {
 			want = 1
@@ -57,10 +41,105 @@ func FuzzRunRequest(f *testing.F) {
 	})
 }
 
-// strictDecode decodes body as one RunRequest the way the server's
-// decoder accepts it: known fields only, one JSON value.
-func strictDecode(body []byte, req *RunRequest) error {
+// FuzzSweepRequest posts arbitrary bodies to /v1/sweep and waits for the
+// job an accepted sweep submits, with FuzzRunRequest's properties: a 4xx
+// for a malformed body or an unknown workload — before any job exists —
+// and never a panic, a non-JSON answer or a quarantine strike.
+//
+// Sweep cells are paper-scale: an eager grid, one of more than four
+// cells or one with a batch above 32 is skipped. The seed corpus is
+// testdata/fuzz/FuzzSweepRequest.
+func FuzzSweepRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SweepRequest
+		valid := decodes(body, &req) && known(req.Workload)
+		cells := len(req.Devices) * len(req.Batches) * max(1, len(req.Precisions))
+		if valid && (req.Eager || cells > 4 || slices.ContainsFunc(req.Batches, func(b int) bool { return b > 32 })) {
+			t.Skip("executes an eager or wide grid")
+		}
+		fuzzPost(t, "/v1/sweep", body, valid, func(s *Server, rec *httptest.ResponseRecorder) {
+			if rec.Code != http.StatusAccepted {
+				return
+			}
+			var accepted struct {
+				JobID string `json:"job_id"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &accepted); err != nil {
+				t.Fatal(err)
+			}
+			job, ok := s.pool.Get(accepted.JobID)
+			if !ok {
+				t.Fatalf("accepted sweep's job %q does not exist: %s", accepted.JobID, rec.Body)
+			}
+			<-job.Done()
+		})
+	})
+}
+
+// FuzzPlaceRequest posts arbitrary bodies to /v1/place with
+// FuzzRunRequest's properties; only a 200 counts a placement request.
+// A search over a paper-scale network, a batch above 32 or a menu of more
+// than three precisions is skipped. The seed corpus is
+// testdata/fuzz/FuzzPlaceRequest.
+func FuzzPlaceRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req PlaceRequest
+		valid := decodes(body, &req) && known(req.Workload)
+		if valid && (req.PaperScale == nil || *req.PaperScale || req.Batch > 32 || len(req.Precisions) > 3) {
+			t.Skip("searches a paper-scale network, a wide batch or a long precision menu")
+		}
+		s, rec := fuzzPost(t, "/v1/place", body, valid, nil)
+		want := uint64(0)
+		if rec.Code == http.StatusOK {
+			want = 1
+		}
+		if n := s.fleetStats().PlaceRequests; n != want {
+			t.Fatalf("status %d counted %d placement requests, want %d", rec.Code, n, want)
+		}
+	})
+}
+
+// fuzzPost posts body to path on a fresh one-worker server, lets settle
+// wait for whatever the answer started, closes the server and checks what
+// every decoder must hold: the answer is JSON, a body that is not valid
+// (malformed, or naming an unknown workload) gets a 4xx, no quarantine
+// strike is recorded and no pooled buffer is left checked out.
+func fuzzPost(t *testing.T, path string, body []byte, valid bool, settle func(*Server, *httptest.ResponseRecorder)) (*Server, *httptest.ResponseRecorder) {
+	t.Helper()
+	s := New(Options{Workers: 1})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if settle != nil {
+		settle(s, rec)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("status %d with a body that is not JSON: %q", rec.Code, rec.Body)
+	}
+	if !valid && rec.Code/100 != 4 {
+		t.Fatalf("status %d for a malformed body or unknown workload, want 4xx: %s", rec.Code, rec.Body)
+	}
+	if n := len(s.quar.entries); n != 0 {
+		t.Fatalf("status %d recorded quarantine strikes for %d fingerprints", rec.Code, n)
+	}
+	if n := s.stats().Engine.PoolOutstanding; n != 0 {
+		t.Fatalf("status %d left %d pooled buffers checked out after Close", rec.Code, n)
+	}
+	return s, rec
+}
+
+// decodes reports whether body decodes into v the way the server's
+// decoder accepts it: within the size limit, known fields only, one JSON
+// value.
+func decodes(body []byte, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	return len(body) <= maxBodyBytes && json.Valid(body) && dec.Decode(v) == nil
+}
+
+// known reports whether name is a benchmark workload.
+func known(name string) bool {
+	return slices.ContainsFunc(mmbench.Workloads(), func(w mmbench.Workload) bool { return w.Name == name })
 }

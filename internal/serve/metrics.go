@@ -142,7 +142,7 @@ func writeMetrics(w io.Writer, st Stats) error {
 	m.head("mmbench_queue_wait_seconds", "Scheduler queue wait, submission to worker pickup.", "histogram")
 	m.histogramSeries("mmbench_queue_wait_seconds", "", &st.queueWait)
 	if len(st.stages) > 0 {
-		m.head("mmbench_stage_latency_seconds", "Measured per-stage wall time of profiled eager runs.", "histogram")
+		m.head("mmbench_stage_latency_seconds", "Measured per-stage wall time of eager runs.", "histogram")
 	}
 	for _, stage := range slices.Sorted(maps.Keys(st.stages)) {
 		h := st.stages[stage]

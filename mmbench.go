@@ -172,13 +172,13 @@ func Run(cfg RunConfig) (*Report, error) {
 	return rep, err
 }
 
-// RunProfiledCtx is Run with eager wall-clock profiling, under a
-// cancellable context: alongside the (byte-identical) report it returns
-// the measured per-stage latency in milliseconds. Analytic runs execute
-// no kernels, so their stage map is nil. Cancellation (or a deadline)
-// stops the eager engine's chunk dispatch within one chunk boundary,
-// aborts the run at its next stage-boundary checkpoint, and returns
-// ctx.Err(); a nil or background context behaves exactly like Run.
+// RunProfiledCtx is Run under a cancellable context, returning beside
+// the report the measured per-stage latency in milliseconds. Analytic
+// runs execute no kernels, so their stage map is nil. Cancellation (or a
+// deadline) stops the eager engine's chunk dispatch within one chunk
+// boundary, aborts the run at its next stage-boundary checkpoint, and
+// returns ctx.Err(); a nil or background context behaves exactly like
+// Run.
 func RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
 	return runProfiled(ctx, cfg, nil)
 }
@@ -190,9 +190,9 @@ func RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]flo
 // store", says what a store for analytic cells has to wait for).
 func runProfiled(ctx context.Context, cfg RunConfig, models *workloads.Store) (*Report, map[string]float64, error) {
 	if !cfg.Eager {
-		return runImpl(ctx, cfg, nil, nil)
+		models = nil
 	}
-	return runImpl(ctx, cfg, obs.NewProfiler(), models)
+	return runImpl(ctx, cfg, nil, models)
 }
 
 // RunWithProfiler is Run recording into a caller-owned profiler, for

@@ -7,6 +7,7 @@ import (
 
 	"mmbench/internal/jobs"
 	"mmbench/internal/report"
+	"mmbench/internal/workloads"
 )
 
 // SweepConfig describes a profiling sweep: one workload variant across
@@ -48,6 +49,10 @@ type SweepConfig struct {
 func SweepJob(cfg SweepConfig, run func(RunConfig) (*Report, error)) ([]jobs.Fn, func([]any) (any, error), error) {
 	if run == nil {
 		run = NewCachedRunner(64 << 20).Run
+	}
+	// An unknown workload fails every cell: refuse it before any is made.
+	if _, err := workloads.Get(cfg.Workload); err != nil {
+		return nil, nil, err
 	}
 	if len(cfg.Devices) == 0 || len(cfg.Batches) == 0 {
 		return nil, nil, fmt.Errorf("mmbench: sweep needs at least one device and one batch size")
