@@ -32,8 +32,6 @@ func cmdServe(args []string) error {
 		"panics per workload-config fingerprint before the config is quarantined (422)")
 	maxBatch := fs.Int("max-batch", 256,
 		"continuous batching: max samples one merged cross-request forward may carry (0 = default, negative = disable batching)")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond,
-		"continuous batching: how long the first eager request on an idle queue waits for compatible requests to join")
 	faults := fs.String("faults", "",
 		"fault-injection plan, e.g. 'engine.chunk=panic/every=100,jobs.admit=fail/every=10' (testing only; also settable via MMBENCH_FAULTS)")
 	writeTimeout := fs.Duration("write-timeout", 5*time.Minute,
@@ -65,7 +63,6 @@ func cmdServe(args []string) error {
 		DefaultDeadline:     *deadline,
 		QuarantineThreshold: *quarThreshold,
 		MaxBatch:            *maxBatch,
-		BatchWindow:         *batchWindow,
 	})
 	// Slow or stalled clients must not pin handler goroutines forever:
 	// bound header/body reads and idle keep-alives tightly. The write

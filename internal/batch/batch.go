@@ -2,9 +2,15 @@
 // profiling runs. Requests whose configs share a batch fingerprint —
 // same workload, variant, device, scale flavour and precision policy,
 // differing only in batch size and data seed — are queued per
-// fingerprint, accumulated for a short window, merged into ONE forward
-// pass along the batch dimension, and their per-request reports
-// scattered back to each waiter.
+// fingerprint and merged into ONE forward pass along the batch
+// dimension, and their per-request reports scattered back to each
+// waiter.
+//
+// The batcher never holds a request for company: a queue seals as soon
+// as its loop owns it. A request waits only while an earlier batch of
+// its fingerprint executes, and everything that queued behind that
+// batch merges on the loop's immediate re-seal — so merging costs
+// nothing when the server is idle and happens by itself under load.
 //
 // The contract that makes this transparent is bitwise identity: a
 // request's report out of a merged batch is byte-for-byte the report it
@@ -28,7 +34,6 @@ import (
 	"mmbench/internal/data"
 	"mmbench/internal/faultinject"
 	"mmbench/internal/jobs"
-	"mmbench/internal/obs"
 )
 
 // RunFn executes a sealed batch of compatible configs as one merged
@@ -51,14 +56,6 @@ type Options struct {
 	// merged forward may carry. Default 256. A single oversized request
 	// still runs — alone.
 	MaxBatch int
-	// Window is how long the batching loop waits after the first request
-	// lands on an idle queue before sealing, giving compatible requests
-	// a chance to arrive. Backlog that accumulated during an execution
-	// is sealed immediately. Default 2ms.
-	Window time.Duration
-	// Clock drives the accumulation window (default: the wall clock).
-	// Tests inject an obs.FakeClock to step the window deterministically.
-	Clock obs.Clock
 	// Run executes a sealed batch (default mmbench.RunMergedProfiled).
 	Run RunFn
 	// Exec, when set, wraps each merged execution (see ExecFn).
@@ -98,8 +95,7 @@ type queue struct {
 // Batcher merges compatible concurrent eager requests into shared
 // forward passes. Safe for concurrent use.
 type Batcher struct {
-	opts  Options
-	clock obs.Clock
+	opts Options
 
 	mu     sync.Mutex
 	queues map[string]*queue
@@ -117,18 +113,11 @@ func New(opts Options) *Batcher {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 256
 	}
-	if opts.Window <= 0 {
-		opts.Window = 2 * time.Millisecond
-	}
-	if opts.Clock == nil {
-		opts.Clock = obs.RealClock()
-	}
 	if opts.Run == nil {
 		opts.Run = mmbench.RunMergedProfiled
 	}
 	return &Batcher{
 		opts:       opts,
-		clock:      opts.Clock,
 		queues:     make(map[string]*queue),
 		sizeCounts: make(map[int]int64),
 	}
@@ -193,16 +182,10 @@ func (b *Batcher) removePending(fp string, w *waiter) {
 	}
 }
 
-// loop owns one fingerprint queue until it drains: wait the
-// accumulation window (first seal only — the queue just left idle),
-// seal, execute, and re-seal immediately while backlog remains.
+// loop owns one fingerprint queue until it drains: seal, execute, and
+// re-seal at once while backlog remains.
 func (b *Batcher) loop(fp string) {
-	first := true
 	for {
-		if first {
-			<-b.clock.After(b.opts.Window)
-			first = false
-		}
 		batch := b.seal(fp)
 		if batch == nil {
 			return

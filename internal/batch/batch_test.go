@@ -3,14 +3,15 @@ package batch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mmbench"
 	"mmbench/internal/jobs"
-	"mmbench/internal/obs"
 )
 
 // cfgFor builds a batch-compatible eager config whose seed (data) and
@@ -57,30 +58,99 @@ func goDo(b *Batcher, ctx context.Context, cfg mmbench.RunConfig) chan doResult 
 	return ch
 }
 
-// TestWindowMergesConcurrentRequests: two compatible requests landing
-// within the accumulation window run as ONE merged execution, each
-// getting its own report and the shared stage wall.
-func TestWindowMergesConcurrentRequests(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
-	var mu sync.Mutex
-	var calls [][]mmbench.RunConfig
-	b := New(Options{
-		Window: 2 * time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			mu.Lock()
-			calls = append(calls, cfgs)
-			mu.Unlock()
-			return stubReports(cfgs), map[string]float64{"head": 1.5}, nil
-		},
-	})
-	r1 := goDo(b, context.Background(), cfgFor(1, 4))
-	r2 := goDo(b, context.Background(), cfgFor(2, 8))
-	// Both pending, loop parked on the window timer: now fire it.
-	waitUntil(t, "two pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 2 && clock.Timers() == 1
-	})
-	clock.Advance(2 * time.Millisecond)
+// gate holds a batcher's first execution until the test opens it. With
+// no accumulation window, requests share an execution only by queueing
+// behind an executing batch of their fingerprint: whatever is pending
+// when the held batch finishes merges on the loop's re-seal.
+type gate struct {
+	calls   atomic.Int64
+	running chan struct{}
+	open    chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{running: make(chan struct{}), open: make(chan struct{})}
+}
+
+// wrap returns run with its first call held at the gate. The held call
+// answers with stub reports and never reaches run, so a recording stub
+// sees only the batches formed behind it.
+func (g *gate) wrap(run RunFn) RunFn {
+	return func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+		if g.calls.Add(1) == 1 {
+			g.running <- struct{}{}
+			<-g.open
+			return stubReports(cfgs), nil, nil
+		}
+		return run(ctx, cfgs)
+	}
+}
+
+// hold submits the blocker cfg and returns once its execution is held at
+// the gate.
+func (g *gate) hold(b *Batcher, cfg mmbench.RunConfig) chan doResult {
+	ch := goDo(b, context.Background(), cfg)
+	<-g.running
+	return ch
+}
+
+// enqueue submits cfg behind the held execution and returns once it is
+// pending, so requests queue in the order the test submits them.
+func enqueue(t *testing.T, b *Batcher, ctx context.Context, cfg mmbench.RunConfig) chan doResult {
+	t.Helper()
+	depth := b.Stats().QueueDepth
+	ch := goDo(b, ctx, cfg)
+	waitUntil(t, "the request to queue", func() bool { return b.Stats().QueueDepth == depth+1 })
+	return ch
+}
+
+// release waits until want requests queue behind the held execution,
+// then opens the gate and waits for the blocker's own answer.
+func (g *gate) release(t *testing.T, b *Batcher, blocker chan doResult, want int) {
+	t.Helper()
+	waitUntil(t, "requests queued behind the held execution", func() bool { return b.Stats().QueueDepth == want })
+	close(g.open)
+	if res := <-blocker; res.err != nil {
+		t.Fatalf("blocker: %v", res.err)
+	}
+}
+
+// recorder is a Run stub that records every batch it executes.
+type recorder struct {
+	mu    sync.Mutex
+	calls [][]mmbench.RunConfig
+}
+
+func (r *recorder) run(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+	r.mu.Lock()
+	r.calls = append(r.calls, cfgs)
+	r.mu.Unlock()
+	return stubReports(cfgs), map[string]float64{"head": 1.5}, nil
+}
+
+// seeds lists each recorded batch's member seeds.
+func (r *recorder) seeds() [][]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([][]int64, len(r.calls))
+	for i, c := range r.calls {
+		for _, cfg := range c {
+			out[i] = append(out[i], cfg.Seed)
+		}
+	}
+	return out
+}
+
+// TestQueuedRequestsMerge: two compatible requests queued behind an
+// executing batch run as ONE merged execution, each getting its own
+// report and the shared stage wall.
+func TestQueuedRequestsMerge(t *testing.T) {
+	g, rec := newGate(), &recorder{}
+	b := New(Options{Run: g.wrap(rec.run)})
+	blocker := g.hold(b, cfgFor(0, 4))
+	r1 := enqueue(t, b, context.Background(), cfgFor(1, 4))
+	r2 := enqueue(t, b, context.Background(), cfgFor(2, 8))
+	g.release(t, b, blocker, 2)
 	a, c := <-r1, <-r2
 	if a.err != nil || c.err != nil {
 		t.Fatalf("Do errors: %v, %v", a.err, c.err)
@@ -91,98 +161,65 @@ func TestWindowMergesConcurrentRequests(t *testing.T) {
 	if a.stageMs["head"] != 1.5 || c.stageMs["head"] != 1.5 {
 		t.Fatalf("stage wall not shared: %v, %v", a.stageMs, c.stageMs)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 1 || len(calls[0]) != 2 {
-		t.Fatalf("want 1 merged call of 2 configs, got %v", calls)
+	if got := fmt.Sprint(rec.seeds()); got != "[[1 2]]" {
+		t.Fatalf("want 1 merged call of seeds 1 and 2, got %s", got)
 	}
+	// The blocker's batch of one counts too.
 	st := b.Stats()
-	if st.MergedBatches != 1 || st.MergedRequests != 2 || st.MergedSamples != 12 {
+	if st.MergedBatches != 2 || st.MergedRequests != 3 || st.MergedSamples != 16 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.CoalesceRatio != 2 || st.MaxMerged != 2 || st.BatchSizes[2] != 1 {
+	if st.CoalesceRatio != 1.5 || st.MaxMerged != 2 || st.BatchSizes[1] != 1 || st.BatchSizes[2] != 1 {
 		t.Fatalf("derived stats: %+v", st)
 	}
 }
 
 // TestIncompatibleFingerprintsDoNotMerge: requests with different batch
 // fingerprints (here: different precision policies) never share an
-// execution, no matter how they overlap in time.
+// execution, and one fingerprint's executing batch holds up no other.
 func TestIncompatibleFingerprintsDoNotMerge(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
-	var mu sync.Mutex
-	var calls [][]mmbench.RunConfig
-	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			mu.Lock()
-			calls = append(calls, cfgs)
-			mu.Unlock()
-			return stubReports(cfgs), nil, nil
-		},
-	})
-	f32 := cfgFor(1, 4)
+	g, rec := newGate(), &recorder{}
+	b := New(Options{Run: g.wrap(rec.run)})
+	blocker := g.hold(b, cfgFor(0, 4))
+	f32 := enqueue(t, b, context.Background(), cfgFor(1, 4))
 	i8 := cfgFor(2, 4)
 	i8.Precision = "i8"
-	r1 := goDo(b, context.Background(), f32)
-	r2 := goDo(b, context.Background(), i8)
-	waitUntil(t, "two parked loops", func() bool { return clock.Timers() == 2 })
-	clock.Advance(time.Millisecond)
-	if res := <-r1; res.err != nil {
+	// The i8 request runs while the f32 fingerprint is still held.
+	if res := <-goDo(b, context.Background(), i8); res.err != nil {
 		t.Fatal(res.err)
 	}
-	if res := <-r2; res.err != nil {
+	g.release(t, b, blocker, 1)
+	if res := <-f32; res.err != nil {
 		t.Fatal(res.err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 2 || len(calls[0]) != 1 || len(calls[1]) != 1 {
-		t.Fatalf("want 2 solo calls, got %d: %v", len(calls), calls)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.calls) != 2 || len(rec.calls[0]) != 1 || len(rec.calls[1]) != 1 || rec.calls[0][0].Precision != "i8" {
+		t.Fatalf("want 2 solo calls, i8 first, got %d: %v", len(rec.calls), rec.calls)
 	}
 }
 
 // TestMaxBatchSplitsBySamples: the sample cap splits a backlog into
-// several executions, and backlog after the first seal runs immediately
-// (no second window wait — only one timer is ever created).
+// several executions, run back to back.
 func TestMaxBatchSplitsBySamples(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
-	var mu sync.Mutex
-	var calls [][]mmbench.RunConfig
-	b := New(Options{
-		MaxBatch: 8,
-		Window:   time.Millisecond,
-		Clock:    clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			mu.Lock()
-			calls = append(calls, cfgs)
-			mu.Unlock()
-			return stubReports(cfgs), nil, nil
-		},
-	})
+	g, rec := newGate(), &recorder{}
+	b := New(Options{MaxBatch: 8, Run: g.wrap(rec.run)})
+	blocker := g.hold(b, cfgFor(0, 4))
 	var chans []chan doResult
 	for seed := int64(1); seed <= 3; seed++ {
-		chans = append(chans, goDo(b, context.Background(), cfgFor(seed, 4)))
+		chans = append(chans, enqueue(t, b, context.Background(), cfgFor(seed, 4)))
 	}
-	waitUntil(t, "three pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 3 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
+	g.release(t, b, blocker, 3)
 	for _, ch := range chans {
 		if res := <-ch; res.err != nil {
 			t.Fatal(res.err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 2 || len(calls[0]) != 2 || len(calls[1]) != 1 {
-		t.Fatalf("want splits [2 1], got %v", calls)
-	}
-	if clock.Timers() != 0 {
-		t.Fatalf("backlog seal must not wait a second window, %d timers pending", clock.Timers())
+	if got := fmt.Sprint(rec.seeds()); got != "[[1 2] [3]]" {
+		t.Fatalf("want splits [[1 2] [3]], got %s", got)
 	}
 	st := b.Stats()
-	if st.MergedBatches != 2 || st.MergedRequests != 3 || st.MaxMerged != 2 {
+	if st.MergedBatches != 3 || st.MergedRequests != 4 || st.MaxMerged != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -190,55 +227,50 @@ func TestMaxBatchSplitsBySamples(t *testing.T) {
 // TestOversizedRequestRunsAlone: a request bigger than MaxBatch is not
 // rejected — it seals as a batch of one.
 func TestOversizedRequestRunsAlone(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
 	b := New(Options{
 		MaxBatch: 8,
-		Window:   time.Millisecond,
-		Clock:    clock,
 		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
 			return stubReports(cfgs), nil, nil
 		},
 	})
-	ch := goDo(b, context.Background(), cfgFor(1, 64))
-	waitUntil(t, "parked loop", func() bool { return clock.Timers() == 1 })
-	clock.Advance(time.Millisecond)
-	if res := <-ch; res.err != nil || res.rep.Batch != 64 {
-		t.Fatalf("oversized request failed: %+v", res)
+	rep, _, err := b.Do(context.Background(), cfgFor(1, 64), time.Time{}, 0)
+	if err != nil || rep.Batch != 64 {
+		t.Fatalf("oversized request failed: %+v, err %v", rep, err)
 	}
 }
 
 // TestCancelBeforeSeal: a waiter cancelled while queued is dropped from
 // the batch; the survivors execute without it.
 func TestCancelBeforeSeal(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
-	var mu sync.Mutex
-	var calls [][]mmbench.RunConfig
-	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			mu.Lock()
-			calls = append(calls, cfgs)
-			mu.Unlock()
-			return stubReports(cfgs), nil, nil
-		},
-	})
+	g, rec := newGate(), &recorder{}
+	b := New(Options{Run: g.wrap(rec.run)})
+	blocker := g.hold(b, cfgFor(0, 4))
 	cctx, cancel := context.WithCancel(context.Background())
-	r1 := goDo(b, cctx, cfgFor(1, 4))
-	r2 := goDo(b, context.Background(), cfgFor(2, 4))
-	waitUntil(t, "two pending", func() bool { return b.Stats().QueueDepth == 2 && clock.Timers() == 1 })
+	r1 := enqueue(t, b, cctx, cfgFor(1, 4))
+	r2 := enqueue(t, b, context.Background(), cfgFor(2, 4))
 	cancel()
 	if res := <-r1; !errors.Is(res.err, context.Canceled) {
 		t.Fatalf("cancelled waiter got %v", res.err)
 	}
-	clock.Advance(time.Millisecond)
+	g.release(t, b, blocker, 1)
 	if res := <-r2; res.err != nil || res.rep.LatencySeconds != 2 {
 		t.Fatalf("survivor: %+v, err %v", res.rep, res.err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 1 || len(calls[0]) != 1 || calls[0][0].Seed != 2 {
-		t.Fatalf("want one solo call for seed 2, got %v", calls)
+	if got := fmt.Sprint(rec.seeds()); got != "[[2]]" {
+		t.Fatalf("want one solo call for seed 2, got %s", got)
+	}
+}
+
+// heldRun is a Run stub that parks every batch until release closes,
+// first handing the test the batch's merged context.
+func heldRun(running chan<- context.Context, release <-chan struct{}) RunFn {
+	return func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+		running <- ctx
+		<-release
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		return stubReports(cfgs), nil, nil
 	}
 }
 
@@ -246,28 +278,15 @@ func TestCancelBeforeSeal(t *testing.T) {
 // EXECUTING merged batch neither cancels the merged forward nor poisons
 // the other members — they still get their reports.
 func TestCancelOneMidMergeOthersComplete(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
+	g := newGate()
 	release := make(chan struct{})
 	running := make(chan context.Context, 1)
-	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			running <- ctx
-			<-release
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			return stubReports(cfgs), nil, nil
-		},
-	})
+	b := New(Options{Run: g.wrap(heldRun(running, release))})
+	blocker := g.hold(b, cfgFor(0, 4))
 	cctx, cancel := context.WithCancel(context.Background())
-	r1 := goDo(b, cctx, cfgFor(1, 4))
-	r2 := goDo(b, context.Background(), cfgFor(2, 4))
-	waitUntil(t, "two pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 2 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
+	r1 := enqueue(t, b, cctx, cfgFor(1, 4))
+	r2 := enqueue(t, b, context.Background(), cfgFor(2, 4))
+	g.release(t, b, blocker, 2)
 	mctx := <-running // sealed and executing
 	cancel()
 	if res := <-r1; !errors.Is(res.err, context.Canceled) {
@@ -286,29 +305,16 @@ func TestCancelOneMidMergeOthersComplete(t *testing.T) {
 // executing batch has cancelled, the merged context cancels so the
 // forward stops doing work nobody wants.
 func TestCancelAllMidMergeCancelsForward(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
+	g := newGate()
 	release := make(chan struct{})
 	running := make(chan context.Context, 1)
-	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			running <- ctx
-			<-release
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			return stubReports(cfgs), nil, nil
-		},
-	})
+	b := New(Options{Run: g.wrap(heldRun(running, release))})
+	blocker := g.hold(b, cfgFor(0, 4))
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	r1 := goDo(b, ctx1, cfgFor(1, 4))
-	r2 := goDo(b, ctx2, cfgFor(2, 4))
-	waitUntil(t, "two pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 2 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
+	r1 := enqueue(t, b, ctx1, cfgFor(1, 4))
+	r2 := enqueue(t, b, ctx2, cfgFor(2, 4))
+	g.release(t, b, blocker, 2)
 	mctx := <-running
 	cancel1()
 	cancel2()
@@ -322,19 +328,17 @@ func TestCancelAllMidMergeCancelsForward(t *testing.T) {
 // waiter with the same jobs.PanicError, reports the DEDUPLICATED member
 // fingerprints to OnPanic exactly once, and the next batch proceeds.
 func TestPanicScattersToAllWaiters(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
+	g := newGate()
 	var panicCalls int
 	var panicFPs []string
 	fail := true
 	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+		Run: g.wrap(func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
 			if fail {
 				panic("merged forward crashed")
 			}
 			return stubReports(cfgs), nil, nil
-		},
+		}),
 		OnPanic: func(fps []string, v any) {
 			panicCalls++
 			panicFPs = fps
@@ -342,13 +346,11 @@ func TestPanicScattersToAllWaiters(t *testing.T) {
 	})
 	// Seeds 1 and 2 at batch 4 share a config fingerprint (seedless);
 	// batch 8 is a distinct one. Expect exactly 2 deduped fingerprints.
-	r1 := goDo(b, context.Background(), cfgFor(1, 4))
-	r2 := goDo(b, context.Background(), cfgFor(2, 4))
-	r3 := goDo(b, context.Background(), cfgFor(3, 8))
-	waitUntil(t, "three pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 3 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
+	blocker := g.hold(b, cfgFor(0, 4))
+	r1 := enqueue(t, b, context.Background(), cfgFor(1, 4))
+	r2 := enqueue(t, b, context.Background(), cfgFor(2, 4))
+	r3 := enqueue(t, b, context.Background(), cfgFor(3, 8))
+	g.release(t, b, blocker, 3)
 	var pe *jobs.PanicError
 	for i, ch := range []chan doResult{r1, r2, r3} {
 		res := <-ch
@@ -364,10 +366,7 @@ func TestPanicScattersToAllWaiters(t *testing.T) {
 	}
 	// The batcher survives: the next request runs fine.
 	fail = false
-	r4 := goDo(b, context.Background(), cfgFor(4, 4))
-	waitUntil(t, "parked loop", func() bool { return clock.Timers() == 1 })
-	clock.Advance(time.Millisecond)
-	if res := <-r4; res.err != nil {
+	if res := <-goDo(b, context.Background(), cfgFor(4, 4)); res.err != nil {
 		t.Fatalf("batcher poisoned after panic: %v", res.err)
 	}
 }
@@ -376,25 +375,25 @@ func TestPanicScattersToAllWaiters(t *testing.T) {
 // merged execution (queue full, deadline), every waiter fails with the
 // admission error and Run never runs.
 func TestExecShedFailsAllWaiters(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
+	g := newGate()
+	var admissions atomic.Int64
 	ran := false
 	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+		Run: g.wrap(func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
 			ran = true
 			return stubReports(cfgs), nil, nil
-		},
+		}),
 		Exec: func(ctx context.Context, deadline time.Time, est time.Duration, fn func(context.Context) error) error {
+			if admissions.Add(1) == 1 {
+				return fn(ctx) // the blocker's
+			}
 			return jobs.ErrQueueFull
 		},
 	})
-	r1 := goDo(b, context.Background(), cfgFor(1, 4))
-	r2 := goDo(b, context.Background(), cfgFor(2, 4))
-	waitUntil(t, "two pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 2 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
+	blocker := g.hold(b, cfgFor(0, 4))
+	r1 := enqueue(t, b, context.Background(), cfgFor(1, 4))
+	r2 := enqueue(t, b, context.Background(), cfgFor(2, 4))
+	g.release(t, b, blocker, 2)
 	for _, ch := range []chan doResult{r1, r2} {
 		if res := <-ch; !errors.Is(res.err, jobs.ErrQueueFull) {
 			t.Fatalf("want ErrQueueFull, got %v", res.err)
@@ -403,73 +402,63 @@ func TestExecShedFailsAllWaiters(t *testing.T) {
 	if ran {
 		t.Fatal("Run executed despite shed admission")
 	}
+	if st := b.Stats(); st.MaxMerged != 2 {
+		t.Fatalf("the shed batch was not merged: %+v", st)
+	}
 }
 
 // TestMergedDeadlineAndCost: the merged execution is admitted with the
 // LOOSEST member deadline (zero if any member is unbounded) and the
 // LARGEST member cost estimate.
 func TestMergedDeadlineAndCost(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
 	type admission struct {
 		deadline time.Time
 		est      time.Duration
 	}
-	admitted := make(chan admission, 1)
-	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			return stubReports(cfgs), nil, nil
-		},
-		Exec: func(ctx context.Context, deadline time.Time, est time.Duration, fn func(context.Context) error) error {
-			admitted <- admission{deadline, est}
-			return fn(ctx)
-		},
-	})
 	d1 := time.Unix(100, 0)
 	d2 := time.Unix(200, 0)
-	ch1 := make(chan doResult, 1)
-	ch2 := make(chan doResult, 1)
-	go func() {
-		rep, st, err := b.Do(context.Background(), cfgFor(1, 4), d1, 5*time.Second)
-		ch1 <- doResult{rep, st, err}
-	}()
-	go func() {
-		rep, st, err := b.Do(context.Background(), cfgFor(2, 4), d2, 2*time.Second)
-		ch2 <- doResult{rep, st, err}
-	}()
-	waitUntil(t, "two pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 2 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
-	ad := <-admitted
-	if !ad.deadline.Equal(d2) {
-		t.Fatalf("merged deadline %v, want the loosest member %v", ad.deadline, d2)
+	for _, tc := range []struct {
+		name         string
+		second       time.Time
+		wantDeadline time.Time
+	}{
+		{"loosest bounded member", d2, d2},
+		{"an unbounded member makes the merge unbounded", time.Time{}, time.Time{}},
+	} {
+		g := newGate()
+		admitted := make(chan admission, 2)
+		b := New(Options{
+			Run: g.wrap(func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
+				return stubReports(cfgs), nil, nil
+			}),
+			Exec: func(ctx context.Context, deadline time.Time, est time.Duration, fn func(context.Context) error) error {
+				admitted <- admission{deadline, est}
+				return fn(ctx)
+			},
+		})
+		blocker := g.hold(b, cfgFor(0, 4))
+		<-admitted // the blocker's
+		ch1 := make(chan doResult, 1)
+		ch2 := make(chan doResult, 1)
+		go func() {
+			rep, st, err := b.Do(context.Background(), cfgFor(1, 4), d1, 5*time.Second)
+			ch1 <- doResult{rep, st, err}
+		}()
+		go func() {
+			rep, st, err := b.Do(context.Background(), cfgFor(2, 4), tc.second, 2*time.Second)
+			ch2 <- doResult{rep, st, err}
+		}()
+		g.release(t, b, blocker, 2)
+		ad := <-admitted
+		if !ad.deadline.Equal(tc.wantDeadline) {
+			t.Fatalf("%s: merged deadline %v, want %v", tc.name, ad.deadline, tc.wantDeadline)
+		}
+		if ad.est != 5*time.Second {
+			t.Fatalf("%s: merged cost %v, want the largest member 5s", tc.name, ad.est)
+		}
+		<-ch1
+		<-ch2
 	}
-	if ad.est != 5*time.Second {
-		t.Fatalf("merged cost %v, want the largest member 5s", ad.est)
-	}
-	<-ch1
-	<-ch2
-
-	// An unbounded member makes the merge unbounded.
-	go func() {
-		rep, st, err := b.Do(context.Background(), cfgFor(3, 4), d1, 0)
-		ch1 <- doResult{rep, st, err}
-	}()
-	go func() {
-		rep, st, err := b.Do(context.Background(), cfgFor(4, 4), time.Time{}, 0)
-		ch2 <- doResult{rep, st, err}
-	}()
-	waitUntil(t, "two pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 2 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
-	if ad := <-admitted; !ad.deadline.IsZero() {
-		t.Fatalf("merged deadline %v, want zero when a member is unbounded", ad.deadline)
-	}
-	<-ch1
-	<-ch2
 }
 
 // queueCount reads the fingerprint map's size under the batcher's lock.
@@ -486,7 +475,6 @@ func queueCount(b *Batcher) int {
 func TestDrainedQueuesAreForgotten(t *testing.T) {
 	failed := errors.New("unknown workload")
 	b := New(Options{
-		Window: time.Microsecond,
 		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
 			return nil, nil, failed
 		},
@@ -520,51 +508,25 @@ func TestDrainedQueuesAreForgotten(t *testing.T) {
 // and run as one merged batch on the loop's immediate re-seal; only then
 // is the queue forgotten.
 func TestArrivalsDuringExecutionMergeIntoReseal(t *testing.T) {
-	clock := obs.NewFakeClock(time.Unix(0, 0))
-	release := make(chan struct{})
-	running := make(chan struct{}, 1)
-	var mu sync.Mutex
-	var calls [][]mmbench.RunConfig
-	b := New(Options{
-		Window: time.Millisecond,
-		Clock:  clock,
-		Run: func(ctx context.Context, cfgs []mmbench.RunConfig) ([]*mmbench.Report, map[string]float64, error) {
-			mu.Lock()
-			calls = append(calls, cfgs)
-			first := len(calls) == 1
-			mu.Unlock()
-			if first {
-				running <- struct{}{}
-				<-release
-			}
-			return stubReports(cfgs), nil, nil
-		},
-	})
-	r1 := goDo(b, context.Background(), cfgFor(1, 4))
-	waitUntil(t, "one pending + parked loop", func() bool {
-		return b.Stats().QueueDepth == 1 && clock.Timers() == 1
-	})
-	clock.Advance(time.Millisecond)
-	<-running // the first batch is sealed and executing
-	r2 := goDo(b, context.Background(), cfgFor(2, 4))
-	r3 := goDo(b, context.Background(), cfgFor(3, 4))
-	waitUntil(t, "two arrivals queued behind the execution", func() bool { return b.Stats().QueueDepth == 2 })
+	g, rec := newGate(), &recorder{}
+	b := New(Options{Run: g.wrap(rec.run)})
+	r1 := g.hold(b, cfgFor(1, 4)) // the first batch is sealed and executing
+	r2 := enqueue(t, b, context.Background(), cfgFor(2, 4))
+	r3 := enqueue(t, b, context.Background(), cfgFor(3, 4))
 	if n := queueCount(b); n != 1 {
 		t.Fatalf("%d fingerprint queues while one executes with backlog, want 1", n)
 	}
-	close(release)
-	for i, r := range []chan doResult{r1, r2, r3} {
-		if res := <-r; res.err != nil || res.rep.LatencySeconds != float64(i+1) {
-			t.Fatalf("request %d: %+v, err %v", i+1, res.rep, res.err)
+	g.release(t, b, r1, 2)
+	for i, r := range []chan doResult{r2, r3} {
+		if res := <-r; res.err != nil || res.rep.LatencySeconds != float64(i+2) {
+			t.Fatalf("request %d: %+v, err %v", i+2, res.rep, res.err)
 		}
 	}
-	mu.Lock()
-	if len(calls) != 2 || len(calls[0]) != 1 || len(calls[1]) != 2 {
-		t.Fatalf("want executions of 1 then 2 merged configs, got %v", calls)
+	if st := b.Stats(); st.MergedBatches != 2 || st.BatchSizes[1] != 1 || st.BatchSizes[2] != 1 {
+		t.Fatalf("want executions of 1 then 2 merged configs, got %+v", st)
 	}
-	mu.Unlock()
-	if clock.Timers() != 0 {
-		t.Fatal("the re-seal must not wait a second window")
+	if got := fmt.Sprint(rec.seeds()); got != "[[2 3]]" {
+		t.Fatalf("want the re-seal to merge seeds 2 and 3, got %s", got)
 	}
 	waitUntil(t, "the drained queue to be deleted", func() bool { return queueCount(b) == 0 })
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Clock abstracts wall time for components whose behaviour depends on
-// it — queue-wait measurement, admission deadlines, the continuous
-// batcher's accumulation window. Production code uses RealClock;
+// it — queue-wait measurement, admission deadlines, request latency,
+// loadgen's arrival schedule. Production code uses RealClock;
 // time-sensitive tests inject a FakeClock and advance it explicitly, so
 // they assert exact durations instead of sleeping and hoping.
 type Clock interface {

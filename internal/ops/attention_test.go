@@ -282,46 +282,82 @@ func awkwardAttentionShapes() (shapes []attnShape) {
 
 type attnShape struct{ tq, tk, dh, heads int }
 
-// TestAttentionMatchesOracleAtAwkwardShapes is the differential test of
-// the packed forward: against the naive float64 oracle within 2e-6 at f32
-// and half the documented low-precision bounds at f16 (1e-2) and i8 (1e-1,
-// relative to the largest output); bitwise equal at 1, 4 and 16 workers;
-// and bitwise equal for a request alone and as the middle member of a
-// three-request merged batch (i8 calibrating per segment).
+// attnBounds are the differential bounds against the float64 oracle:
+// 2e-6 at f32 and half the documented low-precision bounds at f16 (1e-2)
+// and i8 (1e-1), relative to the largest output.
+var attnBounds = map[precision.Type]float64{precision.F32: 2e-6, precision.F16: 5e-3, precision.I8: 5e-2}
+
+// checkAttention is the differential check of the packed forward at one
+// shape and precision, on data of the given phase: within attnBounds of
+// the naive float64 oracle; bitwise equal on every engine (engines[0] is
+// the reference); and bitwise equal for a request alone and as the middle
+// member of a three-request merged batch (i8 calibrating per segment). It
+// returns the error relative to the largest output.
+func checkAttention(t *testing.T, engines []*engine.Engine, s attnShape, prec precision.Type, phase float64) float64 {
+	t.Helper()
+	d := s.dh * s.heads
+	scale := float32(1 / math.Sqrt(float64(s.dh)))
+	member := func(b int, amp, phase float64) (q, k, v *Var) {
+		return segVar([]int{b, s.tq, d}, amp, phase), segVar([]int{b, s.tk, d}, amp, phase+1), segVar([]int{b, s.tk, d}, amp, phase+2)
+	}
+	q, k, v := member(2, 1, phase)
+	want := attnref.Attention(nil, q, k, v, s.heads, scale).Value.Data()
+	name := fmt.Sprintf("tq%d_tk%d_dh%d_h%d/%v", s.tq, s.tk, s.dh, s.heads, prec)
+	alone := segCtx(engines[0], prec, nil).Attention(q, k, v, s.heads, scale).Value.Data()
+	diff, largest := maxAbsDiff(alone, want)
+	if diff > attnBounds[prec]*math.Max(largest, 1) {
+		t.Errorf("%s: max error %g vs the float64 oracle exceeds %g", name, diff, attnBounds[prec])
+	}
+	for _, e := range engines[1:] {
+		sliceEq(t, fmt.Sprintf("%s/workers=%d", name, e.Workers()), segCtx(e, prec, nil).Attention(q, k, v, s.heads, scale).Value.Data(), alone)
+	}
+	q0, k0, v0 := member(1, 3, 0.5)
+	q2, k2, v2 := member(3, 0.25, 0.25)
+	merged := segCtx(engines[1], prec, []int{1, 2, 3}).Attention(concatVars(q0, q, q2), concatVars(k0, k, k2), concatVars(v0, v, v2), s.heads, scale).Value.Data()
+	sliceEq(t, name+"/merged", merged[s.tq*d:3*s.tq*d], alone)
+	return diff / math.Max(largest, 1)
+}
+
+// TestAttentionMatchesOracleAtAwkwardShapes runs checkAttention over
+// awkwardAttentionShapes at every precision, on 1, 4 and 16 workers.
 func TestAttentionMatchesOracleAtAwkwardShapes(t *testing.T) {
 	engines := make([]*engine.Engine, len(workerCounts))
 	for i, w := range workerCounts {
 		engines[i] = engine.New(w)
 		defer engines[i].Close()
 	}
-	bounds := map[precision.Type]float64{precision.F32: 2e-6, precision.F16: 5e-3, precision.I8: 5e-2}
 	worst := map[precision.Type]float64{}
 	for si, s := range awkwardAttentionShapes() {
-		d := s.dh * s.heads
-		scale := float32(1 / math.Sqrt(float64(s.dh)))
-		member := func(b int, amp, phase float64) (q, k, v *Var) {
-			return segVar([]int{b, s.tq, d}, amp, phase), segVar([]int{b, s.tk, d}, amp, phase+1), segVar([]int{b, s.tk, d}, amp, phase+2)
-		}
-		q, k, v := member(2, 1, float64(si))
-		want := attnref.Attention(nil, q, k, v, s.heads, scale).Value.Data()
-		for prec, bound := range bounds {
-			name := fmt.Sprintf("tq%d_tk%d_dh%d_h%d/%v", s.tq, s.tk, s.dh, s.heads, prec)
-			alone := segCtx(engines[0], prec, nil).Attention(q, k, v, s.heads, scale).Value.Data()
-			diff, largest := maxAbsDiff(alone, want)
-			if diff > bound*math.Max(largest, 1) {
-				t.Errorf("%s: max error %g vs the float64 oracle exceeds %g", name, diff, bound)
-			}
-			worst[prec] = math.Max(worst[prec], diff/math.Max(largest, 1))
-			for i, e := range engines[1:] {
-				sliceEq(t, fmt.Sprintf("%s/workers=%d", name, workerCounts[i+1]), segCtx(e, prec, nil).Attention(q, k, v, s.heads, scale).Value.Data(), alone)
-			}
-			q0, k0, v0 := member(1, 3, 0.5)
-			q2, k2, v2 := member(3, 0.25, 0.25)
-			merged := segCtx(engines[1], prec, []int{1, 2, 3}).Attention(concatVars(q0, q, q2), concatVars(k0, k, k2), concatVars(v0, v, v2), s.heads, scale).Value.Data()
-			sliceEq(t, name+"/merged", merged[s.tq*d:3*s.tq*d], alone)
+		for prec := range attnBounds {
+			worst[prec] = math.Max(worst[prec], checkAttention(t, engines, s, prec, float64(si)))
 		}
 	}
 	t.Logf("worst error vs the oracle: f32 %.2g, f16 %.2g, i8 %.2g", worst[precision.F32], worst[precision.F16], worst[precision.I8])
+}
+
+// FuzzAttention runs checkAttention on 1 and 4 workers over Tq, Tk ≤ 70
+// (around the 32/64 tiles and 4/16 panels), head widths up to 64, 1–8
+// heads and the three precisions; dimensions map 1 + x%70, 1 + x%64 and
+// 1 + x%8. The seed corpus is awkwardAttentionShapes' shapes that fit.
+func FuzzAttention(f *testing.F) {
+	for _, s := range awkwardAttentionShapes() {
+		if s.tq <= 70 && s.tk <= 70 {
+			for p := uint8(0); p < 3; p++ {
+				f.Add(uint8(s.tq-1), uint8(s.tk-1), uint8(s.dh-1), uint8(s.heads-1), p)
+			}
+		}
+	}
+	engines := []*engine.Engine{engine.New(1), engine.New(4)}
+	f.Cleanup(func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	})
+	f.Fuzz(func(t *testing.T, tq, tk, dh, heads, prec uint8) {
+		s := attnShape{1 + int(tq)%70, 1 + int(tk)%70, 1 + int(dh)%64, 1 + int(heads)%8}
+		p := [3]precision.Type{precision.F32, precision.F16, precision.I8}[prec%3]
+		checkAttention(t, engines, s, p, float64(tq)+float64(tk)/70)
+	})
 }
 
 // TestAttentionDrawsNoGemmPanels pins the pack accounting: attention's

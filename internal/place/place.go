@@ -12,6 +12,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mmbench/internal/device"
@@ -391,9 +392,10 @@ func (m *Model) Search(opts Options) *Result {
 	if len(allowed) == 0 {
 		allowed = m.Precisions
 	}
+	// A precision the menu repeats is one choice, not one per mention.
 	precChoices := make([]int, 0, len(allowed))
 	for _, t := range allowed {
-		if pi, ok := m.precIdx[t]; ok {
+		if pi, ok := m.precIdx[t]; ok && !slices.Contains(precChoices, pi) {
 			precChoices = append(precChoices, pi)
 		}
 	}

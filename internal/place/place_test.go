@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mmbench/internal/device"
@@ -139,6 +140,20 @@ func TestSearchSLOFilter(t *testing.T) {
 		if !b.Feasible {
 			t.Errorf("baseline %s infeasible under loose SLO", b.Stages[0].Device)
 		}
+	}
+}
+
+// TestRepeatedPrecisionSearchesOnce: a menu naming one precision three
+// times searches exactly what the single-entry menu does.
+func TestRepeatedPrecisionSearchesOnce(t *testing.T) {
+	m := buildModel(t, "avmnist")
+	once := m.Search(Options{Precisions: []precision.Type{precision.F16}, Top: -1})
+	thrice := m.Search(Options{Precisions: []precision.Type{precision.F16, precision.F16, precision.F16}, Top: -1})
+	if thrice.Evaluated != once.Evaluated {
+		t.Fatalf("repeated menu evaluated %d placements, single menu %d", thrice.Evaluated, once.Evaluated)
+	}
+	if !reflect.DeepEqual(thrice.Frontier, once.Frontier) {
+		t.Fatalf("repeated menu's frontier differs:\n%+v\n%+v", thrice.Frontier, once.Frontier)
 	}
 }
 

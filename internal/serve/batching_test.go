@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,12 +13,14 @@ import (
 	"time"
 
 	"mmbench"
+	"mmbench/internal/obs"
 )
 
 // burstRun posts n concurrent eager /v1/run requests with distinct
 // seeds (same workload config otherwise) and returns each response's
-// status and body. A start barrier makes the burst land inside one
-// batching window.
+// status and body. A start barrier makes the burst land together: the
+// first to reach the batcher seals at once, and the rest queue behind
+// its execution and merge on the re-seal.
 func burstRun(t *testing.T, url string, n int, seedBase int64) ([]int, []string) {
 	t.Helper()
 	statuses := make([]int, n)
@@ -63,8 +66,10 @@ func reportJSON(t *testing.T, body string) []byte {
 // byte-identical to the report the same config produces standalone —
 // the transparency contract of continuous batching.
 func TestBurstMergesWithIdenticalReports(t *testing.T) {
-	// A long window so the whole burst reliably lands in one seal.
-	s := New(Options{Workers: 2, CacheBytes: 32 << 20, BatchWindow: 150 * time.Millisecond})
+	// Hold every merged execution, so the burst reliably queues behind
+	// the first one.
+	withFaults(t, "batch.merge=delay:200ms")
+	s := New(Options{Workers: 2, CacheBytes: 32 << 20})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close() })
 
@@ -161,20 +166,42 @@ func TestBatchingDisabled(t *testing.T) {
 // config — not one per waiter. With threshold 2, a 2-request merged
 // panic must NOT quarantine the config; the next (solo) panic must.
 func TestBatchMergePanicFailsWaitersOnce(t *testing.T) {
-	withFaults(t, "batch.merge=panic")
+	// A stalled dequeue holds each execution long enough for the burst
+	// to queue behind it.
+	withFaults(t, "batch.merge=panic,jobs.dequeue=delay:200ms")
 	s := New(Options{
 		Workers: 2, CacheBytes: 32 << 20,
-		BatchWindow:         150 * time.Millisecond,
 		QuarantineThreshold: 2,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close() })
 
+	// A blocker of the same batch fingerprint but its own config (batch
+	// 4): its panic strikes its own fingerprint, not the burst's.
+	blocked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+			strings.NewReader(`{"workload":"avmnist","batch":4,"eager":true,"seed":100}`))
+		if err != nil {
+			t.Error(err)
+			blocked <- 0
+			return
+		}
+		resp.Body.Close()
+		blocked <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.batchingStats().MergedBatches == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocker never sealed")
+		}
+	}
 	statuses, bodies := burstRun(t, ts.URL, 2, 1)
-	merged := false
+	if st := <-blocked; st != http.StatusInternalServerError {
+		t.Fatalf("blocker: status %d, want 500 panic", st)
+	}
 	var stats Stats
 	getJSON(t, ts.URL+"/v1/stats", &stats)
-	merged = stats.Batching.MaxMerged >= 2
+	merged := stats.Batching.MaxMerged >= 2
 	for i, st := range statuses {
 		if st != http.StatusInternalServerError || !strings.Contains(bodies[i], "panicked") {
 			t.Fatalf("request %d: status %d (%s), want 500 panic", i, st, bodies[i])
@@ -196,5 +223,30 @@ func TestBatchMergePanicFailsWaitersOnce(t *testing.T) {
 	resp, body = post(t, ts.URL+"/v1/run", `{"workload":"avmnist","batch":2,"eager":true,"seed":4}`, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body, "quarantined") {
 		t.Fatalf("after two strikes: status %d (%s), want 422 quarantined", resp.StatusCode, body)
+	}
+}
+
+// TestEagerRunNeverWaitsOnTheClock: the batcher holds no request for
+// company, so a server whose clock never moves still answers an eager
+// miss on an idle queue.
+func TestEagerRunNeverWaitsOnTheClock(t *testing.T) {
+	s := New(Options{Workers: 2, CacheBytes: 32 << 20, Clock: obs.NewFakeClock(time.Unix(0, 0))})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run",
+		strings.NewReader(`{"workload":"avmnist","batch":2,"eager":true,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("eager run on a stopped clock: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
 	}
 }

@@ -78,15 +78,15 @@ func FuzzSweepRequest(f *testing.F) {
 
 // FuzzPlaceRequest posts arbitrary bodies to /v1/place with
 // FuzzRunRequest's properties; only a 200 counts a placement request.
-// A search over a paper-scale network, a batch above 32 or a menu of more
-// than three precisions is skipped. The seed corpus is
-// testdata/fuzz/FuzzPlaceRequest.
+// A search over a paper-scale network or a batch above 32 is skipped; a
+// menu that repeats a precision searches it once, so its length is not
+// bounded. The seed corpus is testdata/fuzz/FuzzPlaceRequest.
 func FuzzPlaceRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req PlaceRequest
 		valid := decodes(body, &req) && known(req.Workload)
-		if valid && (req.PaperScale == nil || *req.PaperScale || req.Batch > 32 || len(req.Precisions) > 3) {
-			t.Skip("searches a paper-scale network, a wide batch or a long precision menu")
+		if valid && (req.PaperScale == nil || *req.PaperScale || req.Batch > 32) {
+			t.Skip("searches a paper-scale network or a wide batch")
 		}
 		s, rec := fuzzPost(t, "/v1/place", body, valid, nil)
 		want := uint64(0)

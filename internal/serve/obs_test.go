@@ -95,7 +95,7 @@ func TestStageLatencyIsPerServer(t *testing.T) {
 var statsOnly = []string{
 	"throughput_rps", "cache.hit_rate", "engine.pool_hit_rate", "engine.pack.hit_rate",
 	"service_latency_ms.", "stage_latency_ms.", "queue.wait_ms.",
-	"batching.max_batch", "batching.window_ms",
+	"batching.max_batch",
 }
 
 func isStatsOnly(path string) bool {

@@ -64,12 +64,8 @@ type Options struct {
 	// means the default (256); negative disables continuous batching
 	// entirely — every eager request executes alone.
 	MaxBatch int
-	// BatchWindow is how long the continuous batcher holds the first
-	// request on an idle queue for compatible requests to join (the
-	// -batch-window flag). Zero means the default (2ms).
-	BatchWindow time.Duration
-	// Clock drives request-latency measurement and the batching window
-	// (default: the wall clock). Tests inject an obs.FakeClock.
+	// Clock drives request-latency measurement (default: the wall
+	// clock). Tests inject an obs.FakeClock.
 	Clock obs.Clock
 }
 
@@ -91,7 +87,6 @@ type Server struct {
 	// compatible ones merge here.
 	batcher  *batch.Batcher
 	maxBatch int
-	window   time.Duration
 
 	mu       sync.Mutex
 	requests uint64
@@ -130,9 +125,6 @@ func New(opts Options) *Server {
 	if opts.MaxBatch == 0 {
 		opts.MaxBatch = 256
 	}
-	if opts.BatchWindow <= 0 {
-		opts.BatchWindow = 2 * time.Millisecond
-	}
 	s := &Server{
 		runner:           mmbench.NewCachedRunner(opts.CacheBytes),
 		pool:             jobs.NewPool(opts.Workers, opts.QueueCap),
@@ -145,14 +137,11 @@ func New(opts Options) *Server {
 		est:              newCostEstimator(),
 		clock:            opts.Clock,
 		maxBatch:         opts.MaxBatch,
-		window:           opts.BatchWindow,
 		placeChosen:      make(map[string]uint64),
 	}
 	if opts.MaxBatch > 0 {
 		s.batcher = batch.New(batch.Options{
 			MaxBatch: opts.MaxBatch,
-			Window:   opts.BatchWindow,
-			Clock:    opts.Clock,
 			// Merged forwards resolve their network through the runner's
 			// model store, like the runner's standalone executions.
 			Run: s.runner.RunMergedProfiled,
@@ -631,18 +620,13 @@ type BatchingStats struct {
 	// Enabled is false when the server runs with batching disabled
 	// (-max-batch < 0); the counters are then permanently zero.
 	Enabled bool `json:"enabled"`
-	// MaxBatch is the merged-forward sample cap; WindowMs the
-	// accumulation window.
-	MaxBatch int     `json:"max_batch"`
-	WindowMs float64 `json:"window_ms"`
+	// MaxBatch is the merged-forward sample cap.
+	MaxBatch int `json:"max_batch"`
 	batch.Stats
 }
 
 func (s *Server) batchingStats() BatchingStats {
-	bs := BatchingStats{
-		MaxBatch: s.maxBatch,
-		WindowMs: float64(s.window) / float64(time.Millisecond),
-	}
+	bs := BatchingStats{MaxBatch: s.maxBatch}
 	if s.batcher == nil {
 		return bs
 	}

@@ -2,7 +2,9 @@
 # Regenerates the measurements pasted into README "Continuous batching &
 # loadgen": a 5 s open-loop Poisson ladder (25/100/400/1000 QPS of eager
 # avmnist batch-2 requests with distinct seeds) against `mmbench serve`
-# with batching on (defaults) and off (-max-batch -1).
+# with batching on (defaults) and off (-max-batch -1). The batcher holds
+# no request for company: a request on an idle fingerprint queue runs at
+# once, and requests merge only when they queue behind an executing batch.
 #
 #   go build -o /tmp/mmbench ./cmd/mmbench && scripts/loadgen_ladder.sh
 set -eu
@@ -41,7 +43,7 @@ print("batching: coalesce_ratio=%.2f max_merged=%d | models: builds=%d hits=%d |
       % (b["coalesce_ratio"], b["max_merged"], m["executions"], m["hits"], r["shed_overload"]))'
 }
 
-echo "# mmbench serve   (defaults: -max-batch 256 -batch-window 2ms)"
+echo "# mmbench serve   (defaults: -max-batch 256)"
 serve
 ladder
 stat
