@@ -9,13 +9,13 @@ import (
 	"mmbench/internal/precision"
 )
 
-// convOut returns the output spatial size for one dimension.
+// convOut returns the output spatial size for one dimension. A window
+// the padded input cannot hold has no output pixel at any stride.
 func convOut(in, kernel, stride, pad int) int {
-	out := (in+2*pad-kernel)/stride + 1
-	if out <= 0 {
-		panic(fmt.Sprintf("ops: convolution output size %d for in=%d k=%d s=%d p=%d", out, in, kernel, stride, pad))
+	if in+2*pad < kernel {
+		panic(fmt.Sprintf("ops: convolution window %d exceeds the padded input for in=%d s=%d p=%d", kernel, in, stride, pad))
 	}
-	return out
+	return (in+2*pad-kernel)/stride + 1
 }
 
 // Conv2D applies a 2-D convolution. x is [N,C,H,W]; w is [OutC,C,KH,KW];

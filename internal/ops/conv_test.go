@@ -108,11 +108,11 @@ func directConv2D(x, w *Var, stride, pad int) []float64 {
 	return out
 }
 
-// convCase is one forward shape: input [n,c,h,w], outC filters of k×k.
-type convCase struct{ n, c, h, w, outC, k, stride, pad int }
+// convCase is one forward shape: input [n,c,h,w], outC filters of kh×kw.
+type convCase struct{ n, c, h, w, outC, kh, kw, stride, pad int }
 
 func (s convCase) String() string {
-	return fmt.Sprintf("%dx%dx%dx%d_o%d_k%d_s%d_p%d", s.n, s.c, s.h, s.w, s.outC, s.k, s.stride, s.pad)
+	return fmt.Sprintf("%dx%dx%dx%d_o%d_k%dx%d_s%d_p%d", s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
 }
 
 // convGrid crosses every window (kernel × stride × pad) with output planes
@@ -135,27 +135,79 @@ func convGrid() (cases []convCase) {
 					if h < 1 || w < 1 {
 						continue
 					}
-					cases = append(cases, convCase{n: 1 + i%2, c: 1 + (i+k)%3, h: h, w: w, k: k, stride: stride, pad: pad})
+					cases = append(cases, convCase{n: 1 + i%2, c: 1 + (i+k)%3, h: h, w: w, kh: k, kw: k, stride: stride, pad: pad})
 				}
 			}
 		}
 	}
 	return append(cases,
-		convCase{n: 1, c: 64, h: 7, w: 17, k: 3, stride: 1, pad: 1},  // K 576: 7-panel blocks, 119 pixels
-		convCase{n: 1, c: 24, h: 5, w: 11, k: 7, stride: 1, pad: 3},  // K 1176: 3-panel blocks, 55 pixels
-		convCase{n: 2, c: 456, h: 3, w: 11, k: 3, stride: 1, pad: 1}, // K 4104: 1-panel blocks, 33 pixels
+		convCase{n: 1, c: 64, h: 7, w: 17, kh: 3, kw: 3, stride: 1, pad: 1},  // K 576: 7-panel blocks, 119 pixels
+		convCase{n: 1, c: 24, h: 5, w: 11, kh: 7, kw: 7, stride: 1, pad: 3},  // K 1176: 3-panel blocks, 55 pixels
+		convCase{n: 2, c: 456, h: 3, w: 11, kh: 3, kw: 3, stride: 1, pad: 1}, // K 4104: 1-panel blocks, 33 pixels
 	)
 }
 
+// convBounds are the documented bounds of Conv2D against the
+// convolution's float64 definition, relative to the largest output.
+var convBounds = map[precision.Type]float64{precision.F32: 1e-5, precision.F16: 1e-2, precision.I8: 1e-1}
+
+// checkConv2D is the differential check of the implicit-GEMM forward at
+// one shape, on data drawn from g, at each of precs: bitwise equal to the
+// im2col + gemm.F32/F16/I8 composition it replaced on every engine
+// (engines[0] runs the oracle), every pooled buffer returned; within
+// convBounds of the float64 convolution; and, with and without a bias,
+// bitwise equal for a request alone and as the middle member of a
+// three-request segmented batch on engines[1], whose neighbours are 5×
+// and 0.2× its magnitude (at i8 each member's activation scale is its own
+// segment's).
+func checkConv2D(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.RNG, precs ...precision.Type) {
+	t.Helper()
+	sample := func(n int, amp float32) *Var {
+		v := randParam(g, n, s.c, s.h, s.w)
+		for i, x := range v.Value.Data() {
+			v.Value.Data()[i] = amp * x
+		}
+		return v
+	}
+	x, w, bias := sample(s.n, 1), randParam(g, s.outC, s.c, s.kh, s.kw), randParam(g, s.outC)
+	merged := concatVars(sample(1, 5), x, sample(2, 0.2))
+	ref := directConv2D(x, w, s.stride, s.pad)
+	var refMax float64
+	for _, v := range ref {
+		refMax = math.Max(refMax, math.Abs(v))
+	}
+	per := len(ref) / s.n
+	for _, prec := range precs {
+		name := fmt.Sprintf("%v/%v", s, prec)
+		want := im2colConv2D(engines[0], prec, x, w, s.stride, s.pad)
+		for _, e := range engines {
+			sliceEq(t, fmt.Sprintf("%s/workers=%d", name, e.Workers()), segCtx(e, prec, nil).Conv2D(x, w, nil, s.stride, s.pad).Value.Data(), want)
+			if out := e.Stats().PoolOutstanding; out != 0 {
+				t.Fatalf("%s, %d workers: %d pooled buffers never returned", name, e.Workers(), out)
+			}
+		}
+		for i, v := range want {
+			if d := math.Abs(float64(v) - ref[i]); !(d <= convBounds[prec]*refMax) {
+				t.Fatalf("%s: out[%d] = %g, float64 convolution gives %g (|diff| %g > %g·%g)", name, i, v, ref[i], d, convBounds[prec], refMax)
+			}
+		}
+		for _, b := range []*Var{nil, bias} {
+			alone := want
+			if b != nil {
+				alone = segCtx(engines[0], prec, nil).Conv2D(x, w, b, s.stride, s.pad).Value.Data()
+			}
+			om := segCtx(engines[1], prec, []int{1, s.n, 2}).Conv2D(merged, w, b, s.stride, s.pad).Value.Data()
+			sliceEq(t, fmt.Sprintf("%s/bias=%t/middle member", name, b != nil), om[per:per+len(alone)], alone)
+		}
+	}
+}
+
 // TestConv2DMatchesIm2colComposition pins the implicit-GEMM forward to the
-// composition it replaced, bit for bit: a stored column matrix times the
-// weights through gemm.F32/F16/I8 must equal Conv2D at every precision,
-// over convGrid × filter counts on both sides of the MR = 4 row panel, at
-// 1, 4 and 16 workers, with the pool poisoning every returned buffer (a
+// composition it replaced, bit for bit, with checkConv2D over convGrid ×
+// filter counts on both sides of the MR = 4 row panel, at every precision,
+// at 1, 4 and 16 workers, with the pool poisoning every returned buffer (a
 // panel element the gather left unwritten, or scratch read after its unit
-// returned it, is a NaN in the output). The same outputs are held to the
-// convolution's float64 definition within 1e-5 of the largest output at
-// f32, and within the documented 1e-2 (f16) and 1e-1 (i8).
+// returned it, is a NaN in the output).
 func TestConv2DMatchesIm2colComposition(t *testing.T) {
 	engine.SetDebug(true)
 	defer engine.SetDebug(false)
@@ -165,69 +217,69 @@ func TestConv2DMatchesIm2colComposition(t *testing.T) {
 			e.Close()
 		}
 	}()
-	bounds := map[precision.Type]float64{precision.F32: 1e-5, precision.F16: 1e-2, precision.I8: 1e-1}
 	g := tensor.NewRNG(71)
 	for _, s := range convGrid() {
 		for _, outC := range []int{1, 3, 4, 5, 16, 33} {
 			s.outC = outC
-			x, w := randParam(g, s.n, s.c, s.h, s.w), randParam(g, s.outC, s.c, s.k, s.k)
-			ref := directConv2D(x, w, s.stride, s.pad)
-			var refMax float64
-			for _, v := range ref {
-				refMax = math.Max(refMax, math.Abs(v))
-			}
-			for _, prec := range []precision.Type{precision.F32, precision.F16, precision.I8} {
-				want := im2colConv2D(engines[0], prec, x, w, s.stride, s.pad)
-				for _, e := range engines {
-					got := lowpCtx(e, prec).Conv2D(x, w, nil, s.stride, s.pad).Value.Data()
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%v %v, %d workers: out[%d] = %g, im2col + GEMM gives %g", s, prec, e.Workers(), i, got[i], want[i])
-						}
-					}
-					if out := e.Stats().PoolOutstanding; out != 0 {
-						t.Fatalf("%v %v, %d workers: %d pooled buffers never returned", s, prec, e.Workers(), out)
-					}
-				}
-				for i, v := range want {
-					if d := math.Abs(float64(v) - ref[i]); !(d <= bounds[prec]*refMax) {
-						t.Fatalf("%v %v: out[%d] = %g, float64 convolution gives %g (|diff| %g > %g·%g)", s, prec, i, v, ref[i], d, bounds[prec], refMax)
-					}
-				}
-			}
+			checkConv2D(t, engines, s, g, precision.F32, precision.F16, precision.I8)
 		}
 	}
 }
 
-// TestConv2DMergedMemberBitwise: a request's Conv2D output is the same bits
-// alone and as the middle member of a three-request merged batch, at every
-// precision, with and without a bias, at a stride-2 window whose planes end
-// mid-panel. f32 and f16 need no segmentation (work units never span
-// samples' numerics); at i8 each member's activation scale comes from its
-// own segment, and the guard shows a merged run without segments differs.
+// TestConv2DMergedMemberBitwise runs checkConv2D at every precision on a
+// stride-2 window whose planes end mid-panel. f32 and f16 need no
+// segmentation (work units never span samples' numerics); at i8 each
+// member's activation scale comes from its own segment, and the guard
+// shows a merged run without segments differs.
 func TestConv2DMergedMemberBitwise(t *testing.T) {
-	e := engine.New(4)
-	defer e.Close()
-	before := segVar([]int{1, 3, 13, 9}, 5, 1)
+	engines := []*engine.Engine{engine.New(1), engine.New(4)}
+	defer func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	}()
+	g := tensor.NewRNG(3)
+	checkConv2D(t, engines, convCase{n: 2, c: 3, h: 13, w: 9, outC: 5, kh: 3, kw: 3, stride: 2, pad: 1}, g, precision.F32, precision.F16, precision.I8)
 	member := segVar([]int{2, 3, 13, 9}, 1, 0)
-	after := segVar([]int{3, 3, 13, 9}, 0.2, 2)
-	merged := concatVars(before, member, after)
+	merged := concatVars(segVar([]int{1, 3, 13, 9}, 5, 1), member, segVar([]int{3, 3, 13, 9}, 0.2, 2))
 	w := segVar([]int{5, 3, 3, 3}, 0.5, 3)
-	for _, bias := range []*Var{nil, segVar([]int{5}, 0.1, 4)} {
-		for _, prec := range []precision.Type{precision.F32, precision.F16, precision.I8} {
-			alone := segCtx(e, prec, nil).Conv2D(member, w, bias, 2, 1).Value.Data()
-			per := len(alone) / 2
-			om := segCtx(e, prec, []int{1, 2, 3}).Conv2D(merged, w, bias, 2, 1).Value.Data()
-			sliceEq(t, fmt.Sprintf("conv/%v/middle member", prec), om[per:3*per], alone)
-			if prec != precision.I8 {
-				continue
-			}
-			ou := segCtx(e, prec, nil).Conv2D(merged, w, bias, 2, 1).Value.Data()
-			if eqPrefix(ou[per:], alone) {
-				t.Error("unsegmented merged i8 conv matched the member alone — guard is vacuous")
+	alone := segCtx(engines[1], precision.I8, nil).Conv2D(member, w, nil, 2, 1).Value.Data()
+	ou := segCtx(engines[1], precision.I8, nil).Conv2D(merged, w, nil, 2, 1).Value.Data()
+	if eqPrefix(ou[len(alone)/2:], alone) {
+		t.Error("unsegmented merged i8 conv matched the member alone — guard is vacuous")
+	}
+}
+
+// FuzzConv2D runs checkConv2D on 1 and 4 workers over batch 1–3, up to 8
+// channels, planes up to 20×20, up to 16 filters of up to 5×5, stride 1–3,
+// pad 0–2 and the three precisions; dimensions map 1 + x%bound (pad x%3),
+// and a window the padded plane cannot hold — no output pixel — is
+// skipped. The seed corpus is convGrid's shapes that fit.
+func FuzzConv2D(f *testing.F) {
+	for _, s := range convGrid() {
+		if s.n <= 3 && s.c <= 8 && s.h <= 20 && s.w <= 20 && s.kh <= 5 && s.stride <= 3 && s.pad <= 2 {
+			for p := uint8(0); p < 3; p++ {
+				f.Add(uint8(s.n-1), uint8(s.c-1), uint8(s.h-1), uint8(s.w-1), uint8(2+p), uint8(s.kh-1), uint8(s.kw-1), uint8(s.stride-1), uint8(s.pad), p)
 			}
 		}
 	}
+	engines := []*engine.Engine{engine.New(1), engine.New(4)}
+	f.Cleanup(func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	})
+	f.Fuzz(func(t *testing.T, n, c, h, w, outC, kh, kw, stride, pad, prec uint8) {
+		s := convCase{
+			n: 1 + int(n)%3, c: 1 + int(c)%8, h: 1 + int(h)%20, w: 1 + int(w)%20, outC: 1 + int(outC)%16,
+			kh: 1 + int(kh)%5, kw: 1 + int(kw)%5, stride: 1 + int(stride)%3, pad: int(pad) % 3,
+		}
+		if s.h+2*s.pad < s.kh || s.w+2*s.pad < s.kw {
+			t.Skip("no output pixel")
+		}
+		p := [3]precision.Type{precision.F32, precision.F16, precision.I8}[prec%3]
+		checkConv2D(t, engines, s, tensor.NewRNG(int64(s.h)<<8|int64(s.w)), p)
+	})
 }
 
 // TestConv2DPackAccounting: a convolution call draws one A-panel set for

@@ -73,6 +73,14 @@ func TestConv2DPaddingShape(t *testing.T) {
 	if s := out2.Value.Shape(); s[2] != 4 || s[3] != 4 {
 		t.Fatalf("strided conv shape %v", s)
 	}
+	// A 4×4 window over a 1×1 input padded by 1 fits nowhere; at stride 2
+	// truncating division would still count one output pixel.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a window the padded input cannot hold gave an output")
+		}
+	}()
+	Infer().Conv2D(autograd.NewVar(tensor.New(1, 3, 1, 1)), autograd.NewVar(tensor.New(2, 3, 4, 4)), nil, 2, 1)
 }
 
 func TestMaxPoolForward(t *testing.T) {

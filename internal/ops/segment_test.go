@@ -41,7 +41,7 @@ func sliceEq(t *testing.T, name string, got, want []float32) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("%s: bit divergence at [%d]: %g != %g", name, i, got[i], want[i])
 		}
 	}

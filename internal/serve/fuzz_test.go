@@ -14,8 +14,9 @@ import (
 
 // FuzzRunRequest posts arbitrary bodies to /v1/run on a fresh server.
 // Whatever the body, the handler must not panic, must answer with
-// well-formed JSON, must record no quarantine strike, and must leave a
-// cache entry behind only when it answered 200. A body that is not one
+// well-formed JSON under an X-Request-Id header, must record no
+// quarantine strike, and must leave a cache entry behind only when it
+// answered 200. A body that is not one
 // JSON object of known fields within the size limit, or that names an
 // unknown workload, must get a 4xx.
 //
@@ -101,9 +102,10 @@ func FuzzPlaceRequest(f *testing.F) {
 
 // fuzzPost posts body to path on a fresh one-worker server, lets settle
 // wait for whatever the answer started, closes the server and checks what
-// every decoder must hold: the answer is JSON, a body that is not valid
-// (malformed, or naming an unknown workload) gets a 4xx, no quarantine
-// strike is recorded and no pooled buffer is left checked out.
+// every decoder must hold: the answer is JSON and carries a request id, a
+// body that is not valid (malformed, or naming an unknown workload) gets a
+// 4xx, no quarantine strike is recorded and no pooled buffer is left
+// checked out.
 func fuzzPost(t *testing.T, path string, body []byte, valid bool, settle func(*Server, *httptest.ResponseRecorder)) (*Server, *httptest.ResponseRecorder) {
 	t.Helper()
 	s := New(Options{Workers: 1})
@@ -117,6 +119,9 @@ func fuzzPost(t *testing.T, path string, body []byte, valid bool, settle func(*S
 	}
 	if !json.Valid(rec.Body.Bytes()) {
 		t.Fatalf("status %d with a body that is not JSON: %q", rec.Code, rec.Body)
+	}
+	if !validRequestID(rec.Header().Get(requestIDHeader)) {
+		t.Fatalf("status %d without a request id: %q", rec.Code, rec.Header().Get(requestIDHeader))
 	}
 	if !valid && rec.Code/100 != 4 {
 		t.Fatalf("status %d for a malformed body or unknown workload, want 4xx: %s", rec.Code, rec.Body)

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,6 +75,9 @@ type Server struct {
 	runner           *mmbench.CachedRunner
 	pool             *jobs.Pool
 	mux              *http.ServeMux
+	handler          http.Handler
+	idPrefix         string // prefix of the request ids the server mints
+	ids              atomic.Uint64
 	start            time.Time
 	defaultPrecision string
 	defaultDeadline  time.Duration
@@ -129,6 +133,7 @@ func New(opts Options) *Server {
 		runner:           mmbench.NewCachedRunner(opts.CacheBytes),
 		pool:             jobs.NewPool(opts.Workers, opts.QueueCap),
 		mux:              http.NewServeMux(),
+		idPrefix:         rand.Text()[:8] + "-",
 		start:            time.Now(),
 		defaultPrecision: opts.DefaultPrecision,
 		defaultDeadline:  opts.DefaultDeadline,
@@ -139,6 +144,7 @@ func New(opts Options) *Server {
 		maxBatch:         opts.MaxBatch,
 		placeChosen:      make(map[string]uint64),
 	}
+	s.handler = http.HandlerFunc(s.serveHTTP)
 	if opts.MaxBatch > 0 {
 		s.batcher = batch.New(batch.Options{
 			MaxBatch: opts.MaxBatch,
@@ -178,7 +184,39 @@ func New(opts Options) *Server {
 }
 
 // Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
+
+// requestIDHeader names the id every response carries.
+const requestIDHeader = "X-Request-Id"
+
+// serveHTTP sets the response's request id before the route's handler
+// runs, so every response carries one: the client's own X-Request-Id when
+// it is 1–64 characters of [A-Za-z0-9._-], otherwise a fresh one — the
+// server's random prefix and a sequence number. Error bodies repeat it as
+// request_id; a /v1/run body never does, so cached bodies stay shared
+// bytes.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	id := r.Header.Get(requestIDHeader)
+	if !validRequestID(id) {
+		id = s.idPrefix + strconv.FormatUint(s.ids.Add(1), 10)
+	}
+	w.Header().Set(requestIDHeader, id)
+	s.mux.ServeHTTP(w, r)
+}
+
+// validRequestID reports whether a client's id may be echoed as given.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
 
 // Close drains the scheduler.
 func (s *Server) Close(ctx context.Context) error { return s.pool.Shutdown(ctx) }
@@ -199,11 +237,12 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 }
 
 type errorBody struct {
-	Error string `json:"error"`
+	Error     string `json:"error"`
+	RequestID string `json:"request_id"`
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	s.writeJSON(w, r, status, errorBody{Error: fmt.Sprintf(format, args...)})
+	s.writeJSON(w, r, status, errorBody{Error: fmt.Sprintf(format, args...), RequestID: w.Header().Get(requestIDHeader)})
 }
 
 // maxBodyBytes bounds a request body; a longer one is refused with 413.
@@ -560,7 +599,7 @@ type Stats struct {
 	// the first eager run.
 	StageLatency map[string]obs.Summary `json:"stage_latency_ms,omitempty"`
 	Cache        CacheStats             `json:"cache"`
-	// Models reports the runner's model store: hits are eager executions
+	// Models reports the runner's model store: hits are executions
 	// served by an already-built network, executions are builds, bytes
 	// the resident footprint — parameters plus packed_bytes, the GEMM
 	// panels resident models keep, plus memo_bytes, their memoised
