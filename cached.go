@@ -23,16 +23,17 @@ import (
 // a single underlying execution. Reports handed out by a CachedRunner
 // are shared — callers must not mutate them.
 //
-// Below the result cache sits the runner's model store: every
-// execution the runner performs, eager or analytic (cache misses and
-// sweep cells via Execute, the batcher's merged forwards via the
-// RunMergedProfiled method), resolves its network through it, so a
-// network is built once per runner instead of once per run, and the
-// cells of an analytic grid over one model share its frozen network.
-// The store is the runner's own — it is created with the runner and
-// collected with it; nothing is shared between runners. So are the
-// per-stage latency histograms its eager executions feed
-// (StageLatencies).
+// Below the result cache sits the runner's model store: every eager
+// execution the runner performs (cache misses and eager sweep cells via
+// Execute, the batcher's merged forwards via the RunMergedProfiled
+// method — below the runner both are core.RunMerged, a standalone
+// execution being a batch of one member) resolves its network through
+// it, so a served model's weights are drawn once per runner instead of
+// once per run. Analytic executions never read a
+// weight and build privately, as the package-level Run does. The store
+// is the runner's own — it is created with the runner and collected
+// with it; nothing is shared between runners. So are the per-stage
+// latency histograms its eager executions feed (StageLatencies).
 type CachedRunner struct {
 	cache  *resultcache.Cache
 	models *workloads.Store
@@ -105,7 +106,7 @@ func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, err
 }
 
 // Execute is the runner's own uncached execution of cfg: the
-// package-level RunProfiledCtx resolving its network through the
+// package-level RunProfiledCtx resolving eager networks through the
 // runner's model store. An eager execution is the one-config case of
 // RunMergedProfiled's merged forward, so the two agree by construction.
 // Every eager execution returns the stage walls its forward timed, so
@@ -114,7 +115,7 @@ func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, err
 // and what an execution wrapper (the serve layer's scheduler admission)
 // reschedules.
 func (cr *CachedRunner) Execute(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
-	rep, stageMs, err := runImpl(ctx, cfg, nil, cr.models)
+	rep, stageMs, err := runProfiled(ctx, cfg, cr.models)
 	cr.observeStages(stageMs)
 	return rep, stageMs, err
 }

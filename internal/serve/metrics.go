@@ -65,8 +65,8 @@ func writeMetrics(w io.Writer, st Stats) error {
 	m.gauge("mmbench_cache_capacity_bytes", "Result-cache byte budget.", float64(cs.Capacity))
 
 	ms := st.Models
-	m.counter("mmbench_model_store_hits_total", "Executions served by an already-built network.", float64(ms.Hits))
-	m.counter("mmbench_model_store_misses_total", "Executions that found no resident network (built or joined a build).", float64(ms.Misses))
+	m.counter("mmbench_model_store_hits_total", "Eager executions served by an already-built network.", float64(ms.Hits))
+	m.counter("mmbench_model_store_misses_total", "Eager executions that found no resident network (built or joined a build).", float64(ms.Misses))
 	m.counter("mmbench_model_store_builds_total", "Network builds the model store ran (weights drawn; failed attempts for unknown variants included).", float64(ms.Executions))
 	m.counter("mmbench_model_store_coalesced_total", "Lookups that joined an in-flight build of the same network.", float64(ms.Coalesced))
 	m.counter("mmbench_model_store_evictions_total", "Networks evicted under the model-store budget.", float64(ms.Evictions))

@@ -599,7 +599,7 @@ type Stats struct {
 	// the first eager run.
 	StageLatency map[string]obs.Summary `json:"stage_latency_ms,omitempty"`
 	Cache        CacheStats             `json:"cache"`
-	// Models reports the runner's model store: hits are executions
+	// Models reports the runner's model store: hits are eager executions
 	// served by an already-built network, executions are builds, bytes
 	// the resident footprint — parameters plus packed_bytes, the GEMM
 	// panels resident models keep, plus memo_bytes, their memoised

@@ -27,9 +27,8 @@ const StoreBudget = 512 << 20
 // Store builds each (workload, variant, scale flavour) network once and
 // hands the same instance to every caller: a byte-budgeted LRU with
 // singleflight, so N concurrent first requests for one model cost one
-// Build. A store lives and dies with its owner (a CachedRunner, for
-// every execution it performs) — there is deliberately no process-wide
-// instance.
+// Build. A store lives and dies with its owner (a CachedRunner, for its
+// eager executions) — there is deliberately no process-wide instance.
 //
 // A nil *Store is valid and builds privately on every Get, which is how
 // the store-less entry points (mmbench.Run and friends) share the code

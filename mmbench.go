@@ -180,7 +180,19 @@ func Run(cfg RunConfig) (*Report, error) {
 // returns ctx.Err(); a nil or background context behaves exactly like
 // Run.
 func RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
-	return runImpl(ctx, cfg, nil, nil)
+	return runProfiled(ctx, cfg, nil)
+}
+
+// runProfiled is RunProfiledCtx resolving an eager run's network through
+// models. Analytic runs read no weight — plan compile and replay need
+// shapes only — and keep building privately: the store's budget goes to
+// models whose kernels actually run (docs/ARCHITECTURE.md, "Model
+// store", says what a store for analytic cells has to wait for).
+func runProfiled(ctx context.Context, cfg RunConfig, models *workloads.Store) (*Report, map[string]float64, error) {
+	if !cfg.Eager {
+		models = nil
+	}
+	return runImpl(ctx, cfg, nil, models)
 }
 
 // RunWithProfiler is Run recording into a caller-owned profiler, for
@@ -191,10 +203,9 @@ func RunWithProfiler(cfg RunConfig, p *obs.Profiler) (*Report, map[string]float6
 }
 
 // runImpl is the one execution path under every Run* entry point. The
-// network comes from models — a CachedRunner's shared, frozen store, for
-// every execution the runner performs, eager or analytic — or, for the
-// store-less package-level entry points (models == nil), from a private
-// build that dies with the call.
+// network comes from models — a CachedRunner's shared, frozen store — or,
+// for the store-less package-level entry points (models == nil), from a
+// private build that dies with the call.
 func runImpl(ctx context.Context, cfg RunConfig, prof *obs.Profiler, models *workloads.Store) (*Report, map[string]float64, error) {
 	// The runner.run injection site: a "panic" rule here simulates a
 	// workload whose kernels reliably crash (the quarantine trigger).

@@ -390,10 +390,9 @@ func TestModelStoreBehaviour(t *testing.T) {
 			},
 		},
 		{
-			// Analytic executions resolve their network through the store
-			// like eager ones: the first run of a model builds it, every
-			// later run of it, in either mode, is a hit on that one build.
-			name:   "analytic and eager executions share one build",
+			// Analytic executions read no weight: they build privately and
+			// neither fill the store nor hit a model an eager run left.
+			name:   "analytic executions bypass the store",
 			budget: workloads.StoreBudget,
 			check: func(t *testing.T, cr *CachedRunner) {
 				cfgs := []RunConfig{
@@ -408,8 +407,8 @@ func TestModelStoreBehaviour(t *testing.T) {
 					}
 					wantStandalone(t, cfg, rep)
 				}
-				if ms := cr.ModelStats(); ms.Executions != 1 || ms.Hits != 2 || ms.Entries != 1 {
-					t.Fatalf("model store after one eager and two analytic runs: %+v, want one build, two hits", ms)
+				if ms := cr.ModelStats(); ms.Executions != 1 || ms.Hits != 0 || ms.Entries != 1 {
+					t.Fatalf("model store after one eager and two analytic runs: %+v, want one build, no hits", ms)
 				}
 			},
 		},
@@ -479,7 +478,7 @@ func TestModelStoreBehaviour(t *testing.T) {
 // goroutines over configs that share two models but differ in seed,
 // batch, device and precision (f16 also runs the f32 reference forward;
 // one goroutine runs a merged batch), next to analytic runs of the same
-// models, which read the same store networks. Run it under -race: a
+// models, which build privately. Run it under -race: a
 // write to shared weights is a data race with every other reader. Every
 // report must equal the store-less Run of the same config, and the
 // models' parameters must hash the same before and after.

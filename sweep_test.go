@@ -90,39 +90,6 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAnalyticSweepBuildsOnce checks that an analytic grid over one
-// model resolves every cell through the runner's model store: the cells
-// share one frozen network, built once, and the table still renders
-// byte for byte what the package-level Run (a private build per cell)
-// renders.
-func TestAnalyticSweepBuildsOnce(t *testing.T) {
-	cfg := SweepConfig{
-		Workload:   "avmnist",
-		Devices:    []string{"2080ti", "orin", "nano"},
-		Batches:    []int{4, 16, 32},
-		Precisions: []string{"f32", "f16"},
-	}
-	pool := jobs.NewPool(4, 32)
-	defer pool.Shutdown(context.Background())
-	runner := NewCachedRunner(32 << 20)
-	got, err := RunSweep(cfg, runner.Run, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms := runner.ModelStats(); ms.Executions != 1 || ms.Entries != 1 {
-		t.Errorf("model store after an 18-cell analytic sweep: %+v, want one build, one entry", ms)
-	}
-	want, err := RunSweep(cfg, Run, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantText, wantCSV, wantJSON := renderAll(t, want)
-	gotText, gotCSV, gotJSON := renderAll(t, got)
-	if gotText != wantText || gotCSV != wantCSV || gotJSON != wantJSON {
-		t.Errorf("store sweep diverges from package-level Run:\n--- Run ---\n%s--- runner ---\n%s", wantText, gotText)
-	}
-}
-
 // TestSweepRepeatedRunsStable guards against scheduling-order
 // nondeterminism: many parallel runs of the same grid must agree.
 func TestSweepRepeatedRunsStable(t *testing.T) {
