@@ -433,17 +433,3 @@ func (g *Generator) fillSegment(rng *tensor.RNG, b *Batch) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

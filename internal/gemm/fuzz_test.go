@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,14 @@ var fuzzRel = [3]float64{0, 1e-2, 1e-1}
 //     at the store;
 //   - be bitwise identical at the other worker count;
 //   - be bitwise identical through a PackedB holder, on the call that
-//     packs its panels and on one that reuses them.
+//     packs its panels and on one that reuses them;
+//   - give a row the same bits however many rows share the call: rows
+//     [0, r) and [r, m), each multiplied alone (r ∈ [1, m) drawn from
+//     seed; i8 at the full call's scales) per call and through the
+//     holder's kept panels at both worker counts, equal the matching
+//     rows of the full product. This row invariance is why a merged
+//     batch needs no segmentation for f32 and f16 products (ops'
+//     Ctx.Segments).
 //
 // Inputs are drawn from seed, so a failing corpus entry replays exactly.
 // The seed corpus is testdata/fuzz/FuzzGEMM; dimensions map 1 + x%70.
@@ -53,19 +61,21 @@ func FuzzGEMM(f *testing.F) {
 			bin = transpose(b, k, n)
 		}
 		sa, sb := precision.I8Scale(precision.MaxAbs(a)), precision.I8Scale(precision.MaxAbs(b))
-		// run computes the product per call (h == nil) or through h.
-		run := func(e *engine.Engine, h *PackedB) []float32 {
-			dst := append([]float32(nil), dst0...)
+		// mul returns a copy of dst plus alpha·A·B for the rows×k operand
+		// ain (in the input's layout), per call (h == nil) or through h.
+		mul := func(e *engine.Engine, h *PackedB, dst, ain []float32, rows int) []float32 {
+			dst = append([]float32(nil), dst...)
 			switch p {
 			case 0:
-				h.F32(e, dst, ain, bin, m, k, n, alpha, aT, bT)
+				h.F32(e, dst, ain, bin, rows, k, n, alpha, aT, bT)
 			case 1:
-				h.F16(e, dst, ain, bin, m, k, n, alpha, aT, bT)
+				h.F16(e, dst, ain, bin, rows, k, n, alpha, aT, bT)
 			default:
-				h.I8(e, dst, ain, bin, m, k, n, alpha, sa, sb, aT, bT)
+				h.I8(e, dst, ain, bin, rows, k, n, alpha, sa, sb, aT, bT)
 			}
 			return dst
 		}
+		run := func(e *engine.Engine, h *PackedB) []float32 { return mul(e, h, dst0, ain, m) }
 		name := [3]string{"F32", "F16", "I8"}[p]
 		w := int(wide) % 2
 		got := run(engines[w], nil)
@@ -111,5 +121,24 @@ func FuzzGEMM(f *testing.F) {
 		h := NewPackedB(nil)
 		wantBits(t, name+" packing a holder", run(engines[w], h), got)
 		wantBits(t, name+" from the holder's kept panels", run(engines[w], h), got)
+
+		if m == 1 {
+			return
+		}
+		r := 1 + int(uint64(seed)%uint64(m-1))
+		for _, span := range [2][2]int{{0, r}, {r, m}} {
+			lo, hi := span[0], span[1]
+			as := a[lo*k : hi*k]
+			if aT {
+				as = transpose(as, hi-lo, k)
+			}
+			for _, e := range engines {
+				for _, hs := range []*PackedB{nil, h} {
+					seg := mul(e, hs, dst0[lo*n:hi*n], as, hi-lo)
+					wantBits(t, fmt.Sprintf("%s rows [%d, %d) of %d alone (aT=%v bT=%v, %d workers, holder %v)",
+						name, lo, hi, m, aT, bT, e.Workers(), hs != nil), seg, got[lo*n:hi*n])
+				}
+			}
+		}
 	})
 }

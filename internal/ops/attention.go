@@ -191,57 +191,43 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	e := c.engine()
 	e.CountAttention()
 	qd, kd, vd, od := q.Value.Data(), k.Value.Data(), v.Value.Data(), out.Value.Data()
+	shared := e.NewScratch()
+	defer shared.Release()
 	// Mixed precision: the kernel reads pooled low-precision copies of
 	// the projections while score tiles, the streaming softmax and the
-	// softmax·V product keep accumulating in f32. For i8 the q/k scales
-	// fold into the score scale (applied once per finished dot, like the
-	// NT GEMM) and the v scale folds into the final output store; for
-	// f16 both folds are ×1 and the output is re-stored through the f16
-	// grid afterwards.
-	scoreScale, outScale := scale, float32(1)
+	// softmax·V product keep accumulating in f32. Each request segment's
+	// q/k/v slices (the whole batch unless a merged batch runs at i8) are
+	// quantized with the per-tensor scales they would get standalone, so
+	// the grids — and therefore every output bit — match the request run
+	// alone. For i8 the q/k scales fold into the batch index's score scale
+	// (applied once per finished dot, like the NT GEMM) and the v scale
+	// into its output store; for f16 both folds are ×1 and the output is
+	// re-stored through the f16 grid afterwards.
 	prec := c.prec
-	var lowQ, lowK, lowV []float32
-	// scoreScales/outScales carry per-batch-index scales when a merged
-	// cross-request i8 batch calibrates each request's segment separately;
-	// nil (the usual case) means the scalar scales apply to every index.
-	var scoreScales, outScales []float32
-	if prec != precision.F32 {
-		if segs := c.i8Segments(b); segs != nil {
-			// Per-segment quantization: each request's q/k/v slices get the
-			// same per-tensor scales they would standalone, so the i8 grids
-			// — and therefore every output bit — match the unbatched run.
-			lowQ = e.GetQuant(len(qd))
-			defer e.Put(lowQ)
-			lowK = e.GetQuant(len(kd))
-			defer e.Put(lowK)
-			lowV = e.GetQuant(len(vd))
-			defer e.Put(lowV)
-			scoreScales = make([]float32, b)
-			outScales = make([]float32, b)
-			for _, s := range segs {
-				e.CountLowp(prec)
-				sq := quantizeInto(e, prec, lowQ[s.lo*tq*d:s.hi*tq*d], qd[s.lo*tq*d:s.hi*tq*d])
-				sk := quantizeInto(e, prec, lowK[s.lo*tk*d:s.hi*tk*d], kd[s.lo*tk*d:s.hi*tk*d])
-				sv := quantizeInto(e, prec, lowV[s.lo*tk*d:s.hi*tk*d], vd[s.lo*tk*d:s.hi*tk*d])
-				for bi := s.lo; bi < s.hi; bi++ {
-					scoreScales[bi] = scale * sq * sk
-					outScales[bi] = sv
-				}
-			}
-			qd, kd, vd = lowQ, lowK, lowV
-		} else {
-			e.CountLowp(prec)
-			var sq, sk, sv float32
-			lowQ, sq = quantizeOperand(e, prec, qd)
-			defer e.Put(lowQ)
-			lowK, sk = quantizeOperand(e, prec, kd)
-			defer e.Put(lowK)
-			lowV, sv = quantizeOperand(e, prec, vd)
-			defer e.Put(lowV)
-			qd, kd, vd = lowQ, lowK, lowV
-			scoreScale = scale * sq * sk
-			outScale = sv
+	scales := shared.GetUninit(2 * b)
+	scoreScales, outScales := scales[:b], scales[b:]
+	if prec == precision.F32 {
+		for bi := range scoreScales {
+			scoreScales[bi], outScales[bi] = scale, 1
 		}
+	} else {
+		lowQ := e.GetQuant(len(qd))
+		defer e.Put(lowQ)
+		lowK := e.GetQuant(len(kd))
+		defer e.Put(lowK)
+		lowV := e.GetQuant(len(vd))
+		defer e.Put(lowV)
+		for _, s := range c.i8Segments(b) {
+			e.CountLowp(prec)
+			sq := quantizeInto(e, prec, lowQ[s.lo*tq*d:s.hi*tq*d], qd[s.lo*tq*d:s.hi*tq*d])
+			sk := quantizeInto(e, prec, lowK[s.lo*tk*d:s.hi*tk*d], kd[s.lo*tk*d:s.hi*tk*d])
+			sv := quantizeInto(e, prec, lowV[s.lo*tk*d:s.hi*tk*d], vd[s.lo*tk*d:s.hi*tk*d])
+			for bi := s.lo; bi < s.hi; bi++ {
+				scoreScales[bi] = scale * sq * sk
+				outScales[bi] = sv
+			}
+		}
+		qd, kd, vd = lowQ, lowK, lowV
 	}
 	taping := c.taping(q, k, v)
 	// The backward recomputes probabilities from the final running max
@@ -259,8 +245,6 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	// reduction depth of a tile's P·V product is the tile's own width.
 	kLen, vRow := gemm.LenB(dh, tk), gemm.LenB(1, dh)
 	kvLen := kLen + tk*vRow
-	shared := e.NewScratch()
-	defer shared.Release()
 	kv := shared.GetUninit(bh * kvLen)
 	e.ParallelFor(bh, 1, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -292,10 +276,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			qoff := bi*tq*d + h*dh
 			kp := kv[(u/nqt)*kvLen:]
 			vp := kp[kLen:]
-			sScale, oScale := scoreScale, outScale
-			if scoreScales != nil {
-				sScale, oScale = scoreScales[bi], outScales[bi]
-			}
+			sScale, oScale := scoreScales[bi], outScales[bi]
 			gemm.PackA(qa, qd[qoff+i0*d:], rows, dh, d)
 			for i := 0; i < rows; i++ {
 				mbuf[i], lbuf[i] = negInf, 0
@@ -373,7 +354,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 				inv := float32(1 / lbuf[i])
 				accRow := acc[i*dh : (i+1)*dh]
 				orow := od[qoff+(i0+i)*d : qoff+(i0+i)*d+dh]
-				// outScale is 1 except under i8 (the v dequantization);
+				// oScale is 1 except under i8 (the v dequantization);
 				// multiplying by exactly 1 is a bitwise identity, so the
 				// f32 path is unchanged.
 				for x, ax := range accRow {

@@ -65,12 +65,12 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 		e.CountLowp(prec)
 		wScale := precision.I8Scale(precision.MaxAbs(wdta))
 		xScales := make([]float32, n)
-		c.eachI8Segment(n, func(lo, hi int) {
-			sc := precision.I8Scale(precision.MaxAbs(xd[lo*ch*h*wd : hi*ch*h*wd]))
-			for ni := lo; ni < hi; ni++ {
+		for _, s := range c.i8Segments(n) {
+			sc := precision.I8Scale(precision.MaxAbs(xd[s.lo*ch*h*wd : s.hi*ch*h*wd]))
+			for ni := s.lo; ni < s.hi; ni++ {
 				xScales[ni] = sc
 			}
-		})
+		}
 		gemm.ConvI8(e, od, wdta, xd, n, outC, g, wScale, xScales)
 	case precision.F16:
 		e.CountLowp(prec)

@@ -87,14 +87,16 @@ type Ctx struct {
 	// Exactly two kinds of kernel have numerics that cross the batch
 	// dimension — the per-tensor int8 scale calibrations (Linear, Conv2D
 	// and fused Attention at i8) and BatchNorm2D's batch statistics — and
-	// they execute per segment, so every request's output slice is
-	// bitwise identical to the same request run alone. Every other operator is sample- or row-local in
-	// the batch dimension: engine chunking is bitwise-invariant, and the
-	// one GEMM core (internal/gemm) gives a row the same bits however
-	// many rows share the call, so f32 and f16 products need no
+	// they execute once per segment, so every request's output slice is
+	// bitwise identical to the same request run alone. Every other
+	// operator is sample- or row-local in the batch dimension: engine
+	// chunking is bitwise-invariant, and the one GEMM core
+	// (internal/gemm) gives a row the same bits however many rows share
+	// the call (FuzzGEMM checks it), so f32 and f16 products need no
 	// segmentation. One entry is a single request — a standalone eager
-	// run is a merged run of one member — and takes the unsegmented path,
-	// as does an empty slice (training, plan compiles).
+	// run is a merged run of one member — and so is an empty slice
+	// (training, plan compiles): both run the same per-segment loops
+	// over one segment, the whole batch.
 	Segments []int
 	// Arena, when non-nil on an untaped context, supplies every concrete
 	// operator result: the run's intermediates are carved out of slabs of

@@ -131,11 +131,11 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	case precision.I8:
 		e.CountLowp(p)
 		sw := kept.I8Scale(wd)
-		c.eachI8Segment(rows, func(lo, hi int) {
-			xs := xd[lo*in : hi*in]
+		for _, s := range c.i8Segments(rows) {
+			xs := xd[s.lo*in : s.hi*in]
 			sx := precision.I8Scale(precision.MaxAbs(xs))
-			kept.I8(e, od[lo*outDim:hi*outDim], xs, wd, hi-lo, in, outDim, 1, sx, sw, false, false)
-		})
+			kept.I8(e, od[s.lo*outDim:s.hi*outDim], xs, wd, s.hi-s.lo, in, outDim, 1, sx, sw, false, false)
+		}
 	default:
 		kept.F32(e, od, xd, wd, rows, in, outDim, 1, false, false)
 	}

@@ -18,9 +18,10 @@ import (
 //     gemm.I8 (Conv2D: gemm.ConvF16 / gemm.ConvI8), which quantize inside
 //     the panel packing (no level copies; int32 accumulation for i8) at
 //     every shape.
-//   - The fused attention kernel calibrates once over each whole
-//     [B,T,D] projection, so it quantizes pooled operand copies
-//     (quantizeOperand / quantizeInto) and packs its f32 panels from the
+//   - The fused attention kernel calibrates once per request segment of
+//     each [B,T,D] projection (Ctx.i8Segments: the whole projection
+//     unless a merged batch runs at i8), so it quantizes into pooled
+//     operand copies (quantizeInto) and packs its f32 panels from the
 //     levels. For int8 the levels are small integers in float32 slices:
 //     products are ≤ 127·127 and float32 holds integers exactly up to
 //     2²⁴, so the f32 score accumulation produces the sums an
@@ -58,15 +59,6 @@ func quantizeInto(e *engine.Engine, prec precision.Type, dst, src []float32) flo
 		return scale
 	}
 	panic("ops: quantizeInto called for f32")
-}
-
-// quantizeOperand checks out a pooled copy of src stored in the prec
-// grid. The caller owns the returned buffer and must e.Put it before
-// the operator returns (backward closures never see it).
-func quantizeOperand(e *engine.Engine, prec precision.Type, src []float32) ([]float32, float32) {
-	q := e.GetQuant(len(src))
-	scale := quantizeInto(e, prec, q, src)
-	return q, scale
 }
 
 // roundSliceF16 re-stores dst through the float16 grid in place on the

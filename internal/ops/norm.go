@@ -141,18 +141,14 @@ func (c *Ctx) BatchNorm2D(x, gamma, beta *Var, eps float32) *Var {
 	plane := h * w
 	xd, od := x.Value.Data(), out.Value.Data()
 	gd, bd := gamma.Value.Data(), beta.Value.Data()
-	// Batch statistics are the definitional cross-request state: a merged
-	// batch normalizes each request's segment with that segment's own
-	// mean/variance, exactly as the request would compute standalone.
-	segs := c.segments(n)
+	// Batch statistics are the definitional cross-request state: each
+	// request segment normalizes with its own mean/variance, exactly as
+	// the request would compute standalone. Each chunk takes the spans
+	// itself, so a lone request's one span never leaves its stack.
 	e.ParallelFor(ch, rowGrain(n*plane), func(c0, c1 int) {
-		for ci := c0; ci < c1; ci++ {
-			if segs == nil {
-				bnChannel(xd, od, gd, bd, ci, ch, plane, 0, n, eps)
-			} else {
-				for _, s := range segs {
-					bnChannel(xd, od, gd, bd, ci, ch, plane, s.lo, s.hi, eps)
-				}
+		for _, s := range c.segments(n) {
+			for ci := c0; ci < c1; ci++ {
+				bnChannel(xd, od, gd, bd, ci, ch, plane, s.lo, s.hi, eps)
 			}
 		}
 	})

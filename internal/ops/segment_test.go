@@ -216,9 +216,112 @@ func TestBatchNorm2DSegmented(t *testing.T) {
 	}
 }
 
-// The segments helper's divisibility rules: fewer than two segments,
-// non-multiples (weight-shaped dims) and zero dims never segment; scaled
-// batch-major dims (B·T rows, B·H stacks) segment with the right spans.
+// bnBound bounds BatchNorm2D against its float64 definition, relative
+// to each element's scale (|x| + |mean|)·|gamma|/std + |beta|: the
+// float32 mean and inverse deviation, the subtraction, two products and
+// the sum each round once (≈ 6·2⁻²⁴), with a 5× margin.
+const bnBound = 2e-6
+
+// bnReference is BatchNorm2D's float64 definition over x alone (its own
+// batch statistics), and each element's scale for bnBound.
+func bnReference(x, gamma, beta *Var, eps float64) (ref, scale []float64) {
+	n, ch, plane := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2)*x.Value.Dim(3)
+	xd, gd, bd := x.Value.Data(), gamma.Value.Data(), beta.Value.Data()
+	ref, scale = make([]float64, len(xd)), make([]float64, len(xd))
+	for ci := 0; ci < ch; ci++ {
+		var sum, sq float64
+		for ni := 0; ni < n; ni++ {
+			for _, v := range xd[(ni*ch+ci)*plane : (ni*ch+ci+1)*plane] {
+				sum += float64(v)
+			}
+		}
+		mean := sum / float64(n*plane)
+		for ni := 0; ni < n; ni++ {
+			for _, v := range xd[(ni*ch+ci)*plane : (ni*ch+ci+1)*plane] {
+				sq += (float64(v) - mean) * (float64(v) - mean)
+			}
+		}
+		inv := 1 / math.Sqrt(sq/float64(n*plane)+eps)
+		g, b := float64(gd[ci]), float64(bd[ci])
+		for ni := 0; ni < n; ni++ {
+			for i := (ni*ch + ci) * plane; i < (ni*ch+ci+1)*plane; i++ {
+				ref[i] = (float64(xd[i])-mean)*inv*g + b
+				scale[i] = (math.Abs(float64(xd[i]))+math.Abs(mean))*inv*math.Abs(g) + math.Abs(b)
+			}
+		}
+	}
+	return ref, scale
+}
+
+// FuzzBatchNorm2D checks batch statistics per request over 1–4 members of
+// 1–3 samples, up to 8 channels and 9×9 planes, on 1 and 4 workers:
+// member i's sample count is 1 + (sizes>>2i & 3)%3, the other dimensions
+// map 1 + x%bound, and each member's data has its own magnitude and
+// offset, so members' statistics differ. Each member run alone must be
+// within bnBound of bnReference, identical on both engines and with a
+// one-entry Segments, and equal bit for bit its slice of the segmented
+// merged batch on either engine. The seed corpus is
+// TestBatchNorm2DSegmented's 3×4×4 planes: its two members (the second
+// clipped to 3 samples), each alone, and four members.
+func FuzzBatchNorm2D(f *testing.F) {
+	const seedC, seedHW = 3 - 1, 4 - 1
+	f.Add(uint8(1), uint8(1|2<<2), uint8(seedC), uint8(seedHW), uint8(seedHW))
+	f.Add(uint8(0), uint8(1), uint8(seedC), uint8(seedHW), uint8(seedHW))
+	f.Add(uint8(0), uint8(2), uint8(seedC), uint8(seedHW), uint8(seedHW))
+	f.Add(uint8(3), uint8(1|2<<2|1<<6), uint8(seedC), uint8(seedHW), uint8(seedHW))
+	engines := []*engine.Engine{engine.New(1), engine.New(4)}
+	f.Cleanup(func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	})
+	const eps = 1e-5
+	f.Fuzz(func(t *testing.T, members, sizes, c, h, w uint8) {
+		ch, hh, ww := 1+int(c)%8, 1+int(h)%9, 1+int(w)%9
+		counts := make([]int, 1+int(members)%4)
+		for i := range counts {
+			counts[i] = 1 + int(sizes>>(2*i)&3)%3
+		}
+		g := tensor.NewRNG(int64(sizes)<<16 | int64(ch)<<8 | int64(hh)<<4 | int64(ww))
+		gamma, beta := randParam(g, ch), randParam(g, ch)
+		xs := make([]*Var, len(counts))
+		for i, n := range counts {
+			xs[i] = randParam(g, n, ch, hh, ww)
+			amp, off := [4]float32{1, 5, 0.2, 3}[i], [4]float32{0, 2, -1, 0.5}[i]
+			for j, v := range xs[i].Value.Data() {
+				xs[i].Value.Data()[j] = amp*v + off
+			}
+		}
+		xm := concatVars(xs...)
+		merged := make([][]float32, len(engines))
+		for i, e := range engines {
+			merged[i] = segCtx(e, precision.F32, counts).BatchNorm2D(xm, gamma, beta, eps).Value.Data()
+		}
+		lo := 0
+		for i, x := range xs {
+			name := fmt.Sprintf("bn/%v_c%d_%dx%d[%d]", counts, ch, hh, ww, i)
+			alone := segCtx(engines[0], precision.F32, nil).BatchNorm2D(x, gamma, beta, eps).Value.Data()
+			ref, scale := bnReference(x, gamma, beta, eps)
+			for j, v := range alone {
+				if d := math.Abs(float64(v) - ref[j]); !(d <= bnBound*scale[j]) {
+					t.Fatalf("%s: out[%d] = %g, float64 definition gives %g (|diff| %g > %g·%g)", name, j, v, ref[j], d, bnBound, scale[j])
+				}
+			}
+			for k, e := range engines {
+				sliceEq(t, fmt.Sprintf("%s/workers=%d", name, e.Workers()), segCtx(e, precision.F32, nil).BatchNorm2D(x, gamma, beta, eps).Value.Data(), alone)
+				sliceEq(t, fmt.Sprintf("%s/workers=%d/one segment", name, e.Workers()), segCtx(e, precision.F32, counts[i:i+1]).BatchNorm2D(x, gamma, beta, eps).Value.Data(), alone)
+				sliceEq(t, fmt.Sprintf("%s/workers=%d/merged", name, e.Workers()), merged[k][lo:lo+len(alone)], alone)
+			}
+			lo += len(alone)
+		}
+	})
+}
+
+// The segments helper's divisibility rules: scaled batch-major dims
+// (B·T rows, B·H stacks) of a merged batch segment with the right spans;
+// fewer than two segments, non-multiples (weight-shaped dims) and zero
+// dims are the one whole span [0, dim0). i8Segments is segments at i8
+// and the whole span at f16 and f32.
 func TestSegmentsHelper(t *testing.T) {
 	c := &Ctx{Segments: []int{2, 3}}
 	if got := c.segments(5); len(got) != 2 || got[0] != (segment{0, 2}) || got[1] != (segment{2, 5}) {
@@ -227,16 +330,61 @@ func TestSegmentsHelper(t *testing.T) {
 	if got := c.segments(20); len(got) != 2 || got[0] != (segment{0, 8}) || got[1] != (segment{8, 20}) {
 		t.Fatalf("segments(20) = %v (k=4 expected)", got)
 	}
-	if got := c.segments(7); got != nil {
-		t.Fatalf("segments(7) = %v, want nil (not a multiple)", got)
+	if got := c.segments(7); len(got) != 1 || got[0] != (segment{0, 7}) {
+		t.Fatalf("segments(7) = %v, want [{0 7}] (not a multiple)", got)
 	}
-	if got := c.segments(0); got != nil {
-		t.Fatalf("segments(0) = %v, want nil", got)
+	if got := c.segments(0); len(got) != 1 || got[0] != (segment{0, 0}) {
+		t.Fatalf("segments(0) = %v, want [{0 0}]", got)
 	}
-	if got := (&Ctx{Segments: []int{5}}).segments(5); got != nil {
-		t.Fatalf("single-segment segments(5) = %v, want nil", got)
+	if got := (&Ctx{Segments: []int{5}}).segments(5); len(got) != 1 || got[0] != (segment{0, 5}) {
+		t.Fatalf("single-segment segments(5) = %v, want [{0 5}]", got)
 	}
-	if got := (&Ctx{}).segments(5); got != nil {
-		t.Fatalf("no-segment segments(5) = %v, want nil", got)
+	if got := (&Ctx{}).segments(5); len(got) != 1 || got[0] != (segment{0, 5}) {
+		t.Fatalf("no-segment segments(5) = %v, want [{0 5}]", got)
 	}
+	for _, p := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+		c := segCtx(nil, p, []int{2, 3})
+		want := []segment{{0, 5}}
+		if p == precision.I8 {
+			want = []segment{{0, 2}, {2, 5}}
+		}
+		if got := c.i8Segments(5); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v: i8Segments(5) = %v, want %v", p, got, want)
+		}
+	}
+}
+
+// A lone request's one span is built on the caller's stack: ranging over
+// segments or i8Segments allocates nothing, so an unmerged forward pays
+// no heap allocation for going through the segment path. (Both helpers
+// stay small enough to inline for exactly this reason.)
+func TestLoneSegmentsDoNotAllocate(t *testing.T) {
+	var sink int
+	for _, segs := range [][]int{nil, {5}} {
+		for _, p := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+			c := segCtx(nil, p, segs)
+			allocs := testing.AllocsPerRun(100, func() {
+				for _, s := range c.segments(5) {
+					sink += s.hi
+				}
+				for _, s := range c.i8Segments(5) {
+					sink += s.hi
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("segments %v at %v: %v allocations per lone range, want 0", segs, p, allocs)
+			}
+		}
+	}
+	// A merged f16 batch needs no segmentation either: its i8Segments
+	// is the same whole span.
+	c := segCtx(nil, precision.F16, []int{2, 3})
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, s := range c.i8Segments(5) {
+			sink += s.hi
+		}
+	}); allocs != 0 {
+		t.Errorf("merged f16 i8Segments: %v allocations, want 0", allocs)
+	}
+	_ = sink
 }

@@ -157,15 +157,8 @@ func (s *Server) requestDeadline(r *http.Request) (time.Time, error) {
 // one queue drain at the current depth, at least a second.
 func (s *Server) retryAfterSeconds() int {
 	depth := s.pool.QueueDepth()
-	sec := 1 + depth/maxInt(1, s.workers)
+	sec := 1 + depth/max(1, s.workers)
 	return sec
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeShed maps a shedding error onto the HTTP contract: infeasible
