@@ -30,6 +30,9 @@ var fuzzRel = [3]float64{0, 1e-2, 1e-1}
 //   - be bitwise identical at the other worker count;
 //   - be bitwise identical through a PackedB holder, on the call that
 //     packs its panels and on one that reuses them;
+//   - for f32 and f16, be bitwise identical with the tile-pair kernels
+//     switched off, per call and from the holder's kept panels, where
+//     they run (AVX-512F; elsewhere the check is skipped, and says so);
 //   - give a row the same bits however many rows share the call: rows
 //     [0, r) and [r, m), each multiplied alone (r ∈ [1, m) drawn from
 //     seed; i8 at the full call's scales) per call and through the
@@ -47,6 +50,9 @@ func FuzzGEMM(f *testing.F) {
 			e.Close()
 		}
 	})
+	if !asmWide {
+		f.Log("tile-pair identity check skipped: " + noTilePairs)
+	}
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT, bT bool, prec, wide, alphab uint8, seed int64) {
 		m, k, n := 1+int(mb)%70, 1+int(kb)%70, 1+int(nb)%70
 		p := int(prec) % 3
@@ -121,6 +127,12 @@ func FuzzGEMM(f *testing.F) {
 		h := NewPackedB(nil)
 		wantBits(t, name+" packing a holder", run(engines[w], h), got)
 		wantBits(t, name+" from the holder's kept panels", run(engines[w], h), got)
+		if p < 2 && asmWide {
+			narrowKernels(func() {
+				wantBits(t, name+" with the 4×16 kernel alone", run(engines[w], nil), got)
+				wantBits(t, name+" from the holder's kept panels with the 4×16 kernel alone", run(engines[w], h), got)
+			})
+		}
 
 		if m == 1 {
 			return

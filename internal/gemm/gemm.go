@@ -23,10 +23,12 @@
 // precision, and hands it to the same multiply routine (mulF32, mulF16,
 // mulI8), so kept and per-call panels give the same bits; A is packed per
 // call either way. Kept panels are reachable only through their holder:
-// this package has no cache of its own. Each micro-kernel has one serial
-// tile-level driver — MulPanels, mulPanelsF16, mulPanelsI8 — which its
-// multiply routine runs per engine chunk and which a caller with its own
-// work partition drives directly over panels it packed itself: fused
+// this package has no cache of its own. The float micro-kernels have one
+// serial tile-level driver, mulTiles (over f32 or half-width B panels;
+// MulPanels is its exported f32 form), and the int8 kernel has
+// mulPanelsI8; each multiply routine runs its driver per engine chunk,
+// and a caller with its own work partition drives one directly over
+// panels it packed itself: fused
 // attention (one unit per batch·head and query tile, MulPanels over
 // PackA/PackB/PackBT panels in its own scratch) and the convolutions
 // below (ConvF32/F16/I8: one unit per sample and block of output pixels,
@@ -43,15 +45,26 @@
 // multiply-adds round per step instead of fusing, so results are
 // consistent within a platform, not across ISAs).
 //
+// Where the CPU has AVX-512F (and the OS saves ZMM state), the f32 and
+// f16 products also run a tile-pair kernel: sixteen 16-lane accumulators
+// cover the 8×32 block of two consecutive A panels and two consecutive B
+// panels, read in the layout above, and per k step two B rows and eight
+// A broadcasts feed sixteen fused multiply-adds. mulTiles runs every
+// full pair of panels through it and an odd last A or B panel through
+// the 4×16 kernel. The choice is made once, from CPUID and XCR0, like
+// the VNNI one; each element is the same fused chain in either kernel,
+// so the bits do not depend on it. The int8 kernel stays 4×16.
+//
 // # Accumulation-order contract
 //
 // Every dst element is produced by exactly one micro-kernel invocation
 // that accumulates its K products in ascending-l order into a single
 // register accumulator, then stores dst += alpha·acc (scale after
 // accumulate). Work is partitioned over A row panels (a convolution's
-// over samples and B-panel blocks) with shape-only chunking, so results
-// are bitwise identical at any engine worker count and under any branch
-// schedule — the engine's determinism contract.
+// over samples and B-panel blocks) with chunking that depends on the shape
+// and the kernel choice alone (grainA), so results are bitwise identical
+// at any engine worker count and under any branch schedule — the
+// engine's determinism contract.
 //
 // # Reduced precision
 //
@@ -93,10 +106,16 @@ type PackActivity = engine.PackActivity
 func PackStats() PackActivity { return engine.TotalStats().Pack }
 
 // KernelName reports which micro-kernel implementation this process
-// runs: "avx2-fma+vnni" (assembly, int8 path fused by vpdpwssd),
-// "avx2-fma" (assembly), or "generic" (portable Go).
+// runs: "avx512f-8x32+vnni" (assembly, f32/f16 tile pairs on ZMM, int8
+// path fused by vpdpwssd), "avx512f-8x32" (the same without VNNI),
+// "avx2-fma+vnni", "avx2-fma" (assembly, 4×16 tiles only), or "generic"
+// (portable Go).
 func KernelName() string {
 	switch {
+	case asmWide && asmVNNI:
+		return "avx512f-8x32+vnni"
+	case asmWide:
+		return "avx512f-8x32"
 	case asmVNNI:
 		return "avx2-fma+vnni"
 	case asmKernels:
@@ -132,24 +151,89 @@ func LenB(k, n int) int { return panelsB(n) * k * NR }
 // MulPanels computes dst[m,n] += alpha · A·B from finished f32 panels on
 // the calling goroutine: ap holds the row panels of an m×k A, bp the
 // column panels of a k×n B (k ≥ 1), and dst's rows are ldd ≥ n elements
-// apart. It is the only driver of kernF32 — mulF32 runs it per engine
+// apart. It is mulTiles over f32 B panels — mulF32 runs it per engine
 // chunk — and the tile-level entry for callers that partition their own
 // work over panels they packed themselves (PackA, PackB, PackBT,
 // PackBConv): it draws no scratch and counts nothing.
 func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha float32) {
+	mulTiles(dst, ldd, ap, bp, m, k, n, alpha)
+}
+
+// mulTiles computes dst[m,n] += alpha · A·B from row panels ap and column
+// panels bp — f32 values, or raw float16 bits for the vcvtph2ps kernels
+// (ap then already on the float16 grid) — on the calling goroutine. It is
+// the only driver of the f32 and f16 micro-kernels. Where the tile-pair
+// kernels run (asmWide), each pair of A panels meets each pair of B
+// panels in one 8×32 call, and the 4×16 kernel covers the rest: the odd
+// last B panel beside the pairs and the odd last A panel. Elsewhere the
+// 4×16 kernel covers every tile. Both kernels give an element the same
+// fused chain, so the bits do not depend on which one computed it. Every
+// tile reaches dst through addTileF32.
+func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, m, k, n int, alpha float32) {
+	npa, npb := panelsA(m), panelsB(n)
+	npa2, npb2 := 0, 0 // the panels the tile-pair kernels cover
+	if asmWide {
+		npa2, npb2 = npa&^1, npb&^1
+	}
+	var block [4][MR * NR]float32
+	for ip := 0; ip < npa2; ip += 2 {
+		app := ap[ip*k*MR : (ip+2)*k*MR]
+		for jp := 0; jp < npb2; jp += 2 {
+			kernTilePair(app, bp[jp*k*NR:(jp+2)*k*NR], &block, k)
+			for s := range block {
+				addTileF32(dst, ldd, &block[s], (ip+s/2)*MR, (jp+s%2)*NR, m, n, alpha)
+			}
+		}
+	}
 	var tile [MR * NR]float32
-	for ip := 0; ip*MR < m; ip++ {
-		app := ap[ip*k*MR : (ip+1)*k*MR]
-		for jp := 0; jp*NR < n; jp++ {
-			kernF32(app, bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
+	for ip := 0; ip < npa; ip++ {
+		jp := 0
+		if ip < npa2 {
+			jp = npb2
+		}
+		for ; jp < npb; jp++ {
+			kernTile(ap[ip*k*MR:(ip+1)*k*MR], bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
 			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha)
 		}
 	}
 }
 
+// kernTile runs the 4×16 kernel of bp's layout: tile = A panel ap times B
+// panel bp.
+func kernTile[B float32 | uint16](ap []float32, bp []B, tile *[MR * NR]float32, k int) {
+	switch bp := any(bp).(type) {
+	case []float32:
+		kernF32(ap, bp, tile, k)
+	case []uint16:
+		kernF16Asm(&ap[0], &bp[0], &tile[0], int64(k))
+	}
+}
+
+// kernTilePair runs the tile-pair kernel of bp's layout: block holds the
+// tiles of A panels ap[:k·MR], ap[k·MR:] times B panels bp[:k·NR],
+// bp[k·NR:], in the order (0, 0), (0, 1), (1, 0), (1, 1).
+func kernTilePair[B float32 | uint16](ap []float32, bp []B, block *[4][MR * NR]float32, k int) {
+	switch bp := any(bp).(type) {
+	case []float32:
+		kernF32x2Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+	case []uint16:
+		kernF16x2Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+	}
+}
+
+// grainA is the A-panel grain of an f32 or f16 product's work partition:
+// two where the tile-pair kernels run, so no chunk boundary splits a pair
+// of A panels, else one.
+func grainA() int {
+	if asmWide {
+		return 2
+	}
+	return 1
+}
+
 // mulF32 multiplies A against finished f32 B panels: it packs A into
 // pooled scratch (through the float16 grid when f16A — the F16 fallback
-// layout) and runs MulPanels, one A row panel per work unit. The per-call
+// layout) and runs MulPanels, grainA() A row panels per work unit. The per-call
 // entry points and the kept panels of a PackedB differ only in where bp
 // came from.
 func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool) {
@@ -160,7 +244,7 @@ func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, 
 	} else {
 		packAF32(e, ap, a, m, k, aT)
 	}
-	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
+	e.ParallelFor(panelsA(m), grainA(), func(lo, hi int) {
 		MulPanels(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
 	})
 }
@@ -190,29 +274,15 @@ func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 }
 
 // mulF16 multiplies A, rounded to the float16 grid while packing,
-// against finished half-width B panels: mulPanelsF16, one A row panel per
-// work unit.
+// against finished half-width B panels: mulTiles, grainA() A row panels
+// per work unit.
 func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool) {
 	ap := e.GetPanel(LenA(m, k))
 	defer e.Put(ap)
 	packAF16(e, ap, a, m, k, aT)
-	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
-		mulPanelsF16(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
+	e.ParallelFor(panelsA(m), grainA(), func(lo, hi int) {
+		mulTiles(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
 	})
-}
-
-// mulPanelsF16 is MulPanels for half-width B panels (raw float16 bits;
-// ap holds f32 values already on the float16 grid) — the only driver of
-// kernF16Asm.
-func mulPanelsF16(dst []float32, ldd int, ap []float32, bp []uint16, m, k, n int, alpha float32) {
-	var tile [MR * NR]float32
-	for ip := 0; ip*MR < m; ip++ {
-		app := ap[ip*k*MR : (ip+1)*k*MR]
-		for jp := 0; jp*NR < n; jp++ {
-			kernF16Asm(&app[0], &bp[jp*k*NR], &tile[0], int64(k))
-			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha)
-		}
-	}
 }
 
 // I8 computes dst[m,n] += alpha·sa·sb · (Qa·Qb) where Qa, Qb are the
@@ -329,7 +399,7 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
 		d := dst[ni*outC*m+j0:]
 		if asmF16 {
-			mulPanelsF16(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1)
+			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1)
 		} else {
 			precision.RoundF16Slice(bp, bp)
 			MulPanels(d, m, ap, bp, outC, k, cols, 1)

@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -384,60 +385,66 @@ func TestGenericKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// poisoned returns n NaNs.
+func poisoned(n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(math.NaN())
+	}
+	return s
+}
+
+// embed copies a rows×cols block into a NaN-filled array whose rows are ld
+// apart, starting off elements in.
+func embed(x []float32, rows, cols, ld, off int) []float32 {
+	out := poisoned(off + rows*ld)
+	for r := 0; r < rows; r++ {
+		copy(out[off+r*ld:off+r*ld+cols], x[r*cols:(r+1)*cols])
+	}
+	return out
+}
+
+// tileLevel computes dst0 + alpha·A·B (A m×k, B k×n row-major, or B
+// stored transposed when bT) through the serial tile-level entry over
+// strided views: the operand blocks sit inside wider, NaN-filled arrays,
+// as head slices sit inside [B,T,D] projections, and dst rows are wider
+// than n. Panel scratch starts NaN-filled too, so an element the pack
+// routines left unwritten, or a read outside the block, surfaces in the
+// result.
+func tileLevel(dst0, a, b []float32, m, k, n int, bT bool, alpha float32) []float32 {
+	got := embed(dst0, m, n, n+5, 2)
+	ap, bp := poisoned(LenA(m, k)), poisoned(LenB(k, n))
+	PackA(ap, embed(a, m, k, k+3, 1)[1:], m, k, k+3)
+	if bT {
+		PackBT(bp, embed(b, n, k, k+7, 4)[4:], k, n, k+7)
+	} else {
+		PackB(bp, embed(b, k, n, n+2, 3)[3:], k, n, n+2)
+	}
+	MulPanels(got[2:], n+5, ap, bp, m, k, n, alpha)
+	out := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		copy(out[i*n:(i+1)*n], got[2+i*(n+5):])
+	}
+	return out
+}
+
 // TestTileLevelEntryMatchesF32 drives the serial tile-level entry (PackA,
-// PackB, PackBT, MulPanels) over strided views — the operand blocks sit
-// inside wider, NaN-filled arrays, as head slices sit inside [B,T,D]
-// projections, and dst rows are wider than n — and requires the bits F32
-// gives the same product from contiguous copies: same panels, same driver.
-// Panel scratch starts NaN-filled too, so an element the pack routines
-// left unwritten, or a read outside the block, surfaces in dst. It must
-// not move the pack counters (caller-owned scratch is not pool traffic).
+// PackB, PackBT, MulPanels) over tileLevel's strided, NaN-poisoned views
+// and requires the bits F32 gives the same product from contiguous
+// copies: same panels, same driver. It must not move the pack counters
+// (caller-owned scratch is not pool traffic).
 func TestTileLevelEntryMatchesF32(t *testing.T) {
 	e := engine.New(2)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(9))
-	nan := float32(math.NaN())
-	// embed copies a rows×cols block into a NaN-filled array whose rows are
-	// ld apart, starting off elements in.
-	embed := func(x []float32, rows, cols, ld, off int) []float32 {
-		out := make([]float32, off+rows*ld)
-		for i := range out {
-			out[i] = nan
-		}
-		for r := 0; r < rows; r++ {
-			copy(out[off+r*ld:off+r*ld+cols], x[r*cols:(r+1)*cols])
-		}
-		return out
-	}
-	poisoned := func(n int) []float32 {
-		s := make([]float32, n)
-		for i := range s {
-			s[i] = nan
-		}
-		return s
-	}
 	before := e.Stats().Pack
 	for _, sh := range testShapes {
 		for _, bT := range []bool{false, true} {
 			a, b := randSlice(rng, sh.m*sh.k), randSlice(rng, sh.k*sh.n)
 			want := randSlice(rng, sh.m*sh.n)
-			got := embed(want, sh.m, sh.n, sh.n+5, 2)
-			ap, bp := poisoned(LenA(sh.m, sh.k)), poisoned(LenB(sh.k, sh.n))
-			PackA(ap, embed(a, sh.m, sh.k, sh.k+3, 1)[1:], sh.m, sh.k, sh.k+3)
-			if bT {
-				PackBT(bp, embed(b, sh.n, sh.k, sh.k+7, 4)[4:], sh.k, sh.n, sh.k+7)
-			} else {
-				PackB(bp, embed(b, sh.k, sh.n, sh.n+2, 3)[3:], sh.k, sh.n, sh.n+2)
-			}
-			MulPanels(got[2:], sh.n+5, ap, bp, sh.m, sh.k, sh.n, 0.5)
+			got := tileLevel(want, a, b, sh.m, sh.k, sh.n, bT, 0.5)
 			F32(e, want, a, b, sh.m, sh.k, sh.n, 0.5, false, bT)
-			for i := 0; i < sh.m; i++ {
-				for j := 0; j < sh.n; j++ {
-					if g, w := got[2+i*(sh.n+5)+j], want[i*sh.n+j]; math.Float32bits(g) != math.Float32bits(w) {
-						t.Fatalf("%dx%dx%d bT=%v: dst[%d][%d] = %g from the tile-level entry, %g from F32", sh.m, sh.k, sh.n, bT, i, j, g, w)
-					}
-				}
-			}
+			wantBits(t, fmt.Sprintf("%dx%dx%d bT=%v: tile-level entry against F32", sh.m, sh.k, sh.n, bT), got, want)
 		}
 	}
 	after := e.Stats().Pack

@@ -9,11 +9,15 @@ func xgetbv() (eax, edx uint32)
 // asmKernels selects the AVX2+FMA assembly micro-kernels; asmF16
 // additionally requires F16C for the vcvtph2ps B-panel path; asmVNNI
 // additionally requires AVX512-VNNI with VL (the assembler emits the
-// EVEX.256 form of vpdpwssd) for the fused int8 dot-accumulate kernel.
+// EVEX.256 form of vpdpwssd) for the fused int8 dot-accumulate kernel;
+// asmWide additionally requires AVX-512F with the OS saving ZMM state for
+// the f32 and f16 tile-pair kernels. Tests clear asmWide to run the 4×16
+// kernels alone.
 var (
 	asmKernels bool
 	asmF16     bool
 	asmVNNI    bool
+	asmWide    bool
 )
 
 func init() {
@@ -49,8 +53,9 @@ func init() {
 	}
 	asmKernels = true
 	asmF16 = ecx1&f16cBit != 0
-	asmVNNI = ebx7&avx512fBit != 0 && ebx7&avx512vl != 0 &&
-		ecx7&avx512vnni != 0 && xlo&zmmState == zmmState
+	zmm := ebx7&avx512fBit != 0 && xlo&zmmState == zmmState
+	asmVNNI = zmm && ebx7&avx512vl != 0 && ecx7&avx512vnni != 0
+	asmWide = zmm
 }
 
 // Assembly micro-kernels (kernel_amd64.s). Each overwrites a full MR×NR
@@ -63,6 +68,15 @@ func kernF32Asm(ap, bp, tile *float32, k int64)
 
 //go:noescape
 func kernF16Asm(ap *float32, bp *uint16, tile *float32, k int64)
+
+// kernF32x2Asm and kernF16x2Asm (kernel512_amd64.s) overwrite the four
+// MR×NR tiles of A panels ap, ap+k·MR and B panels bp, bp+k·NR.
+//
+//go:noescape
+func kernF32x2Asm(ap, bp, tile *float32, k int64)
+
+//go:noescape
+func kernF16x2Asm(ap *float32, bp *uint16, tile *float32, k int64)
 
 //go:noescape
 func kernI8Asm(ap *int16, bp *int8, tile *int32, kp int64)

@@ -12,6 +12,10 @@ const (
 	asmVNNI    = false
 )
 
+// asmWide is never set here; it is a variable only because the tests
+// that switch the tile-pair kernels off assign it.
+var asmWide = false
+
 func kernF32(ap, bp []float32, tile *[MR * NR]float32, k int) {
 	genericKernF32(ap, bp, tile, k)
 }
@@ -20,8 +24,16 @@ func kernI8(ap []int16, bp []int8, tile *[MR * NR]int32, kp int) {
 	genericKernI8(ap, bp, tile, kp)
 }
 
-// kernF16Asm is unreachable when asmF16 is false; the stub satisfies the
-// F16 driver's reference.
+// The asm kernels are unreachable while asmF16 and asmWide are false; the
+// stubs satisfy the drivers' references.
 func kernF16Asm(ap *float32, bp *uint16, tile *float32, k int64) {
 	panic("gemm: f16 asm kernel unavailable on this platform")
+}
+
+func kernF32x2Asm(ap, bp, tile *float32, k int64) {
+	panic("gemm: tile-pair asm kernel unavailable on this platform")
+}
+
+func kernF16x2Asm(ap *float32, bp *uint16, tile *float32, k int64) {
+	panic("gemm: tile-pair asm kernel unavailable on this platform")
 }

@@ -698,7 +698,8 @@ type EngineStats struct {
 
 // PackStats extends the pack-panel pool counters of the packed GEMM
 // core (internal/gemm) with the derived hit rate and the active
-// micro-kernel name ("avx2-fma+vnni", "avx2-fma" or "generic").
+// micro-kernel name (gemm.KernelName: "avx512f-8x32+vnni",
+// "avx512f-8x32", "avx2-fma+vnni", "avx2-fma" or "generic").
 type PackStats struct {
 	engine.PackActivity
 	HitRate float64 `json:"hit_rate"`
