@@ -46,14 +46,22 @@
 // consistent within a platform, not across ISAs).
 //
 // Where the CPU has AVX-512F (and the OS saves ZMM state), the f32 and
-// f16 products also run a tile-pair kernel: sixteen 16-lane accumulators
-// cover the 8×32 block of two consecutive A panels and two consecutive B
-// panels, read in the layout above, and per k step two B rows and eight
-// A broadcasts feed sixteen fused multiply-adds. mulTiles runs every
-// full pair of panels through it and an odd last A or B panel through
-// the 4×16 kernel. The choice is made once, from CPUID and XCR0, like
-// the VNNI one; each element is the same fused chain in either kernel,
-// so the bits do not depend on it. The int8 kernel stays 4×16.
+// f16 products also run two wider kernels over the same panels. The
+// tile-pair kernel's sixteen 16-lane accumulators cover the 8×32 block of
+// two consecutive A panels and two consecutive B panels: per k step two
+// B rows and eight A broadcasts feed sixteen fused multiply-adds. The
+// one-panel kernel's cover the 4×64 block of one A panel and four
+// consecutive B panels: four B rows and four broadcasts per step, or,
+// in its two-row form for a panel with at most two live rows, eight
+// accumulators fed by two broadcasts. mulTiles runs every full pair of
+// panels through the tile pair, the odd last A panel (the only panel of
+// a product of at most four rows) through the one-panel kernel in
+// groups of four B panels, and what is left — the pairs' odd last B
+// panel, one to three B panels beside the groups — through the 4×16
+// kernel. Whether the wide kernels run is decided once, from CPUID and
+// XCR0, like the VNNI choice, and which one covers a tile by the shape
+// alone; each element is the same fused chain in every kernel, so the
+// bits depend on neither. The int8 kernel stays 4×16.
 //
 // # Accumulation-order contract
 //
@@ -106,10 +114,10 @@ type PackActivity = engine.PackActivity
 func PackStats() PackActivity { return engine.TotalStats().Pack }
 
 // KernelName reports which micro-kernel implementation this process
-// runs: "avx512f-8x32+vnni" (assembly, f32/f16 tile pairs on ZMM, int8
-// path fused by vpdpwssd), "avx512f-8x32" (the same without VNNI),
-// "avx2-fma+vnni", "avx2-fma" (assembly, 4×16 tiles only), or "generic"
-// (portable Go).
+// runs: "avx512f-8x32+vnni" (assembly, f32/f16 tile pairs and one-panel
+// kernels on ZMM, int8 path fused by vpdpwssd), "avx512f-8x32" (the same
+// without VNNI), "avx2-fma+vnni", "avx2-fma" (assembly, 4×16 tiles only),
+// or "generic" (portable Go).
 func KernelName() string {
 	switch {
 	case asmWide && asmVNNI:
@@ -162,18 +170,21 @@ func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha floa
 // mulTiles computes dst[m,n] += alpha · A·B from row panels ap and column
 // panels bp — f32 values, or raw float16 bits for the vcvtph2ps kernels
 // (ap then already on the float16 grid) — on the calling goroutine. It is
-// the only driver of the f32 and f16 micro-kernels. Where the tile-pair
+// the only driver of the f32 and f16 micro-kernels. Where the AVX-512
 // kernels run (asmWide), each pair of A panels meets each pair of B
-// panels in one 8×32 call, and the 4×16 kernel covers the rest: the odd
-// last B panel beside the pairs and the odd last A panel. Elsewhere the
-// 4×16 kernel covers every tile. Both kernels give an element the same
-// fused chain, so the bits do not depend on which one computed it. Every
-// tile reaches dst through addTileF32.
+// panels in one 8×32 call, the odd last A panel — the only panel of a
+// product of at most four rows — meets each group of four B panels in one
+// 4×64 call (its two-row form when at most two of the panel's rows are
+// live), and the 4×16 kernel covers the rest: the odd last B panel beside
+// the pairs and the last one to three B panels beside the groups.
+// Elsewhere the 4×16 kernel covers every tile. Every kernel gives an
+// element the same fused chain, so the bits do not depend on which one
+// computed it. Every tile reaches dst through addTileF32.
 func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, m, k, n int, alpha float32) {
 	npa, npb := panelsA(m), panelsB(n)
-	npa2, npb2 := 0, 0 // the panels the tile-pair kernels cover
+	npa2, npb2, npb4 := 0, 0, 0 // the panels the AVX-512 kernels cover
 	if asmWide {
-		npa2, npb2 = npa&^1, npb&^1
+		npa2, npb2, npb4 = npa&^1, npb&^1, npb&^3
 	}
 	var block [4][MR * NR]float32
 	for ip := 0; ip < npa2; ip += 2 {
@@ -187,12 +198,18 @@ func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, 
 	}
 	var tile [MR * NR]float32
 	for ip := 0; ip < npa; ip++ {
-		jp := 0
-		if ip < npa2 {
-			jp = npb2
+		app := ap[ip*k*MR : (ip+1)*k*MR]
+		jp := npb2
+		if ip >= npa2 {
+			for jp = 0; jp < npb4; jp += 4 {
+				kernPanelRow(app, bp[jp*k*NR:(jp+4)*k*NR], &block, k, m-ip*MR <= 2)
+				for s := range block {
+					addTileF32(dst, ldd, &block[s], ip*MR, (jp+s)*NR, m, n, alpha)
+				}
+			}
 		}
 		for ; jp < npb; jp++ {
-			kernTile(ap[ip*k*MR:(ip+1)*k*MR], bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
+			kernTile(app, bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
 			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha)
 		}
 	}
@@ -218,6 +235,27 @@ func kernTilePair[B float32 | uint16](ap []float32, bp []B, block *[4][MR * NR]f
 		kernF32x2Asm(&ap[0], &bp[0], &block[0][0], int64(k))
 	case []uint16:
 		kernF16x2Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+	}
+}
+
+// kernPanelRow runs the one-panel kernel of bp's layout: block holds the
+// tiles of A panel ap times B panels bp[j·k·NR:(j+1)·k·NR], j = 0..3.
+// With twoRows only rows 0 and 1 of each tile are computed and written —
+// the caller reads no other row.
+func kernPanelRow[B float32 | uint16](ap []float32, bp []B, block *[4][MR * NR]float32, k int, twoRows bool) {
+	switch bp := any(bp).(type) {
+	case []float32:
+		if twoRows {
+			kernF32x4R2Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+		} else {
+			kernF32x4Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+		}
+	case []uint16:
+		if twoRows {
+			kernF16x4R2Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+		} else {
+			kernF16x4Asm(&ap[0], &bp[0], &block[0][0], int64(k))
+		}
 	}
 }
 

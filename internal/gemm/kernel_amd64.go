@@ -11,8 +11,8 @@ func xgetbv() (eax, edx uint32)
 // additionally requires AVX512-VNNI with VL (the assembler emits the
 // EVEX.256 form of vpdpwssd) for the fused int8 dot-accumulate kernel;
 // asmWide additionally requires AVX-512F with the OS saving ZMM state for
-// the f32 and f16 tile-pair kernels. Tests clear asmWide to run the 4×16
-// kernels alone.
+// the f32 and f16 tile-pair and one-panel kernels. Tests clear asmWide to
+// run the 4×16 kernels alone.
 var (
 	asmKernels bool
 	asmF16     bool
@@ -77,6 +77,22 @@ func kernF32x2Asm(ap, bp, tile *float32, k int64)
 
 //go:noescape
 func kernF16x2Asm(ap *float32, bp *uint16, tile *float32, k int64)
+
+// kernF32x4Asm and kernF16x4Asm (kernel512_amd64.s) overwrite the four
+// MR×NR tiles of A panel ap and B panels bp + j·k·NR, j = 0..3; the R2
+// forms compute and write rows 0 and 1 of each tile only.
+//
+//go:noescape
+func kernF32x4Asm(ap, bp, tile *float32, k int64)
+
+//go:noescape
+func kernF16x4Asm(ap *float32, bp *uint16, tile *float32, k int64)
+
+//go:noescape
+func kernF32x4R2Asm(ap, bp, tile *float32, k int64)
+
+//go:noescape
+func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64)
 
 //go:noescape
 func kernI8Asm(ap *int16, bp *int8, tile *int32, kp int64)

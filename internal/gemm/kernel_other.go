@@ -13,7 +13,7 @@ const (
 )
 
 // asmWide is never set here; it is a variable only because the tests
-// that switch the tile-pair kernels off assign it.
+// that switch the tile-pair and one-panel kernels off assign it.
 var asmWide = false
 
 func kernF32(ap, bp []float32, tile *[MR * NR]float32, k int) {
@@ -36,4 +36,20 @@ func kernF32x2Asm(ap, bp, tile *float32, k int64) {
 
 func kernF16x2Asm(ap *float32, bp *uint16, tile *float32, k int64) {
 	panic("gemm: tile-pair asm kernel unavailable on this platform")
+}
+
+func kernF32x4Asm(ap, bp, tile *float32, k int64) {
+	panic("gemm: one-panel asm kernel unavailable on this platform")
+}
+
+func kernF16x4Asm(ap *float32, bp *uint16, tile *float32, k int64) {
+	panic("gemm: one-panel asm kernel unavailable on this platform")
+}
+
+func kernF32x4R2Asm(ap, bp, tile *float32, k int64) {
+	panic("gemm: one-panel asm kernel unavailable on this platform")
+}
+
+func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64) {
+	panic("gemm: one-panel asm kernel unavailable on this platform")
 }

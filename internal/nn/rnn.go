@@ -15,7 +15,7 @@ func zerosLike(ref *ops.Var, shape ...int) *ops.Var {
 }
 
 // LSTM is a single-layer LSTM over [B,T,D] sequences. Forward returns the
-// final hidden state [B,H]; ForwardSeq returns every hidden state [B,T,H].
+// final hidden state [B,H].
 type LSTM struct {
 	Hidden int
 	WX, WH *ops.Var // [D,4H], [H,4H]
@@ -51,7 +51,18 @@ func (l *LSTM) step(c *ops.Ctx, xt, h, cell *ops.Var) (*ops.Var, *ops.Var) {
 }
 
 // Forward runs the sequence and returns the final hidden state [B,H].
+// Without a tape it is one ops.LSTMSequence, which emits the composed
+// steps' kernels and computes their bits; under a tape it composes the
+// steps, whose operators record the backward.
 func (l *LSTM) Forward(c *ops.Ctx, x *ops.Var) *ops.Var {
+	if c.Tape == nil {
+		return c.LSTMSequence(x, l.WX, l.WH, l.B)
+	}
+	return l.composed(c, x)
+}
+
+// composed runs the sequence one step at a time from zero state.
+func (l *LSTM) composed(c *ops.Ctx, x *ops.Var) *ops.Var {
 	b, t := x.Value.Dim(0), x.Value.Dim(1)
 	h := zerosLike(x, b, l.Hidden)
 	cell := zerosLike(x, b, l.Hidden)

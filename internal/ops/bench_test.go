@@ -332,6 +332,28 @@ func BenchmarkLinearFrozen(b *testing.B) { benchLinear(b, true) }
 // which re-packs W on every call.
 func BenchmarkLinearPerCall(b *testing.B) { benchLinear(b, false) }
 
+// BenchmarkLSTMSequence is one of mosei's LSTM encoders at batch 2 over
+// frozen weights, as a served model runs it: 50 steps of a 35- (vision)
+// or 74-feature (audio) input into hidden width 128 — one input
+// projection over all 100 rows, then per step a 2×128×512 recurrent
+// product and the fused gate cell.
+func BenchmarkLSTMSequence(b *testing.B) {
+	for _, in := range []int{35, 74} {
+		b.Run(fmt.Sprintf("B2_T50_D%d_H128", in), func(b *testing.B) {
+			g := tensor.NewRNG(71)
+			x := benchVar(g, 2, 50, in)
+			wx, wh, bias := benchVar(g, in, 512), benchVar(g, 128, 512), benchVar(g, 512)
+			wx.Frozen, wh.Frozen = gemm.NewPackedB(nil), gemm.NewPackedB(nil)
+			c := Infer()
+			c.LSTMSequence(x, wx, wh, bias) // first use packs the frozen weights
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.LSTMSequence(x, wx, wh, bias)
+			}
+		})
+	}
+}
+
 // BenchmarkAttention is the fused attention kernel at the shapes the
 // served transformers issue: mosei's encoder layers at batch 2
 // (B2·T50·D256·H8), a wider, longer layer (B2·T128·D512·H8) and one

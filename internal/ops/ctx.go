@@ -171,11 +171,14 @@ func (c *Ctx) emit(s kernels.Spec) {
 // precision — used by the operators that have emulated low-precision
 // variants, so the analytic device model prices the reduced-precision
 // launch (scaled DRAM traffic, higher achievable throughput).
-func (c *Ctx) emitP(s kernels.Spec) {
+func (c *Ctx) emitP(s kernels.Spec) { c.emit(c.atPrec(s)) }
+
+// atPrec returns s stamped with the context's active storage precision.
+func (c *Ctx) atPrec(s kernels.Spec) kernels.Spec {
 	if c.prec != precision.F32 {
 		s.Bits = c.prec.Bits()
 	}
-	c.emit(s)
+	return s
 }
 
 // taping reports whether backward steps should be recorded for an operator

@@ -14,11 +14,18 @@ func assertSameShape(a, b *Var, op string) {
 	}
 }
 
+// The kernels Add, Mul, Sigmoid and Tanh emit for n elements; LSTMSequence
+// emits them too.
+func addSpec(n int) kernels.Spec     { return kernels.ElewiseSpec("add", n, 2, 1) }
+func mulSpec(n int) kernels.Spec     { return kernels.ElewiseSpec("mul", n, 2, 1) }
+func sigmoidSpec(n int) kernels.Spec { return kernels.ElewiseSpec("sigmoid", n, 1, 4) }
+func tanhSpec(n int) kernels.Spec    { return kernels.ElewiseSpec("tanh", n, 1, 4) }
+
 // Add returns a + b element-wise (identical shapes).
 func (c *Ctx) Add(a, b *Var) *Var {
 	assertSameShape(a, b, "Add")
 	n := a.Value.Size()
-	c.emit(kernels.ElewiseSpec("add", n, 2, 1))
+	c.emit(addSpec(n))
 	out := c.outUninit(a.Value.Shape(), a, b)
 	if out.Value.Abstract() {
 		return out
@@ -47,7 +54,7 @@ func (c *Ctx) Add(a, b *Var) *Var {
 func (c *Ctx) Mul(a, b *Var) *Var {
 	assertSameShape(a, b, "Mul")
 	n := a.Value.Size()
-	c.emit(kernels.ElewiseSpec("mul", n, 2, 1))
+	c.emit(mulSpec(n))
 	out := c.outUninit(a.Value.Shape(), a, b)
 	if out.Value.Abstract() {
 		return out
@@ -213,15 +220,13 @@ func (c *Ctx) ReLU(a *Var) *Var {
 
 // Sigmoid applies 1/(1+e^-x).
 func (c *Ctx) Sigmoid(a *Var) *Var {
-	spec := kernels.ElewiseSpec("sigmoid", a.Value.Size(), 1, 4)
-	return c.unary(a, spec, sigmoidSlice,
+	return c.unary(a, sigmoidSpec(a.Value.Size()), sigmoidSlice,
 		func(_, y float32) float32 { return y * (1 - y) })
 }
 
 // Tanh applies the hyperbolic tangent.
 func (c *Ctx) Tanh(a *Var) *Var {
-	spec := kernels.ElewiseSpec("tanh", a.Value.Size(), 1, 4)
-	return c.unary(a, spec, tanhSlice,
+	return c.unary(a, tanhSpec(a.Value.Size()), tanhSlice,
 		func(_, y float32) float32 { return 1 - y*y })
 }
 

@@ -70,6 +70,42 @@ func (c *Ctx) MatMul(a, b *Var) *Var {
 	return out
 }
 
+// linearSpecs returns the ns kernels Linear emits for a rows×in×out
+// product, in order: the GEMM at the active precision and, when there is
+// a bias, the bias add.
+func (c *Ctx) linearSpecs(rows, in, out int, bias bool) (specs [2]kernels.Spec, ns int) {
+	specs[0] = c.atPrec(kernels.GemmSpec(fmt.Sprintf("linear_%dx%dx%d", rows, in, out), rows, in, out))
+	if !bias {
+		return specs, 1
+	}
+	specs[1] = kernels.ElewiseSpec("bias_add", rows*out, 2, 1)
+	return specs, 2
+}
+
+// product computes dst[rows,n] += a[rows,k]·w[k,n] at the active
+// precision — Linear's product, before its bias and its f16 output
+// rounding — against kept's panels (nil packs per call). At i8 the
+// activation scale calibrates per request segment and w's scale per
+// tensor.
+func (c *Ctx) product(kept *gemm.PackedB, dst, a, w []float32, rows, k, n int) {
+	e := c.engine()
+	switch p := c.prec; p {
+	case precision.F16:
+		e.CountLowp(p)
+		kept.F16(e, dst, a, w, rows, k, n, 1, false, false)
+	case precision.I8:
+		e.CountLowp(p)
+		sw := kept.I8Scale(w)
+		for _, s := range c.i8Segments(rows) {
+			as := a[s.lo*k : s.hi*k]
+			sx := precision.I8Scale(precision.MaxAbs(as))
+			kept.I8(e, dst[s.lo*n:s.hi*n], as, w, s.hi-s.lo, k, n, 1, sx, sw, false, false)
+		}
+	default:
+		kept.F32(e, dst, a, w, rows, k, n, 1, false, false)
+	}
+}
+
 // Linear applies x·W + bias. x may be rank 2 [batch, in] or rank 3
 // [batch, time, in] (flattened internally); W is [in, out]; bias is [out]
 // and may be nil.
@@ -89,9 +125,9 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	}
 	rows := x.Value.Size() / in
 
-	c.emitP(kernels.GemmSpec(fmt.Sprintf("linear_%dx%dx%d", rows, in, outDim), rows, in, outDim))
-	if bias != nil {
-		c.emit(kernels.ElewiseSpec("bias_add", rows*outDim, 2, 1))
+	specs, ns := c.linearSpecs(rows, in, outDim, bias != nil)
+	for _, s := range specs[:ns] {
+		c.emit(s)
 	}
 
 	outShape := make([]int, len(xs))
@@ -121,23 +157,9 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	if c.Tape == nil {
 		kept = w.Frozen
 	}
-	switch p := c.prec; p {
-	case precision.F16:
-		e.CountLowp(p)
-		kept.F16(e, od, xd, wd, rows, in, outDim, 1, false, false)
-		if bias == nil {
-			roundSliceF16(e, od)
-		}
-	case precision.I8:
-		e.CountLowp(p)
-		sw := kept.I8Scale(wd)
-		for _, s := range c.i8Segments(rows) {
-			xs := xd[s.lo*in : s.hi*in]
-			sx := precision.I8Scale(precision.MaxAbs(xs))
-			kept.I8(e, od[s.lo*outDim:s.hi*outDim], xs, wd, s.hi-s.lo, in, outDim, 1, sx, sw, false, false)
-		}
-	default:
-		kept.F32(e, od, xd, wd, rows, in, outDim, 1, false, false)
+	c.product(kept, od, xd, wd, rows, in, outDim)
+	if c.prec == precision.F16 && bias == nil {
+		roundSliceF16(e, od)
 	}
 	if bias != nil {
 		bd := bias.Value.Data()

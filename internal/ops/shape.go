@@ -121,6 +121,9 @@ func (c *Ctx) Concat(axis int, vs ...*Var) *Var {
 	return out
 }
 
+// sliceSpec is the kernel Slice emits for an n-element result.
+func sliceSpec(n int) kernels.Spec { return kernels.CopySpec("slice", n) }
+
 // Slice extracts [start,end) along the given axis.
 func (c *Ctx) Slice(x *Var, axis, start, end int) *Var {
 	s := x.Value.Shape()
@@ -138,7 +141,7 @@ func (c *Ctx) Slice(x *Var, axis, start, end int) *Var {
 	for _, d := range outShape {
 		n *= d
 	}
-	c.emit(kernels.CopySpec("slice", n))
+	c.emit(sliceSpec(n))
 
 	out := c.outUninit(outShape, x)
 	if out.Value.Abstract() {

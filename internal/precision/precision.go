@@ -160,8 +160,36 @@ func F16Value(bits uint16) float32 {
 }
 
 // RoundF16 rounds a float32 through the float16 grid (round-to-nearest-
-// even, the storage emulation step of an f16 kernel).
-func RoundF16(x float32) float32 { return F16Value(F16Bits(x)) }
+// even, the storage emulation step of an f16 kernel). It is
+// F16Value(F16Bits(x)) computed on the float32 bit pattern, with no
+// float16 in between: a normal result rounds away the 13 mantissa bits
+// float16 lacks in place, a subnormal one snaps to the 2⁻²⁴ grid with
+// F16Bits' 0.5 magic, and NaN is F16Value's quiet NaN.
+func RoundF16(x float32) float32 {
+	b := math.Float32bits(x)
+	sign := b &^ 0x7fffffff
+	b &= 0x7fffffff
+	switch {
+	case b > f16InfBits: // NaN
+		return float32(math.NaN())
+	case b >= f16OverflowBits: // Inf, or finite overflow → Inf
+		return math.Float32frombits(sign | f16InfBits)
+	case b < f16NormMinBits: // subnormal float16 (or zero)
+		// |x| + 0.5 rounds to the 2⁻²⁴ grid (the ulp of [0.5, 1)), and
+		// subtracting 0.5 back is exact.
+		f := float32(math.Float32frombits(b)+math.Float32frombits(f16DenormMagic)) - math.Float32frombits(f16DenormMagic)
+		return math.Float32frombits(sign | math.Float32bits(f))
+	}
+	// Normal: F16Bits' nearest-even rounding of the 13 dropped bits. A
+	// mantissa carry rolls into the exponent; one that reaches 2¹⁶ is
+	// float16's Inf.
+	b += 0xfff + ((b >> 13) & 1)
+	b &^= 0x1fff
+	if b >= f16OverflowBits {
+		b = f16InfBits
+	}
+	return math.Float32frombits(sign | b)
+}
 
 // RoundF16Slice stores dst[i] = RoundF16(src[i]). dst and src may alias.
 func RoundF16Slice(dst, src []float32) {

@@ -3,6 +3,9 @@ package precision
 import (
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -208,5 +211,67 @@ func TestTypeParseAndString(t *testing.T) {
 	}
 	if F16.String() != "f16" || I8.String() != "i8" || F32.String() != "f32" {
 		t.Error("String() mismatch")
+	}
+}
+
+// roundF16Ref is RoundF16's definition: the float16 conversion and back.
+func roundF16Ref(x float32) float32 { return F16Value(F16Bits(x)) }
+
+// wantRoundF16 checks RoundF16 against roundF16Ref bit for bit (NaN
+// included) at the float32 bit pattern b.
+func wantRoundF16(t *testing.T, b uint32) {
+	x := math.Float32frombits(b)
+	if got, want := math.Float32bits(RoundF16(x)), math.Float32bits(roundF16Ref(x)); got != want {
+		t.Fatalf("RoundF16(%g [%#08x]) = %#08x, F16Value(F16Bits) gives %#08x", x, b, got, want)
+	}
+}
+
+// TestRoundF16Boundaries runs RoundF16 over every 19-bit prefix (sign,
+// exponent, the ten mantissa bits float16 keeps) with the 13 dropped bits
+// at the rounding boundaries: exact, just above, just below, at and just
+// past the tie, and all ones. It covers every binade, the subnormal and
+// overflow edges, ±0, ±Inf and NaN payloads.
+func TestRoundF16Boundaries(t *testing.T) {
+	for p := uint32(0); p < 1<<19; p++ {
+		for _, low := range []uint32{0, 1, 0x0fff, 0x1000, 0x1001, 0x1fff} {
+			wantRoundF16(t, p<<13|low)
+		}
+	}
+}
+
+// roundF16SweepEnv names the environment variable that turns on
+// TestRoundF16Exhaustive: set to 1, the test checks all 2³² inputs (about
+// 40 s on two cores), as CI does.
+const roundF16SweepEnv = "MMBENCH_ROUNDF16_SWEEP"
+
+// TestRoundF16Exhaustive checks RoundF16 against F16Value(F16Bits) at
+// every float32 bit pattern.
+func TestRoundF16Exhaustive(t *testing.T) {
+	if os.Getenv(roundF16SweepEnv) != "1" {
+		t.Skipf("set %s=1 to check all 2³² inputs", roundF16SweepEnv)
+	}
+	const parts = 64
+	var wg sync.WaitGroup
+	bad := make(chan uint32, parts)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for part := uint64(0); part < parts; part++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			lo, hi := part<<32/parts, (part+1)<<32/parts
+			for b := lo; b < hi; b++ {
+				x := math.Float32frombits(uint32(b))
+				if math.Float32bits(RoundF16(x)) != math.Float32bits(roundF16Ref(x)) {
+					bad <- uint32(b)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(bad)
+	for b := range bad {
+		wantRoundF16(t, b)
 	}
 }
