@@ -33,16 +33,21 @@ var fuzzRel = [3]float64{0, 1e-2, 1e-1}
 //   - for f32 and f16, be bitwise identical with the tile-pair kernels
 //     switched off, per call and from the holder's kept panels, where
 //     they run (AVX-512F; elsewhere the check is skipped, and says so);
+//   - under a store epilogue (a column bias and/or the f16 re-store),
+//     equal the product followed by a bias pass and a rounding pass, bit
+//     for bit, at both worker counts and through the holder;
 //   - give a row the same bits however many rows share the call: rows
 //     [0, r) and [r, m), each multiplied alone (r ∈ [1, m) drawn from
 //     seed; i8 at the full call's scales) per call and through the
 //     holder's kept panels at both worker counts, equal the matching
 //     rows of the full product. This row invariance is why a merged
 //     batch needs no segmentation for f32 and f16 products (ops'
-//     Ctx.Segments).
+//     Ctx.Segments), under the epilogue too.
 //
 // Inputs are drawn from seed, so a failing corpus entry replays exactly.
-// The seed corpus is testdata/fuzz/FuzzGEMM; dimensions map 1 + x%70.
+// The seed corpus is testdata/fuzz/FuzzGEMM; dimensions map 1 + x%70,
+// mode%2 picks the worker count and mode/2%4 the epilogue (bit 0 a bias,
+// bit 1 the f16 re-store).
 func FuzzGEMM(f *testing.F) {
 	engines := [2]*engine.Engine{engine.New(1), engine.New(4)}
 	f.Cleanup(func() {
@@ -53,7 +58,7 @@ func FuzzGEMM(f *testing.F) {
 	if !asmWide {
 		f.Log("tile-pair identity check skipped: " + noTilePairs)
 	}
-	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT, bT bool, prec, wide, alphab uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT, bT bool, prec, mode, alphab uint8, seed int64) {
 		m, k, n := 1+int(mb)%70, 1+int(kb)%70, 1+int(nb)%70
 		p := int(prec) % 3
 		alpha := [3]float32{1, 0.5, -1.5}[alphab%3]
@@ -68,22 +73,23 @@ func FuzzGEMM(f *testing.F) {
 		}
 		sa, sb := precision.I8Scale(precision.MaxAbs(a)), precision.I8Scale(precision.MaxAbs(b))
 		// mul returns a copy of dst plus alpha·A·B for the rows×k operand
-		// ain (in the input's layout), per call (h == nil) or through h.
-		mul := func(e *engine.Engine, h *PackedB, dst, ain []float32, rows int) []float32 {
+		// ain (in the input's layout), stored under ep, per call (h == nil)
+		// or through h.
+		mul := func(e *engine.Engine, h *PackedB, dst, ain []float32, rows int, ep Epilogue) []float32 {
 			dst = append([]float32(nil), dst...)
 			switch p {
 			case 0:
-				h.F32(e, dst, ain, bin, rows, k, n, alpha, aT, bT)
+				h.F32(e, dst, ain, bin, rows, k, n, alpha, aT, bT, ep)
 			case 1:
-				h.F16(e, dst, ain, bin, rows, k, n, alpha, aT, bT)
+				h.F16(e, dst, ain, bin, rows, k, n, alpha, aT, bT, ep)
 			default:
-				h.I8(e, dst, ain, bin, rows, k, n, alpha, sa, sb, aT, bT)
+				h.I8(e, dst, ain, bin, rows, k, n, alpha, sa, sb, aT, bT, ep)
 			}
 			return dst
 		}
-		run := func(e *engine.Engine, h *PackedB) []float32 { return mul(e, h, dst0, ain, m) }
+		run := func(e *engine.Engine, h *PackedB) []float32 { return mul(e, h, dst0, ain, m, Epilogue{}) }
 		name := [3]string{"F32", "F16", "I8"}[p]
-		w := int(wide) % 2
+		w := int(mode) % 2
 		got := run(engines[w], nil)
 
 		maxA, maxB := float64(precision.MaxAbs(a)), float64(precision.MaxAbs(b))
@@ -134,6 +140,32 @@ func FuzzGEMM(f *testing.F) {
 			})
 		}
 
+		// The epilogue's oracle is the product followed by its passes.
+		var ep Epilogue
+		full := got
+		if em := int(mode) / 2 % 4; em != 0 {
+			if em&1 != 0 {
+				ep.Bias = randSlice(rng, n)
+			}
+			ep.F16 = em&2 != 0
+			full = append([]float32(nil), got...)
+			for i, v := range full {
+				if ep.Bias != nil {
+					v += ep.Bias[i%n]
+				}
+				if ep.F16 {
+					v = precision.RoundF16(v)
+				}
+				full[i] = v
+			}
+			for _, e := range engines {
+				for _, hs := range []*PackedB{nil, h} {
+					wantBits(t, fmt.Sprintf("%s under epilogue (bias %v, f16 %v) against product then passes (%d workers, holder %v)",
+						name, ep.Bias != nil, ep.F16, e.Workers(), hs != nil), mul(e, hs, dst0, ain, m, ep), full)
+				}
+			}
+		}
+
 		if m == 1 {
 			return
 		}
@@ -146,9 +178,9 @@ func FuzzGEMM(f *testing.F) {
 			}
 			for _, e := range engines {
 				for _, hs := range []*PackedB{nil, h} {
-					seg := mul(e, hs, dst0[lo*n:hi*n], as, hi-lo)
+					seg := mul(e, hs, dst0[lo*n:hi*n], as, hi-lo, ep)
 					wantBits(t, fmt.Sprintf("%s rows [%d, %d) of %d alone (aT=%v bT=%v, %d workers, holder %v)",
-						name, lo, hi, m, aT, bT, e.Workers(), hs != nil), seg, got[lo*n:hi*n])
+						name, lo, hi, m, aT, bT, e.Workers(), hs != nil), seg, full[lo*n:hi*n])
 				}
 			}
 		}

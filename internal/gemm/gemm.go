@@ -7,8 +7,9 @@
 //
 // A call computes dst[M,N] += alpha · A[M,K]·B[K,N] (either operand may
 // be stored transposed — the pack step absorbs the transpose, so NN, NT
-// and TN all run the same inner kernel). Operands are repacked into
-// panels:
+// and TN all run the same inner kernel), followed by its store epilogue
+// (Epilogue: a per-column bias and an f16 re-store, applied as each
+// tile reaches dst). Operands are repacked into panels:
 //
 //	A row panels    ap[(ip·K + l)·MR + r] = A[ip·MR+r][l]   (l-major)
 //	B column panels bp[(jp·K + l)·NR + c] = B[l][jp·NR+c]
@@ -63,16 +64,22 @@
 // alone; each element is the same fused chain in every kernel, so the
 // bits depend on neither. The int8 kernel stays 4×16.
 //
+// Every tile reaches dst through addTileF32, the one store, which also
+// applies the product's Epilogue. With the assembly kernels a full-width
+// tile is stored by storeTileAsm: 8-lane multiplies and adds, each
+// rounded on its own in the scalar store's order, so the store's bits do
+// not depend on which form ran either.
+//
 // # Accumulation-order contract
 //
 // Every dst element is produced by exactly one micro-kernel invocation
 // that accumulates its K products in ascending-l order into a single
 // register accumulator, then stores dst += alpha·acc (scale after
-// accumulate). Work is partitioned over A row panels (a convolution's
-// over samples and B-panel blocks) with chunking that depends on the shape
-// and the kernel choice alone (grainA), so results are bitwise identical
-// at any engine worker count and under any branch schedule — the
-// engine's determinism contract.
+// accumulate) and the epilogue on that sum. Work is partitioned over A
+// row panels (a convolution's over samples and B-panel blocks) with
+// chunking that depends on the shape and the kernel choice alone
+// (grainA), so results are bitwise identical at any engine worker count
+// and under any branch schedule — the engine's determinism contract.
 //
 // # Reduced precision
 //
@@ -89,6 +96,8 @@
 package gemm
 
 import (
+	"sync"
+
 	"mmbench/internal/engine"
 	"mmbench/internal/precision"
 )
@@ -132,18 +141,39 @@ func KernelName() string {
 	return "generic"
 }
 
+// Epilogue is what a product does to an element as its tile reaches dst,
+// after dst += alpha·acc: add Bias[j], the bias of the element's column
+// (nil adds nothing), and with F16 re-store the sum through the float16
+// grid (precision.RoundF16). An element is stored once, so
+//
+//	dst[i][j] = RoundF16((dst[i][j] + alpha·acc[i][j]) + Bias[j])
+//
+// has the bits of the product followed by a bias pass and a rounding
+// pass: the same operations in the same order. The zero Epilogue stores
+// dst + alpha·acc alone. An empty product (m, k or n zero) stores
+// nothing, its epilogue included.
+type Epilogue struct {
+	Bias []float32
+	F16  bool
+}
+
 // F32 computes dst[m,n] += alpha · A·B over packed panels. aT means a is
 // stored [k,m] (A read transposed); bT means b is stored [n,k]. dst has
 // row stride n and is accumulated into, so gradient += calls work
 // directly.
 func F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
+	perCallF32(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
+}
+
+// perCallF32 is F32 with a store epilogue.
+func perCallF32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	bp := e.GetPanel(panelsB(n) * k * NR)
 	defer e.Put(bp)
 	packBF32(e, bp, b, k, n, bT)
-	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false)
+	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false, ep)
 }
 
 // panelsA and panelsB count the MR-row panels of an m-row A and the
@@ -164,12 +194,13 @@ func LenB(k, n int) int { return panelsB(n) * k * NR }
 // work over panels they packed themselves (PackA, PackB, PackBT,
 // PackBConv): it draws no scratch and counts nothing.
 func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha float32) {
-	mulTiles(dst, ldd, ap, bp, m, k, n, alpha)
+	mulTiles(dst, ldd, ap, bp, m, k, n, alpha, Epilogue{})
 }
 
 // mulTiles computes dst[m,n] += alpha · A·B from row panels ap and column
 // panels bp — f32 values, or raw float16 bits for the vcvtph2ps kernels
-// (ap then already on the float16 grid) — on the calling goroutine. It is
+// (ap then already on the float16 grid) — followed by ep, on the calling
+// goroutine; ep.Bias is indexed by the column within dst. It is
 // the only driver of the f32 and f16 micro-kernels. Where the AVX-512
 // kernels run (asmWide), each pair of A panels meets each pair of B
 // panels in one 8×32 call, the odd last A panel — the only panel of a
@@ -179,8 +210,10 @@ func MulPanels(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha floa
 // the pairs and the last one to three B panels beside the groups.
 // Elsewhere the 4×16 kernel covers every tile. Every kernel gives an
 // element the same fused chain, so the bits do not depend on which one
-// computed it. Every tile reaches dst through addTileF32.
-func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, m, k, n int, alpha float32) {
+// computed it. Every tile reaches dst through addTileF32, which applies
+// ep as it stores: each kernel spans all of K, so an element's one store
+// is its final value.
+func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, m, k, n int, alpha float32, ep Epilogue) {
 	npa, npb := panelsA(m), panelsB(n)
 	npa2, npb2, npb4 := 0, 0, 0 // the panels the AVX-512 kernels cover
 	if asmWide {
@@ -192,7 +225,7 @@ func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, 
 		for jp := 0; jp < npb2; jp += 2 {
 			kernTilePair(app, bp[jp*k*NR:(jp+2)*k*NR], &block, k)
 			for s := range block {
-				addTileF32(dst, ldd, &block[s], (ip+s/2)*MR, (jp+s%2)*NR, m, n, alpha)
+				addTileF32(dst, ldd, &block[s], (ip+s/2)*MR, (jp+s%2)*NR, m, n, alpha, ep)
 			}
 		}
 	}
@@ -204,13 +237,13 @@ func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, 
 			for jp = 0; jp < npb4; jp += 4 {
 				kernPanelRow(app, bp[jp*k*NR:(jp+4)*k*NR], &block, k, m-ip*MR <= 2)
 				for s := range block {
-					addTileF32(dst, ldd, &block[s], ip*MR, (jp+s)*NR, m, n, alpha)
+					addTileF32(dst, ldd, &block[s], ip*MR, (jp+s)*NR, m, n, alpha, ep)
 				}
 			}
 		}
 		for ; jp < npb; jp++ {
 			kernTile(app, bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
-			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha)
+			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha, ep)
 		}
 	}
 }
@@ -271,10 +304,10 @@ func grainA() int {
 
 // mulF32 multiplies A against finished f32 B panels: it packs A into
 // pooled scratch (through the float16 grid when f16A — the F16 fallback
-// layout) and runs MulPanels, grainA() A row panels per work unit. The per-call
-// entry points and the kept panels of a PackedB differ only in where bp
-// came from.
-func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool) {
+// layout) and runs mulTiles, grainA() A row panels per work unit. The
+// per-call entry points and the kept panels of a PackedB differ only in
+// where bp came from.
+func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool, ep Epilogue) {
 	ap := e.GetPanel(LenA(m, k))
 	defer e.Put(ap)
 	if f16A {
@@ -282,17 +315,76 @@ func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, 
 	} else {
 		packAF32(e, ap, a, m, k, aT)
 	}
-	e.ParallelFor(panelsA(m), grainA(), func(lo, hi int) {
-		MulPanels(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
-	})
+	j := getJob(dst, m, k, n, alpha, ep)
+	j.ap, j.bp = ap, bp
+	j.run(e, grainA())
+}
+
+// mulJob is one product's operands and store, handed to the engine's
+// chunks through its chunk method value, which is bound once when the
+// job is made. A closure over them would be a heap object per call (the
+// engine's queue makes every ParallelFor body escape); a pooled job is
+// not. Exactly one of bp, bpH and bpI is set.
+type mulJob struct {
+	dst     []float32
+	ap      []float32 // f32 and f16 A panels
+	apI     []int16   // int8 A panels
+	bp      []float32
+	bpH     []uint16
+	bpI     []int8
+	m, k, n int // k counts K pairs for int8 panels
+	alpha   float32
+	ep      Epilogue
+	chunk   func(lo, hi int)
+}
+
+var mulJobs = sync.Pool{New: func() any {
+	j := new(mulJob)
+	j.chunk = j.panels
+	return j
+}}
+
+// getJob draws a pooled job for a product into dst; the caller sets its
+// panels and calls run.
+func getJob(dst []float32, m, k, n int, alpha float32, ep Epilogue) *mulJob {
+	j := mulJobs.Get().(*mulJob)
+	j.dst, j.m, j.k, j.n, j.alpha, j.ep = dst, m, k, n, alpha, ep
+	return j
+}
+
+// run multiplies the job's A row panels against its B panels, grain A
+// panels per engine chunk, then clears the job (it must not keep panels
+// alive) and returns it to the pool.
+func (j *mulJob) run(e *engine.Engine, grain int) {
+	e.ParallelFor(panelsA(j.m), grain, j.chunk)
+	*j = mulJob{chunk: j.chunk}
+	mulJobs.Put(j)
+}
+
+// panels runs A row panels [lo, hi) of the job.
+func (j *mulJob) panels(lo, hi int) {
+	dst, m, k, n := j.dst[lo*MR*j.n:], min(j.m, hi*MR)-lo*MR, j.k, j.n
+	switch {
+	case j.bpI != nil:
+		mulPanelsI8(dst, n, j.apI[lo*k*2*MR:hi*k*2*MR], j.bpI, m, k, n, j.alpha, j.ep)
+	case j.bpH != nil:
+		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bpH, m, k, n, j.alpha, j.ep)
+	default:
+		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bp, m, k, n, j.alpha, j.ep)
+	}
 }
 
 // F16 is F32 with both operands rounded to the float16 grid during
-// packing (the emulated f16 storage path). The caller still owns the
-// output store: dst receives the raw f32 accumulation, exactly like the
-// unpacked emulation, so bias adds can join before the final f16
-// rounding.
+// packing (the emulated f16 storage path). dst receives the raw f32
+// accumulation, exactly like the unpacked emulation; re-storing it
+// through the grid, after a bias has joined, is the epilogue's job
+// (Epilogue.F16) or the caller's.
 func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
+	perCallF16(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
+}
+
+// perCallF16 is F16 with a store epilogue.
+func perCallF16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
@@ -302,25 +394,25 @@ func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, 
 		bp := e.GetPanelU16(panelsB(n) * k * NR)
 		defer e.PutU16(bp)
 		packBU16(e, bp, b, k, n, bT)
-		mulF16(e, dst, a, bp, m, k, n, alpha, aT)
+		mulF16(e, dst, a, bp, m, k, n, alpha, aT, ep)
 	} else {
 		bp := e.GetPanel(panelsB(n) * k * NR)
 		defer e.Put(bp)
 		packBF16F32(e, bp, b, k, n, bT)
-		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true)
+		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true, ep)
 	}
 }
 
 // mulF16 multiplies A, rounded to the float16 grid while packing,
 // against finished half-width B panels: mulTiles, grainA() A row panels
 // per work unit.
-func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool) {
+func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool, ep Epilogue) {
 	ap := e.GetPanel(LenA(m, k))
 	defer e.Put(ap)
 	packAF16(e, ap, a, m, k, aT)
-	e.ParallelFor(panelsA(m), grainA(), func(lo, hi int) {
-		mulTiles(dst[lo*MR*n:], n, ap[lo*k*MR:hi*k*MR], bp, min(m, hi*MR)-lo*MR, k, n, alpha)
-	})
+	j := getJob(dst, m, k, n, alpha, ep)
+	j.ap, j.bpH = ap, bp
+	j.run(e, grainA())
 }
 
 // I8 computes dst[m,n] += alpha·sa·sb · (Qa·Qb) where Qa, Qb are the
@@ -334,13 +426,18 @@ func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha 
 // (int32 headroom at maximal |level| 127); the f32 store rounds sums
 // above 2^24 to the nearest representable float, deterministically.
 func I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool) {
+	perCallI8(e, dst, a, b, m, k, n, alpha, sa, sb, aT, bT, Epilogue{})
+}
+
+// perCallI8 is I8 with a store epilogue.
+func perCallI8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool, ep Epilogue) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	bp := e.GetPanelI8(panelsB(n) * pairsI8(k) * 2 * NR)
 	defer e.PutI8(bp)
 	packBI8(e, bp, b, k, n, sb, bT)
-	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT)
+	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT, ep)
 }
 
 // pairsI8 is the int16 pair count of a K-long int8 dot; odd K pads a
@@ -350,27 +447,32 @@ func pairsI8(k int) int { return (k + 1) / 2 }
 // mulI8 quantizes and packs A at scale sa and multiplies it against
 // finished int8 B panels quantized at sb: mulPanelsI8, one A row panel per
 // work unit.
-func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa, sb float32, aT bool) {
+func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa, sb float32, aT bool, ep Epilogue) {
 	kp := pairsI8(k)
 	ap := e.GetPanelI16(panelsA(m) * kp * 2 * MR)
 	defer e.PutI16(ap)
 	packAI16(e, ap, a, m, k, sa, aT)
-	deq := alpha * sa * sb
-	e.ParallelFor(panelsA(m), 1, func(lo, hi int) {
-		mulPanelsI8(dst[lo*MR*n:], n, ap[lo*kp*2*MR:hi*kp*2*MR], bp, min(m, hi*MR)-lo*MR, kp, n, deq)
-	})
+	j := getJob(dst, m, kp, n, alpha*sa*sb, ep)
+	j.apI, j.bpI = ap, bp
+	j.run(e, 1)
 }
 
-// mulPanelsI8 is MulPanels for quantized panels of kp K-pairs each:
+// mulPanelsI8 is mulTiles for quantized panels of kp K-pairs each:
 // dst[m,n] += deq · (Qa·Qb), accumulated exactly in int32 and dequantized
-// at the tile store — the only driver of kernI8.
-func mulPanelsI8(dst []float32, ldd int, ap []int16, bp []int8, m, kp, n int, deq float32) {
+// at the tile store, followed by ep — the only driver of kernI8. The int32
+// tile converts to float32 (exactly what the store's float32(v) would
+// give) and reaches dst through addTileF32 with alpha = deq.
+func mulPanelsI8(dst []float32, ldd int, ap []int16, bp []int8, m, kp, n int, deq float32, ep Epilogue) {
 	var tile [MR * NR]int32
+	var ft [MR * NR]float32
 	for ip := 0; ip*MR < m; ip++ {
 		app := ap[ip*kp*2*MR : (ip+1)*kp*2*MR]
 		for jp := 0; jp*NR < n; jp++ {
 			kernI8(app, bp[jp*kp*2*NR:(jp+1)*kp*2*NR], &tile, kp)
-			addTileI32(dst, ldd, &tile, ip*MR, jp*NR, m, n, deq)
+			for i, v := range tile {
+				ft[i] = float32(v)
+			}
+			addTileF32(dst, ldd, &ft, ip*MR, jp*NR, m, n, deq, ep)
 		}
 	}
 }
@@ -437,7 +539,7 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
 		d := dst[ni*outC*m+j0:]
 		if asmF16 {
-			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1)
+			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1, Epilogue{})
 		} else {
 			precision.RoundF16Slice(bp, bp)
 			MulPanels(d, m, ap, bp, outC, k, cols, 1)
@@ -456,18 +558,40 @@ func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw 
 	defer e.PutI16(ap)
 	packAI16(e, ap, w, outC, k, sw, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
-		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, i8PairsInPlace(bp, k, 1/sx[ni]), outC, kp, cols, sw*sx[ni])
+		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, i8PairsInPlace(bp, k, 1/sx[ni]), outC, kp, cols, sw*sx[ni], Epilogue{})
 	})
 }
 
-// addTileF32 accumulates the valid region of a full MR×NR tile into dst,
-// whose rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c].
+// addTileF32 stores the valid region of a full MR×NR tile into dst, whose
+// rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c], then
+// ep on that sum. It is the only store of every f32, f16 and int8
+// product, and an element's one store is its final value. Each
+// expression keeps the shape of the separate passes the epilogue stands
+// for — (dst + alpha·t) + bias, then RoundF16 — since Go may fuse a
+// multiply feeding an add (as on arm64) and must do so alike in both.
 // Multiplying by alpha == 1 is a bitwise identity, so the common unscaled
 // call pays one multiply and no branch.
-func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32) {
+func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32, ep Epilogue) {
 	rows, cols := min(MR, m-i0), min(NR, n-j0)
+	if ep.F16 {
+		for r := 0; r < rows; r++ {
+			storeF16(dst[(i0+r)*ldd+j0:][:cols], tile[r*NR:][:cols], alpha, ep.Bias, j0)
+		}
+		return
+	}
+	if asmKernels && cols == NR {
+		// Interior tile: two 8-lane multiplies and adds per row, each
+		// rounded as the scalar loop below rounds it.
+		_ = dst[(i0+rows-1)*ldd+j0+NR-1]
+		var bias *float32
+		if ep.Bias != nil {
+			bias = &ep.Bias[j0:][:NR][0]
+		}
+		storeTileAsm(&dst[i0*ldd+j0], int64(ldd), &tile[0], int64(rows), alpha, bias)
+		return
+	}
 	for r := 0; r < rows; r++ {
-		if cols == NR {
+		if cols == NR && ep.Bias == nil {
 			// Interior tile: fixed-size rows need no bounds checks, and four
 			// independent updates per step keep the adder busy.
 			dr, tr := (*[NR]float32)(dst[(i0+r)*ldd+j0:]), (*[NR]float32)(tile[r*NR:])
@@ -481,21 +605,32 @@ func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int
 		}
 		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
 		tr := tile[r*NR : r*NR+cols]
+		if ep.Bias == nil {
+			for c, v := range tr {
+				dr[c] += alpha * v
+			}
+			continue
+		}
+		br := ep.Bias[j0:][:cols]
 		for c, v := range tr {
-			dr[c] += alpha * v
+			dr[c] = (dr[c] + alpha*v) + br[c]
 		}
 	}
 }
 
-// addTileI32 dequantizes and accumulates an int32 tile into dst, whose
-// rows are ldd elements apart: dst[i0+r][j0+c] += deq·float32(tile[r][c]).
-func addTileI32(dst []float32, ldd int, tile *[MR * NR]int32, i0, j0, m, n int, deq float32) {
-	rows, cols := min(MR, m-i0), min(NR, n-j0)
-	for r := 0; r < rows; r++ {
-		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
-		tr := tile[r*NR : r*NR+cols]
-		for c, v := range tr {
-			dr[c] += deq * float32(v)
+// storeF16 stores one tile row t, of columns [j0, j0+len(dr)), into dr
+// through the float16 grid: dr[c] = RoundF16((dr[c] + alpha·t[c]) +
+// bias[j0+c]), without the bias when it is nil.
+func storeF16(dr, t []float32, alpha float32, bias []float32, j0 int) {
+	t = t[:len(dr)]
+	if bias == nil {
+		for c, v := range t {
+			dr[c] = precision.RoundF16(dr[c] + alpha*v)
 		}
+		return
+	}
+	b := bias[j0:][:len(dr)]
+	for c, v := range t {
+		dr[c] = precision.RoundF16((dr[c] + alpha*v) + b[c])
 	}
 }

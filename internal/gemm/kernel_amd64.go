@@ -94,6 +94,14 @@ func kernF32x4R2Asm(ap, bp, tile *float32, k int64)
 //go:noescape
 func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64)
 
+// storeTileAsm (kernel_amd64.s) is addTileF32's store of a full-width
+// tile of rows rows at f32: dst[r·ldd+c] = (dst[r·ldd+c] + alpha·
+// tile[r·NR+c]) + bias[c], without the bias when it is nil. The caller
+// bounds-checks the last element it writes and reads.
+//
+//go:noescape
+func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32)
+
 //go:noescape
 func kernI8Asm(ap *int16, bp *int8, tile *int32, kp int64)
 

@@ -223,3 +223,56 @@ vnniloop:
 	VMOVDQU Y7, 224(DI)
 	VZEROUPPER
 	RET
+
+// func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32)
+// The interior-tile store of addTileF32: for r < rows and c < 16,
+// dst[r*ldd+c] = (dst[r*ldd+c] + alpha·tile[r*16+c]) + bias[c], the bias
+// add skipped when bias is nil. Each multiply and add rounds on its own
+// (no FMA) in the order of the scalar store, so the bits are the same;
+// each sum keeps alpha·tile as its first operand, as the scalar code does.
+TEXT ·storeTileAsm(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), DI
+	MOVQ         ldd+8(FP), DX
+	SHLQ         $2, DX
+	MOVQ         tile+16(FP), SI
+	MOVQ         rows+24(FP), CX
+	VBROADCASTSS alpha+32(FP), Y15
+	MOVQ         bias+40(FP), BX
+	TESTQ        BX, BX
+	JZ           storeplain
+	VMOVUPS      (BX), Y13
+	VMOVUPS      32(BX), Y14
+
+storebias:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMULPS  Y15, Y0, Y0
+	VMULPS  Y15, Y1, Y1
+	VADDPS  (DI), Y0, Y0
+	VADDPS  32(DI), Y1, Y1
+	VADDPS  Y13, Y0, Y0
+	VADDPS  Y14, Y1, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     storebias
+	VZEROUPPER
+	RET
+
+storeplain:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMULPS  Y15, Y0, Y0
+	VMULPS  Y15, Y1, Y1
+	VADDPS  (DI), Y0, Y0
+	VADDPS  32(DI), Y1, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     storeplain
+	VZEROUPPER
+	RET

@@ -53,3 +53,7 @@ func kernF32x4R2Asm(ap, bp, tile *float32, k int64) {
 func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64) {
 	panic("gemm: one-panel asm kernel unavailable on this platform")
 }
+
+func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32) {
+	panic("gemm: asm tile store unavailable on this platform")
+}

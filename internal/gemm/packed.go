@@ -18,8 +18,9 @@ import (
 // A holder belongs to its operand and is collected with it; nothing in
 // this package keeps one reachable. Its methods take the operand again
 // on every call (only the first use per precision reads it) and have
-// the package-level functions' signatures; a nil *PackedB keeps nothing
-// and is exactly those functions.
+// the package-level functions' signatures plus a store Epilogue; a nil
+// *PackedB keeps nothing and is exactly those functions with that
+// epilogue.
 //
 // Concurrent first uses race benignly: each packs a private heap buffer
 // and one compare-and-swap publishes the winner; losers drop theirs. A
@@ -103,23 +104,25 @@ func keep[T any](p *PackedB, slot *atomic.Pointer[panels[T]], e *engine.Engine, 
 	return bp
 }
 
-// F32 is the package-level F32 against the holder's kept f32 panels.
-func (p *PackedB) F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
+// F32 is the package-level F32 against the holder's kept f32 panels,
+// followed by ep.
+func (p *PackedB) F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
 	if p == nil {
-		F32(e, dst, a, b, m, k, n, alpha, aT, bT)
+		perCallF32(e, dst, a, b, m, k, n, alpha, aT, bT, ep)
 		return
 	}
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	bp := keep(p, &p.f32, e, k, n, bT, 0, panelsB(n)*k*NR, func(bp []float32) { packBF32(e, bp, b, k, n, bT) })
-	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false)
+	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false, ep)
 }
 
-// F16 is the package-level F16 against the holder's kept f16 panels.
-func (p *PackedB) F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
+// F16 is the package-level F16 against the holder's kept f16 panels,
+// followed by ep.
+func (p *PackedB) F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
 	if p == nil {
-		F16(e, dst, a, b, m, k, n, alpha, aT, bT)
+		perCallF16(e, dst, a, b, m, k, n, alpha, aT, bT, ep)
 		return
 	}
 	if m == 0 || k == 0 || n == 0 {
@@ -127,10 +130,10 @@ func (p *PackedB) F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha 
 	}
 	if asmF16 {
 		bp := keep(p, &p.f16u, e, k, n, bT, 0, panelsB(n)*k*NR, func(bp []uint16) { packBU16(e, bp, b, k, n, bT) })
-		mulF16(e, dst, a, bp, m, k, n, alpha, aT)
+		mulF16(e, dst, a, bp, m, k, n, alpha, aT, ep)
 	} else {
 		bp := keep(p, &p.f16f, e, k, n, bT, 0, panelsB(n)*k*NR, func(bp []float32) { packBF16F32(e, bp, b, k, n, bT) })
-		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true)
+		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true, ep)
 	}
 }
 
@@ -147,16 +150,16 @@ func (p *PackedB) I8Scale(b []float32) float32 {
 	return precision.I8Scale(precision.MaxAbs(b))
 }
 
-// I8 is the package-level I8 against the holder's kept int8 panels. sb
-// must be p.I8Scale(b): the panels are quantized at it.
-func (p *PackedB) I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool) {
+// I8 is the package-level I8 against the holder's kept int8 panels,
+// followed by ep. sb must be p.I8Scale(b): the panels are quantized at it.
+func (p *PackedB) I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool, ep Epilogue) {
 	if p == nil {
-		I8(e, dst, a, b, m, k, n, alpha, sa, sb, aT, bT)
+		perCallI8(e, dst, a, b, m, k, n, alpha, sa, sb, aT, bT, ep)
 		return
 	}
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	bp := keep(p, &p.i8, e, k, n, bT, sb, panelsB(n)*pairsI8(k)*2*NR, func(bp []int8) { packBI8(e, bp, b, k, n, sb, bT) })
-	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT)
+	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT, ep)
 }

@@ -23,21 +23,21 @@ var keptKernels = []struct {
 			F32(e, dst, a, b, m, k, n, 0.5, aT, bT)
 		},
 		func(p *PackedB, e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
-			p.F32(e, dst, a, b, m, k, n, 0.5, aT, bT)
+			p.F32(e, dst, a, b, m, k, n, 0.5, aT, bT, Epilogue{})
 		}},
 	{"F16",
 		func(e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
 			F16(e, dst, a, b, m, k, n, 0.5, aT, bT)
 		},
 		func(p *PackedB, e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
-			p.F16(e, dst, a, b, m, k, n, 0.5, aT, bT)
+			p.F16(e, dst, a, b, m, k, n, 0.5, aT, bT, Epilogue{})
 		}},
 	{"I8",
 		func(e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
 			I8(e, dst, a, b, m, k, n, 0.5, 1.0/127, (*PackedB)(nil).I8Scale(b), aT, bT)
 		},
 		func(p *PackedB, e *engine.Engine, dst, a, b []float32, m, k, n int, aT, bT bool) {
-			p.I8(e, dst, a, b, m, k, n, 0.5, 1.0/127, p.I8Scale(b), aT, bT)
+			p.I8(e, dst, a, b, m, k, n, 0.5, 1.0/127, p.I8Scale(b), aT, bT, Epilogue{})
 		}},
 }
 
@@ -157,7 +157,7 @@ func TestPackedBKeepsOnePanelSetPerPrecision(t *testing.T) {
 			t.Fatal("a holder reused for a different operand shape did not panic")
 		}
 	}()
-	p.F32(e, make([]float32, m*(n+1)), a, randSlice(rng, k*(n+1)), m, k, n+1, 1, false, false)
+	p.F32(e, make([]float32, m*(n+1)), a, randSlice(rng, k*(n+1)), m, k, n+1, 1, false, false, Epilogue{})
 }
 
 // TestPackedBPublishesOnlyCompletePacks: a pack that ran under a

@@ -62,9 +62,9 @@ func TestTilePairKernelsMatch4x16(t *testing.T) {
 			// kernel choice in force, which packing does not depend on.
 			h := NewPackedB(nil)
 			if f16 {
-				h.F16(engines[0], dst, a, b, m, k, n, alpha, aT, bT)
+				h.F16(engines[0], dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
 			} else {
-				h.F32(engines[0], dst, a, b, m, k, n, alpha, aT, bT)
+				h.F32(engines[0], dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
 			}
 			return dst
 		}

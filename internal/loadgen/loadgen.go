@@ -1,8 +1,8 @@
 // Package loadgen is an SLO-aware load generator for the benchmark
 // service: it drives a target (normally POST /v1/run on a live server)
 // on a seeded arrival process and reports achieved throughput plus a
-// latency percentile table — the numbers a batching-window or
-// max-batch decision is judged by.
+// latency percentile table — the numbers a max-batch or worker-count
+// decision is judged by.
 //
 // Determinism is a design constraint, not an accident: the arrival
 // schedule is a pure function of (seed, qps, duration, arrival), and a

@@ -253,14 +253,31 @@ func BenchmarkSoftmax(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerNorm normalizes 64 rows of 256 and mosei's transformer
+// activations at batch 2 (B2·T50 = 100 rows of 256), untaped.
 func BenchmarkLayerNorm(b *testing.B) {
-	g := tensor.NewRNG(5)
-	x := benchVar(g, 64, 256)
-	gamma := Ones(false, 256)
-	beta := autograd.NewVar(tensor.New(256))
+	for _, rows := range []int{64, 100} {
+		b.Run(fmt.Sprintf("%dx256", rows), func(b *testing.B) {
+			g := tensor.NewRNG(5)
+			x := benchVar(g, rows, 256)
+			gamma := Ones(false, 256)
+			beta := autograd.NewVar(tensor.New(256))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Infer().LayerNorm(x, gamma, beta, 1e-5)
+			}
+		})
+	}
+}
+
+// BenchmarkAdd is the residual add of mosei's transformer layers at batch
+// 2: two 100×256 operands.
+func BenchmarkAdd(b *testing.B) {
+	g := tensor.NewRNG(8)
+	x, y := benchVar(g, 100, 256), benchVar(g, 100, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Infer().LayerNorm(x, gamma, beta, 1e-5)
+		Infer().Add(x, y)
 	}
 }
 

@@ -33,8 +33,10 @@ func (c *Ctx) Add(a, b *Var) *Var {
 	e := c.engine()
 	ad, bd, od := a.Value.Data(), b.Value.Data(), out.Value.Data()
 	e.ParallelFor(n, elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] + bd[i]
+		a := ad[lo:hi]
+		b, o := bd[lo:hi][:len(a)], od[lo:hi][:len(a)]
+		for i, v := range a {
+			o[i] = v + b[i]
 		}
 	})
 	if c.taping(a, b) {
@@ -62,8 +64,10 @@ func (c *Ctx) Mul(a, b *Var) *Var {
 	e := c.engine()
 	ad, bd, od := a.Value.Data(), b.Value.Data(), out.Value.Data()
 	e.ParallelFor(n, elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] * bd[i]
+		a := ad[lo:hi]
+		b, o := bd[lo:hi][:len(a)], od[lo:hi][:len(a)]
+		for i, v := range a {
+			o[i] = v * b[i]
 		}
 	})
 	if c.taping(a, b) {

@@ -83,26 +83,25 @@ func (c *Ctx) linearSpecs(rows, in, out int, bias bool) (specs [2]kernels.Spec, 
 }
 
 // product computes dst[rows,n] += a[rows,k]·w[k,n] at the active
-// precision — Linear's product, before its bias and its f16 output
-// rounding — against kept's panels (nil packs per call). At i8 the
-// activation scale calibrates per request segment and w's scale per
-// tensor.
-func (c *Ctx) product(kept *gemm.PackedB, dst, a, w []float32, rows, k, n int) {
+// precision, followed by the store epilogue ep, against kept's panels
+// (nil packs per call). At i8 the activation scale calibrates per request
+// segment and w's scale per tensor.
+func (c *Ctx) product(kept *gemm.PackedB, dst, a, w []float32, rows, k, n int, ep gemm.Epilogue) {
 	e := c.engine()
 	switch p := c.prec; p {
 	case precision.F16:
 		e.CountLowp(p)
-		kept.F16(e, dst, a, w, rows, k, n, 1, false, false)
+		kept.F16(e, dst, a, w, rows, k, n, 1, false, false, ep)
 	case precision.I8:
 		e.CountLowp(p)
 		sw := kept.I8Scale(w)
 		for _, s := range c.i8Segments(rows) {
 			as := a[s.lo*k : s.hi*k]
 			sx := precision.I8Scale(precision.MaxAbs(as))
-			kept.I8(e, dst[s.lo*n:s.hi*n], as, w, s.hi-s.lo, k, n, 1, sx, sw, false, false)
+			kept.I8(e, dst[s.lo*n:s.hi*n], as, w, s.hi-s.lo, k, n, 1, sx, sw, false, false, ep)
 		}
 	default:
-		kept.F32(e, dst, a, w, rows, k, n, 1, false, false)
+		kept.F32(e, dst, a, w, rows, k, n, 1, false, false, ep)
 	}
 }
 
@@ -148,33 +147,23 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	// inside the panel packing; the bias joins in the wide accumulator
 	// (for f16 the sum is re-stored through the grid exactly once, after
 	// the bias, like Conv2D; for i8 the dequantized output stays f32 —
-	// both the usual hardware arrangement). A row's product does not
-	// depend on how many rows share the call, so a merged cross-request
-	// batch runs one GEMM; only the i8 activation scale is a per-tensor,
-	// hence cross-request, statistic and calibrates per request segment.
-	// The weight scale is per-tensor over W and batch-independent.
+	// both the usual hardware arrangement). Both happen in the product's
+	// tile store (gemm.Epilogue): out starts zeroed, so each element is
+	// RoundF16((0 + acc) + bias[j]), the bits of a bias pass and a
+	// rounding pass after the product. A row's product does not depend on
+	// how many rows share the call, so a merged cross-request batch runs
+	// one GEMM; only the i8 activation scale is a per-tensor, hence
+	// cross-request, statistic and calibrates per request segment. The
+	// weight scale is per-tensor over W and batch-independent.
 	var kept *gemm.PackedB // nil packs per call
 	if c.Tape == nil {
 		kept = w.Frozen
 	}
-	c.product(kept, od, xd, wd, rows, in, outDim)
-	if c.prec == precision.F16 && bias == nil {
-		roundSliceF16(e, od)
-	}
+	ep := gemm.Epilogue{F16: c.prec == precision.F16}
 	if bias != nil {
-		bd := bias.Value.Data()
-		e.ParallelFor(rows, rowGrain(outDim), func(r0, r1 int) {
-			for r := r0; r < r1; r++ {
-				row := od[r*outDim : (r+1)*outDim]
-				for j := range row {
-					row[j] += bd[j]
-				}
-			}
-		})
-		if c.prec == precision.F16 {
-			roundSliceF16(e, od)
-		}
+		ep.Bias = bias.Value.Data()
 	}
+	c.product(kept, od, xd, wd, rows, in, outDim, ep)
 	if c.taping(inputs...) {
 		c.tapeStep(out, func() {
 			g := out.Grad.Data()

@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 
+	"mmbench/internal/gemm"
 	"mmbench/internal/kernels"
 	"mmbench/internal/precision"
 )
@@ -125,14 +126,14 @@ func (c *Ctx) LSTMSequence(x, wx, wh, bias *Var) *Var {
 				copy(xt[bi*d:(bi+1)*d], xd[(bi*t+ti)*d:])
 			}
 			clear(xp)
-			c.product(wx.Frozen, xp, xt, wxd, b, d, h4)
+			c.product(wx.Frozen, xp, xt, wxd, b, d, h4, gemm.Epilogue{})
 		case ti == 0:
-			c.product(wx.Frozen, xp, xd, wxd, b*t, d, h4)
+			c.product(wx.Frozen, xp, xd, wxd, b*t, d, h4, gemm.Epilogue{})
 		default:
 			xoff = ti * h4
 		}
 		clear(hp)
-		c.product(wh.Frozen, hp, hd, whd, b, h, h4)
+		c.product(wh.Frozen, hp, hd, whd, b, h, h4, gemm.Epilogue{})
 		e.ParallelFor(b, rowGrain(h4), cellRows)
 	}
 	return out

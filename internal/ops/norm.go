@@ -37,8 +37,9 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 		invStd = make([]float32, rows)
 	}
 	e.ParallelFor(rows, rowGrain(d), func(r0, r1 int) {
+		gd, bd := gd[:d], bd[:d]
 		for r := r0; r < r1; r++ {
-			row := xd[r*d : (r+1)*d]
+			row, orow := xd[r*d:][:d], od[r*d:][:d]
 			var mean float64
 			for _, v := range row {
 				mean += float64(v)
@@ -50,16 +51,21 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 				varSum += dv * dv
 			}
 			is := float32(1 / math.Sqrt(varSum/float64(d)+float64(eps)))
-			for j, v := range row {
-				xh := (v - float32(mean)) * is
-				od[r*d+j] = xh*gd[j] + bd[j]
-				if taping {
-					xhat[r*d+j] = xh
+			mf := float32(mean)
+			if !taping {
+				for j, v := range row {
+					xh := (v - mf) * is
+					orow[j] = xh*gd[j] + bd[j]
 				}
+				continue
 			}
-			if taping {
-				invStd[r] = is
+			xrow := xhat[r*d:][:d]
+			for j, v := range row {
+				xh := (v - mf) * is
+				orow[j] = xh*gd[j] + bd[j]
+				xrow[j] = xh
 			}
+			invStd[r] = is
 		}
 	})
 
