@@ -7,6 +7,7 @@
 //	mmbench run [flags]                  profile one workload variant
 //	mmbench train [flags]                train a variant and report metric
 //	mmbench repro [flags] <id>|all       regenerate a paper table/figure
+//	mmbench repro check [-quick]         check the paper's claims
 //	mmbench sweep [flags]                sweep batch sizes and devices
 //	mmbench place [flags]                plan stage placement across the fleet
 //	mmbench serve [flags]                run the benchmark HTTP service
@@ -24,6 +25,7 @@ import (
 	"strings"
 
 	"mmbench"
+	"mmbench/internal/core"
 	"mmbench/internal/engine"
 	"mmbench/internal/obs"
 	"mmbench/internal/precision"
@@ -76,7 +78,7 @@ Commands:
   devices     list hardware profiles
   run         profile one workload variant on one device
   train       train a variant on synthetic data and report its metric
-  repro       regenerate a table/figure of the paper (or "all")
+  repro       regenerate a table/figure of the paper ("all"), or check its claims ("check")
   sweep       profile a variant across devices and batch sizes
   place       plan stage placement across the heterogeneous fleet
   serve       run the benchmark-as-a-service HTTP API
@@ -348,7 +350,20 @@ func cmdRepro(args []string) error {
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {
-		return fmt.Errorf("repro needs experiment ids (one of %v, or all)", mmbench.ExperimentIDs())
+		return fmt.Errorf("repro needs experiment ids (one of %v, all, or check)", mmbench.ExperimentIDs())
+	}
+	if ids[0] == "check" {
+		// Flags may follow check too: repro check -quick.
+		if err := fs.Parse(ids[1:]); err != nil || fs.NArg() > 0 {
+			return fmt.Errorf("repro check takes flags only, got %v", ids[1:])
+		}
+		cfg := core.DefaultExpConfig()
+		cfg.Quick = *quick
+		t, err := core.CheckClaims(cfg)
+		if rerr := report.Render(os.Stdout, *format, t); rerr != nil {
+			return rerr
+		}
+		return err
 	}
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = mmbench.ExperimentIDs()

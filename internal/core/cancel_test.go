@@ -212,18 +212,18 @@ func TestCancelledFirstUseLeavesNoPanels(t *testing.T) {
 
 // TestPanickedFirstUseLeavesNoPanels injects a kernel panic into the
 // first-ever eager run of a store network at chunk positions spread over
-// the whole forward (one worker and sequential branches, so the n-th
-// engine chunk is the same chunk every time — pack chunks included), for a
-// transformer model and a convolutional one (whose chunks are weight packs
-// and whole sample × pixel-block sweeps holding gathered panels). The
-// faulted run panics as it always has; whatever it had packed or was
-// packing, the next run of the same network gives a private network's
-// bits and the pool is whole again.
+// the whole forward (one worker, which runs the branches one after
+// another, so the n-th engine chunk is the same chunk every time — pack
+// chunks included), for a transformer model and a convolutional one
+// (whose chunks are weight packs and whole sample × pixel-block sweeps
+// holding gathered panels). The faulted run panics as it always has;
+// whatever it had packed or was packing, the next run of the same network
+// gives a private network's bits and the pool is whole again.
 func TestPanickedFirstUseLeavesNoPanels(t *testing.T) {
 	defer faultinject.Configure("")
 	e := engine.New(1)
 	defer e.Close()
-	opts := RunOptions{Eager: true, BatchSize: 2, Engine: e, SequentialBranches: true}
+	opts := RunOptions{Eager: true, BatchSize: 2, Engine: e}
 	for _, m := range []struct {
 		workload, variant string
 		chunks            int // the sweep's reach; the forward has more

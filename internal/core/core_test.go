@@ -8,10 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"mmbench/internal/device"
-	"mmbench/internal/metrics"
 	"mmbench/internal/report"
-	"mmbench/internal/workloads"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -73,84 +70,6 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
-func TestStageImbalance(t *testing.T) {
-	// Figure 6's headline: encoders dominate on encoder-heavy workloads.
-	res, err := BuildAndRun("mmimdb", "concat", true, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := metrics.StageTimes(res.Trace)
-	if st["encoder"] < 10*st["fusion"] {
-		t.Errorf("mmimdb encoder %e not ≫ fusion %e", st["encoder"], st["fusion"])
-	}
-}
-
-func TestHeavyFusionExceedsEncoder(t *testing.T) {
-	// Figure 6's counterpoint: transformer fusion on MuJoCo Push takes
-	// longer than the encoder stage.
-	res, err := BuildAndRun("push", "transformer", true, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := metrics.StageTimes(res.Trace)
-	if st["fusion"] <= st["encoder"] {
-		t.Errorf("push fusion %e not above encoder %e", st["fusion"], st["encoder"])
-	}
-}
-
-func TestMultiModalHigherCPUShare(t *testing.T) {
-	// Figure 11: multi-modal implementations have larger CPU+Runtime
-	// share than uni-modal ones.
-	for _, name := range []string{"avmnist", "push", "medseg", "vnt"} {
-		info, err := workloads.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uni, err := BuildAndRun(name, "uni:"+info.Major, true, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		multi, err := BuildAndRun(name, info.Fusions[0], true, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		us, ms := metrics.HostShare(uni.Trace), metrics.HostShare(multi.Trace)
-		if ms <= us {
-			t.Errorf("%s: multi CPU share %f not above uni %f", name, ms, us)
-		}
-	}
-}
-
-func TestEdgeSlowerThanServer(t *testing.T) {
-	nano, err := BuildAndRun("avmnist", "concat", true, RunOptions{Device: device.JetsonNano()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := BuildAndRun("avmnist", "concat", true, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nano.Latency < 2*server.Latency {
-		t.Errorf("nano latency %e not well above server %e", nano.Latency, server.Latency)
-	}
-}
-
-func TestNanoCapacityInversion(t *testing.T) {
-	// Figure 14: per-task latency on the Nano stops improving at batch
-	// 320 because the allocator pool is exhausted.
-	lat := func(batch int) float64 {
-		r, err := BuildAndRun("avmnist", "concat", true, RunOptions{Device: device.JetsonNano(), BatchSize: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Latency / float64(batch)
-	}
-	l160, l320 := lat(160), lat(320)
-	if l320 <= l160 {
-		t.Errorf("nano per-task latency at b320 (%e) should exceed b160 (%e)", l320, l160)
-	}
-}
-
 // reportDigests are the sha256 digests of the analytic experiments' text
 // renderings — `mmbench repro <id> | sha256sum` (Quick changes only the
 // trained figures). A change that moves one changed a report; regenerate
@@ -176,6 +95,7 @@ func TestExperimentIDsAllRunnable(t *testing.T) {
 	// The digests are amd64's: elsewhere the compiler may fuse a
 	// multiply-add and move a last bit of a modeled number.
 	pinned := runtime.GOARCH == "amd64"
+	figures := make(map[string][]*report.Table)
 	for _, id := range []string{"table1", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"} {
 		tables, err := RunExperiment(id, ExpConfig{Quick: true})
 		if err != nil {
@@ -184,6 +104,7 @@ func TestExperimentIDsAllRunnable(t *testing.T) {
 		if len(tables) == 0 {
 			t.Fatalf("%s produced no tables", id)
 		}
+		figures[id] = tables
 		for _, tab := range tables {
 			if len(tab.Rows) == 0 {
 				t.Errorf("%s: table %q has no rows", id, tab.Title)
@@ -199,6 +120,17 @@ func TestExperimentIDsAllRunnable(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != reportDigests[id] {
 			t.Errorf("%s renders to sha256 %s, pinned %s", id, got, reportDigests[id])
 		}
+	}
+	// The paper's analytic claims hold on the same tables.
+	for _, cl := range claims {
+		if cl.trained() {
+			continue
+		}
+		t.Run(cl.figure, func(t *testing.T) {
+			if reading, ok := cl.eval(figures[cl.figure], nil); !ok {
+				t.Errorf("%s: %s\n(paper: %s)", cl.figure, reading, cl.paper)
+			}
+		})
 	}
 }
 

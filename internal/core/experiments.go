@@ -149,11 +149,11 @@ func fig4Variants(info workloads.Info, quick bool) []string {
 // Fig4 reproduces the performance comparison. Per workload it trains the
 // uni-modal baselines of fig4Variants (the major modality and one minor
 // one) and each fusion variant on the planted synthetic data, and
-// tabulates every variant's task metric; it asserts nothing. The table
-// shows the paper's claim only in part: the best fusion variant beats the
-// best uni-modal baseline, but not every fusion does — some score below a
-// uni-modal baseline (tensor fusion on the regression tasks among them) —
-// and fusion choice alone moves the metric by several points.
+// tabulates every variant's task metric. Its claims row (claims.go)
+// asserts what the table shows of the paper's claim: the best fusion
+// variant beats the best uni-modal baseline. Not every fusion does — some
+// score below a uni-modal baseline (tensor fusion on the regression tasks
+// among them) — and fusion choice alone moves the metric by several points.
 func Fig4(cfg ExpConfig) ([]*report.Table, error) {
 	tcfg := cfg.trainConfig()
 	names := workloads.Names()
@@ -183,7 +183,8 @@ func Fig4(cfg ExpConfig) ([]*report.Table, error) {
 
 // Fig5 reproduces the mutually exclusive correct-sample distribution: most
 // correct samples are solvable from the major modality alone, and under 5%
-// require multi-modal fusion.
+// require multi-modal fusion — its claims row (claims.go), which the
+// table's Note states.
 func Fig5(cfg ExpConfig) ([]*report.Table, error) {
 	tcfg := cfg.trainConfig()
 	datasets := []string{"avmnist", "mmimdb", "mosei", "mustard"}
@@ -248,6 +249,7 @@ func Fig5(cfg ExpConfig) ([]*report.Table, error) {
 			report.Pct(float64(onlyMajor)/n), report.Pct(float64(onlyMinor)/n),
 			report.Pct(float64(fusionReq)/n), report.Pct(float64(unsolved)/n))
 	}
+	// `mmbench repro check` asserts this Note: the fig5 row of claims.go.
 	t.Note = "Paper: >75% of correct samples need only the major modality; <5% require fusion."
 	return []*report.Table{t}, nil
 }

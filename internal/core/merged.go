@@ -87,12 +87,11 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 	}
 
 	c := &ops.Ctx{
-		Eng:                opts.Engine,
-		SequentialBranches: opts.SequentialBranches,
-		Precision:          opts.Precision,
-		Segments:           segs,
-		Arena:              arena,
-		Walls:              make(map[string]float64, 3),
+		Eng:       opts.Engine,
+		Precision: opts.Precision,
+		Segments:  segs,
+		Arena:     arena,
+		Walls:     make(map[string]float64, 3),
 	}
 	if opts.Profiler != nil {
 		c.Prof = opts.Profiler.Root()
@@ -106,10 +105,9 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 	var ref *ops.Var
 	if !opts.Precision.AllF32() {
 		ref = n.Forward(&ops.Ctx{
-			Eng:                opts.Engine,
-			SequentialBranches: opts.SequentialBranches,
-			Segments:           segs,
-			Arena:              arena,
+			Eng:      opts.Engine,
+			Segments: segs,
+			Arena:    arena,
 		}, merged)
 	}
 	// Final abort checkpoint: a cancellation that fired after the last

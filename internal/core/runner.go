@@ -35,17 +35,12 @@ type RunOptions struct {
 	// Engine runs the eager kernels and holds the run's arena; nil uses
 	// the process default (worker count from -compute-workers). Results
 	// are identical at any worker count, so the engine never participates
-	// in cache keys.
+	// in cache keys. A one-worker engine also runs the encoder branches
+	// one after another: the reference schedule the determinism tests
+	// compare the forked one against.
 	Engine *engine.Engine
-	// SequentialBranches selects the reference branch schedule (see
-	// ops.Ctx.SequentialBranches) for the run's eager forwards; the
-	// modeled side's compile records its forward and so has one schedule.
-	// The run is bitwise identical either way — the invariant the
-	// determinism tests assert through this field — so it never
-	// participates in cache keys.
-	SequentialBranches bool
 	// Precision is the per-stage storage-precision policy (the
-	// -precision flag). Unlike the schedule above it changes results —
+	// -precision flag). Unlike the engine above it changes results —
 	// eager outputs numerically, analytic traces through the
 	// precision-scaled kernel costs — so it must participate in cache
 	// keys. The zero policy is all-float32 and leaves the run

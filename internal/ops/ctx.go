@@ -61,9 +61,11 @@ type Ctx struct {
 	// -precision flag). The network assembly layer activates the right
 	// stage assignment via EnterStage as execution moves between
 	// encoder branches, fusion and head; the GEMM-family operators then
-	// run their emulated low-precision variants (see lowp.go). The zero
-	// policy is all-float32 and leaves every kernel bit-identical to
-	// the reference path.
+	// store their operands at that precision: MatMul, Linear and Conv2D
+	// quantize inside the GEMM panel packing, and only fused attention
+	// quantizes into operand copies (see lowp.go). The zero policy is
+	// all-float32 and leaves every kernel bit-identical to the reference
+	// path.
 	Precision precision.Policy
 	// prec is the precision activated for the current stage scope.
 	// It is F32 outside any stage, so losses, metrics and optimizer
