@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"mmbench/internal/device"
+	"mmbench/internal/metrics"
 	"mmbench/internal/report"
 )
 
@@ -67,6 +69,61 @@ func TestRunIncludesEndToEndPipeline(t *testing.T) {
 func TestRunUnknownWorkload(t *testing.T) {
 	if _, err := BuildAndRun("nope", "concat", true, RunOptions{}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+func TestStageImbalance(t *testing.T) {
+	// Figure 6's headline: encoders dominate on encoder-heavy workloads.
+	res, err := BuildAndRun("mmimdb", "concat", true, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := metrics.StageTimes(res.Trace)
+	if st["encoder"] < 10*st["fusion"] {
+		t.Errorf("mmimdb encoder %e not ≫ fusion %e", st["encoder"], st["fusion"])
+	}
+}
+
+func TestHeavyFusionExceedsEncoder(t *testing.T) {
+	// Figure 6's counterpoint: transformer fusion on MuJoCo Push takes
+	// longer than the encoder stage.
+	res, err := BuildAndRun("push", "transformer", true, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := metrics.StageTimes(res.Trace)
+	if st["fusion"] <= st["encoder"] {
+		t.Errorf("push fusion %e not above encoder %e", st["fusion"], st["encoder"])
+	}
+}
+
+func TestEdgeSlowerThanServer(t *testing.T) {
+	nano, err := BuildAndRun("avmnist", "concat", true, RunOptions{Device: device.JetsonNano()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := BuildAndRun("avmnist", "concat", true, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nano.Latency < 2*server.Latency {
+		t.Errorf("nano latency %e not well above server %e", nano.Latency, server.Latency)
+	}
+}
+
+func TestNanoCapacityInversion(t *testing.T) {
+	// Figure 14: per-task latency on the Nano stops improving at batch
+	// 320 because the allocator pool is exhausted.
+	lat := func(batch int) float64 {
+		r, err := BuildAndRun("avmnist", "concat", true, RunOptions{Device: device.JetsonNano(), BatchSize: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Latency / float64(batch)
+	}
+	l160, l320 := lat(160), lat(320)
+	if l320 <= l160 {
+		t.Errorf("nano per-task latency at b320 (%e) should exceed b160 (%e)", l320, l160)
 	}
 }
 
