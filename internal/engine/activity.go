@@ -58,9 +58,6 @@ type PrecisionActivity struct {
 	// not counted).
 	F16Kernels int64 `json:"f16_kernels"`
 	I8Kernels  int64 `json:"i8_kernels"`
-	// QuantScratchBytes is the pooled scratch drawn through GetQuant for
-	// quantized operand copies.
-	QuantScratchBytes int64 `json:"quant_scratch_bytes"`
 }
 
 // BranchActivity counts how forwards ran their encoder branches.
@@ -82,7 +79,7 @@ type BranchActivity struct {
 type activity struct {
 	panelCheckouts, panelBytes, panelPoolHits atomic.Int64
 	attnCalls, attnCheckouts, attnBytes       atomic.Int64
-	f16Kernels, i8Kernels, quantBytes         atomic.Int64
+	f16Kernels, i8Kernels                     atomic.Int64
 
 	parallelForwards, sequentialForwards, branchesLaunched, maxBranches, parallelBackwards atomic.Int64
 
@@ -115,15 +112,6 @@ func (e *Engine) panel(n int, bytes int64) []float32 {
 // GetPanel is GetUninit for a packed-GEMM operand panel, counted in
 // Stats().Pack. Return it with Put.
 func (e *Engine) GetPanel(n int) []float32 { return e.panel(n, int64(n)*4) }
-
-// GetQuant is GetUninit for a quantized operand copy, counted in
-// Stats().Precision. Return it with Put.
-func (e *Engine) GetQuant(n int) []float32 {
-	if a := e.act(); a != nil {
-		a.quantBytes.Add(int64(n) * 4)
-	}
-	return e.GetUninit(n)
-}
 
 // CountAttention counts one fused attention execution.
 func (e *Engine) CountAttention() {

@@ -359,9 +359,8 @@ func (e *Engine) Stats() Stats {
 			ScratchBytes:     a.attnBytes.Load(),
 		},
 		Precision: PrecisionActivity{
-			F16Kernels:        a.f16Kernels.Load(),
-			I8Kernels:         a.i8Kernels.Load(),
-			QuantScratchBytes: a.quantBytes.Load(),
+			F16Kernels: a.f16Kernels.Load(),
+			I8Kernels:  a.i8Kernels.Load(),
 		},
 		Branches: BranchActivity{
 			ParallelForwards:   a.parallelForwards.Load(),

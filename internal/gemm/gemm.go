@@ -92,7 +92,9 @@
 // packing and keeps f32 accumulation; on amd64 the B panels are stored
 // as raw 16-bit halves (half the panel bandwidth) and converted in the
 // kernel with vcvtph2ps, which is exact, so the packed-u16 and
-// packed-f32 fallback layouts produce identical numbers.
+// packed-f32 fallback layouts produce identical numbers. A product whose
+// output is stored at f16 rounds each element through the grid in its
+// tile store (Epilogue.F16), so no caller runs a re-store pass.
 package gemm
 
 import (
@@ -375,10 +377,9 @@ func (j *mulJob) panels(lo, hi int) {
 }
 
 // F16 is F32 with both operands rounded to the float16 grid during
-// packing (the emulated f16 storage path). dst receives the raw f32
-// accumulation, exactly like the unpacked emulation; re-storing it
-// through the grid, after a bias has joined, is the epilogue's job
-// (Epilogue.F16) or the caller's.
+// packing. dst receives the raw f32 accumulation; a product stored at
+// f16 passes Epilogue.F16 to PackedB.F16 (a nil holder packs per call),
+// which rounds each element, after a bias has joined, in the tile store.
 func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
 	perCallF16(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
 }
@@ -529,8 +530,9 @@ func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 }
 
 // ConvF16 is ConvF32 with both operands rounded to the float16 grid as
-// they are packed (F16's arrangement: f32 accumulation, the caller owns
-// the output store).
+// they are packed (F16's arrangement: f32 accumulation) and each output
+// element stored through the grid by its tile store: dst =
+// RoundF16(dst + acc), so a bias dst starts with joins before rounding.
 func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 	k, m := g.K(), g.OH*g.OW
 	ap := e.GetPanel(LenA(outC, k))
@@ -539,10 +541,10 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
 		d := dst[ni*outC*m+j0:]
 		if asmF16 {
-			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1, Epilogue{})
+			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1, Epilogue{F16: true})
 		} else {
 			precision.RoundF16Slice(bp, bp)
-			MulPanels(d, m, ap, bp, outC, k, cols, 1)
+			mulTiles(d, m, ap, bp, outC, k, cols, 1, Epilogue{F16: true})
 		}
 	})
 }
@@ -565,33 +567,40 @@ func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw 
 // addTileF32 stores the valid region of a full MR×NR tile into dst, whose
 // rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c], then
 // ep on that sum. It is the only store of every f32, f16 and int8
-// product, and an element's one store is its final value. Each
-// expression keeps the shape of the separate passes the epilogue stands
-// for — (dst + alpha·t) + bias, then RoundF16 — since Go may fuse a
-// multiply feeding an add (as on arm64) and must do so alike in both.
+// product, and an element's one store is its final value. The sum
+// (addTileSum) keeps the shape of the separate pass the bias stands for
+// — (dst + alpha·t) + bias — since Go may fuse a multiply feeding an add
+// (as on arm64) and must do so alike in both; with F16 the stored sums of
+// the tile's rows are then rounded in place, while they are in cache.
 // Multiplying by alpha == 1 is a bitwise identity, so the common unscaled
 // call pays one multiply and no branch.
 func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32, ep Epilogue) {
 	rows, cols := min(MR, m-i0), min(NR, n-j0)
+	addTileSum(dst, ldd, tile, i0, j0, rows, cols, alpha, ep.Bias)
 	if ep.F16 {
 		for r := 0; r < rows; r++ {
-			storeF16(dst[(i0+r)*ldd+j0:][:cols], tile[r*NR:][:cols], alpha, ep.Bias, j0)
+			dr := dst[(i0+r)*ldd+j0:][:cols]
+			precision.RoundF16Slice(dr, dr)
 		}
-		return
 	}
+}
+
+// addTileSum stores a tile's rows × cols region as addTileF32 does,
+// without the f16 rounding.
+func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, cols int, alpha float32, bias []float32) {
 	if asmKernels && cols == NR {
 		// Interior tile: two 8-lane multiplies and adds per row, each
 		// rounded as the scalar loop below rounds it.
 		_ = dst[(i0+rows-1)*ldd+j0+NR-1]
-		var bias *float32
-		if ep.Bias != nil {
-			bias = &ep.Bias[j0:][:NR][0]
+		var bp *float32
+		if bias != nil {
+			bp = &bias[j0:][:NR][0]
 		}
-		storeTileAsm(&dst[i0*ldd+j0], int64(ldd), &tile[0], int64(rows), alpha, bias)
+		storeTileAsm(&dst[i0*ldd+j0], int64(ldd), &tile[0], int64(rows), alpha, bp)
 		return
 	}
 	for r := 0; r < rows; r++ {
-		if cols == NR && ep.Bias == nil {
+		if cols == NR && bias == nil {
 			// Interior tile: fixed-size rows need no bounds checks, and four
 			// independent updates per step keep the adder busy.
 			dr, tr := (*[NR]float32)(dst[(i0+r)*ldd+j0:]), (*[NR]float32)(tile[r*NR:])
@@ -605,32 +614,15 @@ func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int
 		}
 		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
 		tr := tile[r*NR : r*NR+cols]
-		if ep.Bias == nil {
+		if bias == nil {
 			for c, v := range tr {
 				dr[c] += alpha * v
 			}
 			continue
 		}
-		br := ep.Bias[j0:][:cols]
+		br := bias[j0:][:cols]
 		for c, v := range tr {
 			dr[c] = (dr[c] + alpha*v) + br[c]
 		}
-	}
-}
-
-// storeF16 stores one tile row t, of columns [j0, j0+len(dr)), into dr
-// through the float16 grid: dr[c] = RoundF16((dr[c] + alpha·t[c]) +
-// bias[j0+c]), without the bias when it is nil.
-func storeF16(dr, t []float32, alpha float32, bias []float32, j0 int) {
-	t = t[:len(dr)]
-	if bias == nil {
-		for c, v := range t {
-			dr[c] = precision.RoundF16(dr[c] + alpha*v)
-		}
-		return
-	}
-	b := bias[j0:][:len(dr)]
-	for c, v := range t {
-		dr[c] = precision.RoundF16((dr[c] + alpha*v) + b[c])
 	}
 }

@@ -138,14 +138,16 @@ func (j *Job) Wait(ctx context.Context) (any, error) {
 	return j.result, j.err
 }
 
-func (j *Job) setRunning() {
+// setRunning, finish and shed stamp the job's record at now, a reading
+// of the pool's clock.
+func (j *Job) setRunning(now time.Time) {
 	j.mu.Lock()
 	j.status = StatusRunning
-	j.started = time.Now()
+	j.started = now
 	j.mu.Unlock()
 }
 
-func (j *Job) finish(result any, err error) {
+func (j *Job) finish(now time.Time, result any, err error) {
 	j.mu.Lock()
 	if err != nil {
 		j.status = StatusFailed
@@ -154,17 +156,17 @@ func (j *Job) finish(result any, err error) {
 		j.status = StatusDone
 		j.result = result
 	}
-	j.finished = time.Now()
+	j.finished = now
 	j.mu.Unlock()
 	close(j.done)
 }
 
 // shed marks the job dropped-without-running with the shedding error.
-func (j *Job) shed(err error) {
+func (j *Job) shed(now time.Time, err error) {
 	j.mu.Lock()
 	j.status = StatusShed
 	j.err = err
-	j.finished = time.Now()
+	j.finished = now
 	j.mu.Unlock()
 	close(j.done)
 }
@@ -236,10 +238,10 @@ type Pool struct {
 	cancelled       atomic.Int64
 	panicsRecovered atomic.Int64
 
-	// clock drives queue-wait measurement and deadline checks. Tests in
-	// this package swap in an obs.FakeClock (before submitting anything)
-	// to assert exact waits instead of sleeping; the record timestamps on
-	// Job (created display aside, started/finished) stay on real time.
+	// clock drives queue-wait measurement, deadline checks and every
+	// timestamp of a Job's record. Tests in this package swap in an
+	// obs.FakeClock (before submitting anything) to assert exact waits
+	// instead of sleeping.
 	clock obs.Clock
 }
 
@@ -288,7 +290,7 @@ func (p *Pool) worker() {
 		switch {
 		case p.draining.Load():
 			p.shedShutdown.Add(1)
-			t.job.shed(ErrShutdown)
+			t.job.shed(p.clock.Now(), ErrShutdown)
 			p.retire(t.job)
 			continue
 		case t.ctx.Err() != nil:
@@ -296,22 +298,23 @@ func (p *Pool) worker() {
 				p.shedExpired.Add(1)
 			}
 			p.cancelled.Add(1)
-			t.job.shed(t.ctx.Err())
+			t.job.shed(p.clock.Now(), t.ctx.Err())
 			p.retire(t.job)
 			continue
 		case !t.deadline.IsZero() && !p.clock.Now().Before(t.deadline):
 			p.shedExpired.Add(1)
-			t.job.shed(ErrDeadline)
+			t.job.shed(p.clock.Now(), ErrDeadline)
 			p.retire(t.job)
 			continue
 		}
 		// created is immutable after newJob and the channel receive
-		// orders it before this read.
-		wait := p.clock.Since(t.job.created)
+		// orders it before this read. The queue-wait sample is the
+		// record's Started − Created.
+		now := p.clock.Now()
 		p.waitMu.Lock()
-		p.waitHist.Observe(wait.Seconds())
+		p.waitHist.Observe(now.Sub(t.job.created).Seconds())
 		p.waitMu.Unlock()
-		t.job.setRunning()
+		t.job.setRunning(now)
 		runCtx, cancel := t.ctx, func() {}
 		if !t.deadline.IsZero() {
 			runCtx, cancel = context.WithDeadline(t.ctx, t.deadline)
@@ -321,7 +324,7 @@ func (p *Pool) worker() {
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			p.cancelled.Add(1)
 		}
-		t.job.finish(res, err)
+		t.job.finish(p.clock.Now(), res, err)
 		p.retire(t.job)
 	}
 }
@@ -484,7 +487,7 @@ func (p *Pool) SubmitGroupThen(fns []Fn, then func([]any) (any, error)) (*Job, e
 	// Shutdown's wg.Wait, which starts only once every slot is released.
 	p.wg.Add(1)
 	p.subWG.Done() // the parent never touches the queue
-	parent.setRunning()
+	parent.setRunning(p.clock.Now())
 	go func() {
 		defer p.wg.Done()
 		defer p.retire(parent)
@@ -497,7 +500,7 @@ func (p *Pool) SubmitGroupThen(fns []Fn, then func([]any) (any, error)) (*Job, e
 				for _, c := range children[:i] {
 					<-c.Done()
 				}
-				parent.finish(nil, fmt.Errorf("submitting job %d/%d: %w", i+1, len(fns), err))
+				parent.finish(p.clock.Now(), nil, fmt.Errorf("submitting job %d/%d: %w", i+1, len(fns), err))
 				return
 			}
 			children[i] = j
@@ -513,15 +516,16 @@ func (p *Pool) SubmitGroupThen(fns []Fn, then func([]any) (any, error)) (*Job, e
 			}
 		}
 		if firstErr != nil {
-			parent.finish(nil, firstErr)
+			parent.finish(p.clock.Now(), nil, firstErr)
 			return
 		}
 		if then != nil {
-			parent.finish(p.runProtected(context.Background(),
-				func(context.Context) (any, error) { return then(results) }))
+			res, err := p.runProtected(context.Background(),
+				func(context.Context) (any, error) { return then(results) })
+			parent.finish(p.clock.Now(), res, err)
 			return
 		}
-		parent.finish(results, nil)
+		parent.finish(p.clock.Now(), results, nil)
 	}()
 	return parent, nil
 }

@@ -92,6 +92,54 @@ func TestQueueWaitExactWithFakeClock(t *testing.T) {
 	}
 }
 
+// TestJobRecordOnPoolClock pins the job record to the pool's clock: a
+// job queued behind a blocked worker for d of fake time is started d
+// after it was created — its queue-wait sample — and finished when the
+// clock says, with no real time leaking into the record.
+func TestJobRecordOnPoolClock(t *testing.T) {
+	p := NewPool(1, 8)
+	defer p.Shutdown(context.Background())
+	t0 := time.Unix(0, 0)
+	clock := obs.NewFakeClock(t0)
+	p.clock = clock
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	first, err := p.Submit(func() (any, error) { close(started); <-release; return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	second, err := p.Submit(func() (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const d = 250 * time.Millisecond
+	clock.Advance(d)
+	close(release)
+	for _, j := range []*Job{first, second} {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := second.Snapshot()
+	if !s.Created.Equal(t0) {
+		t.Errorf("Created = %v, want the fake clock's %v", s.Created, t0)
+	}
+	if wait := s.Started.Sub(s.Created); wait != d {
+		t.Errorf("Started − Created = %v, want %v", wait, d)
+	}
+	if h := p.QueueWait(); h.Max() != d.Seconds() {
+		t.Errorf("queue-wait sample %v s, want %v s (Started − Created)", h.Max(), d.Seconds())
+	}
+	if !s.Finished.Equal(t0.Add(d)) {
+		t.Errorf("Finished = %v, want %v", s.Finished, t0.Add(d))
+	}
+	if f := first.Snapshot(); !f.Started.Equal(t0) || !f.Finished.Equal(t0.Add(d)) {
+		t.Errorf("first job Started %v Finished %v, want %v and %v", f.Started, f.Finished, t0, t0.Add(d))
+	}
+}
+
 func TestQueueDepth(t *testing.T) {
 	p := NewPool(1, 8)
 	defer p.Shutdown(context.Background())

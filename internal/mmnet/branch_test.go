@@ -434,8 +434,7 @@ func TestForwardActivityBelongsToTheRunsEngine(t *testing.T) {
 		if s.Branches.ParallelForwards != 1 || s.Branches.BranchesLaunched != 3 {
 			t.Errorf("%s: the run's engine counted branches %+v, want one forward of 3", policy, s.Branches)
 		}
-		lowp := s.Precision.I8Kernels > 0 && s.Precision.QuantScratchBytes > 0
-		if lowp != (policy == "i8") || s.Precision.F16Kernels != 0 {
+		if (s.Precision.I8Kernels > 0) != (policy == "i8") || s.Precision.F16Kernels != 0 {
 			t.Errorf("%s: the run's engine counted precision %+v", policy, s.Precision)
 		}
 		if def := engine.Default().Stats(); def != defBefore {

@@ -166,9 +166,9 @@ func scoreTile(st, qd, kd []float32, qoff, koff, rows, w, i0, j0, d, dh int, sca
 // and each P·V partial sum is one fused-multiply-add chain on amd64 (the
 // portable kernel rounds multiply and add separately), so outputs agree
 // with a float64 evaluation to ~5e-7 of the largest output, not bitwise
-// with the scalar loops of earlier releases. Under f16/i8 the kernel reads
-// pooled low-precision copies of q, k, v with the scales folded into the
-// score scale and the output store.
+// with the scalar loops of earlier releases. Under f16/i8 the q, k, v
+// panels are quantized as they are packed, with the scales folded into
+// the score scale and the output store.
 func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	assertRank(q, 3, "Attention")
 	assertRank(k, 3, "Attention")
@@ -193,41 +193,34 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	qd, kd, vd, od := q.Value.Data(), k.Value.Data(), v.Value.Data(), out.Value.Data()
 	shared := e.NewScratch()
 	defer shared.Release()
-	// Mixed precision: the kernel reads pooled low-precision copies of
-	// the projections while score tiles, the streaming softmax and the
-	// softmax·V product keep accumulating in f32. Each request segment's
-	// q/k/v slices (the whole batch unless a merged batch runs at i8) are
-	// quantized with the per-tensor scales they would get standalone, so
-	// the grids — and therefore every output bit — match the request run
-	// alone. For i8 the q/k scales fold into the batch index's score scale
-	// (applied once per finished dot, like the NT GEMM) and the v scale
-	// into its output store; for f16 both folds are ×1 and the output is
-	// re-stored through the f16 grid afterwards.
+	// Mixed precision quantizes where the GEMM core does: every Q, Kᵀ and
+	// V panel is put on the precision's grid in place right after it is
+	// packed (quantizePanel), while score tiles, the streaming softmax
+	// and the softmax·V product keep accumulating in f32. Each request
+	// segment's q/k/v scales (the whole batch unless a merged batch runs
+	// at i8) are calibrated on its f32 projections, so the grids — and
+	// therefore every output bit — match the request run alone. For i8
+	// the panels hold integer levels: the q/k scales fold into the batch
+	// index's score scale (applied once per finished dot, like the NT
+	// GEMM) and the v scale into its output store. For f16 every scale is
+	// 1 and the output rows are stored through the f16 grid.
 	prec := c.prec
-	scales := shared.GetUninit(2 * b)
-	scoreScales, outScales := scales[:b], scales[b:]
-	if prec == precision.F32 {
-		for bi := range scoreScales {
-			scoreScales[bi], outScales[bi] = scale, 1
+	if prec != precision.F32 {
+		e.CountLowp(prec)
+	}
+	scales := shared.GetUninit(4 * b)
+	qScales, kScales, vScales, scoreScales := scales[:b], scales[b:2*b], scales[2*b:3*b], scales[3*b:]
+	for _, s := range c.i8Segments(b) {
+		sq, sk, sv := float32(1), float32(1), float32(1)
+		if prec == precision.I8 {
+			sq = precision.I8Scale(precision.MaxAbs(qd[s.lo*tq*d : s.hi*tq*d]))
+			sk = precision.I8Scale(precision.MaxAbs(kd[s.lo*tk*d : s.hi*tk*d]))
+			sv = precision.I8Scale(precision.MaxAbs(vd[s.lo*tk*d : s.hi*tk*d]))
 		}
-	} else {
-		lowQ := e.GetQuant(len(qd))
-		defer e.Put(lowQ)
-		lowK := e.GetQuant(len(kd))
-		defer e.Put(lowK)
-		lowV := e.GetQuant(len(vd))
-		defer e.Put(lowV)
-		for _, s := range c.i8Segments(b) {
-			e.CountLowp(prec)
-			sq := quantizeInto(e, prec, lowQ[s.lo*tq*d:s.hi*tq*d], qd[s.lo*tq*d:s.hi*tq*d])
-			sk := quantizeInto(e, prec, lowK[s.lo*tk*d:s.hi*tk*d], kd[s.lo*tk*d:s.hi*tk*d])
-			sv := quantizeInto(e, prec, lowV[s.lo*tk*d:s.hi*tk*d], vd[s.lo*tk*d:s.hi*tk*d])
-			for bi := s.lo; bi < s.hi; bi++ {
-				scoreScales[bi] = scale * sq * sk
-				outScales[bi] = sv
-			}
+		for bi := s.lo; bi < s.hi; bi++ {
+			qScales[bi], kScales[bi], vScales[bi] = sq, sk, sv
+			scoreScales[bi] = scale * sq * sk
 		}
-		qd, kd, vd = lowQ, lowK, lowV
 	}
 	taping := c.taping(q, k, v)
 	// The backward recomputes probabilities from the final running max
@@ -248,12 +241,15 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	kv := shared.GetUninit(bh * kvLen)
 	e.ParallelFor(bh, 1, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			koff := u/heads*tk*d + u%heads*dh
-			gemm.PackBT(kv[u*kvLen:], kd[koff:], dh, tk, d)
-			vp := kv[u*kvLen+kLen:]
+			bi := u / heads
+			koff := bi*tk*d + u%heads*dh
+			kp, vp := kv[u*kvLen:u*kvLen+kLen], kv[u*kvLen+kLen:(u+1)*kvLen]
+			gemm.PackBT(kp, kd[koff:], dh, tk, d)
+			quantizePanel(prec, kp, kScales[bi])
 			for j0 := 0; j0 < tk; j0 += attnKTile {
 				gemm.PackB(vp[j0*vRow:], vd[koff+j0*d:], min(attnKTile, tk-j0), dh, d)
 			}
+			quantizePanel(prec, vp, vScales[bi])
 		}
 	})
 	negInf := float32(math.Inf(-1))
@@ -276,8 +272,9 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			qoff := bi*tq*d + h*dh
 			kp := kv[(u/nqt)*kvLen:]
 			vp := kp[kLen:]
-			sScale, oScale := scoreScales[bi], outScales[bi]
+			sScale, oScale := scoreScales[bi], vScales[bi]
 			gemm.PackA(qa, qd[qoff+i0*d:], rows, dh, d)
+			quantizePanel(prec, qa[:gemm.LenA(rows, dh)], qScales[bi])
 			for i := 0; i < rows; i++ {
 				mbuf[i], lbuf[i] = negInf, 0
 			}
@@ -360,6 +357,9 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 				for x, ax := range accRow {
 					orow[x] = ax * inv * oScale
 				}
+				if prec == precision.F16 {
+					precision.RoundF16Slice(orow, orow)
+				}
 				if taping {
 					rowMax[(bi*heads+h)*tq+i0+i] = mbuf[i]
 					rowInvL[(bi*heads+h)*tq+i0+i] = inv
@@ -367,9 +367,6 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			}
 		}
 	})
-	if prec == precision.F16 {
-		roundSliceF16(e, od)
-	}
 	if taping {
 		// The backward recomputes score tiles from the full-precision
 		// projections (straight-through gradients under a low-precision
@@ -379,6 +376,22 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 		})
 	}
 	return out
+}
+
+// quantizePanel puts a packed f32 panel on prec's grid in place: the
+// float16 grid, or the int8 levels of scale s, kept in float32 (products
+// of levels are ≤ 127·127 and float32 holds integers exactly up to 2²⁴,
+// so a score dot over a head of up to 1040 lanes is the sum an
+// int8×int8→int32 MAC array produces). Both maps are element-wise and
+// send 0 to 0, so a packed panel quantizes to the panel of the quantized
+// operand, padding included. f32 leaves the panel as it is.
+func quantizePanel(prec precision.Type, p []float32, s float32) {
+	switch prec {
+	case precision.F16:
+		precision.RoundF16Slice(p, p)
+	case precision.I8:
+		precision.QuantizeI8(p, p, s)
+	}
 }
 
 // attentionBackward is the fused backward: one pass per (batch·head)

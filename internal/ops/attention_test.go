@@ -291,7 +291,9 @@ var attnBounds = map[precision.Type]float64{precision.F32: 2e-6, precision.F16: 
 // shape and precision, on data of the given phase: within attnBounds of
 // the naive float64 oracle; bitwise equal on every engine (engines[0] is
 // the reference); and bitwise equal for a request alone and as the middle
-// member of a three-request merged batch (i8 calibrating per segment). It
+// member of a three-request merged batch (i8 calibrating per segment).
+// At f16 and i8 it also pins the quantized panels to copiesAttention, bit
+// for bit, for the request alone and for a two-request merged batch. It
 // returns the error relative to the largest output.
 func checkAttention(t *testing.T, engines []*engine.Engine, s attnShape, prec precision.Type, phase float64) float64 {
 	t.Helper()
@@ -315,7 +317,53 @@ func checkAttention(t *testing.T, engines []*engine.Engine, s attnShape, prec pr
 	q2, k2, v2 := member(3, 0.25, 0.25)
 	merged := segCtx(engines[1], prec, []int{1, 2, 3}).Attention(concatVars(q0, q, q2), concatVars(k0, k, k2), concatVars(v0, v, v2), s.heads, scale).Value.Data()
 	sliceEq(t, name+"/merged", merged[s.tq*d:3*s.tq*d], alone)
+	if prec != precision.F32 {
+		sliceEq(t, name+"/copies", alone, copiesAttention(engines[0], prec, nil, q, k, v, s.heads, scale))
+		q01, k01, v01 := concatVars(q0, q), concatVars(k0, k), concatVars(v0, v)
+		pair := segCtx(engines[len(engines)-1], prec, []int{1, 2}).Attention(q01, k01, v01, s.heads, scale).Value.Data()
+		sliceEq(t, name+"/copies/merged", pair, copiesAttention(engines[0], prec, []int{1, 2}, q01, k01, v01, s.heads, scale))
+	}
 	return diff / math.Max(largest, 1)
+}
+
+// copiesAttention is low-precision attention as it ran before its panels
+// were quantized as they are packed: per request segment (segs as in
+// Ctx.Segments, nil for a lone request), q, k and v are quantized into
+// copies — int8 levels at the scales calibrated over the segment, or the
+// float16 grid — the f32 kernel runs over the copies with the q and k
+// scales folded into the score scale, its output is multiplied by the v
+// scale and, at f16, re-stored through the grid.
+func copiesAttention(e *engine.Engine, prec precision.Type, segs []int, q, k, v *Var, heads int, scale float32) []float32 {
+	if segs == nil {
+		segs = []int{q.Value.Dim(0)}
+	}
+	var out []float32
+	lo := 0
+	for _, n := range segs {
+		var low [3]*Var
+		sc := [3]float32{1, 1, 1}
+		for i, x := range []*Var{q, k, v} {
+			per := x.Value.Size() / x.Value.Dim(0)
+			src := x.Value.Data()[lo*per : (lo+n)*per]
+			low[i] = autograd.NewVar(tensor.New(append([]int{n}, x.Value.Shape()[1:]...)...))
+			if prec == precision.I8 {
+				sc[i] = precision.I8Scale(precision.MaxAbs(src))
+				precision.QuantizeI8(low[i].Value.Data(), src, sc[i])
+			} else {
+				precision.RoundF16Slice(low[i].Value.Data(), src)
+			}
+		}
+		o := segCtx(e, precision.F32, nil).Attention(low[0], low[1], low[2], heads, scale*sc[0]*sc[1]).Value.Data()
+		for i := range o {
+			o[i] *= sc[2]
+		}
+		if prec == precision.F16 {
+			precision.RoundF16Slice(o, o)
+		}
+		out = append(out, o...)
+		lo += n
+	}
+	return out
 }
 
 // TestAttentionMatchesOracleAtAwkwardShapes runs checkAttention over

@@ -45,7 +45,10 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	if bias != nil {
 		inputs = append(inputs, bias)
 	}
-	out := c.out([]int{n, outC, oh, ow}, inputs...)
+	// With a bias the output starts as the bias and the product
+	// accumulates into it, so each element is stored once, in the GEMM
+	// tile store (through the float16 grid at f16).
+	out := c.result([]int{n, outC, oh, ow}, bias == nil, inputs)
 	if out.Value.Abstract() {
 		return out
 	}
@@ -53,6 +56,18 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	e := c.engine()
 	xd, wdta, od := x.Value.Data(), w.Value.Data(), out.Value.Data()
 	m := oh * ow
+	if bias != nil {
+		bd := bias.Value.Data()
+		e.ParallelFor(n*outC, rowGrain(m), func(r0, r1 int) {
+			for r := r0; r < r1; r++ {
+				b := bd[r%outC]
+				row := od[r*m : (r+1)*m]
+				for i := range row {
+					row[i] = b
+				}
+			}
+		})
+	}
 	g := gemm.ConvShape{C: ch, H: h, W: wd, KH: kh, KW: kw, Stride: stride, Pad: pad, OH: oh, OW: ow}
 	// Reduced-precision operands quantize as they are packed — no level
 	// copies, int32 accumulation for i8. The weight scale is per-tensor
@@ -77,23 +92,6 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 		gemm.ConvF16(e, od, wdta, xd, n, outC, g)
 	default:
 		gemm.ConvF32(e, od, wdta, xd, n, outC, g)
-	}
-	if bias != nil {
-		bd := bias.Value.Data()
-		e.ParallelFor(n*outC, rowGrain(m), func(r0, r1 int) {
-			for r := r0; r < r1; r++ {
-				b := bd[r%outC]
-				row := od[r*m : (r+1)*m]
-				for i := range row {
-					row[i] += b
-				}
-			}
-		})
-	}
-	if c.prec == precision.F16 {
-		// Output feature maps are stored at f16 (the bias joined in the
-		// f32 accumulator).
-		roundSliceF16(e, od)
 	}
 
 	if c.taping(inputs...) {

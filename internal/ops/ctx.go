@@ -60,12 +60,25 @@ type Ctx struct {
 	// Precision is the per-stage storage-precision policy (the
 	// -precision flag). The network assembly layer activates the right
 	// stage assignment via EnterStage as execution moves between
-	// encoder branches, fusion and head; the GEMM-family operators then
-	// store their operands at that precision: MatMul, Linear and Conv2D
-	// quantize inside the GEMM panel packing, and only fused attention
-	// quantizes into operand copies (see lowp.go). The zero policy is
-	// all-float32 and leaves every kernel bit-identical to the reference
-	// path.
+	// encoder branches, fusion and head; the GEMM-family operators
+	// (MatMul, Linear, Conv2D and fused attention) then run at that
+	// precision in one arrangement: operands are quantized where they are
+	// packed into GEMM panels (the float16 grid, or symmetric per-tensor
+	// int8 levels at a calibrated maxabs/127 scale), products accumulate
+	// wide (f32; int32 for the GEMM core's int8 kernel), i8 results are
+	// dequantized at the tile store and f16 results are rounded through
+	// the grid where they are stored. No operator keeps a quantized copy
+	// of an operand.
+	//
+	// Quantization is element-wise and the scale calibration is an
+	// order-independent max reduction, so every low-precision kernel keeps
+	// the engine's bitwise-determinism contract: results are identical at
+	// any worker count. Autograd backward always runs in float32 against
+	// the full-precision inputs (master weights), the standard
+	// mixed-precision training arrangement: the tape sees the quantized
+	// forward outputs but computes straight-through gradients. The zero
+	// policy is all-float32 and leaves every kernel bit-identical to the
+	// reference path.
 	Precision precision.Policy
 	// prec is the precision activated for the current stage scope.
 	// It is F32 outside any stage, so losses, metrics and optimizer
@@ -170,8 +183,8 @@ func (c *Ctx) emit(s kernels.Spec) {
 }
 
 // emitP emits a kernel spec stamped with the context's active storage
-// precision — used by the operators that have emulated low-precision
-// variants, so the analytic device model prices the reduced-precision
+// precision — used by the operators that have low-precision variants,
+// so the analytic device model prices the reduced-precision
 // launch (scaled DRAM traffic, higher achievable throughput).
 func (c *Ctx) emitP(s kernels.Spec) { c.emit(c.atPrec(s)) }
 

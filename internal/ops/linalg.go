@@ -9,18 +9,14 @@ import (
 	"mmbench/internal/precision"
 )
 
-// Every f32 product in this package is one call into the packed-panel
-// core (internal/gemm); the three helpers below only map the operand
-// layouts of a forward product (NN) and its two gradients (NT, TN) onto
-// gemm.F32's (m, k, n, aT, bT) convention. The core zero-pads every tile
-// to a full MR×NR block and accumulates each dst element over the whole
-// K in one micro-kernel call, so a row's result is independent of the
-// worker count and of how many other rows share the call.
-
-// matmulNN computes dst[m,n] += alpha · a[m,k] · b[k,n].
-func matmulNN(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32) {
-	gemm.F32(e, dst, a, b, m, k, n, alpha, false, false)
-}
+// Every product in this package is one call into the packed-panel core
+// (internal/gemm): a forward product at the active precision through
+// Ctx.product, a gradient in f32 through the two helpers below, which
+// only map the operand layouts of the NT and TN gradients onto gemm.F32's
+// (m, k, n, aT, bT) convention. The core zero-pads every tile to a full
+// MR×NR block and accumulates each dst element over the whole K in one
+// micro-kernel call, so a row's result is independent of the worker count
+// and of how many other rows share the call.
 
 // matmulNT computes dst[m,k] += alpha · a[m,n] · b[k,n]ᵀ: b is the
 // [N,K]-stored right operand of an m×n×k product. Alpha is applied once
@@ -36,7 +32,9 @@ func matmulTN(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32)
 	gemm.F32(e, dst, a, b, k, m, n, alpha, true, false)
 }
 
-// MatMul multiplies a[m,k] by b[k,n].
+// MatMul multiplies a[m,k] by b[k,n] at the active precision: Linear's
+// product without a bias or kept panels (out starts zeroed, so an f16
+// element is RoundF16(0 + acc), rounded in the tile store).
 func (c *Ctx) MatMul(a, b *Var) *Var {
 	assertRank(a, 2, "MatMul")
 	assertRank(b, 2, "MatMul")
@@ -51,11 +49,7 @@ func (c *Ctx) MatMul(a, b *Var) *Var {
 		return out
 	}
 	e := c.engine()
-	if p := c.prec; p != precision.F32 {
-		lowpMatmulNN(e, p, out.Value.Data(), a.Value.Data(), b.Value.Data(), m, k, n)
-	} else {
-		matmulNN(e, out.Value.Data(), a.Value.Data(), b.Value.Data(), m, k, n, 1)
-	}
+	c.product(nil, out.Value.Data(), a.Value.Data(), b.Value.Data(), m, k, n, gemm.Epilogue{F16: c.prec == precision.F16})
 	if c.taping(a, b) {
 		c.tapeStep(out, func() {
 			g := out.Grad.Data()

@@ -19,11 +19,10 @@ import (
 func twoPassLinear(c *Ctx, x, w, bias *Var) []float32 {
 	in, outDim := w.Value.Dim(0), w.Value.Dim(1)
 	rows := x.Value.Size() / in
-	e := c.engine()
 	od := make([]float32, rows*outDim)
 	c.product(w.Frozen, od, x.Value.Data(), w.Value.Data(), rows, in, outDim, gemm.Epilogue{})
 	if c.prec == precision.F16 && bias == nil {
-		roundSliceF16(e, od)
+		precision.RoundF16Slice(od, od)
 	}
 	if bias != nil {
 		bd := bias.Value.Data()
@@ -34,7 +33,7 @@ func twoPassLinear(c *Ctx, x, w, bias *Var) []float32 {
 			}
 		}
 		if c.prec == precision.F16 {
-			roundSliceF16(e, od)
+			precision.RoundF16Slice(od, od)
 		}
 	}
 	return od

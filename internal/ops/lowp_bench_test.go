@@ -7,16 +7,16 @@ import (
 	"mmbench/internal/tensor"
 )
 
-// Mixed-precision benchmark pair. The emulation quantizes operands into
-// pooled copies and runs the f32 blocked kernels, so on CPU the win is
-// never the 2–4× a real reduced-precision datapath delivers — these
-// benchmarks track the *overhead* of the emulation (quantize + GEMM +
-// dequantize vs plain GEMM) so regressions in the quantization passes
-// show up next to the f32 baselines already in BENCH_ops.json.
+// Mixed-precision benchmark pair. Operands quantize as they are packed
+// and the products run the packed micro-kernels (int32 accumulation for
+// the i8 GEMM, f32 for f16 and for attention's levels), so on CPU the win
+// is never the 2–4× a real reduced-precision datapath delivers — these
+// benchmarks track the cost of the quantized paths next to the f32
+// baselines already in BENCH_ops.json.
 
 // BenchmarkMatMulI8 is BenchmarkEngineMatMul's 512×512×512 product
-// under an int8 stage policy (symmetric per-tensor quantization, f32
-// integer accumulation, scale-after-accumulate dequantization).
+// under an int8 stage policy (symmetric per-tensor quantization, int32
+// accumulation, scale-after-accumulate dequantization).
 func BenchmarkMatMulI8(b *testing.B) {
 	g := tensor.NewRNG(41)
 	x := benchVar(g, 512, 512)
@@ -28,7 +28,7 @@ func BenchmarkMatMulI8(b *testing.B) {
 }
 
 // BenchmarkAttentionF16 is BenchmarkAttentionFused's long-sequence
-// kernel under a float16 stage policy (RNE-rounded projections, f32
+// kernel under a float16 stage policy (RNE-rounded panels, f32
 // streaming-softmax accumulation, f16 output store).
 func BenchmarkAttentionF16(b *testing.B) {
 	q, k, v, scale := attnBenchInputs(61)

@@ -126,9 +126,9 @@ func TestLowpInactiveStageBitIdentical(t *testing.T) {
 	}
 }
 
-// Pooled quantized-operand buffers must be fully overwritten before use
-// and returned before the operator exits; under NaN poisoning any
-// violation surfaces in the outputs.
+// Pooled panels and scratch must be fully overwritten before use and
+// returned before the operator exits; under NaN poisoning any violation
+// surfaces in the outputs.
 func TestLowpPooledScratchPoisonSafe(t *testing.T) {
 	engine.SetDebug(true)
 	defer engine.SetDebug(false)
@@ -148,11 +148,9 @@ func TestLowpPooledScratchPoisonSafe(t *testing.T) {
 	}
 }
 
-// The kernel counters tick once per operator call — a merged batch that
-// calibrates per request segment is still one kernel — and the quant-
-// scratch counter moves only for the operator that quantizes pooled
-// operand copies (fused attention); MatMul and Linear quantize inside the
-// panel packing, counted by the pack stats.
+// The kernel counters tick once per operator call: a merged batch that
+// calibrates per request segment is still one kernel, for Linear and for
+// fused attention alike.
 func TestPrecisionStatsCount(t *testing.T) {
 	e := engine.New(1)
 	defer e.Close()
@@ -173,17 +171,14 @@ func TestPrecisionStatsCount(t *testing.T) {
 	if s.Pack.PanelBytes == 0 {
 		t.Error("no pack-panel bytes drawn")
 	}
-	if packed.QuantScratchBytes != 0 {
-		t.Errorf("MatMul/Linear drew %d bytes of quant scratch", packed.QuantScratchBytes)
-	}
 
 	lowpKernels[3].run(lowpCtx(e, precision.I8), g) // Attention q [2,9,16], k and v [2,13,16]
+	merged = lowpCtx(e, precision.I8)
+	merged.Segments = []int{1, 1}
+	lowpKernels[3].run(merged, g) // the same shapes as a two-request batch
 	after := e.Stats().Precision
-	if after.I8Kernels != packed.I8Kernels+1 {
-		t.Errorf("i8 kernel count %d -> %d, want +1", packed.I8Kernels, after.I8Kernels)
-	}
-	if want := packed.QuantScratchBytes + (2*9*16+2*2*13*16)*4; after.QuantScratchBytes != want {
-		t.Errorf("quant scratch bytes %d -> %d, want %d", packed.QuantScratchBytes, after.QuantScratchBytes, want)
+	if after.I8Kernels != packed.I8Kernels+2 {
+		t.Errorf("i8 kernel count %d -> %d, want +2 (merged attention counts once)", packed.I8Kernels, after.I8Kernels)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
+	"mmbench/internal/gemm"
 	"mmbench/internal/precision"
 	"mmbench/internal/tensor"
 )
@@ -196,7 +197,7 @@ func TestCensusShapesMatchNaive(t *testing.T) {
 		}
 
 		got, want := make([]float32, m*n), make([]float32, m*n)
-		matmulNN(e, got, a, b, m, k, n, 1)
+		gemm.F32(e, got, a, b, m, k, n, 1, false, false)
 		naiveMatMulNN(want, a, b, m, k, n)
 		check("NN", got, want)
 

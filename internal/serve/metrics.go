@@ -121,9 +121,8 @@ func writeMetrics(w io.Writer, st Stats) error {
 	m.counter("mmbench_branches_parallel_backwards_total", "Concurrent branch backward replays.", float64(bs.ParallelBackwards))
 
 	ps := st.Precision
-	m.counter("mmbench_precision_f16_kernels_total", "GEMM-family kernels run at emulated f16 storage.", float64(ps.F16Kernels))
-	m.counter("mmbench_precision_i8_kernels_total", "GEMM-family kernels run at emulated int8 storage.", float64(ps.I8Kernels))
-	m.counter("mmbench_precision_quant_scratch_bytes_total", "Pooled scratch bytes drawn for quantized operand copies.", float64(ps.QuantScratchBytes))
+	m.counter("mmbench_precision_f16_kernels_total", "GEMM-family kernels run at f16 storage.", float64(ps.F16Kernels))
+	m.counter("mmbench_precision_i8_kernels_total", "GEMM-family kernels run at int8 storage.", float64(ps.I8Kernels))
 
 	rs := st.Resilience
 	m.counter("mmbench_resilience_shed_expired_total", "Jobs shed because their deadline expired before start.", float64(rs.ShedExpired))

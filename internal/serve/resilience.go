@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -142,7 +143,12 @@ func (s *Server) requestDeadline(r *http.Request) (time.Time, error) {
 		if err != nil || ms <= 0 {
 			return time.Time{}, fmt.Errorf("invalid X-Deadline-Ms %q: want a positive integer of milliseconds", h)
 		}
-		d := time.Duration(ms) * time.Millisecond
+		// A budget past the largest Duration (≈ 292 years) is clamped
+		// to it rather than wrapped negative.
+		d := time.Duration(math.MaxInt64)
+		if ms <= int64(d/time.Millisecond) {
+			d = time.Duration(ms) * time.Millisecond
+		}
 		if budget == 0 || d < budget {
 			budget = d
 		}

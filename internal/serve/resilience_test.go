@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -249,9 +250,26 @@ func TestDeadlineHeaderCappedByServerDefault(t *testing.T) {
 		s.Close(context.Background())
 	})
 
-	resp, body := post(t, ts.URL+"/v1/run", `{"workload":"mmimdb"}`,
-		map[string]string{"X-Deadline-Ms": "3600000"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: server default must cap the client budget (%s)", resp.StatusCode, body)
+	for _, ms := range []string{"3600000", "9223372036854775807"} {
+		resp, body := post(t, ts.URL+"/v1/run", `{"workload":"mmimdb"}`,
+			map[string]string{"X-Deadline-Ms": ms})
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("X-Deadline-Ms=%s: status %d, want 429: server default must cap the client budget (%s)", ms, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestHugeDeadlineHeaderClamped: a budget past the largest time.Duration
+// (9 223 372 036 855 ms and up) is clamped to it, never wrapped into an
+// expired one — with no server default the run is served. Each budget
+// runs its own config, so none is answered from the cache.
+func TestHugeDeadlineHeaderClamped(t *testing.T) {
+	_, ts := newTestServer(t)
+	for i, ms := range []string{"9223372036854", "9223372036855", "9223372036854775807"} {
+		resp, body := post(t, ts.URL+"/v1/run", fmt.Sprintf(`{"workload":"mmimdb","batch":%d}`, i+1),
+			map[string]string{"X-Deadline-Ms": ms})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("X-Deadline-Ms=%s: status %d, want 200 (%s)", ms, resp.StatusCode, body)
+		}
 	}
 }
