@@ -120,15 +120,16 @@ func (e *Engine) CountAttention() {
 	}
 }
 
-// CountLowp counts one GEMM-family kernel executed at the reduced
-// precision p (f16 or i8).
+// CountLowp counts one GEMM-family kernel executed at precision p: f16
+// and i8 each have a counter, and f32 counts nothing, so callers need not
+// guard the call.
 func (e *Engine) CountLowp(p precision.Type) {
 	a := e.act()
 	switch {
 	case a == nil:
 	case p == precision.F16:
 		a.f16Kernels.Add(1)
-	default:
+	case p == precision.I8:
 		a.i8Kernels.Add(1)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mmbench/internal/precision"
 )
 
 func TestParallelForCoversRangeOnce(t *testing.T) {
@@ -213,6 +215,22 @@ func TestTaskObserverIsPerEngine(t *testing.T) {
 		if seen[i].Load() == 0 {
 			t.Errorf("engine %d's observer saw none of its helpers' chunks", engines[i].ID())
 		}
+	}
+}
+
+// TestCountLowpByPrecision: each reduced precision counts on its own
+// counter and f32 counts on neither, so no caller has to guard the call.
+func TestCountLowpByPrecision(t *testing.T) {
+	for _, tc := range []struct {
+		p       precision.Type
+		f16, i8 int64
+	}{{precision.F32, 0, 0}, {precision.F16, 1, 0}, {precision.I8, 0, 1}} {
+		e := New(1)
+		e.CountLowp(tc.p)
+		if got := e.Stats().Precision; got.F16Kernels != tc.f16 || got.I8Kernels != tc.i8 {
+			t.Errorf("CountLowp(%v): f16_kernels %d, i8_kernels %d; want %d, %d", tc.p, got.F16Kernels, got.I8Kernels, tc.f16, tc.i8)
+		}
+		e.Close()
 	}
 }
 

@@ -8,8 +8,8 @@
 // A call computes dst[M,N] += alpha · A[M,K]·B[K,N] (either operand may
 // be stored transposed — the pack step absorbs the transpose, so NN, NT
 // and TN all run the same inner kernel), followed by its store epilogue
-// (Epilogue: a per-column bias and an f16 re-store, applied as each
-// tile reaches dst). Operands are repacked into panels:
+// (Epilogue: a per-column or per-row bias, an f16 re-store and a ReLU,
+// applied as each tile reaches dst). Operands are repacked into panels:
 //
 //	A row panels    ap[(ip·K + l)·MR + r] = A[ip·MR+r][l]   (l-major)
 //	B column panels bp[(jp·K + l)·NR + c] = B[l][jp·NR+c]
@@ -66,9 +66,12 @@
 //
 // Every tile reaches dst through addTileF32, the one store, which also
 // applies the product's Epilogue. With the assembly kernels a full-width
-// tile is stored by storeTileAsm: 8-lane multiplies and adds, each
-// rounded on its own in the scalar store's order, so the store's bits do
-// not depend on which form ran either.
+// tile is stored by storeTileAsm, or with a row bias by storeTileRowAsm
+// (which also applies a ReLU): 8-lane multiplies and adds, each rounded
+// on its own in the scalar store's order, so the store's bits do not
+// depend on which form ran either. A convolution's bias is a row bias —
+// one per output channel — so its output is written once, as bias +
+// product, and never read by its store.
 //
 // # Accumulation-order contract
 //
@@ -98,6 +101,7 @@
 package gemm
 
 import (
+	"math"
 	"sync"
 
 	"mmbench/internal/engine"
@@ -143,20 +147,29 @@ func KernelName() string {
 	return "generic"
 }
 
-// Epilogue is what a product does to an element as its tile reaches dst,
-// after dst += alpha·acc: add Bias[j], the bias of the element's column
-// (nil adds nothing), and with F16 re-store the sum through the float16
-// grid (precision.RoundF16). An element is stored once, so
+// Epilogue is what a product does to an element as its tile reaches dst.
+// The element's sum starts from dst — or, with RowBias, from RowBias[i],
+// the bias of its row (a convolution's output channel), and dst is not
+// read. Bias[j], the bias of its column, then joins the sum; F16 re-stores
+// the result through the float16 grid (precision.RoundF16); and ReLU
+// clears it when its sign bit is set (ops' ReLU rule), after any rounding.
+// A product sets at most one of Bias and RowBias. An element is stored
+// once, so
 //
-//	dst[i][j] = RoundF16((dst[i][j] + alpha·acc[i][j]) + Bias[j])
+//	dst[i][j] = ReLU(RoundF16((dst[i][j] + alpha·acc[i][j]) + Bias[j]))
+//	dst[i][j] = ReLU(RoundF16(RowBias[i] + alpha·acc[i][j]))
 //
-// has the bits of the product followed by a bias pass and a rounding
-// pass: the same operations in the same order. The zero Epilogue stores
+// have the bits of the product followed by a bias pass, a rounding pass
+// and a ReLU pass: the same operations in the same order. With RowBias
+// they are the bits of a dst filled with the row's bias before the
+// product, since IEEE addition commutes. The zero Epilogue stores
 // dst + alpha·acc alone. An empty product (m, k or n zero) stores
 // nothing, its epilogue included.
 type Epilogue struct {
-	Bias []float32
-	F16  bool
+	Bias    []float32
+	RowBias []float32
+	F16     bool
+	ReLU    bool
 }
 
 // F32 computes dst[m,n] += alpha · A·B over packed panels. aT means a is
@@ -366,13 +379,17 @@ func (j *mulJob) run(e *engine.Engine, grain int) {
 // panels runs A row panels [lo, hi) of the job.
 func (j *mulJob) panels(lo, hi int) {
 	dst, m, k, n := j.dst[lo*MR*j.n:], min(j.m, hi*MR)-lo*MR, j.k, j.n
+	ep := j.ep
+	if ep.RowBias != nil {
+		ep.RowBias = ep.RowBias[lo*MR:]
+	}
 	switch {
 	case j.bpI != nil:
-		mulPanelsI8(dst, n, j.apI[lo*k*2*MR:hi*k*2*MR], j.bpI, m, k, n, j.alpha, j.ep)
+		mulPanelsI8(dst, n, j.apI[lo*k*2*MR:hi*k*2*MR], j.bpI, m, k, n, j.alpha, ep)
 	case j.bpH != nil:
-		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bpH, m, k, n, j.alpha, j.ep)
+		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bpH, m, k, n, j.alpha, ep)
 	default:
-		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bp, m, k, n, j.alpha, j.ep)
+		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bp, m, k, n, j.alpha, ep)
 	}
 }
 
@@ -518,33 +535,36 @@ func convUnits(e *engine.Engine, x []float32, n int, g ConvShape, mul func(bp []
 }
 
 // ConvF32 computes dst[n,outC,OH,OW] += conv(x[n,C,H,W], w[outC,C,KH,KW])
-// in float32.
-func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
+// in float32, followed by ep as each tile is stored: the rows of a
+// sample's product are its output channels, so ep.RowBias holds one bias
+// per channel, and with it dst is written, not read.
+func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, ep Epilogue) {
 	k, m := g.K(), g.OH*g.OW
 	ap := e.GetPanel(LenA(outC, k))
 	defer e.Put(ap)
 	packAF32(e, ap, w, outC, k, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
-		MulPanels(dst[ni*outC*m+j0:], m, ap, bp, outC, k, cols, 1)
+		mulTiles(dst[ni*outC*m+j0:], m, ap, bp, outC, k, cols, 1, ep)
 	})
 }
 
 // ConvF16 is ConvF32 with both operands rounded to the float16 grid as
 // they are packed (F16's arrangement: f32 accumulation) and each output
-// element stored through the grid by its tile store: dst =
-// RoundF16(dst + acc), so a bias dst starts with joins before rounding.
-func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
+// element stored through the grid by its tile store (ep.F16 is implied):
+// a bias joins before the rounding, a ReLU follows it.
+func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, ep Epilogue) {
 	k, m := g.K(), g.OH*g.OW
 	ap := e.GetPanel(LenA(outC, k))
 	defer e.Put(ap)
 	packAF16(e, ap, w, outC, k, false)
+	ep.F16 = true
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
 		d := dst[ni*outC*m+j0:]
 		if asmF16 {
-			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1, Epilogue{F16: true})
+			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1, ep)
 		} else {
 			precision.RoundF16Slice(bp, bp)
-			mulTiles(d, m, ap, bp, outC, k, cols, 1, Epilogue{F16: true})
+			mulTiles(d, m, ap, bp, outC, k, cols, 1, ep)
 		}
 	})
 }
@@ -552,46 +572,57 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape) {
 // ConvI8 is ConvF32 over int8 levels (I8's arrangement): the weights are
 // quantized at sw once, sample ni's patches at sx[ni] — a merged batch
 // carries one activation scale per request segment — and each tile is
-// dequantized by sw·sx[ni] at its store.
-func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw float32, sx []float32) {
+// dequantized by sw·sx[ni] at its store, before ep.
+func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw float32, sx []float32, ep Epilogue) {
 	k, m := g.K(), g.OH*g.OW
 	kp := pairsI8(k)
 	ap := e.GetPanelI16(panelsA(outC) * kp * 2 * MR)
 	defer e.PutI16(ap)
 	packAI16(e, ap, w, outC, k, sw, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
-		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, i8PairsInPlace(bp, k, 1/sx[ni]), outC, kp, cols, sw*sx[ni], Epilogue{})
+		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, i8PairsInPlace(bp, k, 1/sx[ni]), outC, kp, cols, sw*sx[ni], ep)
 	})
 }
 
 // addTileF32 stores the valid region of a full MR×NR tile into dst, whose
-// rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c], then
-// ep on that sum. It is the only store of every f32, f16 and int8
-// product, and an element's one store is its final value. The sum
+// rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c] (with
+// ep.RowBias, dst[i0+r][j0+c] = RowBias[i0+r] + alpha·tile[r][c]), then
+// the rest of ep on that sum. It is the only store of every f32, f16 and
+// int8 product, and an element's one store is its final value. The sum
 // (addTileSum) keeps the shape of the separate pass the bias stands for
 // — (dst + alpha·t) + bias — since Go may fuse a multiply feeding an add
 // (as on arm64) and must do so alike in both; with F16 the stored sums of
-// the tile's rows are then rounded in place, while they are in cache.
+// the tile's rows are then rounded in place, while they are in cache, and
+// a ReLU follows the rounding (without F16 the sum's store applies it).
 // Multiplying by alpha == 1 is a bitwise identity, so the common unscaled
 // call pays one multiply and no branch.
 func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32, ep Epilogue) {
 	rows, cols := min(MR, m-i0), min(NR, n-j0)
-	addTileSum(dst, ldd, tile, i0, j0, rows, cols, alpha, ep.Bias)
+	addTileSum(dst, ldd, tile, i0, j0, rows, cols, alpha, ep, ep.ReLU && !ep.F16)
 	if ep.F16 {
 		for r := 0; r < rows; r++ {
 			dr := dst[(i0+r)*ldd+j0:][:cols]
 			precision.RoundF16Slice(dr, dr)
+			if ep.ReLU {
+				reluInPlace(dr)
+			}
 		}
 	}
 }
 
 // addTileSum stores a tile's rows × cols region as addTileF32 does,
-// without the f16 rounding.
-func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, cols int, alpha float32, bias []float32) {
-	if asmKernels && cols == NR {
+// without the f16 rounding, and applies the ReLU when relu is set.
+func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, cols int, alpha float32, ep Epilogue, relu bool) {
+	bias, rowBias := ep.Bias, ep.RowBias
+	if asmKernels && cols == NR && (rowBias != nil || !relu) {
 		// Interior tile: two 8-lane multiplies and adds per row, each
-		// rounded as the scalar loop below rounds it.
+		// rounded as the scalar loop below rounds it (and the ReLU of a
+		// row-biased store; an accumulating one leaves it to the loop).
 		_ = dst[(i0+rows-1)*ldd+j0+NR-1]
+		if rowBias != nil {
+			storeTileRowAsm(&dst[i0*ldd+j0], int64(ldd), &tile[0], int64(rows), alpha, &rowBias[i0:][:rows][0], relu)
+			return
+		}
 		var bp *float32
 		if bias != nil {
 			bp = &bias[j0:][:NR][0]
@@ -600,7 +631,7 @@ func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, co
 		return
 	}
 	for r := 0; r < rows; r++ {
-		if cols == NR && bias == nil {
+		if cols == NR && bias == nil && rowBias == nil && !relu {
 			// Interior tile: fixed-size rows need no bounds checks, and four
 			// independent updates per step keep the adder busy.
 			dr, tr := (*[NR]float32)(dst[(i0+r)*ldd+j0:]), (*[NR]float32)(tile[r*NR:])
@@ -614,15 +645,33 @@ func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, co
 		}
 		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
 		tr := tile[r*NR : r*NR+cols]
-		if bias == nil {
+		switch {
+		case rowBias != nil:
+			rb := rowBias[i0+r]
+			for c, v := range tr {
+				dr[c] = rb + alpha*v
+			}
+		case bias != nil:
+			br := bias[j0:][:cols]
+			for c, v := range tr {
+				dr[c] = (dr[c] + alpha*v) + br[c]
+			}
+		default:
 			for c, v := range tr {
 				dr[c] += alpha * v
 			}
-			continue
 		}
-		br := bias[j0:][:cols]
-		for c, v := range tr {
-			dr[c] = (dr[c] + alpha*v) + br[c]
+		if relu {
+			reluInPlace(dr)
 		}
+	}
+}
+
+// reluInPlace clears every element of d whose sign bit is set — max(x, 0)
+// for every non-NaN x, and +0 for a NaN with the sign bit set: ops' ReLU.
+func reluInPlace(d []float32) {
+	for i, x := range d {
+		b := math.Float32bits(x)
+		d[i] = math.Float32frombits(b &^ uint32(int32(b)>>31))
 	}
 }

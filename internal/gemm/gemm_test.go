@@ -236,6 +236,52 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestRowBiasFollowsItsRow: a product whose Epilogue carries RowBias
+// stores RowBias[i] + alpha·acc into row i however the engine splits the
+// A panels, with and without ReLU, at f32, f16 and i8 — the bits of the
+// same product accumulated into a dst filled with each row's bias, then
+// rounded and clamped.
+func TestRowBiasFollowsItsRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m, k, n := 4*MR+3, 33, NR+5
+	a, b, rb := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m)
+	sa, sb := precision.I8Scale(precision.MaxAbs(a)), precision.I8Scale(precision.MaxAbs(b))
+	for _, workers := range []int{1, 3} {
+		e := engine.New(workers)
+		for _, prec := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+			for _, relu := range []bool{false, true} {
+				ep := Epilogue{RowBias: rb, F16: prec == precision.F16, ReLU: relu}
+				got, want := make([]float32, m*n), make([]float32, m*n)
+				for i := range got {
+					got[i] = float32(math.NaN()) // the store must not read dst
+					want[i] = rb[i/n]
+				}
+				switch prec {
+				case precision.F32:
+					perCallF32(e, got, a, b, m, k, n, 0.5, false, false, ep)
+					perCallF32(e, want, a, b, m, k, n, 0.5, false, false, Epilogue{})
+				case precision.F16:
+					perCallF16(e, got, a, b, m, k, n, 0.5, false, false, ep)
+					perCallF16(e, want, a, b, m, k, n, 0.5, false, false, Epilogue{})
+					precision.RoundF16Slice(want, want)
+				case precision.I8:
+					perCallI8(e, got, a, b, m, k, n, 0.5, sa, sb, false, false, ep)
+					perCallI8(e, want, a, b, m, k, n, 0.5, sa, sb, false, false, Epilogue{})
+				}
+				if relu {
+					reluInPlace(want)
+				}
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%v relu=%t, %d workers: dst[%d] (row %d) = %g, bias-filled product %g", prec, relu, workers, i, i/n, got[i], want[i])
+					}
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
 // TestRowCountInvariance pins the property merged cross-request batches
 // rely on: a dst row's bits depend only on that row of A (and on B), not
 // on how many other rows share the call or where the row sits in its

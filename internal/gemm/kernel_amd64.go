@@ -102,6 +102,14 @@ func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64)
 //go:noescape
 func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32)
 
+// storeTileRowAsm (kernel_amd64.s) is the same store with a row bias:
+// dst[r·ldd+c] = alpha·tile[r·NR+c] + rowBias[r], dst not read, and with
+// relu each element whose sign bit is set cleared. The caller
+// bounds-checks the last element it writes and reads.
+//
+//go:noescape
+func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, rowBias *float32, relu bool)
+
 //go:noescape
 func kernI8Asm(ap *int16, bp *int8, tile *int32, kp int64)
 

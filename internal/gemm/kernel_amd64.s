@@ -276,3 +276,62 @@ storeplain:
 	JNZ     storeplain
 	VZEROUPPER
 	RET
+
+// func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, rowBias *float32, relu bool)
+// The interior-tile store of addTileF32 with a row bias: for r < rows and
+// c < 16, dst[r*ldd+c] = alpha·tile[r*16+c] + rowBias[r], dst not read,
+// and with relu every element whose sign bit is set is then cleared
+// (vpsrad spreads the sign bit over its lane, vpandn clears the lane).
+// The multiply and the add each round on their own, and each sum keeps
+// alpha·tile as its first operand, as storeTileAsm does.
+TEXT ·storeTileRowAsm(SB), NOSPLIT, $0-49
+	MOVQ         dst+0(FP), DI
+	MOVQ         ldd+8(FP), DX
+	SHLQ         $2, DX
+	MOVQ         tile+16(FP), SI
+	MOVQ         rows+24(FP), CX
+	VBROADCASTSS alpha+32(FP), Y15
+	MOVQ         rowBias+40(FP), BX
+	MOVBLZX      relu+48(FP), AX
+	TESTQ        AX, AX
+	JZ           rowplain
+
+rowrelu:
+	VBROADCASTSS (BX), Y13
+	VMOVUPS      (SI), Y0
+	VMOVUPS      32(SI), Y1
+	VMULPS       Y15, Y0, Y0
+	VMULPS       Y15, Y1, Y1
+	VADDPS       Y13, Y0, Y0
+	VADDPS       Y13, Y1, Y1
+	VPSRAD       $31, Y0, Y2
+	VPSRAD       $31, Y1, Y3
+	VPANDN       Y0, Y2, Y0
+	VPANDN       Y1, Y3, Y1
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	ADDQ         $4, BX
+	ADDQ         $64, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          rowrelu
+	VZEROUPPER
+	RET
+
+rowplain:
+	VBROADCASTSS (BX), Y13
+	VMOVUPS      (SI), Y0
+	VMOVUPS      32(SI), Y1
+	VMULPS       Y15, Y0, Y0
+	VMULPS       Y15, Y1, Y1
+	VADDPS       Y13, Y0, Y0
+	VADDPS       Y13, Y1, Y1
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	ADDQ         $4, BX
+	ADDQ         $64, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          rowplain
+	VZEROUPPER
+	RET

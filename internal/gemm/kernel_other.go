@@ -57,3 +57,7 @@ func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64) {
 func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32) {
 	panic("gemm: asm tile store unavailable on this platform")
 }
+
+func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, rowBias *float32, relu bool) {
+	panic("gemm: asm tile store unavailable on this platform")
+}

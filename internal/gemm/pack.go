@@ -308,9 +308,7 @@ func packBU16(e *engine.Engine, bp []uint16, b []float32, k, n int, bT bool) {
 				for l := 0; l < k; l++ {
 					bl := b[l*n+j0 : l*n+j0+cols]
 					pl := p[l*NR : l*NR+NR]
-					for c, v := range bl {
-						pl[c] = precision.F16Bits(v)
-					}
+					precision.F16BitsSlice(pl, bl)
 					for c := cols; c < NR; c++ {
 						pl[c] = 0
 					}
@@ -469,9 +467,7 @@ func packBI8(e *engine.Engine, bp []int8, b []float32, k, n int, sb float32, bT 
 // float i/2, which the ascending walk has already read.
 func f16BitsInPlace(bp []float32) []uint16 {
 	up := unsafe.Slice((*uint16)(unsafe.Pointer(&bp[0])), len(bp))
-	for i, v := range bp {
-		up[i] = precision.F16Bits(v)
-	}
+	precision.F16BitsSlice(up, bp)
 	return up
 }
 

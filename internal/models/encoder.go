@@ -120,7 +120,7 @@ func NewCNNEncoder(g *tensor.RNG, inC, h, w int, channels []int, outDim int) *CN
 	net := nn.NewSequential()
 	c := inC
 	for i, ch := range channels {
-		net.Append(nn.NewConv2D(g.Split(int64(i)), c, ch, 3, 1, 1), nn.ReLU(), nn.MaxPool(2))
+		net.Append(nn.NewConv2DReLU(g.Split(int64(i)), c, ch, 3, 1, 1), nn.MaxPool(2))
 		c = ch
 		h, w = h/2, w/2
 		if h == 0 || w == 0 {
@@ -157,11 +157,9 @@ func NewLeNet(g *tensor.RNG, inC, h, w, outDim int) *LeNet {
 		panic(fmt.Sprintf("models: LeNet input %dx%d too small", h, w))
 	}
 	net := nn.NewSequential(
-		nn.NewConv2D(g.Split(1), inC, 6, 5, 1, 2),
-		nn.ReLU(),
+		nn.NewConv2DReLU(g.Split(1), inC, 6, 5, 1, 2),
 		nn.MaxPool(2),
-		nn.NewConv2D(g.Split(2), 6, 16, 5, 1, 0),
-		nn.ReLU(),
+		nn.NewConv2DReLU(g.Split(2), 6, 16, 5, 1, 0),
 		nn.MaxPool(2),
 		nn.Flatten(),
 		nn.NewLinear(g.Split(3), 16*h2*w2, 120),
@@ -206,11 +204,9 @@ func NewLeNetGAP(g *tensor.RNG, inC, h, w, outDim int) *LeNetGAP {
 		panic(fmt.Sprintf("models: LeNetGAP input %dx%d too small", h, w))
 	}
 	net := nn.NewSequential(
-		nn.NewConv2D(g.Split(1), inC, 6, 5, 1, 2),
-		nn.ReLU(),
+		nn.NewConv2DReLU(g.Split(1), inC, 6, 5, 1, 2),
 		nn.MaxPool(2),
-		nn.NewConv2D(g.Split(2), 6, 16, 5, 1, 0),
-		nn.ReLU(),
+		nn.NewConv2DReLU(g.Split(2), 6, 16, 5, 1, 0),
 		nn.GlobalAvgPool(),
 		nn.NewLinear(g.Split(3), 16, 120),
 		nn.ReLU(),

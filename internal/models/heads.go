@@ -71,7 +71,7 @@ func NewSegDecoderHead(g *tensor.RNG, in, baseC, base, levels int) *SegDecoderHe
 		if next < 8 {
 			next = 8
 		}
-		h.convs = append(h.convs, nn.NewConv2D(g.Split(int64(2+i)), c, next, 3, 1, 1))
+		h.convs = append(h.convs, nn.NewConv2DReLU(g.Split(int64(2+i)), c, next, 3, 1, 1))
 		c = next
 	}
 	h.final = nn.NewConv2D(g.Split(100), c, 1, 1, 1, 0)
@@ -84,7 +84,7 @@ func (h *SegDecoderHead) Forward(c *ops.Ctx, fused *ops.Var) *ops.Var {
 	x := c.ReLU(h.lin.Forward(c, fused))
 	x = c.Reshape(x, b, h.c0, h.h0, h.w0)
 	for _, conv := range h.convs {
-		x = c.ReLU(conv.Forward(c, c.Upsample2D(x)))
+		x = conv.Forward(c, c.Upsample2D(x))
 	}
 	return h.final.Forward(c, x)
 }

@@ -34,11 +34,11 @@ func NewVGG(g *tensor.RNG, inC, h, w int, cfg []int, withBN bool, outDim int) *V
 			}
 			continue
 		}
-		net.Append(nn.NewConv2D(g.Split(int64(i)), c, width, 3, 1, 1))
 		if withBN {
-			net.Append(nn.NewBatchNorm2D(width))
+			net.Append(nn.NewConv2D(g.Split(int64(i)), c, width, 3, 1, 1), nn.NewBatchNorm2D(width), nn.ReLU())
+		} else {
+			net.Append(nn.NewConv2DReLU(g.Split(int64(i)), c, width, 3, 1, 1))
 		}
-		net.Append(nn.ReLU())
 		c = width
 	}
 	net.Append(nn.Flatten(), nn.NewLinear(g.Split(1000), c*h*w, outDim), nn.ReLU())
@@ -71,6 +71,8 @@ func newResidualBlock(g *tensor.RNG, inC, outC, stride int, withBN bool) *residu
 		conv2:  nn.NewConv2D(g.Split(2), outC, outC, 3, 1, 1),
 		withBN: withBN,
 	}
+	// Without batch norm conv1's output feeds only the ReLU.
+	b.conv1.ReLU = !withBN
 	if withBN {
 		b.bn1 = nn.NewBatchNorm2D(outC)
 		b.bn2 = nn.NewBatchNorm2D(outC)
@@ -84,9 +86,8 @@ func newResidualBlock(g *tensor.RNG, inC, outC, stride int, withBN bool) *residu
 func (b *residualBlock) Forward(c *ops.Ctx, x *ops.Var) *ops.Var {
 	h := b.conv1.Forward(c, x)
 	if b.withBN {
-		h = b.bn1.Forward(c, h)
+		h = c.ReLU(b.bn1.Forward(c, h))
 	}
-	h = c.ReLU(h)
 	h = b.conv2.Forward(c, h)
 	if b.withBN {
 		h = b.bn2.Forward(c, h)
@@ -136,6 +137,8 @@ func NewResNet(g *tensor.RNG, inC, h, w int, stages, widths []int, withBN bool, 
 	}
 	if withBN {
 		r.stemBN = nn.NewBatchNorm2D(widths[0])
+	} else {
+		r.stem.ReLU = true
 	}
 	c := widths[0]
 	for si, n := range stages {
@@ -155,9 +158,8 @@ func NewResNet(g *tensor.RNG, inC, h, w int, stages, widths []int, withBN bool, 
 func (e *ResNet) Encode(c *ops.Ctx, in Input) *ops.Var {
 	x := e.stem.Forward(c, denseInput(in, "ResNet"))
 	if e.withBN {
-		x = e.stemBN.Forward(c, x)
+		x = c.ReLU(e.stemBN.Forward(c, x))
 	}
-	x = c.ReLU(x)
 	for _, b := range e.blocks {
 		x = b.Forward(c, x)
 	}
@@ -197,7 +199,7 @@ type DenseNet struct {
 // layersPer layers each with the given growth rate.
 func NewDenseNet(g *tensor.RNG, inC, h, w, blocks, layersPer, growth int, withBN bool, outDim int) *DenseNet {
 	d := &DenseNet{
-		stem:   nn.NewConv2D(g.Split(5), inC, 2*growth, 3, 1, 1),
+		stem:   nn.NewConv2DReLU(g.Split(5), inC, 2*growth, 3, 1, 1),
 		out:    outDim,
 		withBN: withBN,
 		growth: growth,
@@ -207,17 +209,20 @@ func NewDenseNet(g *tensor.RNG, inC, h, w, blocks, layersPer, growth int, withBN
 		var convs []*nn.Conv2D
 		var bns []*nn.BatchNorm2D
 		for l := 0; l < layersPer; l++ {
-			convs = append(convs, nn.NewConv2D(g.Split(int64(200+10*b+l)), c, growth, 3, 1, 1))
+			conv := nn.NewConv2D(g.Split(int64(200+10*b+l)), c, growth, 3, 1, 1)
 			if withBN {
 				bns = append(bns, nn.NewBatchNorm2D(growth))
+			} else {
+				conv.ReLU = true
 			}
+			convs = append(convs, conv)
 			c += growth
 		}
 		d.blocks = append(d.blocks, convs)
 		d.bns = append(d.bns, bns)
 		if b+1 < blocks {
 			half := c / 2
-			d.trans = append(d.trans, nn.NewConv2D(g.Split(int64(300+b)), c, half, 1, 1, 0))
+			d.trans = append(d.trans, nn.NewConv2DReLU(g.Split(int64(300+b)), c, half, 1, 1, 0))
 			c = half
 		}
 	}
@@ -227,18 +232,17 @@ func NewDenseNet(g *tensor.RNG, inC, h, w, blocks, layersPer, growth int, withBN
 
 // Encode implements Encoder.
 func (e *DenseNet) Encode(c *ops.Ctx, in Input) *ops.Var {
-	x := c.ReLU(e.stem.Forward(c, denseInput(in, "DenseNet")))
+	x := e.stem.Forward(c, denseInput(in, "DenseNet"))
 	for b, convs := range e.blocks {
 		for l, conv := range convs {
 			h := conv.Forward(c, x)
 			if e.withBN {
-				h = e.bns[b][l].Forward(c, h)
+				h = c.ReLU(e.bns[b][l].Forward(c, h))
 			}
-			h = c.ReLU(h)
 			x = c.Concat(1, x, h)
 		}
 		if b < len(e.trans) {
-			x = c.AvgPool2D(c.ReLU(e.trans[b].Forward(c, x)), 2)
+			x = c.AvgPool2D(e.trans[b].Forward(c, x), 2)
 		}
 	}
 	return c.ReLU(e.lin.Forward(c, c.GlobalAvgPool2D(x)))
@@ -279,7 +283,7 @@ func NewUNetStem(g *tensor.RNG, inC, h, w int, widths []int, outDim int) *UNetSt
 	u := &UNetStem{out: outDim}
 	c := inC
 	for i, wd := range widths {
-		u.convs = append(u.convs, nn.NewConv2D(g.Split(int64(i)), c, wd, 3, 1, 1))
+		u.convs = append(u.convs, nn.NewConv2DReLU(g.Split(int64(i)), c, wd, 3, 1, 1))
 		c = wd
 		h, w = h/2, w/2
 		if h == 0 || w == 0 {
@@ -294,7 +298,7 @@ func NewUNetStem(g *tensor.RNG, inC, h, w int, widths []int, outDim int) *UNetSt
 func (e *UNetStem) Encode(c *ops.Ctx, in Input) *ops.Var {
 	x := denseInput(in, "UNetStem")
 	for _, conv := range e.convs {
-		x = c.MaxPool2D(c.ReLU(conv.Forward(c, x)), 2)
+		x = c.MaxPool2D(conv.Forward(c, x), 2)
 	}
 	return c.ReLU(e.lin.Forward(c, c.Flatten(x)))
 }

@@ -65,10 +65,13 @@ func (l *Linear) Forward(c *ops.Ctx, x *ops.Var) *ops.Var {
 // Params returns weight and bias.
 func (l *Linear) Params() []*ops.Var { return []*ops.Var{l.W, l.B} }
 
-// Conv2D is a 2-D convolution layer.
+// Conv2D is a 2-D convolution layer. With ReLU set its Forward is the
+// convolution followed by a ReLU, run as one operator (ops.Ctx.Conv2DReLU)
+// — for a layer whose output feeds nothing but the activation.
 type Conv2D struct {
 	W, B        *ops.Var
 	Stride, Pad int
+	ReLU        bool
 }
 
 // NewConv2D builds a conv layer with Kaiming-initialized weights.
@@ -83,8 +86,19 @@ func NewConv2D(g *tensor.RNG, inC, outC, kernel, stride, pad int) *Conv2D {
 	}
 }
 
-// Forward applies the convolution.
+// NewConv2DReLU builds a conv layer as NewConv2D does (the same weights
+// from g) with ReLU set.
+func NewConv2DReLU(g *tensor.RNG, inC, outC, kernel, stride, pad int) *Conv2D {
+	l := NewConv2D(g, inC, outC, kernel, stride, pad)
+	l.ReLU = true
+	return l
+}
+
+// Forward applies the convolution, and the ReLU when it is set.
 func (l *Conv2D) Forward(c *ops.Ctx, x *ops.Var) *ops.Var {
+	if l.ReLU {
+		return c.Conv2DReLU(x, l.W, l.B, l.Stride, l.Pad)
+	}
 	return c.Conv2D(x, l.W, l.B, l.Stride, l.Pad)
 }
 

@@ -205,9 +205,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	// GEMM) and the v scale into its output store. For f16 every scale is
 	// 1 and the output rows are stored through the f16 grid.
 	prec := c.prec
-	if prec != precision.F32 {
-		e.CountLowp(prec)
-	}
+	e.CountLowp(prec)
 	scales := shared.GetUninit(4 * b)
 	qScales, kScales, vScales, scoreScales := scales[:b], scales[b:2*b], scales[2*b:3*b], scales[3*b:]
 	for _, s := range c.i8Segments(b) {

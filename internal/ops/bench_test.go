@@ -226,6 +226,29 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
+// BenchmarkConvBlock is vnt's first conv block at batch 2: a 3×3 conv
+// of [2,3,128,128] to 16 channels with its bias and ReLU (one fused
+// operator), then a 2×2 max-pool, untaped.
+func BenchmarkConvBlock(b *testing.B) {
+	g := tensor.NewRNG(2)
+	x, w, bias := benchVar(g, 2, 3, 128, 128), benchVar(g, 16, 3, 3, 3), benchVar(g, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := Infer()
+		c.MaxPool2D(c.Conv2DReLU(x, w, bias, 1, 1), 2)
+	}
+}
+
+// BenchmarkMaxPool2D pools the output of BenchmarkConvBlock's conv,
+// [2,16,128,128], by 2×2 windows, untaped.
+func BenchmarkMaxPool2D(b *testing.B) {
+	x := benchVar(tensor.NewRNG(3), 2, 16, 128, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Infer().MaxPool2D(x, 2)
+	}
+}
+
 func BenchmarkConv2DBackward(b *testing.B) {
 	g := tensor.NewRNG(3)
 	x := autograd.Param(tensor.New(4, 8, 14, 14))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mmbench/internal/engine"
 	"mmbench/internal/gemm"
 	"mmbench/internal/kernels"
 	"mmbench/internal/precision"
@@ -24,8 +25,25 @@ func convOut(in, kernel, stride, pad int) int {
 // call and every (sample, block of output pixels) work unit gathers its
 // image patches straight into GEMM panels in pooled scratch it returns
 // before it ends — no [C·KH·KW, OH·OW] column matrix is ever stored. The
-// backward is direct loops over the full-precision inputs.
+// bias joins each element in the GEMM tile store (gemm.Epilogue.RowBias),
+// which writes every output element once. The backward is direct loops
+// over the full-precision inputs.
 func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
+	return c.conv2D(x, w, bias, stride, pad, false)
+}
+
+// Conv2DReLU is ReLU(Conv2D(x, w, bias, stride, pad)) as one operator: the
+// tile store applies the ReLU as it writes each element (after the f16
+// rounding), so the output is written once and never re-read. It emits
+// the same kernel specs in the same order as the composition, and its
+// output and gradients have the composition's bits: the backward masks
+// the output gradient by out > 0, which holds exactly where the
+// convolution's output is > 0, as ReLU's does.
+func (c *Ctx) Conv2DReLU(x, w, bias *Var, stride, pad int) *Var {
+	return c.conv2D(x, w, bias, stride, pad, true)
+}
+
+func (c *Ctx) conv2D(x, w, bias *Var, stride, pad int, relu bool) *Var {
 	assertRank(x, 4, "Conv2D")
 	assertRank(w, 4, "Conv2D weight")
 	n, ch, h, wd := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
@@ -36,37 +54,36 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	oh := convOut(h, kh, stride, pad)
 	ow := convOut(wd, kw, stride, pad)
 
+	// The specs after the product's are emitted once the output is
+	// stored, so a profiler charges the fused store to the conv2d span.
 	c.emitP(kernels.Conv2DSpec(fmt.Sprintf("conv2d_%dx%d_c%d_o%d", kh, kw, ch, outC), n, ch, oh, ow, outC, kh, kw))
-	if bias != nil {
-		c.emit(kernels.ElewiseSpec("conv_bias", n*outC*oh*ow, 2, 1))
+	size := n * outC * oh * ow
+	emitTail := func() {
+		if bias != nil {
+			c.emit(kernels.ElewiseSpec("conv_bias", size, 2, 1))
+		}
+		if relu {
+			c.emit(kernels.ReluSpec("relu", size))
+		}
 	}
 
 	inputs := []*Var{x, w}
 	if bias != nil {
 		inputs = append(inputs, bias)
 	}
-	// With a bias the output starts as the bias and the product
-	// accumulates into it, so each element is stored once, in the GEMM
-	// tile store (through the float16 grid at f16).
+	// With a bias the tile store writes bias + product without reading
+	// the output; without one it accumulates into a zeroed output.
 	out := c.result([]int{n, outC, oh, ow}, bias == nil, inputs)
 	if out.Value.Abstract() {
+		emitTail()
 		return out
 	}
 
 	e := c.engine()
 	xd, wdta, od := x.Value.Data(), w.Value.Data(), out.Value.Data()
-	m := oh * ow
+	ep := gemm.Epilogue{ReLU: relu}
 	if bias != nil {
-		bd := bias.Value.Data()
-		e.ParallelFor(n*outC, rowGrain(m), func(r0, r1 int) {
-			for r := r0; r < r1; r++ {
-				b := bd[r%outC]
-				row := od[r*m : (r+1)*m]
-				for i := range row {
-					row[i] = b
-				}
-			}
-		})
+		ep.RowBias = bias.Value.Data()
 	}
 	g := gemm.ConvShape{C: ch, H: h, W: wd, KH: kh, KW: kw, Stride: stride, Pad: pad, OH: oh, OW: ow}
 	// Reduced-precision operands quantize as they are packed — no level
@@ -86,17 +103,21 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 				xScales[ni] = sc
 			}
 		}
-		gemm.ConvI8(e, od, wdta, xd, n, outC, g, wScale, xScales)
+		gemm.ConvI8(e, od, wdta, xd, n, outC, g, wScale, xScales, ep)
 	case precision.F16:
 		e.CountLowp(prec)
-		gemm.ConvF16(e, od, wdta, xd, n, outC, g)
+		gemm.ConvF16(e, od, wdta, xd, n, outC, g, ep)
 	default:
-		gemm.ConvF32(e, od, wdta, xd, n, outC, g)
+		gemm.ConvF32(e, od, wdta, xd, n, outC, g, ep)
 	}
+	emitTail()
 
 	if c.taping(inputs...) {
 		c.tapeStep(out, func() {
 			g := out.Grad.Data()
+			if relu {
+				g = reluBackward(e, g, od)
+			}
 			if x.NeedGrad {
 				// Input gradients are disjoint per sample.
 				xg := x.EnsureGrad().Data()
@@ -194,6 +215,20 @@ func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	return out
 }
 
+// reluBackward returns the gradient a ReLU whose output is y passes to
+// its input for the output gradient g, in a fresh slice: what ReLU's
+// backward accumulates into the zeroed gradient of a value nothing else
+// reads, bit for bit.
+func reluBackward(e *engine.Engine, g, y []float32) []float32 {
+	gx := make([]float32, len(g))
+	e.ParallelFor(len(g), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			gx[i] += g[i] * reluGrad(y[i], 0)
+		}
+	})
+	return gx
+}
+
 // MaxPool2D applies max pooling with a square window and stride equal to
 // the window size.
 func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
@@ -212,17 +247,11 @@ func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 	xd, od := x.Value.Data(), out.Value.Data()
 	if !c.taping(x) {
 		// Nothing will ask where a maximum came from: skip the argmax and
-		// fold one input row at a time into the output row.
+		// compute each output once from its window.
 		e.ParallelFor(n*ch, rowGrain(oh*ow), func(nc0, nc1 int) {
 			for nc := nc0; nc < nc1; nc++ {
 				for oy := 0; oy < oh; oy++ {
-					orow := od[(nc*oh+oy)*ow : (nc*oh+oy+1)*ow]
-					for i := range orow {
-						orow[i] = float32(math.Inf(-1))
-					}
-					for ky := 0; ky < window; ky++ {
-						maxPoolRow(orow, xd[(nc*h+oy*window+ky)*w:], window)
-					}
+					poolMaxRow(od[(nc*oh+oy)*ow:][:ow], xd[(nc*h+oy*window)*w:][:(window-1)*w+ow*window], w, window)
 				}
 			}
 		})
@@ -261,23 +290,46 @@ func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 	return out
 }
 
-// maxPoolRow folds one input row into a pooled output row: orow[ox]
-// becomes the maximum of itself and the window columns
-// row[ox·window : (ox+1)·window]. The running maximum is carried as bits
-// and replaced under the taped loop's own test, x > best, which the
-// compiler turns into a conditional move — no branch on the data, and the
-// taped loop's result for every input: first of equal maxima (so a −0/+0
-// tie keeps its order), NaNs skipped.
-func maxPoolRow(orow, row []float32, window int) {
+// poolMaxRow computes a row of max-pool outputs from win, the window rows
+// of the input (w elements apart): orow[ox] is the maximum of columns
+// [ox·window, (ox+1)·window) of each, taken in the taped loop's row-major
+// order by maxStep. A 2×2 window — every model's — is unrolled, which
+// keeps the running maximum and the loop in registers.
+func poolMaxRow(orow, win []float32, w, window int) {
+	negInf := math.Float32bits(float32(math.Inf(-1)))
+	if window == 2 {
+		r0, r1 := win[:2*len(orow)], win[w:][:2*len(orow)]
+		for ox := range orow {
+			best := maxStep(negInf, r0[2*ox])
+			best = maxStep(best, r0[2*ox+1])
+			best = maxStep(best, r1[2*ox])
+			best = maxStep(best, r1[2*ox+1])
+			orow[ox] = math.Float32frombits(best)
+		}
+		return
+	}
 	for ox := range orow {
-		best := math.Float32bits(orow[ox])
-		for _, x := range row[ox*window : (ox+1)*window] {
-			if xb := math.Float32bits(x); x > math.Float32frombits(best) {
-				best = xb
+		best := negInf
+		for i := ox * window; i < len(win); i += w {
+			for _, v := range win[i : i+window] {
+				best = maxStep(best, v)
 			}
 		}
 		orow[ox] = math.Float32frombits(best)
 	}
+}
+
+// maxStep is one step of the untaped max-pool: the running maximum is
+// carried as bits and replaced under the taped loop's own test, v > best,
+// which the compiler turns into a conditional move — no branch on the
+// data, and the taped loop's result for every input: first of equal
+// maxima (so a −0/+0 tie keeps its order), NaNs skipped, −Inf for a
+// window of −Inf and NaN.
+func maxStep(best uint32, v float32) uint32 {
+	if vb := math.Float32bits(v); v > math.Float32frombits(best) {
+		best = vb
+	}
+	return best
 }
 
 // AvgPool2D applies average pooling with a square window and stride equal

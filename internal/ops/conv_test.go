@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mmbench/internal/autograd"
 	"mmbench/internal/engine"
 	"mmbench/internal/gemm"
 	"mmbench/internal/precision"
@@ -250,11 +251,41 @@ func TestConv2DMergedMemberBitwise(t *testing.T) {
 	}
 }
 
+// checkConv2DReLU requires Conv2DReLU to equal ReLU(Conv2D) bit for bit
+// at one shape and precision on every engine: with no bias and with a
+// bias whose even channels hold −0, +Inf, −Inf, NaN and a NaN with the
+// sign bit set in turn (the f16 store rounds that one to a positive NaN
+// before the ReLU can clear it), for one request and for a merged batch of
+// two, [1, 2] samples.
+func checkConv2DReLU(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.RNG, prec precision.Type) {
+	t.Helper()
+	x, w, bias := randParam(g, s.n, s.c, s.h, s.w), randParam(g, s.outC, s.c, s.kh, s.kw), randParam(g, s.outC)
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
+	for oc := 0; oc < s.outC; oc += 2 {
+		bias.Value.Data()[oc] = specials[(oc/2+s.h)%len(specials)]
+	}
+	merged := randParam(g, 3, s.c, s.h, s.w)
+	for _, e := range engines {
+		for _, b := range []*Var{nil, bias} {
+			for _, in := range []struct {
+				x    *Var
+				segs []int
+			}{{x, nil}, {merged, []int{1, 2}}} {
+				name := fmt.Sprintf("%v/%v/workers=%d/bias=%t/segments=%v", s, prec, e.Workers(), b != nil, in.segs)
+				want := segCtx(e, prec, in.segs).ReLU(segCtx(e, prec, in.segs).Conv2D(in.x, w, b, s.stride, s.pad))
+				got := segCtx(e, prec, in.segs).Conv2DReLU(in.x, w, b, s.stride, s.pad)
+				sliceEq(t, name, got.Value.Data(), want.Value.Data())
+			}
+		}
+	}
+}
+
 // FuzzConv2D runs checkConv2D on 1 and 4 workers over batch 1–3, up to 8
 // channels, planes up to 20×20, up to 16 filters of up to 5×5, stride 1–3,
 // pad 0–2 and the three precisions; dimensions map 1 + x%bound (pad x%3),
 // and a window the padded plane cannot hold — no output pixel — is
-// skipped. The seed corpus is convGrid's shapes that fit.
+// skipped. It then runs checkConv2DReLU on 1 and 3 workers. The seed
+// corpus is convGrid's shapes that fit.
 func FuzzConv2D(f *testing.F) {
 	for _, s := range convGrid() {
 		if s.n <= 3 && s.c <= 8 && s.h <= 20 && s.w <= 20 && s.kh <= 5 && s.stride <= 3 && s.pad <= 2 {
@@ -263,7 +294,7 @@ func FuzzConv2D(f *testing.F) {
 			}
 		}
 	}
-	engines := []*engine.Engine{engine.New(1), engine.New(4)}
+	engines := []*engine.Engine{engine.New(1), engine.New(4), engine.New(3)}
 	f.Cleanup(func() {
 		for _, e := range engines {
 			e.Close()
@@ -278,8 +309,53 @@ func FuzzConv2D(f *testing.F) {
 			t.Skip("no output pixel")
 		}
 		p := [3]precision.Type{precision.F32, precision.F16, precision.I8}[prec%3]
-		checkConv2D(t, engines, s, tensor.NewRNG(int64(s.h)<<8|int64(s.w)), p)
+		g := tensor.NewRNG(int64(s.h)<<8 | int64(s.w))
+		checkConv2D(t, engines[:2], s, g, p)
+		checkConv2DReLU(t, []*engine.Engine{engines[0], engines[2]}, s, g, p)
 	})
+}
+
+// TestConv2DReLUGradMatchesComposition: under a tape, Conv2DReLU's
+// output and the gradients it leaves on x, w and the bias equal those of
+// ReLU(Conv2D) bit for bit, at every precision and at 1 and 4 workers.
+// The loss weighs each output by its own factor, so the masked gradient
+// is not uniform, and some but not all outputs are masked.
+func TestConv2DReLUGradMatchesComposition(t *testing.T) {
+	for _, prec := range []precision.Type{precision.F32, precision.F16, precision.I8} {
+		for _, workers := range []int{1, 4} {
+			e := engine.New(workers)
+			grads := func(fused bool) [][]float32 {
+				g := tensor.NewRNG(9)
+				x, w, b := randParam(g, 2, 3, 7, 6), randParam(g, 5, 3, 3, 3), randParam(g, 5)
+				r := randParam(g, 2, 5, 4, 3)
+				tape := autograd.NewTape()
+				c := &Ctx{Eng: e, Tape: tape}
+				c.prec = prec
+				var y *Var
+				if fused {
+					y = c.Conv2DReLU(x, w, b, 2, 1)
+				} else {
+					y = c.ReLU(c.Conv2D(x, w, b, 2, 1))
+				}
+				tape.Backward(c.MeanAll(c.Mul(y, r)))
+				return [][]float32{y.Value.Data(), x.Grad.Data(), w.Grad.Data(), b.Grad.Data()}
+			}
+			want, got := grads(false), grads(true)
+			masked := 0
+			for _, v := range want[0] {
+				if v == 0 {
+					masked++
+				}
+			}
+			if masked == 0 || masked == len(want[0]) {
+				t.Fatalf("%v: %d of %d outputs masked — the mask is not exercised", prec, masked, len(want[0]))
+			}
+			for i, name := range []string{"output", "x gradient", "w gradient", "bias gradient"} {
+				sliceEq(t, fmt.Sprintf("%v/workers=%d/%s", prec, workers, name), got[i], want[i])
+			}
+			e.Close()
+		}
+	}
 }
 
 // TestConv2DPackAccounting: a convolution call draws one A-panel set for

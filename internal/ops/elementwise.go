@@ -213,13 +213,16 @@ func geluSlice(dst, src []float32) {
 
 // ReLU applies max(0, x).
 func (c *Ctx) ReLU(a *Var) *Var {
-	return c.unary(a, kernels.ReluSpec("relu", a.Value.Size()), reluSlice,
-		func(x, _ float32) float32 {
-			if x > 0 {
-				return 1
-			}
-			return 0
-		})
+	return c.unary(a, kernels.ReluSpec("relu", a.Value.Size()), reluSlice, reluGrad)
+}
+
+// reluGrad is ReLU's derivative at input x: 1 where x > 0, else 0.
+// Conv2DReLU passes the output, which is > 0 exactly where the input is.
+func reluGrad(x, _ float32) float32 {
+	if x > 0 {
+		return 1
+	}
+	return 0
 }
 
 // Sigmoid applies 1/(1+e^-x).

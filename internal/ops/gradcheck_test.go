@@ -250,3 +250,13 @@ func TestGradOuterFusion(t *testing.T) {
 		return c.MeanAll(c.Mul(o, o))
 	})
 }
+
+func TestGradConv2DReLU(t *testing.T) {
+	g := tensor.NewRNG(22)
+	x := randParam(g, 2, 2, 5, 5)
+	w := randParam(g, 3, 2, 3, 3)
+	b := randParam(g, 3)
+	gradCheck(t, "conv_relu", []*Var{x, w, b}, func(c *Ctx) *Var {
+		return c.MeanAll(c.Conv2DReLU(x, w, b, 1, 1))
+	})
+}

@@ -91,31 +91,80 @@ func TestMaxPoolForward(t *testing.T) {
 	}
 }
 
+// twoPassMaxPool is the untaped MaxPool2D forward before it computed each
+// output once: every output row starts at −Inf and folds in one input row
+// of its windows at a time (maxPoolRow). It lives on as an oracle of
+// TestMaxPoolUntapedMatchesTaped.
+func twoPassMaxPool(xd []float32, n, ch, h, w, window int) []float32 {
+	oh, ow := h/window, w/window
+	od := make([]float32, n*ch*oh*ow)
+	for nc := 0; nc < n*ch; nc++ {
+		for oy := 0; oy < oh; oy++ {
+			orow := od[(nc*oh+oy)*ow : (nc*oh+oy+1)*ow]
+			for i := range orow {
+				orow[i] = float32(math.Inf(-1))
+			}
+			for ky := 0; ky < window; ky++ {
+				maxPoolRow(orow, xd[(nc*h+oy*window+ky)*w:], window)
+			}
+		}
+	}
+	return od
+}
+
+// maxPoolRow folds one input row into a pooled output row: orow[ox]
+// becomes the maximum of itself and the window columns
+// row[ox·window : (ox+1)·window], replaced under x > best.
+func maxPoolRow(orow, row []float32, window int) {
+	for ox := range orow {
+		best := math.Float32bits(orow[ox])
+		for _, x := range row[ox*window : (ox+1)*window] {
+			if xb := math.Float32bits(x); x > math.Float32frombits(best) {
+				best = xb
+			}
+		}
+		orow[ox] = math.Float32frombits(best)
+	}
+}
+
 // TestMaxPoolUntapedMatchesTaped holds the untaped fast path (no argmax,
-// row-wise conditional-move maxima) to the taped loop bitwise, over windows
-// 2 and 3, odd heights and widths (trailing rows and columns dropped) and
-// inputs salted with the values where two notions of "max" part ways: ±0
-// ties in both orders, −Inf, and NaN (skipped by both).
+// one pass per output) to the taped loop and to the two-pass forward it
+// replaced, bitwise, over windows 2 and 3, odd heights and widths
+// (trailing rows and columns dropped) and inputs salted with the values
+// where two notions of "max" part ways: ±0 ties in both orders, −Inf, and
+// NaN (skipped by all three). Three cases salt every element: one with
+// −Inf and NaN alone, so no window holds another value, and two (windows
+// 2 and 3) with ±0, NaN and −Inf, so every maximum is a tie of zeros.
 func TestMaxPoolUntapedMatchesTaped(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
-	salt := []float32{0, negZero, negZero, 0, float32(math.Inf(-1)), float32(math.NaN()), float32(math.Inf(1))}
-	for _, tc := range []struct{ n, ch, h, w, window int }{
-		{2, 3, 8, 8, 2}, {1, 2, 9, 7, 2}, {2, 1, 7, 11, 3}, {1, 3, 9, 9, 3}, {1, 1, 2, 2, 2}, {1, 2, 5, 3, 3},
+	negInf, nan := float32(math.Inf(-1)), float32(math.NaN())
+	salt := []float32{0, negZero, negZero, 0, negInf, nan, float32(math.Inf(1))}
+	zeros := []float32{0, negZero, negZero, 0, nan, negInf, negZero, 0, 0}
+	for _, tc := range []struct {
+		n, ch, h, w, window int
+		every               int // salt every every-th element
+		salt                []float32
+	}{
+		{2, 3, 8, 8, 2, 3, salt}, {1, 2, 9, 7, 2, 3, salt}, {2, 1, 7, 11, 3, 3, salt}, {1, 3, 9, 9, 3, 3, salt},
+		{1, 1, 2, 2, 2, 3, salt}, {1, 2, 5, 3, 3, 3, salt}, {1, 2, 6, 6, 2, 1, []float32{negInf, negInf, nan, negInf, negInf}},
+		{1, 2, 6, 10, 2, 1, zeros}, {1, 2, 9, 12, 3, 1, zeros},
 	} {
 		x := tensor.New(tc.n, tc.ch, tc.h, tc.w)
 		tensor.NewRNG(int64(tc.h*tc.w)).Uniform(x, -1, 1)
-		for i, d := 0, x.Data(); i < len(d); i += 3 {
-			d[i] = salt[(i/3)%len(salt)]
+		for i, d := 0, x.Data(); i < len(d); i += tc.every {
+			d[i] = tc.salt[(i/tc.every)%len(tc.salt)]
 		}
+		oracle := twoPassMaxPool(x.Data(), tc.n, tc.ch, tc.h, tc.w, tc.window)
 		for _, workers := range []int{1, 4} {
 			e := engine.New(workers)
 			untaped := (&Ctx{Eng: e}).MaxPool2D(autograd.NewVar(x), tc.window)
 			taped := (&Ctx{Eng: e, Tape: autograd.NewTape()}).MaxPool2D(autograd.Param(x), tc.window)
 			e.Close()
 			for i, want := range taped.Value.Data() {
-				if got := untaped.Value.Data()[i]; math.Float32bits(got) != math.Float32bits(want) {
-					t.Fatalf("%+v workers=%d: out[%d] = %g (bits %#x) untaped, %g (bits %#x) taped",
-						tc, workers, i, got, math.Float32bits(got), want, math.Float32bits(want))
+				got := untaped.Value.Data()[i]
+				if math.Float32bits(got) != math.Float32bits(want) || math.Float32bits(got) != math.Float32bits(oracle[i]) {
+					t.Fatalf("%v workers=%d: out[%d] = %g (bits %#x) untaped, %g (bits %#x) taped, %g (bits %#x) two-pass",
+						tc, workers, i, got, math.Float32bits(got), want, math.Float32bits(want), oracle[i], math.Float32bits(oracle[i]))
 				}
 			}
 		}

@@ -109,6 +109,9 @@ const (
 	// above it overflows float16 (values in [65520, 2¹⁶) overflow too,
 	// via the rounding carry in the normal path).
 	f16OverflowBits = (f32ExpBias + 16) << 23
+	// f16RoundInfBits is 65520 as float32 bits, the smallest magnitude
+	// the normal path's rounding carry takes to 2¹⁶ (float16's Inf).
+	f16RoundInfBits = 0x477ff000
 	// f16ExpAdjust rebiases a float32 exponent to float16:
 	// (f32ExpBias-f16ExpBias) << 23.
 	f16ExpAdjust = (f32ExpBias - f16ExpBias) << 23
@@ -192,9 +195,37 @@ func RoundF16(x float32) float32 {
 }
 
 // RoundF16Slice stores dst[i] = RoundF16(src[i]). dst and src may alias.
+// A magnitude in [2⁻¹⁴, 65520) — a normal float16 result that no rounding
+// carry takes to Inf — is rounded inline, behind one unsigned range test;
+// every other input calls RoundF16, which is too large to inline.
 func RoundF16Slice(dst, src []float32) {
+	dst = dst[:len(src)]
 	for i, x := range src {
+		b := math.Float32bits(x)
+		if (b&0x7fffffff)-f16NormMinBits < f16RoundInfBits-f16NormMinBits {
+			b += 0xfff + ((b >> 13) & 1)
+			dst[i] = math.Float32frombits(b &^ 0x1fff)
+			continue
+		}
 		dst[i] = RoundF16(x)
+	}
+}
+
+// F16BitsSlice stores dst[i] = F16Bits(src[i]). A magnitude in
+// [2⁻¹⁴, 2¹⁶) — F16Bits' normal path, whose rounding carry reaches Inf's
+// bits by itself — is converted inline, behind one unsigned range test;
+// every other input calls F16Bits. dst may alias src from its first byte,
+// as a uint16 view of src's memory: element i is read before its two
+// bytes are written, and they land in element i/2, which is already read.
+func F16BitsSlice(dst []uint16, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		b := math.Float32bits(x)
+		if a := b & 0x7fffffff; a-f16NormMinBits < f16OverflowBits-f16NormMinBits {
+			dst[i] = uint16(b>>16)&0x8000 | uint16((a+0xfff+((a>>13)&1)-f16ExpAdjust)>>13)
+			continue
+		}
+		dst[i] = F16Bits(x)
 	}
 }
 

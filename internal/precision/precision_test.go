@@ -217,12 +217,23 @@ func TestTypeParseAndString(t *testing.T) {
 // roundF16Ref is RoundF16's definition: the float16 conversion and back.
 func roundF16Ref(x float32) float32 { return F16Value(F16Bits(x)) }
 
-// wantRoundF16 checks RoundF16 against roundF16Ref bit for bit (NaN
-// included) at the float32 bit pattern b.
+// wantRoundF16 checks RoundF16 and RoundF16Slice against roundF16Ref,
+// and F16BitsSlice against F16Bits, bit for bit (NaN included) at the
+// float32 bit pattern b.
 func wantRoundF16(t *testing.T, b uint32) {
+	t.Helper()
 	x := math.Float32frombits(b)
-	if got, want := math.Float32bits(RoundF16(x)), math.Float32bits(roundF16Ref(x)); got != want {
+	want := math.Float32bits(roundF16Ref(x))
+	if got := math.Float32bits(RoundF16(x)); got != want {
 		t.Fatalf("RoundF16(%g [%#08x]) = %#08x, F16Value(F16Bits) gives %#08x", x, b, got, want)
+	}
+	r, h := []float32{x}, []uint16{0}
+	RoundF16Slice(r, r)
+	if got := math.Float32bits(r[0]); got != want {
+		t.Fatalf("RoundF16Slice(%g [%#08x]) = %#08x, F16Value(F16Bits) gives %#08x", x, b, got, want)
+	}
+	if F16BitsSlice(h, []float32{x}); h[0] != F16Bits(x) {
+		t.Fatalf("F16BitsSlice(%g [%#08x]) = %#04x, F16Bits gives %#04x", x, b, h[0], F16Bits(x))
 	}
 }
 
@@ -244,13 +255,15 @@ func TestRoundF16Boundaries(t *testing.T) {
 // 40 s on two cores), as CI does.
 const roundF16SweepEnv = "MMBENCH_ROUNDF16_SWEEP"
 
-// TestRoundF16Exhaustive checks RoundF16 against F16Value(F16Bits) at
-// every float32 bit pattern.
+// TestRoundF16Exhaustive checks RoundF16 and RoundF16Slice against
+// F16Value(F16Bits), and F16BitsSlice against F16Bits, at every float32
+// bit pattern. The slice forms run over blocks of consecutive patterns,
+// RoundF16Slice in place.
 func TestRoundF16Exhaustive(t *testing.T) {
 	if os.Getenv(roundF16SweepEnv) != "1" {
 		t.Skipf("set %s=1 to check all 2³² inputs", roundF16SweepEnv)
 	}
-	const parts = 64
+	const parts, block = 64, 4096
 	var wg sync.WaitGroup
 	bad := make(chan uint32, parts)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -259,12 +272,23 @@ func TestRoundF16Exhaustive(t *testing.T) {
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			lo, hi := part<<32/parts, (part+1)<<32/parts
-			for b := lo; b < hi; b++ {
-				x := math.Float32frombits(uint32(b))
-				if math.Float32bits(RoundF16(x)) != math.Float32bits(roundF16Ref(x)) {
-					bad <- uint32(b)
-					return
+			var r [block]float32
+			var h [block]uint16
+			for lo := part << 32 / parts; lo < (part+1)<<32/parts; lo += block {
+				for i := range r {
+					r[i] = math.Float32frombits(uint32(lo) + uint32(i))
+				}
+				F16BitsSlice(h[:], r[:])
+				RoundF16Slice(r[:], r[:])
+				for i := range r {
+					b := uint32(lo) + uint32(i)
+					x := math.Float32frombits(b)
+					fb := F16Bits(x)
+					want := math.Float32bits(F16Value(fb))
+					if math.Float32bits(RoundF16(x)) != want || math.Float32bits(r[i]) != want || h[i] != fb {
+						bad <- b
+						return
+					}
 				}
 			}
 		}()
