@@ -240,7 +240,7 @@ func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, 
 		for jp := 0; jp < npb2; jp += 2 {
 			kernTilePair(app, bp[jp*k*NR:(jp+2)*k*NR], &block, k)
 			for s := range block {
-				addTileF32(dst, ldd, &block[s], (ip+s/2)*MR, (jp+s%2)*NR, m, n, alpha, ep)
+				addTileF32(dst, ldd, &block[s], (ip+s/2)*MR, (jp+s%2)*NR, m, n, alpha, &ep)
 			}
 		}
 	}
@@ -252,13 +252,13 @@ func mulTiles[B float32 | uint16](dst []float32, ldd int, ap []float32, bp []B, 
 			for jp = 0; jp < npb4; jp += 4 {
 				kernPanelRow(app, bp[jp*k*NR:(jp+4)*k*NR], &block, k, m-ip*MR <= 2)
 				for s := range block {
-					addTileF32(dst, ldd, &block[s], ip*MR, (jp+s)*NR, m, n, alpha, ep)
+					addTileF32(dst, ldd, &block[s], ip*MR, (jp+s)*NR, m, n, alpha, &ep)
 				}
 			}
 		}
 		for ; jp < npb; jp++ {
 			kernTile(app, bp[jp*k*NR:(jp+1)*k*NR], &tile, k)
-			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha, ep)
+			addTileF32(dst, ldd, &tile, ip*MR, jp*NR, m, n, alpha, &ep)
 		}
 	}
 }
@@ -490,7 +490,7 @@ func mulPanelsI8(dst []float32, ldd int, ap []int16, bp []int8, m, kp, n int, de
 			for i, v := range tile {
 				ft[i] = float32(v)
 			}
-			addTileF32(dst, ldd, &ft, ip*MR, jp*NR, m, n, deq, ep)
+			addTileF32(dst, ldd, &ft, ip*MR, jp*NR, m, n, deq, &ep)
 		}
 	}
 }
@@ -596,7 +596,7 @@ func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw 
 // a ReLU follows the rounding (without F16 the sum's store applies it).
 // Multiplying by alpha == 1 is a bitwise identity, so the common unscaled
 // call pays one multiply and no branch.
-func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32, ep Epilogue) {
+func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int, alpha float32, ep *Epilogue) {
 	rows, cols := min(MR, m-i0), min(NR, n-j0)
 	addTileSum(dst, ldd, tile, i0, j0, rows, cols, alpha, ep, ep.ReLU && !ep.F16)
 	if ep.F16 {
@@ -612,7 +612,7 @@ func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int
 
 // addTileSum stores a tile's rows × cols region as addTileF32 does,
 // without the f16 rounding, and applies the ReLU when relu is set.
-func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, cols int, alpha float32, ep Epilogue, relu bool) {
+func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, cols int, alpha float32, ep *Epilogue, relu bool) {
 	bias, rowBias := ep.Bias, ep.RowBias
 	if asmKernels && cols == NR && (rowBias != nil || !relu) {
 		// Interior tile: two 8-lane multiplies and adds per row, each

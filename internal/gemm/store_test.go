@@ -107,7 +107,7 @@ func checkTileStore(t *testing.T) {
 							}
 						}
 					}
-					addTileF32(dst, ldd, &tile, 0, j0, m, nn, alpha, e)
+					addTileF32(dst, ldd, &tile, 0, j0, m, nn, alpha, &e)
 					for i, v := range dst {
 						if math.Float32bits(v) != math.Float32bits(want[i]) {
 							t.Fatalf("alpha=%v %s %dx%d tile: dst[%d] = %g (%#08x), scalar store %g (%#08x)",
