@@ -147,6 +147,12 @@ func KernelName() string {
 	return "generic"
 }
 
+// AVX512 reports whether this process may run AVX-512F code: the CPU has
+// it and the OS saves ZMM state (the probe behind the tile-pair kernels).
+// It is false on builds without assembly. Other packages' vector kernels
+// dispatch on it rather than probing the CPU again.
+func AVX512() bool { return hasZMM }
+
 // Epilogue is what a product does to an element as its tile reaches dst.
 // The element's sum starts from dst — or, with RowBias, from RowBias[i],
 // the bias of its row (a convolution's output channel), and dst is not

@@ -12,12 +12,14 @@ func xgetbv() (eax, edx uint32)
 // EVEX.256 form of vpdpwssd) for the fused int8 dot-accumulate kernel;
 // asmWide additionally requires AVX-512F with the OS saving ZMM state for
 // the f32 and f16 tile-pair and one-panel kernels. Tests clear asmWide to
-// run the 4×16 kernels alone.
+// run the 4×16 kernels alone; hasZMM keeps the probe's answer for
+// AVX512, which such a test does not change.
 var (
 	asmKernels bool
 	asmF16     bool
 	asmVNNI    bool
 	asmWide    bool
+	hasZMM     bool
 )
 
 func init() {
@@ -56,6 +58,7 @@ func init() {
 	zmm := ebx7&avx512fBit != 0 && xlo&zmmState == zmmState
 	asmVNNI = zmm && ebx7&avx512vl != 0 && ecx7&avx512vnni != 0
 	asmWide = zmm
+	hasZMM = zmm
 }
 
 // Assembly micro-kernels (kernel_amd64.s). Each overwrites a full MR×NR

@@ -10,6 +10,7 @@ const (
 	asmKernels = false
 	asmF16     = false
 	asmVNNI    = false
+	hasZMM     = false
 )
 
 // asmWide is never set here; it is a variable only because the tests

@@ -15,10 +15,10 @@ import (
 // Attribution model: operators emit their kernel spec immediately
 // before executing the eager math, so a kernel's span runs from its
 // emission to the next profiler event on the same shard (the following
-// kernel emission, a stage change, or the shard's end). Compound
-// operators that emit several specs back-to-back before computing
-// attribute their fused math to the last spec of the run; per-stage
-// wall times are unaffected by that skew.
+// kernel emission, a stage change, or the shard's end). A fused operator
+// emits its lead spec before the work and the specs fused into that work
+// after it (Linear's bias add, a convolution's bias and ReLU), so the
+// lead span carries the work and the fused tail measures near zero.
 type Span struct {
 	// Name is the kernel name ("gemm_512x512x64"), or a region label
 	// ("backward") for explicit regions.

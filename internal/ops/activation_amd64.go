@@ -1,0 +1,34 @@
+//go:build amd64 && !noasm
+
+package ops
+
+import "mmbench/internal/gemm"
+
+// vecActivations selects the AVX-512F bodies of the activation kernels
+// (activation_amd64.s) on the probe that selects the GEMM's tile-pair
+// kernels.
+var vecActivations = gemm.AVX512()
+
+// geluAsm, sigmoidAsm and tanhAsm store n elements of dst from src, with
+// n a multiple of 16; src and dst are either the same or disjoint.
+//
+//go:noescape
+func geluAsm(dst, src *float32, n int64)
+
+//go:noescape
+func sigmoidAsm(dst, src *float32, n int64)
+
+//go:noescape
+func tanhAsm(dst, src *float32, n int64)
+
+// vecBody runs kernel over the first len(src)&^15 elements when the
+// vector bodies are selected and returns how many it stored; the caller's
+// scalar loop finishes the rest. dst must be at least as long as src.
+func vecBody(kernel func(dst, src *float32, n int64), dst, src []float32) int {
+	n := len(src) &^ 15
+	if !vecActivations || n == 0 {
+		return 0
+	}
+	kernel(&dst[:len(src)][0], &src[0], int64(n))
+	return n
+}

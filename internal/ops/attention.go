@@ -92,6 +92,12 @@ var exp2Bits = func() (t [64]uint32) {
 // leaves the normal range, the result is flushed to 0 (a probability
 // under 1.2e-38 contributes nothing, and subnormal products would stall
 // the FMA units); that test is the function's only branch. NaN gives NaN.
+//
+// The AVX-512F bodies of the activation kernels (activation_amd64.s)
+// repeat this function's compiled code sixteen lanes at a time: the same
+// constants, operations and operand order, the flush as a zeroing mask.
+// A change here must be made there too; TestActivationVectorMatchesScalar
+// (and its exhaustive sweep) fails until it is.
 func expf32(x float32) float32 {
 	if x < expMin {
 		return 0

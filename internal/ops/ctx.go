@@ -182,6 +182,13 @@ func (c *Ctx) emit(s kernels.Spec) {
 	}
 }
 
+// emitAll emits specs in order.
+func (c *Ctx) emitAll(specs []kernels.Spec) {
+	for _, s := range specs {
+		c.emit(s)
+	}
+}
+
 // emitP emits a kernel spec stamped with the context's active storage
 // precision — used by the operators that have low-precision variants,
 // so the analytic device model prices the reduced-precision

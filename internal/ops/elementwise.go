@@ -186,16 +186,37 @@ func reluSlice(dst, src []float32) {
 	}
 }
 
+// sigmoidSlice, tanhSlice and geluSlice run their first len(src)&^15
+// elements on the AVX-512F bodies where the CPU has them
+// (activation_amd64.s) and the rest on the scalar loops below, which are
+// the whole kernel on every other build. The vector bodies repeat the
+// scalar loops' compiled code lane by lane, so every element has the
+// scalar bits, NaN payloads included, whichever path it takes.
 func sigmoidSlice(dst, src []float32) {
+	n := vecBody(sigmoidAsm, dst, src)
+	sigmoidScalar(dst[n:], src[n:])
+}
+
+func tanhSlice(dst, src []float32) {
+	n := vecBody(tanhAsm, dst, src)
+	tanhScalar(dst[n:], src[n:])
+}
+
+func geluSlice(dst, src []float32) {
+	n := vecBody(geluAsm, dst, src)
+	geluScalar(dst[n:], src[n:])
+}
+
+func sigmoidScalar(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		dst[i] = sigmoidOf(x)
 	}
 }
 
-// tanhSlice computes tanh(x) = sign(x)·(1−e)/(1+e) with e = e^(−2|x|):
+// tanhScalar computes tanh(x) = sign(x)·(1−e)/(1+e) with e = e^(−2|x|):
 // the quotient lies in [0, 1] and x's sign bit is copied onto it.
-func tanhSlice(dst, src []float32) {
+func tanhScalar(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		b := math.Float32bits(x)
@@ -204,7 +225,7 @@ func tanhSlice(dst, src []float32) {
 	}
 }
 
-func geluSlice(dst, src []float32) {
+func geluScalar(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		dst[i] = x * sigmoidOf(geluArg(x))

@@ -118,10 +118,11 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	}
 	rows := x.Value.Size() / in
 
+	// The bias add is fused into the product's tile store, so it is
+	// emitted once the output is stored and a profiler charges the
+	// product to the linear span, as conv2D does.
 	specs, ns := c.linearSpecs(rows, in, outDim, bias != nil)
-	for _, s := range specs[:ns] {
-		c.emit(s)
-	}
+	c.emit(specs[0])
 
 	outShape := make([]int, len(xs))
 	copy(outShape, xs)
@@ -132,6 +133,7 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	}
 	out := c.out(outShape, inputs...)
 	if out.Value.Abstract() {
+		c.emitAll(specs[1:ns])
 		return out
 	}
 
@@ -158,6 +160,7 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 		ep.Bias = bias.Value.Data()
 	}
 	c.product(kept, od, xd, wd, rows, in, outDim, ep)
+	c.emitAll(specs[1:ns])
 	if c.taping(inputs...) {
 		c.tapeStep(out, func() {
 			g := out.Grad.Data()

@@ -8,8 +8,13 @@ import (
 	"mmbench/internal/precision"
 )
 
-// lstmStepKernels is the number of kernels one LSTM step emits.
-const lstmStepKernels = 18
+// lstmStepKernels is the number of kernels one LSTM step emits; the
+// first lstmProductKernels of them (the input slice and the two products'
+// specs) describe its products, the rest its gate and cell pass.
+const (
+	lstmStepKernels    = 18
+	lstmProductKernels = 4
+)
 
 // lstmStepSpecs returns the kernels one step of a b-row LSTM over d
 // inputs and hidden width h emits, in the order the composed step (two
@@ -48,8 +53,10 @@ func (c *Ctx) lstmStepSpecs(b, d, h int) [lstmStepKernels]kernels.Spec {
 //
 // Kernels: every step emits the composed step's 18 specs
 // (lstmStepSpecs), for abstract and concrete inputs alike, so the modeled
-// side cannot tell the two apart. A concrete step emits its specs before
-// it computes, so a profiler span covers a whole step, not one kernel.
+// side cannot tell the two apart. A concrete step emits the products'
+// specs before its products and the rest before its gate pass, so a
+// profiler charges the products to the h·W_h linear span and the gate
+// pass to the step's last elementwise span.
 //
 // Numerics: products are row-local, so at f32 and f16 the input
 // projection runs as one GEMM over all B·T rows before the first step,
@@ -76,15 +83,10 @@ func (c *Ctx) LSTMSequence(x, wx, wh, bias *Var) *Var {
 			x.Value.Shape(), wx.Value.Shape(), wh.Value.Shape(), bias.Value.Shape()))
 	}
 	specs := c.lstmStepSpecs(b, d, h)
-	emitStep := func() {
-		for _, s := range specs {
-			c.emit(s)
-		}
-	}
 	out := c.out([]int{b, h}, x, wx, wh, bias) // h_0 = 0
 	if out.Value.Abstract() {
 		for ti := 0; ti < t; ti++ {
-			emitStep()
+			c.emitAll(specs[:])
 		}
 		return out
 	}
@@ -119,7 +121,7 @@ func (c *Ctx) LSTMSequence(x, wx, wh, bias *Var) *Var {
 	}
 
 	for ti := 0; ti < t; ti++ {
-		emitStep()
+		c.emitAll(specs[:lstmProductKernels])
 		switch {
 		case i8:
 			for bi := 0; bi < b; bi++ {
@@ -134,6 +136,7 @@ func (c *Ctx) LSTMSequence(x, wx, wh, bias *Var) *Var {
 		}
 		clear(hp)
 		c.product(wh.Frozen, hp, hd, whd, b, h, h4, gemm.Epilogue{})
+		c.emitAll(specs[lstmProductKernels:])
 		e.ParallelFor(b, rowGrain(h4), cellRows)
 	}
 	return out

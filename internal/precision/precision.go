@@ -197,14 +197,23 @@ func RoundF16(x float32) float32 {
 // RoundF16Slice stores dst[i] = RoundF16(src[i]). dst and src may alias.
 // A magnitude in [2⁻¹⁴, 65520) — a normal float16 result that no rounding
 // carry takes to Inf — is rounded inline, behind one unsigned range test;
-// every other input calls RoundF16, which is too large to inline.
+// so is one below 2⁻¹⁴ (±0 and the float16 subnormals, common after a
+// ReLU and in zero-padded panel lanes), as RoundF16 rounds it: (|x| + 0.5)
+// − 0.5 with x's sign. Only Inf, NaN and overflow call RoundF16, which is
+// too large to inline.
 func RoundF16Slice(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		b := math.Float32bits(x)
-		if (b&0x7fffffff)-f16NormMinBits < f16RoundInfBits-f16NormMinBits {
+		a := b & 0x7fffffff
+		if a-f16NormMinBits < f16RoundInfBits-f16NormMinBits {
 			b += 0xfff + ((b >> 13) & 1)
 			dst[i] = math.Float32frombits(b &^ 0x1fff)
+			continue
+		}
+		if a < f16NormMinBits {
+			f := float32(math.Float32frombits(a)+math.Float32frombits(f16DenormMagic)) - math.Float32frombits(f16DenormMagic)
+			dst[i] = math.Float32frombits(b&^0x7fffffff | math.Float32bits(f))
 			continue
 		}
 		dst[i] = RoundF16(x)
@@ -213,16 +222,24 @@ func RoundF16Slice(dst, src []float32) {
 
 // F16BitsSlice stores dst[i] = F16Bits(src[i]). A magnitude in
 // [2⁻¹⁴, 2¹⁶) — F16Bits' normal path, whose rounding carry reaches Inf's
-// bits by itself — is converted inline, behind one unsigned range test;
-// every other input calls F16Bits. dst may alias src from its first byte,
-// as a uint16 view of src's memory: element i is read before its two
-// bytes are written, and they land in element i/2, which is already read.
+// bits by itself — is converted inline, behind one unsigned range test,
+// and so is one below 2⁻¹⁴ (±0 and the float16 subnormals) by F16Bits'
+// 0.5 magic; only Inf, NaN and overflow call F16Bits. dst may alias src
+// from its first byte, as a uint16 view of src's memory: element i is
+// read before its two bytes are written, and they land in element i/2,
+// which is already read.
 func F16BitsSlice(dst []uint16, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		b := math.Float32bits(x)
-		if a := b & 0x7fffffff; a-f16NormMinBits < f16OverflowBits-f16NormMinBits {
+		a := b & 0x7fffffff
+		if a-f16NormMinBits < f16OverflowBits-f16NormMinBits {
 			dst[i] = uint16(b>>16)&0x8000 | uint16((a+0xfff+((a>>13)&1)-f16ExpAdjust)>>13)
+			continue
+		}
+		if a < f16NormMinBits {
+			f := math.Float32frombits(a) + math.Float32frombits(f16DenormMagic)
+			dst[i] = uint16(b>>16)&0x8000 | uint16(math.Float32bits(f)-f16DenormMagic)
 			continue
 		}
 		dst[i] = F16Bits(x)
