@@ -11,9 +11,10 @@ func xgetbv() (eax, edx uint32)
 // additionally requires AVX512-VNNI with VL (the assembler emits the
 // EVEX.256 form of vpdpwssd) for the fused int8 dot-accumulate kernel;
 // asmWide additionally requires AVX-512F with the OS saving ZMM state for
-// the f32 and f16 tile-pair and one-panel kernels. Tests clear asmWide to
-// run the 4×16 kernels alone; hasZMM keeps the probe's answer for
-// AVX512, which such a test does not change.
+// the f32 and f16 tile-pair and one-panel kernels and PackA's transpose.
+// Tests clear asmWide to run the 4×16 kernels and the scalar PackA
+// alone; hasZMM keeps the probe's answer for AVX512, which such a test
+// does not change.
 var (
 	asmKernels bool
 	asmF16     bool
@@ -112,6 +113,14 @@ func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha floa
 //
 //go:noescape
 func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, rowBias *float32, relu bool)
+
+// packAAsm (pack_amd64.s) is PackA over columns [0, k16) of every
+// panel of an m-row block, k16 a multiple of 16 and ≤ k: rows past m
+// are stored as zeros and never read. The caller bounds-checks the last
+// element it reads and writes.
+//
+//go:noescape
+func packAAsm(ap, a *float32, m, k, lda, k16 int64)
 
 //go:noescape
 func kernI8Asm(ap *int16, bp *int8, tile *int32, kp int64)

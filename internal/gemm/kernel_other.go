@@ -14,7 +14,8 @@ const (
 )
 
 // asmWide is never set here; it is a variable only because the tests
-// that switch the tile-pair and one-panel kernels off assign it.
+// that switch the tile-pair and one-panel kernels and PackA's transpose
+// off assign it.
 var asmWide = false
 
 func kernF32(ap, bp []float32, tile *[MR * NR]float32, k int) {
@@ -61,4 +62,8 @@ func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha floa
 
 func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, rowBias *float32, relu bool) {
 	panic("gemm: asm tile store unavailable on this platform")
+}
+
+func packAAsm(ap, a *float32, m, k, lda, k16 int64) {
+	panic("gemm: asm PackA unavailable on this platform")
 }

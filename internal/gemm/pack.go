@@ -30,20 +30,33 @@ func packPanelGrain(elemsPer int) int {
 // zero-padding rows past m. It runs on the calling goroutine and fills
 // all LenA(m, k) elements, for callers that partition their own work and
 // own their scratch (fused attention packs head slices straight out of
-// the strided [B,T,D] projections); packAF32 is the same routine per
-// engine chunk.
+// the strided [B,T,D] projections, and its probabilities out of the
+// score tile); packAF32 is the same routine per engine chunk. With
+// AVX-512F the first k&^15 columns of every panel, padding rows included,
+// are one 4×16 transpose per step (packAAsm); the loop below packs the
+// rest. Both copy bits, NaN payloads included.
 func PackA(ap, a []float32, m, k, lda int) {
+	l0 := 0
+	if asmWide && m > 0 && k >= 16 {
+		_ = a[(m-1)*lda+k-1]
+		_ = ap[LenA(m, k)-1]
+		l0 = k &^ 15
+		packAAsm(&ap[0], &a[0], int64(m), int64(k), int64(lda), int64(l0))
+		if l0 == k {
+			return
+		}
+	}
 	for ip := 0; ip*MR < m; ip++ {
-		p := ap[ip*k*MR : (ip+1)*k*MR]
+		p := ap[(ip*k+l0)*MR : (ip+1)*k*MR]
 		i0 := ip * MR
 		rows := min(MR, m-i0)
 		// a[i*lda + l]: interleave the panel's rows l-major — a full
 		// panel's four rows together, so every step writes one 16-byte run.
 		if rows == MR {
-			a0 := a[i0*lda : i0*lda+k]
-			a1 := a[(i0+1)*lda:][:len(a0)]
-			a2 := a[(i0+2)*lda:][:len(a0)]
-			a3 := a[(i0+3)*lda:][:len(a0)]
+			a0 := a[i0*lda+l0 : i0*lda+k]
+			a1 := a[(i0+1)*lda+l0:][:len(a0)]
+			a2 := a[(i0+2)*lda+l0:][:len(a0)]
+			a3 := a[(i0+3)*lda+l0:][:len(a0)]
 			for l, v := range a0 {
 				q := (*[MR]float32)(p[l*MR:])
 				q[0], q[1], q[2], q[3] = v, a1[l], a2[l], a3[l]
@@ -51,13 +64,13 @@ func PackA(ap, a []float32, m, k, lda int) {
 			continue
 		}
 		for r := 0; r < rows; r++ {
-			ar := a[(i0+r)*lda : (i0+r)*lda+k]
+			ar := a[(i0+r)*lda+l0 : (i0+r)*lda+k]
 			for l, v := range ar {
 				p[l*MR+r] = v
 			}
 		}
 		for r := rows; r < MR; r++ {
-			for l := 0; l < k; l++ {
+			for l := 0; l < k-l0; l++ {
 				p[l*MR+r] = 0
 			}
 		}

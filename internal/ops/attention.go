@@ -24,8 +24,10 @@ import (
 // its ≤ attnQTile query rows into A panels and walks the key tiles: the
 // micro-kernel fills a pooled attnQTile×attnKTile score tile (the only
 // place scores ever exist), a row-wise float32 streaming softmax turns it
-// into probabilities written in A-panel layout, and the micro-kernel
-// accumulates P·V into the unit's pooled accumulator. All of it is pooled
+// into probabilities in place, PackA packs them into A panels, and the
+// micro-kernel accumulates P·V into the unit's pooled accumulator. On an
+// AVX-512F host the softmax's row passes and PackA run vector bodies with
+// the bits of their scalar loops. All of it is pooled
 // attention scratch (engine Scratch, counted in the engine's Attention
 // block), not GEMM operand panels (its Pack block), and none of it is heap
 // memory.
@@ -93,11 +95,12 @@ var exp2Bits = func() (t [64]uint32) {
 // under 1.2e-38 contributes nothing, and subnormal products would stall
 // the FMA units); that test is the function's only branch. NaN gives NaN.
 //
-// The AVX-512F bodies of the activation kernels (activation_amd64.s)
-// repeat this function's compiled code sixteen lanes at a time: the same
-// constants, operations and operand order, the flush as a zeroing mask.
-// A change here must be made there too; TestActivationVectorMatchesScalar
-// (and its exhaustive sweep) fails until it is.
+// The AVX-512F bodies of the activation kernels and of attention's row
+// passes repeat this function's compiled code sixteen lanes at a time
+// (expf32x16 in exp_amd64.h): the same constants, operations and operand
+// order, the flush as a zeroing mask. A change here must be made there
+// too; TestActivationVectorMatchesScalar (and its exhaustive sweep) and
+// TestAttentionRowPassesMatchScalar fail until it is.
 func expf32(x float32) float32 {
 	if x < expMin {
 		return 0
@@ -109,12 +112,100 @@ func expf32(x float32) float32 {
 	return p * math.Float32frombits(exp2Bits[k&63]+uint32(k>>6)<<23)
 }
 
+// The streaming softmax's passes over a score tile: row i of len(m) rows
+// is st[i·ld : i·ld+w]. Each runs a vector body over the first w&^15
+// elements of every row and finishes the rest with its scalar loop, which
+// is the whole pass without AVX-512F; both give the same bits.
+
+// attnTileMax raises m[i] to the largest of row i's scores under s > m,
+// so a NaN never becomes the max; of equal values the first seen stays
+// (+0 and −0 compare equal, and the vector body may keep either).
+func attnTileMax(st []float32, ld, w int, m []float32) {
+	j0 := attnVecCols(st, ld, w, len(m))
+	if j0 > 0 {
+		rowsMaxAsm(&st[0], int64(ld), int64(j0), int64(len(m)), &m[0])
+	}
+	for i := range m {
+		mi := m[i]
+		for _, s := range st[i*ld+j0 : i*ld+w] {
+			if s > mi {
+				mi = s
+			}
+		}
+		m[i] = mi
+	}
+}
+
+// attnTileExp replaces every score s of row i with its probability
+// weight expf32(s−m[i]) and adds the weights to l[i]: each quad's float32
+// sum ((p0+p1)+p2)+p3 (error ~1e-7 relative), in order, to the float64
+// running total, then each element past the last quad.
+func attnTileExp(st []float32, ld, w int, m []float32, l []float64) {
+	j0 := attnVecCols(st, ld, w, len(m))
+	if j0 > 0 {
+		rowsExpAsm(&st[0], int64(ld), int64(j0), int64(len(m)), &m[0], &l[:len(m)][0])
+	}
+	for i, mi := range m {
+		row := st[i*ld : i*ld+w]
+		li := l[i]
+		j := j0
+		for ; j+4 <= w; j += 4 {
+			q := (*[4]float32)(row[j:])
+			p0 := expf32(q[0] - mi)
+			p1 := expf32(q[1] - mi)
+			p2 := expf32(q[2] - mi)
+			p3 := expf32(q[3] - mi)
+			li += float64(p0 + p1 + p2 + p3)
+			q[0], q[1], q[2], q[3] = p0, p1, p2, p3
+		}
+		for ; j < w; j++ {
+			p := expf32(row[j] - mi)
+			li += float64(p)
+			row[j] = p
+		}
+		l[i] = li
+	}
+}
+
+// attnTileStore stores len(inv) output rows from the accumulator:
+// dst[i·ldd+x] = acc[i·w+x]·inv[i]·scale, for the inverse denominators
+// and the dequantization scale.
+func attnTileStore(dst []float32, ldd int, acc []float32, w int, inv []float32, scale float32) {
+	j0 := attnVecCols(dst, ldd, w, len(inv))
+	if j0 > 0 {
+		_ = acc[len(inv)*w-1]
+		storeRowsAsm(&dst[0], int64(ldd), &acc[0], int64(w), int64(j0), int64(len(inv)), &inv[0], scale)
+	}
+	for i, r := range inv {
+		drow, arow := dst[i*ldd:i*ldd+w], acc[i*w:(i+1)*w]
+		for x := j0; x < w; x++ {
+			drow[x] = arow[x] * r * scale
+		}
+	}
+}
+
+// attnVecCols returns how many leading elements of each of rows rows of
+// width w, ld apart in x, the vector bodies take: w&^15 when they run,
+// else 0. It bounds-checks the last element of x they touch.
+func attnVecCols(x []float32, ld, w, rows int) int {
+	if !vecActivations || w < 16 || rows == 0 {
+		return 0
+	}
+	_ = x[(rows-1)*ld+w-1]
+	return w &^ 15
+}
+
 // expRowScale replaces every score in row with scale·e^(score−m) — the
 // backward pass's probability reconstruction from the saved row max and
 // inverse denominator.
 func expRowScale(row []float32, m, scale float32) {
-	for j, s := range row {
-		row[j] = scale * expf32(s-m)
+	j := 0
+	if vecActivations && len(row) >= 16 {
+		j = len(row) &^ 15
+		expScaleAsm(&row[0], int64(j), m, scale)
+	}
+	for ; j < len(row); j++ {
+		row[j] = scale * expf32(row[j]-m)
 	}
 }
 
@@ -176,6 +267,14 @@ func scoreTile(st, qd, kd []float32, qoff, koff, rows, w, i0, j0, d, dh int, sca
 // panels are quantized as they are packed, with the scales folded into
 // the score scale and the output store.
 func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
+	out, _, _ := c.attention(q, k, v, heads, scale)
+	return out
+}
+
+// attention is Attention that also returns what a taped call saves for
+// its backward: each query row's final max and inverse denominator, in
+// [B·heads, Tq] order (nil when untaped).
+func (c *Ctx) attention(q, k, v *Var, heads int, scale float32) (out *Var, rowMax, rowInvL []float32) {
 	assertRank(q, 3, "Attention")
 	assertRank(k, 3, "Attention")
 	assertRank(v, 3, "Attention")
@@ -190,9 +289,9 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	dh := d / heads
 	bh := b * heads
 	c.emitP(kernels.AttentionSpec(fmt.Sprintf("attention_%dx%dx%dx%d", bh, tq, tk, dh), bh, tq, tk, dh, attnQTile, attnKTile))
-	out := c.outUninit([]int{b, tq, d}, q, k, v)
+	out = c.outUninit([]int{b, tq, d}, q, k, v)
 	if out.Value.Abstract() {
-		return out
+		return out, nil, nil
 	}
 	e := c.engine()
 	e.CountAttention()
@@ -230,7 +329,6 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 	// The backward recomputes probabilities from the final running max
 	// and denominator of every query row; both are captured by the
 	// closure, so they are allocated normally, never pooled.
-	var rowMax, rowInvL []float32
 	if taping {
 		rowMax = make([]float32, bh*tq)
 		rowInvL = make([]float32, bh*tq)
@@ -266,8 +364,9 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 		pa := sc.GetUninit(gemm.LenA(attnQTile, attnKTile))
 		acc := sc.GetUninit(attnQTile * dh)
 		// Per-row streaming-softmax state: running max and (float64)
-		// running denominator, fixed-size on the stack.
-		var mbuf [attnQTile]float32
+		// running denominator, fixed-size on the stack, and a key tile's
+		// new maxima.
+		var mbuf, mnew [attnQTile]float32
 		var lbuf [attnQTile]float64
 		for u := lo; u < hi; u++ {
 			bi, h := u/nqt/heads, u/nqt%heads
@@ -293,15 +392,10 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 				// finished dot (MulPanels accumulates, hence the clear).
 				clear(st[:rows*attnKTile])
 				gemm.MulPanels(st, attnKTile, qa, kp[j0*dh:], rows, dh, w, sScale)
+				copy(mnew[:rows], mbuf[:rows])
+				attnTileMax(st, attnKTile, w, mnew[:rows])
 				for i := 0; i < rows; i++ {
-					srow := st[i*attnKTile : i*attnKTile+w]
-					m := mbuf[i]
-					for _, s := range srow {
-						if s > m {
-							m = s
-						}
-					}
-					if m > mbuf[i] {
+					if m := mnew[i]; m > mbuf[i] {
 						// The max moved: rescale previous contributions.
 						if lbuf[i] != 0 {
 							al := expf32(mbuf[i] - m)
@@ -313,60 +407,31 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 						}
 						mbuf[i] = m
 					}
-					// One pass exponentiates the scores (the expf32 body
-					// inlined per element; a call per score would dominate)
-					// straight into row i of P's A panels — pa[(i/MR·w +
-					// j)·MR + i%MR] — so the probabilities never exist in
-					// any other layout. The denominator adds each quad's
-					// float32 sum (error ~1e-7 relative) to the float64
-					// running total.
-					prow := pa[i/gemm.MR*w*gemm.MR+i%gemm.MR:]
-					l := lbuf[i]
-					j := 0
-					for ; j+4 <= w; j += 4 {
-						p0 := expf32(srow[j] - m)
-						p1 := expf32(srow[j+1] - m)
-						p2 := expf32(srow[j+2] - m)
-						p3 := expf32(srow[j+3] - m)
-						l += float64(p0 + p1 + p2 + p3)
-						pq := prow[j*gemm.MR : j*gemm.MR+3*gemm.MR+1]
-						pq[0], pq[gemm.MR], pq[2*gemm.MR], pq[3*gemm.MR] = p0, p1, p2, p3
-					}
-					for ; j < w; j++ {
-						p := expf32(srow[j] - m)
-						l += float64(p)
-						prow[j*gemm.MR] = p
-					}
-					lbuf[i] = l
 				}
-				// Rows past the tile's edge in the last A panel multiply
-				// into tile lanes nobody stores; zero them so the panel is
-				// fully written (the pool's NaN-poison mode).
-				for i := rows; i%gemm.MR != 0; i++ {
-					prow := pa[i/gemm.MR*w*gemm.MR+i%gemm.MR:]
-					for j := 0; j < w; j++ {
-						prow[j*gemm.MR] = 0
-					}
-				}
+				attnTileExp(st, attnKTile, w, mbuf[:rows], lbuf[:rows])
+				// P's A panels, rows past the tile's edge zero-filled:
+				// they multiply into tile lanes nobody stores, and the
+				// panel is fully written (the pool's NaN-poison mode).
+				gemm.PackA(pa, st, rows, w, attnKTile)
 				// O += P·V over this tile's w keys.
 				gemm.MulPanels(acc, dh, pa, vp[j0*vRow:], rows, w, dh, 1)
 			}
+			var inv [attnQTile]float32
 			for i := 0; i < rows; i++ {
-				inv := float32(1 / lbuf[i])
-				accRow := acc[i*dh : (i+1)*dh]
-				orow := od[qoff+(i0+i)*d : qoff+(i0+i)*d+dh]
-				// oScale is 1 except under i8 (the v dequantization);
-				// multiplying by exactly 1 is a bitwise identity, so the
-				// f32 path is unchanged.
-				for x, ax := range accRow {
-					orow[x] = ax * inv * oScale
-				}
+				inv[i] = float32(1 / lbuf[i])
+			}
+			// oScale is 1 except under i8 (the v dequantization);
+			// multiplying by exactly 1 is a bitwise identity, so the f32
+			// path is unchanged.
+			attnTileStore(od[qoff+i0*d:], d, acc, dh, inv[:rows], oScale)
+			for i := 0; i < rows; i++ {
 				if prec == precision.F16 {
+					orow := od[qoff+(i0+i)*d : qoff+(i0+i)*d+dh]
 					precision.RoundF16Slice(orow, orow)
 				}
 				if taping {
 					rowMax[(bi*heads+h)*tq+i0+i] = mbuf[i]
-					rowInvL[(bi*heads+h)*tq+i0+i] = inv
+					rowInvL[(bi*heads+h)*tq+i0+i] = inv[i]
 				}
 			}
 		}
@@ -379,7 +444,7 @@ func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
 			c.attentionBackward(e, q, k, v, out, rowMax, rowInvL, heads, scale)
 		})
 	}
-	return out
+	return out, rowMax, rowInvL
 }
 
 // quantizePanel puts a packed f32 panel on prec's grid in place: the

@@ -416,6 +416,35 @@ func BenchmarkAttention(b *testing.B) {
 	}
 }
 
+// BenchmarkPackA prices gemm.PackA, the A-operand pack every Linear,
+// convolution and attention tile runs, at the operands the served models
+// pack: mosei's FFN activations (100×256 and 100×512), one attention
+// query tile of a 256-wide projection (32×32, rows 256 apart) and an
+// LSTM step's hidden state (2×128). It reports the bytes packed per op.
+func BenchmarkPackA(b *testing.B) {
+	for _, s := range []struct{ m, k, lda int }{
+		{100, 256, 256},
+		{100, 512, 512},
+		{32, 32, 256},
+		{2, 128, 128},
+	} {
+		name := fmt.Sprintf("%dx%d", s.m, s.k)
+		if s.lda != s.k {
+			name += fmt.Sprintf("_lda%d", s.lda)
+		}
+		b.Run(name, func(b *testing.B) {
+			a := make([]float32, (s.m-1)*s.lda+s.k)
+			tensor.NewRNG(67).Uniform(tensor.FromSlice(a, len(a)), -1, 1)
+			ap := make([]float32, gemm.LenA(s.m, s.k))
+			b.SetBytes(int64(4 * s.m * s.k))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemm.PackA(ap, a, s.m, s.k, s.lda)
+			}
+		})
+	}
+}
+
 // benchActivation prices one element-wise activation at the mosei FFN's
 // hidden shape (B2·T50 rows × 512) over inputs uniform on [-4, 4): both
 // signs, linear and saturated regions.

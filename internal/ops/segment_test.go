@@ -42,7 +42,7 @@ func sliceEq(t *testing.T, name string, got, want []float32) {
 	}
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s: bit divergence at [%d]: %g != %g", name, i, got[i], want[i])
+			t.Fatalf("%s: bit divergence at [%d]: %g (%#08x) != %g (%#08x)", name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
