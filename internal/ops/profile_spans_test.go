@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mmbench/internal/gemm"
 	"mmbench/internal/obs"
 	"mmbench/internal/tensor"
 )
@@ -44,19 +45,46 @@ func TestLinearProductLandsOnItsSpan(t *testing.T) {
 	}
 }
 
+// lstmProductsWall times LSTMSequence's products alone, the way it runs
+// them (once untimed first, to warm up): the input projection over all
+// B·T rows, then one recurrent product per step.
+func lstmProductsWall(x, wx, wh, hidden *Var) time.Duration {
+	b, steps, d := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2)
+	h, h4 := wh.Value.Dim(0), wh.Value.Dim(1)
+	xp, hp := make([]float32, b*steps*h4), make([]float32, b*h4)
+	run := func() time.Duration {
+		c := Infer()
+		t0 := time.Now()
+		c.product(wx.Frozen, xp, x.Value.Data(), wx.Value.Data(), b*steps, d, h4, gemm.Epilogue{})
+		for range steps {
+			clear(hp)
+			c.product(wh.Frozen, hp, hidden.Value.Data(), wh.Value.Data(), b, h, h4, gemm.Epilogue{})
+		}
+		return time.Since(t0)
+	}
+	run()
+	return run()
+}
+
 // TestLSTMProductsLandOnAGemmSpan requires a profiler to charge each LSTM
 // step's products to the step's h·W_h linear span (the last of the specs
-// emitted before them), not to the elementwise specs of its gate pass.
+// emitted before them), not to the elementwise specs of its gate pass:
+// the spans must hold at least half of the products' own time, measured
+// alone in the same build. (A share of the sequence's wall would move
+// with the build: the race detector slows the gate pass's Go loops
+// several times over and leaves the GEMM kernels' assembly as it is.)
 func TestLSTMProductsLandOnAGemmSpan(t *testing.T) {
 	const b, steps, d, h = 32, 4, 128, 256
 	g := tensor.NewRNG(72)
 	x := benchVar(g, b, steps, d)
 	wx, wh, bias := benchVar(g, d, 4*h), benchVar(g, h, 4*h), benchVar(g, 4*h)
 	walls, wall := profiledWalls(func(c *Ctx) { c.LSTMSequence(x, wx, wh, bias) })
+	products := lstmProductsWall(x, wx, wh, benchVar(g, b, h))
 	recur := walls[fmt.Sprintf("linear_%dx%dx%d", b, h, 4*h)]
-	t.Logf("wall %v: h·W_h linear %v, mul %v, bias_add %v", wall, recur, walls["mul"], walls["bias_add"])
-	if recur < wall/2 {
-		t.Errorf("h·W_h linear spans %v hold under half of LSTMSequence's wall %v", recur, wall)
+	t.Logf("wall %v: h·W_h linear %v (the products alone %v), mul %v, bias_add %v",
+		wall, recur, products, walls["mul"], walls["bias_add"])
+	if recur < products/2 {
+		t.Errorf("h·W_h linear spans %v hold under half of the products' own %v", recur, products)
 	}
 	if walls["bias_add"] > wall/10 {
 		t.Errorf("bias_add spans %v hold over a tenth of LSTMSequence's wall %v", walls["bias_add"], wall)
