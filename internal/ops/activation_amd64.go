@@ -25,8 +25,7 @@ func tanhAsm(dst, src *float32, n int64)
 // rowsMaxAsm, rowsExpAsm and storeRowsAsm (attention_amd64.s) are the
 // vector bodies of attnTileMax, attnTileExp and attnTileStore over the
 // first n16 elements of each of rows rows, ld elements apart (a store's
-// source rows are n apart); expScaleAsm is expRowScale's over the first
-// n16 elements of row. n16 is a positive multiple of 16.
+// source rows are n apart). n16 is a positive multiple of 16.
 //
 //go:noescape
 func rowsMaxAsm(st *float32, ld, n16, rows int64, m *float32)
@@ -36,9 +35,6 @@ func rowsExpAsm(st *float32, ld, n16, rows int64, m *float32, l *float64)
 
 //go:noescape
 func storeRowsAsm(dst *float32, ldd int64, src *float32, n, n16, rows int64, inv *float32, scale float32)
-
-//go:noescape
-func expScaleAsm(row *float32, n16 int64, m, scale float32)
 
 // vecBody runs kernel over the first len(src)&^15 elements when the
 // vector bodies are selected and returns how many it stored; the caller's

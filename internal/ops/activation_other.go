@@ -20,8 +20,5 @@ func rowsExpAsm(st *float32, ld, n16, rows int64, m *float32, l *float64) {
 func storeRowsAsm(dst *float32, ldd int64, src *float32, n, n16, rows int64, inv *float32, scale float32) {
 	panic("ops: vector attention rows unavailable")
 }
-func expScaleAsm(row *float32, n16 int64, m, scale float32) {
-	panic("ops: vector attention rows unavailable")
-}
 
 func vecBody(kernel func(dst, src *float32, n int64), dst, src []float32) int { return 0 }

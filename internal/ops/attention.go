@@ -199,13 +199,8 @@ func attnVecCols(x []float32, ld, w, rows int) int {
 // backward pass's probability reconstruction from the saved row max and
 // inverse denominator.
 func expRowScale(row []float32, m, scale float32) {
-	j := 0
-	if vecActivations && len(row) >= 16 {
-		j = len(row) &^ 15
-		expScaleAsm(&row[0], int64(j), m, scale)
-	}
-	for ; j < len(row); j++ {
-		row[j] = scale * expf32(row[j]-m)
+	for j, s := range row {
+		row[j] = scale * expf32(s-m)
 	}
 }
 
@@ -267,14 +262,6 @@ func scoreTile(st, qd, kd []float32, qoff, koff, rows, w, i0, j0, d, dh int, sca
 // panels are quantized as they are packed, with the scales folded into
 // the score scale and the output store.
 func (c *Ctx) Attention(q, k, v *Var, heads int, scale float32) *Var {
-	out, _, _ := c.attention(q, k, v, heads, scale)
-	return out
-}
-
-// attention is Attention that also returns what a taped call saves for
-// its backward: each query row's final max and inverse denominator, in
-// [B·heads, Tq] order (nil when untaped).
-func (c *Ctx) attention(q, k, v *Var, heads int, scale float32) (out *Var, rowMax, rowInvL []float32) {
 	assertRank(q, 3, "Attention")
 	assertRank(k, 3, "Attention")
 	assertRank(v, 3, "Attention")
@@ -289,9 +276,9 @@ func (c *Ctx) attention(q, k, v *Var, heads int, scale float32) (out *Var, rowMa
 	dh := d / heads
 	bh := b * heads
 	c.emitP(kernels.AttentionSpec(fmt.Sprintf("attention_%dx%dx%dx%d", bh, tq, tk, dh), bh, tq, tk, dh, attnQTile, attnKTile))
-	out = c.outUninit([]int{b, tq, d}, q, k, v)
+	out := c.outUninit([]int{b, tq, d}, q, k, v)
 	if out.Value.Abstract() {
-		return out, nil, nil
+		return out
 	}
 	e := c.engine()
 	e.CountAttention()
@@ -329,6 +316,7 @@ func (c *Ctx) attention(q, k, v *Var, heads int, scale float32) (out *Var, rowMa
 	// The backward recomputes probabilities from the final running max
 	// and denominator of every query row; both are captured by the
 	// closure, so they are allocated normally, never pooled.
+	var rowMax, rowInvL []float32
 	if taping {
 		rowMax = make([]float32, bh*tq)
 		rowInvL = make([]float32, bh*tq)
@@ -444,7 +432,7 @@ func (c *Ctx) attention(q, k, v *Var, heads int, scale float32) (out *Var, rowMa
 			c.attentionBackward(e, q, k, v, out, rowMax, rowInvL, heads, scale)
 		})
 	}
-	return out, rowMax, rowInvL
+	return out
 }
 
 // quantizePanel puts a packed f32 panel on prec's grid in place: the

@@ -2,8 +2,7 @@
 
 // AVX-512F bodies of fused attention's passes (attention.go): the
 // streaming softmax's attnTileMax, attnTileExp and attnTileStore over the
-// first n16 elements of every row of a tile, and the backward's
-// expRowScale over the first n16 of one row, n16 a positive multiple of
+// first n16 elements of every row of a tile, n16 a positive multiple of
 // 16, with the bits of the scalar loops. The exponential is expf32x16
 // (exp_amd64.h). Where both operands of an operation may be NaN, the
 // operand order is the compiled scalar code's (an SSE "OP b, a" is
@@ -13,7 +12,6 @@
 //	quad sum       ADDSS p0, p1; ADDSS ·, p2; ADDSS ·, p3 (the later
 //	               element is the first operand: the last NaN wins)
 //	l + float64(q) ADDSD q, l (the running total is the first operand)
-//	e·scale        MULSS scale, e (expRowScale)
 //	acc·inv·scale  MULSS inv, acc; MULSS scale, ·
 //
 // The row max is MAXPS with the score as its first operand: s > m ? s : m
@@ -156,26 +154,5 @@ storeCol:
 	ADDQ    $4, BX
 	DECQ    CX
 	JNZ     storeRow
-	VZEROUPPER
-	RET
-
-// func expScaleAsm(row *float32, n16 int64, m, scale float32)
-// row[j] = expf32(row[j] − m)·scale.
-TEXT ·expScaleAsm(SB), NOSPLIT, $0-24
-	MOVQ         row+0(FP), SI
-	MOVQ         n16+8(FP), CX
-	VBROADCASTSS m+16(FP), Z25
-	VBROADCASTSS scale+20(FP), Z26
-	loadExp
-
-scaleLoop:
-	VMOVUPS (SI), Z0
-	VSUBPS  Z25, Z0, Z1
-	expf32x16
-	VMULPS  Z26, Z1, Z1
-	VMOVUPS Z1, (SI)
-	ADDQ    $64, SI
-	SUBQ    $16, CX
-	JNE     scaleLoop
 	VZEROUPPER
 	RET
