@@ -6,11 +6,12 @@
 // dimension, and their per-request reports scattered back to each
 // waiter.
 //
-// The batcher never holds a request for company: a queue seals as soon
-// as its loop owns it. A request waits only while an earlier batch of
-// its fingerprint executes, and everything that queued behind that
-// batch merges on the loop's immediate re-seal — so merging costs
-// nothing when the server is idle and happens by itself under load.
+// The batcher never holds a request for company: a request on an idle
+// fingerprint is sealed as a batch of its own the moment it arrives. A
+// request waits only while an earlier batch of its fingerprint executes,
+// and everything that queued behind that batch merges on the loop's
+// immediate re-seal — so merging costs nothing when the server is idle
+// and happens by itself under load.
 //
 // The contract that makes this transparent is bitwise identity: a
 // request's report out of a merged batch is byte-for-byte the report it
@@ -130,6 +131,9 @@ func (b *Batcher) Do(ctx context.Context, cfg mmbench.RunConfig, deadline time.T
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err // seal drops such a waiter from any batch
+	}
 	samples := cfg.BatchSize
 	if samples <= 0 {
 		samples = data.DefaultBatchSize
@@ -144,13 +148,17 @@ func (b *Batcher) Do(ctx context.Context, cfg mmbench.RunConfig, deadline time.T
 	}
 	fp := cfg.BatchFingerprint()
 	b.mu.Lock()
-	q := b.queues[fp]
-	if q == nil {
-		q = &queue{}
-		b.queues[fp] = q
-		go b.loop(fp)
+	if q := b.queues[fp]; q != nil {
+		q.pending = append(q.pending, w)
+	} else {
+		// An idle fingerprint: w is sealed here, under the lock, so a
+		// request arriving a moment later always queues behind it. Sealed
+		// by the loop, w would merge with that request or not depending on
+		// how soon the scheduler ran the loop's goroutine.
+		b.queues[fp] = &queue{}
+		b.count(1, samples)
+		go b.loop(fp, []*waiter{w})
 	}
-	q.pending = append(q.pending, w)
 	b.mu.Unlock()
 
 	select {
@@ -182,15 +190,12 @@ func (b *Batcher) removePending(fp string, w *waiter) {
 	}
 }
 
-// loop owns one fingerprint queue until it drains: seal, execute, and
-// re-seal at once while backlog remains.
-func (b *Batcher) loop(fp string) {
-	for {
-		batch := b.seal(fp)
-		if batch == nil {
-			return
-		}
+// loop owns one fingerprint queue until it drains: it executes the
+// batch Do sealed, then re-seals at once while backlog remains.
+func (b *Batcher) loop(fp string, batch []*waiter) {
+	for batch != nil {
 		b.execute(batch)
+		batch = b.seal(fp)
 	}
 }
 
@@ -225,7 +230,13 @@ func (b *Batcher) seal(fp string) []*waiter {
 	batch := make([]*waiter, n)
 	copy(batch, q.pending[:n])
 	q.pending = append(q.pending[:0], q.pending[n:]...)
+	b.count(n, total)
+	return batch
+}
 
+// count records one sealed batch of n requests and total samples. The
+// caller holds mu.
+func (b *Batcher) count(n, total int) {
 	b.mergedBatches++
 	b.mergedRequests += int64(n)
 	b.mergedSamples += int64(total)
@@ -233,7 +244,6 @@ func (b *Batcher) seal(fp string) []*waiter {
 		b.maxMerged = n
 	}
 	b.sizeCounts[n]++
-	return batch
 }
 
 // execute runs one sealed batch and scatters results or the shared

@@ -530,3 +530,26 @@ func TestArrivalsDuringExecutionMergeIntoReseal(t *testing.T) {
 	}
 	waitUntil(t, "the drained queue to be deleted", func() bool { return queueCount(b) == 0 })
 }
+
+// TestIdleArrivalsRunAlone: a request on an idle fingerprint is sealed
+// the moment it arrives, so one arriving right behind it queues instead
+// of joining it, however late the loop's goroutine is scheduled. Both
+// Do calls are held on the batcher's lock and released together — the
+// tightest race two arrivals can run.
+func TestIdleArrivalsRunAlone(t *testing.T) {
+	rec := &recorder{}
+	b := New(Options{Run: rec.run})
+	b.mu.Lock()
+	r1 := goDo(b, context.Background(), cfgFor(1, 4))
+	r2 := goDo(b, context.Background(), cfgFor(2, 4))
+	time.Sleep(10 * time.Millisecond) // both Do calls reach the lock
+	b.mu.Unlock()
+	for _, r := range []chan doResult{r1, r2} {
+		if res := <-r; res.err != nil {
+			t.Fatal(res.err)
+		}
+	}
+	if st := b.Stats(); st.MergedBatches != 2 || st.MaxMerged != 1 {
+		t.Fatalf("want two executions of one request each, got %+v (calls %v)", st, rec.seeds())
+	}
+}
