@@ -570,8 +570,25 @@ func BenchmarkPackedF16_512(b *testing.B) {
 // same panels — every element, padding included — from the gather and its
 // in-place low-precision conversions, for windows of columns that start
 // and end mid-row and mid-panel. Scratch starts NaN-filled, so an element
-// the gather skips fails the comparison.
+// the gather skips fails the comparison, and a sentinel past LenB catches
+// a write beyond it. The image sits inside a larger NaN-filled buffer, so
+// a lane that reads outside the image shows up as a NaN in the panels.
+// The stride-1 shapes are the AVX-512F gather's cases: output rows 1 to
+// 64 wide (one panel spans up to 16 runs), windows wider than the image
+// with taps wholly over its border, and the layers avmnist, vnt, push and
+// medseg serve. Every case runs as is and under narrowKernels, which
+// keeps the scalar per-run loop.
 func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
+	type form struct {
+		name string
+		run  func(fn func())
+	}
+	forms := []form{{"as is", func(fn func()) { fn() }}, {"narrow", narrowKernels}}
+	if !asmWide {
+		t.Log("no AVX-512F with ZMM state on this host (or a noasm/non-amd64 build): only the scalar loop runs")
+		forms = forms[:1]
+	}
+	const past = 0x7f80dead
 	rng := rand.New(rand.NewSource(11))
 	for _, g := range []ConvShape{
 		{C: 2, H: 9, W: 23, KH: 3, KW: 3, Stride: 1, Pad: 1},
@@ -579,10 +596,42 @@ func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
 		{C: 1, H: 6, W: 40, KH: 1, KW: 1, Stride: 1, Pad: 0},
 		{C: 2, H: 8, W: 19, KH: 1, KW: 1, Stride: 3, Pad: 2},
 		{C: 1, H: 5, W: 30, KH: 4, KW: 7, Stride: 3, Pad: 3},
+		// Stride 1, OW = 1, 3, 6, 10, 15, 16, 17, 28, 33, 64.
+		{C: 2, H: 40, W: 3, KH: 3, KW: 3, Stride: 1, Pad: 0},
+		{C: 1, H: 20, W: 5, KH: 3, KW: 3, Stride: 1, Pad: 0},
+		{C: 2, H: 12, W: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 1, H: 9, W: 8, KH: 2, KW: 5, Stride: 1, Pad: 3},
+		{C: 3, H: 7, W: 15, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 2, H: 6, W: 18, KH: 2, KW: 3, Stride: 1, Pad: 0},
+		{C: 1, H: 8, W: 17, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{C: 2, H: 4, W: 30, KH: 1, KW: 3, Stride: 1, Pad: 0},
+		{C: 2, H: 5, W: 33, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 1, H: 3, W: 64, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		// KW > W, Pad ≥ KW−1: whole taps fall outside the image.
+		{C: 2, H: 3, W: 2, KH: 4, KW: 5, Stride: 1, Pad: 4},
+		{C: 1, H: 1, W: 1, KH: 3, KW: 3, Stride: 1, Pad: 2},
+		{C: 1, H: 2, W: 3, KH: 2, KW: 4, Stride: 1, Pad: 5},
+		// Served: avmnist's LeNet layers (image and spectrogram), vnt's
+		// first layer and 3×3 stacks, push's and medseg's.
+		{C: 1, H: 28, W: 28, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{C: 6, H: 14, W: 14, KH: 5, KW: 5, Stride: 1, Pad: 0},
+		{C: 1, H: 20, W: 20, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{C: 6, H: 10, W: 10, KH: 5, KW: 5, Stride: 1, Pad: 0},
+		{C: 3, H: 128, W: 128, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 16, H: 64, W: 64, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 32, H: 32, W: 32, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 32, H: 16, W: 16, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{C: 64, H: 16, W: 16, KH: 3, KW: 3, Stride: 1, Pad: 1},
 	} {
 		g.OH, g.OW = (g.H+2*g.Pad-g.KH)/g.Stride+1, (g.W+2*g.Pad-g.KW)/g.Stride+1
-		k, m := g.K(), g.OH*g.OW
-		img := randSlice(rng, g.C*g.H*g.W)
+		k, m, plane := g.K(), g.OH*g.OW, g.H*g.W
+		guard := plane + 64
+		buf := make([]float32, guard+g.C*plane+guard)
+		for i := range buf {
+			buf[i] = float32(math.NaN())
+		}
+		img := buf[guard : guard+g.C*plane]
+		copy(img, randSlice(rng, len(img)))
 		patches := make([]float32, k*m)
 		for l := 0; l < k; l++ {
 			ci, ky, kx := l/(g.KH*g.KW), l/g.KW%g.KH, l%g.KW
@@ -594,7 +643,7 @@ func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
 			}
 		}
 		sb := precision.I8Scale(precision.MaxAbs(img))
-		for _, win := range [][2]int{{0, m}, {0, 1}, {5, 16}, {16, 17}, {m - 33, 33}, {m / 2, 15}} {
+		for _, win := range [][2]int{{0, m}, {0, 1}, {5, 16}, {16, 17}, {m - 33, 33}, {m / 2, 15}, {m / 3, 5*NR + 3}} {
 			j0, n := win[0], win[1]
 			if j0 < 0 || j0+n > m {
 				continue
@@ -607,24 +656,37 @@ func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
 			packBI8(nil, wantI8, sliceCols(patches, k, m, j0, n), k, n, sb, false)
 
 			gather := func() []float32 {
-				bp := make([]float32, LenB(k, n))
+				lb := LenB(k, n)
+				bp := make([]float32, lb+NR)
 				for i := range bp {
 					bp[i] = float32(math.NaN())
 				}
-				PackBConv(bp, img, g, j0, n)
-				return bp
-			}
-			got := gather()
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%+v cols [%d,%d): panel[%d] = %g, PackB of the patch matrix gives %g", g, j0, j0+n, i, got[i], want[i])
+				for i := lb; i < len(bp); i++ {
+					bp[i] = math.Float32frombits(past)
 				}
+				PackBConv(bp[:lb], img, g, j0, n)
+				for i := lb; i < len(bp); i++ {
+					if math.Float32bits(bp[i]) != past {
+						t.Fatalf("%+v cols [%d,%d): wrote bp[%d], past LenB = %d", g, j0, j0+n, i, lb)
+					}
+				}
+				return bp[:lb]
 			}
-			if gotU16 := f16BitsInPlace(gather()); !slices.Equal(gotU16, wantU16) {
-				t.Fatalf("%+v cols [%d,%d): in-place f16 panels differ from packBU16's", g, j0, j0+n)
-			}
-			if gotI8 := i8PairsInPlace(gather(), k, 1/sb); !slices.Equal(gotI8, wantI8) {
-				t.Fatalf("%+v cols [%d,%d): in-place i8 panels differ from packBI8's", g, j0, j0+n)
+			for _, f := range forms {
+				f.run(func() {
+					got := gather()
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s %+v cols [%d,%d): panel[%d] = %g, PackB of the patch matrix gives %g", f.name, g, j0, j0+n, i, got[i], want[i])
+						}
+					}
+					if gotU16 := f16BitsInPlace(gather()); !slices.Equal(gotU16, wantU16) {
+						t.Fatalf("%s %+v cols [%d,%d): in-place f16 panels differ from packBU16's", f.name, g, j0, j0+n)
+					}
+					if gotI8 := i8PairsInPlace(gather(), k, 1/sb); !slices.Equal(gotI8, wantI8) {
+						t.Fatalf("%s %+v cols [%d,%d): in-place i8 panels differ from packBI8's", f.name, g, j0, j0+n)
+					}
+				})
 			}
 		}
 	}

@@ -11,10 +11,10 @@ func xgetbv() (eax, edx uint32)
 // additionally requires AVX512-VNNI with VL (the assembler emits the
 // EVEX.256 form of vpdpwssd) for the fused int8 dot-accumulate kernel;
 // asmWide additionally requires AVX-512F with the OS saving ZMM state for
-// the f32 and f16 tile-pair and one-panel kernels and PackA's transpose.
-// Tests clear asmWide to run the 4×16 kernels and the scalar PackA
-// alone; hasZMM keeps the probe's answer for AVX512, which such a test
-// does not change.
+// the f32 and f16 tile-pair and one-panel kernels, the PackA and PackBT
+// transposes and PackBConv's stride-1 gather. Tests clear asmWide to run
+// the 4×16 kernels and the scalar packing loops alone; hasZMM keeps the
+// probe's answer for AVX512, which such a test does not change.
 var (
 	asmKernels bool
 	asmF16     bool
@@ -121,6 +121,23 @@ func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha f
 //
 //go:noescape
 func packAAsm(ap, a *float32, m, k, lda, k16 int64)
+
+// packBTAsm (pack_amd64.s) is PackBT over panel rows [0, k16) of every
+// panel of an n-row block, k16 a multiple of 16 and ≤ k: columns past n
+// are stored as zeros and never read. The caller bounds-checks the last
+// element it reads and writes.
+//
+//go:noescape
+func packBTAsm(bp, b *float32, n, k, ldb, k16 int64)
+
+// packConvAsm (pack_amd64.s) fills one PackBConv panel of c·kh·kw rows
+// from packBConvWide's table of runs: row (ci, ky, kx), lane c, is
+// img[ci·plane + base[r] + ky·w + kx + c] for the run r whose mask
+// enables lane c, and zero where none does. The caller bounds-checks the
+// panel and the image; a masked-off lane reads nothing.
+//
+//go:noescape
+func packConvAsm(p, img *float32, t *convRuns, c, kh, kw, runs, w, plane int64)
 
 //go:noescape
 func kernI8Asm(ap *int16, bp *int8, tile *int32, kp int64)

@@ -14,8 +14,8 @@ const (
 )
 
 // asmWide is never set here; it is a variable only because the tests
-// that switch the tile-pair and one-panel kernels and PackA's transpose
-// off assign it.
+// that switch the tile-pair and one-panel kernels and the vector packing
+// bodies off assign it.
 var asmWide = false
 
 func kernF32(ap, bp []float32, tile *[MR * NR]float32, k int) {
@@ -66,4 +66,12 @@ func storeTileRowAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha f
 
 func packAAsm(ap, a *float32, m, k, lda, k16 int64) {
 	panic("gemm: asm PackA unavailable on this platform")
+}
+
+func packBTAsm(bp, b *float32, n, k, ldb, k16 int64) {
+	panic("gemm: asm PackBT unavailable on this platform")
+}
+
+func packConvAsm(p, img *float32, t *convRuns, c, kh, kw, runs, w, plane int64) {
+	panic("gemm: asm convolution gather unavailable on this platform")
 }

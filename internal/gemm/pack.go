@@ -125,33 +125,46 @@ func PackB(bp, b []float32, k, n, ldb int) {
 }
 
 // PackBT is PackB for a B stored transposed: b holds n rows of k elements,
-// ldb ≥ k apart, and bp[(jp*k+l)*NR+c] = b[(jp*NR+c)*ldb+l].
+// ldb ≥ k apart, and bp[(jp*k+l)*NR+c] = b[(jp*NR+c)*ldb+l]. With
+// AVX-512F the first k&^15 panel rows of every panel, zero columns
+// included, are one 16×16 transpose per step (packBTAsm); the loop below
+// packs the rest. Both copy bits, NaN payloads included.
 func PackBT(bp, b []float32, k, n, ldb int) {
+	l0 := 0
+	if asmWide && n > 0 && k >= 16 {
+		_ = b[(n-1)*ldb+k-1]
+		_ = bp[LenB(k, n)-1]
+		l0 = k &^ 15
+		packBTAsm(&bp[0], &b[0], int64(n), int64(k), int64(ldb), int64(l0))
+		if l0 == k {
+			return
+		}
+	}
 	for jp := 0; jp*NR < n; jp++ {
-		p := bp[jp*k*NR : (jp+1)*k*NR]
+		p := bp[(jp*k+l0)*NR : (jp+1)*k*NR]
 		j0 := jp * NR
 		cols := min(NR, n-j0)
 		// Each panel column is a contiguous operand row; four columns at
 		// a time turn the stride-NR scatter into 16-byte runs.
 		c := 0
 		for ; c+4 <= cols; c += 4 {
-			b0 := b[(j0+c)*ldb : (j0+c)*ldb+k]
-			b1 := b[(j0+c+1)*ldb:][:len(b0)]
-			b2 := b[(j0+c+2)*ldb:][:len(b0)]
-			b3 := b[(j0+c+3)*ldb:][:len(b0)]
+			b0 := b[(j0+c)*ldb+l0 : (j0+c)*ldb+k]
+			b1 := b[(j0+c+1)*ldb+l0:][:len(b0)]
+			b2 := b[(j0+c+2)*ldb+l0:][:len(b0)]
+			b3 := b[(j0+c+3)*ldb+l0:][:len(b0)]
 			for l, v := range b0 {
 				q := (*[4]float32)(p[l*NR+c:])
 				q[0], q[1], q[2], q[3] = v, b1[l], b2[l], b3[l]
 			}
 		}
 		for ; c < cols; c++ {
-			bc := b[(j0+c)*ldb : (j0+c)*ldb+k]
+			bc := b[(j0+c)*ldb+l0 : (j0+c)*ldb+k]
 			for l, v := range bc {
 				p[l*NR+c] = v
 			}
 		}
 		for c := cols; c < NR; c++ {
-			for l := 0; l < k; l++ {
+			for l := 0; l < k-l0; l++ {
 				p[l*NR+c] = 0
 			}
 		}
@@ -180,11 +193,17 @@ func (g ConvShape) K() int { return g.C * g.KH * g.KW }
 // output rows — into column panels bp[(jp*K+l)*NR+c], filling all
 // LenB(g.K(), n) elements (image border and columns past n with zeros). A
 // 1×1 stride-1 unpadded window's patch matrix is the image itself, and
-// that case is a plain PackB.
+// that case is a plain PackB. With AVX-512F a stride-1 window of at most
+// NR×NR taps takes packBConvWide; every other shape runs the per-run loop
+// below. Both copy bits, so the panels are the same.
 func PackBConv(bp, img []float32, g ConvShape, j0, n int) {
 	k := g.K()
 	if g.KH == 1 && g.KW == 1 && g.Stride == 1 && g.Pad == 0 {
 		PackB(bp, img[j0:], k, n, g.H*g.W)
+		return
+	}
+	if asmWide && n > 0 && k > 0 && g.Stride == 1 && g.KH <= NR && g.KW <= NR {
+		packBConvWide(bp, img, g, j0, n)
 		return
 	}
 	for jp := 0; jp*NR < n; jp++ {
@@ -204,6 +223,80 @@ func PackBConv(bp, img []float32, g ConvShape, j0, n int) {
 			}
 		}
 	}
+}
+
+// convRuns is packBConvWide's table for one panel, one entry per
+// output-row run r the panel's pixels span: lane c of tap (ky, kx) reads
+// channel-plane element base[r] + ky·W + kx + c when tap row ky is inside
+// the image (rowOK[r][ky]) and colMask[r][kx] has bit c set, that is,
+// when lane c is one of the run's and its image column is inside the
+// image. Its layout is packConvAsm's: base at byte 0, rowOK at 64,
+// colMask at 320.
+type convRuns struct {
+	base    [NR]int32
+	rowOK   [NR][NR]bool
+	colMask [NR][NR]uint16
+}
+
+// packBConvWide is PackBConv for a stride-1 window on AVX-512F. Per panel
+// it fills a convRuns table — per run, one base offset, one row test per
+// ky and one column mask per kx, with no division — and packConvAsm
+// writes the panel from it with one masked load and one 64-byte store per
+// (channel, tap, run). A table of KH+KW+1 values a run, not one entry per
+// (run, tap), keeps the table cheap beside the gather on one-channel
+// layers. A masked-off lane reads no memory (AVX-512 suppresses its
+// faults), so only enabled lanes must address the image, and they do:
+// their row and column are inside it. Columns past n are in no run and
+// store zeros.
+func packBConvWide(bp, img []float32, g ConvShape, j0, n int) {
+	k, plane := g.K(), g.H*g.W
+	_ = img[g.C*plane-1]
+	_ = bp[LenB(k, n)-1]
+	var t convRuns
+	oy, ox := j0/g.OW, j0%g.OW
+	for jp := 0; jp*NR < n; jp++ {
+		cols := min(NR, n-jp*NR)
+		runs := 0
+		for c0 := 0; c0 < cols; runs++ {
+			run := min(cols-c0, g.OW-ox)
+			// Lane c of tap (ky, kx) reads image row oy+ky−Pad, column
+			// ix0+kx+c; the run's lanes are [c0, c0+run).
+			ix0 := ox - g.Pad - c0
+			t.base[runs] = int32((oy-g.Pad)*g.W + ix0)
+			ok := t.rowOK[runs][:g.KH]
+			for ky := range ok {
+				iy := oy + ky - g.Pad
+				ok[ky] = iy >= 0 && iy < g.H
+			}
+			// Away from the side borders every column mask is the run's
+			// lanes.
+			cm := t.colMask[runs][:g.KW]
+			if ix0+c0 >= 0 && ix0+g.KW-1+c0+run <= g.W {
+				m := laneBits(c0, c0+run)
+				for kx := range cm {
+					cm[kx] = m
+				}
+			} else {
+				for kx := range cm {
+					cm[kx] = laneBits(max(c0, -(ix0+kx)), min(c0+run, g.W-(ix0+kx)))
+				}
+			}
+			c0 += run
+			if ox += run; ox == g.OW {
+				oy, ox = oy+1, 0
+			}
+		}
+		packConvAsm(&bp[jp*k*NR], &img[0], &t, int64(g.C), int64(g.KH), int64(g.KW), int64(runs), int64(g.W), int64(plane))
+	}
+}
+
+// laneBits is the lane mask of lanes [lo, hi), 0 ≤ lo and hi ≤ NR, and
+// zero when the range is empty.
+func laneBits(lo, hi int) uint16 {
+	if lo >= hi {
+		return 0
+	}
+	return uint16(uint32(1)<<(hi&31) - uint32(1)<<(lo&31))
 }
 
 // packPatchRun writes the patches of run consecutive pixels of output row

@@ -15,6 +15,23 @@ import (
 // NaNs, which must come out equal: every one of the LenA(m, k) elements
 // is written, and nothing past them.
 func TestPackAMatchesScalar(t *testing.T) {
+	checkRowPack(t, "PackA", MR, 9, 17, LenA, PackA)
+}
+
+// TestPackBTMatchesScalar is TestPackAMatchesScalar for PackBT's 16×16
+// transpose: every n in 1..33 (each n mod 16, so full and zero-padded
+// last panels, over one to three panels), k 1..70, rows k and k+5 apart.
+func TestPackBTMatchesScalar(t *testing.T) {
+	checkRowPack(t, "PackBT", NR, 33, 19,
+		func(n, k int) int { return LenB(k, n) },
+		func(bp, b []float32, n, k, ldb int) { PackBT(bp, b, k, n, ldb) })
+}
+
+// checkRowPack runs the check both tests describe for a routine that
+// packs rows×k of a row-major block, rows ld apart, into panels of width
+// rows each: dst[(ip*k+l)*width+r] = src[(ip*width+r)*ld+l], zero past the
+// last row, length(rows, k) elements in all.
+func checkRowPack(t *testing.T, name string, width, maxRows int, seed int64, length func(rows, k int) int, pack func(dst, src []float32, rows, k, ld int)) {
 	type form struct {
 		name string
 		run  func(fn func())
@@ -24,13 +41,13 @@ func TestPackAMatchesScalar(t *testing.T) {
 		t.Log("no AVX-512F with ZMM state on this host (or a noasm/non-amd64 build): only the scalar loop runs")
 		forms = forms[:1]
 	}
-	rng := rand.New(rand.NewSource(17))
+	rng := rand.New(rand.NewSource(seed))
 	payloads := []uint32{0x7f800001, 0x7fa00000, 0x7fc00000, 0x7fffffff, 0xff800001, 0xffc00000, 0xffd5a5a5, 0x80000000, 0x00000001}
 	const poisonA, poisonB, past = 0x7fbadbad, 0xffcafe01, 0x7f80dead
-	for m := 1; m <= 9; m++ {
+	for m := 1; m <= maxRows; m++ {
 		for k := 1; k <= 70; k++ {
-			for _, lda := range []int{k, k + 5} {
-				n := (m-1)*lda + k
+			for _, ld := range []int{k, k + 5} {
+				n := (m-1)*ld + k
 				a := make([]float32, 3+n)[3:]
 				for i := range a {
 					if rng.Intn(3) == 0 {
@@ -39,18 +56,18 @@ func TestPackAMatchesScalar(t *testing.T) {
 						a[i] = math.Float32frombits(rng.Uint32())
 					}
 				}
-				la := LenA(m, k)
+				la := length(m, k)
 				want := make([]float32, la)
-				for ip := 0; ip*MR < m; ip++ {
+				for ip := 0; ip*width < m; ip++ {
 					for l := 0; l < k; l++ {
-						for r := 0; r < MR; r++ {
-							if i := ip*MR + r; i < m {
-								want[(ip*k+l)*MR+r] = a[i*lda+l]
+						for r := 0; r < width; r++ {
+							if i := ip*width + r; i < m {
+								want[(ip*k+l)*width+r] = a[i*ld+l]
 							}
 						}
 					}
 				}
-				pack := func(poison uint32) []float32 {
+				run := func(poison uint32) []float32 {
 					ap := make([]float32, la+4)
 					for i := range ap {
 						ap[i] = math.Float32frombits(poison)
@@ -58,21 +75,21 @@ func TestPackAMatchesScalar(t *testing.T) {
 					for i := la; i < len(ap); i++ {
 						ap[i] = math.Float32frombits(past)
 					}
-					PackA(ap[:la], a, m, k, lda)
+					pack(ap[:la], a, m, k, ld)
 					for i := la; i < len(ap); i++ {
 						if math.Float32bits(ap[i]) != past {
-							t.Fatalf("m=%d k=%d lda=%d: wrote ap[%d], past LenA = %d", m, k, lda, i, la)
+							t.Fatalf("%s rows=%d k=%d ld=%d: wrote [%d], past the %d panel elements", name, m, k, ld, i, la)
 						}
 					}
 					return ap[:la]
 				}
 				for _, form := range forms {
 					var got, again []float32
-					form.run(func() { got, again = pack(poisonA), pack(poisonB) })
+					form.run(func() { got, again = run(poisonA), run(poisonB) })
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(again[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%s PackA m=%d k=%d lda=%d: ap[%d] = %#08x / %#08x over two poisons, want %#08x",
-								form.name, m, k, lda, i, math.Float32bits(got[i]), math.Float32bits(again[i]), math.Float32bits(want[i]))
+							t.Fatalf("%s %s rows=%d k=%d ld=%d: [%d] = %#08x / %#08x over two poisons, want %#08x",
+								form.name, name, m, k, ld, i, math.Float32bits(got[i]), math.Float32bits(again[i]), math.Float32bits(want[i]))
 						}
 					}
 				}

@@ -185,15 +185,17 @@ func BenchmarkMatMul128(b *testing.B) {
 }
 
 // convShapes are the convolutions the served models issue at their bench
-// batch sizes — avmnist's first layer (K = 25, six filters) and the 3×3
-// stacks of vnt, push and medseg — plus one stride-2 ResNet stage and one
-// paper-scale layer no benchmark workload serves, and the 16-channel 64²
-// layer again under the two reduced precisions.
+// batch sizes — avmnist's two LeNet layers (K = 25 over the zero-padded
+// image, then K = 150) and the 3×3 stacks of vnt, push and medseg — plus
+// one stride-2 ResNet stage and one paper-scale layer no benchmark
+// workload serves, and the 16-channel 64² layer again under the two
+// reduced precisions.
 var convShapes = []struct {
 	n, c, h, w, outC, k, stride, pad int
 	prec                             precision.Type
 }{
-	{32, 1, 28, 28, 6, 5, 1, 0, precision.F32},
+	{32, 1, 28, 28, 6, 5, 1, 2, precision.F32},
+	{32, 6, 14, 14, 16, 5, 1, 0, precision.F32},
 	{2, 16, 64, 64, 32, 3, 1, 1, precision.F32},
 	{2, 32, 32, 32, 64, 3, 1, 1, precision.F32},
 	{2, 3, 128, 128, 16, 3, 1, 1, precision.F32},
@@ -222,6 +224,42 @@ func BenchmarkConv2D(b *testing.B) {
 				c.Conv2D(x, w, nil, s.stride, s.pad)
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// BenchmarkPackBConv prices gemm.PackBConv, the gather that copies a
+// convolution's image windows into B panels, over one sample of each
+// stride-1 layer the served models issue (avmnist's LeNet layers, vnt's
+// first layer, the 3×3 stacks of vnt, push and medseg) and one stride-2
+// ResNet stage as the control, in blocks of 8 panels (a work unit's
+// largest). It reports the panel bytes written per op.
+func BenchmarkPackBConv(b *testing.B) {
+	for _, s := range []struct{ c, h, w, k, stride, pad int }{
+		{1, 28, 28, 5, 1, 2},
+		{6, 14, 14, 5, 1, 0},
+		{3, 128, 128, 3, 1, 1},
+		{1, 64, 64, 3, 1, 1},
+		{16, 64, 64, 3, 1, 1},
+		{32, 32, 32, 3, 1, 1},
+		{64, 16, 16, 3, 1, 1},
+		{64, 56, 56, 3, 2, 1},
+	} {
+		g := gemm.ConvShape{C: s.c, H: s.h, W: s.w, KH: s.k, KW: s.k, Stride: s.stride, Pad: s.pad}
+		g.OH, g.OW = convOut(s.h, s.k, s.stride, s.pad), convOut(s.w, s.k, s.stride, s.pad)
+		b.Run(fmt.Sprintf("%dx%dx%d_k%d_s%d_p%d", s.c, s.h, s.w, s.k, s.stride, s.pad), func(b *testing.B) {
+			img := make([]float32, s.c*s.h*s.w)
+			tensor.NewRNG(71).Uniform(tensor.FromSlice(img, len(img)), -1, 1)
+			k, m, block := g.K(), g.OH*g.OW, 8*gemm.NR
+			bp := make([]float32, gemm.LenB(k, block))
+			b.SetBytes(int64(4 * k * m))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j0 := 0; j0 < m; j0 += block {
+					cols := min(block, m-j0)
+					gemm.PackBConv(bp[:gemm.LenB(k, cols)], img, g, j0, cols)
+				}
+			}
 		})
 	}
 }
@@ -440,6 +478,29 @@ func BenchmarkPackA(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gemm.PackA(ap, a, s.m, s.k, s.lda)
+			}
+		})
+	}
+}
+
+// BenchmarkPackBT prices gemm.PackBT, fused attention's Kᵀ pack, at one
+// head of each BenchmarkAttention shape: dh × Tk panels read out of the
+// [B,T,D] key projection, rows D apart (32×50 of D256, 64×128 of D512,
+// 64×197 of D256). It reports the bytes packed per op.
+func BenchmarkPackBT(b *testing.B) {
+	for _, s := range []struct{ k, n, ldb int }{
+		{32, 50, 256},
+		{64, 128, 512},
+		{64, 197, 256},
+	} {
+		b.Run(fmt.Sprintf("%dx%d_ldb%d", s.k, s.n, s.ldb), func(b *testing.B) {
+			src := make([]float32, (s.n-1)*s.ldb+s.k)
+			tensor.NewRNG(73).Uniform(tensor.FromSlice(src, len(src)), -1, 1)
+			bp := make([]float32, gemm.LenB(s.k, s.n))
+			b.SetBytes(int64(4 * s.k * s.n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemm.PackBT(bp, src, s.k, s.n, s.ldb)
 			}
 		})
 	}
