@@ -3,11 +3,12 @@ package engine
 import "unsafe"
 
 // Typed views of the float32 buffer pool for the packed-GEMM panels:
-// int8 (quantized B panels), int16 (widened quantized A panels) and
-// uint16 (float16-grid B panels). Each Get reinterprets one pooled
-// float32 buffer in place — no second pool, no copy — so the retention
-// budget, poison mode and hit counters all keep covering panel scratch,
-// and each checkout counts in Stats().Pack at its panel's byte size.
+// int8 (quantized B panels) and int16 (widened quantized A panels); the
+// float16 B panels live in float32 memory, two to a float. Each Get
+// reinterprets one pooled float32 buffer in place — no second pool, no
+// copy — so the retention budget, poison mode and hit counters all keep
+// covering panel scratch, and each checkout counts in Stats().Pack at its
+// panel's byte size.
 //
 // Ownership rules match Get/Put: the caller owns the returned slice
 // until the matching Put*, and must pass back exactly the slice a Get*
@@ -46,24 +47,6 @@ func (e *Engine) GetPanelI16(n int) []int16 {
 
 // PutI16 returns a GetPanelI16 slice to the pool.
 func (e *Engine) PutI16(buf []int16) {
-	if e == nil || buf == nil {
-		return
-	}
-	e.Put(unsafe.Slice((*float32)(unsafe.Pointer(&buf[0])), cap(buf)/2))
-}
-
-// GetPanelU16 returns an uninitialized pooled panel of n uint16. Return
-// it with PutU16.
-func (e *Engine) GetPanelU16(n int) []uint16 {
-	buf := e.panel((n+1)/2, int64(n)*2)
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&buf[0])), cap(buf)*2)[:n]
-}
-
-// PutU16 returns a GetPanelU16 slice to the pool.
-func (e *Engine) PutU16(buf []uint16) {
 	if e == nil || buf == nil {
 		return
 	}

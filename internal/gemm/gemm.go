@@ -17,13 +17,20 @@
 // so the micro-kernel streams both panels with unit stride. Edge panels
 // are zero-padded to full MR×NR width; padded lanes never reach dst.
 //
+// Each operand has one packer: PackA (packAT for an A stored transposed)
+// fills A's row panels, and PackB, PackBT and PackBConv (a convolution's
+// image windows) fill B's column panels. A reduced-precision panel is
+// that f32 panel, finished by its layout's one conversion in the engine
+// chunk that packed it (pack.go lists the four), so precision changes the
+// arithmetic and nothing else on the data path.
+//
 // Every product is "get B panels, then multiply against them". F32, F16
 // and I8 pack both operands once per invocation into pooled engine
 // scratch. A PackedB — the holder a frozen network's weight carries —
-// packs B with the same routine into memory it keeps, once per
-// precision, and hands it to the same multiply routine (mulF32, mulF16,
-// mulI8), so kept and per-call panels give the same bits; A is packed per
-// call either way. Kept panels are reachable only through their holder:
+// packs B with the same packer and finish into memory it keeps, once per
+// precision, and hands it to the same multiply routine (mulF32, mulI8),
+// so kept and per-call panels give the same bits; A is packed per call
+// either way. Kept panels are reachable only through their holder:
 // this package has no cache of its own. The float micro-kernels have one
 // serial tile-level driver, mulTiles (over f32 or half-width B panels;
 // MulPanels is its exported f32 form), and the int8 kernel has
@@ -33,7 +40,8 @@
 // attention (one unit per batch·head and query tile, MulPanels over
 // PackA/PackB/PackBT panels in its own scratch) and the convolutions
 // below (ConvF32/F16/I8: one unit per sample and block of output pixels,
-// whose B panels PackBConv gathers straight out of the image).
+// whose B panels PackBConv gathers straight out of the image and the
+// finish converts in place).
 //
 // # Micro-kernel
 //
@@ -92,10 +100,11 @@
 // (vpmaddwd pairs on amd64), and one dequantization multiply runs at the
 // accumulator store — the scale-after-accumulate order of real int8
 // GEMM hardware. F16 rounds both operands to the float16 grid during
-// packing and keeps f32 accumulation; on amd64 the B panels are stored
-// as raw 16-bit halves (half the panel bandwidth) and converted in the
-// kernel with vcvtph2ps, which is exact, so the packed-u16 and
-// packed-f32 fallback layouts produce identical numbers. A product whose
+// packing and keeps f32 accumulation; where F16C exists the B panels are
+// raw 16-bit halves (half the panel bandwidth) converted in the kernel
+// with vcvtph2ps, which is exact, so they give the numbers of the float32
+// grid layout the other hosts multiply (f16Bits is the one place that
+// layout is chosen). A product whose
 // output is stored at f16 rounds each element through the grid in its
 // tile store (Epilogue.F16), so no caller runs a re-store pass.
 package gemm
@@ -183,18 +192,7 @@ type Epilogue struct {
 // row stride n and is accumulated into, so gradient += calls work
 // directly.
 func F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
-	perCallF32(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
-}
-
-// perCallF32 is F32 with a store epilogue.
-func perCallF32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	bp := e.GetPanel(panelsB(n) * k * NR)
-	defer e.Put(bp)
-	packBF32(e, bp, b, k, n, bT)
-	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false, ep)
+	(*PackedB)(nil).F32(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
 }
 
 // panelsA and panelsB count the MR-row panels of an m-row A and the
@@ -323,21 +321,17 @@ func grainA() int {
 	return 1
 }
 
-// mulF32 multiplies A against finished f32 B panels: it packs A into
-// pooled scratch (through the float16 grid when f16A — the F16 fallback
-// layout) and runs mulTiles, grainA() A row panels per work unit. The
-// per-call entry points and the kept panels of a PackedB differ only in
-// where bp came from.
-func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16A bool, ep Epilogue) {
+// mulF32 multiplies A against finished B panels bp — f32 panels, or, with
+// f16, f16 panel memory, and A rounded through the float16 grid as it is
+// packed: it packs A into pooled scratch and runs mulTiles, grainA() A row
+// panels per work unit. The per-call entry points and the kept panels of
+// a PackedB differ only in where bp came from.
+func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, aT, f16 bool, ep Epilogue) {
 	ap := e.GetPanel(LenA(m, k))
 	defer e.Put(ap)
-	if f16A {
-		packAF16(e, ap, a, m, k, aT)
-	} else {
-		packAF32(e, ap, a, m, k, aT)
-	}
+	packAF32(e, ap, a, m, k, aT, f16)
 	j := getJob(dst, m, k, n, alpha, ep)
-	j.ap, j.bp = ap, bp
+	j.ap, j.bp, j.f16 = ap, bp, f16
 	j.run(e, grainA())
 }
 
@@ -345,14 +339,14 @@ func mulF32(e *engine.Engine, dst, a, bp []float32, m, k, n int, alpha float32, 
 // chunks through its chunk method value, which is bound once when the
 // job is made. A closure over them would be a heap object per call (the
 // engine's queue makes every ParallelFor body escape); a pooled job is
-// not. Exactly one of bp, bpH and bpI is set.
+// not. Exactly one of bp and bpI is set.
 type mulJob struct {
 	dst     []float32
 	ap      []float32 // f32 and f16 A panels
 	apI     []int16   // int8 A panels
-	bp      []float32
-	bpH     []uint16
+	bp      []float32 // f32 B panels, or f16 panel memory when f16
 	bpI     []int8
+	f16     bool
 	m, k, n int // k counts K pairs for int8 panels
 	alpha   float32
 	ep      Epilogue
@@ -392,8 +386,8 @@ func (j *mulJob) panels(lo, hi int) {
 	switch {
 	case j.bpI != nil:
 		mulPanelsI8(dst, n, j.apI[lo*k*2*MR:hi*k*2*MR], j.bpI, m, k, n, j.alpha, ep)
-	case j.bpH != nil:
-		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bpH, m, k, n, j.alpha, ep)
+	case j.f16:
+		mulTilesF16(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bp, m, k, n, j.alpha, ep)
 	default:
 		mulTiles(dst, n, j.ap[lo*k*MR:hi*k*MR], j.bp, m, k, n, j.alpha, ep)
 	}
@@ -404,39 +398,16 @@ func (j *mulJob) panels(lo, hi int) {
 // f16 passes Epilogue.F16 to PackedB.F16 (a nil holder packs per call),
 // which rounds each element, after a bias has joined, in the tile store.
 func F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool) {
-	perCallF16(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
+	(*PackedB)(nil).F16(e, dst, a, b, m, k, n, alpha, aT, bT, Epilogue{})
 }
 
-// perCallF16 is F16 with a store epilogue.
-func perCallF16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	if asmF16 {
-		// Half-width B panels: raw float16 bits, converted in-kernel by
-		// vcvtph2ps (exact, so numerically identical to the f32 layout).
-		bp := e.GetPanelU16(panelsB(n) * k * NR)
-		defer e.PutU16(bp)
-		packBU16(e, bp, b, k, n, bT)
-		mulF16(e, dst, a, bp, m, k, n, alpha, aT, ep)
+// mulTilesF16 is mulTiles over f16 panel memory bp, in its layout.
+func mulTilesF16(dst []float32, ldd int, ap, bp []float32, m, k, n int, alpha float32, ep Epilogue) {
+	if h, f := f16Panels(bp); h != nil {
+		mulTiles(dst, ldd, ap, h, m, k, n, alpha, ep)
 	} else {
-		bp := e.GetPanel(panelsB(n) * k * NR)
-		defer e.Put(bp)
-		packBF16F32(e, bp, b, k, n, bT)
-		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true, ep)
+		mulTiles(dst, ldd, ap, f, m, k, n, alpha, ep)
 	}
-}
-
-// mulF16 multiplies A, rounded to the float16 grid while packing,
-// against finished half-width B panels: mulTiles, grainA() A row panels
-// per work unit.
-func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha float32, aT bool, ep Epilogue) {
-	ap := e.GetPanel(LenA(m, k))
-	defer e.Put(ap)
-	packAF16(e, ap, a, m, k, aT)
-	j := getJob(dst, m, k, n, alpha, ep)
-	j.ap, j.bpH = ap, bp
-	j.run(e, grainA())
 }
 
 // I8 computes dst[m,n] += alpha·sa·sb · (Qa·Qb) where Qa, Qb are the
@@ -450,18 +421,7 @@ func mulF16(e *engine.Engine, dst, a []float32, bp []uint16, m, k, n int, alpha 
 // (int32 headroom at maximal |level| 127); the f32 store rounds sums
 // above 2^24 to the nearest representable float, deterministically.
 func I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool) {
-	perCallI8(e, dst, a, b, m, k, n, alpha, sa, sb, aT, bT, Epilogue{})
-}
-
-// perCallI8 is I8 with a store epilogue.
-func perCallI8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool, ep Epilogue) {
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	bp := e.GetPanelI8(panelsB(n) * pairsI8(k) * 2 * NR)
-	defer e.PutI8(bp)
-	packBI8(e, bp, b, k, n, sb, bT)
-	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT, ep)
+	(*PackedB)(nil).I8(e, dst, a, b, m, k, n, alpha, sa, sb, aT, bT, Epilogue{})
 }
 
 // pairsI8 is the int16 pair count of a K-long int8 dot; odd K pads a
@@ -475,7 +435,7 @@ func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa
 	kp := pairsI8(k)
 	ap := e.GetPanelI16(panelsA(m) * kp * 2 * MR)
 	defer e.PutI16(ap)
-	packAI16(e, ap, a, m, k, sa, aT)
+	packAI8(e, ap, a, m, k, aT, 1/sa)
 	j := getJob(dst, m, kp, n, alpha*sa*sb, ep)
 	j.apI, j.bpI = ap, bp
 	j.run(e, 1)
@@ -506,7 +466,7 @@ func mulPanelsI8(dst []float32, ldd int, ap []int16, bp []int8, m, kp, n int, de
 // the weights are packed into A panels once per call, and each work unit —
 // one sample's block of convBlockPanels(K) B panels, consecutive output
 // pixels — gathers its panels out of the image into pooled scratch
-// (PackBConv), converts them in place to the precision's B layout, and
+// (PackBConv), finishes them in place in the precision's B layout, and
 // multiplies every A panel against them while they are cache-resident.
 // Same panels, same micro-kernel, same K order as a GEMM over the stored
 // patch matrix, so each output element has that GEMM's bits, at any worker
@@ -548,7 +508,7 @@ func ConvF32(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, ep
 	k, m := g.K(), g.OH*g.OW
 	ap := e.GetPanel(LenA(outC, k))
 	defer e.Put(ap)
-	packAF32(e, ap, w, outC, k, false)
+	packAF32(e, ap, w, outC, k, false, false)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
 		mulTiles(dst[ni*outC*m+j0:], m, ap, bp, outC, k, cols, 1, ep)
 	})
@@ -562,16 +522,11 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, ep
 	k, m := g.K(), g.OH*g.OW
 	ap := e.GetPanel(LenA(outC, k))
 	defer e.Put(ap)
-	packAF16(e, ap, w, outC, k, false)
+	packAF32(e, ap, w, outC, k, false, true)
 	ep.F16 = true
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
-		d := dst[ni*outC*m+j0:]
-		if asmF16 {
-			mulTiles(d, m, ap, f16BitsInPlace(bp), outC, k, cols, 1, ep)
-		} else {
-			precision.RoundF16Slice(bp, bp)
-			mulTiles(d, m, ap, bp, outC, k, cols, 1, ep)
-		}
+		finishF16(bp, 0, bp, len(bp)/NR, NR)
+		mulTilesF16(dst[ni*outC*m+j0:], m, ap, bp, outC, k, cols, 1, ep)
 	})
 }
 
@@ -584,9 +539,13 @@ func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw 
 	kp := pairsI8(k)
 	ap := e.GetPanelI16(panelsA(outC) * kp * 2 * MR)
 	defer e.PutI16(ap)
-	packAI16(e, ap, w, outC, k, sw, false)
+	packAI8(e, ap, w, outC, k, false, 1/sw)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
-		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, i8PairsInPlace(bp, k, 1/sx[ni]), outC, kp, cols, sw*sx[ni], ep)
+		q, inv := view[int8](bp), 1/sx[ni]
+		for jp := range panelsB(cols) {
+			i8Pairs(q[jp*kp*2*NR:], bp[jp*k*NR:], k, NR, inv)
+		}
+		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, q, outC, kp, cols, sw*sx[ni], ep)
 	})
 }
 

@@ -258,15 +258,15 @@ func TestRowBiasFollowsItsRow(t *testing.T) {
 				}
 				switch prec {
 				case precision.F32:
-					perCallF32(e, got, a, b, m, k, n, 0.5, false, false, ep)
-					perCallF32(e, want, a, b, m, k, n, 0.5, false, false, Epilogue{})
+					(*PackedB)(nil).F32(e, got, a, b, m, k, n, 0.5, false, false, ep)
+					(*PackedB)(nil).F32(e, want, a, b, m, k, n, 0.5, false, false, Epilogue{})
 				case precision.F16:
-					perCallF16(e, got, a, b, m, k, n, 0.5, false, false, ep)
-					perCallF16(e, want, a, b, m, k, n, 0.5, false, false, Epilogue{})
+					(*PackedB)(nil).F16(e, got, a, b, m, k, n, 0.5, false, false, ep)
+					(*PackedB)(nil).F16(e, want, a, b, m, k, n, 0.5, false, false, Epilogue{})
 					precision.RoundF16Slice(want, want)
 				case precision.I8:
-					perCallI8(e, got, a, b, m, k, n, 0.5, sa, sb, false, false, ep)
-					perCallI8(e, want, a, b, m, k, n, 0.5, sa, sb, false, false, Epilogue{})
+					(*PackedB)(nil).I8(e, got, a, b, m, k, n, 0.5, sa, sb, false, false, ep)
+					(*PackedB)(nil).I8(e, want, a, b, m, k, n, 0.5, sa, sb, false, false, Epilogue{})
 				}
 				if relu {
 					reluInPlace(want)
@@ -566,18 +566,20 @@ func BenchmarkPackedF16_512(b *testing.B) {
 }
 
 // TestPackBConvMatchesStoredPatchMatrix builds a sample's patch matrix by
-// definition, packs it with the stored-operand routines, and requires the
-// same panels — every element, padding included — from the gather and its
-// in-place low-precision conversions, for windows of columns that start
-// and end mid-row and mid-panel. Scratch starts NaN-filled, so an element
-// the gather skips fails the comparison, and a sentinel past LenB catches
-// a write beyond it. The image sits inside a larger NaN-filled buffer, so
-// a lane that reads outside the image shows up as a NaN in the panels.
-// The stride-1 shapes are the AVX-512F gather's cases: output rows 1 to
-// 64 wide (one panel spans up to 16 runs), windows wider than the image
-// with taps wholly over its border, and the layers avmnist, vnt, push and
-// medseg serve. Every case runs as is and under narrowKernels, which
-// keeps the scalar per-run loop.
+// definition, packs it with PackB and finishes copies of those panels in
+// every low-precision layout (float16 bits, the float16 grid and int8 K
+// pairs, each into its own buffer), and requires the same panels — every
+// element, padding included — from the gather and from each finish run
+// over the gathered panels in place, as a convolution runs it, for
+// windows of columns that start and end mid-row and mid-panel. Scratch
+// starts NaN-filled, so an element the gather skips fails the comparison,
+// and a sentinel past LenB catches a write beyond it. The image sits
+// inside a larger NaN-filled buffer, so a lane that reads outside the
+// image shows up as a NaN in the panels. The stride-1 shapes are the
+// AVX-512F gather's cases: output rows 1 to 64 wide (one panel spans up
+// to 16 runs), windows wider than the image with taps wholly over its
+// border, and the layers avmnist, vnt, push and medseg serve. Every case
+// runs as is and under narrowKernels, which keeps the scalar per-run loop.
 func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
 	type form struct {
 		name string
@@ -650,10 +652,18 @@ func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
 			}
 			want := make([]float32, LenB(k, n))
 			PackB(want, patches[j0:], k, n, m)
-			wantU16 := make([]uint16, LenB(k, n))
-			packBU16(nil, wantU16, sliceCols(patches, k, m, j0, n), k, n, false)
-			wantI8 := make([]int8, panelsB(n)*pairsI8(k)*2*NR)
-			packBI8(nil, wantI8, sliceCols(patches, k, m, j0, n), k, n, sb, false)
+			rows := len(want) / NR // every panel's rows, one after another
+			wantU16 := make([]uint16, len(want))
+			f16Rows(wantU16, want, rows, NR)
+			wantGrid := make([]float32, len(want))
+			f16Rows(wantGrid, want, rows, NR)
+			i8Panels := func(dst []int8, src []float32) []int8 {
+				for jp := range panelsB(n) {
+					i8Pairs(dst[jp*pairsI8(k)*2*NR:], src[jp*k*NR:], k, NR, 1/sb)
+				}
+				return dst[:panelsB(n)*pairsI8(k)*2*NR]
+			}
+			wantI8 := i8Panels(make([]int8, panelsB(n)*pairsI8(k)*2*NR), want)
 
 			gather := func() []float32 {
 				lb := LenB(k, n)
@@ -680,23 +690,20 @@ func TestPackBConvMatchesStoredPatchMatrix(t *testing.T) {
 							t.Fatalf("%s %+v cols [%d,%d): panel[%d] = %g, PackB of the patch matrix gives %g", f.name, g, j0, j0+n, i, got[i], want[i])
 						}
 					}
-					if gotU16 := f16BitsInPlace(gather()); !slices.Equal(gotU16, wantU16) {
-						t.Fatalf("%s %+v cols [%d,%d): in-place f16 panels differ from packBU16's", f.name, g, j0, j0+n)
+					bp := gather()
+					if f16Rows(view[uint16](bp), bp, rows, NR); !slices.Equal(view[uint16](bp)[:len(want)], wantU16) {
+						t.Fatalf("%s %+v cols [%d,%d): in-place float16 bits differ from the stored matrix's", f.name, g, j0, j0+n)
 					}
-					if gotI8 := i8PairsInPlace(gather(), k, 1/sb); !slices.Equal(gotI8, wantI8) {
-						t.Fatalf("%s %+v cols [%d,%d): in-place i8 panels differ from packBI8's", f.name, g, j0, j0+n)
+					bp = gather()
+					if f16Rows(bp, bp, rows, NR); !slices.EqualFunc(bp, wantGrid, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+						t.Fatalf("%s %+v cols [%d,%d): in-place float16-grid panels differ from the stored matrix's", f.name, g, j0, j0+n)
+					}
+					bp = gather()
+					if gotI8 := i8Panels(view[int8](bp), bp); !slices.Equal(gotI8, wantI8) {
+						t.Fatalf("%s %+v cols [%d,%d): in-place i8 panels differ from the stored matrix's", f.name, g, j0, j0+n)
 					}
 				})
 			}
 		}
 	}
-}
-
-// sliceCols copies columns [j0, j0+n) of a k×m row-major matrix.
-func sliceCols(x []float32, k, m, j0, n int) []float32 {
-	out := make([]float32, k*n)
-	for l := 0; l < k; l++ {
-		copy(out[l*n:(l+1)*n], x[l*m+j0:])
-	}
-	return out
 }

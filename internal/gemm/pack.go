@@ -77,29 +77,41 @@ func PackA(ap, a []float32, m, k, lda int) {
 	}
 }
 
+// packAT is PackA for an A stored transposed: a holds k rows of m
+// elements, lda ≥ m apart, and ap[(ip*k+l)*MR+r] = a[l*lda+ip*MR+r].
+func packAT(ap, a []float32, m, k, lda int) {
+	for ip := 0; ip*MR < m; ip++ {
+		p := ap[ip*k*MR : (ip+1)*k*MR]
+		i0 := ip * MR
+		rows := min(MR, m-i0)
+		// a[l*lda + i]: walk l-major, gathering the panel's rows.
+		for l := 0; l < k; l++ {
+			al := a[l*lda+i0 : l*lda+i0+rows]
+			pl := p[l*MR : l*MR+MR]
+			for r := 0; r < rows; r++ {
+				pl[r] = al[r]
+			}
+			for r := rows; r < MR; r++ {
+				pl[r] = 0
+			}
+		}
+	}
+}
+
 // packAF32 packs A[m,k] (or its transpose when aT: a stored [k,m]) into
 // row panels ap[(ip*k+l)*MR+r] = A[ip*MR+r][l], zero-padding rows past m.
-func packAF32(e *engine.Engine, ap, a []float32, m, k int, aT bool) {
+// With f16 each chunk rounds the panels it packed through the float16
+// grid, in place and while they are in cache: the f16 A layout.
+func packAF32(e *engine.Engine, ap, a []float32, m, k int, aT, f16 bool) {
 	e.ParallelFor(panelsA(m), packPanelGrain(k*MR), func(lo, hi int) {
-		if !aT {
-			PackA(ap[lo*k*MR:hi*k*MR], a[lo*MR*k:], min(m, hi*MR)-lo*MR, k, k)
-			return
+		p, rows, a0 := ap[lo*k*MR:hi*k*MR], min(m, hi*MR)-lo*MR, a[lo*MR*k:]
+		if aT {
+			packAT(p, a[lo*MR:], rows, k, m)
+		} else {
+			PackA(p, a0, rows, k, k)
 		}
-		for ip := lo; ip < hi; ip++ {
-			p := ap[ip*k*MR : (ip+1)*k*MR]
-			i0 := ip * MR
-			rows := min(MR, m-i0)
-			// a[l*m + i]: walk l-major, gathering the panel's rows.
-			for l := 0; l < k; l++ {
-				al := a[l*m+i0 : l*m+i0+rows]
-				pl := p[l*MR : l*MR+MR]
-				for r := 0; r < rows; r++ {
-					pl[r] = al[r]
-				}
-				for r := rows; r < MR; r++ {
-					pl[r] = 0
-				}
-			}
+		if f16 {
+			precision.RoundF16Slice(p, p)
 		}
 	})
 }
@@ -364,244 +376,199 @@ func packBF32(e *engine.Engine, bp, b []float32, k, n int, bT bool) {
 	})
 }
 
-// packAF16 is packAF32 with every element rounded through the float16
-// grid (the f16 storage emulation applied at pack time).
-func packAF16(e *engine.Engine, ap, a []float32, m, k int, aT bool) {
-	packAF32(e, ap, a, m, k, aT)
-	nip := (m + MR - 1) / MR
-	e.ParallelFor(nip, packPanelGrain(k*MR), func(lo, hi int) {
-		seg := ap[lo*k*MR : hi*k*MR]
-		precision.RoundF16Slice(seg, seg)
-	})
-}
+// Low precision. A reduced-precision panel is the f32 panel of its
+// operand, finished in the engine chunk that packed it by the one
+// conversion of its layout:
+//
+//	f16 A   values on the float16 grid                  precision.RoundF16Slice, in place
+//	f16 B   raw float16 bits, or values on the grid     f16Rows (the layout f16Bits chooses)
+//	i8 B    int8 K pairs                                i8Pairs
+//	i8 A    int16 K pairs of int8 levels                i16Pairs
+//
+// Per-call products, the panels a PackedB keeps and the convolutions'
+// gathered panels all run these conversions, so each layout has one
+// definition. Every conversion may write over the f32 panels it reads (a
+// convolution finishes its gathered block in place); a product's panels
+// are finished into their own buffer, from an f32 block packed finishRows
+// panel rows at a time in L1-resident scratch, or — a full panel of an
+// untransposed B, whose panel rows are operand rows — straight from the
+// operand.
 
-// packBF16F32 is packBF32 rounded through the float16 grid, stored as
-// float32 — the fallback B layout when no f16 conversion kernel exists.
-func packBF16F32(e *engine.Engine, bp, b []float32, k, n int, bT bool) {
-	packBF32(e, bp, b, k, n, bT)
-	njp := (n + NR - 1) / NR
-	e.ParallelFor(njp, packPanelGrain(k*NR), func(lo, hi int) {
-		seg := bp[lo*k*NR : hi*k*NR]
-		precision.RoundF16Slice(seg, seg)
-	})
-}
+// finishRows is the panel rows of an f32 block packed for a finish: 8 KiB
+// of B panel, 2 KiB of A. Even, so no K pair straddles two blocks, and a
+// multiple of 16, so PackA's and PackBT's vector bodies cover the block.
+const finishRows = 128
 
-// packBU16 packs B into column panels of raw float16 bits for the
-// vcvtph2ps kernel — same indexing as packBF32, half the bytes.
-func packBU16(e *engine.Engine, bp []uint16, b []float32, k, n int, bT bool) {
-	njp := (n + NR - 1) / NR
-	e.ParallelFor(njp, packPanelGrain(k*NR), func(lo, hi int) {
+// packBLow packs B[k,n] (or its transpose when bT: b stored [n,k]) into
+// reduced-precision column panels bp: f16 panel memory (float32, in the
+// layout f16Panels views) or int8 K pairs at scale 1/inv. A full panel of
+// an untransposed B is finished from the operand rows, which are its
+// panel rows; any other panel is packed by PackB or PackBT into a block
+// per finishRows panel rows, and finished from there.
+func packBLow[T float32 | int8](e *engine.Engine, bp []T, b []float32, k, n int, bT bool, inv float32) {
+	per := len(bp) / panelsB(n)
+	e.ParallelFor(panelsB(n), packPanelGrain(k*NR), func(lo, hi int) {
+		var blk [finishRows * NR]float32
 		for jp := lo; jp < hi; jp++ {
-			p := bp[jp*k*NR : (jp+1)*k*NR]
-			j0 := jp * NR
-			cols := n - j0
-			if cols > NR {
-				cols = NR
-			}
-			if bT {
-				for c := 0; c < cols; c++ {
-					bc := b[(j0+c)*k : (j0+c)*k+k]
-					for l, v := range bc {
-						p[l*NR+c] = precision.F16Bits(v)
-					}
-				}
-				for c := cols; c < NR; c++ {
-					for l := 0; l < k; l++ {
-						p[l*NR+c] = 0
-					}
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					bl := b[l*n+j0 : l*n+j0+cols]
-					pl := p[l*NR : l*NR+NR]
-					precision.F16BitsSlice(pl, bl)
-					for c := cols; c < NR; c++ {
-						pl[c] = 0
-					}
-				}
-			}
-		}
-	})
-}
-
-// packAI16 quantizes A to int8 levels (the precision.QuantizeI8 grid at
-// scale sa) widened to int16, packed as consecutive K pairs:
-// ap[(ip*kp+l2)*MR*2 + r*2 + p] = Qa[ip*MR+r][2*l2+p]. The pair layout
-// matches vpmaddwd's horizontal i16-pair dot; odd K pads a zero level.
-func packAI16(e *engine.Engine, ap []int16, a []float32, m, k int, sa float32, aT bool) {
-	kp := (k + 1) / 2
-	inv := 1 / sa
-	nip := (m + MR - 1) / MR
-	e.ParallelFor(nip, packPanelGrain(kp*2*MR), func(lo, hi int) {
-		for ip := lo; ip < hi; ip++ {
-			p := ap[ip*kp*2*MR : (ip+1)*kp*2*MR]
-			i0 := ip * MR
-			rows := m - i0
-			if rows > MR {
-				rows = MR
-			}
-			if !aT && rows == MR {
-				// Interior panel, row-major operand: quantize four
-				// contiguous rows straight into pair groups, writing every
-				// panel element exactly once.
-				a0 := a[i0*k : i0*k+k]
-				a1 := a[(i0+1)*k : (i0+1)*k+k]
-				a2 := a[(i0+2)*k : (i0+2)*k+k]
-				a3 := a[(i0+3)*k : (i0+3)*k+k]
-				o, l := 0, 0
-				for ; l+1 < k; l += 2 {
-					q := p[o : o+2*MR : o+2*MR]
-					q[0] = int16(precision.I8Level(a0[l], inv))
-					q[1] = int16(precision.I8Level(a0[l+1], inv))
-					q[2] = int16(precision.I8Level(a1[l], inv))
-					q[3] = int16(precision.I8Level(a1[l+1], inv))
-					q[4] = int16(precision.I8Level(a2[l], inv))
-					q[5] = int16(precision.I8Level(a2[l+1], inv))
-					q[6] = int16(precision.I8Level(a3[l], inv))
-					q[7] = int16(precision.I8Level(a3[l+1], inv))
-					o += 2 * MR
-				}
-				if l < k { // odd K: second lane of the last pair is zero
-					q := p[o : o+2*MR : o+2*MR]
-					q[0], q[1] = int16(precision.I8Level(a0[l], inv)), 0
-					q[2], q[3] = int16(precision.I8Level(a1[l], inv)), 0
-					q[4], q[5] = int16(precision.I8Level(a2[l], inv)), 0
-					q[6], q[7] = int16(precision.I8Level(a3[l], inv)), 0
-				}
+			p, j0 := bp[jp*per:(jp+1)*per], jp*NR
+			if !bT && j0+NR <= n {
+				finishB(p, 0, b[j0:], k, n, inv)
 				continue
 			}
-			// Edge or transposed panel: walk pair groups, zeroing the
-			// padded rows and the odd-K lane in place.
-			for l2 := 0; l2 < kp; l2++ {
-				q := p[l2*2*MR : (l2+1)*2*MR]
-				l0 := 2 * l2
-				for r := 0; r < MR; r++ {
-					var v0, v1 int16
-					if r < rows {
-						if aT {
-							v0 = int16(precision.I8Level(a[l0*m+i0+r], inv))
-							if l0+1 < k {
-								v1 = int16(precision.I8Level(a[(l0+1)*m+i0+r], inv))
-							}
-						} else {
-							v0 = int16(precision.I8Level(a[(i0+r)*k+l0], inv))
-							if l0+1 < k {
-								v1 = int16(precision.I8Level(a[(i0+r)*k+l0+1], inv))
-							}
-						}
-					}
-					q[r*2] = v0
-					q[r*2+1] = v1
+			for l0 := 0; l0 < k; l0 += finishRows {
+				kb := min(finishRows, k-l0)
+				if bT {
+					PackBT(blk[:kb*NR], b[j0*k+l0:], kb, min(NR, n-j0), k)
+				} else {
+					PackB(blk[:kb*NR], b[l0*n+j0:], kb, n-j0, n)
 				}
+				finishB(p, l0, blk[:kb*NR], kb, NR, inv)
 			}
 		}
 	})
 }
 
-// packBI8 quantizes B to int8 levels at scale sb, packed as consecutive
-// K pairs: bp[(jp*kp+l2)*NR*2 + c*2 + p] = Qb[2*l2+p][jp*NR+c]. The
-// kernel widens these to int16 at load (vpmovsxbw), pairing each column's
-// two K levels for vpmaddwd.
-func packBI8(e *engine.Engine, bp []int8, b []float32, k, n int, sb float32, bT bool) {
-	kp := (k + 1) / 2
-	inv := 1 / sb
-	njp := (n + NR - 1) / NR
-	e.ParallelFor(njp, packPanelGrain(kp*2*NR), func(lo, hi int) {
-		for jp := lo; jp < hi; jp++ {
-			p := bp[jp*kp*2*NR : (jp+1)*kp*2*NR]
-			j0 := jp * NR
-			cols := n - j0
-			if cols > NR {
-				cols = NR
-			}
-			if !bT && cols == NR {
-				// Interior panel, row-major operand: interleave two
-				// contiguous operand rows per pair group, writing every
-				// panel element exactly once.
-				o, l := 0, 0
-				for ; l+1 < k; l += 2 {
-					b0 := b[l*n+j0 : l*n+j0+NR]
-					b1 := b[(l+1)*n+j0 : (l+1)*n+j0+NR]
-					q := p[o : o+2*NR : o+2*NR]
-					for c := 0; c < NR; c++ {
-						q[c*2] = precision.I8Level(b0[c], inv)
-						q[c*2+1] = precision.I8Level(b1[c], inv)
-					}
-					o += 2 * NR
-				}
-				if l < k { // odd K: second lane of the last pair is zero
-					b0 := b[l*n+j0 : l*n+j0+NR]
-					q := p[o : o+2*NR : o+2*NR]
-					for c := 0; c < NR; c++ {
-						q[c*2] = precision.I8Level(b0[c], inv)
-						q[c*2+1] = 0
-					}
-				}
-				continue
-			}
-			// Edge or transposed panel: walk pair groups, zeroing the
-			// padded columns and the odd-K lane in place.
-			for l2 := 0; l2 < kp; l2++ {
-				q := p[l2*2*NR : (l2+1)*2*NR]
-				l0 := 2 * l2
-				for c := 0; c < NR; c++ {
-					var v0, v1 int8
-					if c < cols {
-						if bT {
-							v0 = precision.I8Level(b[(j0+c)*k+l0], inv)
-							if l0+1 < k {
-								v1 = precision.I8Level(b[(j0+c)*k+l0+1], inv)
-							}
-						} else {
-							v0 = precision.I8Level(b[l0*n+j0+c], inv)
-							if l0+1 < k {
-								v1 = precision.I8Level(b[(l0+1)*n+j0+c], inv)
-							}
-						}
-					}
-					q[c*2] = v0
-					q[c*2+1] = v1
-				}
-			}
-		}
-	})
-}
-
-// f16BitsInPlace converts finished f32 B panels to the raw-float16-bits
-// layout packBU16 produces — same indexing, half the bytes — inside the
-// memory they occupy, and returns that view. Element i's two bytes land in
-// float i/2, which the ascending walk has already read.
-func f16BitsInPlace(bp []float32) []uint16 {
-	up := unsafe.Slice((*uint16)(unsafe.Pointer(&bp[0])), len(bp))
-	precision.F16BitsSlice(up, bp)
-	return up
-}
-
-// i8PairsInPlace converts finished f32 B panels of depth k to the
-// int8 K-pair layout packBI8 produces at scale 1/inv, inside the memory
-// they occupy, and returns that view. A pair group is assembled on the
-// stack before it is stored: group 0 of panel 0 overlaps the two float
-// rows it is read from; every later group lands in floats already read.
-func i8PairsInPlace(bp []float32, k int, inv float32) []int8 {
+// packAI8 packs A into row panels of int8 levels at scale 1/inv, widened
+// to int16 and laid out as i16Pairs' K pairs, the layout of vpmaddwd's
+// horizontal pair dot. Each panel is the f32 panel, packed by PackA (or
+// packAT) finishRows columns at a time into an L1-resident block and
+// finished from there in the same chunk.
+func packAI8(e *engine.Engine, ap []int16, a []float32, m, k int, aT bool, inv float32) {
 	kp := pairsI8(k)
-	ip := unsafe.Slice((*int8)(unsafe.Pointer(&bp[0])), len(bp)*4)
-	njp := len(bp) / (k * NR)
-	var zero [NR]float32 // odd K pairs the last row with zero levels
-	for jp := 0; jp < njp; jp++ {
-		src := bp[jp*k*NR : (jp+1)*k*NR]
-		dst := ip[jp*kp*2*NR : (jp+1)*kp*2*NR]
-		var q [2 * NR]int8
-		for l2 := 0; l2 < kp; l2++ {
-			b0, b1 := (*[NR]float32)(src[2*l2*NR:]), &zero
-			if 2*l2+1 < k {
-				b1 = (*[NR]float32)(src[(2*l2+1)*NR:])
+	e.ParallelFor(panelsA(m), packPanelGrain(k*MR), func(lo, hi int) {
+		var blk [finishRows * MR]float32
+		for ip := lo; ip < hi; ip++ {
+			p, i0 := ap[ip*kp*2*MR:(ip+1)*kp*2*MR], ip*MR
+			rows := min(MR, m-i0)
+			for l0 := 0; l0 < k; l0 += finishRows {
+				kb := min(finishRows, k-l0)
+				if aT {
+					packAT(blk[:kb*MR], a[l0*m+i0:], rows, kb, m)
+				} else {
+					PackA(blk[:kb*MR], a[i0*k+l0:], rows, kb, k)
+				}
+				i16Pairs(p[l0*MR:], blk[:kb*MR], kb, inv)
 			}
-			for c := 0; c < NR; c++ {
-				q[c*2] = precision.I8Level(b0[c], inv)
-				q[c*2+1] = precision.I8Level(b1[c], inv)
-			}
-			copy(dst[l2*2*NR:], q[:])
+		}
+	})
+}
+
+// finishB writes rows [l0, l0+k) (l0 even) of B panel p in p's layout —
+// f16 panel memory, or int8 K pairs at scale 1/inv — from the f32 panel
+// rows src[l*ld:][:NR].
+func finishB[T float32 | int8](p []T, l0 int, src []float32, k, ld int, inv float32) {
+	switch p := any(p).(type) {
+	case []float32:
+		finishF16(p, l0, src, k, ld)
+	case []int8:
+		i8Pairs(p[l0*NR:], src, k, ld, inv)
+	}
+}
+
+// f16Bits is the one place the f16 B layout is chosen. Where the
+// vcvtph2ps kernels run (asmF16), an f16 product multiplies B panels of
+// raw float16 bits — half the bytes, converted exactly in the kernel —
+// and elsewhere B panels of float32 values on the float16 grid: the same
+// numbers. Either layout lives in float32 memory, the bits two to a float,
+// so per-call scratch, kept panels and a convolution's gathered block hold
+// them alike; lenF16 and f16Panels, which finishF16 and mulTilesF16 view
+// the memory through, read the choice from here.
+func f16Bits() bool { return asmF16 }
+
+// lenF16 is the float32 elements of f16 panel memory a k×n B occupies.
+func lenF16(k, n int) int {
+	if f16Bits() {
+		return LenB(k, n) / 2
+	}
+	return LenB(k, n)
+}
+
+// f16Panels views f16 panel memory mem in its layout: exactly one of h
+// (raw float16 bits) and f (values on the float16 grid) is non-nil when
+// mem is.
+func f16Panels(mem []float32) (h []uint16, f []float32) {
+	if f16Bits() && len(mem) > 0 {
+		return view[uint16](mem), nil
+	}
+	return nil, mem
+}
+
+// finishF16 writes rows [l0, l0+k) of the f16 B panel whose memory is mem,
+// as f16Rows does, in the layout f16Panels views.
+func finishF16(mem []float32, l0 int, src []float32, k, ld int) {
+	if h, f := f16Panels(mem); h != nil {
+		f16Rows(h[l0*NR:], src, k, ld)
+	} else {
+		f16Rows(f[l0*NR:], src, k, ld)
+	}
+}
+
+// f16Rows stores k f32 panel rows src[l*ld:][:NR] through the float16
+// grid, as raw bits or as float32 values, into dst[l*NR:][:NR]. When
+// ld = NR the rows are one run and take one slice conversion, which dst
+// may alias as a view of src's memory from its first byte.
+func f16Rows[T float32 | uint16](dst []T, src []float32, k, ld int) {
+	w := NR
+	if ld == NR {
+		k, w = 1, k*NR
+	}
+	switch d := any(dst).(type) {
+	case []uint16:
+		for l := range k {
+			precision.F16BitsSlice(d[l*w:(l+1)*w], src[l*ld:][:w])
+		}
+	case []float32:
+		for l := range k {
+			precision.RoundF16Slice(d[l*w:(l+1)*w], src[l*ld:][:w])
 		}
 	}
-	return ip[:njp*kp*2*NR]
+}
+
+// i8Pairs writes a B panel of depth k, whose f32 panel rows are
+// src[l*ld:][:NR], as int8 levels at scale 1/inv in consecutive K pairs:
+// dst[l2*2*NR+c*2+p] = I8Level(src[(2*l2+p)*ld+c]), odd K's last pair's
+// second lane zero. The kernel widens the levels to int16 at load
+// (vpmovsxbw), pairing each column's two K levels for vpmaddwd. dst may be
+// an int8 view of src's memory from its first byte when ld = NR: each
+// level is stored over bytes already read, after its float.
+func i8Pairs(dst []int8, src []float32, k, ld int, inv float32) {
+	var zero [NR]float32
+	for l2 := 0; l2 < pairsI8(k); l2++ {
+		b0, b1 := (*[NR]float32)(src[2*l2*ld:]), &zero
+		if 2*l2+1 < k {
+			b1 = (*[NR]float32)(src[(2*l2+1)*ld:])
+		}
+		q := (*[2 * NR]int8)(dst[l2*2*NR:])
+		for c := range NR {
+			q[c*2] = precision.I8Level(b0[c], inv)
+			q[c*2+1] = precision.I8Level(b1[c], inv)
+		}
+	}
+}
+
+// i16Pairs is i8Pairs' twin for A: it writes an f32 A panel (or block) of
+// depth k as int8 levels at scale 1/inv widened to int16, in consecutive K
+// pairs: dst[l2*2*MR+r*2+p] = I8Level(src[(2*l2+p)*MR+r]), odd K's last
+// pair's second lane zero. dst may be an int16 view of src's memory from
+// its first byte, as i8Pairs' may.
+func i16Pairs(dst []int16, src []float32, k int, inv float32) {
+	var zero [MR]float32
+	for l2 := 0; l2 < pairsI8(k); l2++ {
+		a0, a1 := (*[MR]float32)(src[2*l2*MR:]), &zero
+		if 2*l2+1 < k {
+			a1 = (*[MR]float32)(src[(2*l2+1)*MR:])
+		}
+		q := (*[2 * MR]int16)(dst[l2*2*MR:])
+		for r := range MR {
+			q[r*2] = int16(precision.I8Level(a0[r], inv))
+			q[r*2+1] = int16(precision.I8Level(a1[r], inv))
+		}
+	}
+}
+
+// view reinterprets f32 panel memory, from its first byte, as the panels
+// of a narrower element that a finish writes over it.
+func view[T uint16 | int16 | int8](mem []float32) []T {
+	var z T
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[0])), len(mem)*4/int(unsafe.Sizeof(z)))
 }

@@ -11,9 +11,10 @@ import (
 
 // PackedB keeps the finished B panels of one constant right operand — a
 // weight of a frozen network — so products against it stop re-packing
-// it: one panel set per precision, packed on first use by the same
-// packB* routine the per-call entry point runs and handed to the same
-// multiply routine, so every output bit is what F32/F16/I8 produce.
+// it: one panel set per precision, packed on first use by the routine the
+// per-call entry point runs — the f32 packer, and for f16 and i8 the
+// finish of that layout — and handed to the same multiply routine, so
+// every output bit is what F32/F16/I8 produce.
 //
 // A holder belongs to its operand and is collected with it; nothing in
 // this package keeps one reachable. Its methods take the operand again
@@ -29,12 +30,9 @@ import (
 // call packs again — so a published panel is always a complete one.
 type PackedB struct {
 	f32 atomic.Pointer[panels[float32]]
-	// f16 has the layout F16 multiplies against on this machine: raw
-	// half-width bits where the vcvtph2ps kernel runs, float32 values on
-	// the float16 grid elsewhere.
-	f16u atomic.Pointer[panels[uint16]]
-	f16f atomic.Pointer[panels[float32]]
-	i8   atomic.Pointer[panels[int8]]
+	// f16 is f16 panel memory, in the layout f16Bits chooses.
+	f16 atomic.Pointer[panels[float32]]
+	i8  atomic.Pointer[panels[int8]]
 
 	// built, when non-nil, is told the size of every panel set the
 	// holder publishes (the model store charges it to the owner's entry).
@@ -70,7 +68,7 @@ func (p *PackedB) Bytes() int64 {
 	if p == nil {
 		return 0
 	}
-	return p.f32.Load().size() + p.f16u.Load().size() + p.f16f.Load().size() + p.i8.Load().size()
+	return p.f32.Load().size() + p.f16.Load().size() + p.i8.Load().size()
 }
 
 // keep returns slot's panels for B[k,n], packing and publishing them on
@@ -105,36 +103,37 @@ func keep[T any](p *PackedB, slot *atomic.Pointer[panels[T]], e *engine.Engine, 
 }
 
 // F32 is the package-level F32 against the holder's kept f32 panels,
-// followed by ep.
+// followed by ep; a nil holder packs B into pooled scratch per call.
 func (p *PackedB) F32(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
-	if p == nil {
-		perCallF32(e, dst, a, b, m, k, n, alpha, aT, bT, ep)
-		return
-	}
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	bp := keep(p, &p.f32, e, k, n, bT, 0, panelsB(n)*k*NR, func(bp []float32) { packBF32(e, bp, b, k, n, bT) })
+	var bp []float32
+	if p == nil {
+		bp = e.GetPanel(LenB(k, n))
+		defer e.Put(bp)
+		packBF32(e, bp, b, k, n, bT)
+	} else {
+		bp = keep(p, &p.f32, e, k, n, bT, 0, LenB(k, n), func(bp []float32) { packBF32(e, bp, b, k, n, bT) })
+	}
 	mulF32(e, dst, a, bp, m, k, n, alpha, aT, false, ep)
 }
 
 // F16 is the package-level F16 against the holder's kept f16 panels,
-// followed by ep.
+// followed by ep; a nil holder packs B into pooled scratch per call.
 func (p *PackedB) F16(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha float32, aT, bT bool, ep Epilogue) {
-	if p == nil {
-		perCallF16(e, dst, a, b, m, k, n, alpha, aT, bT, ep)
-		return
-	}
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	if asmF16 {
-		bp := keep(p, &p.f16u, e, k, n, bT, 0, panelsB(n)*k*NR, func(bp []uint16) { packBU16(e, bp, b, k, n, bT) })
-		mulF16(e, dst, a, bp, m, k, n, alpha, aT, ep)
+	var bp []float32
+	if p == nil {
+		bp = e.GetPanel(lenF16(k, n))
+		defer e.Put(bp)
+		packBLow(e, bp, b, k, n, bT, 0)
 	} else {
-		bp := keep(p, &p.f16f, e, k, n, bT, 0, panelsB(n)*k*NR, func(bp []float32) { packBF16F32(e, bp, b, k, n, bT) })
-		mulF32(e, dst, a, bp, m, k, n, alpha, aT, true, ep)
+		bp = keep(p, &p.f16, e, k, n, bT, 0, lenF16(k, n), func(bp []float32) { packBLow(e, bp, b, k, n, bT, 0) })
 	}
+	mulF32(e, dst, a, bp, m, k, n, alpha, aT, true, ep)
 }
 
 // I8Scale returns B's per-tensor int8 scale,
@@ -151,15 +150,19 @@ func (p *PackedB) I8Scale(b []float32) float32 {
 }
 
 // I8 is the package-level I8 against the holder's kept int8 panels,
-// followed by ep. sb must be p.I8Scale(b): the panels are quantized at it.
+// followed by ep; a nil holder packs B into pooled scratch per call. sb
+// must be p.I8Scale(b): kept panels are quantized at it.
 func (p *PackedB) I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, sa, sb float32, aT, bT bool, ep Epilogue) {
-	if p == nil {
-		perCallI8(e, dst, a, b, m, k, n, alpha, sa, sb, aT, bT, ep)
-		return
-	}
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	bp := keep(p, &p.i8, e, k, n, bT, sb, panelsB(n)*pairsI8(k)*2*NR, func(bp []int8) { packBI8(e, bp, b, k, n, sb, bT) })
+	var bp []int8
+	if elems := panelsB(n) * pairsI8(k) * 2 * NR; p == nil {
+		bp = e.GetPanelI8(elems)
+		defer e.PutI8(bp)
+		packBLow(e, bp, b, k, n, bT, 1/sb)
+	} else {
+		bp = keep(p, &p.i8, e, k, n, bT, sb, elems, func(bp []int8) { packBLow(e, bp, b, k, n, bT, 1/sb) })
+	}
 	mulI8(e, dst, a, bp, m, k, n, alpha, sa, sb, aT, ep)
 }

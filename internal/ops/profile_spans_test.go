@@ -90,3 +90,71 @@ func TestLSTMProductsLandOnAGemmSpan(t *testing.T) {
 		t.Errorf("bias_add spans %v hold over a tenth of LSTMSequence's wall %v", walls["bias_add"], wall)
 	}
 }
+
+// convProductWall times Conv2DReLU's product alone, the way it runs it
+// (once untimed first, to warm up): the implicit GEMM with the bias and
+// the ReLU in its tile store.
+func convProductWall(x, w, bias *Var, stride, pad int) time.Duration {
+	n, ch, h, wd := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
+	outC, kh, kw := w.Value.Dim(0), w.Value.Dim(2), w.Value.Dim(3)
+	g := gemm.ConvShape{C: ch, H: h, W: wd, KH: kh, KW: kw, Stride: stride, Pad: pad,
+		OH: convOut(h, kh, stride, pad), OW: convOut(wd, kw, stride, pad)}
+	dst := make([]float32, n*outC*g.OH*g.OW)
+	ep := gemm.Epilogue{RowBias: bias.Value.Data(), ReLU: true}
+	run := func() time.Duration {
+		t0 := time.Now()
+		gemm.ConvF32(Infer().engine(), dst, w.Value.Data(), x.Value.Data(), n, outC, g, ep)
+		return time.Since(t0)
+	}
+	run()
+	return run()
+}
+
+// TestConvProductLandsOnItsSpan requires a profiler to charge a conv
+// block's implicit GEMM, whose tile store adds the bias and applies the
+// ReLU, to the conv2d span: the span must hold at least half of the
+// product's own time, measured alone in the same build (the denominator
+// TestLSTMProductsLandOnAGemmSpan uses). The conv_bias and relu specs are
+// emitted once the output is stored, so each must hold under a tenth of
+// Conv2DReLU's wall.
+func TestConvProductLandsOnItsSpan(t *testing.T) {
+	const n, ch, h, w, outC, k = 2, 32, 64, 64, 64, 3
+	g := tensor.NewRNG(73)
+	x, wt, b := benchVar(g, n, ch, h, w), benchVar(g, outC, ch, k, k), benchVar(g, outC)
+	walls, wall := profiledWalls(func(c *Ctx) { c.Conv2DReLU(x, wt, b, 1, 1) })
+	product := convProductWall(x, wt, b, 1, 1)
+	conv := walls[fmt.Sprintf("conv2d_%dx%d_c%d_o%d", k, k, ch, outC)]
+	t.Logf("wall %v: conv2d %v (the product alone %v), conv_bias %v, relu %v",
+		wall, conv, product, walls["conv_bias"], walls["relu"])
+	if conv < product/2 {
+		t.Errorf("conv2d span %v holds under half of the product's own %v", conv, product)
+	}
+	for _, name := range []string{"conv_bias", "relu"} {
+		if walls[name] > wall/10 {
+			t.Errorf("%s span %v holds over a tenth of Conv2DReLU's wall %v", name, walls[name], wall)
+		}
+	}
+}
+
+// TestLossPassLandsOnItsSpan requires a profiler to charge CrossEntropy's
+// softmax pass to softmax_xent, the spec emitted before it, and only the
+// mean over the labels to xent_mean, which follows the pass: a training
+// profile must not show the softmax as Reduce-class work.
+func TestLossPassLandsOnItsSpan(t *testing.T) {
+	const b, k = 2048, 512
+	g := tensor.NewRNG(74)
+	logits := benchVar(g, b, k)
+	labels := make([]int, b)
+	for i := range labels {
+		labels[i] = i * 7 % k
+	}
+	walls, wall := profiledWalls(func(c *Ctx) { c.CrossEntropy(logits, labels) })
+	soft, mean := walls["softmax_xent"], walls["xent_mean"]
+	t.Logf("wall %v: softmax_xent %v, xent_mean %v", wall, soft, mean)
+	if soft < wall/2 {
+		t.Errorf("softmax_xent span %v holds under half of CrossEntropy's wall %v", soft, wall)
+	}
+	if mean > wall/10 {
+		t.Errorf("xent_mean span %v holds over a tenth of CrossEntropy's wall %v", mean, wall)
+	}
+}

@@ -78,10 +78,14 @@ func (c *Ctx) CrossEntropy(logits *Var, labels []int) *Var {
 	if len(labels) != b {
 		panic(fmt.Sprintf("ops: CrossEntropy %d labels for batch %d", len(labels), b))
 	}
+	// Each spec is emitted before the work it describes, so a profiler
+	// charges the softmax to softmax_xent and only the reduction to
+	// xent_mean.
+	mean := kernels.ReduceSpec("xent_mean", b*k, 1)
 	c.emit(kernels.SoftmaxSpec("softmax_xent", b, k))
-	c.emit(kernels.ReduceSpec("xent_mean", b*k, 1))
 	out := c.out([]int{1}, logits)
 	if out.Value.Abstract() {
+		c.emit(mean)
 		return out
 	}
 	e := c.engine()
@@ -96,6 +100,7 @@ func (c *Ctx) CrossEntropy(logits *Var, labels []int) *Var {
 		defer e.Put(probs)
 	}
 	softmaxRows(e, logits.Value.Data(), probs, b, k)
+	c.emit(mean)
 	var loss float64
 	for i, lab := range labels {
 		if lab < 0 || lab >= k {
@@ -132,10 +137,11 @@ func (c *Ctx) BCEWithLogits(logits *Var, targets *tensor.Tensor) *Var {
 		panic(fmt.Sprintf("ops: BCEWithLogits shapes %v vs %v", logits.Value.Shape(), targets.Shape()))
 	}
 	n := logits.Value.Size()
+	mean := kernels.ReduceSpec("bce_mean", n, 1) // emitted as CrossEntropy's
 	c.emit(kernels.ElewiseSpec("bce_logits", n, 2, 6))
-	c.emit(kernels.ReduceSpec("bce_mean", n, 1))
 	out := c.out([]int{1}, logits)
 	if out.Value.Abstract() {
+		c.emit(mean)
 		return out
 	}
 	e := c.engine()
@@ -155,6 +161,7 @@ func (c *Ctx) BCEWithLogits(logits *Var, targets *tensor.Tensor) *Var {
 			sig[i] = float32(1 / (1 + math.Exp(-float64(xd[i]))))
 		}
 	})
+	c.emit(mean)
 	var loss float64
 	for i := range xd {
 		s := float64(sig[i])
@@ -184,10 +191,13 @@ func (c *Ctx) MSE(pred *Var, target *tensor.Tensor) *Var {
 		panic(fmt.Sprintf("ops: MSE shapes %v vs %v", pred.Value.Shape(), target.Shape()))
 	}
 	n := pred.Value.Size()
+	// The difference and its reduction are one pass, charged to mse_diff;
+	// mse_mean follows it, as CrossEntropy's reduction spec does.
+	mean := kernels.ReduceSpec("mse_mean", n, 1)
 	c.emit(kernels.ElewiseSpec("mse_diff", n, 2, 3))
-	c.emit(kernels.ReduceSpec("mse_mean", n, 1))
 	out := c.out([]int{1}, pred)
 	if out.Value.Abstract() {
+		c.emit(mean)
 		return out
 	}
 	pd, td := pred.Value.Data(), target.Data()
@@ -196,6 +206,7 @@ func (c *Ctx) MSE(pred *Var, target *tensor.Tensor) *Var {
 		d := float64(pd[i]) - float64(td[i])
 		loss += d * d
 	}
+	c.emit(mean)
 	out.Value.Set(float32(loss/float64(n)), 0)
 	if c.taping(pred) {
 		e := c.engine()
@@ -220,10 +231,11 @@ func (c *Ctx) DiceLoss(logits *Var, mask *tensor.Tensor) *Var {
 		panic(fmt.Sprintf("ops: DiceLoss shapes %v vs %v", logits.Value.Shape(), mask.Shape()))
 	}
 	n := logits.Value.Size()
+	sums := kernels.ReduceSpec("dice_sums", 3*n, 1) // emitted as CrossEntropy's
 	c.emit(kernels.ElewiseSpec("dice_sigmoid", n, 2, 5))
-	c.emit(kernels.ReduceSpec("dice_sums", 3*n, 1))
 	out := c.out([]int{1}, logits)
 	if out.Value.Abstract() {
+		c.emit(sums)
 		return out
 	}
 	const eps = 1e-6
@@ -242,6 +254,7 @@ func (c *Ctx) DiceLoss(logits *Var, mask *tensor.Tensor) *Var {
 			sig[i] = float32(1 / (1 + math.Exp(-float64(xd[i]))))
 		}
 	})
+	c.emit(sums)
 	var inter, sumP, sumT float64
 	for i := range xd {
 		s := float64(sig[i])
