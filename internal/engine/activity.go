@@ -15,10 +15,11 @@ import (
 // the run-scoped arenas' block, arena.go).
 
 // PackActivity counts the packed GEMM core's per-call panels: the pooled
-// buffers drawn through GetPanel and the typed GetPanel* views. The
-// panels a gemm.PackedB keeps are heap memory, packed once, and are not
-// counted here (their owner reports them — the model store's packed
-// bytes).
+// buffers drawn through GetPanel, whatever element the panels hold (a
+// low-precision panel is a view of float32 memory, so its bytes count
+// exactly). The panels a gemm.PackedB keeps are heap memory, packed once,
+// and are not counted here (their owner reports them — the model store's
+// packed bytes).
 type PackActivity struct {
 	// PanelCheckouts counts pooled panel buffers drawn (A and B panels
 	// across every packed kernel invocation).
@@ -95,23 +96,19 @@ func (e *Engine) act() *activity {
 	return &e.st.act
 }
 
-// panel draws n pooled floats for a packed-GEMM panel holding bytes of
-// panel data, counted in Stats().Pack.
-func (e *Engine) panel(n int, bytes int64) []float32 {
+// GetPanel is GetUninit for a packed-GEMM operand panel, counted in
+// Stats().Pack. Return it with Put.
+func (e *Engine) GetPanel(n int) []float32 {
 	buf, hit := e.get(n)
 	if a := e.act(); a != nil {
 		a.panelCheckouts.Add(1)
-		a.panelBytes.Add(bytes)
+		a.panelBytes.Add(int64(n) * 4)
 		if hit {
 			a.panelPoolHits.Add(1)
 		}
 	}
 	return buf
 }
-
-// GetPanel is GetUninit for a packed-GEMM operand panel, counted in
-// Stats().Pack. Return it with Put.
-func (e *Engine) GetPanel(n int) []float32 { return e.panel(n, int64(n)*4) }
 
 // CountAttention counts one fused attention execution.
 func (e *Engine) CountAttention() {

@@ -130,7 +130,8 @@ const (
 )
 
 // PackActivity is the engine's count of the per-call panels this core
-// draws through its panel getters (engine.GetPanel and the typed views).
+// draws through engine.GetPanel, low-precision panels included (each is a
+// view of the float32 memory it draws).
 type PackActivity = engine.PackActivity
 
 // PackStats reads the default engine's pack-panel counters: the panels
@@ -433,8 +434,9 @@ func pairsI8(k int) int { return (k + 1) / 2 }
 // work unit.
 func mulI8(e *engine.Engine, dst, a []float32, bp []int8, m, k, n int, alpha, sa, sb float32, aT bool, ep Epilogue) {
 	kp := pairsI8(k)
-	ap := e.GetPanelI16(panelsA(m) * kp * 2 * MR)
-	defer e.PutI16(ap)
+	mem := e.GetPanel(panelsA(m) * kp * MR) // kp·2·MR int16 per panel
+	defer e.Put(mem)
+	ap := view[int16](mem)
 	packAI8(e, ap, a, m, k, aT, 1/sa)
 	j := getJob(dst, m, kp, n, alpha*sa*sb, ep)
 	j.apI, j.bpI = ap, bp
@@ -537,8 +539,9 @@ func ConvF16(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, ep
 func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw float32, sx []float32, ep Epilogue) {
 	k, m := g.K(), g.OH*g.OW
 	kp := pairsI8(k)
-	ap := e.GetPanelI16(panelsA(outC) * kp * 2 * MR)
-	defer e.PutI16(ap)
+	mem := e.GetPanel(panelsA(outC) * kp * MR) // kp·2·MR int16 per panel
+	defer e.Put(mem)
+	ap := view[int16](mem)
 	packAI8(e, ap, w, outC, k, false, 1/sw)
 	convUnits(e, x, n, g, func(bp []float32, ni, j0, cols int) {
 		q, inv := view[int8](bp), 1/sx[ni]

@@ -513,6 +513,16 @@ func TestPackStatsCount(t *testing.T) {
 	if got := e.Stats().Pack; got != want {
 		t.Fatalf("engine pack counters %+v after one F32 call, want %+v", got, want)
 	}
+	// An int8 product draws its panels as views of float32 memory: one B
+	// set of int8 K-pairs and one A set of int16 K-pairs, counted at their
+	// exact bytes.
+	before := e.Stats().Pack
+	I8(e, dst, a, b, 8, 8, 8, 1, 1, 1, false, false)
+	kp := pairsI8(8)
+	wantBytes := int64(panelsB(8)*kp*2*NR) + int64(panelsA(8)*kp*2*MR)*2
+	if got := e.Stats().Pack; got.PanelCheckouts-before.PanelCheckouts != 2 || got.PanelBytes-before.PanelBytes != wantBytes {
+		t.Fatalf("engine pack counters %+v -> %+v across one I8 call, want 2 checkouts of %d bytes", before, got, wantBytes)
+	}
 	if def := PackStats(); def != defBefore {
 		t.Fatalf("a call on a private engine moved the default engine's pack counters: %+v -> %+v", defBefore, def)
 	}

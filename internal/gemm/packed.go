@@ -158,8 +158,9 @@ func (p *PackedB) I8(e *engine.Engine, dst, a, b []float32, m, k, n int, alpha, 
 	}
 	var bp []int8
 	if elems := panelsB(n) * pairsI8(k) * 2 * NR; p == nil {
-		bp = e.GetPanelI8(elems)
-		defer e.PutI8(bp)
+		mem := e.GetPanel(elems / 4) // elems is a multiple of 2·NR int8
+		defer e.Put(mem)
+		bp = view[int8](mem)
 		packBLow(e, bp, b, k, n, bT, 1/sb)
 	} else {
 		bp = keep(p, &p.i8, e, k, n, bT, sb, elems, func(bp []int8) { packBLow(e, bp, b, k, n, bT, 1/sb) })

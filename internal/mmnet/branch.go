@@ -20,8 +20,8 @@
 //     concurrent replay accumulates exactly the sequential gradients.
 //   - RNG: dropout streams are per-branch, split from the step RNG in
 //     modality order on the coordinating goroutine. Both schedules use
-//     the same split, so the two stay bitwise identical in training
-//     mode too.
+//     the same split, so the two stay bitwise identical with dropout
+//     active too.
 //
 // A recorder (ops.Ctx.Rec) only ever sees the sequential loop, so its
 // event sequence has one order by construction.
@@ -69,7 +69,7 @@ func (n *Network) encodeBranches(c *ops.Ctx, b *data.Batch) []*ops.Var {
 // sequential path must not share one either. Single-branch networks
 // never fork, so they draw from the parent stream.
 func (n *Network) branchRNGs(c *ops.Ctx) []*tensor.RNG {
-	if c.RNG == nil || !c.Training || len(n.Encoders) < 2 {
+	if c.RNG == nil || len(n.Encoders) < 2 {
 		return nil
 	}
 	rngs := make([]*tensor.RNG, len(n.Encoders))

@@ -94,7 +94,7 @@ func trainSteps(t *testing.T, n *mmnet.Network, sequential bool, k int) {
 	for s := 0; s < k; s++ {
 		b := n.Gen.Batch(rng.Split(int64(s)), 4)
 		tape := autograd.NewTape()
-		c := &ops.Ctx{Tape: tape, Training: true, RNG: rng, Eng: eng, SequentialBranches: sequential}
+		c := &ops.Ctx{Tape: tape, RNG: rng, Eng: eng, SequentialBranches: sequential}
 		out := n.Forward(c, b)
 		loss := n.Loss(c, out, b)
 		tape.Backward(loss)

@@ -16,7 +16,7 @@ func (c *Ctx) Engine() *engine.Engine { return c.engine() }
 // branch's own tape (isolated when branches run concurrently, the
 // parent's in the sequential loop) and its own dropout stream;
 // everything else — the engine handle with its cancel flag, the
-// precision policy, training mode, the merge segments, the run's arena
+// precision policy, the merge segments, the run's arena
 // (safe for concurrent use) — is the parent's. A concurrent branch also
 // needs its own Prof shard, which the executor sets on the child.
 func (c *Ctx) ForkBranch(tape *autograd.Tape, rng *tensor.RNG) *Ctx {

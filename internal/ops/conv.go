@@ -230,7 +230,7 @@ func reluBackward(e *engine.Engine, g, y []float32) []float32 {
 }
 
 // MaxPool2D applies max pooling with a square window and stride equal to
-// the window size.
+// the window size, computing each output once (poolMaxRow), taped or not.
 func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 	assertRank(x, 4, "MaxPool2D")
 	n, ch, h, w := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
@@ -245,55 +245,45 @@ func (c *Ctx) MaxPool2D(x *Var, window int) *Var {
 	}
 	e := c.engine()
 	xd, od := x.Value.Data(), out.Value.Data()
-	if !c.taping(x) {
-		// Nothing will ask where a maximum came from: skip the argmax and
-		// compute each output once from its window.
-		e.ParallelFor(n*ch, rowGrain(oh*ow), func(nc0, nc1 int) {
-			for nc := nc0; nc < nc1; nc++ {
-				for oy := 0; oy < oh; oy++ {
-					poolMaxRow(od[(nc*oh+oy)*ow:][:ow], xd[(nc*h+oy*window)*w:][:(window-1)*w+ow*window], w, window)
-				}
-			}
-		})
-		return out
-	}
-	argmax := make([]int32, len(od))
 	e.ParallelFor(n*ch, rowGrain(oh*ow), func(nc0, nc1 int) {
 		for nc := nc0; nc < nc1; nc++ {
 			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(math.Inf(-1))
-					bestIdx := 0
-					for ky := 0; ky < window; ky++ {
-						for kx := 0; kx < window; kx++ {
-							idx := (nc*h+oy*window+ky)*w + ox*window + kx
-							if xd[idx] > best {
-								best = xd[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					o := (nc*oh+oy)*ow + ox
-					od[o] = best
-					argmax[o] = int32(bestIdx)
-				}
+				poolMaxRow(od[(nc*oh+oy)*ow:][:ow], xd[(nc*h+oy*window)*w:][:(window-1)*w+ow*window], w, window)
 			}
 		}
 	})
-	c.tapeStep(out, func() {
-		g := out.Grad.Data()
-		xg := x.EnsureGrad().Data()
-		for i, idx := range argmax {
-			xg[idx] += g[i]
-		}
-	})
+	if c.taping(x) {
+		// The tape keeps nothing. Its step rescans each window as poolMaxRow
+		// does, from −Inf under x > best, with the index starting at the
+		// window's first element (PyTorch's convention), so a window of −Inf
+		// and NaN alone keeps its gradient.
+		c.tapeStep(out, func() {
+			g, xg := out.Grad.Data(), x.EnsureGrad().Data()
+			for nc := 0; nc < n*ch; nc++ {
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						first := (nc*h+oy*window)*w + ox*window
+						best, at := float32(math.Inf(-1)), first
+						for i := first; i < first+window*w; i += w {
+							for j := i; j < i+window; j++ {
+								if xd[j] > best {
+									best, at = xd[j], j
+								}
+							}
+						}
+						xg[at] += g[(nc*oh+oy)*ow+ox]
+					}
+				}
+			}
+		})
+	}
 	return out
 }
 
 // poolMaxRow computes a row of max-pool outputs from win, the window rows
 // of the input (w elements apart): orow[ox] is the maximum of columns
-// [ox·window, (ox+1)·window) of each, taken in the taped loop's row-major
-// order by maxStep. A 2×2 window — every model's — is unrolled, which
+// [ox·window, (ox+1)·window) of each, taken in row-major order by
+// maxStep. A 2×2 window — every model's — is unrolled, which
 // keeps the running maximum and the loop in registers.
 func poolMaxRow(orow, win []float32, w, window int) {
 	negInf := math.Float32bits(float32(math.Inf(-1)))
@@ -319,12 +309,11 @@ func poolMaxRow(orow, win []float32, w, window int) {
 	}
 }
 
-// maxStep is one step of the untaped max-pool: the running maximum is
-// carried as bits and replaced under the taped loop's own test, v > best,
-// which the compiler turns into a conditional move — no branch on the
-// data, and the taped loop's result for every input: first of equal
-// maxima (so a −0/+0 tie keeps its order), NaNs skipped, −Inf for a
-// window of −Inf and NaN.
+// maxStep is one step of the max-pool: the running maximum is carried as
+// bits and replaced under the tape step's own test, v > best, which the
+// compiler turns into a conditional move — no branch on the data, and
+// the first of equal maxima (so a −0/+0 tie keeps its order), NaNs
+// skipped, −Inf for a window of −Inf and NaN.
 func maxStep(best uint32, v float32) uint32 {
 	if vb := math.Float32bits(v); v > math.Float32frombits(best) {
 		best = vb

@@ -40,10 +40,10 @@ type Ctx struct {
 	Tape *autograd.Tape
 	// Rec, when non-nil, receives kernel/host records (profiling mode).
 	Rec Recorder
-	// RNG drives stochastic operators (dropout).
+	// RNG, when non-nil, drives stochastic operators: dropout is active
+	// exactly when the context carries one (train.Fit's step contexts), and
+	// the identity otherwise.
 	RNG *tensor.RNG
-	// Training toggles train-time behaviour (dropout active).
-	Training bool
 	// Eng executes the eager kernels' hot loops — every kernel of the
 	// forward, encoder branches included. When nil, operators use
 	// engine.Default() (worker count from -compute-workers, default

@@ -275,18 +275,16 @@ func (c *Ctx) GELU(a *Var) *Var {
 		})
 }
 
-// Dropout zeroes each element with probability p during training and
-// rescales survivors by 1/(1-p). In inference mode it is the identity.
+// Dropout zeroes each element with probability p and rescales survivors
+// by 1/(1-p) when the context carries an RNG; without one (inference) it
+// returns a and emits nothing.
 //
 // All RNG draws happen on the coordinating goroutine before any parallel
 // work, so the mask — and therefore the output — is a pure function of
 // the RNG state, identical at any engine worker count.
 func (c *Ctx) Dropout(a *Var, p float32) *Var {
-	if !c.Training || p <= 0 {
+	if c.RNG == nil || p <= 0 {
 		return a
-	}
-	if c.RNG == nil {
-		panic("ops: Dropout in training mode requires Ctx.RNG")
 	}
 	n := a.Value.Size()
 	c.emit(kernels.ElewiseSpec("dropout", n, 2, 1))

@@ -91,7 +91,7 @@ func TestDropoutDeterministicAcrossWorkers(t *testing.T) {
 		g := tensor.NewRNG(5)
 		x := randParam(g, 16, 33)
 		tape := autograd.NewTape()
-		c := &Ctx{Tape: tape, Training: true, RNG: tensor.NewRNG(77), Eng: e}
+		c := &Ctx{Tape: tape, RNG: tensor.NewRNG(77), Eng: e}
 		out := c.Dropout(x, 0.3)
 		loss := c.MeanAll(c.Mul(out, out))
 		tape.Backward(loss)

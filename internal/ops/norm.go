@@ -12,6 +12,9 @@ import (
 // so forward and the x-gradient partition over rows; the gamma/beta
 // gradients are column sums and partition over the feature dimension,
 // keeping every accumulation order fixed regardless of worker count.
+// Taped or not, the forward runs one row loop. A tape keeps two floats per
+// row, and the backward rebuilds the normalized rows from x with the
+// forward's own float32 expression, (x − mean)·invStd.
 func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 	xs := x.Value.Shape()
 	d := xs[len(xs)-1]
@@ -29,12 +32,10 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 	taping := c.taping(x, gamma, beta)
 	xd, od := x.Value.Data(), out.Value.Data()
 	gd, bd := gamma.Value.Data(), beta.Value.Data()
-	// The normalized activations and inverse stddevs are only needed by
-	// the backward pass; inference skips both buffers entirely.
-	var xhat, invStd []float32
+	// stats[2r] and stats[2r+1] are row r's mean and inverse stddev.
+	var stats []float32
 	if taping {
-		xhat = make([]float32, rows*d)
-		invStd = make([]float32, rows)
+		stats = make([]float32, 2*rows)
 	}
 	e.ParallelFor(rows, rowGrain(d), func(r0, r1 int) {
 		gd, bd := gd[:d], bd[:d]
@@ -52,20 +53,13 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 			}
 			is := float32(1 / math.Sqrt(varSum/float64(d)+float64(eps)))
 			mf := float32(mean)
-			if !taping {
-				for j, v := range row {
-					xh := (v - mf) * is
-					orow[j] = xh*gd[j] + bd[j]
-				}
-				continue
-			}
-			xrow := xhat[r*d:][:d]
 			for j, v := range row {
 				xh := (v - mf) * is
 				orow[j] = xh*gd[j] + bd[j]
-				xrow[j] = xh
 			}
-			invStd[r] = is
+			if stats != nil {
+				stats[2*r], stats[2*r+1] = mf, is
+			}
 		}
 	})
 
@@ -76,19 +70,20 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 				xg := x.EnsureGrad().Data()
 				e.ParallelFor(rows, rowGrain(d), func(r0, r1 int) {
 					for r := r0; r < r1; r++ {
+						mf, is := stats[2*r], stats[2*r+1]
+						row, grow, xgrow := xd[r*d:][:d], g[r*d:][:d], xg[r*d:][:d]
 						// Means of gamma·g and gamma·g·xhat over the row.
 						var m1, m2 float64
-						for j := 0; j < d; j++ {
-							gj := float64(g[r*d+j]) * float64(gd[j])
+						for j, v := range row {
+							gj := float64(grow[j]) * float64(gd[j])
 							m1 += gj
-							m2 += gj * float64(xhat[r*d+j])
+							m2 += gj * float64((v-mf)*is)
 						}
 						m1 /= float64(d)
 						m2 /= float64(d)
-						for j := 0; j < d; j++ {
-							idx := r*d + j
-							gj := float64(g[idx]) * float64(gd[j])
-							xg[idx] += float32((gj - m1 - float64(xhat[idx])*m2)) * invStd[r]
+						for j, v := range row {
+							gj := float64(grow[j]) * float64(gd[j])
+							xgrow[j] += float32((gj - m1 - float64((v-mf)*is)*m2)) * is
 						}
 					}
 				})
@@ -106,7 +101,7 @@ func (c *Ctx) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 						for r := 0; r < rows; r++ {
 							idx := r*d + j
 							if gg != nil {
-								gg[j] += g[idx] * xhat[idx]
+								gg[j] += g[idx] * ((xd[idx] - stats[2*r]) * stats[2*r+1])
 							}
 							if bg != nil {
 								bg[j] += g[idx]

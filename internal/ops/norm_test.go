@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,46 +79,64 @@ func wantSameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestLayerNormMatchesReference pins LayerNorm to refLayerNorm bit for
-// bit: untaped (the output) and taped (the output and the x, gamma and
-// beta gradients, through which the kept xhat and inverse stddevs are
-// checked), at d ∈ {1, 7, 256, 512}, 1 and 3 workers. Rows are offset by
-// up to ±300 from zero, so the float32 mean is not a small number the
-// subtraction could hide.
+// bit at d ∈ {1, 7, 256, 512} (checkLayerNorm).
 func TestLayerNormMatchesReference(t *testing.T) {
-	const rows, eps = 9, 1e-5
 	for _, d := range []int{1, 7, 256, 512} {
-		g := tensor.NewRNG(int64(d))
-		xv := tensor.New(rows, d)
-		g.Uniform(xv, -1, 1)
-		xd := xv.Data()
-		for r := 0; r < rows; r++ {
-			off := float32(r-rows/2) * 75
-			for j := 0; j < d; j++ {
-				xd[r*d+j] += off
-			}
-		}
-		gamma, beta := randParam(g, d), randParam(g, d)
-		wt := tensor.New(rows, d) // the loss weights: dL/dout = wt / (rows·d)
-		g.Uniform(wt, -1, 1)
-		for _, workers := range []int{1, 3} {
-			e := engine.New(workers)
-			x := autograd.Param(xv)
-			wantOut, _, _, _ := refLayerNorm(xd, gamma.Value.Data(), beta.Value.Data(), nil, rows, d, eps)
-			got := (&Ctx{Eng: e}).LayerNorm(x, gamma, beta, eps).Value.Data()
-			wantSameBits(t, "untaped out", got, wantOut)
+		checkLayerNorm(t, 9, d)
+	}
+}
 
-			tape := autograd.NewTape()
-			c := &Ctx{Tape: tape, Eng: e}
-			out := c.LayerNorm(x, gamma, beta, eps)
-			tape.Backward(c.MeanAll(c.Mul(out, autograd.NewVar(wt))))
-			od, xg, gg, bg := refLayerNorm(xd, gamma.Value.Data(), beta.Value.Data(), out.Grad.Data(), rows, d, eps)
-			wantSameBits(t, "taped out", out.Value.Data(), od)
-			wantSameBits(t, "x grad", x.Grad.Data(), xg)
-			wantSameBits(t, "gamma grad", gamma.Grad.Data(), gg)
-			wantSameBits(t, "beta grad", beta.Grad.Data(), bg)
-			gamma.ZeroGrad()
-			beta.ZeroGrad()
-			e.Close()
+// TestLayerNormGradientsMatchSavedRows holds the taped LayerNorm, which
+// keeps only each row's mean and inverse stddev and rebuilds the
+// normalized row in its backward, to refLayerNorm's backward over a kept
+// rows×d xhat buffer, for one row, d = 33 and a rank-3 input.
+func TestLayerNormGradientsMatchSavedRows(t *testing.T) {
+	for _, shape := range [][]int{{1, 64}, {7, 33}, {3, 5, 17}} {
+		checkLayerNorm(t, shape...)
+	}
+}
+
+// checkLayerNorm compares LayerNorm over an input of the given shape with
+// refLayerNorm bit for bit, untaped (the output) and taped (the output
+// and the x, gamma and beta gradients), at 1 and 3 workers. Rows are
+// offset by up to ±300 from zero, so the float32 mean is not a small
+// number the subtraction could hide.
+func checkLayerNorm(t *testing.T, shape ...int) {
+	t.Helper()
+	const eps = 1e-5
+	d := shape[len(shape)-1]
+	g := tensor.NewRNG(int64(d))
+	xv := tensor.New(shape...)
+	g.Uniform(xv, -1, 1)
+	xd := xv.Data()
+	rows := len(xd) / d
+	for r := 0; r < rows; r++ {
+		off := float32(r%9-4) * 75
+		for j := 0; j < d; j++ {
+			xd[r*d+j] += off
 		}
+	}
+	gamma, beta := randParam(g, d), randParam(g, d)
+	wt := tensor.New(shape...) // the loss weights: dL/dout = wt / (rows·d)
+	g.Uniform(wt, -1, 1)
+	for _, workers := range []int{1, 3} {
+		e := engine.New(workers)
+		x := autograd.Param(xv)
+		wantOut, _, _, _ := refLayerNorm(xd, gamma.Value.Data(), beta.Value.Data(), nil, rows, d, eps)
+		got := (&Ctx{Eng: e}).LayerNorm(x, gamma, beta, eps).Value.Data()
+		wantSameBits(t, fmt.Sprintf("%v untaped out", shape), got, wantOut)
+
+		tape := autograd.NewTape()
+		c := &Ctx{Tape: tape, Eng: e}
+		out := c.LayerNorm(x, gamma, beta, eps)
+		tape.Backward(c.MeanAll(c.Mul(out, autograd.NewVar(wt))))
+		od, xg, gg, bg := refLayerNorm(xd, gamma.Value.Data(), beta.Value.Data(), out.Grad.Data(), rows, d, eps)
+		wantSameBits(t, fmt.Sprintf("%v taped out", shape), out.Value.Data(), od)
+		wantSameBits(t, fmt.Sprintf("%v x grad", shape), x.Grad.Data(), xg)
+		wantSameBits(t, fmt.Sprintf("%v gamma grad", shape), gamma.Grad.Data(), gg)
+		wantSameBits(t, fmt.Sprintf("%v beta grad", shape), beta.Grad.Data(), bg)
+		gamma.ZeroGrad()
+		beta.ZeroGrad()
+		e.Close()
 	}
 }

@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -127,33 +129,48 @@ func maxPoolRow(orow, row []float32, window int) {
 	}
 }
 
-// TestMaxPoolUntapedMatchesTaped holds the untaped fast path (no argmax,
-// one pass per output) to the taped loop and to the two-pass forward it
-// replaced, bitwise, over windows 2 and 3, odd heights and widths
-// (trailing rows and columns dropped) and inputs salted with the values
-// where two notions of "max" part ways: ±0 ties in both orders, −Inf, and
-// NaN (skipped by all three). Three cases salt every element: one with
-// −Inf and NaN alone, so no window holds another value, and two (windows
-// 2 and 3) with ±0, NaN and −Inf, so every maximum is a tie of zeros.
-func TestMaxPoolUntapedMatchesTaped(t *testing.T) {
+// maxPoolCase is one salted max-pool input: an n×ch×h×w tensor of
+// uniform values with every every-th element replaced by the next value
+// of salt.
+type maxPoolCase struct {
+	n, ch, h, w, window int
+	every               int // salt every every-th element
+	salt                []float32
+}
+
+func (tc maxPoolCase) input() *tensor.Tensor {
+	x := tensor.New(tc.n, tc.ch, tc.h, tc.w)
+	tensor.NewRNG(int64(tc.h*tc.w)).Uniform(x, -1, 1)
+	for i, d := 0, x.Data(); i < len(d); i += tc.every {
+		d[i] = tc.salt[(i/tc.every)%len(tc.salt)]
+	}
+	return x
+}
+
+// maxPoolCases are windows 2 and 3, odd heights and widths (trailing rows
+// and columns dropped) and inputs salted with the values where two
+// notions of "max" part ways: ±0 ties in both orders, −Inf, and NaN.
+// Three cases salt every element: one with −Inf and NaN alone, so no
+// window holds another value, and two (windows 2 and 3) with ±0, NaN and
+// −Inf, so every maximum is a tie of zeros.
+func maxPoolCases() []maxPoolCase {
 	negZero := float32(math.Copysign(0, -1))
 	negInf, nan := float32(math.Inf(-1)), float32(math.NaN())
 	salt := []float32{0, negZero, negZero, 0, negInf, nan, float32(math.Inf(1))}
 	zeros := []float32{0, negZero, negZero, 0, nan, negInf, negZero, 0, 0}
-	for _, tc := range []struct {
-		n, ch, h, w, window int
-		every               int // salt every every-th element
-		salt                []float32
-	}{
+	return []maxPoolCase{
 		{2, 3, 8, 8, 2, 3, salt}, {1, 2, 9, 7, 2, 3, salt}, {2, 1, 7, 11, 3, 3, salt}, {1, 3, 9, 9, 3, 3, salt},
 		{1, 1, 2, 2, 2, 3, salt}, {1, 2, 5, 3, 3, 3, salt}, {1, 2, 6, 6, 2, 1, []float32{negInf, negInf, nan, negInf, negInf}},
 		{1, 2, 6, 10, 2, 1, zeros}, {1, 2, 9, 12, 3, 1, zeros},
-	} {
-		x := tensor.New(tc.n, tc.ch, tc.h, tc.w)
-		tensor.NewRNG(int64(tc.h*tc.w)).Uniform(x, -1, 1)
-		for i, d := 0, x.Data(); i < len(d); i += tc.every {
-			d[i] = tc.salt[(i/tc.every)%len(tc.salt)]
-		}
+	}
+}
+
+// TestMaxPoolUntapedMatchesTaped holds the untaped forward to the taped
+// one and to the two-pass forward it replaced, bitwise, over
+// maxPoolCases (NaN is skipped by all three).
+func TestMaxPoolUntapedMatchesTaped(t *testing.T) {
+	for _, tc := range maxPoolCases() {
+		x := tc.input()
 		oracle := twoPassMaxPool(x.Data(), tc.n, tc.ch, tc.h, tc.w, tc.window)
 		for _, workers := range []int{1, 4} {
 			e := engine.New(workers)
@@ -168,6 +185,65 @@ func TestMaxPoolUntapedMatchesTaped(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// maxPoolGrad is the max-pool gradient rule, serially: each window is
+// scanned row-major, its index replaced under x > best from −Inf and
+// starting at the window's first element, and that element takes the
+// window's output gradient.
+func maxPoolGrad(xd, g []float32, n, ch, h, w, window int) []float32 {
+	oh, ow := h/window, w/window
+	xg := make([]float32, len(xd))
+	for nc := 0; nc < n*ch; nc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(math.Inf(-1))
+				bestIdx := (nc*h+oy*window)*w + ox*window
+				for ky := 0; ky < window; ky++ {
+					for kx := 0; kx < window; kx++ {
+						if idx := (nc*h+oy*window+ky)*w + ox*window + kx; xd[idx] > best {
+							best, bestIdx = xd[idx], idx
+						}
+					}
+				}
+				xg[bestIdx] += g[(nc*oh+oy)*ow+ox]
+			}
+		}
+	}
+	return xg
+}
+
+// TestMaxPoolTapedGradient pins the taped max-pool's input gradient to
+// maxPoolGrad bit for bit, over maxPoolCases at 1 and 4 workers with a
+// distinct output gradient per window, and over a window of −Inf alone:
+// its gradient stays inside it rather than landing on element 0, which
+// is not even the maximum of its own window.
+func TestMaxPoolTapedGradient(t *testing.T) {
+	negInf := float32(math.Inf(-1))
+	allNegInf := maxPoolCase{1, 1, 2, 4, 2, 1, []float32{1, 3, negInf, negInf, 2, 0, negInf, negInf}}
+	for _, tc := range append(maxPoolCases(), allNegInf) {
+		x := tc.input()
+		for _, workers := range []int{1, 4} {
+			e := engine.New(workers)
+			xv := autograd.Param(x)
+			tape := autograd.NewTape()
+			c := &Ctx{Eng: e, Tape: tape}
+			out := c.MaxPool2D(xv, tc.window)
+			wt := tensor.New(out.Value.Shape()...)
+			tensor.NewRNG(int64(tc.w)).Uniform(wt, -1, 1)
+			tape.Backward(c.MeanAll(c.Mul(out, autograd.NewVar(wt))))
+			e.Close()
+			want := maxPoolGrad(x.Data(), out.Grad.Data(), tc.n, tc.ch, tc.h, tc.w, tc.window)
+			wantSameBits(t, fmt.Sprintf("%v workers=%d: x grad", tc, workers), xv.Grad.Data(), want)
+		}
+	}
+	x := autograd.Param(allNegInf.input())
+	tape := autograd.NewTape()
+	c := &Ctx{Tape: tape}
+	tape.Backward(c.MeanAll(c.MaxPool2D(x, 2)))
+	if got, want := x.Grad.Data(), []float32{0, 0.5, 0.5, 0, 0, 0, 0, 0}; !slices.Equal(got, want) {
+		t.Fatalf("grad of a window of −Inf beside one of finite values = %v, want %v", got, want)
 	}
 }
 
@@ -313,16 +389,25 @@ func TestSliceForward(t *testing.T) {
 	}
 }
 
+// TestDropoutInferenceIdentity: without an RNG, taped or not, Dropout
+// returns its input Var and emits no kernel and no backward step.
 func TestDropoutInferenceIdentity(t *testing.T) {
 	x := autograd.NewVar(tensor.Of([]int{2}, 1, 2))
-	out := Infer().Dropout(x, 0.5)
-	if out != x {
+	if out := Infer().Dropout(x, 0.5); out != x {
 		t.Fatal("inference dropout must be identity")
+	}
+	rec, tape := &specRecorder{}, autograd.NewTape()
+	p := autograd.Param(tensor.Of([]int{2}, 1, 2))
+	if out := (&Ctx{Tape: tape, Rec: rec}).Dropout(p, 0.5); out != p {
+		t.Fatal("taped dropout without an RNG must return its input")
+	}
+	if len(rec.specs) != 0 || tape.Len() != 0 {
+		t.Fatalf("dropout without an RNG emitted %d kernels and %d backward steps", len(rec.specs), tape.Len())
 	}
 }
 
 func TestDropoutTrainingMasks(t *testing.T) {
-	c := &Ctx{Training: true, RNG: tensor.NewRNG(7)}
+	c := &Ctx{RNG: tensor.NewRNG(7)}
 	x := tensor.New(10000)
 	x.Fill(1)
 	out := c.Dropout(autograd.NewVar(x), 0.3)

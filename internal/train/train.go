@@ -162,7 +162,7 @@ func Fit(n *mmnet.Network, cfg Config) Result {
 			b := n.Gen.Batch(rng.Split(int64(e*1000+s)), cfg.BatchSize)
 			tape := autograd.NewTape()
 			c := &ops.Ctx{
-				Tape: tape, Training: true, RNG: rng, Eng: cfg.Engine,
+				Tape: tape, RNG: rng, Eng: cfg.Engine,
 				Precision: cfg.Precision,
 				Prof:      cfg.Profiler.Root(),
 			}
