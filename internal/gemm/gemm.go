@@ -41,7 +41,9 @@
 // PackA/PackB/PackBT panels in its own scratch) and the convolutions
 // below (ConvF32/F16/I8: one unit per sample and block of output pixels,
 // whose B panels PackBConv gathers straight out of the image and the
-// finish converts in place).
+// finish converts in place, and ConvGradF32, their f32 backward: one unit
+// per sample for the input gradient and per group of K-column panels for
+// the weight gradient).
 //
 // # Micro-kernel
 //
@@ -91,6 +93,10 @@
 // chunking that depends on the shape and the kernel choice alone
 // (grainA), so results are bitwise identical at any engine worker count
 // and under any branch schedule — the engine's determinism contract.
+// The convolution backward's sums run over samples and pixel blocks, so
+// its elements take one such store per (sample, block) — the input
+// gradient's through its scatter — in an order fixed by the shape, each
+// element owned by one work unit.
 //
 // # Reduced precision
 //
@@ -551,6 +557,90 @@ func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw 
 		mulPanelsI8(dst[ni*outC*m+j0:], m, ap, q, outC, kp, cols, sw*sx[ni], ep)
 	})
 }
+
+// ConvGradF32 adds the gradients of dst = conv(x, w) (ConvF32's shapes)
+// for the output gradient dy [n,outC,OH,OW] into dx [n,C,H,W] and dw
+// [outC,C,KH,KW], in float32; a nil dx or dw skips that half. Per sample,
+// with Pₙ the patch matrix of ConvShape, they are two products over the
+// forward's blocks of output pixels, and neither stores Pₙ:
+//
+//	dXₙ += col2im(Wᵀ·dYₙ)  one work unit per sample: Wᵀ is packed once per
+//	                       call, each block of dYₙ is packed as B panels
+//	                       (PackB), and scatterPatches adds the K×block
+//	                       product back into dXₙ, blocks in order
+//	dW  += dYₙ·Pₙᵀ          one work unit per convGradPanels K columns of
+//	                       dW: A is dYₙ's block (PackA), B its patches
+//	                       transposed (PackBConv over the channels the
+//	                       columns touch, then PackBT per pixel panel), and
+//	                       the unit walks samples and blocks in order
+//
+// Every gradient element is written by one unit in one order, so the
+// result is bitwise the same at any worker count.
+func ConvGradF32(e *engine.Engine, dx, dw, w, x, dy []float32, n, outC int, g ConvShape) {
+	k, m := g.K(), g.OH*g.OW
+	block := min(convBlockPanels(k)*NR, m)
+	if dx != nil {
+		img := g.C * g.H * g.W
+		ap := e.GetPanel(LenA(k, outC))
+		defer e.Put(ap)
+		packAF32(e, ap, w, k, outC, true, false)
+		e.ParallelFor(n, 1, func(n0, n1 int) {
+			for ni := n0; ni < n1; ni++ {
+				bp, d := e.GetPanel(LenB(outC, block)), e.GetUninit(k*block)
+				for j0 := 0; j0 < m; j0 += block {
+					cols := min(block, m-j0)
+					PackB(bp, dy[ni*outC*m+j0:], outC, cols, m)
+					clear(d[:k*cols])
+					mulTiles(d, cols, ap, bp, k, outC, cols, 1, Epilogue{})
+					scatterPatches(dx[ni*img:(ni+1)*img], d, cols, g, j0, cols)
+				}
+				e.Put(bp)
+				e.Put(d)
+			}
+		})
+	}
+	if dw != nil {
+		per, taps, plane := convGradPanels(k), g.KH*g.KW, g.H*g.W
+		e.ParallelFor((panelsB(k)+per-1)/per, 1, func(u0, u1 int) {
+			for u := u0; u < u1; u++ {
+				// The unit's columns [l0, l1) of dW are rows [off, off+cn)
+				// of the patch matrix of channels [c0, c1), whose taps they
+				// are.
+				l0, l1 := u*per*NR, min(k, (u+1)*per*NR)
+				sub := g
+				c0, c1 := l0/taps, (l1+taps-1)/taps
+				sub.C = c1 - c0
+				kc, off, cn := sub.K(), l0-c0*taps, l1-l0
+				ap, pp, bt := e.GetPanel(LenA(outC, block)), e.GetPanel(LenB(kc, block)), e.GetPanel(LenB(block, cn))
+				for ni := range n {
+					for j0 := 0; j0 < m; j0 += block {
+						cols := min(block, m-j0)
+						PackA(ap, dy[ni*outC*m+j0:], outC, cols, m)
+						PackBConv(pp, x[(ni*g.C+c0)*plane:(ni*g.C+c1)*plane], sub, j0, cols)
+						// Pixel panel jp of pp is a [kc][NR] block of patch
+						// rows: NR of them at a time are the jp-th NR depth
+						// rows of one B panel.
+						for jp := 0; jp*NR < cols; jp++ {
+							src := pp[(jp*kc+off)*NR:]
+							for jk := 0; jk*NR < cn; jk++ {
+								PackBT(bt[(jk*cols+jp*NR)*NR:], src[jk*NR*NR:], min(NR, cols-jp*NR), min(NR, cn-jk*NR), NR)
+							}
+						}
+						mulTiles(dw[l0:], k, ap, bt, outC, cols, cn, 1, Epilogue{})
+					}
+				}
+				e.Put(ap)
+				e.Put(pp)
+				e.Put(bt)
+			}
+		})
+	}
+}
+
+// convGradPanels is the number of dW's K-column panels one ConvGradF32
+// work unit owns: a quarter of them, at least one. A function of the
+// shape alone; the partition does not change any element's order.
+func convGradPanels(k int) int { return max(1, (panelsB(k)+3)/4) }
 
 // addTileF32 stores the valid region of a full MR×NR tile into dst, whose
 // rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c] (with

@@ -341,13 +341,7 @@ func packPatchRun(p, img []float32, g ConvShape, oy, ox, run int) {
 					*(*[NR]float32)(dst) = *(*[NR]float32)(row[ix:])
 					continue
 				}
-				lo, hi := 0, run
-				if ix < 0 {
-					lo = min(run, (-ix+g.Stride-1)/g.Stride)
-				}
-				if last := ix + (run-1)*g.Stride; last >= g.W {
-					hi = max(lo, run-(last-g.W)/g.Stride-1)
-				}
+				lo, hi := g.inside(ix, run)
 				clear(dst[:lo])
 				if g.Stride > 1 {
 					for c := lo; c < hi; c++ {
@@ -359,6 +353,62 @@ func packPatchRun(p, img []float32, g ConvShape, oy, ox, run int) {
 				clear(dst[hi:])
 			}
 		}
+	}
+}
+
+// inside returns the lanes [lo, hi) of a run of run output pixels whose
+// tap column, starting at image column ix and moving Stride apart, lies
+// inside the image.
+func (g ConvShape) inside(ix, run int) (lo, hi int) {
+	lo, hi = 0, run
+	if ix < 0 {
+		lo = min(run, (-ix+g.Stride-1)/g.Stride)
+	}
+	if last := ix + (run-1)*g.Stride; last >= g.W {
+		hi = max(lo, run-(last-g.W)/g.Stride-1)
+	}
+	return lo, hi
+}
+
+// scatterPatches is PackBConv's adjoint: it adds column c of the K×n
+// matrix d, whose rows are ld apart — a value for each patch entry of
+// output pixel j0+c — onto the element of img [C,H,W] that packPatchRun
+// reads that entry from, and drops the entries over the border. It walks
+// the pixels as packPatchRun's runs, so every element's sum has one order.
+func scatterPatches(img, d []float32, ld int, g ConvShape, j0, n int) {
+	for c0 := 0; c0 < n; {
+		oy, ox := (j0+c0)/g.OW, (j0+c0)%g.OW
+		run := min(n-c0, g.OW-ox)
+		l := 0
+		for ci := 0; ci < g.C; ci++ {
+			for ky := 0; ky < g.KH; ky++ {
+				iy := oy*g.Stride + ky - g.Pad
+				if iy < 0 || iy >= g.H {
+					l += g.KW
+					continue
+				}
+				row := img[(ci*g.H+iy)*g.W : (ci*g.H+iy+1)*g.W]
+				for kx := 0; kx < g.KW; kx++ {
+					src := d[l*ld+c0 : l*ld+c0+run]
+					l++
+					ix := ox*g.Stride + kx - g.Pad
+					lo, hi := g.inside(ix, run)
+					if g.Stride == 1 {
+						if lo < hi {
+							dst := row[ix+lo : ix+hi]
+							for c, v := range src[lo:hi] {
+								dst[c] += v
+							}
+						}
+						continue
+					}
+					for c := lo; c < hi; c++ {
+						row[ix+c*g.Stride] += src[c]
+					}
+				}
+			}
+		}
+		c0 += run
 	}
 }
 

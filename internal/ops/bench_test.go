@@ -287,21 +287,58 @@ func BenchmarkMaxPool2D(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DBackward times one taped convolution step, forward and
+// backward, on the default engine. The dense row's output gradient is
+// uniform. The LeNet rows are avmnist's two image-encoder layers at batch
+// 16 (Conv2DReLU with a bias). Their loss keeps one output of each 2×2
+// window, at a random position, as a max-pool keeps one, so with the
+// ReLU's mask about 1/8 of the output gradient is non-zero. (A real
+// max-pool keeps each window's largest output, which the ReLU rarely
+// clears: it leaves about 0.24.) The first layer's input is data and gets
+// no gradient.
 func BenchmarkConv2DBackward(b *testing.B) {
-	g := tensor.NewRNG(3)
-	x := autograd.Param(tensor.New(4, 8, 14, 14))
-	g.Uniform(x.Value, -1, 1)
-	w := autograd.Param(tensor.New(16, 8, 3, 3))
-	g.Uniform(w.Value, -1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tape := autograd.NewTape()
-		c := &Ctx{Tape: tape}
-		out := c.Conv2D(x, w, nil, 1, 1)
-		loss := c.MeanAll(out)
-		tape.Backward(loss)
-		x.ZeroGrad()
-		w.ZeroGrad()
+	for _, r := range []struct {
+		name                 string
+		n, c, h, outC, k, pd int
+		lenet, xGrad         bool
+	}{
+		{"dense_4x8x14x14_o16_k3", 4, 8, 14, 16, 3, 1, false, true},
+		{"lenet1_16x1x28x28_o6_k5_sparse", 16, 1, 28, 6, 5, 2, true, false},
+		{"lenet2_16x6x14x14_o16_k5_sparse", 16, 6, 14, 16, 5, 0, true, true},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			g := tensor.NewRNG(3)
+			x := benchVar(g, r.n, r.c, r.h, r.h)
+			if r.xGrad {
+				x = autograd.Param(x.Value)
+			}
+			w := autograd.Param(benchVar(g, r.outC, r.c, r.k, r.k).Value)
+			bias := autograd.Param(benchVar(g, r.outC).Value)
+			params := []*Var{x, w, bias}
+			oh := r.h + 2*r.pd - r.k + 1
+			keep := tensor.New(r.n, r.outC, oh, oh)
+			for i := range keep.Data() {
+				if oy, ox := i/oh%oh, i%oh; oy%2 == 0 && ox%2 == 0 {
+					keep.Data()[i+g.Intn(2)*oh+g.Intn(2)] = 1
+				}
+			}
+			mask := autograd.NewVar(keep)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tape := autograd.NewTape()
+				c := &Ctx{Tape: tape}
+				var out *Var
+				if r.lenet {
+					out = c.Mul(c.Conv2DReLU(x, w, bias, 1, r.pd), mask)
+				} else {
+					out = c.Conv2D(x, w, nil, 1, r.pd)
+				}
+				tape.Backward(c.MeanAll(out))
+				for _, p := range params {
+					p.ZeroGrad()
+				}
+			}
+		})
 	}
 }
 

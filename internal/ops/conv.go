@@ -26,8 +26,11 @@ func convOut(in, kernel, stride, pad int) int {
 // image patches straight into GEMM panels in pooled scratch it returns
 // before it ends — no [C·KH·KW, OH·OW] column matrix is ever stored. The
 // bias joins each element in the GEMM tile store (gemm.Epilogue.RowBias),
-// which writes every output element once. The backward is direct loops
-// over the full-precision inputs.
+// which writes every output element once. The backward runs on the same
+// panels and micro-kernels (gemm.ConvGradF32): dX is col2im(Wᵀ·dY) and dW
+// is dY·Pᵀ, block by block, in float32 over the full-precision x and w at
+// every precision, bitwise the same at any worker count; the bias
+// gradient is a sum over the output gradient.
 func (c *Ctx) Conv2D(x, w, bias *Var, stride, pad int) *Var {
 	return c.conv2D(x, w, bias, stride, pad, false)
 }
@@ -114,97 +117,27 @@ func (c *Ctx) conv2D(x, w, bias *Var, stride, pad int, relu bool) *Var {
 
 	if c.taping(inputs...) {
 		c.tapeStep(out, func() {
-			g := out.Grad.Data()
+			dy := out.Grad.Data()
 			if relu {
-				g = reluBackward(e, g, od)
+				dy = reluBackward(e, dy, od)
 			}
+			var dx, dw []float32
 			if x.NeedGrad {
-				// Input gradients are disjoint per sample.
-				xg := x.EnsureGrad().Data()
-				e.ParallelFor(n, 1, func(n0, n1 int) {
-					for ni := n0; ni < n1; ni++ {
-						for oc := 0; oc < outC; oc++ {
-							for oy := 0; oy < oh; oy++ {
-								for ox := 0; ox < ow; ox++ {
-									gv := g[((ni*outC+oc)*oh+oy)*ow+ox]
-									if gv == 0 {
-										continue
-									}
-									for ci := 0; ci < ch; ci++ {
-										for ky := 0; ky < kh; ky++ {
-											iy := oy*stride + ky - pad
-											if iy < 0 || iy >= h {
-												continue
-											}
-											for kx := 0; kx < kw; kx++ {
-												ix := ox*stride + kx - pad
-												if ix < 0 || ix >= wd {
-													continue
-												}
-												xg[(ni*ch+ci)*h*wd+iy*wd+ix] += gv * wdta[((oc*ch+ci)*kh+ky)*kw+kx]
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				})
+				dx = x.EnsureGrad().Data()
 			}
 			if w.NeedGrad {
-				// Weight (and bias) gradients are disjoint per output
-				// channel; the (ni,oy,ox) accumulation order per element
-				// matches the serial kernel.
-				wg := w.EnsureGrad().Data()
-				var bg []float32
-				if bias != nil && bias.NeedGrad {
-					bg = bias.EnsureGrad().Data()
-				}
-				e.ParallelFor(outC, 1, func(c0, c1 int) {
-					for oc := c0; oc < c1; oc++ {
-						for ni := 0; ni < n; ni++ {
-							for oy := 0; oy < oh; oy++ {
-								for ox := 0; ox < ow; ox++ {
-									gv := g[((ni*outC+oc)*oh+oy)*ow+ox]
-									if gv == 0 {
-										continue
-									}
-									for ci := 0; ci < ch; ci++ {
-										for ky := 0; ky < kh; ky++ {
-											iy := oy*stride + ky - pad
-											if iy < 0 || iy >= h {
-												continue
-											}
-											for kx := 0; kx < kw; kx++ {
-												ix := ox*stride + kx - pad
-												if ix < 0 || ix >= wd {
-													continue
-												}
-												wg[((oc*ch+ci)*kh+ky)*kw+kx] += gv * xd[(ni*ch+ci)*h*wd+iy*wd+ix]
-											}
-										}
-									}
-								}
-							}
-						}
-						if bg != nil {
-							for ni := 0; ni < n; ni++ {
-								base := ((ni*outC + oc) * oh) * ow
-								for i := 0; i < oh*ow; i++ {
-									bg[oc] += g[base+i]
-								}
-							}
-						}
-					}
-				})
-			} else if bias != nil && bias.NeedGrad {
+				dw = w.EnsureGrad().Data()
+			}
+			gemm.ConvGradF32(e, dx, dw, wdta, xd, dy, n, outC, g)
+			if bias != nil && bias.NeedGrad {
+				// Disjoint per output channel, summed in (ni, pixel) order.
 				bg := bias.EnsureGrad().Data()
 				e.ParallelFor(outC, 1, func(c0, c1 int) {
 					for oc := c0; oc < c1; oc++ {
 						for ni := 0; ni < n; ni++ {
 							base := ((ni*outC + oc) * oh) * ow
 							for i := 0; i < oh*ow; i++ {
-								bg[oc] += g[base+i]
+								bg[oc] += dy[base+i]
 							}
 						}
 					}

@@ -109,6 +109,48 @@ func directConv2D(x, w *Var, stride, pad int) []float64 {
 	return out
 }
 
+// directConv2DGrad is the convolution's backward by its definition, in
+// float64: the two direct loop nests Conv2D's tape step ran before its
+// gradients became products on the GEMM core, accumulating in float64. dy
+// is the output gradient the convolution itself sees (for Conv2DReLU,
+// already masked by out > 0); it returns the x and w gradients.
+func directConv2DGrad(x, w *Var, dy []float32, stride, pad int) (dx, dw []float64) {
+	n, ch, h, wd := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
+	outC, kh, kw := w.Value.Dim(0), w.Value.Dim(2), w.Value.Dim(3)
+	oh, ow := convOut(h, kh, stride, pad), convOut(wd, kw, stride, pad)
+	xd, wdta := x.Value.Data(), w.Value.Data()
+	dx, dw = make([]float64, len(xd)), make([]float64, len(wdta))
+	for ni := 0; ni < n; ni++ {
+		for oc := 0; oc < outC; oc++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					gv := float64(dy[((ni*outC+oc)*oh+oy)*ow+ox])
+					if gv == 0 {
+						continue
+					}
+					for ci := 0; ci < ch; ci++ {
+						for ky := 0; ky < kh; ky++ {
+							iy := oy*stride + ky - pad
+							if iy < 0 || iy >= h {
+								continue
+							}
+							for kx := 0; kx < kw; kx++ {
+								ix := ox*stride + kx - pad
+								if ix < 0 || ix >= wd {
+									continue
+								}
+								dx[(ni*ch+ci)*h*wd+iy*wd+ix] += gv * float64(wdta[((oc*ch+ci)*kh+ky)*kw+kx])
+								dw[((oc*ch+ci)*kh+ky)*kw+kx] += gv * float64(xd[(ni*ch+ci)*h*wd+iy*wd+ix])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx, dw
+}
+
 // convCase is one forward shape: input [n,c,h,w], outC filters of kh×kw.
 type convCase struct{ n, c, h, w, outC, kh, kw, stride, pad int }
 
@@ -280,6 +322,106 @@ func checkConv2DReLU(t *testing.T, engines []*engine.Engine, s convCase, g *tens
 	}
 }
 
+// checkConv2DGrad is the differential check of Conv2D's backward at one
+// shape, on data drawn from g, with the forward at prec: for Conv2D and
+// Conv2DReLU, without and with a bias, the x, w and bias gradients of a
+// loss that weighs each output by its own factor are bitwise equal on
+// every engine, every pooled buffer returned, and within the F32
+// convBounds of the float64 definition (directConv2DGrad), relative to
+// each gradient's largest element.
+func checkConv2DGrad(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.RNG, prec precision.Type) {
+	t.Helper()
+	x, w, bias := randParam(g, s.n, s.c, s.h, s.w), randParam(g, s.outC, s.c, s.kh, s.kw), randParam(g, s.outC)
+	oh, ow := convOut(s.h, s.kh, s.stride, s.pad), convOut(s.w, s.kw, s.stride, s.pad)
+	r := autograd.NewVar(randParam(g, s.n, s.outC, oh, ow).Value)
+	bound := convBounds[precision.F32]
+	for _, b := range []*Var{nil, bias} {
+		for _, relu := range []bool{false, true} {
+			name := fmt.Sprintf("%v/%v/bias=%t/relu=%t", s, prec, b != nil, relu)
+			var want [][]float32
+			for _, e := range engines {
+				x.Grad, w.Grad, bias.Grad = nil, nil, nil
+				c := segCtx(e, prec, nil)
+				c.Tape = autograd.NewTape()
+				var y *Var
+				if relu {
+					y = c.Conv2DReLU(x, w, b, s.stride, s.pad)
+				} else {
+					y = c.Conv2D(x, w, b, s.stride, s.pad)
+				}
+				c.Tape.Backward(c.MeanAll(c.Mul(y, r)))
+				got := [][]float32{x.Grad.Data(), w.Grad.Data()}
+				if b != nil {
+					got = append(got, b.Grad.Data())
+				}
+				if out := e.Stats().PoolOutstanding; out != 0 {
+					t.Fatalf("%s, %d workers: %d pooled buffers never returned", name, e.Workers(), out)
+				}
+				if want != nil {
+					for i, what := range []string{"x", "w", "bias"}[:len(got)] {
+						sliceEq(t, fmt.Sprintf("%s/workers=%d/%s gradient", name, e.Workers(), what), got[i], want[i])
+					}
+					continue
+				}
+				want = got
+				dy := append([]float32(nil), y.Grad.Data()...)
+				if relu {
+					for i, v := range y.Value.Data() {
+						dy[i] *= reluGrad(v, 0)
+					}
+				}
+				dx, dw := directConv2DGrad(x, w, dy, s.stride, s.pad)
+				refs := [][]float64{dx, dw}
+				if b != nil {
+					db := make([]float64, s.outC)
+					for i, v := range dy {
+						db[i/(oh*ow)%s.outC] += float64(v)
+					}
+					refs = append(refs, db)
+				}
+				for i, ref := range refs {
+					var refMax float64
+					for _, v := range ref {
+						refMax = math.Max(refMax, math.Abs(v))
+					}
+					for j, v := range got[i] {
+						if d := math.Abs(float64(v) - ref[j]); !(d <= bound*refMax) {
+							t.Fatalf("%s: %s gradient [%d] = %g, float64 definition gives %g (|diff| %g > %g·%g)", name, []string{"x", "w", "bias"}[i], j, v, ref[j], d, bound, refMax)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DGradMatchesDirectLoops pins Conv2D's backward on the GEMM core
+// with checkConv2DGrad over convGrid — filter counts on both sides of the
+// MR = 4 row panel, in turn — plus a non-square kernel and a pad wider
+// than the kernel, at 1, 4 and 16 workers, with the pool poisoning every
+// returned buffer (a panel or product element the backward left
+// unwritten, or scratch read after it was returned, is a NaN in a
+// gradient).
+func TestConv2DGradMatchesDirectLoops(t *testing.T) {
+	engine.SetDebug(true)
+	defer engine.SetDebug(false)
+	engines := []*engine.Engine{engine.New(1), engine.New(4), engine.New(16)}
+	defer func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	}()
+	g := tensor.NewRNG(73)
+	cases := append(convGrid(),
+		convCase{n: 2, c: 3, h: 9, w: 12, kh: 2, kw: 5, stride: 2, pad: 1},
+		convCase{n: 2, c: 2, h: 4, w: 5, kh: 3, kw: 3, stride: 1, pad: 4},
+	)
+	for i, s := range cases {
+		s.outC = []int{1, 3, 4, 5, 16, 33}[i%6]
+		checkConv2DGrad(t, engines, s, g, precision.F32)
+	}
+}
+
 // FuzzConv2D runs checkConv2D on 1 and 4 workers over batch 1–3, up to 8
 // channels, planes up to 20×20, up to 16 filters of up to 5×5, stride 1–3,
 // pad 0–2 and the three precisions; dimensions map 1 + x%bound (pad x%3),
@@ -312,6 +454,7 @@ func FuzzConv2D(f *testing.F) {
 		g := tensor.NewRNG(int64(s.h)<<8 | int64(s.w))
 		checkConv2D(t, engines[:2], s, g, p)
 		checkConv2DReLU(t, []*engine.Engine{engines[0], engines[2]}, s, g, p)
+		checkConv2DGrad(t, engines[:2], s, g, p)
 	})
 }
 

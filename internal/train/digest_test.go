@@ -30,7 +30,7 @@ import (
 // builds leave the test out.
 var trainedDigests = map[string]string{
 	"avmnist loss":   "4020d361",
-	"avmnist params": "5792bb1551110825a63f5cd1c3f03268bc022f6ce75caf302c0c8cbff8c5171e",
+	"avmnist params": "2e56c956966a8c897ee7d15c5ec33710dfc6db4f58282bcf1865c781894eba71",
 	"mosei loss":     "3e77611d",
 	"mosei params":   "89b650c22e810d9c5fc130bc6ea1bb3a2805e01fc002df0fc807a960d8beb6bd",
 	"mustard loss":   "3f16a484",
@@ -40,7 +40,7 @@ var trainedDigests = map[string]string{
 // portableTrainedDigests is trainedDigests for the portable Go kernels.
 var portableTrainedDigests = map[string]string{
 	"avmnist loss":   "4020d360",
-	"avmnist params": "ca51a42ad238caafe66607c79418d6d019aa3078dabaf15ad5232b00a8b18ab0",
+	"avmnist params": "dc41655c844f4862aecdf4be297589885d226fb654f6297882f27571d38ec202",
 	"mosei loss":     "3e77611b",
 	"mosei params":   "5adc289b2d4c7a8f756cdc2f234616e07f6fe51aee869a615e4590b794da5c85",
 	"mustard loss":   "3f16a483",
