@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -351,13 +352,22 @@ func (rr RunRequest) config(defaultPrecision string) mmbench.RunConfig {
 // when the client disconnects or the deadline expires, and panics are
 // recovered, counted against the config's fingerprint, and — after
 // repeated panics — quarantined into an immediate 422.
+//
+// A 200 carries a Server-Timing header (serverTiming) whose four spans,
+// stamped on s.clock, sum to the handler's wall: decode (the body),
+// key (canonicalisation, fingerprint, quarantine and deadline), entry
+// (EntryThrough: the lookup, any wait, and the execution if this request
+// ran it) and write. The header is sent before the body, so the write
+// span ends at WriteHeader and the body's bytes are outside it.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	start := s.clock.Now()
 	s.countRequest()
 	var req RunRequest
 	if err := decode(w, r, &req); err != nil {
 		s.writeDecodeErr(w, r, "run", err)
 		return
 	}
+	decoded := s.clock.Now()
 	// One canonicalisation serves the quarantine's fingerprint and the
 	// cache's key.
 	cfg := req.config(s.defaultPrecision).Keyed()
@@ -435,7 +445,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	wall := s.clock.Since(begin)
+	entered := s.clock.Now()
+	wall := entered.Sub(begin)
 	s.recordLatency(wall)
 	if executed {
 		// Calibrate the cost estimator on real executions only: a cache
@@ -447,11 +458,61 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
+	spans := [4]time.Duration{decoded.Sub(start), begin.Sub(decoded), wall, s.clock.Now().Sub(entered)}
+	h.Set("Server-Timing", serverTiming(spans, executed, e.StageLatencyMs))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(e.Body); err != nil {
 		s.encodeErrors.Add(1)
 		log.Printf("serve: writing %s %s response: %v", r.Method, r.URL.Path, err)
 	}
+}
+
+// serverTiming renders a /v1/run response's Server-Timing value: the
+// handler's decode, key, entry and write spans, the entry's desc naming
+// an execution (this request ran it) or a hit (it found the entry made,
+// or waited for an identical request's execution), then the entry's
+// stage walls in forward order, labelled as measured at the execution
+// that produced the entry — for a hit, an earlier request's. Durations
+// are milliseconds to the microsecond. It appends into one small stack
+// buffer.
+func serverTiming(spans [4]time.Duration, executed bool, stageMs map[string]float64) string {
+	var buf [320]byte
+	b := buf[:0]
+	for i, name := range [4]string{"decode", "key", "entry", "write"} {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, name...)
+		b = appendMs(b, int64((spans[i]+time.Microsecond/2)/time.Microsecond))
+		if name == "entry" {
+			if executed {
+				b = append(b, `;desc="execution"`...)
+			} else {
+				b = append(b, `;desc="hit"`...)
+			}
+		}
+	}
+	for _, stage := range [3]string{"encoder", "fusion", "head"} {
+		if ms, ok := stageMs[stage]; ok {
+			b = append(b, ", "...)
+			b = append(b, stage...)
+			b = appendMs(b, int64(math.Round(ms*1000)))
+			b = append(b, `;desc="at the producing execution"`...)
+		}
+	}
+	return string(b)
+}
+
+// appendMs appends ";dur=" and us microseconds as milliseconds with three
+// decimals.
+func appendMs(b []byte, us int64) []byte {
+	b = append(b, ";dur="...)
+	if us < 0 {
+		b, us = append(b, '-'), -us
+	}
+	b = strconv.AppendInt(b, us/1000, 10)
+	f := us % 1000
+	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // admit runs fn as one pool job under scheduler admission (deadline- and
