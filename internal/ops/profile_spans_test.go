@@ -27,6 +27,30 @@ func profiledWalls(op func(c *Ctx)) (map[string]time.Duration, time.Duration) {
 	return walls, wall
 }
 
+// pairedWalls runs op under a profiler (profiledWalls) and its product
+// alone (alone, which warms up and times one run), interleaved, five
+// times each. It returns the minimum over the five profiled calls of each
+// kernel name's span time and of the call's wall, and the minimum of the
+// product's own time. Interleaving meets both sides with the same load,
+// and the minima drop the samples a busy machine stretched, so a span
+// compared with the product alone is compared with what the same work
+// costs unhindered.
+func pairedWalls(op func(c *Ctx), alone func() time.Duration) (walls map[string]time.Duration, wall, product time.Duration) {
+	for i := range 5 {
+		w, wl := profiledWalls(op)
+		p := alone()
+		if i == 0 {
+			walls, wall, product = w, wl, p
+			continue
+		}
+		for name, d := range walls {
+			walls[name] = min(d, w[name])
+		}
+		wall, product = min(wall, wl), min(product, p)
+	}
+	return walls, wall, product
+}
+
 // TestLinearProductLandsOnItsSpan requires a profiler to charge Linear's
 // product to the linear span and only the fused bias add's bookkeeping to
 // the bias_add span, which is emitted after the product stores.
@@ -70,16 +94,18 @@ func lstmProductsWall(x, wx, wh, hidden *Var) time.Duration {
 // step's products to the step's h·W_h linear span (the last of the specs
 // emitted before them), not to the elementwise specs of its gate pass:
 // the spans must hold at least half of the products' own time, measured
-// alone in the same build. (A share of the sequence's wall would move
-// with the build: the race detector slows the gate pass's Go loops
-// several times over and leaves the GEMM kernels' assembly as it is.)
+// alone in the same build, each side the minimum of five interleaved runs
+// (pairedWalls). (A share of the sequence's wall would move with the
+// build: the race detector slows the gate pass's Go loops several times
+// over and leaves the GEMM kernels' assembly as it is.)
 func TestLSTMProductsLandOnAGemmSpan(t *testing.T) {
 	const b, steps, d, h = 32, 4, 128, 256
 	g := tensor.NewRNG(72)
 	x := benchVar(g, b, steps, d)
 	wx, wh, bias := benchVar(g, d, 4*h), benchVar(g, h, 4*h), benchVar(g, 4*h)
-	walls, wall := profiledWalls(func(c *Ctx) { c.LSTMSequence(x, wx, wh, bias) })
-	products := lstmProductsWall(x, wx, wh, benchVar(g, b, h))
+	hidden := benchVar(g, b, h)
+	walls, wall, products := pairedWalls(func(c *Ctx) { c.LSTMSequence(x, wx, wh, bias) },
+		func() time.Duration { return lstmProductsWall(x, wx, wh, hidden) })
 	recur := walls[fmt.Sprintf("linear_%dx%dx%d", b, h, 4*h)]
 	t.Logf("wall %v: h·W_h linear %v (the products alone %v), mul %v, bias_add %v",
 		wall, recur, products, walls["mul"], walls["bias_add"])
@@ -114,15 +140,16 @@ func convProductWall(x, w, bias *Var, stride, pad int) time.Duration {
 // block's implicit GEMM, whose tile store adds the bias and applies the
 // ReLU, to the conv2d span: the span must hold at least half of the
 // product's own time, measured alone in the same build (the denominator
-// TestLSTMProductsLandOnAGemmSpan uses). The conv_bias and relu specs are
-// emitted once the output is stored, so each must hold under a tenth of
+// TestLSTMProductsLandOnAGemmSpan uses), each side the minimum of five
+// interleaved runs (pairedWalls). The conv_bias and relu specs are emitted
+// once the output is stored, so each must hold under a tenth of
 // Conv2DReLU's wall.
 func TestConvProductLandsOnItsSpan(t *testing.T) {
 	const n, ch, h, w, outC, k = 2, 32, 64, 64, 64, 3
 	g := tensor.NewRNG(73)
 	x, wt, b := benchVar(g, n, ch, h, w), benchVar(g, outC, ch, k, k), benchVar(g, outC)
-	walls, wall := profiledWalls(func(c *Ctx) { c.Conv2DReLU(x, wt, b, 1, 1) })
-	product := convProductWall(x, wt, b, 1, 1)
+	walls, wall, product := pairedWalls(func(c *Ctx) { c.Conv2DReLU(x, wt, b, 1, 1) },
+		func() time.Duration { return convProductWall(x, wt, b, 1, 1) })
 	conv := walls[fmt.Sprintf("conv2d_%dx%d_c%d_o%d", k, k, ch, outC)]
 	t.Logf("wall %v: conv2d %v (the product alone %v), conv_bias %v, relu %v",
 		wall, conv, product, walls["conv_bias"], walls["relu"])
