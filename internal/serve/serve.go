@@ -503,13 +503,10 @@ func serverTiming(spans [4]time.Duration, executed bool, stageMs map[string]floa
 	return string(b)
 }
 
-// appendMs appends ";dur=" and us microseconds as milliseconds with three
-// decimals.
+// appendMs appends ";dur=" and us ≥ 0 microseconds as milliseconds with
+// three decimals.
 func appendMs(b []byte, us int64) []byte {
 	b = append(b, ";dur="...)
-	if us < 0 {
-		b, us = append(b, '-'), -us
-	}
 	b = strconv.AppendInt(b, us/1000, 10)
 	f := us % 1000
 	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
