@@ -568,8 +568,8 @@ func ConvI8(e *engine.Engine, dst, w, x []float32, n, outC int, g ConvShape, sw 
 //	                       call, each block of dYₙ is packed as B panels
 //	                       (PackB), and scatterPatches adds the K×block
 //	                       product back into dXₙ, blocks in order
-//	dW  += dYₙ·Pₙᵀ          one work unit per convGradPanels K columns of
-//	                       dW: A is dYₙ's block (PackA), B its patches
+//	dW  += dYₙ·Pₙᵀ          one work unit per NR-column panel of dW: A is
+//	                       dYₙ's block (PackA), B its patches
 //	                       transposed (PackBConv over the channels the
 //	                       columns touch, then PackBT per pixel panel), and
 //	                       the unit walks samples and blocks in order
@@ -600,13 +600,13 @@ func ConvGradF32(e *engine.Engine, dx, dw, w, x, dy []float32, n, outC int, g Co
 		})
 	}
 	if dw != nil {
-		per, taps, plane := convGradPanels(k), g.KH*g.KW, g.H*g.W
-		e.ParallelFor((panelsB(k)+per-1)/per, 1, func(u0, u1 int) {
+		taps, plane := g.KH*g.KW, g.H*g.W
+		e.ParallelFor(panelsB(k), 1, func(u0, u1 int) {
 			for u := u0; u < u1; u++ {
 				// The unit's columns [l0, l1) of dW are rows [off, off+cn)
 				// of the patch matrix of channels [c0, c1), whose taps they
 				// are.
-				l0, l1 := u*per*NR, min(k, (u+1)*per*NR)
+				l0, l1 := u*NR, min(k, (u+1)*NR)
 				sub := g
 				c0, c1 := l0/taps, (l1+taps-1)/taps
 				sub.C = c1 - c0
@@ -618,13 +618,10 @@ func ConvGradF32(e *engine.Engine, dx, dw, w, x, dy []float32, n, outC int, g Co
 						PackA(ap, dy[ni*outC*m+j0:], outC, cols, m)
 						PackBConv(pp, x[(ni*g.C+c0)*plane:(ni*g.C+c1)*plane], sub, j0, cols)
 						// Pixel panel jp of pp is a [kc][NR] block of patch
-						// rows: NR of them at a time are the jp-th NR depth
-						// rows of one B panel.
+						// rows: the unit's cn of them are the jp-th NR depth
+						// rows of its one B panel.
 						for jp := 0; jp*NR < cols; jp++ {
-							src := pp[(jp*kc+off)*NR:]
-							for jk := 0; jk*NR < cn; jk++ {
-								PackBT(bt[(jk*cols+jp*NR)*NR:], src[jk*NR*NR:], min(NR, cols-jp*NR), min(NR, cn-jk*NR), NR)
-							}
+							PackBT(bt[jp*NR*NR:], pp[(jp*kc+off)*NR:], min(NR, cols-jp*NR), cn, NR)
 						}
 						mulTiles(dw[l0:], k, ap, bt, outC, cols, cn, 1, Epilogue{})
 					}
@@ -636,11 +633,6 @@ func ConvGradF32(e *engine.Engine, dx, dw, w, x, dy []float32, n, outC int, g Co
 		})
 	}
 }
-
-// convGradPanels is the number of dW's K-column panels one ConvGradF32
-// work unit owns: a quarter of them, at least one. A function of the
-// shape alone; the partition does not change any element's order.
-func convGradPanels(k int) int { return max(1, (panelsB(k)+3)/4) }
 
 // addTileF32 stores the valid region of a full MR×NR tile into dst, whose
 // rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c] (with
