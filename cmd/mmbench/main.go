@@ -7,7 +7,7 @@
 //	mmbench run [flags]                  profile one workload variant
 //	mmbench train [flags]                train a variant and report metric
 //	mmbench repro [flags] <id>|all       regenerate a paper table/figure
-//	mmbench repro check [-quick]         check the paper's claims
+//	mmbench repro check [-quick|-seeds K] check the paper's claims
 //	mmbench sweep [flags]                sweep batch sizes and devices
 //	mmbench place [flags]                plan stage placement across the fleet
 //	mmbench serve [flags]                run the benchmark HTTP service
@@ -344,6 +344,7 @@ func cmdTrain(args []string) error {
 func cmdRepro(args []string) error {
 	fs := flag.NewFlagSet("repro", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "shrink training runs and sweeps")
+	seeds := fs.Int("seeds", 1, "train every Figure 4 and 5 variant at this many seeds; two or more add a table of their mean and standard deviation")
 	format := fs.String("format", "text", "output format: text, csv or json")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -357,8 +358,13 @@ func cmdRepro(args []string) error {
 		if err := fs.Parse(ids[1:]); err != nil || fs.NArg() > 0 {
 			return fmt.Errorf("repro check takes flags only, got %v", ids[1:])
 		}
-		cfg := core.DefaultExpConfig()
-		cfg.Quick = *quick
+	}
+	if *seeds < 1 {
+		return fmt.Errorf("repro: -seeds %d, want at least 1", *seeds)
+	}
+	cfg := core.DefaultExpConfig()
+	cfg.Quick, cfg.Seeds = *quick, *seeds
+	if ids[0] == "check" {
 		t, err := core.CheckClaims(cfg)
 		if rerr := report.Render(os.Stdout, *format, t); rerr != nil {
 			return rerr
@@ -369,7 +375,7 @@ func cmdRepro(args []string) error {
 		ids = mmbench.ExperimentIDs()
 	}
 	for _, id := range ids {
-		tables, err := mmbench.Experiment(id, *quick)
+		tables, err := core.RunExperiment(id, cfg)
 		if err != nil {
 			return err
 		}

@@ -189,27 +189,71 @@ var claims = []claim{{
 	},
 }}
 
+// evalSeeds checks a trained claim over its figure's tables from a run at
+// seeds ≥ 2 seeds (seeded's layout): at each seed and over their mean,
+// each table read as if it were seed 0's. The claim holds when it holds
+// over the mean and at all seeds but at most one. It returns the mean's
+// reading and the number of seeds at which the claim holds.
+func (cl claim) evalSeeds(tables []*report.Table, err error, seeds int) (mean string, ok bool, holding int) {
+	if err == nil && len(tables) != seeds+1 {
+		err = fmt.Errorf("%s: %d tables, want one per seed and their mean (%d)", cl.figure, len(tables), seeds+1)
+	}
+	if err != nil {
+		mean, _ = cl.eval(nil, err)
+		return mean, false, 0
+	}
+	as0 := func(t *report.Table) []*report.Table {
+		v := *t
+		v.Title = tables[0].Title
+		return []*report.Table{&v}
+	}
+	for _, t := range tables[:seeds] {
+		if _, ok := cl.eval(as0(t), nil); ok {
+			holding++
+		}
+	}
+	mean, ok = cl.eval(as0(tables[seeds]), nil)
+	return mean, ok && holding >= seeds-1, holding
+}
+
 // CheckClaims evaluates every claim on a fresh run of its figure and
 // returns one row per claim: pass, fail (with what it read, or why it
 // could not read it) or skip (a trained claim under cfg.Quick). The error
-// names the failed claims.
+// names the failed claims. At cfg.Seeds ≥ 2 the Reading column is still
+// seed 0's; two more columns give each trained claim's reading over the
+// seeds' mean and how many seeds it holds at, and its status is
+// evalSeeds's.
 func CheckClaims(cfg ExpConfig) (*report.Table, error) {
-	return checkClaims(claims, cfg.Quick, func(id string) ([]*report.Table, error) { return RunExperiment(id, cfg) })
+	return checkClaims(claims, cfg.Quick, cfg.Seeds, func(id string) ([]*report.Table, error) { return RunExperiment(id, cfg) })
 }
 
-func checkClaims(list []claim, quick bool, run func(id string) ([]*report.Table, error)) (*report.Table, error) {
-	t := report.NewTable("Paper claims", "Figure", "Status", "Reading", "Paper")
+func checkClaims(list []claim, quick bool, seeds int, run func(id string) ([]*report.Table, error)) (*report.Table, error) {
+	cols := []string{"Figure", "Status", "Reading", "Paper"}
+	if seeds > 1 {
+		cols = slices.Insert(cols, 3, fmt.Sprintf("Mean of %d seeds", seeds), "Seeds holding")
+	}
+	t := report.NewTable("Paper claims", cols...)
 	var failed []string
 	for _, cl := range list {
-		if quick && cl.trained() {
-			t.AddRow(cl.figure, "skip", "needs full-scale training (drop -quick)", cl.paper)
-			continue
+		row := []string{cl.figure, "skip", "needs full-scale training (drop -quick)"}
+		mean, holding := "-", "-"
+		if !quick || !cl.trained() {
+			tables, err := run(cl.figure)
+			reading, ok := cl.eval(tables, err)
+			if seeds > 1 && cl.trained() {
+				var n int
+				mean, ok, n = cl.evalSeeds(tables, err, seeds)
+				holding = fmt.Sprintf("%d of %d", n, seeds)
+			}
+			if !ok {
+				failed = append(failed, cl.figure)
+			}
+			row = []string{cl.figure, map[bool]string{true: "pass", false: "fail"}[ok], reading}
 		}
-		reading, ok := cl.eval(run(cl.figure))
-		if !ok {
-			failed = append(failed, cl.figure)
+		if seeds > 1 {
+			row = append(row, mean, holding)
 		}
-		t.AddRow(cl.figure, map[bool]string{true: "pass", false: "fail"}[ok], reading, cl.paper)
+		t.AddRow(append(row, cl.paper)...)
 	}
 	if len(failed) > 0 {
 		return t, fmt.Errorf("%d of %d claims failed: %s", len(failed), len(list), strings.Join(failed, ", "))
@@ -243,23 +287,34 @@ func (c *cells) row(title string, key []string) (*report.Table, []string) {
 	return nil, nil
 }
 
-// num parses the cell in column col of row key as report.Ms, report.F or
-// report.Pct (returned as a fraction) print it. A missing cell, or one that
-// is not a finite number ("n/a"), fails the lookup and reads NaN.
+// num parses the cell in column col of row key with parseCell. A missing
+// cell, or one that is not a finite number ("n/a"), fails the lookup and
+// reads NaN.
 func (c *cells) num(title, col string, key ...string) float64 {
-	s, scale := "", 1.0
+	s := ""
 	if t, r := c.row(title, key); t != nil && slices.Contains(t.Columns, col) {
 		s = r[slices.Index(t.Columns, col)]
 	}
+	v, err := parseCell(s)
+	if err != nil {
+		c.fail("%s %v %s: %v", title, key, col, err)
+	}
+	return v
+}
+
+// parseCell reads a cell as report.Ms, report.F or report.Pct (returned as
+// a fraction) print it. A cell that is not a finite number reads NaN and
+// an error.
+func parseCell(s string) (float64, error) {
+	scale := 1.0
 	if p, ok := strings.CutSuffix(s, "%"); ok {
 		s, scale = p, 0.01
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		c.fail("%s %v %s: cell %q is not a number", title, key, col, s)
-		return math.NaN()
+		return math.NaN(), fmt.Errorf("cell %q is not a number", s)
 	}
-	return v * scale
+	return v * scale, nil
 }
 
 // lead returns how far the share in column want exceeds the largest other

@@ -155,7 +155,7 @@ func TestClaimsRejectPerturbedTables(t *testing.T) {
 	// predicate broken on purpose, or a failing driver, returns the error
 	// the command exits nonzero on.
 	run := func(id string) ([]*report.Table, error) { return figures[id], nil }
-	got, err := checkClaims(claims, true, run)
+	got, err := checkClaims(claims, true, 1, run)
 	var statuses []string
 	for _, row := range got.Rows {
 		statuses = append(statuses, row[1])
@@ -166,11 +166,77 @@ func TestClaimsRejectPerturbedTables(t *testing.T) {
 	broken := slices.Clone(claims)
 	last := len(broken) - 1
 	broken[last].tol = 1 // fig15: the Nano's Exec share a full 100 points above the server's
-	if got, err = checkClaims(broken, true, run); err == nil || got.Rows[last][1] != "fail" {
+	if got, err = checkClaims(broken, true, 1, run); err == nil || got.Rows[last][1] != "fail" {
 		t.Errorf("a broken predicate left the check passing: err %v", err)
 	}
 	failing := func(string) ([]*report.Table, error) { return nil, errors.New("driver failed") }
-	if _, err := checkClaims(claims, true, failing); err == nil {
+	if _, err := checkClaims(claims, true, 1, failing); err == nil {
 		t.Error("failing drivers left the check passing")
+	}
+}
+
+// TestClaimsOverSeeds pins the trained claims' multi-seed rule on
+// trainedFixtures run through seeded at three seeds, with edits at some
+// seeds: a claim holds over the seeds' mean and at all seeds but one.
+func TestClaimsOverSeeds(t *testing.T) {
+	fix := trainedFixtures()
+	fusionReq := edit{"Figure 5:", []string{"mmimdb"}, "Fusion-required", "5.0%"}
+	pushUni := edit{"Figure 4:", []string{"push", "uni:image"}, "Value", "0.010"}
+	for _, c := range []struct {
+		figure  string
+		e       edit
+		at      []int64 // the seeds the edit is made at
+		holding string
+		ok      bool
+	}{
+		{"fig5", fusionReq, nil, "3 of 3", true},
+		{"fig5", fusionReq, []int64{0}, "2 of 3", true},     // mean 4.0%
+		{"fig5", fusionReq, []int64{0, 2}, "1 of 3", false}, // mean 4.5%, two seeds fail
+		{"fig4", pushUni, nil, "3 of 3", true},
+		{"fig4", pushUni, []int64{1}, "2 of 3", false}, // the mean's uni-modal MSE beats every fusion's
+	} {
+		tables, err := seeded(ExpConfig{Seeds: 3}, func(_ ExpConfig, seed int64) (*report.Table, error) {
+			if slices.Contains(c.at, seed) {
+				return perturbed(t, fix[c.figure], c.e)[0], nil
+			}
+			return perturbed(t, fix[c.figure])[0], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(id string) ([]*report.Table, error) { return tables, nil }
+		var list []claim
+		for _, cl := range claims {
+			if cl.figure == c.figure {
+				list = append(list, cl)
+			}
+		}
+		got, err := checkClaims(list, false, 3, run)
+		row := got.Rows[0]
+		if want := []string{"Figure", "Status", "Reading", "Mean of 3 seeds", "Seeds holding", "Paper"}; !slices.Equal(got.Columns, want) {
+			t.Fatalf("columns %v, want %v", got.Columns, want)
+		}
+		if row[4] != c.holding || (row[1] == "pass") != c.ok || (err == nil) != c.ok {
+			t.Errorf("%s with %v at seeds %v: %v, err %v; want %s holding, pass=%v", c.figure, c.e, c.at, row, err, c.holding, c.ok)
+		}
+	}
+
+	// The mean table: mean and sample standard deviation of each printed
+	// cell, in its own format, with the other cells kept.
+	vals := []string{"3.5%", "3.5%", "5.0%"}
+	tables, _ := seeded(ExpConfig{Seeds: 3}, func(_ ExpConfig, seed int64) (*report.Table, error) {
+		return perturbed(t, fix["fig5"], edit{"Figure 5:", []string{"mmimdb"}, "Fusion-required", vals[seed]})[0], nil
+	})
+	mean := tables[3]
+	if !strings.HasPrefix(tables[1].Title, "Figure 5 (seed 2):") || !strings.HasPrefix(mean.Title, "Figure 5 (mean of 3 seeds):") {
+		t.Errorf("titles %q, %q", tables[1].Title, mean.Title)
+	}
+	if r := mean.Rows[1]; !slices.Equal(r[:2], []string{"mmimdb", "image"}) || r[6] != "4.0%" || r[7] != "0.9%" || r[2] != "85.2%" || r[3] != "0.0%" {
+		t.Errorf("mean row %v", r)
+	}
+
+	// A run with a table short fails the claim, not the reader.
+	if mean, ok, _ := claims[1].evalSeeds(tables[:3], nil, 3); ok || !strings.Contains(mean, "want one per seed") {
+		t.Errorf("three tables for three seeds: ok=%v, %q", ok, mean)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,6 +22,11 @@ type ExpConfig struct {
 	Train train.Config
 	// Quick shrinks training and sweep sizes for smoke tests.
 	Quick bool
+	// Seeds is how many seeds Figures 4 and 5 train every variant at (0
+	// or 1: one). The k-th, counted from 0, builds every network at 42+k
+	// and trains it at Train.Seed+k, so the first is the one-seed run.
+	// Titles and claims count seeds from 1.
+	Seeds int
 }
 
 // DefaultExpConfig returns the configuration used by the reproduction
@@ -154,8 +161,11 @@ func fig4Variants(info workloads.Info, quick bool) []string {
 // variant beats the best uni-modal baseline. Not every fusion does — some
 // score below a uni-modal baseline (tensor fusion on the regression tasks
 // among them) — and fusion choice alone moves the metric by several points.
-func Fig4(cfg ExpConfig) ([]*report.Table, error) {
+func Fig4(cfg ExpConfig) ([]*report.Table, error) { return seeded(cfg, fig4At) }
+
+func fig4At(cfg ExpConfig, seed int64) (*report.Table, error) {
 	tcfg := cfg.trainConfig()
+	tcfg.Seed += seed
 	names := workloads.Names()
 	if cfg.Quick {
 		names = []string{"avmnist"}
@@ -170,7 +180,7 @@ func Fig4(cfg ExpConfig) ([]*report.Table, error) {
 		}
 		wcfg := tuneConfig(info.Task, tcfg)
 		for _, variant := range fig4Variants(info, cfg.Quick) {
-			n, err := workloads.Build(name, variant, false, 42)
+			n, err := workloads.Build(name, variant, false, 42+seed)
 			if err != nil {
 				return nil, err
 			}
@@ -178,15 +188,18 @@ func Fig4(cfg ExpConfig) ([]*report.Table, error) {
 			t.AddRow(name, variant, train.MetricName(info.Task), report.F(res.Metric))
 		}
 	}
-	return []*report.Table{t}, nil
+	return t, nil
 }
 
 // Fig5 reproduces the mutually exclusive correct-sample distribution: most
 // correct samples are solvable from the major modality alone, and under 5%
 // require multi-modal fusion — its claims row (claims.go), which the
 // table's Note states.
-func Fig5(cfg ExpConfig) ([]*report.Table, error) {
+func Fig5(cfg ExpConfig) ([]*report.Table, error) { return seeded(cfg, fig5At) }
+
+func fig5At(cfg ExpConfig, seed int64) (*report.Table, error) {
 	tcfg := cfg.trainConfig()
+	tcfg.Seed += seed
 	datasets := []string{"avmnist", "mmimdb", "mosei", "mustard"}
 	if cfg.Quick {
 		datasets = []string{"avmnist"}
@@ -205,15 +218,15 @@ func Fig5(cfg ExpConfig) ([]*report.Table, error) {
 				break
 			}
 		}
-		major, err := workloads.Build(name, "uni:"+info.Major, false, 42)
+		major, err := workloads.Build(name, "uni:"+info.Major, false, 42+seed)
 		if err != nil {
 			return nil, err
 		}
-		minorNet, err := workloads.Build(name, "uni:"+minor, false, 42)
+		minorNet, err := workloads.Build(name, "uni:"+minor, false, 42+seed)
 		if err != nil {
 			return nil, err
 		}
-		multi, err := workloads.Build(name, info.Fusions[0], false, 42)
+		multi, err := workloads.Build(name, info.Fusions[0], false, 42+seed)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +264,77 @@ func Fig5(cfg ExpConfig) ([]*report.Table, error) {
 	}
 	// `mmbench repro check` asserts this Note: the fig5 row of claims.go.
 	t.Note = "Paper: >75% of correct samples need only the major modality; <5% require fusion."
-	return []*report.Table{t}, nil
+	return t, nil
+}
+
+// seeded runs a trained figure's driver at each of cfg.Seeds seeds and
+// returns seed 0's table as the driver titles it, then each further
+// seed's with "(seed k)" in its title, counted from 1. For two or more
+// seeds a last table gives every numeric cell's mean over the seeds, each
+// followed by its sample standard deviation in an "sd" column; the other
+// cells are seed 0's. The means are of the printed cells.
+func seeded(cfg ExpConfig, at func(cfg ExpConfig, seed int64) (*report.Table, error)) ([]*report.Table, error) {
+	var tables []*report.Table
+	for k := range max(1, cfg.Seeds) {
+		t, err := at(cfg, int64(k))
+		if err != nil {
+			return nil, err
+		}
+		if k > 0 {
+			t.Title = retitle(t.Title, fmt.Sprintf("seed %d", k+1))
+		}
+		tables = append(tables, t)
+	}
+	if len(tables) == 1 {
+		return tables, nil
+	}
+	first := tables[0]
+	var cols []int // the numeric columns, by seed 0's first row
+	for j := range first.Columns {
+		if _, err := parseCell(first.Rows[0][j]); err == nil {
+			cols = append(cols, j)
+		}
+	}
+	var names []string
+	for j, c := range first.Columns {
+		if names = append(names, c); slices.Contains(cols, j) {
+			names = append(names, c+" sd")
+		}
+	}
+	mean := report.NewTable(retitle(first.Title, fmt.Sprintf("mean of %d seeds", len(tables))), names...)
+	mean.Note = fmt.Sprintf("Each numeric cell is the mean over %d seeds, then its sample standard deviation. Seed 1 is the one-seed run; seed k builds every network at 41+k and trains at the training seed plus k−1.", len(tables))
+	for i, r := range first.Rows {
+		var row []string
+		for j, cell := range r {
+			if !slices.Contains(cols, j) {
+				row = append(row, cell)
+				continue
+			}
+			vs := make([]float64, len(tables))
+			var m, ss float64
+			for k, t := range tables {
+				vs[k], _ = parseCell(t.Rows[i][j]) // NaN when it is not a number
+				m += vs[k] / float64(len(vs))
+			}
+			for _, v := range vs {
+				ss += (v - m) * (v - m)
+			}
+			sd := math.Sqrt(ss / float64(len(vs)-1))
+			if strings.HasSuffix(cell, "%") {
+				row = append(row, report.Pct(m), report.Pct(sd))
+			} else {
+				row = append(row, report.F(m), report.F(sd))
+			}
+		}
+		mean.AddRow(row...)
+	}
+	return append(tables, mean), nil
+}
+
+// retitle puts (tag) after the figure name of a "Figure N: …" title.
+func retitle(title, tag string) string {
+	name, rest, _ := strings.Cut(title, ":")
+	return name + " (" + tag + "):" + rest
 }
 
 // correctSet evaluates a network over a batch and returns per-sample
