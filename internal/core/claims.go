@@ -191,7 +191,7 @@ var claims = []claim{{
 
 // evalSeeds checks a trained claim over its figure's tables from a run at
 // seeds ≥ 2 seeds (seeded's layout): at each seed and over their mean,
-// each table read as if it were seed 0's. The claim holds when it holds
+// each table read as if it were the first seed's. The claim holds when it holds
 // over the mean and at all seeds but at most one. It returns the mean's
 // reading and the number of seeds at which the claim holds.
 func (cl claim) evalSeeds(tables []*report.Table, err error, seeds int) (mean string, ok bool, holding int) {
@@ -220,7 +220,7 @@ func (cl claim) evalSeeds(tables []*report.Table, err error, seeds int) (mean st
 // returns one row per claim: pass, fail (with what it read, or why it
 // could not read it) or skip (a trained claim under cfg.Quick). The error
 // names the failed claims. At cfg.Seeds ≥ 2 the Reading column is still
-// seed 0's; two more columns give each trained claim's reading over the
+// the first seed's; two more columns give each trained claim's reading over the
 // seeds' mean and how many seeds it holds at, and its status is
 // evalSeeds's.
 func CheckClaims(cfg ExpConfig) (*report.Table, error) {

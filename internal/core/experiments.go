@@ -268,11 +268,11 @@ func fig5At(cfg ExpConfig, seed int64) (*report.Table, error) {
 }
 
 // seeded runs a trained figure's driver at each of cfg.Seeds seeds and
-// returns seed 0's table as the driver titles it, then each further
-// seed's with "(seed k)" in its title, counted from 1. For two or more
+// returns the first seed's table as the driver titles it, then each
+// further seed's with "(seed k)" in its title, k counted from 1. For two or more
 // seeds a last table gives every numeric cell's mean over the seeds, each
 // followed by its sample standard deviation in an "sd" column; the other
-// cells are seed 0's. The means are of the printed cells.
+// cells are the first seed's. The means are of the printed cells.
 func seeded(cfg ExpConfig, at func(cfg ExpConfig, seed int64) (*report.Table, error)) ([]*report.Table, error) {
 	var tables []*report.Table
 	for k := range max(1, cfg.Seeds) {
@@ -289,7 +289,7 @@ func seeded(cfg ExpConfig, at func(cfg ExpConfig, seed int64) (*report.Table, er
 		return tables, nil
 	}
 	first := tables[0]
-	var cols []int // the numeric columns, by seed 0's first row
+	var cols []int // the numeric columns, by the first seed's first row
 	for j := range first.Columns {
 		if _, err := parseCell(first.Rows[0][j]); err == nil {
 			cols = append(cols, j)
