@@ -271,9 +271,14 @@ func BenchmarkAnalyticInference(b *testing.B) {
 }
 
 // BenchmarkTrainingStep measures one eager forward+backward+update step of
-// the trainable AV-MNIST network.
-func BenchmarkTrainingStep(b *testing.B) {
-	n, err := workloads.Build("avmnist", "concat", false, 42)
+// the trainable AV-MNIST network (convolutions), and LSTM the same step of
+// MUStARD's two LSTM encoders under concat fusion.
+func BenchmarkTrainingStep(b *testing.B) { benchTrainingStep(b, "avmnist") }
+
+func BenchmarkTrainingStepLSTM(b *testing.B) { benchTrainingStep(b, "mustard") }
+
+func benchTrainingStep(b *testing.B, workload string) {
+	n, err := workloads.Build(workload, "concat", false, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

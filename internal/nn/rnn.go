@@ -6,21 +6,12 @@ import (
 	"mmbench/internal/tensor"
 )
 
-// zerosLike returns a zero state matching the abstractness of ref.
-func zerosLike(ref *ops.Var, shape ...int) *ops.Var {
-	if ref.Value.Abstract() {
-		return autograd.NewVar(tensor.NewAbstract(shape...))
-	}
-	return autograd.NewVar(tensor.New(shape...))
-}
-
 // LSTM is a single-layer LSTM over [B,T,D] sequences. Forward returns the
 // final hidden state [B,H].
 type LSTM struct {
 	Hidden int
 	WX, WH *ops.Var // [D,4H], [H,4H]
 	B      *ops.Var // [4H]
-	inDim  int
 }
 
 // NewLSTM builds an LSTM with Xavier-initialized weights.
@@ -34,43 +25,14 @@ func NewLSTM(g *tensor.RNG, in, hidden int) *LSTM {
 	for i := hidden; i < 2*hidden; i++ {
 		b.Data()[i] = 1
 	}
-	return &LSTM{Hidden: hidden, WX: autograd.Param(wx), WH: autograd.Param(wh), B: autograd.Param(b), inDim: in}
+	return &LSTM{Hidden: hidden, WX: autograd.Param(wx), WH: autograd.Param(wh), B: autograd.Param(b)}
 }
 
-// step advances one timestep.
-func (l *LSTM) step(c *ops.Ctx, xt, h, cell *ops.Var) (*ops.Var, *ops.Var) {
-	hh := l.Hidden
-	gates := c.Add(c.Linear(xt, l.WX, l.B), c.Linear(h, l.WH, nil)) // [B,4H]
-	i := c.Sigmoid(c.Slice(gates, 1, 0, hh))
-	f := c.Sigmoid(c.Slice(gates, 1, hh, 2*hh))
-	g := c.Tanh(c.Slice(gates, 1, 2*hh, 3*hh))
-	o := c.Sigmoid(c.Slice(gates, 1, 3*hh, 4*hh))
-	cell = c.Add(c.Mul(f, cell), c.Mul(i, g))
-	h = c.Mul(o, c.Tanh(cell))
-	return h, cell
-}
-
-// Forward runs the sequence and returns the final hidden state [B,H].
-// Without a tape it is one ops.LSTMSequence, which emits the composed
-// steps' kernels and computes their bits; under a tape it composes the
-// steps, whose operators record the backward.
+// Forward runs the sequence and returns the final hidden state [B,H]:
+// one ops.LSTMSequence, which emits the composed steps' kernels, computes
+// their bits and, under a tape, records their gradients.
 func (l *LSTM) Forward(c *ops.Ctx, x *ops.Var) *ops.Var {
-	if c.Tape == nil {
-		return c.LSTMSequence(x, l.WX, l.WH, l.B)
-	}
-	return l.composed(c, x)
-}
-
-// composed runs the sequence one step at a time from zero state.
-func (l *LSTM) composed(c *ops.Ctx, x *ops.Var) *ops.Var {
-	b, t := x.Value.Dim(0), x.Value.Dim(1)
-	h := zerosLike(x, b, l.Hidden)
-	cell := zerosLike(x, b, l.Hidden)
-	for ti := 0; ti < t; ti++ {
-		xt := c.Reshape(c.Slice(x, 1, ti, ti+1), b, x.Value.Dim(2))
-		h, cell = l.step(c, xt, h, cell)
-	}
-	return h
+	return c.LSTMSequence(x, l.WX, l.WH, l.B)
 }
 
 // Params returns the LSTM weights.

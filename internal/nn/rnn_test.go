@@ -127,19 +127,107 @@ func firstSpecDiff(a, b []kernels.Spec) string {
 	return "past the shorter stream"
 }
 
-// TestLSTMTapedStaysComposed: under a tape Forward composes the steps
-// (their operators record the backward), and the sequence operator
-// refuses a tape.
-func TestLSTMTapedStaysComposed(t *testing.T) {
-	l, x := lstmFor(lstmCase{b: 2, t: 3, d: 5, h: 7})
-	c := &ops.Ctx{Tape: autograd.NewTape()}
-	if h := l.Forward(c, x); !h.NeedGrad {
-		t.Fatal("a taped LSTM forward does not carry gradients")
+// lstmGrads runs case k's LSTM under a tape on e — the sequence operator,
+// or the composed steps — with x a parameter when xGrad, and returns its
+// output and the gradients of W_x, W_h, the bias and (when xGrad) x. Every
+// gradient accumulates onto −0, and the loss weighs each output by its
+// own factor in [-1, 1), the first half of the hidden units' zero: with
+// one step their gate gradients are zeros, whose signs the bias gradient
+// keeps.
+func lstmGrads(k lstmCase, e *engine.Engine, xGrad, composed bool) [][]float32 {
+	l, x := lstmFor(k)
+	x.NeedGrad = xGrad
+	for _, p := range []*ops.Var{x, l.WX, l.WH, l.B} {
+		p.Grad = tensor.New(p.Value.Shape()...)
+		p.Grad.Fill(float32(math.Copysign(0, -1)))
 	}
+	c := k.ctx(e, nil)
+	c.Tape = autograd.NewTape()
+	var h *ops.Var
+	if composed {
+		h = l.composed(c, x)
+	} else {
+		h = l.Forward(c, x)
+	}
+	r := tensor.New(k.b, k.h)
+	tensor.NewRNG(int64(k.t)).Uniform(r, -1, 1)
+	for bi := 0; bi < k.b; bi++ {
+		clear(r.Data()[bi*k.h:][:k.h/2])
+	}
+	c.Tape.Backward(c.MeanAll(c.Mul(h, ops.Constant(r))))
+	grads := [][]float32{h.Value.Data(), l.WX.Grad.Data(), l.WH.Grad.Data(), l.B.Grad.Data()}
+	if xGrad {
+		grads = append(grads, x.Grad.Data())
+	}
+	return grads
+}
+
+// TestLSTMSequenceGradientsMatchComposedSteps is the taped companion of
+// TestLSTMSequenceMatchesComposedSteps: under a tape the sequence's
+// output and the gradients it leaves on W_x, W_h, the bias and x equal
+// the composed steps' bit for bit, at 1 and 3 workers, for every case of
+// lstmCases on private weights (frozen ones cannot train), with x a
+// parameter and a plain input.
+func TestLSTMSequenceGradientsMatchComposedSteps(t *testing.T) {
+	engines := []*engine.Engine{engine.New(1), engine.New(3)}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("LSTMSequence under a tape did not panic")
+		for _, e := range engines {
+			e.Close()
 		}
 	}()
-	c.LSTMSequence(x, l.WX, l.WH, l.B)
+	for _, k := range lstmCases() {
+		if k.frozen && k.t > 1 {
+			continue // lstmCases has this case on private weights too
+		}
+		k.frozen = false
+		for _, xGrad := range []bool{false, true} {
+			want := lstmGrads(k, engines[0], xGrad, true)
+			for _, e := range engines {
+				got := lstmGrads(k, e, xGrad, false)
+				for i, what := range []string{"h", "W_x gradient", "W_h gradient", "bias gradient", "x gradient"}[:len(want)] {
+					for j, w := range want[i] {
+						if math.Float32bits(got[i][j]) != math.Float32bits(w) {
+							t.Fatalf("%v, x parameter %v, %d workers: %s[%d] = %g, the composed steps give %g",
+								k, xGrad, e.Workers(), what, j, got[i][j], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// zerosLike returns a zero state matching the abstractness of ref.
+func zerosLike(ref *ops.Var, shape ...int) *ops.Var {
+	if ref.Value.Abstract() {
+		return autograd.NewVar(tensor.NewAbstract(shape...))
+	}
+	return autograd.NewVar(tensor.New(shape...))
+}
+
+// composed is the oracle LSTMSequence is pinned to: the sequence one step
+// at a time from zero state, each step composed from Linear, Add, Slice,
+// the activations and Mul, whose own tape steps record the backward.
+func (l *LSTM) composed(c *ops.Ctx, x *ops.Var) *ops.Var {
+	b, t := x.Value.Dim(0), x.Value.Dim(1)
+	h := zerosLike(x, b, l.Hidden)
+	cell := zerosLike(x, b, l.Hidden)
+	for ti := 0; ti < t; ti++ {
+		xt := c.Reshape(c.Slice(x, 1, ti, ti+1), b, x.Value.Dim(2))
+		h, cell = l.step(c, xt, h, cell)
+	}
+	return h
+}
+
+// step advances one timestep.
+func (l *LSTM) step(c *ops.Ctx, xt, h, cell *ops.Var) (*ops.Var, *ops.Var) {
+	hh := l.Hidden
+	gates := c.Add(c.Linear(xt, l.WX, l.B), c.Linear(h, l.WH, nil)) // [B,4H]
+	i := c.Sigmoid(c.Slice(gates, 1, 0, hh))
+	f := c.Sigmoid(c.Slice(gates, 1, hh, 2*hh))
+	g := c.Tanh(c.Slice(gates, 1, 2*hh, 3*hh))
+	o := c.Sigmoid(c.Slice(gates, 1, 3*hh, 4*hh))
+	cell = c.Add(c.Mul(f, cell), c.Mul(i, g))
+	h = c.Mul(o, c.Tanh(cell))
+	return h, cell
 }

@@ -260,3 +260,17 @@ func TestGradConv2DReLU(t *testing.T) {
 		return c.MeanAll(c.Conv2DReLU(x, w, b, 1, 1))
 	})
 }
+
+// TestGradLSTMSequence checks the LSTM's backward against its definition
+// directly, not only against the composed steps (whose operators have
+// their own checks): x, both weights and the bias over four steps, hidden
+// width 5, so 4H = 20 fills one B panel and part of a second.
+func TestGradLSTMSequence(t *testing.T) {
+	g := tensor.NewRNG(29)
+	x := randParam(g, 2, 4, 3)
+	wx, wh, b := randParam(g, 3, 20), randParam(g, 5, 20), randParam(g, 20)
+	gradCheck(t, "lstm", []*Var{x, wx, wh, b}, func(c *Ctx) *Var {
+		h := c.LSTMSequence(x, wx, wh, b)
+		return c.MeanAll(c.Mul(h, h))
+	})
+}

@@ -71,15 +71,15 @@ func TestLinearProductLandsOnItsSpan(t *testing.T) {
 
 // lstmProductsWall times LSTMSequence's products alone, the way it runs
 // them (once untimed first, to warm up): the input projection over all
-// B·T rows, then one recurrent product per step.
-func lstmProductsWall(x, wx, wh, hidden *Var) time.Duration {
+// B·T rows with its bias, then one recurrent product per step.
+func lstmProductsWall(x, wx, wh, bias, hidden *Var) time.Duration {
 	b, steps, d := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2)
 	h, h4 := wh.Value.Dim(0), wh.Value.Dim(1)
 	xp, hp := make([]float32, b*steps*h4), make([]float32, b*h4)
 	run := func() time.Duration {
 		c := Infer()
 		t0 := time.Now()
-		c.product(wx.Frozen, xp, x.Value.Data(), wx.Value.Data(), b*steps, d, h4, gemm.Epilogue{})
+		c.product(wx.Frozen, xp, x.Value.Data(), wx.Value.Data(), b*steps, d, h4, gemm.Epilogue{Bias: bias.Value.Data()})
 		for range steps {
 			clear(hp)
 			c.product(wh.Frozen, hp, hidden.Value.Data(), wh.Value.Data(), b, h, h4, gemm.Epilogue{})
@@ -105,7 +105,7 @@ func TestLSTMProductsLandOnAGemmSpan(t *testing.T) {
 	wx, wh, bias := benchVar(g, d, 4*h), benchVar(g, h, 4*h), benchVar(g, 4*h)
 	hidden := benchVar(g, b, h)
 	walls, wall, products := pairedWalls(func(c *Ctx) { c.LSTMSequence(x, wx, wh, bias) },
-		func() time.Duration { return lstmProductsWall(x, wx, wh, hidden) })
+		func() time.Duration { return lstmProductsWall(x, wx, wh, bias, hidden) })
 	recur := walls[fmt.Sprintf("linear_%dx%dx%d", b, h, 4*h)]
 	t.Logf("wall %v: h·W_h linear %v (the products alone %v), mul %v, bias_add %v",
 		wall, recur, products, walls["mul"], walls["bias_add"])
