@@ -78,8 +78,9 @@ func im2colConv2D(e *engine.Engine, prec precision.Type, x, w *Var, stride, pad 
 	return out
 }
 
-// directConv2D is the convolution's definition in float64.
-func directConv2D(x, w *Var, stride, pad int) []float64 {
+// directConv2D is the convolution's definition in float64, with each
+// term(x, w) in place of the product x·w.
+func directConv2D(x, w *Var, stride, pad int, term func(x, w float64) float64) []float64 {
 	n, ch, h, wd := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2), x.Value.Dim(3)
 	outC, kh, kw := w.Value.Dim(0), w.Value.Dim(2), w.Value.Dim(3)
 	oh, ow := convOut(h, kh, stride, pad), convOut(wd, kw, stride, pad)
@@ -97,7 +98,7 @@ func directConv2D(x, w *Var, stride, pad int) []float64 {
 								if iy < 0 || iy >= h || ix < 0 || ix >= wd {
 									continue
 								}
-								sum += float64(xd[((ni*ch+ci)*h+iy)*wd+ix]) * float64(wdta[((oc*ch+ci)*kh+ky)*kw+kx])
+								sum += term(float64(xd[((ni*ch+ci)*h+iy)*wd+ix]), float64(wdta[((oc*ch+ci)*kh+ky)*kw+kx]))
 							}
 						}
 					}
@@ -197,19 +198,42 @@ func convGrid() (cases []convCase) {
 	)
 }
 
-// convBounds are the documented bounds of Conv2D against the
-// convolution's float64 definition, relative to the largest output.
-var convBounds = map[precision.Type]float64{precision.F32: 1e-5, precision.F16: 1e-2, precision.I8: 1e-1}
+// f32SumBound is the bound on a float32 sum of products against its
+// float64 value, relative to the sum of |term|: that sum, not the result
+// nor the largest output, is what rounding error scales with where terms
+// cancel.
+const f32SumBound = 1e-5
+
+// convTermError bounds how far one term x·w of a Conv2D at prec lies from
+// the exact product because its operands were rounded: at f16 each by at
+// most half an ulp (|v|·2⁻¹¹, or 2⁻²⁵ among the subnormals), at i8 by at
+// most half a level of its tensor's scale (sx for x, sw for w). At f32 the
+// operands are exact.
+func convTermError(prec precision.Type, sx, sw float64) func(x, w float64) float64 {
+	switch prec {
+	case precision.F16:
+		half := func(v float64) float64 { return math.Max(math.Abs(v)*0x1p-11, 0x1p-25) }
+		return func(x, w float64) float64 {
+			dx, dw := half(x), half(w)
+			return math.Abs(x)*dw + math.Abs(w)*dx + dx*dw
+		}
+	case precision.I8:
+		return func(x, w float64) float64 { return math.Abs(x)*sw/2 + math.Abs(w)*sx/2 + sx*sw/4 }
+	}
+	return func(x, w float64) float64 { return 0 }
+}
 
 // checkConv2D is the differential check of the implicit-GEMM forward at
 // one shape, on data drawn from g, at each of precs: bitwise equal to the
 // im2col + gemm.F32/F16/I8 composition it replaced on every engine
-// (engines[0] runs the oracle), every pooled buffer returned; within
-// convBounds of the float64 convolution; and, with and without a bias,
-// bitwise equal for a request alone and as the middle member of a
-// three-request segmented batch on engines[1], whose neighbours are 5×
-// and 0.2× its magnitude (at i8 each member's activation scale is its own
-// segment's).
+// (engines[0] runs the oracle), every pooled buffer returned; within its
+// documented error of the float64 convolution, element by element (the
+// operands' rounding, convTermError, summed over the output's terms,
+// f32SumBound of its sum of |term|, and at f16 half an ulp of the stored
+// output); and, with and without a bias, bitwise equal for a request
+// alone and as the middle member of a three-request segmented batch on
+// engines[1], whose neighbours are 5× and 0.2× its magnitude (at i8 each
+// member's activation scale is its own segment's).
 func checkConv2D(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.RNG, precs ...precision.Type) {
 	t.Helper()
 	sample := func(n int, amp float32) *Var {
@@ -221,14 +245,13 @@ func checkConv2D(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.R
 	}
 	x, w, bias := sample(s.n, 1), randParam(g, s.outC, s.c, s.kh, s.kw), randParam(g, s.outC)
 	merged := concatVars(sample(1, 5), x, sample(2, 0.2))
-	ref := directConv2D(x, w, s.stride, s.pad)
-	var refMax float64
-	for _, v := range ref {
-		refMax = math.Max(refMax, math.Abs(v))
-	}
+	sx, sw := float64(precision.I8Scale(precision.MaxAbs(x.Value.Data()))), float64(precision.I8Scale(precision.MaxAbs(w.Value.Data())))
+	ref := directConv2D(x, w, s.stride, s.pad, func(a, b float64) float64 { return a * b })
+	mag := directConv2D(x, w, s.stride, s.pad, func(a, b float64) float64 { return math.Abs(a * b) })
 	per := len(ref) / s.n
 	for _, prec := range precs {
 		name := fmt.Sprintf("%v/%v", s, prec)
+		operands := directConv2D(x, w, s.stride, s.pad, convTermError(prec, sx, sw))
 		want := im2colConv2D(engines[0], prec, x, w, s.stride, s.pad)
 		for _, e := range engines {
 			sliceEq(t, fmt.Sprintf("%s/workers=%d", name, e.Workers()), segCtx(e, prec, nil).Conv2D(x, w, nil, s.stride, s.pad).Value.Data(), want)
@@ -237,8 +260,12 @@ func checkConv2D(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.R
 			}
 		}
 		for i, v := range want {
-			if d := math.Abs(float64(v) - ref[i]); !(d <= convBounds[prec]*refMax) {
-				t.Fatalf("%s: out[%d] = %g, float64 convolution gives %g (|diff| %g > %g·%g)", name, i, v, ref[i], d, convBounds[prec], refMax)
+			bound := 1.01*operands[i] + f32SumBound*mag[i]
+			if prec == precision.F16 {
+				bound += math.Max((math.Abs(ref[i])+operands[i])*0x1p-11, 0x1p-25)
+			}
+			if d := math.Abs(float64(v) - ref[i]); !(d <= bound) {
+				t.Fatalf("%s: out[%d] = %g, float64 convolution gives %g (|diff| %g > %g)", name, i, v, ref[i], d, bound)
 			}
 		}
 		for _, b := range []*Var{nil, bias} {
@@ -333,19 +360,17 @@ func checkConv2DReLU(t *testing.T, engines []*engine.Engine, s convCase, g *tens
 // shape, on data drawn from g, with the forward at prec: for Conv2D and
 // Conv2DReLU, without and with a bias, the x, w and bias gradients of a
 // loss that weighs each output by its own factor are bitwise equal on
-// every engine, every pooled buffer returned, and within the F32
-// convBounds of the float64 definition (directConv2DGrad), element by
-// element relative to that element's float64 sum of |term|. That sum, not
-// the gradient's own value, is what a float32 sum's rounding error scales
-// with: a gradient element whose terms cancel (a one-channel bias
-// gradient, say) can be far smaller than its error bound, and one with no
-// nonzero term must be exactly 0.
+// every engine, every pooled buffer returned, and within f32SumBound of
+// the float64 definition (directConv2DGrad), element by element relative
+// to that element's float64 sum of |term|: a gradient element whose terms
+// cancel (a one-channel bias gradient, say) can be far smaller than its
+// error bound, and one with no nonzero term must be exactly 0.
 func checkConv2DGrad(t *testing.T, engines []*engine.Engine, s convCase, g *tensor.RNG, prec precision.Type) {
 	t.Helper()
 	x, w, bias := randParam(g, s.n, s.c, s.h, s.w), randParam(g, s.outC, s.c, s.kh, s.kw), randParam(g, s.outC)
 	oh, ow := convOut(s.h, s.kh, s.stride, s.pad), convOut(s.w, s.kw, s.stride, s.pad)
 	r := autograd.NewVar(randParam(g, s.n, s.outC, oh, ow).Value)
-	bound := convBounds[precision.F32]
+	bound := f32SumBound
 	for _, b := range []*Var{nil, bias} {
 		for _, relu := range []bool{false, true} {
 			name := fmt.Sprintf("%v/%v/bias=%t/relu=%t", s, prec, b != nil, relu)
