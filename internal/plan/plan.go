@@ -374,7 +374,3 @@ func (p *Plan) NodeByKey(key string) *Node {
 	}
 	return nil
 }
-
-// EventCount returns the captured event count (tests use it to confirm
-// a compile saw the full run sequence).
-func (p *Plan) EventCount() int { return len(p.events) }

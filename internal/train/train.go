@@ -16,43 +16,6 @@ import (
 	"mmbench/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*ops.Var)
-}
-
-// SGD is stochastic gradient descent with momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	vel      map[*ops.Var]*tensor.Tensor
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*ops.Var]*tensor.Tensor)}
-}
-
-// Step applies one SGD update and clears gradients.
-func (o *SGD) Step(params []*ops.Var) {
-	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		v := o.vel[p]
-		if v == nil {
-			v = tensor.New(p.Value.Shape()...)
-			o.vel[p] = v
-		}
-		vd, gd, pd := v.Data(), p.Grad.Data(), p.Value.Data()
-		for i := range pd {
-			vd[i] = o.Momentum*vd[i] + gd[i]
-			pd[i] -= o.LR * vd[i]
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float32

@@ -11,34 +11,6 @@ import (
 	"mmbench/internal/workloads"
 )
 
-func TestSGDStep(t *testing.T) {
-	p := autograd.Param(tensor.Of([]int{2}, 1, 2))
-	p.EnsureGrad().Data()[0] = 1
-	p.Grad.Data()[1] = -1
-	opt := NewSGD(0.1, 0)
-	opt.Step([]*ops.Var{p})
-	if p.Value.At(0) != 0.9 || p.Value.At(1) != 2.1 {
-		t.Fatalf("sgd update %v", p.Value.Data())
-	}
-	if p.Grad.MaxAbs() != 0 {
-		t.Fatal("gradients not cleared")
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := autograd.Param(tensor.Of([]int{1}, 0))
-	opt := NewSGD(0.1, 0.9)
-	for i := 0; i < 3; i++ {
-		p.EnsureGrad().Fill(1)
-		opt.Step([]*ops.Var{p})
-	}
-	// Velocity compounds: updates are 0.1, 0.19, 0.271.
-	want := -(0.1 + 0.19 + 0.271)
-	if math.Abs(float64(p.Value.At(0))-want) > 1e-5 {
-		t.Fatalf("momentum value %v, want %v", p.Value.At(0), want)
-	}
-}
-
 func TestAdamStep(t *testing.T) {
 	p := autograd.Param(tensor.Of([]int{1}, 1))
 	opt := NewAdam(0.1)
