@@ -42,6 +42,11 @@ func (cl claim) eval(tables []*report.Table, err error) (reading string, ok bool
 
 // claims is the checklist, in figure order.
 var claims = []claim{{
+	// mmimdb's uni:text reads 0 and never decides the margin: its text
+	// carries the primary genre on only ≈ 10 % of samples (Mix: 7 %
+	// minor-only, 2.9 % either), so "no genre" is its loss-optimal answer.
+	// All 4 416 evaluation logits (192 samples × 23 genres) are negative,
+	// the 0.5 threshold predicts no genre and micro-F1 is 0.
 	figure: "fig4", tol: 0,
 	paper: "The best fusion beats the best uni-modal network on every application (MSE: lower is better).",
 	check: func(c *cells, tol float64) (string, bool) {

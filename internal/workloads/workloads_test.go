@@ -194,3 +194,18 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild prices one paper-scale build, which every analytic miss
+// pays: the sweep's costliest networks, whose time is mostly weight
+// initialisation.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range []struct{ name, variant string }{{"transfuser", "transformer"}, {"mosei", "concat"}} {
+		b.Run(c.name+"/"+c.variant, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Build(c.name, c.variant, true, 7); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

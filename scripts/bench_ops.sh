@@ -6,7 +6,8 @@
 #        scripts/bench_ops.sh -check   (parser fixture only, no benchmarks)
 #
 # Runs the kernel benchmarks of internal/ops, internal/engine and
-# internal/mmnet with -benchmem and converts `go test` output into a
+# internal/mmnet, and the build-time benchmarks of internal/tensor and
+# internal/workloads, with -benchmem and converts `go test` output into a
 # stable JSON document. This includes the mixed-precision pair
 # (BenchmarkMatMulI8, BenchmarkAttentionF16), which tracks the
 # quantize/dequantize overhead of the emulated low-precision kernels
@@ -18,7 +19,10 @@
 # pack of a private network at the shapes the served models issue, and
 # the non-GEMM half of a served forward: BenchmarkAttention at the served
 # attention shapes and BenchmarkActivation{ReLU,Sigmoid,Tanh,GELU} at the
-# mosei FFN's hidden shape.
+# mosei FFN's hidden shape. BenchmarkRNGUniform and BenchmarkRNGNormal
+# price the weight-initialisation fills over 1 Mi floats, and
+# BenchmarkBuild one paper-scale build of transfuser/transformer and
+# mosei/concat, the costliest networks an analytic sweep builds.
 # Benchmark wall times are machine-dependent; the baseline is meant for
 # relative comparisons on one machine (e.g. CI runners of the same
 # class), not absolute thresholds.
@@ -72,7 +76,7 @@ if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
 fi
 
 raw="$(go test -run '^$' -bench . -benchmem -benchtime "${BENCHTIME:-1s}" \
-	./internal/ops ./internal/engine ./internal/mmnet)"
+	./internal/ops ./internal/engine ./internal/mmnet ./internal/tensor ./internal/workloads)"
 
 {
 	printf '{\n'
