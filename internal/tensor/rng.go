@@ -85,7 +85,8 @@ func (g *RNG) Uniform(t *Tensor, lo, hi float32) {
 
 // Normal fills t with N(mean, std) samples. Each element is
 // mean + std*Norm(): the block runs NormFloat64's ziggurat fast path, and
-// a word that leaves it (about 2.8 % of them) finishes in normTail.
+// a word that leaves it (about 2.8 % of them) is left to rand.Rand, which
+// reads it again and takes the base strip or the wedge.
 func (g *RNG) Normal(t *Tensor, mean, std float32) {
 	d := t.data
 	for len(d) > 0 {
@@ -104,8 +105,7 @@ func (g *RNG) Normal(t *Tensor, mean, std float32) {
 		g.s.pos += k
 		d = d[k:]
 		if k < n {
-			g.s.pos++
-			d[0] = mean + std*float32(g.s.normTail(int32(w[k]>>31)))
+			d[0] = mean + std*float32(g.r.NormFloat64())
 			d = d[1:]
 		}
 	}
@@ -184,43 +184,3 @@ func (s *stream) Uint64() uint64 {
 }
 
 func (s *stream) Int63() int64 { return int64(s.Uint64() & rngMask) }
-
-// float64 is rand.Rand's Float64 on s: a word that rounds to 1 is redrawn.
-func (s *stream) float64() float64 {
-	for {
-		if f := float64(s.Int63()) / (1 << 63); f != 1 {
-			return f
-		}
-	}
-}
-
-// normTail finishes rand.Rand's NormFloat64 for a word j that left the
-// ziggurat's fast path, drawing from s what NormFloat64 draws after it:
-// the base strip's tail samples, or a wedge test and, on rejection, the
-// next word.
-func (s *stream) normTail(j int32) float64 {
-	for {
-		i := j & 0x7F
-		x := float64(j) * float64(wn[i])
-		if absInt32(j) < kn[i] {
-			return x
-		}
-		if i == 0 {
-			for {
-				x = -math.Log(s.float64()) * (1.0 / rn)
-				y := -math.Log(s.float64())
-				if y+y >= x*x {
-					break
-				}
-			}
-			if j > 0 {
-				return rn + x
-			}
-			return -rn - x
-		}
-		if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
-			return x
-		}
-		j = int32(s.Uint64() >> 31)
-	}
-}

@@ -29,10 +29,9 @@
 package tensor
 
 // The ziggurat of math/rand's NormFloat64 (src/math/rand/normal.go in the
-// Go distribution), which RNG.Normal and stream.normTail repeat: a word j
-// with strip i = j&0x7F and |j| < kn[i] is the sample float64(j)*wn[i];
-// any other word goes to the base strip's tail (i = 0, beyond rn) or to
-// strip i's wedge test against fn.
+// Go distribution), whose fast path RNG.Normal repeats: a word j with
+// strip i = j&0x7F and |j| < kn[i] is the sample float64(j)*wn[i]. Any
+// other word goes to NormFloat64 itself, for the base strip or a wedge.
 
 func absInt32(i int32) uint32 {
 	if i < 0 {
@@ -103,35 +102,4 @@ var wn = [128]float32{
 	1.1781276e-09, 1.1962995e-09, 1.2158287e-09, 1.2369856e-09,
 	1.2601323e-09, 1.2857697e-09, 1.3146202e-09, 1.347784e-09,
 	1.3870636e-09, 1.4357403e-09, 1.5008659e-09, 1.6030948e-09,
-}
-
-const rn = 3.442619855899
-
-var fn = [128]float32{
-	1, 0.9635997, 0.9362827, 0.9130436, 0.89228165, 0.87324303,
-	0.8555006, 0.8387836, 0.8229072, 0.8077383, 0.793177,
-	0.7791461, 0.7655842, 0.7524416, 0.73967725, 0.7272569,
-	0.7151515, 0.7033361, 0.69178915, 0.68049186, 0.6694277,
-	0.658582, 0.6479418, 0.63749546, 0.6272325, 0.6171434,
-	0.6072195, 0.5974532, 0.58783704, 0.5783647, 0.56903,
-	0.5598274, 0.5507518, 0.54179835, 0.5329627, 0.52424055,
-	0.5156282, 0.50712204, 0.49871865, 0.49041483, 0.48220766,
-	0.4740943, 0.46607214, 0.4581387, 0.45029163, 0.44252872,
-	0.43484783, 0.427247, 0.41972435, 0.41227803, 0.40490642,
-	0.39760786, 0.3903808, 0.3832238, 0.37613547, 0.36911446,
-	0.3621595, 0.35526937, 0.34844297, 0.34167916, 0.33497685,
-	0.3283351, 0.3217529, 0.3152294, 0.30876362, 0.30235484,
-	0.29600215, 0.28970486, 0.2834622, 0.2772735, 0.27113807,
-	0.2650553, 0.25902456, 0.2530453, 0.24711695, 0.241239,
-	0.23541094, 0.22963232, 0.2239027, 0.21822165, 0.21258877,
-	0.20700371, 0.20146611, 0.19597565, 0.19053204, 0.18513499,
-	0.17978427, 0.17447963, 0.1692209, 0.16400786, 0.15884037,
-	0.15371831, 0.14864157, 0.14361008, 0.13862377, 0.13368265,
-	0.12878671, 0.12393598, 0.119130544, 0.11437051, 0.10965602,
-	0.104987256, 0.10036444, 0.095787846, 0.0912578, 0.08677467,
-	0.0823389, 0.077950984, 0.073611505, 0.06932112, 0.06508058,
-	0.06089077, 0.056752663, 0.0526674, 0.048636295, 0.044660863,
-	0.040742867, 0.03688439, 0.033087887, 0.029356318,
-	0.025693292, 0.022103304, 0.018592102, 0.015167298,
-	0.011839478, 0.008624485, 0.005548995, 0.0026696292,
 }
