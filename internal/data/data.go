@@ -21,6 +21,7 @@ package data
 
 import (
 	"fmt"
+	"sync"
 
 	"mmbench/internal/tensor"
 )
@@ -145,8 +146,12 @@ type Generator struct {
 	// SignalStrength scales prototypes relative to unit noise.
 	SignalStrength float32
 
-	protos map[protoKey]*tensor.Tensor // dense class prototypes
-	seed   int64
+	// protos holds the dense class prototypes, drawn by the first plant
+	// under protosOnce: an analytic run, which never calls Batch, draws
+	// none.
+	protos     map[protoKey]*tensor.Tensor
+	protosOnce sync.Once
+	seed       int64
 }
 
 type protoKey struct {
@@ -154,7 +159,12 @@ type protoKey struct {
 	class    int
 }
 
-// NewGenerator builds a generator with deterministic prototypes.
+// NewGenerator builds a generator whose class prototypes are a function
+// of seed, specs and classes alone. They are drawn together when a batch
+// first plants one (Batch is safe for concurrent use), each dense
+// prototype from NewRNG(seed).Split(mi*1000+k) in (modality, class)
+// order, so a generator only ever read through AbstractBatch allocates
+// none, and its batches do not depend on when the prototypes were drawn.
 func NewGenerator(name string, specs []ModalitySpec, task Task, classes int, seed int64) *Generator {
 	if len(specs) == 0 {
 		panic("data: generator with no modalities")
@@ -168,21 +178,29 @@ func NewGenerator(name string, specs []ModalitySpec, task Task, classes int, see
 		MinorIdx:       min(1, len(specs)-1),
 		Mix:            DefaultMixture(),
 		SignalStrength: 1.4,
-		protos:         make(map[protoKey]*tensor.Tensor),
 		seed:           seed,
 	}
-	protoRNG := tensor.NewRNG(seed)
-	for mi, spec := range specs {
-		if spec.Kind != Dense {
-			continue
-		}
-		for k := 0; k < max(classes, 1); k++ {
-			p := tensor.New(spec.Shape...)
-			protoRNG.Split(int64(mi*1000+k)).Normal(p, 0, 1)
-			g.protos[protoKey{mi, k}] = p
-		}
-	}
 	return g
+}
+
+// proto returns the dense prototype of class k in modality mi, drawing
+// every prototype on the first call.
+func (g *Generator) proto(mi, k int) *tensor.Tensor {
+	g.protosOnce.Do(func() {
+		g.protos = make(map[protoKey]*tensor.Tensor)
+		rng := tensor.NewRNG(g.seed)
+		for mi, spec := range g.Specs {
+			if spec.Kind != Dense {
+				continue
+			}
+			for k := 0; k < max(g.Classes, 1); k++ {
+				p := tensor.New(spec.Shape...)
+				rng.Split(int64(mi*1000+k)).Normal(p, 0, 1)
+				g.protos[protoKey{mi, k}] = p
+			}
+		}
+	})
+	return g.protos[protoKey{mi, k}]
 }
 
 // SpecByName returns the modality spec with the given name.
@@ -260,7 +278,7 @@ func (g *Generator) drawCarrier(rng *tensor.RNG) int {
 func (g *Generator) plant(rng *tensor.RNG, b *Batch, i, mi, k int, strength float32) {
 	spec := g.Specs[mi]
 	if spec.Kind == Dense {
-		proto := g.protos[protoKey{mi, k}]
+		proto := g.proto(mi, k)
 		t := b.Dense[spec.Name]
 		elems := spec.ElemsPerSample()
 		dst := t.Data()[i*elems : (i+1)*elems]
@@ -372,7 +390,7 @@ func (g *Generator) plantScaled(b *Batch, i, mi, k int, scale float32) {
 	if spec.Kind != Dense {
 		return
 	}
-	proto := g.protos[protoKey{mi, k}]
+	proto := g.proto(mi, k)
 	elems := spec.ElemsPerSample()
 	dst := b.Dense[spec.Name].Data()[i*elems : (i+1)*elems]
 	for j := range dst {

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -107,7 +108,7 @@ func TestPlantedSignalDecodable(t *testing.T) {
 	gen := NewGenerator("t", testSpecs(), Classify, 4, 1)
 	gen.Mix = Mixture{MajorFrac: 1.0} // all samples carried by image
 	b := gen.Batch(tensor.NewRNG(6), 200)
-	proto := gen.protos[protoKey{0, 0}]
+	proto := gen.proto(0, 0)
 	elems := testSpecs()[0].ElemsPerSample()
 	var withSignal, without float64
 	var nw, nwo int
@@ -227,5 +228,33 @@ func TestSpecByName(t *testing.T) {
 func TestTaskString(t *testing.T) {
 	if Classify.String() != "classification" || Segment.String() != "segmentation" {
 		t.Fatalf("task strings: %v %v", Classify, Segment)
+	}
+}
+
+// TestAbstractBatchDrawsNoPrototype pins that an analytic run's generator
+// holds no class prototype: NewGenerator and AbstractBatch allocate less
+// than one prototype's bytes, and the first Batch draws them all.
+func TestAbstractBatchDrawsNoPrototype(t *testing.T) {
+	specs := []ModalitySpec{
+		{Name: "image", Kind: Dense, Shape: []int{3, 64, 64}},
+		{Name: "lidar", Kind: Dense, Shape: []int{2, 64, 64}},
+	}
+	const protoBytes = 4 * 2 * 64 * 64 // the smaller modality's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gen := NewGenerator("lazy", specs, Regress, 8, 5)
+	for n := 1; n <= 4; n++ {
+		gen.AbstractBatch(n)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= protoBytes {
+		t.Errorf("NewGenerator and AbstractBatch allocated %d B, a prototype is %d B", got, protoBytes)
+	}
+	if gen.protos != nil {
+		t.Fatalf("AbstractBatch drew %d prototypes", len(gen.protos))
+	}
+	gen.Batch(tensor.NewRNG(1), 2)
+	if len(gen.protos) != 2*8 {
+		t.Fatalf("the first Batch drew %d prototypes, want %d", len(gen.protos), 2*8)
 	}
 }

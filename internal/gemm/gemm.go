@@ -169,6 +169,10 @@ func KernelName() string {
 // dispatch on it rather than probing the CPU again.
 func AVX512() bool { return hasZMM }
 
+// AVX512DQ reports whether this process may also run AVX-512DQ code
+// (vcvtqq2pd, the 64-bit integer conversions): AVX512 and the DQ bit.
+func AVX512DQ() bool { return hasDQ }
+
 // Epilogue is what a product does to an element as its tile reaches dst.
 // The element's sum starts from dst — or, with RowBias, from RowBias[i],
 // the bias of its row (a convolution's output channel), and dst is not

@@ -14,13 +14,15 @@ func xgetbv() (eax, edx uint32)
 // the f32 and f16 tile-pair and one-panel kernels, the PackA and PackBT
 // transposes and PackBConv's stride-1 gather. Tests clear asmWide to run
 // the 4×16 kernels and the scalar packing loops alone; hasZMM keeps the
-// probe's answer for AVX512, which such a test does not change.
+// probe's answer for AVX512, which such a test does not change, and
+// hasDQ adds AVX-512DQ to it for AVX512DQ.
 var (
 	asmKernels bool
 	asmF16     bool
 	asmVNNI    bool
 	asmWide    bool
 	hasZMM     bool
+	hasDQ      bool
 )
 
 func init() {
@@ -35,6 +37,7 @@ func init() {
 		f16cBit    = 1 << 29
 		avx2Bit    = 1 << 5  // CPUID.7:EBX
 		avx512fBit = 1 << 16 // CPUID.7:EBX
+		avx512dq   = 1 << 17 // CPUID.7:EBX
 		avx512vl   = 1 << 31 // CPUID.7:EBX
 		avx512vnni = 1 << 11 // CPUID.7:ECX
 		// XCR0: SSE|AVX state, plus opmask|ZMM_Hi256|Hi16_ZMM for EVEX.
@@ -60,6 +63,7 @@ func init() {
 	asmVNNI = zmm && ebx7&avx512vl != 0 && ecx7&avx512vnni != 0
 	asmWide = zmm
 	hasZMM = zmm
+	hasDQ = zmm && ebx7&avx512dq != 0
 }
 
 // Assembly micro-kernels (kernel_amd64.s). Each overwrites a full MR×NR

@@ -11,6 +11,7 @@ const (
 	asmF16     = false
 	asmVNNI    = false
 	hasZMM     = false
+	hasDQ      = false
 )
 
 // asmWide is never set here; it is a variable only because the tests

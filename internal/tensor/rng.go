@@ -66,7 +66,7 @@ func (g *RNG) Uniform(t *Tensor, lo, hi float32) {
 		w := g.s.unread()
 		n := min(len(d), len(w))
 		w, out := w[:n], d[:n]
-		k := 0
+		k := uniformVec(out, w, lo, hi)
 		for ; k < n; k++ {
 			f := float32(float64(int64(w[k]&rngMask)) / (1 << 63))
 			if f == 1 {
@@ -93,7 +93,7 @@ func (g *RNG) Normal(t *Tensor, mean, std float32) {
 		w := g.s.unread()
 		n := min(len(d), len(w))
 		w, out := w[:n], d[:n]
-		k := 0
+		k := normalVec(out, w, mean, std)
 		for ; k < n; k++ {
 			j := int32(w[k] >> 31) // rand.Rand's Uint32, as NormFloat64 reads it
 			i := j & 0x7F
@@ -158,12 +158,13 @@ func (s *stream) Seed(seed int64) {
 }
 
 func (s *stream) refill() {
-	w := &s.words
-	for k := 0; k < rngTap; k++ {
-		w[k] += w[k+rngLen-rngTap]
-	}
-	for k := rngTap; k < rngLen; k++ {
-		w[k] += w[k-rngTap]
+	if w := &s.words; !refillVec(w) {
+		for k := 0; k < rngTap; k++ {
+			w[k] += w[k+rngLen-rngTap]
+		}
+		for k := rngTap; k < rngLen; k++ {
+			w[k] += w[k-rngTap]
+		}
 	}
 	s.pos = 0
 }

@@ -8,16 +8,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
 	"mmbench/internal/core"
+	"mmbench/internal/data"
 	"mmbench/internal/engine"
 	"mmbench/internal/mmnet"
 	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
+	"mmbench/internal/tensor"
 	"mmbench/internal/workloads"
 )
 
@@ -116,6 +120,31 @@ func wantSameBits(t *testing.T, what string, got, want [][]float32) {
 				t.Fatalf("%s: member %d output[%d] = %g, want %g (bitwise)", what, m, i, v, want[m][i])
 			}
 		}
+	}
+}
+
+// wantSameBatch reports an error unless got holds want's samples, bit for
+// bit; it may run off the test's goroutine.
+func wantSameBatch(t *testing.T, what string, got, want *data.Batch) {
+	t.Helper()
+	bits := func(x *tensor.Tensor) []uint32 {
+		if x == nil {
+			return nil
+		}
+		b := make([]uint32, len(x.Data()))
+		for i, v := range x.Data() {
+			b[i] = math.Float32bits(v)
+		}
+		return b
+	}
+	same := reflect.DeepEqual(got.Tokens, want.Tokens) && slices.Equal(got.Labels, want.Labels) &&
+		slices.Equal(got.Carrier, want.Carrier) && slices.Equal(bits(got.Targets), bits(want.Targets)) &&
+		len(got.Dense) == len(want.Dense)
+	for name, x := range want.Dense {
+		same = same && got.Dense[name] != nil && slices.Equal(bits(got.Dense[name]), bits(x))
+	}
+	if !same {
+		t.Errorf("%s differs from the private network's batch", what)
 	}
 }
 
@@ -542,6 +571,28 @@ func TestSharedNetworksStayFrozen(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
+	// Get built the stored networks and no batch has read them yet, so
+	// these first Batch calls race to draw their class prototypes; every
+	// batch must equal a private build's, bit for bit.
+	for i, m := range models {
+		n, err := cr.models.Get(m.workload, m.variant, m.paper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		private, err := workloads.Build(m.workload, m.variant, m.paper, workloads.WeightSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(0); k < 4; k++ {
+			seed := int64(1000*i) + k
+			want := private.Gen.Batch(tensor.NewRNG(seed), 2)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wantSameBatch(t, fmt.Sprintf("%s first batch, seed %d", n.Name, seed), n.Gen.Batch(tensor.NewRNG(seed), 2), want)
+			}()
+		}
+	}
 	for _, cfg := range cfgs {
 		wg.Add(1)
 		go func(cfg RunConfig) {
