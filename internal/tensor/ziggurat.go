@@ -32,6 +32,8 @@ package tensor
 // Go distribution), whose fast path RNG.Normal repeats: a word j with
 // strip i = j&0x7F and |j| < kn[i] is the sample float64(j)*wn[i]. Any
 // other word goes to NormFloat64 itself, for the base strip or a wedge.
+// normalAsm (fill_amd64.s) gathers kn and wn by address: the tables'
+// layout, 128 contiguous 4-byte entries each, is part of its contract.
 
 func absInt32(i int32) uint32 {
 	if i < 0 {
