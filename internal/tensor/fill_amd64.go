@@ -26,24 +26,16 @@ func normalAsm(dst *float32, src *uint64, n int64, mean, std float32) int64
 //go:noescape
 func refillAsm(w *[rngLen]uint64)
 
-// uniformVec runs Uniform's vector body over the first len(out)&^15 words
-// of w when it is selected and returns how many elements it stored; the Go
-// loop goes on from there. w must be at least as long as out.
-func uniformVec(out []float32, w []uint64, lo, hi float32) int {
+// fillVec runs body, uniformAsm or normalAsm, over the first
+// len(out)&^15 words of w when the vector bodies are selected and returns
+// how many elements it stored; the Go loop goes on from there. w must be
+// at least as long as out.
+func fillVec(body func(dst *float32, src *uint64, n int64, a, b float32) int64, out []float32, w []uint64, a, b float32) int {
 	n := len(out) &^ 15
 	if !vecFills || n == 0 {
 		return 0
 	}
-	return int(uniformAsm(&out[0], &w[:len(out)][0], int64(n), lo, hi))
-}
-
-// normalVec is uniformVec for Normal.
-func normalVec(out []float32, w []uint64, mean, std float32) int {
-	n := len(out) &^ 15
-	if !vecFills || n == 0 {
-		return 0
-	}
-	return int(normalAsm(&out[0], &w[:len(out)][0], int64(n), mean, std))
+	return int(body(&out[0], &w[:len(out)][0], int64(n), a, b))
 }
 
 // refillVec refills w when the vector body is selected and reports

@@ -8,8 +8,18 @@ package tensor
 // vector bodies off assign it.
 var vecFills = false
 
-func uniformVec(out []float32, w []uint64, lo, hi float32) int { return 0 }
+func fillVec(body func(dst *float32, src *uint64, n int64, a, b float32) int64, out []float32, w []uint64, a, b float32) int {
+	return 0
+}
 
-func normalVec(out []float32, w []uint64, mean, std float32) int { return 0 }
+// The vector bodies are never called here; the stubs satisfy fillVec's
+// callers.
+func uniformAsm(dst *float32, src *uint64, n int64, lo, hi float32) int64 {
+	panic("tensor: vector fills unavailable")
+}
+
+func normalAsm(dst *float32, src *uint64, n int64, mean, std float32) int64 {
+	panic("tensor: vector fills unavailable")
+}
 
 func refillVec(w *[rngLen]uint64) bool { return false }

@@ -66,7 +66,7 @@ func (g *RNG) Uniform(t *Tensor, lo, hi float32) {
 		w := g.s.unread()
 		n := min(len(d), len(w))
 		w, out := w[:n], d[:n]
-		k := uniformVec(out, w, lo, hi)
+		k := fillVec(uniformAsm, out, w, lo, hi)
 		for ; k < n; k++ {
 			f := float32(float64(int64(w[k]&rngMask)) / (1 << 63))
 			if f == 1 {
@@ -93,7 +93,7 @@ func (g *RNG) Normal(t *Tensor, mean, std float32) {
 		w := g.s.unread()
 		n := min(len(d), len(w))
 		w, out := w[:n], d[:n]
-		k := normalVec(out, w, mean, std)
+		k := fillVec(normalAsm, out, w, mean, std)
 		for ; k < n; k++ {
 			j := int32(w[k] >> 31) // rand.Rand's Uint32, as NormFloat64 reads it
 			i := j & 0x7F

@@ -273,7 +273,7 @@ var fillKinds = []fillKind{
 		name:   "Uniform",
 		fill:   func(g *RNG, x *Tensor) { g.Uniform(x, uniLo, uniHi) },
 		oracle: uniformOracle,
-		vec:    func(out []float32, w []uint64) int { return uniformVec(out, w, uniLo, uniHi) },
+		vec:    func(out []float32, w []uint64) int { return fillVec(uniformAsm, out, w, uniLo, uniHi) },
 		rare:   uniformRare,
 		fast:   func(w uint64) bool { return float32(float64(int64(w&rngMask))/(1<<63)) != 1 },
 	},
@@ -281,7 +281,7 @@ var fillKinds = []fillKind{
 		name:   "Normal",
 		fill:   func(g *RNG, x *Tensor) { g.Normal(x, normMean, normSD) },
 		oracle: normalOracle,
-		vec:    func(out []float32, w []uint64) int { return normalVec(out, w, normMean, normSD) },
+		vec:    func(out []float32, w []uint64) int { return fillVec(normalAsm, out, w, normMean, normSD) },
 		rare:   normalRare,
 		fast:   func(w uint64) bool { j := int32(w >> 31); return absInt32(j) < kn[j&0x7F] },
 	},
