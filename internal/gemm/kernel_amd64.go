@@ -15,7 +15,7 @@ func xgetbv() (eax, edx uint32)
 // transposes and PackBConv's stride-1 gather. Tests clear asmWide to run
 // the 4×16 kernels and the scalar packing loops alone; hasZMM keeps the
 // probe's answer for AVX512, which such a test does not change, and
-// hasDQ adds AVX-512DQ to it for AVX512DQ.
+// hasDQ that answer with AVX-512DQ as well, for AVX512DQ.
 var (
 	asmKernels bool
 	asmF16     bool

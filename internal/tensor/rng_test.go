@@ -315,17 +315,14 @@ func craftedAt(block [rngLen]uint64, start int) (*RNG, *rand.Rand, *wordSource) 
 	return g, rand.New(src), src
 }
 
-// drawn is how many words g drew from a block set at pos start, given
-// refills more block refills since.
-func drawn(g *RNG, start, refills int) int { return refills*rngLen + g.s.pos - start }
-
 // rareLanes, TestRNGRareBranches' "lanes", puts each rare word of each
-// fill in every lane of a vector, at the last word of a block and as a fill's last element, on
-// both fill paths; then fills every length 0…33 starting at every pos
-// mod 16 (the vector bodies' width), in and across a block's end. Every
-// value must be math/rand's and every fill must draw math/rand's words.
-// On the vector bodies, a body must stop at the rare word's lane, store
-// the lanes before it and leave the rest of its output alone.
+// fill in every lane of two vectors (also as a fill's last element) and
+// at the last word of a block, on both fill paths; then fills every
+// length 0…33 starting at every pos mod 16 (the vector bodies' width),
+// in and across a block's end. Every value must be math/rand's and every
+// fill must draw math/rand's words. On the vector bodies, a body must
+// stop at the rare word's lane, store the lanes before it and leave the
+// rest of its output alone.
 func rareLanes(t *testing.T) {
 	const width = 16
 	if !vecHost {
@@ -340,11 +337,11 @@ func rareLanes(t *testing.T) {
 				x := fillTarget(n)
 				kind.fill(g, x)
 				sameBits(t, path+": "+what, x.Data(), kind.oracle(o, len(x.Data())))
-				refills := 0
+				got := g.s.pos - start // words drawn, none past one refill
 				if start+src.n > rngLen {
-					refills = 1
+					got += rngLen
 				}
-				if got := drawn(g, start, refills); got != src.n {
+				if got != src.n {
 					t.Fatalf("%s: %s drew %d words, math/rand %d", path, what, got, src.n)
 				}
 			}
