@@ -186,21 +186,24 @@ func NewGenerator(name string, specs []ModalitySpec, task Task, classes int, see
 // proto returns the dense prototype of class k in modality mi, drawing
 // every prototype on the first call.
 func (g *Generator) proto(mi, k int) *tensor.Tensor {
-	g.protosOnce.Do(func() {
-		g.protos = make(map[protoKey]*tensor.Tensor)
-		rng := tensor.NewRNG(g.seed)
-		for mi, spec := range g.Specs {
-			if spec.Kind != Dense {
-				continue
-			}
-			for k := 0; k < max(g.Classes, 1); k++ {
-				p := tensor.New(spec.Shape...)
-				rng.Split(int64(mi*1000+k)).Normal(p, 0, 1)
-				g.protos[protoKey{mi, k}] = p
-			}
-		}
-	})
+	g.protosOnce.Do(g.drawProtos)
 	return g.protos[protoKey{mi, k}]
+}
+
+// drawProtos draws every dense prototype, in (modality, class) order.
+func (g *Generator) drawProtos() {
+	g.protos = make(map[protoKey]*tensor.Tensor)
+	rng := tensor.NewRNG(g.seed)
+	for mi, spec := range g.Specs {
+		if spec.Kind != Dense {
+			continue
+		}
+		for k := 0; k < max(g.Classes, 1); k++ {
+			p := tensor.New(spec.Shape...)
+			rng.Split(int64(mi*1000+k)).Normal(p, 0, 1)
+			g.protos[protoKey{mi, k}] = p
+		}
+	}
 }
 
 // SpecByName returns the modality spec with the given name.

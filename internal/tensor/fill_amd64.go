@@ -37,13 +37,3 @@ func fillVec(body func(dst *float32, src *uint64, n int64, a, b float32) int64, 
 	}
 	return int(body(&out[0], &w[:len(out)][0], int64(n), a, b))
 }
-
-// refillVec refills w when the vector body is selected and reports
-// whether it did.
-func refillVec(w *[rngLen]uint64) bool {
-	if !vecFills {
-		return false
-	}
-	refillAsm(w)
-	return true
-}

@@ -12,8 +12,8 @@ func fillVec(body func(dst *float32, src *uint64, n int64, a, b float32) int64, 
 	return 0
 }
 
-// The vector bodies are never called here; the stubs satisfy fillVec's
-// callers.
+// The vector bodies are never called here; the stubs satisfy their
+// callers in rng.go.
 func uniformAsm(dst *float32, src *uint64, n int64, lo, hi float32) int64 {
 	panic("tensor: vector fills unavailable")
 }
@@ -22,4 +22,4 @@ func normalAsm(dst *float32, src *uint64, n int64, mean, std float32) int64 {
 	panic("tensor: vector fills unavailable")
 }
 
-func refillVec(w *[rngLen]uint64) bool { return false }
+func refillAsm(w *[rngLen]uint64) { panic("tensor: vector refill unavailable") }

@@ -160,7 +160,10 @@ func (s *stream) Seed(seed int64) {
 }
 
 func (s *stream) refill() {
-	if w := &s.words; !refillVec(w) {
+	w := &s.words
+	if vecFills {
+		refillAsm(w)
+	} else {
 		for k := 0; k < rngTap; k++ {
 			w[k] += w[k+rngLen-rngTap]
 		}
