@@ -1,10 +1,10 @@
 //go:build !noasm
 
 // AVX-512 bodies of RNG.Uniform, RNG.Normal and stream.refill, with the
-// bits of the Go loops in rng.go: sixteen words per step, each repeating
-// the compiled Go element code operation for operation and operand for
-// operand (the Go compiler fuses no multiply-add on amd64, so neither do
-// these). A fill body stops at the first word that leaves its fast path,
+// bits of the Go loops in rng.go. The fills take sixteen words per step,
+// each repeating the compiled Go element code operation for operation and
+// operand for operand (the Go compiler fuses no multiply-add on amd64, so
+// neither do these). A fill body stops at the first word that leaves its fast path,
 // stores only the lanes before it and returns its index; the Go loop
 // reads that word again and hands it to rand.Rand.
 //
