@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"mmbench/internal/data"
@@ -231,10 +232,8 @@ type KeyedConfig struct {
 
 // Keyed canonicalises cfg once into its cache key and fingerprint.
 func (cfg RunConfig) Keyed() KeyedConfig {
-	m, seed := cfg.canonicalFields()
-	fp := resultcache.Key(m)
-	m["seed"] = seed
-	return KeyedConfig{RunConfig: cfg, key: resultcache.Key(m), fingerprint: fp}
+	key, fp, _ := cfg.canonical()
+	return KeyedConfig{RunConfig: cfg, key: key, fingerprint: fp}
 }
 
 // Fingerprint is RunConfig.Fingerprint, read from the canonicalisation
@@ -245,9 +244,8 @@ func (kc KeyedConfig) Fingerprint() string { return kc.fingerprint }
 // that, e.g., an empty Device and an explicit "2080ti" share one cache
 // entry, and the seed is ignored unless eager mode actually uses it.
 func (cfg RunConfig) cacheKey() string {
-	m, seed := cfg.canonicalFields()
-	m["seed"] = seed
-	return resultcache.Key(m)
+	key, _, _ := cfg.canonical()
+	return key
 }
 
 // Fingerprint canonicalizes the config's workload identity — the cache
@@ -255,8 +253,8 @@ func (cfg RunConfig) cacheKey() string {
 // quarantine) groups every run of one workload configuration together
 // regardless of which data seed happened to trigger the fault.
 func (cfg RunConfig) Fingerprint() string {
-	m, _ := cfg.canonicalFields()
-	return resultcache.Key(m)
+	_, fp, _ := cfg.canonical()
+	return fp
 }
 
 // BatchFingerprint canonicalizes the config's *batchable* identity: the
@@ -267,38 +265,86 @@ func (cfg RunConfig) Fingerprint() string {
 // only the data (seed) and the sample count differ, which is exactly
 // what RunMergedProfiled concatenates over.
 func (cfg RunConfig) BatchFingerprint() string {
-	m, _ := cfg.canonicalFields()
-	delete(m, "batch")
-	return resultcache.Key(m)
+	_, _, bfp := cfg.canonical()
+	return bfp
 }
 
-// canonicalFields returns the fingerprint's fields and, apart, the
-// canonical seed the cache key adds to them.
-func (cfg RunConfig) canonicalFields() (fields map[string]string, seed string) {
+// canonical writes cfg's cache key in one pass and returns it with the
+// fingerprint (the key without its seed field) and the batch fingerprint
+// (the fingerprint without its batch field). The key is the string
+// resultcache.Key makes of the same fields: they are written in the
+// order Key sorts them to — batch, device, eager, paper, precision (for
+// a policy other than all-f32), seed, variant, workload — and each value
+// escaped as Key escapes it. Both fingerprints are slices of one string.
+func (cfg RunConfig) canonical() (key, fingerprint, batchFingerprint string) {
 	norm := cfg.withDefaults()
 	if !norm.Eager {
 		norm.Seed = 0
 	} else if norm.Seed == 0 {
 		norm.Seed = data.DefaultSeed
 	}
-	m := map[string]string{
-		"workload": norm.Workload,
-		"variant":  norm.Variant,
-		"device":   norm.Device,
-		"batch":    strconv.Itoa(norm.BatchSize),
-		"paper":    strconv.FormatBool(norm.PaperScale),
-		"eager":    strconv.FormatBool(norm.Eager),
-	}
 	// Precision changes results (numerics in eager mode, modeled kernel
 	// costs in analytic mode), so non-trivial policies key the cache by
 	// their canonical form. All spellings of all-f32 — empty, "f32", or
 	// explicit f32 assignments — share the pre-mixed-precision key.
-	if pol, err := precision.ParsePolicy(norm.Precision); err == nil && !pol.AllF32() {
-		m["precision"] = pol.String()
-	} else if err != nil {
-		// Unparseable policies never execute (Run rejects them); give
-		// them a unique key so the error is not cached under f32.
-		m["precision"] = "invalid:" + norm.Precision
+	// Unparseable policies never execute (Run rejects them); they get a
+	// unique key so the error is not cached under f32.
+	var policy string
+	pol, err := precision.ParsePolicy(norm.Precision)
+	keyPolicy := err != nil || !pol.AllF32()
+	if err != nil {
+		policy = "invalid:" + norm.Precision
+	} else if keyPolicy {
+		policy = pol.String()
 	}
-	return m, strconv.FormatInt(norm.Seed, 10)
+	var num [20]byte
+	var b strings.Builder
+	// The key, then the fingerprint after it, in one buffer.
+	b.Grow(2 * (96 + len(norm.Workload) + len(norm.Variant) + len(norm.Device) + len(policy)))
+	b.WriteString("batch=")
+	b.Write(strconv.AppendInt(num[:0], int64(norm.BatchSize), 10))
+	b.WriteByte(';')
+	batchEnd := b.Len()
+	writeField(&b, "device", norm.Device)
+	writeField(&b, "eager", strconv.FormatBool(norm.Eager))
+	writeField(&b, "paper", strconv.FormatBool(norm.PaperScale))
+	if keyPolicy {
+		writeField(&b, "precision", policy)
+	}
+	seedStart := b.Len()
+	b.WriteString("seed=")
+	b.Write(strconv.AppendInt(num[:0], norm.Seed, 10))
+	b.WriteByte(';')
+	seedEnd := b.Len()
+	writeField(&b, "variant", norm.Variant)
+	b.WriteString("workload=")
+	writeEscaped(&b, norm.Workload)
+	n := b.Len()
+	b.WriteString(b.String()[:seedStart])
+	b.WriteString(b.String()[seedEnd:n])
+	all := b.String()
+	return all[:n], all[n:], all[n+batchEnd:]
+}
+
+// writeField writes name=value; with value escaped as resultcache.Key
+// escapes it.
+func writeField(b *strings.Builder, name, value string) {
+	b.WriteString(name)
+	b.WriteByte('=')
+	writeEscaped(b, value)
+	b.WriteByte(';')
+}
+
+// writeEscaped writes s with resultcache.Key's escapes: a backslash
+// before each '=', ';' and backslash.
+func writeEscaped(b *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '=', ';', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		default:
+			b.WriteByte(c)
+		}
+	}
 }

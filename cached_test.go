@@ -6,8 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
+
+	"mmbench/internal/data"
+	"mmbench/internal/precision"
+	"mmbench/internal/resultcache"
 )
 
 func TestCacheKeyCanonicalization(t *testing.T) {
@@ -205,6 +211,9 @@ func TestKeyedMatchesKeyAndFingerprint(t *testing.T) {
 		{RunConfig{Workload: "nope", Precision: "bogus"},
 			"batch=32;device=2080ti;eager=false;paper=false;precision=invalid:bogus;seed=0;variant=;workload=nope",
 			"batch=32;device=2080ti;eager=false;paper=false;precision=invalid:bogus;variant=;workload=nope"},
+		{RunConfig{Workload: `a=b;c\d`, Variant: `v;`, Device: `=d\`, Precision: `x=;\`, Eager: true, Seed: -3, BatchSize: 1000},
+			`batch=1000;device=\=d\\;eager=true;paper=false;precision=invalid:x\=\;\\;seed=-3;variant=v\;;workload=a\=b\;c\\d`,
+			`batch=1000;device=\=d\\;eager=true;paper=false;precision=invalid:x\=\;\\;variant=v\;;workload=a\=b\;c\\d`},
 	} {
 		kc := tc.cfg.Keyed()
 		if kc.key != tc.key || tc.cfg.cacheKey() != tc.key {
@@ -213,6 +222,79 @@ func TestKeyedMatchesKeyAndFingerprint(t *testing.T) {
 		if kc.Fingerprint() != tc.fp || tc.cfg.Fingerprint() != tc.fp {
 			t.Errorf("%+v: Keyed fingerprint %q, Fingerprint %q, want %q",
 				tc.cfg, kc.Fingerprint(), tc.cfg.Fingerprint(), tc.fp)
+		}
+	}
+}
+
+// canonicalMap is the fields resultcache.Key canonicalises a config
+// from: the key's (with seed) and, less seed, the fingerprint's.
+func canonicalMap(cfg RunConfig) map[string]string {
+	norm := cfg.withDefaults()
+	if !norm.Eager {
+		norm.Seed = 0
+	} else if norm.Seed == 0 {
+		norm.Seed = data.DefaultSeed
+	}
+	m := map[string]string{
+		"workload": norm.Workload,
+		"variant":  norm.Variant,
+		"device":   norm.Device,
+		"batch":    strconv.Itoa(norm.BatchSize),
+		"paper":    strconv.FormatBool(norm.PaperScale),
+		"eager":    strconv.FormatBool(norm.Eager),
+		"seed":     strconv.FormatInt(norm.Seed, 10),
+	}
+	if pol, err := precision.ParsePolicy(norm.Precision); err == nil && !pol.AllF32() {
+		m["precision"] = pol.String()
+	} else if err != nil {
+		m["precision"] = "invalid:" + norm.Precision
+	}
+	return m
+}
+
+// The one-pass key, fingerprint and batch fingerprint are, byte for
+// byte, resultcache.Key of the config's fields with the seed, without it,
+// and without the seed and the batch, over configs whose strings hold
+// the key's separators and escape character.
+func TestCanonicalMatchesResultcacheKey(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	pick := func(choices ...string) string { return choices[r.Intn(len(choices))] }
+	str := func() string {
+		const alphabet = `ab=;\,:f1`
+		b := make([]byte, r.Intn(5))
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return pick("", "avmnist", "mosei", "concat", "nano", string(b))
+	}
+	for i := 0; i < 5000; i++ {
+		cfg := RunConfig{
+			Workload:   str(),
+			Variant:    str(),
+			Device:     str(),
+			BatchSize:  r.Intn(3) * r.Intn(1<<20),
+			Seed:       int64(r.Intn(3)-1) * r.Int63(),
+			Eager:      r.Intn(2) == 0,
+			PaperScale: r.Intn(2) == 0,
+			Precision:  pick("", "f32", "f16", "i8", "fusion=f16, head=i8", "head=f32", str()),
+		}
+		m := canonicalMap(cfg)
+		key := resultcache.Key(m)
+		delete(m, "seed")
+		fp := resultcache.Key(m)
+		delete(m, "batch")
+		bfp := resultcache.Key(m)
+		if got := cfg.cacheKey(); got != key {
+			t.Fatalf("%+v: cacheKey %q, resultcache.Key %q", cfg, got, key)
+		}
+		if got := cfg.Fingerprint(); got != fp {
+			t.Fatalf("%+v: Fingerprint %q, resultcache.Key %q", cfg, got, fp)
+		}
+		if got := cfg.BatchFingerprint(); got != bfp {
+			t.Fatalf("%+v: BatchFingerprint %q, resultcache.Key %q", cfg, got, bfp)
+		}
+		if kc := cfg.Keyed(); kc.key != key || kc.Fingerprint() != fp {
+			t.Fatalf("%+v: Keyed %q, %q; resultcache.Key %q, %q", cfg, kc.key, kc.Fingerprint(), key, fp)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func (g *RNG) Uniform(t *Tensor, lo, hi float32) {
 		w := g.s.unread()
 		n := min(len(d), len(w))
 		w, out := w[:n], d[:n]
-		k := fillVec(uniformAsm, out, w, lo, hi)
+		k := uniformVec(out, w, lo, hi)
 		for ; k < n; k++ {
 			f := float32(float64(int64(w[k]&rngMask)) / (1 << 63))
 			if f == 1 {
@@ -88,21 +88,24 @@ func (g *RNG) Uniform(t *Tensor, lo, hi float32) {
 // Normal fills t with N(mean, std) samples. Each element is
 // mean + std*Norm(): the block runs NormFloat64's ziggurat fast path, and
 // a word that leaves it (about 2.8 % of them) is left to rand.Rand, which
-// reads it again and takes the base strip or the wedge.
+// reads it again and takes the base strip or the wedge. On an AVX-512
+// host the vector body settles most wedges itself (normalAsm) and
+// consumes their uniforms, so it counts words and elements apart.
 func (g *RNG) Normal(t *Tensor, mean, std float32) {
 	d := t.data
 	for len(d) > 0 {
 		w := g.s.unread()
+		c, k := normalVec(d, w, mean, std)
+		g.s.pos += c
+		w, d = w[c:], d[k:]
 		n := min(len(d), len(w))
-		w, out := w[:n], d[:n]
-		k := fillVec(normalAsm, out, w, mean, std)
-		for ; k < n; k++ {
+		for k = 0; k < n; k++ {
 			j := int32(w[k] >> 31) // rand.Rand's Uint32, as NormFloat64 reads it
 			i := j & 0x7F
 			if absInt32(j) >= kn[i] {
 				break
 			}
-			out[k] = mean + std*float32(float64(j)*float64(wn[i]))
+			d[k] = mean + std*float32(float64(j)*float64(wn[i]))
 		}
 		g.s.pos += k
 		d = d[k:]

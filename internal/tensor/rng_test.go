@@ -196,6 +196,43 @@ var normalRare = []struct {
 	{"most negative word", []uint64{zigWord(math.MinInt32), unitWord(0.5), unitWord(0.5)}},
 	{"|j| = kn[i], positive", []uint64{zigWord(int32(kn[117])), unitWord(0)}},
 	{"|j| = kn[i], negative", []uint64{zigWord(-int32(kn[20])), unitWord(0)}},
+	{"wedge whose uniform is the next wedge word, accepted", []uint64{zigWord(0x81), zigWord(0x81)}},
+	{"four wedge words: rejected, then accepted", []uint64{zigWord(0x7FFFFF81), zigWord(0x7FFFFF81), zigWord(0x81), zigWord(0x81)}},
+	{"wedge whose uniform's Float64 is 1, redrawn", []uint64{zigWord(0x81), f64One, unitWord(0)}},
+	{"wedge the vector body leaves undecided", []uint64{zigWord(wedgeUndecided), unitWord(wedgeUndecidedU), zigWord(3)}},
+	{"wedge a fused L would accept", []uint64{zigWord(wedgeFusedAccepts), unitWord(wedgeFusedAcceptsU), zigWord(3)}},
+	{"wedge a fused L would reject", []uint64{zigWord(wedgeFusedRejects), unitWord(wedgeFusedRejectsU)}},
+}
+
+// wedgeDelta is normalAsm's bound δ (fill_amd64.s): it settles a wedge
+// only when its exp, widened by δ either way, lies on one side of the
+// midpoint between L and the next float32 up.
+const wedgeDelta = 0x1p-26
+
+// Wedge words found by search (j, and the uniform as a float32 value):
+// one whose math.Exp lies within δ/4 of the midpoint, which the vector
+// body must hand to rand.Rand; and two a fused multiply-add in L would
+// decide the other way. TestRNGRareBranches' "wedge words" pins these
+// properties.
+const (
+	wedgeUndecided, wedgeUndecidedU       = int32(0x5dd29381), 0.45811909437179565
+	wedgeFusedAccepts, wedgeFusedAcceptsU = int32(-2145827045), 0.04860788956284523
+	wedgeFusedRejects, wedgeFusedRejectsU = int32(0x7af04c88), 0.7891009449958801
+)
+
+// wedge evaluates NormFloat64's wedge test for the word j and the
+// uniform u: L = fn[i] + float32(u)·(fn[i−1] − fn[i]) as Go rounds it and
+// as one fused multiply-add would, math.Exp(−.5·x·x), and the midpoint
+// between L and the next float32 up. L < float32(e) accepts.
+func wedge(j int32, u float64) (L, fused float32, e, mid float64) {
+	i := j & 0x7F
+	x := float64(j) * float64(wn[i])
+	d := fn[i-1] - fn[i]
+	L = fn[i] + float32(u)*d
+	fused = float32(math.FMA(float64(float32(u)), float64(d), float64(fn[i])))
+	e = math.Exp(-.5 * x * x)
+	mid = (float64(L) + float64(math.Nextafter32(L, 2))) / 2
+	return L, fused, e, mid
 }
 
 // uniformRare are the words Float32 redraws.
@@ -252,20 +289,45 @@ func TestRNGRareBranches(t *testing.T) {
 			}
 		})
 	})
+	t.Run("wedge words", func(t *testing.T) {
+		if _, _, e, mid := wedge(wedgeUndecided, wedgeUndecidedU); math.Abs(e/mid-1) >= wedgeDelta/4 {
+			t.Errorf("undecided word: math.Exp is %.3g from the midpoint, want within δ/4", e/mid-1)
+		}
+		for _, c := range []struct {
+			j      int32
+			u      float64
+			accept bool
+		}{{wedgeFusedAccepts, wedgeFusedAcceptsU, false}, {wedgeFusedRejects, wedgeFusedRejectsU, true}} {
+			L, fused, e, mid := wedge(c.j, c.u)
+			if r := math.Abs(e/mid - 1); r <= 4*wedgeDelta {
+				t.Errorf("j = %#x: math.Exp is %.3g from the midpoint, want beyond 4δ", c.j, r)
+			}
+			if L < float32(e) != c.accept || fused < float32(e) == c.accept {
+				t.Errorf("j = %#x: L accepts %v, fused L %v; want %v and %v",
+					c.j, L < float32(e), fused < float32(e), c.accept, !c.accept)
+			}
+		}
+	})
 	t.Run("lanes", rareLanes)
 }
 
-// fillKind is one of the two fills, with its oracle and its vector body.
+// fillKind is one of the two fills, with its oracle, its vector body and
+// the body's contract in Go.
 type fillKind struct {
 	name   string
 	fill   func(g *RNG, x *Tensor)
 	oracle func(o *rand.Rand, n int) []float32
-	vec    func(out []float32, w []uint64) int
-	rare   []struct {
+	// body runs the vector body over out and w and returns the words it
+	// consumed and the elements it stored; model is the same contract in
+	// Go, with ok false where the body may go either way.
+	body  func(out []float32, w []uint64) (words, stored int)
+	model func(out []float32, w []uint64, settleNear bool) (words, stored int, ok bool)
+	rare  []struct {
 		name  string
 		words []uint64
 	}
-	fast func(w uint64) bool // whether w stays on the fill's fast path
+	fast func(w uint64) bool       // whether w stays on the fill's fast path
+	slow func(r *rand.Rand) uint64 // a random word off the fast path
 }
 
 var fillKinds = []fillKind{
@@ -273,18 +335,103 @@ var fillKinds = []fillKind{
 		name:   "Uniform",
 		fill:   func(g *RNG, x *Tensor) { g.Uniform(x, uniLo, uniHi) },
 		oracle: uniformOracle,
-		vec:    func(out []float32, w []uint64) int { return fillVec(uniformAsm, out, w, uniLo, uniHi) },
-		rare:   uniformRare,
-		fast:   func(w uint64) bool { return float32(float64(int64(w&rngMask))/(1<<63)) != 1 },
+		body: func(out []float32, w []uint64) (int, int) {
+			k := uniformVec(out[:min(len(out), len(w))], w, uniLo, uniHi)
+			return k, k
+		},
+		model: uniformModel,
+		rare:  uniformRare,
+		fast:  func(w uint64) bool { return float32(float64(int64(w&rngMask))/(1<<63)) != 1 },
+		slow:  func(r *rand.Rand) uint64 { return f64One - r.Uint64()%(1<<38) | r.Uint64()&(1<<63) },
 	},
 	{
 		name:   "Normal",
 		fill:   func(g *RNG, x *Tensor) { g.Normal(x, normMean, normSD) },
 		oracle: normalOracle,
-		vec:    func(out []float32, w []uint64) int { return fillVec(normalAsm, out, w, normMean, normSD) },
+		body:   func(out []float32, w []uint64) (int, int) { return normalVec(out, w, normMean, normSD) },
+		model:  normalModel,
 		rare:   normalRare,
 		fast:   func(w uint64) bool { j := int32(w >> 31); return absInt32(j) < kn[j&0x7F] },
+		slow: func(r *rand.Rand) uint64 {
+			for {
+				if w := r.Uint64(); absInt32(int32(w>>31)) >= kn[int32(w>>31)&0x7F] {
+					return w
+				}
+			}
+		},
 	},
+}
+
+// uniformModel is uniformAsm's contract as Uniform calls it: the first
+// min(len(out), len(w))&^15 words, up to the first that Float32 rounds
+// to 1.
+func uniformModel(out []float32, w []uint64, _ bool) (words, stored int, ok bool) {
+	n, k := min(len(out), len(w))&^15, 0
+	for ; k < n; k++ {
+		f := float32(float64(int64(w[k]&rngMask)) / (1 << 63))
+		if f == 1 {
+			break
+		}
+		out[k] = uniLo + (uniHi-uniLo)*f
+	}
+	return k, k, true
+}
+
+// normalModel is normalAsm's contract (fill_amd64.go), step by step: a
+// step is sixteen words, of which those below the words and the elements
+// left are given; a draw past them ends the body. A fast word stores its
+// value. A wedge among the step's first eight wedge words, drawn or not,
+// whose uniform is given and not 1, is settled when math.Exp lies beyond
+// 4δ of the midpoint (an acceptance stores the fast path's value) and
+// stops the body within δ/4; between, the body may do either, and the
+// model settles it if settleNear and reports ok = false. Any other word
+// off the fast path stops the body.
+func normalModel(out []float32, w []uint64, settleNear bool) (words, stored int, ok bool) {
+	ok = true
+	q, s := 0, 0 // the next draw, the elements stored
+	for p := 0; ; p += 16 {
+		given := min(len(w)-p, len(out)-s)
+		if given <= 0 {
+			return q, s, ok
+		}
+		var rank [16]int // a wedge word's place among the step's
+		for l, n := 0, 0; l < min(given, 16); l++ {
+			if j := int32(w[p+l] >> 31); j&0x7F != 0 && absInt32(j) >= kn[j&0x7F] {
+				rank[l], n = n, n+1
+			}
+		}
+		for q < p+16 {
+			if q-p >= given {
+				return q, s, ok
+			}
+			j := int32(w[q] >> 31)
+			i := j & 0x7F
+			v := normMean + normSD*float32(float64(j)*float64(wn[i]))
+			if absInt32(j) < kn[i] {
+				out[s], s, q = v, s+1, q+1
+				continue
+			}
+			if i == 0 || rank[q-p] >= 8 || q+1 >= len(w) {
+				return q, s, ok
+			}
+			u := float64(int64(w[q+1]&rngMask)) / (1 << 63)
+			if u == 1 {
+				return q, s, ok
+			}
+			_, _, e, mid := wedge(j, u)
+			if r := math.Abs(e/mid - 1); r < wedgeDelta/4 {
+				return q, s, ok
+			} else if r <= 4*wedgeDelta {
+				if ok = false; !settleNear {
+					return q, s, ok
+				}
+			}
+			if e > mid {
+				out[s], s = v, s+1
+			}
+			q += 2
+		}
+	}
 }
 
 // ordinaryBlock returns a block of random words that stay on kind's fast
@@ -320,9 +467,10 @@ func craftedAt(block [rngLen]uint64, start int) (*RNG, *rand.Rand, *wordSource) 
 // at the last word of a block, on both fill paths; then fills every
 // length 0…33 starting at every pos mod 16 (the vector bodies' width),
 // in and across a block's end. Every value must be math/rand's and every
-// fill must draw math/rand's words. On the vector bodies, a body must
-// stop at the rare word's lane, store the lanes before it and leave the
-// rest of its output alone.
+// fill must draw math/rand's words. On the vector bodies, a body run
+// over the same words must keep its contract (bodyMatchesModel): stop
+// where its model stops, consume and store what the model does and leave
+// the rest of its output alone.
 func rareLanes(t *testing.T) {
 	const width = 16
 	if !vecHost {
@@ -352,15 +500,19 @@ func rareLanes(t *testing.T) {
 					what := fmt.Sprintf("%s, %s at lane %d", kind.name, c.name, lane)
 					check(what, block, 0, 3*width)
 					check(what+" as the last element", block, 0, lane+1)
-					if vecFills && lane < width {
-						stopsAtLane(t, kind, what, block[:], lane)
+					if vecFills {
+						bodyMatchesModel(t, kind, what, block[:], 2*width)
 					}
 				}
 				// The last word of a block, in the last lane of a vector
 				// body that starts at pos 15 (607 − 15 = 37·16).
 				block := ordinary
 				block[rngLen-1] = c.words[0]
-				check(kind.name+", "+c.name+" at the block's last word", block, rngLen%width, rngLen)
+				what := kind.name + ", " + c.name + " at the block's last word"
+				check(what, block, rngLen%width, rngLen)
+				if vecFills {
+					bodyMatchesModel(t, kind, what, block[rngLen-2*width:], 2*width)
+				}
 			}
 			for start := 0; start < width; start++ {
 				for n := 0; n <= 2*width+1; n++ {
@@ -373,27 +525,75 @@ func rareLanes(t *testing.T) {
 	})
 }
 
-// stopsAtLane runs kind's vector body over a vector whose lane holds a
-// rare word and requires it to return lane, to store the Go loop's values
-// below it and to leave the rest of its output as it was.
-func stopsAtLane(t *testing.T, kind fillKind, what string, words []uint64, lane int) {
+// bodyMatchesModel runs kind's vector body over words into n elements
+// and requires the words it consumed, the elements it stored and their
+// values to be its model's, and the rest of its output left alone.
+func bodyMatchesModel(t *testing.T, kind fillKind, what string, words []uint64, n int) {
 	t.Helper()
 	const sentinel = 0x7fc0dead
-	out := make([]float32, 16)
-	for i := range out {
-		out[i] = math.Float32frombits(sentinel)
+	fresh := func() []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = math.Float32frombits(sentinel)
+		}
+		return out
 	}
-	k := kind.vec(out, words[:16])
-	if k != lane {
-		t.Fatalf("vector bodies: %s: the body stopped at %d", what, k)
+	out := fresh()
+	c, k := kind.body(out, words)
+	for _, settle := range []bool{false, true} {
+		want := fresh()
+		wc, wk, ok := kind.model(want, words, settle)
+		if c == wc && k == wk {
+			sameBits(t, "vector bodies: "+what+", the elements stored", out[:k], want[:k])
+			for i := k; i < n; i++ {
+				if math.Float32bits(out[i]) != sentinel {
+					t.Fatalf("vector bodies: %s: element %d was stored", what, i)
+				}
+			}
+			return
+		}
+		if ok {
+			t.Fatalf("vector bodies: %s: consumed %d words and stored %d elements, want %d and %d", what, c, k, wc, wk)
+		}
 	}
-	g, _, _ := craftedAt([rngLen]uint64(words), 0)
-	want := fillTarget(lane)
-	kind.fill(g, want)
-	sameBits(t, "vector bodies: "+what+", the lanes stored", out[:lane], want.Data())
-	for i := lane; i < len(out); i++ {
-		if math.Float32bits(out[i]) != sentinel {
-			t.Fatalf("vector bodies: %s: lane %d was stored", what, i)
+	t.Fatalf("vector bodies: %s: consumed %d words and stored %d elements, as neither reading of an undecided wedge does", what, c, k)
+}
+
+// TestRNGVectorBodies runs the vector bodies over random blocks whose
+// words leave the fast path at a growing rate, up to every word, with
+// every run length through two steps, from a block's start, inside it
+// and into its end: each run must keep its body's contract and each fill
+// must give math/rand's values, on both fill paths.
+func TestRNGVectorBodies(t *testing.T) {
+	if !vecHost {
+		t.Log("this host does not select the vector fill bodies: only the fills are checked")
+	}
+	r := rand.New(rand.NewSource(45))
+	for ki, kind := range fillKinds {
+		for _, rate := range []float64{0, 1.0 / 16, 1.0 / 4, 1} {
+			var block [rngLen]uint64
+			for i := range block {
+				if block[i] = r.Uint64(); r.Float64() < rate {
+					block[i] = kind.slow(r)
+				}
+			}
+			what := fmt.Sprintf("%s over a block with words off the fast path at %g", kind.name, rate)
+			for n := 1; n <= 33; n++ {
+				for _, start := range []int{0, ki + 5, rngLen - n - 17, rngLen - n, rngLen - 1} {
+					if vecHost {
+						bodyMatchesModel(t, kind, fmt.Sprintf("%s, %d from %d", what, n, start), block[start:], n)
+					}
+					eachFillPath(func(path string) {
+						g, o, _ := craftedAt(block, start)
+						x := New(n)
+						kind.fill(g, x)
+						sameBits(t, fmt.Sprintf("%s: %s, %d from %d", path, what, n, start), x.Data(), kind.oracle(o, n))
+					})
+				}
+			}
+			if vecHost {
+				bodyMatchesModel(t, kind, what+", whole", block[:], rngLen)
+			}
 		}
 	}
 }
