@@ -221,14 +221,15 @@ const (
 )
 
 // wedge evaluates NormFloat64's wedge test for the word j and the
-// uniform u: L = fn[i] + float32(u)·(fn[i−1] − fn[i]) as Go rounds it and
-// as one fused multiply-add would, math.Exp(−.5·x·x), and the midpoint
-// between L and the next float32 up. L < float32(e) accepts.
+// uniform u: L = fn[i] + float32(u)·(fn[i−1] − fn[i]) as Go rounds it on
+// amd64 (no fusion) and as one fused multiply-add would, math.Exp(−.5·x·x),
+// and the midpoint between L and the next float32 up. L < float32(e)
+// accepts.
 func wedge(j int32, u float64) (L, fused float32, e, mid float64) {
 	i := j & 0x7F
 	x := float64(j) * float64(wn[i])
 	d := fn[i-1] - fn[i]
-	L = fn[i] + float32(u)*d
+	L = fn[i] + float32(float32(u)*d) // the conversion keeps the product rounded, unfused
 	fused = float32(math.FMA(float64(float32(u)), float64(d), float64(fn[i])))
 	e = math.Exp(-.5 * x * x)
 	mid = (float64(L) + float64(math.Nextafter32(L, 2))) / 2
