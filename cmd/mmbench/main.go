@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -190,7 +191,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		return renderReport(rep, *format)
+		return renderReport(os.Stdout, rep, *format)
 	}
 	prof := obs.NewProfiler()
 	prof.CaptureEngineTasks(engine.Default())
@@ -202,7 +203,7 @@ func cmdRun(args []string) error {
 	if err := writeChromeTrace(*traceOut, prof.Finish()); err != nil {
 		return err
 	}
-	if err := renderReport(rep, *format); err != nil {
+	if err := renderReport(os.Stdout, rep, *format); err != nil {
 		return err
 	}
 	printStageLatency(stageMs)
@@ -250,7 +251,9 @@ func printStageLatency(stageMs map[string]float64) {
 	}
 }
 
-func renderReport(r *mmbench.Report, format string) error {
+// renderReport writes a run's report tables to w in format: what
+// mmbench run prints.
+func renderReport(w io.Writer, r *mmbench.Report, format string) error {
 	summary := report.NewTable(
 		fmt.Sprintf("%s/%s on %s (batch %d)", r.Workload, r.Variant, r.Device, r.Batch),
 		"Latency (ms)", "GPU (ms)", "Host (ms)", "Transfer (ms)", "CPU+Runtime", "Kernels")
@@ -291,7 +294,7 @@ func renderReport(r *mmbench.Report, format string) error {
 		tables = append(tables, prec)
 	}
 
-	return report.Render(os.Stdout, format, tables...)
+	return report.Render(w, format, tables...)
 }
 
 func cmdTrain(args []string) error {

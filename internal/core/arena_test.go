@@ -20,8 +20,9 @@ import (
 )
 
 // arenaFreeOutputs is RunMerged's forward without an arena: the members'
-// batches concatenated the same way, one n.Forward whose every result is
-// a fresh zeroed tensor, and each member's rows copied out.
+// batches drawn on the heap and concatenated the same way, one n.Forward
+// whose every result is a fresh zeroed tensor, and each member's rows
+// copied out.
 func arenaFreeOutputs(t *testing.T, n *mmnet.Network, e *engine.Engine, pol precision.Policy, members []MemberSpec) [][]float32 {
 	t.Helper()
 	batches := make([]*data.Batch, len(members))
@@ -74,10 +75,11 @@ func wantPoolWhole(t *testing.T, what string, e *engine.Engine) {
 // TestArenaIdentity pins the run-scoped arena's contract. For the default
 // variant of every workload at f32, f16 and i8, standalone and as a
 // two-member merged batch, at 1 and 2 workers: RunMerged's outputs —
-// every intermediate carved from pooled slabs, most without the zero
-// fill, the slabs NaN-poisoned on release — are bitwise those of an
-// arena-less Forward over the same batch, on the first run and on the
-// next, which reuses the poisoned slabs (so an operator that reads an
+// every generated input, the merged batch and every intermediate carved
+// from pooled slabs, most without the zero fill, the slabs NaN-poisoned
+// on release — are bitwise those of an arena-less Forward over the same
+// batch drawn on the heap, on the first run and on the next, which
+// reuses the poisoned slabs (so a generator or operator that reads an
 // element it did not write shows up as a NaN). A run cancelled mid-forward
 // and a run hit by an injected kernel panic each return every slab, and
 // the run after them is bitwise identical again.

@@ -41,11 +41,14 @@ type MemberSpec struct {
 // percentiles should see. Cancellation is one flag for the whole forward
 // — a merged batch aborts or survives as a unit.
 //
-// The forwards allocate their answer, not their intermediates: every
-// untaped operator result comes from one arena on the run's engine (see
-// ops.Ctx.Arena), released when RunMerged returns — by which time each
-// member's Output is a copy of its rows (sliceLeading) and the output
-// errors are computed, so nothing the caller holds points into it.
+// The forwards allocate their answer, not their inputs or intermediates:
+// every member's generated float32 inputs (data.Generator.BatchIn), the
+// merged batch they are concatenated into and every untaped operator
+// result (see ops.Ctx.Arena) come from one arena on the run's engine,
+// released when RunMerged returns — by which time each member's Output is
+// a copy of its rows (sliceLeading) and the output errors are computed
+// (the f32 reference forward reads the same batch), so nothing the caller
+// holds points into it.
 func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*RunResult, err error) {
 	if len(members) == 0 {
 		return nil, errors.New("core: RunMerged needs at least one member")
@@ -79,9 +82,9 @@ func RunMerged(n *mmnet.Network, opts RunOptions, members []MemberSpec) (_ []*Ru
 		}
 		segs[i] = bs
 		total += bs
-		batches[i] = n.Gen.Batch(tensor.NewRNG(seed), bs)
+		batches[i] = n.Gen.BatchIn(arena, tensor.NewRNG(seed), bs)
 	}
-	merged, err := data.ConcatBatches(batches)
+	merged, err := data.ConcatBatchesIn(arena, batches)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,12 @@ import (
 // same modality set with identical per-sample shapes — guaranteed when
 // the batches come from the same workload generator, which is the only
 // way the batcher groups requests.
-func ConcatBatches(batches []*Batch) (*Batch, error) {
+func ConcatBatches(batches []*Batch) (*Batch, error) { return ConcatBatchesIn(nil, batches) }
+
+// ConcatBatchesIn is ConcatBatches with the merged Dense and Targets
+// tensors drawn from alloc (the heap when nil). A single batch is
+// returned as it is.
+func ConcatBatchesIn(alloc Alloc, batches []*Batch) (*Batch, error) {
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("data: ConcatBatches needs at least one batch")
 	}
@@ -30,7 +35,7 @@ func ConcatBatches(batches []*Batch) (*Batch, error) {
 	if len(first.Dense) > 0 {
 		out.Dense = make(map[string]*tensor.Tensor, len(first.Dense))
 		for name := range first.Dense {
-			t, err := concatDim0(batches, name, func(b *Batch) *tensor.Tensor { return b.Dense[name] })
+			t, err := concatDim0(alloc, batches, name, func(b *Batch) *tensor.Tensor { return b.Dense[name] })
 			if err != nil {
 				return nil, err
 			}
@@ -57,7 +62,7 @@ func ConcatBatches(batches []*Batch) (*Batch, error) {
 		}
 	}
 	if first.Targets != nil {
-		t, err := concatDim0(batches, "targets", func(b *Batch) *tensor.Tensor { return b.Targets })
+		t, err := concatDim0(alloc, batches, "targets", func(b *Batch) *tensor.Tensor { return b.Targets })
 		if err != nil {
 			return nil, err
 		}
@@ -71,9 +76,9 @@ func ConcatBatches(batches []*Batch) (*Batch, error) {
 	return out, nil
 }
 
-// concatDim0 stacks one named tensor of every batch along dim 0. The
-// trailing (per-sample) dims must agree.
-func concatDim0(batches []*Batch, name string, get func(*Batch) *tensor.Tensor) (*tensor.Tensor, error) {
+// concatDim0 stacks one named tensor of every batch along dim 0, into
+// memory from alloc. The trailing (per-sample) dims must agree.
+func concatDim0(alloc Alloc, batches []*Batch, name string, get func(*Batch) *tensor.Tensor) (*tensor.Tensor, error) {
 	first := get(batches[0])
 	if first == nil {
 		return nil, fmt.Errorf("data: ConcatBatches tensor %q missing from a member", name)
@@ -97,7 +102,7 @@ func concatDim0(batches []*Batch, name string, get func(*Batch) *tensor.Tensor) 
 		dim0 += ts[0]
 	}
 	shape := append([]int{dim0}, rest...)
-	out := tensor.New(shape...)
+	out := newTensor(alloc, true, shape...) // every element is copied
 	od := out.Data()
 	off := 0
 	for _, b := range batches {

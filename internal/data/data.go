@@ -229,13 +229,47 @@ func (g *Generator) AbstractBatch(n int) *Batch {
 	return b
 }
 
-// Batch generates n concrete samples using the given RNG.
-func (g *Generator) Batch(rng *tensor.RNG, n int) *Batch {
+// Alloc is where a concrete batch's float32 tensors come from, when not
+// the heap: an eager run's arena (engine.Arena), whose memory is valid
+// until the run releases it. Alloc returns zeroed memory, AllocUninit
+// memory whose every element the caller writes before reading any.
+type Alloc interface {
+	Alloc(n int) []float32
+	AllocUninit(n int) []float32
+}
+
+// newTensor returns a concrete tensor of the given shape from alloc:
+// zeroed unless uninit, and from the heap (always zeroed) when alloc is
+// nil.
+func newTensor(alloc Alloc, uninit bool, shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	switch {
+	case alloc == nil || n <= 0:
+		return tensor.New(shape...) // n <= 0: New names the bad dimension
+	case uninit:
+		return tensor.FromSlice(alloc.AllocUninit(n), shape...)
+	default:
+		return tensor.FromSlice(alloc.Alloc(n), shape...)
+	}
+}
+
+// Batch generates n concrete samples using the given RNG, on the heap.
+func (g *Generator) Batch(rng *tensor.RNG, n int) *Batch { return g.BatchIn(nil, rng, n) }
+
+// BatchIn is Batch with every float32 tensor — each dense modality and
+// Targets — drawn from alloc (the heap when nil), so the batch must not
+// outlive alloc's memory. The values are Batch's: the same words are
+// drawn in the same order. Tokens, Labels and Carrier stay on the heap.
+func (g *Generator) BatchIn(alloc Alloc, rng *tensor.RNG, n int) *Batch {
 	b := &Batch{Size: n, Dense: map[string]*tensor.Tensor{}, Tokens: map[string][][]int{}}
 	for _, spec := range g.Specs {
 		if spec.Kind == Dense {
 			shape := append([]int{n}, spec.Shape...)
-			t := tensor.New(shape...)
+			// Normal overwrites every element before plant adds to it.
+			t := newTensor(alloc, true, shape...)
 			rng.Normal(t, 0, 1) // noise floor; signal added below
 			b.Dense[spec.Name] = t
 		} else {
@@ -254,11 +288,11 @@ func (g *Generator) Batch(rng *tensor.RNG, n int) *Batch {
 	case Classify:
 		g.fillClassify(rng, b)
 	case MultiLabel:
-		g.fillMultiLabel(rng, b)
+		g.fillMultiLabel(alloc, rng, b)
 	case Regress:
-		g.fillRegress(rng, b)
+		g.fillRegress(alloc, rng, b)
 	case Segment:
-		g.fillSegment(rng, b)
+		g.fillSegment(alloc, rng, b)
 	}
 	return b
 }
@@ -330,10 +364,10 @@ func (g *Generator) fillClassify(rng *tensor.RNG, b *Batch) {
 	}
 }
 
-func (g *Generator) fillMultiLabel(rng *tensor.RNG, b *Batch) {
+func (g *Generator) fillMultiLabel(alloc Alloc, rng *tensor.RNG, b *Batch) {
 	b.Labels = make([]int, b.Size)
 	b.Carrier = make([]int, b.Size)
-	b.Targets = tensor.New(b.Size, g.Classes)
+	b.Targets = newTensor(alloc, false, b.Size, g.Classes)
 	s := g.SignalStrength
 	for i := 0; i < b.Size; i++ {
 		primary := rng.Intn(g.Classes)
@@ -365,9 +399,9 @@ func (g *Generator) fillMultiLabel(rng *tensor.RNG, b *Batch) {
 
 // fillRegress plants a latent vector split across modalities; the target
 // mixes both halves, so unimodal models face an irreducible error floor.
-func (g *Generator) fillRegress(rng *tensor.RNG, b *Batch) {
+func (g *Generator) fillRegress(alloc Alloc, rng *tensor.RNG, b *Batch) {
 	k := g.Classes
-	b.Targets = tensor.New(b.Size, k)
+	b.Targets = newTensor(alloc, false, b.Size, k)
 	s := g.SignalStrength
 	for i := 0; i < b.Size; i++ {
 		u1 := float32(rng.Norm())
@@ -407,11 +441,11 @@ func (g *Generator) plantScaled(b *Batch, i, mi, k int, scale float32) {
 // T1/T1c highlight enhancing tumor while T2/Flair highlight edema), so a
 // single-contrast model has a hard recall ceiling while a fusing model can
 // segment the whole region.
-func (g *Generator) fillSegment(rng *tensor.RNG, b *Batch) {
+func (g *Generator) fillSegment(alloc Alloc, rng *tensor.RNG, b *Batch) {
 	spec := g.Specs[0]
 	h := spec.Shape[len(spec.Shape)-2]
 	w := spec.Shape[len(spec.Shape)-1]
-	b.Targets = tensor.New(b.Size, 1, h, w)
+	b.Targets = newTensor(alloc, false, b.Size, 1, h, w)
 	half := (len(g.Specs) + 1) / 2
 
 	type rect struct{ y0, x0, y1, x1 int }

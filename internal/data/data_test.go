@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -256,5 +257,116 @@ func TestAbstractBatchDrawsNoPrototype(t *testing.T) {
 	gen.Batch(tensor.NewRNG(1), 2)
 	if len(gen.protos) != 2*8 {
 		t.Fatalf("the first Batch drew %d prototypes, want %d", len(gen.protos), 2*8)
+	}
+}
+
+// poisonAlloc is an arena stand-in: AllocUninit hands out NaN-filled
+// memory, as a debug engine's poisoned slabs do, Alloc zeroed memory, and
+// both count the floats served.
+type poisonAlloc struct{ served int }
+
+func (a *poisonAlloc) AllocUninit(n int) []float32 {
+	a.served += n
+	buf := make([]float32, n)
+	for i := range buf {
+		buf[i] = float32(math.NaN())
+	}
+	return buf
+}
+
+func (a *poisonAlloc) Alloc(n int) []float32 {
+	buf := a.AllocUninit(n)
+	clear(buf)
+	return buf
+}
+
+func wantSameTensor(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: got %v, want %v", what, got, want)
+	}
+	if got == nil {
+		return
+	}
+	if !tensor.SameShape(got, want) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape(), want.Shape())
+	}
+	for i, v := range got.Data() {
+		if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+			t.Fatalf("%s[%d] = %g, want %g", what, i, v, want.Data()[i])
+		}
+	}
+}
+
+func wantSameBatch(t *testing.T, what string, got, want *Batch) {
+	t.Helper()
+	if got.Size != want.Size || len(got.Dense) != len(want.Dense) || len(got.Tokens) != len(want.Tokens) {
+		t.Fatalf("%s: size %d with %d dense and %d token modalities, want %d, %d and %d",
+			what, got.Size, len(got.Dense), len(got.Tokens), want.Size, len(want.Dense), len(want.Tokens))
+	}
+	for name, w := range want.Dense {
+		wantSameTensor(t, what+" "+name, got.Dense[name], w)
+	}
+	wantSameTensor(t, what+" targets", got.Targets, want.Targets)
+	for name, w := range want.Tokens {
+		if fmt.Sprint(got.Tokens[name]) != fmt.Sprint(w) {
+			t.Fatalf("%s: tokens %q differ", what, name)
+		}
+	}
+	if fmt.Sprint(got.Labels, got.Carrier) != fmt.Sprint(want.Labels, want.Carrier) {
+		t.Fatalf("%s: labels or carriers differ", what)
+	}
+}
+
+// TestBatchInMatchesBatch pins BatchIn and ConcatBatchesIn to Batch and
+// ConcatBatches bit for bit, for every task, with every float32 tensor
+// (dense modalities and Targets) drawn from the allocation source and
+// the uninitialised draws NaN-poisoned, so an element the generator
+// reads before writing shows up.
+func TestBatchInMatchesBatch(t *testing.T) {
+	images := []ModalitySpec{
+		{Name: "t1", Kind: Dense, Shape: []int{2, 12, 12}},
+		{Name: "t2", Kind: Dense, Shape: []int{1, 12, 12}},
+	}
+	for _, task := range []Task{Classify, MultiLabel, Regress, Segment} {
+		specs := testSpecs()
+		if task == Segment {
+			specs = images
+		}
+		gen := NewGenerator("in", specs, task, 6, 3)
+		floats := func(b *Batch) int {
+			n := 0
+			for _, d := range b.Dense {
+				n += d.Size()
+			}
+			if b.Targets != nil {
+				n += b.Targets.Size()
+			}
+			return n
+		}
+		var alloc poisonAlloc
+		var heap, in []*Batch
+		for i, size := range []int{3, 5} {
+			want := gen.Batch(tensor.NewRNG(int64(10+i)), size)
+			got := gen.BatchIn(&alloc, tensor.NewRNG(int64(10+i)), size)
+			wantSameBatch(t, fmt.Sprintf("%v BatchIn b%d", task, size), got, want)
+			heap, in = append(heap, want), append(in, got)
+		}
+		if want := floats(heap[0]) + floats(heap[1]); alloc.served != want {
+			t.Fatalf("%v: the allocation source served %d floats, the batches hold %d", task, alloc.served, want)
+		}
+		want, err := ConcatBatches(heap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc.served = 0
+		got, err := ConcatBatchesIn(&alloc, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameBatch(t, fmt.Sprintf("%v ConcatBatchesIn", task), got, want)
+		if alloc.served != floats(want) {
+			t.Fatalf("%v: ConcatBatchesIn drew %d floats, the merged batch holds %d", task, alloc.served, floats(want))
+		}
 	}
 }

@@ -15,12 +15,13 @@ const (
 	arenaMaxBytes = maxPoolBytes
 )
 
-// Arena is a run-scoped bump allocator: the untaped intermediates of one
-// eager run are carved out of slabs drawn from the engine's pool, and all
-// of them are given back together by Release once the run has copied out
-// what it returns. Between a run's first allocation and its Release
-// nothing is freed, so the bytes an arena serves are the run's measured
-// intermediate footprint (Stats().Arena.HighWaterBytes).
+// Arena is a run-scoped bump allocator: the generated inputs and the
+// untaped intermediates of one eager run are carved out of slabs drawn
+// from the engine's pool, and all of them are given back together by
+// Release once the run has copied out what it returns. Between a run's
+// first allocation and its Release nothing is freed, so the bytes an
+// arena serves are the run's measured input and intermediate footprint
+// (Stats().Arena.HighWaterBytes).
 //
 // An Arena is safe for concurrent use: a run's encoder branches allocate
 // from it from their own goroutines. A tensor larger than one slab gets
@@ -49,7 +50,7 @@ type ArenaActivity struct {
 	// BytesServed is the total bytes of tensors handed out.
 	BytesServed int64 `json:"bytes_served"`
 	// HighWaterBytes is the most one run's arena served — a forward's
-	// intermediates, all live until its Release.
+	// inputs and intermediates, all live until its Release.
 	HighWaterBytes int64 `json:"high_water_bytes"`
 	// Oversize counts tensors larger than a slab, each given a buffer of
 	// its own; HeapFallbacks counts buffers (slabs or oversize) taken from

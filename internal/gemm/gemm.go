@@ -120,6 +120,7 @@ import (
 	"sync"
 
 	"mmbench/internal/engine"
+	"mmbench/internal/hostcpu"
 	"mmbench/internal/precision"
 )
 
@@ -163,39 +164,38 @@ func KernelName() string {
 	return "generic"
 }
 
-// AVX512 reports whether this process may run AVX-512F code: the CPU has
-// it and the OS saves ZMM state (the probe behind the tile-pair kernels).
-// It is false on builds without assembly. Other packages' vector kernels
-// dispatch on it rather than probing the CPU again.
-func AVX512() bool { return hasZMM }
-
-// AVX512DQ reports whether this process may also run AVX-512DQ code
-// (vcvtqq2pd, the 64-bit integer conversions): AVX512 and the DQ bit.
-func AVX512DQ() bool { return hasDQ }
+// AVX512DQ reports whether this process may run AVX-512F and AVX-512DQ
+// code (hostcpu.AVX512DQ). tensor's vector fills dispatch on it.
+func AVX512DQ() bool { return hostcpu.AVX512DQ }
 
 // Epilogue is what a product does to an element as its tile reaches dst.
-// The element's sum starts from dst — or, with RowBias, from RowBias[i],
-// the bias of its row (a convolution's output channel), and dst is not
-// read. Bias[j], the bias of its column, then joins the sum; F16 re-stores
-// the result through the float16 grid (precision.RoundF16); and ReLU
-// clears it when its sign bit is set (ops' ReLU rule), after any rounding.
-// A product sets at most one of Bias and RowBias. An element is stored
-// once, so
+// The element's sum starts from dst — or, with Overwrite, from 0, and
+// with RowBias from RowBias[i], the bias of its row (a convolution's
+// output channel); with either dst is not read. Bias[j], the bias of its
+// column, then joins the sum; F16 re-stores the result through the
+// float16 grid (precision.RoundF16); and ReLU clears it when its sign bit
+// is set (ops' ReLU rule), after any rounding. A product sets at most one
+// of Bias and RowBias, and Overwrite only without RowBias. An element is
+// stored once, so
 //
 //	dst[i][j] = ReLU(RoundF16((dst[i][j] + alpha·acc[i][j]) + Bias[j]))
+//	dst[i][j] = ReLU(RoundF16((0 + alpha·acc[i][j]) + Bias[j]))  Overwrite
 //	dst[i][j] = ReLU(RoundF16(RowBias[i] + alpha·acc[i][j]))
 //
 // have the bits of the product followed by a bias pass, a rounding pass
-// and a ReLU pass: the same operations in the same order. With RowBias
-// they are the bits of a dst filled with the row's bias before the
-// product, since IEEE addition commutes. The zero Epilogue stores
-// dst + alpha·acc alone. An empty product (m, k or n zero) stores
-// nothing, its epilogue included.
+// and a ReLU pass: the same operations in the same order. With Overwrite
+// they are the bits of a zeroed dst accumulated into (the explicit 0 +
+// turns a −0 product into +0, as the zeroed dst does), and with RowBias
+// the bits of a dst filled with the row's bias before the product, since
+// IEEE addition commutes. The zero Epilogue stores dst + alpha·acc alone.
+// An empty product (m, k or n zero) stores nothing, its epilogue
+// included, so an overwriting product's dst must be zeroed if k can be 0.
 type Epilogue struct {
-	Bias    []float32
-	RowBias []float32
-	F16     bool
-	ReLU    bool
+	Bias      []float32
+	RowBias   []float32
+	Overwrite bool
+	F16       bool
+	ReLU      bool
 }
 
 // F32 computes dst[m,n] += alpha · A·B over packed panels. aT means a is
@@ -640,8 +640,9 @@ func ConvGradF32(e *engine.Engine, dx, dw, w, x, dy []float32, n, outC int, g Co
 
 // addTileF32 stores the valid region of a full MR×NR tile into dst, whose
 // rows are ldd elements apart: dst[i0+r][j0+c] += alpha·tile[r][c] (with
-// ep.RowBias, dst[i0+r][j0+c] = RowBias[i0+r] + alpha·tile[r][c]), then
-// the rest of ep on that sum. It is the only store of every f32, f16 and
+// ep.Overwrite, dst[i0+r][j0+c] = 0 + alpha·tile[r][c]; with ep.RowBias,
+// dst[i0+r][j0+c] = RowBias[i0+r] + alpha·tile[r][c]), then the rest of
+// ep on that sum. It is the only store of every f32, f16 and
 // int8 product, and an element's one store is its final value. The sum
 // (addTileSum) keeps the shape of the separate pass the bias stands for
 // — (dst + alpha·t) + bias — since Go may fuse a multiply feeding an add
@@ -664,10 +665,13 @@ func addTileF32(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, m, n int
 	}
 }
 
+// zeroRow is the row an overwriting store's sums start from.
+var zeroRow [NR]float32
+
 // addTileSum stores a tile's rows × cols region as addTileF32 does,
 // without the f16 rounding, and applies the ReLU when relu is set.
 func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, cols int, alpha float32, ep *Epilogue, relu bool) {
-	bias, rowBias := ep.Bias, ep.RowBias
+	bias, rowBias, over := ep.Bias, ep.RowBias, ep.Overwrite
 	if asmKernels && cols == NR && (rowBias != nil || !relu) {
 		// Interior tile: two 8-lane multiplies and adds per row, each
 		// rounded as the scalar loop below rounds it (and the ReLU of a
@@ -681,11 +685,16 @@ func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, co
 		if bias != nil {
 			bp = &bias[j0:][:NR][0]
 		}
-		storeTileAsm(&dst[i0*ldd+j0], int64(ldd), &tile[0], int64(rows), alpha, bp)
+		// The sums start from dst's rows, or from zeroRow's for every row.
+		src, lds := &dst[i0*ldd+j0], int64(ldd)
+		if over {
+			src, lds = &zeroRow[0], 0
+		}
+		storeTileAsm(&dst[i0*ldd+j0], int64(ldd), src, lds, &tile[0], int64(rows), alpha, bp)
 		return
 	}
 	for r := 0; r < rows; r++ {
-		if cols == NR && bias == nil && rowBias == nil && !relu {
+		if cols == NR && bias == nil && rowBias == nil && !over && !relu {
 			// Interior tile: fixed-size rows need no bounds checks, and four
 			// independent updates per step keep the adder busy.
 			dr, tr := (*[NR]float32)(dst[(i0+r)*ldd+j0:]), (*[NR]float32)(tile[r*NR:])
@@ -699,6 +708,10 @@ func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, co
 		}
 		dr := dst[(i0+r)*ldd+j0 : (i0+r)*ldd+j0+cols]
 		tr := tile[r*NR : r*NR+cols]
+		sr := dr // the sums' start: dst's row, or zeros
+		if over {
+			sr = zeroRow[:cols]
+		}
 		switch {
 		case rowBias != nil:
 			rb := rowBias[i0+r]
@@ -708,11 +721,11 @@ func addTileSum(dst []float32, ldd int, tile *[MR * NR]float32, i0, j0, rows, co
 		case bias != nil:
 			br := bias[j0:][:cols]
 			for c, v := range tr {
-				dr[c] = (dr[c] + alpha*v) + br[c]
+				dr[c] = (sr[c] + alpha*v) + br[c]
 			}
 		default:
 			for c, v := range tr {
-				dr[c] += alpha * v
+				dr[c] = sr[c] + alpha*v
 			}
 		}
 		if relu {

@@ -2,9 +2,7 @@
 
 package gemm
 
-// cpuid and xgetbv are implemented in cpuid_amd64.s.
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
+import "mmbench/internal/hostcpu"
 
 // asmKernels selects the AVX2+FMA assembly micro-kernels; asmF16
 // additionally requires F16C for the vcvtph2ps B-panel path; asmVNNI
@@ -13,58 +11,13 @@ func xgetbv() (eax, edx uint32)
 // asmWide additionally requires AVX-512F with the OS saving ZMM state for
 // the f32 and f16 tile-pair and one-panel kernels, the PackA and PackBT
 // transposes and PackBConv's stride-1 gather. Tests clear asmWide to run
-// the 4×16 kernels and the scalar packing loops alone; hasZMM keeps the
-// probe's answer for AVX512, which such a test does not change, and
-// hasDQ that answer with AVX-512DQ as well, for AVX512DQ.
+// the 4×16 kernels and the scalar packing loops alone.
 var (
-	asmKernels bool
-	asmF16     bool
-	asmVNNI    bool
-	asmWide    bool
-	hasZMM     bool
-	hasDQ      bool
+	asmKernels = hostcpu.AVX2FMA
+	asmF16     = hostcpu.F16C
+	asmVNNI    = hostcpu.VNNI
+	asmWide    = hostcpu.AVX512F
 )
-
-func init() {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return
-	}
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-		f16cBit    = 1 << 29
-		avx2Bit    = 1 << 5  // CPUID.7:EBX
-		avx512fBit = 1 << 16 // CPUID.7:EBX
-		avx512dq   = 1 << 17 // CPUID.7:EBX
-		avx512vl   = 1 << 31 // CPUID.7:EBX
-		avx512vnni = 1 << 11 // CPUID.7:ECX
-		// XCR0: SSE|AVX state, plus opmask|ZMM_Hi256|Hi16_ZMM for EVEX.
-		ymmState = 0x6
-		zmmState = 0xe6
-	)
-	_, _, ecx1, _ := cpuid(1, 0)
-	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 || ecx1&fmaBit == 0 {
-		return
-	}
-	// The OS must save/restore XMM and YMM state (XCR0 bits 1 and 2).
-	xlo, _ := xgetbv()
-	if xlo&ymmState != ymmState {
-		return
-	}
-	_, ebx7, ecx7, _ := cpuid(7, 0)
-	if ebx7&avx2Bit == 0 {
-		return
-	}
-	asmKernels = true
-	asmF16 = ecx1&f16cBit != 0
-	zmm := ebx7&avx512fBit != 0 && xlo&zmmState == zmmState
-	asmVNNI = zmm && ebx7&avx512vl != 0 && ecx7&avx512vnni != 0
-	asmWide = zmm
-	hasZMM = zmm
-	hasDQ = zmm && ebx7&avx512dq != 0
-}
 
 // Assembly micro-kernels (kernel_amd64.s). Each overwrites a full MR×NR
 // tile accumulated over k (or kp pair) panel rows; pointers reach the
@@ -103,12 +56,14 @@ func kernF32x4R2Asm(ap, bp, tile *float32, k int64)
 func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64)
 
 // storeTileAsm (kernel_amd64.s) is addTileF32's store of a full-width
-// tile of rows rows at f32: dst[r·ldd+c] = (dst[r·ldd+c] + alpha·
-// tile[r·NR+c]) + bias[c], without the bias when it is nil. The caller
-// bounds-checks the last element it writes and reads.
+// tile of rows rows at f32: dst[r·ldd+c] = (src[r·lds+c] + alpha·
+// tile[r·NR+c]) + bias[c], without the bias when it is nil. src is dst
+// (lds = ldd) for an accumulating store, or a zero row (lds = 0) for an
+// overwriting one, which never reads dst. The caller bounds-checks the
+// last element it writes and reads.
 //
 //go:noescape
-func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32)
+func storeTileAsm(dst *float32, ldd int64, src *float32, lds int64, tile *float32, rows int64, alpha float32, bias *float32)
 
 // storeTileRowAsm (kernel_amd64.s) is the same store with a row bias:
 // dst[r·ldd+c] = alpha·tile[r·NR+c] + rowBias[r], dst not read, and with

@@ -224,20 +224,25 @@ vnniloop:
 	VZEROUPPER
 	RET
 
-// func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32)
+// func storeTileAsm(dst *float32, ldd int64, src *float32, lds int64, tile *float32, rows int64, alpha float32, bias *float32)
 // The interior-tile store of addTileF32: for r < rows and c < 16,
-// dst[r*ldd+c] = (dst[r*ldd+c] + alpha·tile[r*16+c]) + bias[c], the bias
-// add skipped when bias is nil. Each multiply and add rounds on its own
-// (no FMA) in the order of the scalar store, so the bits are the same;
-// each sum keeps alpha·tile as its first operand, as the scalar code does.
-TEXT ·storeTileAsm(SB), NOSPLIT, $0-48
+// dst[r*ldd+c] = (src[r*lds+c] + alpha·tile[r*16+c]) + bias[c], the bias
+// add skipped when bias is nil; src is dst for an accumulating store and
+// a zero row with lds = 0 for an overwriting one. Each multiply and add
+// rounds on its own (no FMA) in the order of the scalar store, so the
+// bits are the same; each sum keeps alpha·tile as its first operand, as
+// the scalar code does.
+TEXT ·storeTileAsm(SB), NOSPLIT, $0-64
 	MOVQ         dst+0(FP), DI
 	MOVQ         ldd+8(FP), DX
 	SHLQ         $2, DX
-	MOVQ         tile+16(FP), SI
-	MOVQ         rows+24(FP), CX
-	VBROADCASTSS alpha+32(FP), Y15
-	MOVQ         bias+40(FP), BX
+	MOVQ         src+16(FP), R8
+	MOVQ         lds+24(FP), R9
+	SHLQ         $2, R9
+	MOVQ         tile+32(FP), SI
+	MOVQ         rows+40(FP), CX
+	VBROADCASTSS alpha+48(FP), Y15
+	MOVQ         bias+56(FP), BX
 	TESTQ        BX, BX
 	JZ           storeplain
 	VMOVUPS      (BX), Y13
@@ -248,14 +253,15 @@ storebias:
 	VMOVUPS 32(SI), Y1
 	VMULPS  Y15, Y0, Y0
 	VMULPS  Y15, Y1, Y1
-	VADDPS  (DI), Y0, Y0
-	VADDPS  32(DI), Y1, Y1
+	VADDPS  (R8), Y0, Y0
+	VADDPS  32(R8), Y1, Y1
 	VADDPS  Y13, Y0, Y0
 	VADDPS  Y14, Y1, Y1
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ    $64, SI
 	ADDQ    DX, DI
+	ADDQ    R9, R8
 	DECQ    CX
 	JNZ     storebias
 	VZEROUPPER
@@ -266,12 +272,13 @@ storeplain:
 	VMOVUPS 32(SI), Y1
 	VMULPS  Y15, Y0, Y0
 	VMULPS  Y15, Y1, Y1
-	VADDPS  (DI), Y0, Y0
-	VADDPS  32(DI), Y1, Y1
+	VADDPS  (R8), Y0, Y0
+	VADDPS  32(R8), Y1, Y1
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ    $64, SI
 	ADDQ    DX, DI
+	ADDQ    R9, R8
 	DECQ    CX
 	JNZ     storeplain
 	VZEROUPPER

@@ -10,8 +10,6 @@ const (
 	asmKernels = false
 	asmF16     = false
 	asmVNNI    = false
-	hasZMM     = false
-	hasDQ      = false
 )
 
 // asmWide is never set here; it is a variable only because the tests
@@ -57,7 +55,7 @@ func kernF16x4R2Asm(ap *float32, bp *uint16, tile *float32, k int64) {
 	panic("gemm: one-panel asm kernel unavailable on this platform")
 }
 
-func storeTileAsm(dst *float32, ldd int64, tile *float32, rows int64, alpha float32, bias *float32) {
+func storeTileAsm(dst *float32, ldd int64, src *float32, lds int64, tile *float32, rows int64, alpha float32, bias *float32) {
 	panic("gemm: asm tile store unavailable on this platform")
 }
 

@@ -21,7 +21,9 @@ var storeValues = []float32{
 // TestTileStoreMatchesScalar pins addTileF32 — the assembly stores for a
 // full-width tile where they run, the Go loops elsewhere and at the edges —
 // to the scalar store written out here, bit for bit: dst = (dst +
-// alpha·t) + bias[j], or with a row bias dst = rowBias[i] + alpha·t, then
+// alpha·t) + bias[j], or overwriting dst = (0 + alpha·t) + bias[j] (dst,
+// random and special values, never read), or with a row bias dst =
+// rowBias[i] + alpha·t, then
 // RoundF16 with the f16 re-store and ReLU's sign-bit rule, over every row
 // and column count of a tile, three alphas, every epilogue, and operands
 // holding the special values of storeValues. Where the assembly stores run
@@ -47,9 +49,12 @@ func checkTileStore(t *testing.T) {
 	isNaN := func(v float32) bool { return v != v }
 	const ldd, n = 2*NR + 3, 2 * NR
 	for _, alpha := range []float32{1, 0.5, -1.5} {
-		for ep := 0; ep < 12; ep++ {
-			bias, rowBias, f16, relu := ep%3 == 1, ep%3 == 2, ep/3%2 == 1, ep/6 == 1
-			name := fmt.Sprintf("bias=%t rowBias=%t f16=%t relu=%t", bias, rowBias, f16, relu)
+		for ep := 0; ep < 24; ep++ {
+			bias, rowBias, f16, relu, over := ep%3 == 1, ep%3 == 2, ep/3%2 == 1, ep/6%2 == 1, ep/12 == 1
+			if over && rowBias {
+				continue
+			}
+			name := fmt.Sprintf("bias=%t rowBias=%t overwrite=%t f16=%t relu=%t", bias, rowBias, over, f16, relu)
 			for rows := 1; rows <= MR; rows++ {
 				for cols := 1; cols <= NR; cols++ {
 					var tile [MR * NR]float32
@@ -60,7 +65,7 @@ func checkTileStore(t *testing.T) {
 							d[i] = draw()
 						}
 					}
-					e := Epilogue{F16: f16, ReLU: relu}
+					e := Epilogue{Overwrite: over, F16: f16, ReLU: relu}
 					if bias {
 						e.Bias = bs
 					}
@@ -82,6 +87,8 @@ func checkTileStore(t *testing.T) {
 									tile[r*NR+c], at = 1, alpha
 								}
 								want[i] = rbs[r] + at
+							} else if over {
+								want[i] = 0 + at
 							} else {
 								if isNaN(at) && isNaN(want[i]) {
 									want[i], dst[i] = 1, 1

@@ -1,6 +1,6 @@
 //go:build !noasm
 
-// CPU feature probes for the kernel dispatch in kernel_amd64.go.
+// CPUID and XGETBV for the feature probe in probe_amd64.go.
 
 #include "textflag.h"
 

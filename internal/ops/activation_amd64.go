@@ -2,13 +2,13 @@
 
 package ops
 
-import "mmbench/internal/gemm"
+import "mmbench/internal/hostcpu"
 
 // vecActivations selects the AVX-512F bodies of the activation kernels
 // (activation_amd64.s) and of fused attention's row passes
 // (attention_amd64.s) on the probe that selects the GEMM's tile-pair
 // kernels.
-var vecActivations = gemm.AVX512()
+var vecActivations = hostcpu.AVX512F
 
 // geluAsm, sigmoidAsm and tanhAsm store n elements of dst from src, with
 // n a multiple of 16; src and dst are either the same or disjoint.

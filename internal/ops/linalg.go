@@ -131,7 +131,9 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	if bias != nil {
 		inputs = append(inputs, bias)
 	}
-	out := c.out(outShape, inputs...)
+	// The tile store overwrites every element (in ≥ 1: a tensor has no
+	// empty dimension), so the result skips the zero fill.
+	out := c.outUninit(outShape, inputs...)
 	if out.Value.Abstract() {
 		c.emitAll(specs[1:ns])
 		return out
@@ -144,9 +146,9 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	// (for f16 the sum is re-stored through the grid exactly once, after
 	// the bias, like Conv2D; for i8 the dequantized output stays f32 —
 	// both the usual hardware arrangement). Both happen in the product's
-	// tile store (gemm.Epilogue): out starts zeroed, so each element is
-	// RoundF16((0 + acc) + bias[j]), the bits of a bias pass and a
-	// rounding pass after the product. A row's product does not depend on
+	// tile store (gemm.Epilogue), which overwrites out without reading
+	// it: each element is RoundF16((0 + acc) + bias[j]), the bits of a
+	// zeroed out accumulated into, then a bias pass and a rounding pass. A row's product does not depend on
 	// how many rows share the call, so a merged cross-request batch runs
 	// one GEMM; only the i8 activation scale is a per-tensor, hence
 	// cross-request, statistic and calibrates per request segment. The
@@ -155,7 +157,7 @@ func (c *Ctx) Linear(x, w, bias *Var) *Var {
 	if c.Tape == nil {
 		kept = w.Frozen
 	}
-	ep := gemm.Epilogue{F16: c.prec == precision.F16}
+	ep := gemm.Epilogue{Overwrite: true, F16: c.prec == precision.F16}
 	if bias != nil {
 		ep.Bias = bias.Value.Data()
 	}

@@ -195,14 +195,20 @@ func RoundF16(x float32) float32 {
 }
 
 // RoundF16Slice stores dst[i] = RoundF16(src[i]). dst and src may alias.
-// A magnitude in [2⁻¹⁴, 65520) — a normal float16 result that no rounding
-// carry takes to Inf — is rounded inline, behind one unsigned range test;
-// so is one below 2⁻¹⁴ (±0 and the float16 subnormals, common after a
-// ReLU and in zero-padded panel lanes), as RoundF16 rounds it: (|x| + 0.5)
-// − 0.5 with x's sign. Only Inf, NaN and overflow call RoundF16, which is
-// too large to inline.
+// On AVX-512F hosts with F16C the first len(src)&^15 elements round on
+// the conversion unit (roundF16Vec: the hardware's round-to-nearest-even
+// is RoundF16 on every input but NaN, whose lanes take RoundF16's NaN),
+// and the Go loop below rounds the rest; elsewhere it rounds them all. In
+// the loop a magnitude in [2⁻¹⁴, 65520) — a normal float16 result that no
+// rounding carry takes to Inf — is rounded inline, behind one unsigned
+// range test; so is one below 2⁻¹⁴ (±0 and the float16 subnormals, common
+// after a ReLU and in zero-padded panel lanes), as RoundF16 rounds it:
+// (|x| + 0.5) − 0.5 with x's sign. Only Inf, NaN and overflow call
+// RoundF16, which is too large to inline.
 func RoundF16Slice(dst, src []float32) {
 	dst = dst[:len(src)]
+	v := roundF16Vec(dst, src)
+	dst, src = dst[v:], src[v:]
 	for i, x := range src {
 		b := math.Float32bits(x)
 		a := b & 0x7fffffff
@@ -220,7 +226,9 @@ func RoundF16Slice(dst, src []float32) {
 	}
 }
 
-// F16BitsSlice stores dst[i] = F16Bits(src[i]). A magnitude in
+// F16BitsSlice stores dst[i] = F16Bits(src[i]). On AVX-512F hosts with
+// F16C the first len(src)&^15 elements convert on the conversion unit
+// (f16BitsVec), as RoundF16Slice's do. In the Go loop a magnitude in
 // [2⁻¹⁴, 2¹⁶) — F16Bits' normal path, whose rounding carry reaches Inf's
 // bits by itself — is converted inline, behind one unsigned range test,
 // and so is one below 2⁻¹⁴ (±0 and the float16 subnormals) by F16Bits'
@@ -230,6 +238,8 @@ func RoundF16Slice(dst, src []float32) {
 // which is already read.
 func F16BitsSlice(dst []uint16, src []float32) {
 	dst = dst[:len(src)]
+	v := f16BitsVec(dst, src)
+	dst, src = dst[v:], src[v:]
 	for i, x := range src {
 		b := math.Float32bits(x)
 		a := b & 0x7fffffff

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // refF16Bits is a slow float64-based reference for round-to-nearest-even
@@ -241,12 +242,68 @@ func wantRoundF16(t *testing.T, b uint32) {
 // exponent, the ten mantissa bits float16 keeps) with the 13 dropped bits
 // at the rounding boundaries: exact, just above, just below, at and just
 // past the tie, and all ones. It covers every binade, the subnormal and
-// overflow edges, ±0, ±Inf and NaN payloads.
+// overflow edges, ±0, ±Inf and NaN payloads. The slice forms then run
+// over all those patterns at once (wantSlicesF16), so where the vector
+// bodies run every pattern meets them, in every lane.
 func TestRoundF16Boundaries(t *testing.T) {
+	var xs []float32
 	for p := uint32(0); p < 1<<19; p++ {
 		for _, low := range []uint32{0, 1, 0x0fff, 0x1000, 0x1001, 0x1fff} {
 			wantRoundF16(t, p<<13|low)
+			xs = append(xs, math.Float32frombits(p<<13|low))
 		}
+	}
+	wantSlicesF16(t, xs)
+}
+
+// wantSlicesF16 checks RoundF16Slice against RoundF16 and F16BitsSlice
+// against F16Bits over xs, bit for bit, out of place and in place (the
+// bits written over xs's own memory from its first byte), from offsets
+// 0 and 5 so the vector bodies' tails and lanes shift.
+func wantSlicesF16(t *testing.T, xs []float32) {
+	t.Helper()
+	for _, off := range []int{0, 5} {
+		if off > len(xs) {
+			break
+		}
+		src := xs[off:]
+		r := make([]float32, len(src))
+		h := make([]uint16, len(src))
+		RoundF16Slice(r, src)
+		F16BitsSlice(h, src)
+		inR := append([]float32(nil), src...)
+		RoundF16Slice(inR, inR)
+		inH := append([]float32(nil), src...)
+		inHBits := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(inH))), len(inH))
+		F16BitsSlice(inHBits, inH)
+		for i, x := range src {
+			want, wantH := math.Float32bits(RoundF16(x)), F16Bits(x)
+			if math.Float32bits(r[i]) != want || math.Float32bits(inR[i]) != want || h[i] != wantH || inHBits[i] != wantH {
+				t.Fatalf("offset %d element %d (%#08x): RoundF16Slice %#08x, in place %#08x, want %#08x; F16BitsSlice %#04x, in place %#04x, want %#04x",
+					off, i, math.Float32bits(x), math.Float32bits(r[i]), math.Float32bits(inR[i]), want, h[i], inHBits[i], wantH)
+			}
+		}
+	}
+}
+
+// TestF16SlicesEveryLength runs the slice forms over every length 0–40,
+// so the vector bodies' block count and the Go loop's tail both vary,
+// on values that mix every class: normals, ties, subnormals, overflow,
+// ±0, ±Inf and NaNs of both signs and several payloads.
+func TestF16SlicesEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []uint32{0, 0x80000000, 0x7f800000, 0xff800000, 0x7fc00000, 0xffc00000, 0x7f800001,
+		0xff812345, 0x7fffffff, 0x477ff000, 0x477fefff, 0x38800000, 0x33000000, 0x33000001, 0x00000001}
+	for n := 0; n <= 40; n++ {
+		xs := make([]float32, n)
+		for i := range xs {
+			if rng.Intn(2) == 0 {
+				xs[i] = math.Float32frombits(specials[rng.Intn(len(specials))])
+			} else {
+				xs[i] = math.Float32frombits(rng.Uint32())
+			}
+		}
+		wantSlicesF16(t, xs)
 	}
 }
 
